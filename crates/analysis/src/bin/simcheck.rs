@@ -1,15 +1,10 @@
 //! `simcheck` — run the static-analysis pipeline over EQueue modules.
 //!
 //! ```text
-//! simcheck [--json] [--quiet] [--partition] --all-scenarios
-//! simcheck [--json] [--quiet] [--partition] --scenario NAME
-//! simcheck [--json] [--quiet] [--partition] FILE.mlir [FILE.mlir ...]
+//! simcheck [--json] [--quiet] --all-scenarios
+//! simcheck [--json] [--quiet] --scenario NAME
+//! simcheck [--json] [--quiet] FILE.mlir [FILE.mlir ...]
 //! ```
-//!
-//! `--partition` additionally compiles each module and reports its
-//! conflict partition — the independent processor/DMA groups the parallel
-//! engine (`SimOptions::threads`) shards over: a one-line group-count
-//! summary in text mode, a deterministic group dump in `--json` mode.
 //!
 //! Exit status: 0 = no Error-severity diagnostics, 1 = at least one, 2 =
 //! usage or input error. Analysis is lenient — malformed IR yields typed
@@ -22,13 +17,12 @@
 use std::process::ExitCode;
 
 use equeue_analysis::{analyze_module, AnalysisReport, Severity};
-use equeue_core::{CompiledModule, Partition, RunLimits, SimLibrary};
+use equeue_core::{RunLimits, SimLibrary};
 use equeue_gen::scenarios::golden_scenarios;
 
 struct Options {
     json: bool,
     quiet: bool,
-    partition: bool,
     all_scenarios: bool,
     scenario: Option<String>,
     files: Vec<String>,
@@ -36,12 +30,10 @@ struct Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: simcheck [--json] [--quiet] [--partition] (--all-scenarios | --scenario NAME | FILE...)\n\
+        "usage: simcheck [--json] [--quiet] (--all-scenarios | --scenario NAME | FILE...)\n\
          \n\
          Runs the five-pass static analysis (conflict graph, deadlock,\n\
          fusibility, dead values, resource bounds) and prints diagnostics.\n\
-         --partition also compiles each module and reports the conflict\n\
-         partition the parallel engine shards over.\n\
          Exit 0: clean; 1: errors found; 2: bad usage/input."
     );
     ExitCode::from(2)
@@ -51,7 +43,6 @@ fn parse_args() -> Result<Options, ExitCode> {
     let mut opts = Options {
         json: false,
         quiet: false,
-        partition: false,
         all_scenarios: false,
         scenario: None,
         files: Vec::new(),
@@ -61,7 +52,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         match a.as_str() {
             "--json" => opts.json = true,
             "--quiet" | "-q" => opts.quiet = true,
-            "--partition" => opts.partition = true,
             "--all-scenarios" => opts.all_scenarios = true,
             "--scenario" => match args.next() {
                 Some(n) => opts.scenario = Some(n),
@@ -78,54 +68,9 @@ fn parse_args() -> Result<Options, ExitCode> {
     Ok(opts)
 }
 
-/// Serialises a partition as deterministic JSON: groups are sorted by
-/// construction and the pure-launch listing is sorted by op index, so the
-/// same module always produces the same bytes.
-fn partition_json(p: &Partition) -> String {
-    let groups: Vec<String> = p
-        .groups()
-        .iter()
-        .map(|g| {
-            let members: Vec<String> = g.iter().map(|n| n.to_string()).collect();
-            format!("[{}]", members.join(","))
-        })
-        .collect();
-    let launches: Vec<String> = p
-        .pure_launches()
-        .iter()
-        .map(|(op, g)| format!("{{\"op\":{op},\"group\":{g}}}"))
-        .collect();
-    format!(
-        "{{\"nodes\":{},\"groups\":[{}],\"host_group\":{},\"degraded\":{},\"pure_launches\":[{}]}}",
-        p.num_nodes(),
-        groups.join(","),
-        p.host_group(),
-        p.degraded(),
-        launches.join(",")
-    )
-}
-
-fn partition_summary(p: &Partition) -> String {
-    format!(
-        "partition: {} groups over {} nodes, {} pure launches, host group {}{}",
-        p.groups().len(),
-        p.num_nodes(),
-        p.pure_launch_count(),
-        p.host_group(),
-        if p.degraded() { " (degraded)" } else { "" }
-    )
-}
-
-fn emit(name: &str, report: &AnalysisReport, partition: Option<&Partition>, opts: &Options) {
+fn emit(name: &str, report: &AnalysisReport, opts: &Options) {
     if opts.json {
-        match partition {
-            Some(p) => println!(
-                "{{\"name\":\"{name}\",\"partition\":{},\"report\":{}}}",
-                partition_json(p),
-                report.to_json()
-            ),
-            None => println!("{{\"name\":\"{name}\",\"report\":{}}}", report.to_json()),
-        }
+        println!("{{\"name\":\"{name}\",\"report\":{}}}", report.to_json());
         return;
     }
     println!("=== {name} ===");
@@ -146,9 +91,6 @@ fn emit(name: &str, report: &AnalysisReport, partition: Option<&Partition>, opts
         );
     } else {
         print!("{}", report.to_text());
-    }
-    if let Some(p) = partition {
-        println!("{}", partition_summary(p));
     }
 }
 
@@ -201,25 +143,7 @@ fn main() -> ExitCode {
     for (name, module) in &targets {
         let report = analyze_module(module, &library, &limits);
         errors += report.error_count();
-        let compiled = if opts.partition {
-            // Partition reporting needs the compile-time plan; a module
-            // that fails layout is an input error like a parse failure.
-            match CompiledModule::compile(module.clone(), SimLibrary::standard()) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("simcheck: {name}: compile error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            None
-        };
-        emit(
-            name,
-            &report,
-            compiled.as_ref().map(|c| c.partition()),
-            &opts,
-        );
+        emit(name, &report, &opts);
     }
     if errors > 0 {
         ExitCode::from(1)

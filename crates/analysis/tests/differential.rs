@@ -254,37 +254,3 @@ fn resource_bounds_cover_runtime_counters() {
         );
     }
 }
-
-/// The engine's compile-time partition mirror (`CompiledModule::partition`)
-/// must agree with `ConflictPass` group-for-group: same node enumeration,
-/// same independent groups, on every golden scenario. The sharded runtime
-/// trusts the mirror; this pins it to the analysis pass it claims to copy.
-#[test]
-fn partition_mirror_matches_conflict_pass() {
-    let library = SimLibrary::standard();
-    let limits = RunLimits::default();
-    for scenario in golden_scenarios() {
-        let report = analyze_module(&scenario.module, &library, &limits);
-        let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
-            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", scenario.name));
-        let partition = compiled.partition();
-        assert_eq!(
-            partition.num_nodes(),
-            report.conflict.nodes.len(),
-            "{}: node count mismatch",
-            scenario.name
-        );
-        assert_eq!(
-            partition.groups(),
-            &report.conflict.groups[..],
-            "{}: independent groups diverge from ConflictPass",
-            scenario.name
-        );
-        assert_eq!(
-            partition.degraded(),
-            report.conflict.nodes.iter().all(|n| n.opaque) && partition.num_nodes() > 1,
-            "{}: degradation flag diverges",
-            scenario.name
-        );
-    }
-}

@@ -23,7 +23,8 @@ use equeue_gen::scenarios::golden_scenarios;
 /// Scenarios pinned as snapshots: one per paper figure family, the matmul
 /// microbenchmarks (both fusible and non-fusible shapes), and the
 /// scenario-diversity sweep (cache + DMA staging, tenant interleaving,
-/// wide processor grid).
+/// wide processor grid), and the multi-group conflict workload (one
+/// independent group per PE, pinning the conflict pass's group split).
 const SNAPSHOT_SCENARIOS: &[&str] = &[
     "fig09_4x4_ws_8x8",
     "fig11_systolic_ws_8",
@@ -34,6 +35,7 @@ const SNAPSHOT_SCENARIOS: &[&str] = &[
     "conv2d_systolic_8x3",
     "multi_tenant_4x16x6",
     "mega_grid_8x8",
+    "shard_grid_4x4",
 ];
 
 fn golden_dir() -> PathBuf {
@@ -103,8 +105,8 @@ fn reports_are_deterministic_across_runs() {
     }
 }
 
-/// ... and across threads: the sweep driver runs analyses concurrently
-/// with `--jobs`, which must not perturb the output.
+/// ... and across threads, because the sweep driver runs analyses
+/// concurrently with `--jobs`, which must not perturb the output.
 #[test]
 fn reports_are_deterministic_across_threads() {
     let baseline: Vec<String> = SNAPSHOT_SCENARIOS.iter().map(|n| render(n)).collect();

@@ -2,17 +2,14 @@
 //! scenarios plus engine-focused microworkloads, and writes
 //! `BENCH_engine.json` so successive PRs have a perf trajectory.
 //!
-//! Usage: `cargo run --release --bin bench [-- [--jobs N] [--threads N] [--filter SUBSTR] [--backend fused|interp] [--iters N] [--fault-matrix] [--analyze] [<output-path>]]`
+//! Usage: `cargo run --release --bin bench [-- [--jobs N] [--filter SUBSTR] [--backend fused|interp] [--iters N] [--fault-matrix] [--analyze] [<output-path>]]`
 //! (default output: `BENCH_engine.json` in the current directory).
 //!
 //! * `--jobs N` — worker threads for the sweep scenarios (`fig12_small_sweep`);
 //!   default is the machine's available parallelism, `--jobs 1` forces the
 //!   sequential path. Cycles/events/ops are bit-identical at any job count —
-//!   only wall-clock changes.
-//! * `--threads N` — per-run engine threads (`SimOptions::threads`, the
-//!   group-sharded intra-run parallelism); default 1 (the sequential
-//!   engine), `0` = available parallelism. Counters are bit-identical at
-//!   any value — the CI drift guard runs a `--threads 2` leg to prove it.
+//!   only wall-clock changes. This is the bench's only parallelism: each
+//!   individual simulation runs on the single sequential engine.
 //! * `--backend fused|interp` — execution backend (default `fused`, the
 //!   threaded-code loop-trace runner; `interp` forces the reference
 //!   interpreter). Counters are bit-identical either way — the CI drift
@@ -66,7 +63,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use equeue_bench::timing::{time, Sample};
-use equeue_bench::{fig12_sweep_jobs_backend_threads, pool, run_quiet, scenarios};
+use equeue_bench::{fig12_sweep_jobs_backend, pool, run_quiet, scenarios};
 use equeue_core::{Backend, CompiledModule, SimLibrary, SimOptions, SimReport};
 use equeue_dialect::ConvDims;
 use equeue_gen::{
@@ -88,7 +85,7 @@ struct Row {
 /// counters of a reference run. The module is compiled once — the layout
 /// prepass runs outside the timed region, so the row measures execution,
 /// not recompilation.
-fn sim_row(name: &str, iters: u32, module: Module, backend: Backend, threads: usize) -> Row {
+fn sim_row(name: &str, iters: u32, module: Module, backend: Backend) -> Row {
     let compiled = match CompiledModule::compile(module, SimLibrary::standard()) {
         Ok(c) => c,
         Err(e) => panic!("compile failed: {e}"),
@@ -96,7 +93,6 @@ fn sim_row(name: &str, iters: u32, module: Module, backend: Backend, threads: us
     let opts = SimOptions {
         trace: false,
         backend,
-        threads,
         ..Default::default()
     };
     let run = || match compiled.simulate(&opts) {
@@ -116,9 +112,6 @@ fn sim_row(name: &str, iters: u32, module: Module, backend: Backend, threads: us
 /// Parsed command line.
 struct Args {
     jobs: usize,
-    /// Per-run engine threads ([`SimOptions::threads`]); `0` = available
-    /// parallelism via [`pool::resolve_jobs`], default 1 (sequential).
-    threads: usize,
     filter: Option<String>,
     out_path: String,
     fault_matrix: bool,
@@ -130,7 +123,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut jobs = 0; // 0 = available parallelism (pool convention)
-    let mut threads = 1; // sequential engine; 0 = available parallelism
     let mut filter = None;
     let mut out_path: Option<String> = None;
     let mut fault_matrix = false;
@@ -141,7 +133,6 @@ fn parse_args() -> Args {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--jobs" => jobs = pool::parse_jobs_arg("bench", argv.next()),
-            "--threads" => threads = pool::parse_count_arg("bench", "--threads", argv.next()),
             "--filter" => {
                 filter = Some(argv.next().unwrap_or_else(|| {
                     eprintln!("bench: --filter needs a substring");
@@ -174,7 +165,7 @@ fn parse_args() -> Args {
             }
             flag if flag.starts_with('-') => {
                 eprintln!(
-                    "bench: unknown flag '{flag}' (expected --jobs N / --threads N / --filter SUBSTR / --backend fused|interp / --iters N / --fault-matrix / --analyze / <output-path>)"
+                    "bench: unknown flag '{flag}' (expected --jobs N / --filter SUBSTR / --backend fused|interp / --iters N / --fault-matrix / --analyze / <output-path>)"
                 );
                 std::process::exit(2);
             }
@@ -199,7 +190,6 @@ fn parse_args() -> Args {
     });
     Args {
         jobs,
-        threads,
         filter,
         out_path,
         fault_matrix,
@@ -419,16 +409,14 @@ fn main() {
         run_analyze(args.filter.as_deref());
     }
     let enabled = |name: &str| -> bool { args.filter.as_deref().is_none_or(|f| name.contains(f)) };
-    let threads = pool::resolve_jobs(args.threads);
     println!(
-        "bench: jobs = {} ({} requested), threads = {}, backend = {:?}{}",
+        "bench: jobs = {} ({} requested), backend = {:?}{}",
         pool::resolve_jobs(args.jobs),
         if args.jobs == 0 {
             "auto".to_string()
         } else {
             args.jobs.to_string()
         },
-        threads,
         args.backend,
         args.filter
             .as_deref()
@@ -455,7 +443,6 @@ fn main() {
             iters(10),
             fig09.module,
             args.backend,
-            threads,
         ));
     }
 
@@ -471,7 +458,6 @@ fn main() {
             iters(10),
             fig11.module,
             args.backend,
-            threads,
         ));
     }
 
@@ -482,7 +468,6 @@ fn main() {
             iters(10),
             fir.module,
             args.backend,
-            threads,
         ));
     }
 
@@ -493,8 +478,7 @@ fn main() {
     if enabled("fig12_small_sweep") {
         let mut guard = (0u64, 0u64, 0u64);
         let sample = time("fig12_small_sweep", iters(3), || {
-            let rows =
-                fig12_sweep_jobs_backend_threads(false, args.jobs, args.backend, args.threads);
+            let rows = fig12_sweep_jobs_backend(false, args.jobs, args.backend);
             guard = rows.iter().fold((0, 0, 0), |acc, r| {
                 (
                     acc.0 + r.cycles,
@@ -519,7 +503,6 @@ fn main() {
             iters(10),
             scenarios::matmul_linalg(64),
             args.backend,
-            threads,
         ));
     }
     if enabled("matmul64_affine") {
@@ -528,7 +511,6 @@ fn main() {
             iters(5),
             scenarios::matmul_affine(64),
             args.backend,
-            threads,
         ));
     }
     if enabled("tensor_stream_256x128") {
@@ -537,7 +519,6 @@ fn main() {
             iters(10),
             scenarios::tensor_stream(256, 128),
             args.backend,
-            threads,
         ));
     }
     // Scenario-diversity sweep additions (same shapes as the golden list,
@@ -548,7 +529,6 @@ fn main() {
             iters(10),
             scenarios::conv2d_systolic(8, 3, 2, 4),
             args.backend,
-            threads,
         ));
     }
     if enabled("multi_tenant_4x16x6") {
@@ -557,7 +537,6 @@ fn main() {
             iters(10),
             scenarios::multi_tenant_trace(4, 16, 6),
             args.backend,
-            threads,
         ));
     }
     if enabled("mega_grid_8x8") {
@@ -566,32 +545,16 @@ fn main() {
             iters(10),
             scenarios::mega_grid(8, 8, 4),
             args.backend,
-            threads,
         ));
     }
-    // Intra-run parallelism baseline: `shard_grid` is the genuinely
-    // multi-group scenario (every PE+memory pair is its own conflict
-    // group, all 16 launches shard-pure — `mega_grid` shares one memory,
-    // so it is a single group the sharded engine can never split). The
-    // threads-2 row must match the threads-1 row bit for bit on
-    // cycles/events/ops; wall-clock scaling needs the multi-core-hardware
-    // run the ROADMAP flags (this container is 1-core).
+    // The multi-group conflict workload: every PE+memory pair is its own
+    // conflict group (contrast `mega_grid`, one shared memory, one group).
     if enabled("shard_grid_4x4") {
         rows.push(sim_row(
             "shard_grid_4x4",
             iters(10),
             scenarios::shard_grid(4, 4, 4),
             args.backend,
-            threads,
-        ));
-    }
-    if enabled("shard_grid_4x4_threads2") {
-        rows.push(sim_row(
-            "shard_grid_4x4_threads2",
-            iters(10),
-            scenarios::shard_grid(4, 4, 4),
-            args.backend,
-            2,
         ));
     }
 

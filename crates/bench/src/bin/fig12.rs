@@ -13,31 +13,26 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use equeue_bench::{fig12_configs, fig12_sweep_jobs_backend_threads, pool, Fig12Row};
-use equeue_core::Backend;
+use equeue_bench::{fig12_configs, fig12_sweep_jobs, pool, Fig12Row};
 use equeue_passes::Dataflow;
 
 fn main() {
     let mut full = false;
     let mut jobs = 0; // 0 = available parallelism
-    let mut threads = 1; // per-run engine threads; 0 = available parallelism
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--full" => full = true,
             "--jobs" => jobs = pool::parse_jobs_arg("fig12", argv.next()),
-            "--threads" => threads = pool::parse_count_arg("fig12", "--threads", argv.next()),
             other => {
-                eprintln!(
-                    "fig12: unknown argument '{other}' (expected --full / --jobs N / --threads N)"
-                );
+                eprintln!("fig12: unknown argument '{other}' (expected --full / --jobs N)");
                 std::process::exit(2);
             }
         }
     }
     let configs = fig12_configs(full);
     println!(
-        "Fig. 12 — scalability sweep over {} configurations ({}; {} worker threads, {} engine threads/run)",
+        "Fig. 12 — scalability sweep over {} configurations ({}; {} worker threads)",
         configs.len(),
         if full {
             "full grid"
@@ -45,7 +40,6 @@ fn main() {
             "subsample; pass --full for the paper's grid"
         },
         pool::resolve_jobs(jobs),
-        pool::resolve_jobs(threads),
     );
     println!(
         "{:>3}x{:<3} {:>4} {:>2} {:>2} {:>3} {:>3} | {:>10} {:>10} {:>7} | {:>11} | {:>9} | {:>6}",
@@ -66,8 +60,7 @@ fn main() {
     println!("{}", "-".repeat(108));
 
     // Simulate the whole grid on the pool, then print in sweep order.
-    let rows: Vec<Fig12Row> =
-        fig12_sweep_jobs_backend_threads(full, jobs, Backend::default(), threads);
+    let rows: Vec<Fig12Row> = fig12_sweep_jobs(full, jobs);
     for r in &rows {
         println!(
             "{:>3}x{:<3} {:>4} {:>2} {:>2} {:>3} {:>3} | {:>10} {:>10} {:>6.2}% | {:>9.1?} | {:>9.3} | {:>6}",

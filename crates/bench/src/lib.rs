@@ -393,27 +393,11 @@ pub fn fig12_sweep_jobs(full: bool, jobs: usize) -> Vec<Fig12Row> {
 /// and interpreted-op counts are bit-identical across backends (the fused
 /// trace runner's contract); only wall-clock differs.
 pub fn fig12_sweep_jobs_backend(full: bool, jobs: usize, backend: Backend) -> Vec<Fig12Row> {
-    fig12_sweep_jobs_backend_threads(full, jobs, backend, 1)
-}
-
-/// [`fig12_sweep_jobs_backend`] with an explicit per-run engine thread
-/// count ([`SimOptions::threads`]; `0` = the machine's available
-/// parallelism, resolved through [`pool::resolve_jobs`]). Counters stay
-/// bit-identical at any `threads` value — the engine's intra-run
-/// parallelism contract.
-pub fn fig12_sweep_jobs_backend_threads(
-    full: bool,
-    jobs: usize,
-    backend: Backend,
-    threads: usize,
-) -> Vec<Fig12Row> {
-    let threads = pool::resolve_jobs(threads);
     let configs = fig12_configs(full);
     pool::run_batch(jobs, &configs, move |&(ah, hw, f, c, n, df)| {
         let opts = SimOptions {
             trace: false,
             backend,
-            threads,
             ..Default::default()
         };
         match try_fig12_point(ah, hw, f, c, n, df, &opts) {

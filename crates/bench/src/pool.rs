@@ -45,24 +45,16 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// Parses the value token following a thread-count flag (`--jobs`,
-/// `--threads`, …) for the bench binaries (`program` names the binary and
-/// `flag` the option in the diagnostic). The parsed count follows the
-/// [`resolve_jobs`] convention: `0` means "use the machine's available
-/// parallelism". **Exits the process with status 2** on a missing or
-/// malformed value — CLI-argument handling, not for library use.
-pub fn parse_count_arg(program: &str, flag: &str, value: Option<String>) -> usize {
+/// Parses the value token following a `--jobs` flag for the bench binaries
+/// (`program` names the binary in the diagnostic). **Exits the process with
+/// status 2** on a missing or malformed value — CLI-argument handling, not
+/// for library use.
+pub fn parse_jobs_arg(program: &str, value: Option<String>) -> usize {
     let v = value.unwrap_or_default();
     v.parse().unwrap_or_else(|_| {
-        eprintln!("{program}: {flag} needs a number, got '{v}'");
+        eprintln!("{program}: --jobs needs a number, got '{v}'");
         std::process::exit(2);
     })
-}
-
-/// Parses the value token following a `--jobs` flag — see
-/// [`parse_count_arg`].
-pub fn parse_jobs_arg(program: &str, value: Option<String>) -> usize {
-    parse_count_arg(program, "--jobs", value)
 }
 
 /// The per-item outcome of a batched run: every input index gets exactly

@@ -192,70 +192,6 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
     }
 }
 
-/// Snapshots compose with the parallel engine: `threads` is a wall-clock
-/// knob, so a snapshot captured under `threads: 4` and resumed under
-/// `threads: 1` (and vice versa) must land on exactly the report of the
-/// uninterrupted run — which itself is thread-count independent. The
-/// snapshot and resume legs force the sequential path internally (the cut
-/// boundary and a shard speculation window cannot overlap, and a resumed
-/// engine has no create-op → group bindings), so this guards the contract
-/// that the forcing stays invisible.
-#[test]
-fn snapshots_compose_with_thread_counts() {
-    let threaded = |backend, threads| SimOptions {
-        trace: false,
-        backend,
-        threads,
-        ..Default::default()
-    };
-    // The multi-group scenario actually offloads at threads > 1, so the
-    // uninterrupted baseline exercises real speculation.
-    let module = equeue_gen::scenarios::shard_grid(4, 4, 4);
-    let compiled = CompiledModule::compile(module, SimLibrary::standard())
-        .unwrap_or_else(|e| panic!("shard_grid: compile: {e}"));
-    let full = compiled
-        .simulate(&threaded(Backend::Fused, 2))
-        .unwrap_or_else(|e| panic!("shard_grid: full threads-2 run: {e}"));
-    for cut in cut_points(full.cycles) {
-        for (snap_threads, resume_threads) in [(4, 1), (1, 4)] {
-            let tag = format!("shard_grid cut={cut} threads {snap_threads}->{resume_threads}");
-            let snap = compiled
-                .snapshot(&SimOptions {
-                    snapshot_at: Some(cut),
-                    ..threaded(Backend::Fused, snap_threads)
-                })
-                .unwrap_or_else(|e| panic!("{tag}: snapshot: {e}"));
-            let resumed = compiled
-                .resume(&snap, &threaded(Backend::Fused, resume_threads))
-                .unwrap_or_else(|e| panic!("{tag}: resume: {e}"));
-            assert_reports_identical(&tag, &full, &resumed);
-        }
-    }
-    // Every golden scenario at a mid-run cut, both compositions.
-    for scenario in golden_scenarios() {
-        let name = scenario.name;
-        let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
-            .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
-        let full = compiled
-            .simulate(&threaded(Backend::Fused, 4))
-            .unwrap_or_else(|e| panic!("{name}: full threads-4 run: {e}"));
-        let cut = (full.cycles / 2).max(1);
-        for (snap_threads, resume_threads) in [(4, 1), (1, 4)] {
-            let tag = format!("{name} cut={cut} threads {snap_threads}->{resume_threads}");
-            let snap = compiled
-                .snapshot(&SimOptions {
-                    snapshot_at: Some(cut),
-                    ..threaded(Backend::Fused, snap_threads)
-                })
-                .unwrap_or_else(|e| panic!("{tag}: snapshot: {e}"));
-            let resumed = compiled
-                .resume(&snap, &threaded(Backend::Fused, resume_threads))
-                .unwrap_or_else(|e| panic!("{tag}: resume: {e}"));
-            assert_reports_identical(&tag, &full, &resumed);
-        }
-    }
-}
-
 /// xorshift64* — the workspace's std-only PRNG for property probes.
 struct XorShift(u64);
 

@@ -242,14 +242,6 @@ impl CompiledModule {
         &self.library
     }
 
-    /// The compile-time conflict partition: independent processor/DMA
-    /// groups (mirroring `equeue-analysis`'s `ConflictPass` bit-for-bit)
-    /// plus the per-launch shard-purity verdicts the parallel runtime
-    /// ([`crate::SimOptions::threads`]) keys off.
-    pub fn partition(&self) -> &crate::Partition {
-        &self.plan.partition
-    }
-
     /// Releases the handle, returning the module (e.g. to mutate and
     /// recompile).
     pub fn into_module(self) -> Module {

@@ -52,7 +52,6 @@ use crate::machine::{
     Processor, RegisterBehavior,
 };
 use crate::profile::SimReport;
-use crate::sharded::{append_signal_suffix, remap_value, InFlight, ParState, ShardOut, Stashed};
 use crate::signal::{SignalState, SignalTable};
 use crate::snapshot::{
     err as snap_err, CompKindSnap, CompSnap, ConnSnap, MachineSnap, MemSnap, ModuleFingerprint,
@@ -94,7 +93,11 @@ pub enum Backend {
     Interp,
 }
 
-/// Simulation options.
+/// Simulation options. Every run executes on one thread, in the single
+/// sequential scheduler loop; parallelism lives one level up, across
+/// independent runs (concurrent [`crate::CompiledModule::simulate`] calls,
+/// the bench harness's `--jobs` pool), where it is bit-identical by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
     /// Record an operation-level Chrome trace (disable for large sweeps).
@@ -119,13 +122,6 @@ pub struct SimOptions {
     /// [`crate::CompiledModule::resume`] ignores it too (a resumed run
     /// always runs to completion).
     pub snapshot_at: Option<u64>,
-    /// Worker threads for intra-run parallelism over the ConflictPass
-    /// partition (see `docs/parallel-engine.md`). `1` (the default) is
-    /// exactly the sequential engine. Higher values let the engine offload
-    /// eligible independent launch groups to worker threads; counters
-    /// (cycles, events, ops, buffers, traffic) stay bit-identical at any
-    /// value. `0` is treated as `1`.
-    pub threads: usize,
 }
 
 impl Default for SimOptions {
@@ -136,7 +132,6 @@ impl Default for SimOptions {
             cancel: None,
             backend: Backend::default(),
             snapshot_at: None,
-            threads: 1,
         }
     }
 }
@@ -217,35 +212,12 @@ fn build_report(engine: &mut Engine, start: Instant) -> SimReport {
         events_spawned: engine.events_spawned,
         peak_live_tensor_bytes: engine.peak_live_tensor_bytes,
         fused_trace_entries: engine.fused_trace_entries,
-        shard_offloads: engine.shard_offloads,
         ops_interpreted: engine.ops_interpreted,
         trace: std::mem::take(&mut engine.trace),
         ..Default::default()
     };
     report.collect(&engine.machine);
     report
-}
-
-/// Whether a run may arm the intra-run parallel state (see
-/// `docs/parallel-engine.md`). Parallelism is an opt-in speculation layer
-/// over the sequential engine: it engages only when nothing observable
-/// could diverge — no tracing (shards do not record trace events), no
-/// cancellation (a mid-speculation cancel would report merged counters the
-/// sequential run never reaches), stock limits (a custom `max_events`
-/// budget interacts with merged-counter jumps: the limit error's `Progress`
-/// payload would name a different wake count), and a partition that found
-/// at least one offloadable launch.
-fn par_eligible(plan: &Plan, options: &SimOptions) -> bool {
-    let stock = RunLimits::default();
-    options.threads > 1
-        && !options.trace
-        && options.cancel.is_none()
-        && options.limits.max_cycles == stock.max_cycles
-        && options.limits.max_events == stock.max_events
-        && options.limits.max_live_tensor_bytes == stock.max_live_tensor_bytes
-        && options.limits.wall_deadline.is_none()
-        && !plan.partition.degraded()
-        && plan.partition.pure_launch_count() > 0
 }
 
 /// Runs `module` up to `options.snapshot_at` and captures a [`Snapshot`]:
@@ -601,9 +573,10 @@ struct ScopeLayout {
     values: Vec<ValueId>,
 }
 
-/// The prepass output: scope layouts plus a per-op side table. Immutable
-/// once built — a plan can back any number of simulations, sequentially or
-/// from several threads at once (see [`crate::CompiledModule`]).
+/// The prepass output: scope layouts, a per-op side table, and the fused
+/// loop traces. Immutable once built — a plan can back any number of
+/// simulations, sequentially or from several threads at once (see
+/// [`crate::CompiledModule`]).
 #[derive(Debug)]
 pub(crate) struct Plan {
     scopes: Vec<ScopeLayout>,
@@ -618,9 +591,6 @@ pub(crate) struct Plan {
     /// Why each non-fused `affine.for` body declined trace formation, same
     /// indexing as `fused`. Diagnostics only — execution never reads it.
     pub(crate) fuse_declines: Vec<Option<crate::fused::FuseDecline>>,
-    /// The compile-time conflict partition (independent groups + per-launch
-    /// shard-purity verdicts) the parallel runtime keys off.
-    pub(crate) partition: crate::partition::Partition,
 }
 
 /// Scope discovery scratch state.
@@ -764,16 +734,11 @@ impl Plan {
         // derived from the decoded ops; loops the builder declines simply
         // have no table entry and run on the interpreter.
         let (fused, fuse_declines) = crate::fused::build_fused(module, &ops);
-
-        // -- 7. Conflict partition: independent groups over procs/DMAs plus
-        // per-launch shard-purity verdicts (see `crate::partition`).
-        let partition = crate::partition::Partition::build(module, &ops);
         Plan {
             scopes,
             ops,
             fused,
             fuse_declines,
-            partition,
         }
     }
 }
@@ -1282,7 +1247,7 @@ impl HotCycles {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ProcRuntime {
     pub(crate) comp: CompId,
     pub(crate) queue: VecDeque<PendingEvent>,
@@ -1350,14 +1315,9 @@ pub(crate) struct Engine<'m> {
     waiters: Vec<Vec<usize>>,
     pub(crate) procs: Vec<ProcRuntime>,
     proc_of_comp: HashMap<CompId, usize>,
-    /// Pending wakes `(time, seq, proc, born)`. Ordering is `(time, seq)`
-    /// — `seq` is unique, so the trailing fields never tie-break. `born`
-    /// is the engine time at which the wake was *scheduled*: pure
-    /// metadata the group-sharded merge uses to order same-time entries
-    /// against a shard's resolution point (see `par_settle`). It is not
-    /// serialised into snapshots; resumed runs synthesise `born = time`,
-    /// which is harmless because they are always sequential.
-    pub(crate) heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
+    /// Pending wakes `(time, seq, proc)`. Ordering is `(time, seq)` —
+    /// `seq` is unique, so `proc` never tie-breaks.
+    pub(crate) heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
     seq: u64,
     pub(crate) now: u64,
     pub(crate) horizon: u64,
@@ -1397,32 +1357,6 @@ pub(crate) struct Engine<'m> {
     /// Set when [`Engine::run`] returned because it reached `snapshot_at`
     /// (as opposed to draining the heap / completing the program).
     snapshot_due: bool,
-    /// Intra-run parallel state. `None` means this run is sequential —
-    /// the default, and the only mode for traced, cancellable,
-    /// custom-limit, snapshotting, or resumed runs (see `par_eligible`).
-    par: Option<crate::sharded::ParState>,
-    /// Runtime component id → partition group. Maintained only while
-    /// `par` is armed; bound when the component's create op executes.
-    comp_group: HashMap<u32, u32>,
-    /// Runtime connection id → partition group (same lifecycle).
-    conn_group: HashMap<u32, u32>,
-    /// Shard engines watch their root done signal: `watch_pop` records the
-    /// engine time at which it resolved — the resolution's position in the
-    /// global pop order, which the merge's speculation window needs (the
-    /// resolve *time* only bounds the timestamp the signal carries) — and
-    /// `watch_born` the `ctx_born` of the resolving context, the same
-    /// position's tie-breaker at equal times.
-    watch: Option<SignalId>,
-    watch_pop: Option<u64>,
-    watch_born: Option<u64>,
-    /// The `born` of the wake currently being processed: the engine time
-    /// at which the popped entry (or its inline-wake continuation) was
-    /// scheduled. Together `(now, ctx_born)` locate the current context
-    /// in the sequential pop order precisely enough to order it against
-    /// a shard's `(rp, rb)` resolution point at equal times.
-    pub(crate) ctx_born: u64,
-    /// Shard offloads started (reported; see [`SimReport::shard_offloads`]).
-    shard_offloads: u64,
 }
 
 impl<'m> Engine<'m> {
@@ -1434,7 +1368,6 @@ impl<'m> Engine<'m> {
         start: Instant,
     ) -> Self {
         let deadline = options.limits.wall_deadline.map(|d| start + d);
-        let par = par_eligible(plan, options).then(|| ParState::new(options.threads));
         let mut engine = Engine {
             module,
             plan,
@@ -1469,14 +1402,6 @@ impl<'m> Engine<'m> {
             fused: crate::fused::FusedScratch::new(plan.fused.len()),
             snapshot_at: None,
             snapshot_due: false,
-            par,
-            comp_group: HashMap::new(),
-            conn_group: HashMap::new(),
-            watch: None,
-            watch_pop: None,
-            watch_born: None,
-            ctx_born: 0,
-            shard_offloads: 0,
         };
         // The implicit host processor interprets the top block at time 0;
         // all its ops are free (orchestration, not datapath).
@@ -1515,7 +1440,7 @@ impl<'m> Engine<'m> {
 
     fn schedule(&mut self, time: u64, proc: usize) {
         let t = time.max(self.now);
-        self.heap.push(Reverse((t, self.seq, proc, self.now)));
+        self.heap.push(Reverse((t, self.seq, proc)));
         self.seq += 1;
     }
 
@@ -1527,7 +1452,7 @@ impl<'m> Engine<'m> {
         let mut heap: Vec<(u64, u64, u32)> = self
             .heap
             .iter()
-            .map(|&Reverse((t, s, p, _))| (t, s, p as u32))
+            .map(|&Reverse((t, s, p))| (t, s, p as u32))
             .collect();
         heap.sort_unstable();
         let actual_cut = heap.first().map_or(self.horizon, |&(t, _, _)| t);
@@ -1783,9 +1708,7 @@ impl<'m> Engine<'m> {
         let heap = snap
             .heap
             .iter()
-            // `born` is not serialised; synthesise `born = time`. Resumed
-            // runs are sequential-only, so the field is never consulted.
-            .map(|&(t, s, p)| Reverse((t, s, p as usize, t)))
+            .map(|&(t, s, p)| Reverse((t, s, p as usize)))
             .collect();
         let mut engine = Engine {
             module,
@@ -1819,17 +1742,6 @@ impl<'m> Engine<'m> {
             fused: crate::fused::FusedScratch::new(plan.fused.len()),
             snapshot_at: None,
             snapshot_due: false,
-            // Resumed runs are sequential-only: the create-op → group
-            // bindings were not captured, so offload gates cannot be
-            // re-established mid-run.
-            par: None,
-            comp_group: HashMap::new(),
-            conn_group: HashMap::new(),
-            watch: None,
-            watch_pop: None,
-            watch_born: None,
-            ctx_born: 0,
-            shard_offloads: 0,
         };
         engine.rebuild_waiters();
         Ok(engine)
@@ -1845,7 +1757,7 @@ impl<'m> Engine<'m> {
     /// as the live engine does).
     fn rebuild_waiters(&mut self) {
         let scheduled: std::collections::HashSet<usize> =
-            self.heap.iter().map(|&Reverse((_, _, p, _))| p).collect();
+            self.heap.iter().map(|&Reverse((_, _, p))| p).collect();
         for p in 0..self.procs.len() {
             if scheduled.contains(&p) {
                 continue;
@@ -1962,29 +1874,24 @@ impl<'m> Engine<'m> {
         Ok(())
     }
 
+    /// The scheduler loop: pops wakes in `(time, seq)` order until the heap
+    /// drains (or an armed snapshot cut is reached), then checks for stuck
+    /// work.
     fn run(&mut self) -> Result<(), SimError> {
-        // Snapshot runs arm `snapshot_at` after construction; they must
-        // stay sequential (shard offloads would blur the cut boundary).
-        if self.snapshot_at.is_some() {
-            self.par = None;
-        }
-        if self.par.is_some() {
-            std::thread::scope(|scope| self.run_main(Some(scope)))
-        } else {
-            self.run_main(None)
-        }
-    }
-
-    fn run_main<'s, 'e>(
-        &mut self,
-        scope: Option<&'s std::thread::Scope<'s, 'e>>,
-    ) -> Result<(), SimError>
-    where
-        'm: 'e,
-    {
-        self.run_loop(scope)?;
-        if self.snapshot_due {
-            return Ok(());
+        while let Some(&Reverse((t, _, p))) = self.heap.peek() {
+            if self.snapshot_at.is_some_and(|cut| t >= cut) {
+                // Snapshot boundary: every event strictly before the cut has
+                // been processed. Leave the event untouched (its wake is
+                // counted by the resumed run's pop, keeping wake counts
+                // bit-identical with an uninterrupted run) and pause.
+                self.snapshot_due = true;
+                return Ok(());
+            }
+            self.heap.pop();
+            self.now = t;
+            self.wakes += 1;
+            self.check_budget(t)?;
+            self.wake(p, t)?;
         }
         // Everything drained: check for stuck work.
         let mut stuck = vec![];
@@ -2016,652 +1923,6 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// The scheduler pop loop. With `par` armed, each iteration first
-    /// settles speculation (applying or aborting shards whose sequential
-    /// resolution point has passed), then either offloads the next heap
-    /// entry to a worker thread or processes it sequentially.
-    fn run_loop<'s, 'e>(
-        &mut self,
-        scope: Option<&'s std::thread::Scope<'s, 'e>>,
-    ) -> Result<(), SimError>
-    where
-        'm: 'e,
-    {
-        loop {
-            if self.par.is_some() {
-                self.par_settle();
-            }
-            let Some(&Reverse((t, s, p, born))) = self.heap.peek() else {
-                // `par_settle` with an empty heap drains all speculation
-                // (aborts re-fill the heap), so an empty heap here means
-                // the run is complete.
-                return Ok(());
-            };
-            if self.snapshot_at.is_some_and(|cut| t >= cut) {
-                // Snapshot boundary: every event strictly before the cut has
-                // been processed. Leave the event untouched (its wake is
-                // counted by the resumed run's pop, keeping wake counts
-                // bit-identical with an uninterrupted run) and pause.
-                self.snapshot_due = true;
-                return Ok(());
-            }
-            if let Some(sc) = scope {
-                if self.shard_root(p) {
-                    // A wake targeting the root processor of an active shard
-                    // (unreachable by construction: the root's only pending
-                    // work is the offloaded event itself). Dropping it
-                    // uncounted preserves the shard's own count of the pop.
-                    self.heap.pop();
-                    continue;
-                }
-                if self.try_offload(sc, t, s, p, born) {
-                    continue;
-                }
-            }
-            self.heap.pop();
-            self.now = t;
-            self.ctx_born = born;
-            self.wakes += 1;
-            self.check_budget(t)?;
-            self.wake(p, t)?;
-        }
-    }
-
-    // ---- intra-run parallelism (see docs/parallel-engine.md) --------------
-    //
-    // Exactness invariant: at every point where a shard's effects become
-    // visible to the sequential path, they are byte-identical to what the
-    // sequential path would have computed itself. The coordinator offloads
-    // only *shard-pure* launches (see `crate::partition`), stashes the
-    // result until the sequential clock passes the launch's resolution
-    // point, and aborts (re-running sequentially) whenever the window
-    // between resolution and observation is ambiguous.
-
-    /// Whether `p` is the root processor of an active shard. Its only
-    /// pending work is the offloaded event itself, so any heap entry for
-    /// it is the root entry's residue and must be dropped uncounted.
-    fn shard_root(&self, p: usize) -> bool {
-        let Some(par) = &self.par else { return false };
-        par.in_flight.iter().any(|f| f.entry.2 == p) || par.stashed.iter().any(|s| s.entry.2 == p)
-    }
-
-    /// Hook on every signal-state read: if `sig` is an active shard's done
-    /// signal, the sequential path is observing the speculation window.
-    #[inline]
-    fn observe_signal(&mut self, sig: SignalId) {
-        if let Some(par) = &self.par {
-            if !par.in_flight.is_empty() || !par.stashed.is_empty() {
-                self.observe_cold(sig);
-            }
-        }
-    }
-
-    #[cold]
-    fn observe_cold(&mut self, sig: SignalId) {
-        let Some(par) = &mut self.par else { return };
-        if let Some(i) = par.in_flight.iter().position(|f| f.done == sig) {
-            // Observed while still running: join now (blocking — the
-            // observer cannot proceed without knowing the resolution
-            // point) and decide like any other observed stash.
-            let f = par.in_flight.remove(i);
-            match f.rx.recv() {
-                Ok(Ok(out)) => self.settle_observed(Stashed {
-                    group: f.group,
-                    done: f.done,
-                    entry: f.entry,
-                    out,
-                }),
-                _ => self.abort_shard(f.entry),
-            }
-            return;
-        }
-        let Some(par) = &mut self.par else { return };
-        if let Some(i) = par.stashed.iter().position(|s| s.done == sig) {
-            let st = par.stashed.remove(i);
-            self.settle_observed(st);
-        }
-    }
-
-    /// Decides the fate of a shard whose done signal the current context
-    /// is observing, by ordering the observation `(now, ctx_born)` against
-    /// the resolution point `(rp, rb)` in the sequential pop order:
-    ///
-    /// - observer first → *keep*: the sequential run would also see
-    ///   Pending at this pop, so the stash stays invisible;
-    /// - resolution first → *apply mid-pop*: the sequential run would
-    ///   already see the signal resolved, so merging here (before the
-    ///   observer reads the state) is exactly lazy visibility — provided
-    ///   the merge window is clean (`rt >= c_fin`: every observer clamps
-    ///   its clock to `rt`, so no later interaction can reach the group
-    ///   below a member's merged clock);
-    /// - exact tie → *abort*: the order depends on scheduling-call order
-    ///   inside one context, which the merge cannot reconstruct.
-    fn settle_observed(&mut self, st: Stashed) {
-        let ctx = (self.now, self.ctx_born);
-        let res = (st.out.rp, st.out.rb);
-        if ctx < res {
-            if let Some(par) = &mut self.par {
-                par.stashed.push(st);
-            }
-            return;
-        }
-        if res < ctx && st.out.rt >= self.shard_c_fin(st.group, &st.out) {
-            self.apply_shard(st.group, st.done, st.out);
-        } else {
-            self.abort_shard(st.entry);
-        }
-    }
-
-    /// Hook before any mutation of a component's schedule/port state: if
-    /// the component belongs to a group with an active shard, the
-    /// coordinator is invading the shard's state and the speculation must
-    /// be discarded.
-    #[inline]
-    fn shard_conflict(&mut self, comp: CompId) {
-        if let Some(par) = &self.par {
-            if !par.in_flight.is_empty() || !par.stashed.is_empty() {
-                self.shard_conflict_cold(comp);
-            }
-        }
-    }
-
-    #[cold]
-    fn shard_conflict_cold(&mut self, comp: CompId) {
-        let Some(&g) = self.comp_group.get(&comp.0) else {
-            return;
-        };
-        let Some(par) = &mut self.par else { return };
-        if let Some(i) = par.in_flight.iter().position(|f| f.group == g) {
-            let f = par.in_flight.remove(i);
-            // Wait for the worker to finish (its state is discarded), then
-            // replay the root sequentially.
-            let _ = f.rx.recv();
-            self.abort_shard(f.entry);
-            return;
-        }
-        let Some(par) = &mut self.par else { return };
-        if let Some(i) = par.stashed.iter().position(|s| s.group == g) {
-            let st = par.stashed.remove(i);
-            self.abort_shard(st.entry);
-        }
-    }
-
-    /// Binds a freshly created processor/DMA component to its partition
-    /// group (only while `par` is armed; the maps stay empty otherwise).
-    fn bind_group_comp(&mut self, comp: CompId, op: OpId) {
-        if self.par.is_some() {
-            if let Some(g) = self.plan.partition.group_of_create_op(op.index()) {
-                self.comp_group.insert(comp.0, g);
-            }
-        }
-    }
-
-    /// Conflict hook for linalg kernels: the ConflictPass has no footprint
-    /// for them (defense in depth — the partition's silent-invasion
-    /// exclusion already bars offloading any group such a kernel could
-    /// reach from outside).
-    #[inline]
-    fn shard_conflict_buffers(&mut self, bufs: &[BufId]) {
-        if let Some(par) = &self.par {
-            if !par.in_flight.is_empty() || !par.stashed.is_empty() {
-                for &b in bufs {
-                    if let Some(mem) = self.machine.buffers.get(b.0 as usize).map(|bf| bf.mem) {
-                        self.shard_conflict_cold(mem);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Discards a speculation: the consumed root heap entry is re-pushed
-    /// verbatim (the root event is still at the front of its processor's
-    /// queue — offload consumes only the heap entry), and the entry is
-    /// denied further offloads so the replay runs sequentially.
-    fn abort_shard(&mut self, entry: (u64, u64, usize, u64)) {
-        if let Some(par) = &mut self.par {
-            par.denied.insert((entry.0, entry.1));
-        }
-        self.heap.push(Reverse(entry));
-    }
-
-    /// Joins a worker (blocking) and stashes its result; worker errors
-    /// abort — the sequential replay reproduces the error with exact
-    /// progress counters. The settle scan and the observation hooks
-    /// decide when the stash becomes visible.
-    fn settle_joined(&mut self, f: InFlight) {
-        match f.rx.recv() {
-            Ok(Ok(out)) => {
-                if let Some(par) = &mut self.par {
-                    par.stashed.push(Stashed {
-                        group: f.group,
-                        done: f.done,
-                        entry: f.entry,
-                        out,
-                    });
-                }
-            }
-            _ => self.abort_shard(f.entry),
-        }
-    }
-
-    /// Non-blocking join: moves every finished worker's result into the
-    /// stash (worker errors abort immediately), so `rp`/`rb` are known to
-    /// the settle scan *before* the pop that would observe them.
-    fn par_join_finished(&mut self) {
-        loop {
-            let Some(par) = &mut self.par else { return };
-            let mut joined: Option<(usize, Option<ShardOut>)> = None;
-            for (i, f) in par.in_flight.iter().enumerate() {
-                match f.rx.try_recv() {
-                    Ok(Ok(out)) => {
-                        joined = Some((i, Some(out)));
-                        break;
-                    }
-                    Ok(Err(_)) | Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        joined = Some((i, None));
-                        break;
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => {}
-                }
-            }
-            let Some((i, out)) = joined else { return };
-            let f = par.in_flight.remove(i);
-            match out {
-                Some(out) => par.stashed.push(Stashed {
-                    group: f.group,
-                    done: f.done,
-                    entry: f.entry,
-                    out,
-                }),
-                None => self.abort_shard(f.entry),
-            }
-        }
-    }
-
-    /// The time after which the coordinator may freely interact with the
-    /// shard's group again: the max of the shard's final clock, the root
-    /// resolve time, and every group member's final processor clock (an
-    /// idle processor with a high clock still clamps and drops wakes below
-    /// it, so applying earlier could diverge from the sequential order).
-    fn shard_c_fin(&self, group: u32, out: &ShardOut) -> u64 {
-        let mut c = out.t_fin.max(out.rt);
-        for proc in &out.procs {
-            if self.comp_group.get(&proc.comp.0) == Some(&group) {
-                c = c.max(proc.clock);
-            }
-        }
-        c
-    }
-
-    /// Whether anything can still react to `sig` resolving: a registered
-    /// waiter or a pending combinator dependent.
-    fn signal_has_audience(&self, sig: SignalId) -> bool {
-        if self
-            .waiters
-            .get(sig.0 as usize)
-            .is_some_and(|w| !w.is_empty())
-        {
-            return true;
-        }
-        matches!(
-            self.signals.signals.get(sig.0 as usize),
-            Some(SignalState::Pending { dependents, .. }) if !dependents.is_empty()
-        )
-    }
-
-    /// Applies or aborts stashed shards whose sequential resolution point
-    /// `(rp, rb)` the scheduler is about to pass, and joins workers (non-
-    /// blocking each iteration; blocking when the heap drains). Called at
-    /// the top of every scheduler iteration while `par` is armed.
-    fn par_settle(&mut self) {
-        loop {
-            self.par_join_finished();
-            let next = self.heap.peek().map(|&Reverse((t, _, _, born))| (t, born));
-            // Scan the stash for due entries; apply/abort the minimum-key
-            // one and rescan (an apply can reschedule waiters and change
-            // the heap head).
-            loop {
-                let Some(par) = &self.par else { return };
-                let mut best: Option<(u64, u64, u64, usize, bool)> = None;
-                for (i, st) in par.stashed.iter().enumerate() {
-                    let res = (st.out.rp, st.out.rb);
-                    let apply = match next {
-                        // The next pop precedes the resolution in the
-                        // sequential order: the stash stays invisible (an
-                        // observation there correctly sees Pending).
-                        Some(ctx) if ctx < res => continue,
-                        // Exact positional tie: the order depends on
-                        // scheduling-call order inside one context, which
-                        // the merge cannot reconstruct. Abort before the
-                        // pop so the sequential replay decides.
-                        Some(ctx) if ctx == res => false,
-                        // Resolution first (or the heap is drained): the
-                        // stash must become visible now.
-                        next_ctx => {
-                            let c_fin = self.shard_c_fin(st.group, &st.out);
-                            if self.signal_has_audience(st.done) {
-                                // Waiters wake at >= rt, so the window is
-                                // clean only if rt covers every merged
-                                // group clock.
-                                st.out.rt >= c_fin
-                            } else {
-                                // Silent: defer while upcoming pops land
-                                // inside the (rp, c_fin] window (the
-                                // conflict/observe hooks guard it); apply
-                                // once the window is clear.
-                                if next_ctx.is_some_and(|(t, _)| t <= c_fin) {
-                                    continue;
-                                }
-                                true
-                            }
-                        }
-                    };
-                    let key = (st.out.rp, st.out.rb, st.entry.1);
-                    if best
-                        .map(|(rp, rb, s, _, _)| key < (rp, rb, s))
-                        .unwrap_or(true)
-                    {
-                        best = Some((key.0, key.1, key.2, i, apply));
-                    }
-                }
-                let Some((_, _, _, i, apply)) = best else {
-                    break;
-                };
-                let Some(par) = &mut self.par else { return };
-                let st = par.stashed.remove(i);
-                if apply {
-                    self.apply_shard(st.group, st.done, st.out);
-                } else {
-                    self.abort_shard(st.entry);
-                }
-                // The settle may have changed the heap head; recompute.
-                let new_head = self.heap.peek().map(|&Reverse((t, _, _, born))| (t, born));
-                if new_head != next {
-                    break;
-                }
-            }
-            let new_head = self.heap.peek().map(|&Reverse((t, _, _, born))| (t, born));
-            if new_head != next {
-                continue; // head moved: rescan with the new horizon
-            }
-            if new_head.is_some() {
-                return;
-            }
-            // Heap empty: the only possible progress is joining a worker.
-            let Some(par) = &mut self.par else { return };
-            if par.in_flight.is_empty() {
-                return;
-            }
-            let f = par.in_flight.remove(0);
-            self.settle_joined(f);
-        }
-    }
-
-    /// Merges a finished shard into the coordinator: group-owned machine
-    /// state and processor runtimes are copied back wholesale, the shard's
-    /// new signals are appended as a remapped suffix, the root done signal
-    /// resolves through the normal cascade (waking coordinator-side
-    /// waiters), and the counters fold in.
-    fn apply_shard(&mut self, group: u32, done: SignalId, out: ShardOut) {
-        let ShardOut {
-            machine,
-            signals,
-            procs,
-            sig_base,
-            rt,
-            mut payload,
-            wakes,
-            ops_interpreted,
-            events_spawned,
-            idle_steps,
-            fused_trace_entries,
-            horizon,
-            ..
-        } = out;
-        // Shards never elaborate or allocate, so indices align 1:1 and
-        // every list is bounded by the coordinator's length.
-        for (i, comp) in machine.components.into_iter().enumerate() {
-            if i < self.machine.components.len() && self.comp_group.get(&(i as u32)) == Some(&group)
-            {
-                self.machine.components[i] = comp;
-            }
-        }
-        for (i, buf) in machine.buffers.into_iter().enumerate() {
-            if i < self.machine.buffers.len() && self.comp_group.get(&buf.mem.0) == Some(&group) {
-                self.machine.buffers[i] = buf;
-            }
-        }
-        for (i, conn) in machine.connections.into_iter().enumerate() {
-            if i < self.machine.connections.len()
-                && self.conn_group.get(&(i as u32)) == Some(&group)
-            {
-                self.machine.connections[i] = conn;
-            }
-        }
-        for (i, proc) in procs.into_iter().enumerate() {
-            if i < self.procs.len() && self.comp_group.get(&proc.comp.0) == Some(&group) {
-                self.procs[i] = proc;
-            }
-        }
-        let delta = append_signal_suffix(&mut self.signals, signals, sig_base);
-        for v in &mut payload {
-            remap_value(v, sig_base, delta);
-        }
-        self.resolve_signal(done, rt, payload);
-        self.wakes += wakes;
-        self.ops_interpreted += ops_interpreted;
-        self.events_spawned += events_spawned;
-        self.idle_steps += idle_steps;
-        self.fused_trace_entries += fused_trace_entries;
-        self.bump_horizon(horizon);
-    }
-
-    /// Attempts to offload the heap head `(t, s, p, born)` to a worker
-    /// thread.
-    /// Returns `true` when the entry was consumed (the caller continues
-    /// its loop without popping). Every gate below is required for the
-    /// exactness argument in `docs/parallel-engine.md`.
-    fn try_offload<'s, 'e>(
-        &mut self,
-        scope: &'s std::thread::Scope<'s, 'e>,
-        t: u64,
-        s: u64,
-        p: usize,
-        born: u64,
-    ) -> bool
-    where
-        'm: 'e,
-    {
-        let Some(par) = &self.par else { return false };
-        if !par.has_slot() || par.denied.contains(&(t, s)) {
-            return false;
-        }
-        // The target must be idle with exactly the root event queued, and
-        // its clock must not clamp the wake time.
-        let proc = &self.procs[p];
-        if proc.frame.is_some() || proc.queue.len() != 1 || proc.clock > t {
-            return false;
-        }
-        let Some(head) = proc.queue.front() else {
-            return false;
-        };
-        let EventKind::Launch { op, ref env } = head.kind else {
-            return false;
-        };
-        let Some(group) = self.plan.partition.pure_launch(op.index()) else {
-            return false;
-        };
-        // Multi-result launches publish Deferred payload slots the parent
-        // can read without any signal observation; restrict speculation to
-        // launches whose only result is the done signal.
-        if self.plan.ops[op.index()].results.len() > 1 {
-            return false;
-        }
-        if par.group_active(group) {
-            return false;
-        }
-        let dep = head.dep;
-        let done = head.done;
-        if self.signals.resolve_time(dep).is_none() {
-            return false;
-        }
-        // The done signal must be virgin: unresolved, with no waiters or
-        // combinator dependents yet (an audience at offload time would
-        // observe the resolution mid-window).
-        if self.signals.is_resolved(done) || self.signal_has_audience(done) {
-            return false;
-        }
-        // Every captured value must be materialized: an unresolved Signal
-        // or missing Deferred payload inside the env could resolve during
-        // the speculation window, which the shard would miss.
-        for v in env.iter().flatten() {
-            let materialized = match v {
-                SimValue::Signal(sig) => self.signals.resolve_time(*sig).is_some(),
-                SimValue::Deferred { signal, index } => {
-                    self.signals.payload(*signal).get(*index).is_some()
-                }
-                _ => true,
-            };
-            if !materialized {
-                return false;
-            }
-        }
-        // Every other processor of the group must be fully quiescent, with
-        // no pending heap entries (the shard clone starts them idle).
-        for (i, other) in self.procs.iter().enumerate() {
-            if i == p || self.comp_group.get(&other.comp.0) != Some(&group) {
-                continue;
-            }
-            if other.frame.is_some() || !other.queue.is_empty() {
-                return false;
-            }
-        }
-        let mut group_procs: Vec<usize> = vec![p];
-        for (i, other) in self.procs.iter().enumerate() {
-            if i != p && self.comp_group.get(&other.comp.0) == Some(&group) {
-                group_procs.push(i);
-            }
-        }
-        if self
-            .heap
-            .iter()
-            .any(|&Reverse((_, hs, hp, _))| group_procs.contains(&hp) && !(hp == p && hs == s))
-        {
-            return false;
-        }
-        // Opaque custom memory behaviors cannot be cloned exactly.
-        let Some(machine) = self.machine.try_clone() else {
-            return false;
-        };
-        let sig_base = self.signals.len();
-        let shard = self.shard_engine(machine, t, p, born);
-        // Consume only the heap entry: the root event stays queued, so the
-        // shard's clone pops it itself (bit-identical wake counting), and
-        // an abort replays it by re-pushing the entry.
-        self.heap.pop();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let entry = (t, s, p, born);
-        scope.spawn(move || {
-            let _ = tx.send(shard.run_shard(done, sig_base));
-        });
-        self.shard_offloads += 1;
-        if let Some(par) = &mut self.par {
-            par.in_flight.push(InFlight {
-                group,
-                done,
-                entry,
-                rx,
-            });
-        }
-        true
-    }
-
-    /// Builds the worker engine for an offload: the full cloned state with
-    /// a heap containing only the root entry, zeroed counters (the merge
-    /// folds the deltas back), and an event budget bounded by the
-    /// coordinator's remaining budget.
-    fn shard_engine(&self, machine: Machine, t: u64, p: usize, born: u64) -> Engine<'m> {
-        let mut options = self.options.clone();
-        options.threads = 1;
-        let stock = RunLimits::default();
-        let used = self.wakes.max(self.idle_steps);
-        options.limits.max_events = stock.max_events.saturating_sub(used).max(1);
-        Engine {
-            module: self.module,
-            plan: self.plan,
-            lib: self.lib,
-            options,
-            machine,
-            signals: self.signals.clone(),
-            waiters: vec![],
-            procs: self.procs.clone(),
-            proc_of_comp: self.proc_of_comp.clone(),
-            // The root entry keeps its coordinator `born`, so the shard's
-            // `(rp, rb)` resolution point is the sequential one.
-            heap: std::iter::once(Reverse((t, 0, p, born))).collect(),
-            seq: 1,
-            now: 0,
-            horizon: 0,
-            wakes: 0,
-            ops_interpreted: 0,
-            events_spawned: 0,
-            live_tensor_bytes: 0,
-            peak_live_tensor_bytes: 0,
-            fused_trace_entries: 0,
-            idle_steps: 0,
-            deadline: None,
-            trace: Trace::disabled(),
-            host_mem: self.host_mem,
-            fused_on: self.fused_on,
-            fused: crate::fused::FusedScratch::new(self.plan.fused.len()),
-            snapshot_at: None,
-            snapshot_due: false,
-            par: None,
-            comp_group: HashMap::new(),
-            conn_group: HashMap::new(),
-            watch: None,
-            watch_pop: None,
-            watch_born: None,
-            ctx_born: 0,
-            shard_offloads: 0,
-        }
-    }
-
-    /// Worker-side entry: run the shard to drain and package the result.
-    /// The shard watches its root done signal to record `rp`, the engine
-    /// time at which it resolved (its position in the pop order).
-    fn run_shard(mut self, done: SignalId, sig_base: usize) -> Result<ShardOut, SimError> {
-        self.watch = Some(done);
-        self.run_loop(None)?;
-        let (Some(rt), Some(rp), Some(rb)) = (
-            self.signals.resolve_time(done),
-            self.watch_pop,
-            self.watch_born,
-        ) else {
-            return Err(SimError::Deadlock(
-                "shard drained without resolving its root launch".into(),
-            ));
-        };
-        let payload = self.signals.payload(done).to_vec();
-        Ok(ShardOut {
-            machine: self.machine,
-            signals: self.signals,
-            procs: self.procs,
-            sig_base,
-            rt,
-            rp,
-            rb,
-            t_fin: self.now,
-            payload,
-            wakes: self.wakes,
-            ops_interpreted: self.ops_interpreted,
-            events_spawned: self.events_spawned,
-            idle_steps: self.idle_steps,
-            fused_trace_entries: self.fused_trace_entries,
-            horizon: self.horizon,
-        })
-    }
-
     /// Wakes processor `p` at time `t` and steps it as far as possible.
     fn wake(&mut self, p: usize, t: u64) -> Result<(), SimError> {
         // A processor whose local clock is ahead of the wake time is
@@ -2685,7 +1946,6 @@ impl<'m> Engine<'m> {
                     return Ok(());
                 };
                 let dep = head.dep;
-                self.observe_signal(dep);
                 match self.signals.resolve_time(dep) {
                     None => {
                         // Dependency pending: register as a waiter so the
@@ -2834,14 +2094,6 @@ impl<'m> Engine<'m> {
     /// assignment for same-time ties.
     fn resolve_signal(&mut self, sig: SignalId, time: u64, payload: Vec<SimValue>) {
         let fired = self.signals.resolve(sig, time, payload);
-        if let Some(w) = self.watch {
-            // Shard engines record the engine time at which the watched
-            // root done signal resolved (its position in the pop order).
-            if self.watch_pop.is_none() && fired.contains(&w) {
-                self.watch_pop = Some(self.now);
-                self.watch_born = Some(self.ctx_born);
-            }
-        }
         self.bump_horizon(time);
         let mut woken: Vec<usize> = vec![];
         for f in &fired {
@@ -2997,7 +2249,7 @@ impl<'m> Engine<'m> {
                     let contended = self
                         .heap
                         .peek()
-                        .is_some_and(|&Reverse((t_top, _, _, _))| t_top <= clock);
+                        .is_some_and(|&Reverse((t_top, _, _))| t_top <= clock);
                     // An armed snapshot cut behaves like contention: yield to
                     // the scheduler without counting a wake here — the
                     // resumed run's pop of the rescheduled wake counts it,
@@ -3006,9 +2258,6 @@ impl<'m> Engine<'m> {
                     if contended || paused {
                         break Ok(Step::Yield);
                     }
-                    // The virtual entry this inline wake stands for would
-                    // have been scheduled at the pre-wake `now`.
-                    self.ctx_born = self.now;
                     self.now = clock;
                     self.wakes += 1;
                     if let Err(e) = self.check_budget(clock) {
@@ -3145,7 +2394,6 @@ impl<'m> Engine<'m> {
                 let profile = self.lib.proc_profile(kind);
                 let comp = self.machine.add_processor(kind, profile.clone());
                 self.add_proc_runtime(comp, profile);
-                self.bind_group_comp(comp, op);
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -3184,18 +2432,12 @@ impl<'m> Engine<'m> {
                     behavior,
                     energy,
                 );
-                if self.par.is_some() {
-                    if let Some(g) = self.plan.partition.group_of_mem_op(op.index()) {
-                        self.comp_group.insert(comp.0, g);
-                    }
-                }
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
             OpCode::CreateDma => {
                 let comp = self.machine.add_dma();
                 self.add_proc_runtime(comp, SimLibrary::default_profile());
-                self.bind_group_comp(comp, op);
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -3250,11 +2492,6 @@ impl<'m> Engine<'m> {
             }
             OpCode::CreateConnection { kind, bandwidth } => {
                 let conn = self.machine.add_connection(*kind, *bandwidth);
-                if self.par.is_some() {
-                    if let Some(g) = self.plan.partition.group_of_conn_op(op.index()) {
-                        self.conn_group.insert(conn.0, g);
-                    }
-                }
                 self.bind(frame, info, 0, SimValue::Connection(conn));
                 Ok(Step::Continue)
             }
@@ -3267,7 +2504,6 @@ impl<'m> Engine<'m> {
                 is_int,
             } => {
                 let mem = self.lookup_comp(frame, *mem)?;
-                self.shard_conflict(mem);
                 self.charge_tensor_bytes(shape, *elem_bytes, clock)?;
                 let buf = self
                     .machine
@@ -3292,9 +2528,6 @@ impl<'m> Engine<'m> {
             }
             OpCode::Dealloc { buf } => {
                 let buf = self.lookup_buffer(frame, *buf)?;
-                if let Some(mem) = self.machine.buffers.get(buf.0 as usize).map(|b| b.mem) {
-                    self.shard_conflict(mem);
-                }
                 let freed = self.machine.dealloc_buffer(buf);
                 self.live_tensor_bytes = self.live_tensor_bytes.saturating_sub(freed as u64);
                 Ok(Step::Continue)
@@ -3397,7 +2630,6 @@ impl<'m> Engine<'m> {
                 let src = self.lookup_buffer(frame, *src)?;
                 let dst = self.lookup_buffer(frame, *dst)?;
                 let dma = self.lookup_comp(frame, *dma)?;
-                self.shard_conflict(dma);
                 let conn = self.lookup_conn(frame, *conn)?;
                 let done = self.signals.fresh();
                 self.bind(frame, info, 0, SimValue::Signal(done));
@@ -3419,7 +2651,6 @@ impl<'m> Engine<'m> {
             OpCode::Launch(l) => {
                 let dep = self.lookup_signal(frame, l.dep)?;
                 let proc_comp = self.lookup_comp(frame, l.proc)?;
-                self.shard_conflict(proc_comp);
                 // Snapshot exactly the values the body references (the
                 // pre-computed capture map), then bind explicit captures
                 // to block args. Copy-on-write makes each copy cheap.
@@ -3474,9 +2705,6 @@ impl<'m> Engine<'m> {
                     .iter()
                     .map(|&s| self.lookup_signal(frame, s))
                     .collect::<Result<_, _>>()?;
-                for &d in &deps {
-                    self.observe_signal(d);
-                }
                 let sig = if *and {
                     self.signals.new_and(&deps)
                 } else {
@@ -3489,7 +2717,6 @@ impl<'m> Engine<'m> {
                 let mut latest = clock;
                 for &d in deps {
                     let sig = self.lookup_signal(frame, d)?;
-                    self.observe_signal(sig);
                     match self.signals.resolve_time(sig) {
                         Some(t) => latest = latest.max(t),
                         None => {
@@ -3784,7 +3011,6 @@ impl<'m> Engine<'m> {
         let ifmap = self.lookup_buffer(frame, ifmap)?;
         let weights = self.lookup_buffer(frame, weights)?;
         let ofmap = self.lookup_buffer(frame, ofmap)?;
-        self.shard_conflict_buffers(&[ifmap, weights, ofmap]);
         // Structural validation before the functional kernel: the filter
         // must fit inside the input, and every operand buffer must hold
         // exactly the elements the dims describe — `conv2d_int` indexes
@@ -3865,7 +3091,6 @@ impl<'m> Engine<'m> {
         let a = self.lookup_buffer(frame, a)?;
         let b = self.lookup_buffer(frame, b)?;
         let c = self.lookup_buffer(frame, c)?;
-        self.shard_conflict_buffers(&[a, b, c]);
         // Structural validation before the functional kernel: rank-2
         // operands with agreeing inner dimensions — `matmul_int` indexes
         // against these products.
@@ -3933,7 +3158,6 @@ impl<'m> Engine<'m> {
     ) -> Result<Step, SimError> {
         let scalar = self.lookup(frame, scalar)?;
         let buf = self.lookup_buffer(frame, buffer)?;
-        self.shard_conflict_buffers(&[buf]);
         let elems = self.machine.buffer(buf).elems();
         let b = self.machine.buffer_mut(buf);
         match (&mut b.data.data, &scalar) {

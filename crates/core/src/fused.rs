@@ -601,7 +601,7 @@ impl<'m> Engine<'m> {
             if self
                 .heap
                 .peek()
-                .is_some_and(|&Reverse((t, _, _, _))| t <= clock)
+                .is_some_and(|&Reverse((t, _, _))| t <= clock)
             {
                 return Ok(None);
             }
@@ -731,10 +731,7 @@ impl<'m> Engine<'m> {
         // armed snapshot cut caps the barrier too: the trace then exits via
         // `Exit::Yield` at the first timed op at or past the cut — this is
         // where a snapshot requested mid-trace lands. ----
-        let mut barrier = self
-            .heap
-            .peek()
-            .map_or(u64::MAX, |&Reverse((t, _, _, _))| t);
+        let mut barrier = self.heap.peek().map_or(u64::MAX, |&Reverse((t, _, _))| t);
         if let Some(cut) = self.snapshot_at {
             barrier = barrier.min(cut);
         }
@@ -746,10 +743,6 @@ impl<'m> Engine<'m> {
         let mut ops = self.ops_interpreted;
         let mut idle = self.idle_steps;
         let mut last_wake: Option<u64> = None;
-        // Mirrors the interpreter's `ctx_born` bookkeeping: each inline
-        // wake's virtual entry was "scheduled" at the pre-wake `now`.
-        let entry_now = self.now;
-        let mut ctx_born = self.ctx_born;
         let mut pos = f
             .insts
             .partition_point(|i| (i.op_pos() as usize) < entry_idx);
@@ -880,7 +873,6 @@ impl<'m> Engine<'m> {
                     if barrier <= clock {
                         break 'run Exit::Yield(inst.op_pos());
                     }
-                    ctx_born = last_wake.unwrap_or(entry_now);
                     last_wake = Some(clock);
                     wakes += 1;
                     if wakes > max_events {
@@ -954,7 +946,6 @@ impl<'m> Engine<'m> {
         }
         if let Some(t) = last_wake {
             self.now = t;
-            self.ctx_born = ctx_born;
         }
         for b in &mut s.bufs {
             if b.reads == 0 && b.writes == 0 {

@@ -100,9 +100,7 @@ mod fused;
 mod interp;
 mod library;
 mod machine;
-mod partition;
 mod profile;
-mod sharded;
 mod signal;
 mod snapshot;
 mod trace;
@@ -123,7 +121,6 @@ pub use machine::{
     DramBehavior, Machine, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor,
     RegisterBehavior, SramBehavior, Transfer,
 };
-pub use partition::Partition;
 pub use profile::{BandwidthStats, BufferDump, ConnReport, MemReport, SimReport};
 pub use signal::SignalTable;
 pub use snapshot::{Snapshot, FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION};

@@ -409,25 +409,6 @@ impl std::fmt::Debug for Memory {
 }
 
 impl Memory {
-    /// Deep-copies the memory for a shard engine. The behavior box is
-    /// cloned through its snapshot representation; `None` when the model is
-    /// [`BehaviorSnapshot::Opaque`] (such a memory's state cannot be
-    /// reproduced, so its group is never offloaded).
-    pub(crate) fn try_clone(&self) -> Option<Memory> {
-        let behavior = self.behavior.snapshot_behavior().rebuild()?;
-        Some(Memory {
-            kind: self.kind.clone(),
-            capacity_elems: self.capacity_elems,
-            data_bits: self.data_bits,
-            banks: self.banks,
-            used_elems: self.used_elems,
-            behavior,
-            ports: self.ports.clone(),
-            counters: self.counters,
-            energy_per_access_pj: self.energy_per_access_pj,
-        })
-    }
-
     /// Element size in bytes (bits rounded up).
     pub fn elem_bytes(&self) -> usize {
         (self.data_bits as usize).div_ceil(8)
@@ -660,19 +641,6 @@ impl Connection {
         self.write_free = write_free;
     }
 
-    /// Deep-copies the connection, including the private channel schedule
-    /// (shard engines need byte-identical channel state).
-    pub(crate) fn clone_state(&self) -> Connection {
-        Connection {
-            name: self.name.clone(),
-            kind: self.kind,
-            bytes_per_cycle: self.bytes_per_cycle,
-            read_free: self.read_free,
-            write_free: self.write_free,
-            transfers: self.transfers.clone(),
-        }
-    }
-
     /// Cycles needed to move `bytes` (0 when unlimited).
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         if self.bytes_per_cycle == 0 || bytes == 0 {
@@ -762,30 +730,6 @@ impl Machine {
     /// Creates an empty machine.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Deep-copies the whole machine for a shard engine. `None` when any
-    /// memory's behavior is opaque to snapshots — the sharded runtime then
-    /// falls back to the sequential path for that run.
-    pub(crate) fn try_clone(&self) -> Option<Machine> {
-        let mut components = Vec::with_capacity(self.components.len());
-        for c in &self.components {
-            let kind = match &c.kind {
-                ComponentKind::Processor(p) => ComponentKind::Processor(p.clone()),
-                ComponentKind::Memory(m) => ComponentKind::Memory(m.try_clone()?),
-                ComponentKind::Dma => ComponentKind::Dma,
-                ComponentKind::Composite(g) => ComponentKind::Composite(g.clone()),
-            };
-            components.push(Component {
-                name: c.name.clone(),
-                kind,
-            });
-        }
-        Some(Machine {
-            components,
-            buffers: self.buffers.clone(),
-            connections: self.connections.iter().map(|c| c.clone_state()).collect(),
-        })
     }
 
     /// Adds a processor; returns its id.

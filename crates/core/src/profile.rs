@@ -80,12 +80,6 @@ pub struct SimReport {
     /// (and whenever every loop declines); the runtime ground truth for the
     /// analyzer's fusibility report.
     pub fused_trace_entries: u64,
-    /// Shard offloads started by the group-sharded parallel engine. `0`
-    /// for sequential runs ([`crate::SimOptions::threads`] = 1). Unlike
-    /// every other counter this is *observability, not simulation state*:
-    /// the apply/abort split — and with it this count — may vary with
-    /// wall-clock timing, while the simulated results stay bit-identical.
-    pub shard_offloads: u64,
     /// Per-connection bandwidth summaries.
     pub connections: Vec<ConnReport>,
     /// Per-memory traffic summaries.

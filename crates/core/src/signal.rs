@@ -236,17 +236,6 @@ impl SignalTable {
         }
     }
 
-    /// Consumes the table into its raw states (shard-merge suffix append).
-    pub(crate) fn into_states(self) -> Vec<SignalState> {
-        self.signals
-    }
-
-    /// Appends one raw state (shard-merge suffix append; ids inside must
-    /// already be remapped into this table's id space).
-    pub(crate) fn push_state(&mut self, state: SignalState) {
-        self.signals.push(state);
-    }
-
     /// Number of signals allocated.
     pub fn len(&self) -> usize {
         self.signals.len()

@@ -242,10 +242,10 @@ pub fn mega_grid(rows: usize, cols: usize, iters: usize) -> Module {
 
 /// A `rows×cols` grid of processors where each PE owns a *private*
 /// register memory: every PE+memory pair forms its own conflict group, so
-/// all `rows*cols` launches are shard-pure and independently offloadable
-/// — the canonical multi-group workload for the group-sharded parallel
-/// engine (`SimOptions::threads > 1`). Contrast with [`mega_grid`], whose
-/// single shared memory merges the whole grid into one group.
+/// the conflict pass splits the grid into `rows*cols` independent groups
+/// plus the host — the multi-group conflict workload. Contrast with
+/// [`mega_grid`], whose single shared memory merges the whole grid into
+/// one group.
 pub fn shard_grid(rows: usize, cols: usize, iters: usize) -> Module {
     let mut m = Module::new();
     let blk = m.top_block();
@@ -384,8 +384,8 @@ pub fn golden_scenarios() -> Vec<GoldenScenario> {
         name: "mega_grid_8x8",
         module: mega_grid(8, 8, 4),
     });
-    // Multi-group shard target: per-PE private memories, so the parallel
-    // engine's offload path actually engages on this one.
+    // Multi-group conflict workload: per-PE private memories, one
+    // independent conflict group per PE.
     out.push(GoldenScenario {
         name: "shard_grid_4x4",
         module: shard_grid(4, 4, 4),

@@ -5,12 +5,15 @@
 //! bit-identical `cycles` / `events_processed` / `ops_interpreted` to N
 //! fresh [`simulate_with`] calls (each of which re-runs the prepass). The
 //! scenarios are the paper's figure workloads: a fig09 systolic point, a
-//! fig11 last-lowering-stage point, and the balanced FIR case.
+//! fig11 last-lowering-stage point, and the balanced FIR case — plus the
+//! two processor grids (`shard_grid`, `mega_grid`) whose many same-time
+//! wakes make them the most sensitive to nondeterministic scheduling.
 
 use equeue_core::{simulate_with, CompiledModule, SimLibrary, SimOptions};
 use equeue_dialect::ConvDims;
 use equeue_gen::{
-    build_stage_program, generate_fir, generate_systolic, FirCase, FirSpec, Stage, SystolicSpec,
+    build_stage_program, generate_fir, generate_systolic, scenarios, FirCase, FirSpec, Stage,
+    SystolicSpec,
 };
 use equeue_ir::Module;
 use equeue_passes::Dataflow;
@@ -104,6 +107,19 @@ fn fig11_last_stage_compiled_equivalence() {
 fn fir_balanced_compiled_equivalence() {
     let prog = generate_fir(FirSpec::default(), FirCase::Balanced4);
     assert_compiled_equivalent("fir_balanced4", prog.module);
+}
+
+#[test]
+fn shard_grid_compiled_equivalence() {
+    // Sixteen independent conflict groups, all runnable at t = 0: many
+    // same-time wakes, so any scheduling nondeterminism shows here.
+    assert_compiled_equivalent("shard_grid_4x4", scenarios::shard_grid(4, 4, 4));
+}
+
+#[test]
+fn mega_grid_compiled_equivalence() {
+    // One shared memory across a 64-PE grid: heavy same-time contention.
+    assert_compiled_equivalent("mega_grid_8x8", scenarios::mega_grid(8, 8, 4));
 }
 
 #[test]
