@@ -139,6 +139,179 @@ fn golden_scenarios_are_bit_identical_across_backends() {
     }
 }
 
+/// One tensor `A` bound to two launch arguments `a1`, `a2`, plus `C`, on a
+/// `mem_kind` memory. Three loop nests, all fused in their innermost loop:
+/// fill `a1[i][k] = i + k`; increment through one alias and read back
+/// through the other (`a2[i][k] = a1[i][k] + 1; c[i][k] = a1[i][k]`); then
+/// `C += A·A` loading `a1[i][k] * a2[k][j]`.
+fn aliased_matmul(n: usize, mem_kind: &str) -> Module {
+    use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
+    use equeue_ir::{OpBuilder, Type};
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(kinds::ARM_R5);
+    let mem = b.create_mem(mem_kind, &[2 * n * n], 32, 4);
+    let a = b.alloc(mem, &[n, n], Type::I32);
+    let c = b.alloc(mem, &[n, n], Type::I32);
+    let start = b.control_start();
+    let l = b.launch(start, pe, &[a, a, c], vec![]);
+    let (a1, a2, vc) = (l.body_args[0], l.body_args[1], l.body_args[2]);
+    let n = n as i64;
+    {
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let one = ib.const_int(1, Type::I32);
+        // Fill.
+        let (_, bi, i) = ib.affine_for(0, n, 1);
+        let mut ob = OpBuilder::at_end(ib.module_mut(), bi);
+        let (_, bk, k) = ob.affine_for(0, n, 1);
+        {
+            let mut kb = OpBuilder::at_end(ob.module_mut(), bk);
+            let v = kb.addi(i, k);
+            kb.affine_store(v, a1, vec![i, k]);
+            kb.affine_yield();
+        }
+        OpBuilder::at_end(&mut m, bi).affine_yield();
+        // Store through one alias, load through the other.
+        let mut ib = OpBuilder::at_end(&mut m, l.body);
+        let (_, bi, i) = ib.affine_for(0, n, 1);
+        let mut ob = OpBuilder::at_end(ib.module_mut(), bi);
+        let (_, bk, k) = ob.affine_for(0, n, 1);
+        {
+            let mut kb = OpBuilder::at_end(ob.module_mut(), bk);
+            let x = kb.affine_load(a1, vec![i, k]);
+            let y = kb.addi(x, one);
+            kb.affine_store(y, a2, vec![i, k]);
+            let z = kb.affine_load(a1, vec![i, k]);
+            kb.affine_store(z, vc, vec![i, k]);
+            kb.affine_yield();
+        }
+        OpBuilder::at_end(&mut m, bi).affine_yield();
+        // C += A·A.
+        let mut ib = OpBuilder::at_end(&mut m, l.body);
+        let (_, bi, i) = ib.affine_for(0, n, 1);
+        let mut ob = OpBuilder::at_end(ib.module_mut(), bi);
+        let (_, bj, j) = ob.affine_for(0, n, 1);
+        let mut jb = OpBuilder::at_end(ob.module_mut(), bj);
+        let (_, bk, k) = jb.affine_for(0, n, 1);
+        {
+            let mut kb = OpBuilder::at_end(jb.module_mut(), bk);
+            let x = kb.affine_load(a1, vec![i, k]);
+            let y = kb.affine_load(a2, vec![k, j]);
+            let acc = kb.affine_load(vc, vec![i, j]);
+            let prod = kb.muli(x, y);
+            let sum = kb.addi(acc, prod);
+            kb.affine_store(sum, vc, vec![i, j]);
+            kb.affine_yield();
+        }
+        OpBuilder::at_end(&mut m, bj).affine_yield();
+        OpBuilder::at_end(&mut m, bi).affine_yield();
+        OpBuilder::at_end(&mut m, l.body).ret(vec![]);
+    }
+    let done = l.done;
+    OpBuilder::at_end(&mut m, blk).await_all(vec![done]);
+    m
+}
+
+/// Plain-Rust reference for [`aliased_matmul`]'s final `C`.
+fn aliased_matmul_reference(n: usize) -> Vec<i64> {
+    let a: Vec<i64> = (0..n * n).map(|x| (x / n + x % n) as i64 + 1).collect();
+    let mut c: Vec<i64> = (0..n * n).map(|x| (x / n + x % n) as i64 + 1).collect();
+    for i in 0..n {
+        for j in 0..n {
+            for k in 0..n {
+                c[i * n + j] += a[i * n + k] * a[k * n + j];
+            }
+        }
+    }
+    c
+}
+
+#[test]
+fn one_tensor_bound_to_two_slots_is_bit_identical() {
+    // Both slots hoist one vector: a store through one alias is visible to
+    // the next load through the other, inside the same trace. The SRAM
+    // variant has a nonzero access cost, so bulk segments reserve ports
+    // through `Memory::access` at each op's clock.
+    use equeue_dialect::kinds;
+    for kind in [kinds::REGISTER, kinds::SRAM] {
+        let n = 12;
+        let module = aliased_matmul(n, kind);
+        let lib = SimLibrary::standard();
+        let fused = simulate_with(&module, &lib, &options(Backend::Fused)).unwrap();
+        let interp = simulate_with(&module, &lib, &options(Backend::Interp)).unwrap();
+        assert_reports_identical(kind, &fused, &interp);
+        assert_eq!(fused.fused_trace_entries, (2 * n + n * n) as u64, "{kind}");
+        // `C` is the second allocation.
+        let c = fused.buffers.iter().find(|d| d.index == 1);
+        assert_eq!(
+            c.and_then(|d| d.data.data.as_ints()),
+            Some(&aliased_matmul_reference(n)[..]),
+            "{kind}"
+        );
+    }
+}
+
+/// A single `affine.for` over `0..upper` reading and writing `v[row][k]`
+/// of a `3 × n` buffer, `row` a loop-invariant constant. With
+/// `upper == n + 1` the last iteration's column is out of range although
+/// its flat index (`row·n + n`) is still inside the buffer.
+fn strided_row_loop(n: usize, upper: i64, row: i64, mem_kind: &str) -> Module {
+    use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
+    use equeue_ir::{OpBuilder, Type};
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(kinds::MAC);
+    let mem = b.create_mem(mem_kind, &[3 * n], 32, 2);
+    let buf = b.alloc(mem, &[3, n], Type::I32);
+    let start = b.control_start();
+    let l = b.launch(start, pe, &[buf], vec![]);
+    {
+        let v = l.body_args[0];
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let one = ib.const_int(1, Type::I32);
+        let r = ib.const_index(row);
+        let (_, body, k) = ib.affine_for(0, upper, 1);
+        {
+            let mut lb = OpBuilder::at_end(ib.module_mut(), body);
+            let x = lb.affine_load(v, vec![r, k]);
+            let y = lb.addi(x, one);
+            lb.affine_store(y, v, vec![r, k]);
+            lb.affine_yield();
+        }
+        ib.ret(vec![]);
+    }
+    let done = l.done;
+    OpBuilder::at_end(&mut m, blk).await_all(vec![done]);
+    m
+}
+
+#[test]
+fn strided_segment_whose_last_iteration_is_out_of_range() {
+    // The segment stops before the out-of-range column (a per-dimension
+    // bound, not the flat buffer length), so the exact path raises the
+    // interpreter's error. Row -1 checks the negative-subscript clamp.
+    use equeue_dialect::kinds;
+    let n = 3000;
+    let lib = SimLibrary::standard();
+    for kind in [kinds::REGISTER, kinds::SRAM] {
+        for row in [1, -1] {
+            let module = strided_row_loop(n, n as i64 + 1, row, kind);
+            let fused = simulate_with(&module, &lib, &options(Backend::Fused)).unwrap_err();
+            let interp = simulate_with(&module, &lib, &options(Backend::Interp)).unwrap_err();
+            assert_eq!(fused, interp, "{kind} row {row}");
+            assert_eq!(
+                fused,
+                SimError::Runtime(format!("index {n} out of range for dim 1 (size {n})")),
+                "{kind} row {row}"
+            );
+            // In range, the same loop completes bit-identically.
+            differential(kind, &strided_row_loop(n, n as i64, row, kind));
+        }
+    }
+}
+
 #[test]
 fn trace_enabled_runs_agree_with_fused_counters() {
     // `trace: true` forces the interpreter (traces are emitted per op), but

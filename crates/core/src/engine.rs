@@ -352,7 +352,11 @@ fn check_frame(
             return Err(snap_err("frame block out of range"));
         }
         if let Some(state) = &scope.looping {
-            if state.ivs.iter().any(|&iv| (iv as usize) >= frame.env.len()) {
+            if state
+                .dims
+                .iter()
+                .any(|d| (d.iv as usize) >= frame.env.len())
+            {
                 return Err(snap_err("loop induction slot out of range"));
             }
         }
@@ -1167,30 +1171,39 @@ pub(crate) struct PendingEvent {
     pub(crate) done: SignalId,
 }
 
-/// Loop bookkeeping for `affine.for` / `affine.parallel` scopes.
+/// One dimension of a loop scope: its induction slot, bounds, step and
+/// current value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoopDim {
+    pub(crate) iv: Slot,
+    pub(crate) lower: i64,
+    pub(crate) upper: i64,
+    pub(crate) step: i64,
+    pub(crate) current: i64,
+}
+
+/// Loop bookkeeping for `affine.for` / `affine.parallel` scopes, outermost
+/// dimension first.
 #[derive(Debug, Clone)]
 pub(crate) struct LoopState {
-    pub(crate) ivs: Vec<Slot>,
-    pub(crate) lowers: Vec<i64>,
-    pub(crate) uppers: Vec<i64>,
-    pub(crate) steps: Vec<i64>,
-    pub(crate) current: Vec<i64>,
+    pub(crate) dims: Vec<LoopDim>,
 }
 
 impl LoopState {
     /// Advances the innermost dimension; returns `false` when exhausted.
     /// Saturating: bounds near `i64::MAX` terminate instead of overflowing.
     fn advance(&mut self) -> bool {
-        let mut d = self.current.len();
+        let mut d = self.dims.len();
         loop {
             if d == 0 {
                 return false;
             }
             d -= 1;
-            self.current[d] = self.current[d].saturating_add(self.steps[d]);
-            if self.current[d] < self.uppers[d] {
-                for later in d + 1..self.current.len() {
-                    self.current[later] = self.lowers[later];
+            let dim = &mut self.dims[d];
+            dim.current = dim.current.saturating_add(dim.step);
+            if dim.current < dim.upper {
+                for later in &mut self.dims[d + 1..] {
+                    later.current = later.lower;
                 }
                 return true;
             }
@@ -1198,7 +1211,7 @@ impl LoopState {
     }
 
     fn live(&self) -> bool {
-        self.current.iter().zip(&self.uppers).all(|(c, u)| c < u)
+        self.dims.iter().all(|d| d.current < d.upper)
     }
 }
 
@@ -2290,8 +2303,8 @@ impl<'m> Engine<'m> {
                 Some(state) => {
                     if state.advance() && state.live() {
                         scope.idx = 0;
-                        for (&iv, &val) in state.ivs.iter().zip(state.current.iter()) {
-                            frame.env[iv as usize] = Some(SimValue::Int(val));
+                        for d in &state.dims {
+                            frame.env[d.iv as usize] = Some(SimValue::Int(d.current));
                         }
                     } else {
                         frame.stack.pop();
@@ -2774,11 +2787,13 @@ impl<'m> Engine<'m> {
                         block: *body,
                         idx: 0,
                         looping: Some(LoopState {
-                            ivs: vec![*iv],
-                            lowers: vec![*lower],
-                            uppers: vec![*upper],
-                            steps: vec![*step],
-                            current: vec![*lower],
+                            dims: vec![LoopDim {
+                                iv: *iv,
+                                lower: *lower,
+                                upper: *upper,
+                                step: *step,
+                                current: *lower,
+                            }],
                         }),
                     });
                 }
@@ -2802,11 +2817,19 @@ impl<'m> Engine<'m> {
                         block: *body,
                         idx: 0,
                         looping: Some(LoopState {
-                            ivs: ivs.clone(),
-                            lowers: lowers.clone(),
-                            uppers: uppers.clone(),
-                            steps: steps.clone(),
-                            current: lowers.clone(),
+                            dims: ivs
+                                .iter()
+                                .zip(lowers)
+                                .zip(uppers)
+                                .zip(steps)
+                                .map(|(((&iv, &lower), &upper), &step)| LoopDim {
+                                    iv,
+                                    lower,
+                                    upper,
+                                    step,
+                                    current: lower,
+                                })
+                                .collect(),
                         }),
                     });
                 }

@@ -31,7 +31,9 @@
 //! / integer `arith.constant` / `affine.yield`) with no cross-iteration
 //! value flow. Anything else — nested loops, launches, tensor ops, unknown
 //! predicates, use-before-def — leaves the body to the interpreter, which
-//! is always correct.
+//! is always correct. Formation also marks each access whose subscripts
+//! are all the induction variable or loop-invariant inputs as *strided*:
+//! its flat address is `base + iv·stride`.
 //!
 //! **Runtime preflight** (`run_fused`) re-validates the parts only the
 //! running machine knows: the buffers must be live integer tensors of the
@@ -42,8 +44,19 @@
 //! run and the interpreter takes over. Declining is never an error: it is
 //! the escape hatch that keeps cache-backed memories, float data, and
 //! malformed programs on the exact interpreter semantics.
+//!
+//! **Bulk segments.** For the trace's duration each distinct buffer's
+//! elements are hoisted out of the machine into a plain `Vec<i64>`. At every
+//! iteration boundary the runner computes how many whole iterations fit
+//! before anything observable can happen — the contention barrier, a
+//! budget, the next epoch poll, the loop's end, or a strided access leaving
+//! its buffer — and runs them with no per-op timing, advancing the counters
+//! once per segment. The per-op loop stays the exact path for the
+//! iterations at those boundaries; both loops execute instructions through
+//! one semantics function (`exec`).
 
 use std::cmp::Reverse;
+use std::sync::Arc;
 use std::time::Instant;
 
 use equeue_ir::Module;
@@ -51,7 +64,7 @@ use equeue_ir::Module;
 use crate::engine::{Engine, Frame, OpCode, OpInfo, Slot, Step, OP_EPOCH, WAKE_EPOCH};
 use crate::error::{LimitExceeded, LimitKind, Progress, SimError};
 use crate::interp::{BinOp, CmpPred};
-use crate::machine::AccessKind;
+use crate::machine::{AccessKind, Machine};
 use crate::value::{BufId, CompId, SimValue, TensorData};
 
 // ---------------------------------------------------------------------------
@@ -114,9 +127,12 @@ impl std::fmt::Display for FuseDecline {
 #[derive(Debug)]
 pub(crate) enum FusedInst {
     /// `affine.load` from buffer table entry `buf` at `indices`.
+    /// `strided`: every subscript is the induction variable or a
+    /// loop-invariant input.
     Load {
         buf: u32,
         indices: Box<[u32]>,
+        strided: bool,
         dst: u32,
         op_pos: u32,
     },
@@ -124,6 +140,7 @@ pub(crate) enum FusedInst {
     Store {
         buf: u32,
         indices: Box<[u32]>,
+        strided: bool,
         src: u32,
         op_pos: u32,
     },
@@ -258,6 +275,20 @@ impl RegAlloc<'_> {
         self.defs.push((slot, r));
         r
     }
+
+    /// Resolves a subscript list. The flag says whether every subscript is
+    /// the induction variable or a loop-invariant input (no body def), so
+    /// the access is strided in the induction variable.
+    fn subscripts(&mut self, slots: &[Slot]) -> Option<(Box<[u32]>, bool)> {
+        let regs: Box<[u32]> = slots
+            .iter()
+            .map(|&s| self.operand(s))
+            .collect::<Option<_>>()?;
+        let strided = regs
+            .iter()
+            .all(|&r| !self.defs.iter().any(|&(_, d)| d == r));
+        Some((regs, strided))
+    }
 }
 
 /// Interns a buffer operand, keyed by frame slot. Rejects body-defined
@@ -373,11 +404,12 @@ fn try_build(
                     return Err(bad());
                 }
                 let buf = buffer_index(&mut buffers, &def_slots, *buffer, indices.len() as u32)?;
-                let idx: Option<Box<[u32]>> = indices.iter().map(|&s| regs.operand(s)).collect();
+                let (indices, strided) = regs.subscripts(indices).ok_or_else(flow)?;
                 let dst = regs.define(info.results[0]);
                 insts.push(FusedInst::Load {
                     buf,
-                    indices: idx.ok_or_else(flow)?,
+                    indices,
+                    strided,
                     dst,
                     op_pos,
                 });
@@ -392,10 +424,11 @@ fn try_build(
                 }
                 let src = regs.operand(*value).ok_or_else(flow)?;
                 let buf = buffer_index(&mut buffers, &def_slots, *buffer, indices.len() as u32)?;
-                let idx: Option<Box<[u32]>> = indices.iter().map(|&s| regs.operand(s)).collect();
+                let (indices, strided) = regs.subscripts(indices).ok_or_else(flow)?;
                 insts.push(FusedInst::Store {
                     buf,
-                    indices: idx.ok_or_else(flow)?,
+                    indices,
+                    strided,
                     src,
                     op_pos,
                 });
@@ -502,14 +535,13 @@ fn try_build(
 // Trace execution
 // ---------------------------------------------------------------------------
 
-/// Per-entry runtime view of one buffer: identity, pre-resolved uniform
+/// Per-entry runtime view of one buffer table entry: pre-resolved uniform
 /// access cost, and batched traffic counts for zero-latency memories
 /// (flushed into [`MemCounters`](crate::MemCounters) at trace exit; timed
 /// memories go through [`Memory::access`](crate::Memory::access) per access
 /// so port schedules stay exact).
 #[derive(Debug, Clone, Copy)]
 struct BufRt {
-    buf: BufId,
     mem: CompId,
     /// Uniform per-element access latency; `0` enables counter batching.
     cost: u64,
@@ -517,8 +549,166 @@ struct BufRt {
     base_addr: usize,
     dims_start: u32,
     dims_len: u32,
+    /// Index of the buffer's hoisted elements in `Bank::data`; table
+    /// entries bound to the same buffer share one.
+    data: u32,
     reads: u64,
     writes: u64,
+}
+
+/// Per-entry runtime view of one instruction.
+#[derive(Debug, Clone, Copy, Default)]
+struct InstRt {
+    /// Cycle cost, resolved from the entering processor's
+    /// [`HotCycles`](crate::engine).
+    cost: u64,
+    /// Cycles from the start of an iteration to the start of this op.
+    start: u64,
+    /// A strided access whose loop-invariant subscripts are in range this
+    /// entry: its flat index is `base + iv·stride` for every iv in the
+    /// trace's strided range (`Shape::iv_lo..Shape::iv_hi`).
+    strided: bool,
+    base: usize,
+    stride: usize,
+}
+
+/// The state instructions read and write.
+#[derive(Debug, Default)]
+struct Bank {
+    /// The virtual register bank.
+    regs: Vec<i64>,
+    bufs: Vec<BufRt>,
+    /// Concatenated buffer shapes (`BufRt.dims_start/dims_len` slices).
+    dims: Vec<usize>,
+    /// Each distinct buffer's elements, hoisted out of the machine for the
+    /// trace's duration.
+    data: Vec<Vec<i64>>,
+    /// The buffer each `data` entry belongs to.
+    owners: Vec<BufId>,
+}
+
+impl Bank {
+    /// The flat element index of an access. Bulk segments use the strided
+    /// form (the segment keeps `iv` in range); everything else replicates
+    /// the interpreter's checks via [`flatten`].
+    #[inline(always)]
+    fn flat<const BULK: bool>(
+        &self,
+        buf: u32,
+        indices: &[u32],
+        rt: &InstRt,
+        iv: i64,
+    ) -> Result<usize, SimError> {
+        if BULK && rt.strided {
+            // `iv` is non-negative whenever `stride > 0` (`Shape::iv_lo`).
+            return Ok(rt.base + iv as usize * rt.stride);
+        }
+        let b = &self.bufs[buf as usize];
+        let dims = &self.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
+        flatten(&self.regs, dims, indices).map_err(SimError::Runtime)
+    }
+
+    /// Accounts one element access: a timed memory reserves its port at
+    /// `clock`; a zero-latency memory batches its traffic counters.
+    #[inline(always)]
+    fn touch(
+        &mut self,
+        buf: u32,
+        kind: AccessKind,
+        flat: usize,
+        machine: &mut Machine,
+        clock: u64,
+    ) -> Result<(), SimError> {
+        let b = &mut self.bufs[buf as usize];
+        if b.cost > 0 {
+            let m = machine.memory_mut(b.mem).ok_or_else(|| {
+                SimError::Runtime("internal: buffer not backed by a memory".into())
+            })?;
+            let _ = m.access(kind, b.base_addr + flat, 1, b.elem_bytes, clock);
+        } else {
+            match kind {
+                AccessKind::Read => b.reads += 1,
+                AccessKind::Write => b.writes += 1,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One instruction's semantics — registers, buffer elements, memory
+/// traffic — shared by the per-op loop and bulk segments. `clock` is the
+/// op's start time. Every failure precedes the op's side effects, so a
+/// failing op can be re-executed.
+#[inline(always)]
+fn exec<const BULK: bool>(
+    inst: &FusedInst,
+    rt: &InstRt,
+    bank: &mut Bank,
+    machine: &mut Machine,
+    clock: u64,
+    iv: i64,
+) -> Result<(), SimError> {
+    match inst {
+        FusedInst::Load {
+            buf, indices, dst, ..
+        } => {
+            let flat = bank.flat::<BULK>(*buf, indices, rt, iv)?;
+            let data = bank.bufs[*buf as usize].data as usize;
+            let v = bank.data[data].get(flat).copied().ok_or_else(|| {
+                SimError::Runtime("internal: fused load outside buffer storage".into())
+            })?;
+            bank.touch(*buf, AccessKind::Read, flat, machine, clock)?;
+            bank.regs[*dst as usize] = v;
+        }
+        FusedInst::Store {
+            buf, indices, src, ..
+        } => {
+            let flat = bank.flat::<BULK>(*buf, indices, rt, iv)?;
+            let data = bank.bufs[*buf as usize].data as usize;
+            if flat >= bank.data[data].len() {
+                return Err(SimError::Runtime(format!(
+                    "write index {flat} out of range"
+                )));
+            }
+            bank.touch(*buf, AccessKind::Write, flat, machine, clock)?;
+            bank.data[data][flat] = bank.regs[*src as usize];
+        }
+        FusedInst::Bin {
+            op, lhs, rhs, dst, ..
+        } => {
+            let regs = &mut bank.regs;
+            regs[*dst as usize] = op
+                .int(regs[*lhs as usize], regs[*rhs as usize])
+                .map_err(SimError::Runtime)?;
+        }
+        FusedInst::Cmp {
+            pred,
+            lhs,
+            rhs,
+            dst,
+            ..
+        } => {
+            let regs = &mut bank.regs;
+            regs[*dst as usize] = i64::from(pred.eval(regs[*lhs as usize], regs[*rhs as usize]));
+        }
+        FusedInst::Sel {
+            cond,
+            on_true,
+            on_false,
+            dst,
+            ..
+        } => {
+            let regs = &mut bank.regs;
+            regs[*dst as usize] = if regs[*cond as usize] != 0 {
+                regs[*on_true as usize]
+            } else {
+                regs[*on_false as usize]
+            };
+        }
+        FusedInst::Const { value, dst, .. } => bank.regs[*dst as usize] = *value,
+        FusedInst::Nop { .. } => {}
+    }
+    Ok(())
 }
 
 /// Reusable trace-runner scratch, owned by the engine so repeated trace
@@ -530,14 +720,9 @@ pub(crate) struct FusedScratch {
     /// mismatch); permanent for the run, so a declined loop pays the
     /// preflight once, not per entry.
     pub(crate) skip: Vec<bool>,
-    /// The virtual register bank.
-    regs: Vec<i64>,
-    /// Per-instruction cycle cost, resolved from the entering processor's
-    /// [`HotCycles`](crate::engine) at trace entry.
-    costs: Vec<u64>,
-    bufs: Vec<BufRt>,
-    /// Concatenated buffer shapes (`BufRt.dims_start/dims_len` slices).
-    dims: Vec<usize>,
+    /// Per-instruction runtime views, parallel to `FusedLoop::insts`.
+    insts: Vec<InstRt>,
+    bank: Bank,
 }
 
 impl FusedScratch {
@@ -547,6 +732,173 @@ impl FusedScratch {
             ..FusedScratch::default()
         }
     }
+}
+
+/// Per-entry constants of a trace run: the loop bounds, one whole
+/// iteration's totals, and the iv range over which every strided access
+/// stays in bounds.
+struct Shape {
+    step: i64,
+    upper: i64,
+    /// Cycles, timed ops (= scheduler wakes) and ops of one iteration.
+    cycles: u64,
+    wakes: u64,
+    ops: u64,
+    /// Strided accesses are in range for `iv_lo <= iv < iv_hi`.
+    iv_lo: i64,
+    iv_hi: i64,
+}
+
+impl Shape {
+    /// The segment-length rule: how many whole iterations, from an
+    /// iteration boundary at `iv`, run before anything the per-op loop
+    /// would observe. Every iteration must stay below `upper` and inside
+    /// the strided range; no op count, idle step or wake may land on an
+    /// epoch poll; and every timed op must finish below `barrier` and
+    /// within the cycle and event budgets. `0` sends the next iteration
+    /// down the exact path.
+    fn segment_len(
+        &self,
+        iv: i64,
+        t: &Tally,
+        barrier: u64,
+        max_events: u64,
+        max_cycles: u64,
+    ) -> u64 {
+        if self.step <= 0 || iv < self.iv_lo {
+            return 0;
+        }
+        let end = self.upper.min(self.iv_hi);
+        if iv >= end {
+            return 0;
+        }
+        let trips = (i128::from(end) - i128::from(iv) - 1) / i128::from(self.step) + 1;
+        // Whole iterations that fit in `room` units at `per` units each;
+        // unbounded when an iteration uses none (no timed op).
+        let fit = |room: u64, per: u64| room.checked_div(per).unwrap_or(u64::MAX);
+        // The WAKE_EPOCH poll fires on `wakes % WAKE_EPOCH == 1`.
+        let to_poll = (WAKE_EPOCH - t.wakes % WAKE_EPOCH) % WAKE_EPOCH;
+        [
+            u64::try_from(trips).unwrap_or(u64::MAX),
+            fit(until_multiple(t.ops, OP_EPOCH), self.ops),
+            until_multiple(t.idle, OP_EPOCH),
+            fit(to_poll, self.wakes),
+            fit(max_events.saturating_sub(t.wakes), self.wakes),
+            fit(
+                barrier.saturating_sub(t.clock).saturating_sub(1),
+                self.cycles,
+            ),
+            fit(max_cycles.saturating_sub(t.clock), self.cycles),
+        ]
+        .into_iter()
+        .min()
+        .unwrap_or(0)
+    }
+}
+
+/// How many increments `count` can take before landing on a multiple of
+/// `epoch` (a power of two).
+fn until_multiple(count: u64, epoch: u64) -> u64 {
+    epoch - 1 - (count & (epoch - 1))
+}
+
+/// The engine counters as trace locals, synced back at trace exit.
+struct Tally {
+    clock: u64,
+    wakes: u64,
+    ops: u64,
+    idle: u64,
+    last_wake: Option<u64>,
+}
+
+impl Tally {
+    /// Advances the counters over `n` whole iterations, as `n` passes of
+    /// the per-op loop and the iteration boundary would.
+    fn whole(&mut self, shape: &Shape, n: u64) {
+        self.clock += n * shape.cycles;
+        self.wakes += n * shape.wakes;
+        self.ops += n * shape.ops;
+        self.idle += n;
+        if n > 0 && shape.wakes > 0 {
+            self.last_wake = Some(self.clock);
+        }
+    }
+
+    /// Advances the counters over the first `pos` ops of an iteration.
+    fn prefix(&mut self, insts: &[InstRt], pos: usize) {
+        let done = &insts[..pos];
+        let timed = done.iter().filter(|i| i.cost > 0).count() as u64;
+        self.ops += pos as u64;
+        self.wakes += timed;
+        self.clock += done.iter().map(|i| i.cost).sum::<u64>();
+        if timed > 0 {
+            self.last_wake = Some(self.clock);
+        }
+    }
+}
+
+/// Resolves a strided access for one entry: returns `(base, stride)` with
+/// the loop-invariant subscripts (clamped like [`flatten`]) folded into
+/// `base`, and narrows `[lo, hi)` to the ivs for which every iv subscript
+/// is in range. `None` when an invariant subscript is out of range: the
+/// access then goes through `flatten`, which raises the interpreter's
+/// error.
+fn resolve_stride(
+    regs: &[i64],
+    dims: &[usize],
+    indices: &[u32],
+    iv_reg: u32,
+    lo: &mut i64,
+    hi: &mut i64,
+) -> Option<(usize, usize)> {
+    let (mut base, mut stride, mut row) = (0usize, 0usize, 1usize);
+    let (mut iv_lo, mut iv_hi) = (i64::MIN, i64::MAX);
+    for (&r, &dim) in indices.iter().zip(dims).rev() {
+        if r == iv_reg {
+            stride = stride.checked_add(row)?;
+            iv_lo = 0;
+            iv_hi = iv_hi.min(i64::try_from(dim).unwrap_or(i64::MAX));
+        } else {
+            let idx = regs[r as usize].max(0) as usize;
+            if idx >= dim {
+                return None;
+            }
+            base = base.checked_add(idx.checked_mul(row)?)?;
+        }
+        row = row.checked_mul(dim)?;
+    }
+    *lo = (*lo).max(iv_lo);
+    *hi = (*hi).min(iv_hi);
+    Some((base, stride))
+}
+
+/// Runs `k` whole iterations from `iv` with no per-op timing: timed
+/// memories still see each access at its op's exact start time. On a
+/// failing instruction, returns `(iteration, position)`; every earlier
+/// op's effects are applied and the failing op's are not, so the exact path
+/// can re-execute it and raise the interpreter's error.
+#[allow(clippy::too_many_arguments)]
+fn bulk(
+    f: &FusedLoop,
+    insts: &[InstRt],
+    bank: &mut Bank,
+    machine: &mut Machine,
+    shape: &Shape,
+    iv: i64,
+    k: u64,
+    clock: u64,
+) -> Result<(), (u64, usize)> {
+    for it in 0..k {
+        let cur = iv.wrapping_add((it as i64).wrapping_mul(shape.step));
+        bank.regs[f.iv_reg as usize] = cur;
+        let t0 = clock + it * shape.cycles;
+        for (pos, (inst, rt)) in f.insts.iter().zip(insts).enumerate() {
+            if exec::<true>(inst, rt, bank, machine, t0 + rt.start, cur).is_err() {
+                return Err((it, pos));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// How a trace run ended.
@@ -639,19 +991,20 @@ impl<'m> Engine<'m> {
             let Some(state) = &scope.looping else {
                 return Ok(None);
             };
-            if state.ivs.len() != 1
-                || state.ivs[0] != f.iv_slot
-                || state.steps[0] != f.step
-                || state.uppers[0] != f.upper
-            {
+            let [dim] = state.dims.as_slice() else {
+                return Ok(None);
+            };
+            if dim.iv != f.iv_slot || dim.step != f.step || dim.upper != f.upper {
                 return Ok(None);
             }
             entry_idx = scope.idx;
-            iv = state.current[0];
+            iv = dim.current;
         }
 
-        s.bufs.clear();
-        s.dims.clear();
+        let bank = &mut s.bank;
+        bank.bufs.clear();
+        bank.dims.clear();
+        bank.owners.clear();
         for &(slot, rank) in &f.buffers {
             let Ok(SimValue::Buffer(bid)) = self.lookup(frame, slot) else {
                 return Ok(None);
@@ -667,28 +1020,35 @@ impl<'m> Engine<'m> {
             else {
                 return Ok(None);
             };
-            let dims_start = s.dims.len() as u32;
-            s.dims.extend_from_slice(&b.data.shape);
-            s.bufs.push(BufRt {
-                buf: bid,
+            let data = match bank.owners.iter().position(|&o| o == bid) {
+                Some(i) => i,
+                None => {
+                    bank.owners.push(bid);
+                    bank.owners.len() - 1
+                }
+            };
+            let dims_start = bank.dims.len() as u32;
+            bank.dims.extend_from_slice(&b.data.shape);
+            bank.bufs.push(BufRt {
                 mem: b.mem,
                 cost,
                 elem_bytes: b.elem_bytes as u64,
                 base_addr: b.base_addr,
                 dims_start,
                 dims_len: b.data.shape.len() as u32,
+                data: data as u32,
                 reads: 0,
                 writes: 0,
             });
         }
 
-        s.regs.clear();
-        s.regs.resize(f.n_regs as usize, 0);
+        bank.regs.clear();
+        bank.regs.resize(f.n_regs as usize, 0);
         for &(slot, r) in &f.inputs {
             let Ok(SimValue::Int(v)) = self.lookup(frame, slot) else {
                 return Ok(None);
             };
-            s.regs[r as usize] = v;
+            bank.regs[r as usize] = v;
         }
         // Defs already computed this iteration (resuming mid-iteration
         // after a contended yield) are re-loaded from the environment; the
@@ -696,17 +1056,26 @@ impl<'m> Engine<'m> {
         // trace formation rejects use-before-def.
         for &(r, slot) in &f.defs {
             if let Some(Some(SimValue::Int(v))) = frame.env.get(slot as usize) {
-                s.regs[r as usize] = *v;
+                bank.regs[r as usize] = *v;
             }
         }
-        s.regs[f.iv_reg as usize] = iv;
+        bank.regs[f.iv_reg as usize] = iv;
 
-        s.costs.clear();
-        s.costs.reserve(f.insts.len());
+        // Per-instruction costs, start offsets and strided addresses.
+        let mut shape = Shape {
+            step: f.step,
+            upper: f.upper,
+            cycles: 0,
+            wakes: 0,
+            ops: f.insts.len() as u64,
+            iv_lo: i64::MIN,
+            iv_hi: i64::MAX,
+        };
+        s.insts.clear();
         {
             let hot = &self.procs[p].hot;
             for inst in &f.insts {
-                s.costs.push(match inst {
+                let cost = match inst {
                     FusedInst::Load { .. } => hot.load,
                     FusedInst::Store { .. } => hot.store,
                     FusedInst::Bin {
@@ -721,7 +1090,44 @@ impl<'m> Engine<'m> {
                     FusedInst::Cmp { .. } => hot.cmpi,
                     FusedInst::Sel { .. } => hot.select,
                     FusedInst::Const { .. } | FusedInst::Nop { .. } => 0,
-                });
+                };
+                let mut rt = InstRt {
+                    cost,
+                    start: shape.cycles,
+                    ..InstRt::default()
+                };
+                if let FusedInst::Load {
+                    buf,
+                    indices,
+                    strided: true,
+                    ..
+                }
+                | FusedInst::Store {
+                    buf,
+                    indices,
+                    strided: true,
+                    ..
+                } = inst
+                {
+                    let b = &bank.bufs[*buf as usize];
+                    let dims =
+                        &bank.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
+                    if let Some((base, stride)) = resolve_stride(
+                        &bank.regs,
+                        dims,
+                        indices,
+                        f.iv_reg,
+                        &mut shape.iv_lo,
+                        &mut shape.iv_hi,
+                    ) {
+                        rt.strided = true;
+                        rt.base = base;
+                        rt.stride = stride;
+                    }
+                }
+                shape.cycles = shape.cycles.saturating_add(cost);
+                shape.wakes += u64::from(cost > 0);
+                s.insts.push(rt);
             }
         }
 
@@ -738,168 +1144,92 @@ impl<'m> Engine<'m> {
         let max_events = self.options.limits.max_events;
         let max_cycles = self.options.limits.max_cycles;
         let entry_clock = self.procs[p].clock;
-        let mut clock = entry_clock;
-        let mut wakes = self.wakes;
-        let mut ops = self.ops_interpreted;
-        let mut idle = self.idle_steps;
-        let mut last_wake: Option<u64> = None;
+        let mut t = Tally {
+            clock: entry_clock,
+            wakes: self.wakes,
+            ops: self.ops_interpreted,
+            idle: self.idle_steps,
+            last_wake: None,
+        };
         let mut pos = f
             .insts
             .partition_point(|i| (i.op_pos() as usize) < entry_idx);
 
+        self.hoist(&mut s.bank);
         let exit = 'run: loop {
+            // ---- bulk segment: whole iterations with no per-op timing,
+            // then one counter step. The exact path below takes the
+            // iteration that holds the boundary. ----
+            if pos == 0 {
+                let k = shape.segment_len(iv, &t, barrier, max_events, max_cycles);
+                if k > 0 {
+                    let ran = bulk(
+                        f,
+                        &s.insts,
+                        &mut s.bank,
+                        &mut self.machine,
+                        &shape,
+                        iv,
+                        k,
+                        t.clock,
+                    );
+                    match ran {
+                        Ok(()) => {
+                            t.whole(&shape, k);
+                            let last = iv.wrapping_add(((k - 1) as i64).wrapping_mul(shape.step));
+                            let next = last.saturating_add(shape.step);
+                            if next >= shape.upper {
+                                iv = last;
+                                break Exit::Done;
+                            }
+                            iv = next;
+                            s.bank.regs[f.iv_reg as usize] = next;
+                        }
+                        Err((it, at)) => {
+                            // Re-run the failing op on the exact path.
+                            t.whole(&shape, it);
+                            iv = iv.wrapping_add((it as i64).wrapping_mul(shape.step));
+                            t.prefix(&s.insts, at);
+                            pos = at;
+                        }
+                    }
+                }
+            }
+
+            // ---- exact path: one op at a time. ----
             while pos < f.insts.len() {
                 let inst = &f.insts[pos];
-                let cost = s.costs[pos];
-                ops += 1;
-                match inst {
-                    FusedInst::Load {
-                        buf, indices, dst, ..
-                    } => {
-                        let b = s.bufs[*buf as usize];
-                        let dims =
-                            &s.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
-                        let flat = match flatten(&s.regs, dims, indices) {
-                            Ok(flat) => flat,
-                            Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
-                        };
-                        if b.cost > 0 {
-                            // Timed memory: exact per-access port
-                            // reservation and traffic accounting.
-                            match self.machine.memory_mut(b.mem) {
-                                Some(m) => {
-                                    let _ = m.access(
-                                        AccessKind::Read,
-                                        b.base_addr + flat,
-                                        1,
-                                        b.elem_bytes,
-                                        clock,
-                                    );
-                                }
-                                None => {
-                                    break 'run Exit::Fail(SimError::Runtime(
-                                        "internal: buffer not backed by a memory".into(),
-                                    ))
-                                }
-                            }
-                        } else {
-                            s.bufs[*buf as usize].reads += 1;
-                        }
-                        match self.machine.buffer(b.buf).data.data.int_at(flat) {
-                            Some(v) => s.regs[*dst as usize] = v,
-                            None => {
-                                break 'run Exit::Fail(SimError::Runtime(
-                                    "internal: fused load outside buffer storage".into(),
-                                ))
-                            }
-                        }
-                    }
-                    FusedInst::Store {
-                        buf, indices, src, ..
-                    } => {
-                        let b = s.bufs[*buf as usize];
-                        let dims =
-                            &s.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
-                        let flat = match flatten(&s.regs, dims, indices) {
-                            Ok(flat) => flat,
-                            Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
-                        };
-                        if b.cost > 0 {
-                            match self.machine.memory_mut(b.mem) {
-                                Some(m) => {
-                                    let _ = m.access(
-                                        AccessKind::Write,
-                                        b.base_addr + flat,
-                                        1,
-                                        b.elem_bytes,
-                                        clock,
-                                    );
-                                }
-                                None => {
-                                    break 'run Exit::Fail(SimError::Runtime(
-                                        "internal: buffer not backed by a memory".into(),
-                                    ))
-                                }
-                            }
-                        } else {
-                            s.bufs[*buf as usize].writes += 1;
-                        }
-                        let v = s.regs[*src as usize];
-                        if !self.machine.buffer_mut(b.buf).data.data.set_int_at(flat, v) {
-                            break 'run Exit::Fail(SimError::Runtime(format!(
-                                "write index {flat} out of range"
-                            )));
-                        }
-                    }
-                    FusedInst::Bin {
-                        op, lhs, rhs, dst, ..
-                    } => match op.int(s.regs[*lhs as usize], s.regs[*rhs as usize]) {
-                        Ok(v) => s.regs[*dst as usize] = v,
-                        Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
-                    },
-                    FusedInst::Cmp {
-                        pred,
-                        lhs,
-                        rhs,
-                        dst,
-                        ..
-                    } => {
-                        s.regs[*dst as usize] =
-                            i64::from(pred.eval(s.regs[*lhs as usize], s.regs[*rhs as usize]));
-                    }
-                    FusedInst::Sel {
-                        cond,
-                        on_true,
-                        on_false,
-                        dst,
-                        ..
-                    } => {
-                        s.regs[*dst as usize] = if s.regs[*cond as usize] != 0 {
-                            s.regs[*on_true as usize]
-                        } else {
-                            s.regs[*on_false as usize]
-                        };
-                    }
-                    FusedInst::Const { value, dst, .. } => s.regs[*dst as usize] = *value,
-                    FusedInst::Nop { .. } => {}
+                let rt = &s.insts[pos];
+                t.ops += 1;
+                if let Err(e) = exec::<false>(inst, rt, &mut s.bank, &mut self.machine, t.clock, iv)
+                {
+                    break 'run Exit::Fail(e);
                 }
                 // Timing: mirrors `advance` + the inline-wake path of
                 // `step_frame`. A timed op whose finish time reaches the
                 // barrier yields (contended — no wake counted); otherwise
                 // the wake is taken inline with the interpreter's exact
                 // budget-check order.
-                if cost > 0 {
-                    clock += cost;
-                    if barrier <= clock {
+                if rt.cost > 0 {
+                    t.clock += rt.cost;
+                    if barrier <= t.clock {
                         break 'run Exit::Yield(inst.op_pos());
                     }
-                    last_wake = Some(clock);
-                    wakes += 1;
-                    if wakes > max_events {
-                        break 'run Exit::Fail(self.fused_limit(
-                            LimitKind::Events,
-                            max_events,
-                            clock,
-                            wakes,
-                            ops,
-                        ));
+                    t.last_wake = Some(t.clock);
+                    t.wakes += 1;
+                    if t.wakes > max_events {
+                        break 'run Exit::Fail(self.fused_limit(LimitKind::Events, max_events, &t));
                     }
-                    if clock > max_cycles {
-                        break 'run Exit::Fail(self.fused_limit(
-                            LimitKind::Cycles,
-                            max_cycles,
-                            clock,
-                            wakes,
-                            ops,
-                        ));
+                    if t.clock > max_cycles {
+                        break 'run Exit::Fail(self.fused_limit(LimitKind::Cycles, max_cycles, &t));
                     }
-                    if wakes & (WAKE_EPOCH - 1) == 1 {
-                        if let Err(e) = self.fused_poll(clock, wakes, ops) {
+                    if t.wakes & (WAKE_EPOCH - 1) == 1 {
+                        if let Err(e) = self.fused_poll(&t) {
                             break 'run Exit::Fail(e);
                         }
                     }
-                } else if ops & (OP_EPOCH - 1) == 0 {
-                    if let Err(e) = self.fused_poll(clock, wakes, ops) {
+                } else if t.ops & (OP_EPOCH - 1) == 0 {
+                    if let Err(e) = self.fused_poll(&t) {
                         break 'run Exit::Fail(e);
                     }
                 }
@@ -912,20 +1242,14 @@ impl<'m> Engine<'m> {
             let continuing = next < f.upper;
             if continuing {
                 iv = next;
-                s.regs[f.iv_reg as usize] = next;
+                s.bank.regs[f.iv_reg as usize] = next;
             }
-            idle += 1;
-            if idle & (OP_EPOCH - 1) == 0 {
-                if idle > max_events {
-                    break Exit::Fail(self.fused_limit(
-                        LimitKind::Events,
-                        max_events,
-                        clock,
-                        wakes,
-                        ops,
-                    ));
+            t.idle += 1;
+            if t.idle & (OP_EPOCH - 1) == 0 {
+                if t.idle > max_events {
+                    break Exit::Fail(self.fused_limit(LimitKind::Events, max_events, &t));
                 }
-                if let Err(e) = self.fused_poll(clock, wakes, ops) {
+                if let Err(e) = self.fused_poll(&t) {
                     break Exit::Fail(e);
                 }
             }
@@ -934,20 +1258,21 @@ impl<'m> Engine<'m> {
             }
             pos = 0;
         };
+        self.unhoist(&mut s.bank);
 
         // ---- trace exit: sync counters, flush batched traffic, write
         // live register state back into the frame. ----
-        self.wakes = wakes;
-        self.ops_interpreted = ops;
-        self.idle_steps = idle;
-        self.procs[p].clock = clock;
-        if clock > entry_clock {
-            self.bump_horizon(clock);
+        self.wakes = t.wakes;
+        self.ops_interpreted = t.ops;
+        self.idle_steps = t.idle;
+        self.procs[p].clock = t.clock;
+        if t.clock > entry_clock {
+            self.bump_horizon(t.clock);
         }
-        if let Some(t) = last_wake {
-            self.now = t;
+        if let Some(w) = t.last_wake {
+            self.now = w;
         }
-        for b in &mut s.bufs {
+        for b in &s.bank.bufs {
             if b.reads == 0 && b.writes == 0 {
                 continue;
             }
@@ -963,7 +1288,7 @@ impl<'m> Engine<'m> {
             Exit::Fail(e) => Err(e),
             Exit::Done => {
                 for &(r, slot) in &f.defs {
-                    frame.env[slot as usize] = Some(SimValue::Int(s.regs[r as usize]));
+                    frame.env[slot as usize] = Some(SimValue::Int(s.bank.regs[r as usize]));
                 }
                 frame.env[f.iv_slot as usize] = Some(SimValue::Int(iv));
                 frame.stack.pop();
@@ -971,13 +1296,13 @@ impl<'m> Engine<'m> {
             }
             Exit::Yield(op_pos) => {
                 for &(r, slot) in &f.defs {
-                    frame.env[slot as usize] = Some(SimValue::Int(s.regs[r as usize]));
+                    frame.env[slot as usize] = Some(SimValue::Int(s.bank.regs[r as usize]));
                 }
                 frame.env[f.iv_slot as usize] = Some(SimValue::Int(iv));
                 if let Some(scope) = frame.stack.last_mut() {
                     scope.idx = op_pos as usize + 1;
-                    if let Some(state) = &mut scope.looping {
-                        state.current[0] = iv;
+                    if let Some(dim) = scope.looping.as_mut().and_then(|l| l.dims.first_mut()) {
+                        dim.current = iv;
                     }
                 }
                 Ok(Some(Step::Yield))
@@ -985,38 +1310,66 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// `Progress` from trace-local counters (the engine's own counters are
-    /// synced only at trace exit).
-    fn fused_progress(&self, clock: u64, wakes: u64, ops: u64) -> Progress {
-        Progress {
-            cycles: self.horizon.max(clock),
-            events: wakes,
-            ops,
+    /// Moves each distinct buffer's elements out of the machine into
+    /// `bank.data` (one vector per `BufId`, so a tensor bound to two slots
+    /// is one vector). A shared payload is copied, as the interpreter's
+    /// first store would copy it. [`Engine::unhoist`] puts them back.
+    fn hoist(&mut self, bank: &mut Bank) {
+        bank.data.clear();
+        for &bid in &bank.owners {
+            let v = match &mut self.machine.buffer_mut(bid).data.data {
+                TensorData::Int(a) => match Arc::get_mut(a) {
+                    Some(v) => std::mem::take(v),
+                    None => {
+                        let v = a.as_ref().clone();
+                        *a = Arc::default();
+                        v
+                    }
+                },
+                // Preflight admits integer tensors only.
+                TensorData::Float(_) => Vec::new(),
+            };
+            bank.data.push(v);
         }
     }
 
-    fn fused_limit(
-        &self,
-        kind: LimitKind,
-        limit: u64,
-        clock: u64,
-        wakes: u64,
-        ops: u64,
-    ) -> SimError {
+    /// Returns the hoisted elements to their buffers.
+    fn unhoist(&mut self, bank: &mut Bank) {
+        for (&bid, v) in bank.owners.iter().zip(bank.data.drain(..)) {
+            if let TensorData::Int(a) = &mut self.machine.buffer_mut(bid).data.data {
+                match Arc::get_mut(a) {
+                    Some(slot) => *slot = v,
+                    None => *a = Arc::new(v),
+                }
+            }
+        }
+    }
+
+    /// `Progress` from trace-local counters (the engine's own counters are
+    /// synced only at trace exit).
+    fn fused_progress(&self, t: &Tally) -> Progress {
+        Progress {
+            cycles: self.horizon.max(t.clock),
+            events: t.wakes,
+            ops: t.ops,
+        }
+    }
+
+    fn fused_limit(&self, kind: LimitKind, limit: u64, t: &Tally) -> SimError {
         SimError::Limit(LimitExceeded {
             kind,
             limit,
-            progress: self.fused_progress(clock, wakes, ops),
+            progress: self.fused_progress(t),
         })
     }
 
     /// The epoch-cadence cancellation / wall-deadline poll, identical to
     /// the interpreter's `check_epoch` but fed trace-local counters.
     #[cold]
-    fn fused_poll(&self, clock: u64, wakes: u64, ops: u64) -> Result<(), SimError> {
+    fn fused_poll(&self, t: &Tally) -> Result<(), SimError> {
         if let Some(c) = &self.options.cancel {
             if c.is_cancelled() {
-                return Err(SimError::Cancelled(self.fused_progress(clock, wakes, ops)));
+                return Err(SimError::Cancelled(self.fused_progress(t)));
             }
         }
         if let Some(d) = self.deadline {
@@ -1026,7 +1379,7 @@ impl<'m> Engine<'m> {
                     .limits
                     .wall_deadline
                     .map_or(0, |w| w.as_millis() as u64);
-                return Err(self.fused_limit(LimitKind::WallClock, ms, clock, wakes, ops));
+                return Err(self.fused_limit(LimitKind::WallClock, ms, t));
             }
         }
         Ok(())

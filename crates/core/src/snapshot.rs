@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use equeue_dialect::ConnKind;
 
-use crate::engine::{Backend, EventKind, Frame, LoopState, PendingEvent, Scope};
+use crate::engine::{Backend, EventKind, Frame, LoopDim, LoopState, PendingEvent, Scope};
 use crate::machine::{AccessKind, BehaviorSnapshot, Buffer, MemCounters, ProcProfile, Transfer};
 use crate::signal::SignalState;
 use crate::value::{BufId, CompId, ConnId, SignalId, SimValue, Tensor, TensorData};
@@ -814,48 +814,49 @@ fn r_event(r: &mut Reader) -> Result<PendingEvent, SimError> {
     })
 }
 
+/// The loop-state wire format is columnar: the iv slots, then one sequence
+/// per field in this order.
+const LOOP_FIELDS: [fn(&mut LoopDim) -> &mut i64; 4] = [
+    |d| &mut d.lower,
+    |d| &mut d.upper,
+    |d| &mut d.step,
+    |d| &mut d.current,
+];
+
 fn w_loop_state(w: &mut Writer, s: &LoopState) {
-    w.seq_len(s.ivs.len());
-    for &iv in &s.ivs {
-        w.u32(iv);
+    w.seq_len(s.dims.len());
+    for d in &s.dims {
+        w.u32(d.iv);
     }
-    for vec in [&s.lowers, &s.uppers, &s.steps, &s.current] {
-        w.seq_len(vec.len());
-        for &x in vec {
-            w.i64(x);
+    for field in LOOP_FIELDS {
+        w.seq_len(s.dims.len());
+        for mut d in s.dims.iter().copied() {
+            w.i64(*field(&mut d));
         }
     }
 }
 
 fn r_loop_state(r: &mut Reader) -> Result<LoopState, SimError> {
     let n = r.seq_len(4)?;
-    let mut ivs = Vec::with_capacity(n);
+    let mut dims = Vec::with_capacity(n);
     for _ in 0..n {
-        ivs.push(r.u32()?);
+        dims.push(LoopDim {
+            iv: r.u32()?,
+            lower: 0,
+            upper: 0,
+            step: 0,
+            current: 0,
+        });
     }
-    let mut vecs = Vec::with_capacity(4);
-    for _ in 0..4 {
-        let m = r.seq_len(8)?;
-        if m != n {
+    for field in LOOP_FIELDS {
+        if r.seq_len(8)? != n {
             return Err(err("loop-state dimension mismatch"));
         }
-        let mut v = Vec::with_capacity(m);
-        for _ in 0..m {
-            v.push(r.i64()?);
+        for d in &mut dims {
+            *field(d) = r.i64()?;
         }
-        vecs.push(v);
     }
-    let current = vecs.pop().unwrap_or_default();
-    let steps = vecs.pop().unwrap_or_default();
-    let uppers = vecs.pop().unwrap_or_default();
-    let lowers = vecs.pop().unwrap_or_default();
-    Ok(LoopState {
-        ivs,
-        lowers,
-        uppers,
-        steps,
-        current,
-    })
+    Ok(LoopState { dims })
 }
 
 fn w_frame(w: &mut Writer, f: &Frame) {

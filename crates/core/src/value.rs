@@ -78,32 +78,6 @@ impl TensorData {
         }
     }
 
-    /// The integer element at flat index `i`, if this is an
-    /// [`TensorData::Int`] and the index is in range. The bounds-checked
-    /// scalar read behind the engine's fused loop traces.
-    pub fn int_at(&self, i: usize) -> Option<i64> {
-        match self {
-            TensorData::Int(v) => v.get(i).copied(),
-            TensorData::Float(_) => None,
-        }
-    }
-
-    /// Writes the integer element at flat index `i` (copy-on-write: clones
-    /// the backing vector only when shared). Returns `false` when the
-    /// payload is not integer or the index is out of range.
-    pub fn set_int_at(&mut self, i: usize, value: i64) -> bool {
-        match self {
-            TensorData::Int(v) => match Arc::make_mut(v).get_mut(i) {
-                Some(slot) => {
-                    *slot = value;
-                    true
-                }
-                None => false,
-            },
-            TensorData::Float(_) => false,
-        }
-    }
-
     /// The float elements, if this is a [`TensorData::Float`].
     pub fn as_floats(&self) -> Option<&[f64]> {
         match self {

@@ -5,7 +5,8 @@
 use std::time::Duration;
 
 use equeue_core::{
-    simulate_with, Backend, CancelToken, LimitKind, RunLimits, SimError, SimLibrary, SimOptions,
+    simulate, simulate_with, Backend, CancelToken, LimitKind, RunLimits, SimError, SimLibrary,
+    SimOptions,
 };
 use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
 use equeue_ir::{Attr, Module, OpBuilder, Type};
@@ -176,11 +177,16 @@ fn concurrent_cancel_stops_busy_loop() {
 /// loop runs inside one trace (no contention: single processor, nothing else
 /// scheduled), so limits and cancellation must fire from *inside* the trace.
 fn fused_loop(iters: i64) -> Module {
+    fused_loop_in(kinds::SRAM, iters)
+}
+
+/// [`fused_loop`] over a memory of kind `mem_kind`.
+fn fused_loop_in(mem_kind: &str, iters: i64) -> Module {
     let mut m = Module::new();
     let blk = m.top_block();
     let mut b = OpBuilder::at_end(&mut m, blk);
     let pe = b.create_proc(kinds::MAC);
-    let mem = b.create_mem(kinds::SRAM, &[iters as usize], 32, 2);
+    let mem = b.create_mem(mem_kind, &[iters as usize], 32, 2);
     let buf = b.alloc(mem, &[iters as usize], Type::I32);
     let start = b.control_start();
     let l = b.launch(start, pe, &[buf], vec![]);
@@ -251,6 +257,102 @@ fn cycle_limit_fires_inside_fused_trace_with_progress() {
     assert!(l.progress.cycles > 100, "{:?}", l.progress);
     assert!(l.progress.ops > 0, "{:?}", l.progress);
     assert_eq!(fused, interp);
+}
+
+/// One iteration's scheduler wakes and cycles in [`fused_loop_in`], from
+/// two runs one iteration apart.
+fn per_iteration(mem_kind: &str) -> (u64, u64) {
+    let a = simulate(&fused_loop_in(mem_kind, 100)).unwrap();
+    let b = simulate(&fused_loop_in(mem_kind, 101)).unwrap();
+    (b.events_processed - a.events_processed, b.cycles - a.cycles)
+}
+
+/// Runs `m` under both backends with each limit set, asserting both fail
+/// with the same error (kind, limit and `Progress` counters).
+fn assert_limit_errors_agree(m: &Module, kind: LimitKind, limits: impl Iterator<Item = RunLimits>) {
+    let lib = SimLibrary::standard();
+    for limits in limits {
+        let fused =
+            simulate_with(m, &lib, &with_backend(limits, None, Backend::Fused)).unwrap_err();
+        let interp =
+            simulate_with(m, &lib, &with_backend(limits, None, Backend::Interp)).unwrap_err();
+        assert!(
+            matches!(&fused, SimError::Limit(l) if l.kind == kind),
+            "{limits:?}: {fused}"
+        );
+        assert_eq!(fused, interp, "{limits:?}");
+    }
+}
+
+#[test]
+fn event_limit_is_exact_at_every_offset_of_three_iterations() {
+    // Fused runs whole iterations in bulk segments that stop short of the
+    // budget; every offset of three iterations around the first
+    // WAKE_EPOCH poll (wake 1025) must trip at the interpreter's counters.
+    for kind in [kinds::SRAM, kinds::REGISTER] {
+        let (wakes, _) = per_iteration(kind);
+        assert!(wakes > 0);
+        let m = fused_loop_in(kind, 4096);
+        let limits = (1020..1020 + 3 * wakes).map(|max_events| RunLimits {
+            max_events,
+            ..RunLimits::default()
+        });
+        assert_limit_errors_agree(&m, LimitKind::Events, limits);
+    }
+}
+
+#[test]
+fn cycle_limit_is_exact_at_every_offset_of_three_iterations() {
+    for kind in [kinds::SRAM, kinds::REGISTER] {
+        let (_, cycles) = per_iteration(kind);
+        assert!(cycles > 0);
+        let m = fused_loop_in(kind, 4096);
+        let limits = (1000..1000 + 3 * cycles).map(|max_cycles| RunLimits {
+            max_cycles,
+            ..RunLimits::default()
+        });
+        assert_limit_errors_agree(&m, LimitKind::Cycles, limits);
+    }
+}
+
+#[test]
+fn snapshot_cut_is_exact_at_every_offset_of_three_iterations() {
+    // A cut caps the bulk segment like contention does. Capture and resume
+    // under each backend: the cut lands on the same cycle, and the resumed
+    // runs match each other and the uninterrupted run.
+    use equeue_core::{CompiledModule, SimReport};
+    let fields = |r: &SimReport| {
+        (
+            r.cycles,
+            r.events_processed,
+            r.ops_interpreted,
+            r.buffers.clone(),
+            r.memories.clone(),
+        )
+    };
+    for kind in [kinds::SRAM, kinds::REGISTER] {
+        let (_, cycles) = per_iteration(kind);
+        let full = simulate(&fused_loop_in(kind, 512)).unwrap();
+        let compiled =
+            CompiledModule::compile(fused_loop_in(kind, 512), SimLibrary::standard()).unwrap();
+        for cut in 500..500 + 3 * cycles {
+            let run = |backend| {
+                let opts = with_backend(RunLimits::default(), None, backend);
+                let snap = compiled
+                    .snapshot(&SimOptions {
+                        snapshot_at: Some(cut),
+                        ..opts.clone()
+                    })
+                    .unwrap();
+                (snap.actual_cut(), compiled.resume(&snap, &opts).unwrap())
+            };
+            let (fused_cut, fused) = run(Backend::Fused);
+            let (interp_cut, interp) = run(Backend::Interp);
+            assert_eq!(fused_cut, interp_cut, "cut {cut}");
+            assert_eq!(fields(&fused), fields(&interp), "cut {cut}");
+            assert_eq!(fields(&fused), fields(&full), "cut {cut}");
+        }
+    }
 }
 
 #[test]
