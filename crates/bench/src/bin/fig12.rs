@@ -13,7 +13,8 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use equeue_bench::{fig12_configs, fig12_sweep_jobs, pool, Fig12Row};
+use equeue_bench::{fig12_configs, fig12_sweep, pool, Fig12Row};
+use equeue_core::Backend;
 use equeue_passes::Dataflow;
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
     println!("{}", "-".repeat(108));
 
     // Simulate the whole grid on the pool, then print in sweep order.
-    let rows: Vec<Fig12Row> = fig12_sweep_jobs(full, jobs);
+    let rows: Vec<Fig12Row> = fig12_sweep(full, jobs, Backend::default());
     for r in &rows {
         println!(
             "{:>3}x{:<3} {:>4} {:>2} {:>2} {:>3} {:>3} | {:>10} {:>10} {:>6.2}% | {:>9.1?} | {:>9.3} | {:>6}",

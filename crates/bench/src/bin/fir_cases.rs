@@ -16,7 +16,7 @@ fn main() {
         "case", "EQueue", "paper-EQ", "Xilinx", "exec time"
     );
     println!("{}", "-".repeat(76));
-    let rows = fir_rows();
+    let rows = fir_rows(0);
     for r in &rows {
         println!(
             "{:>28} | {:>9} {:>9} {:>9} | {:>8.1?}",

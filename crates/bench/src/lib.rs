@@ -1,15 +1,16 @@
 //! # equeue-bench — the experiment harness
 //!
-//! One driver per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index). Binaries under `src/bin/` print the same rows/series
-//! the paper reports; Criterion benches under `benches/` measure the
-//! simulator itself. The drivers live here so binaries, benches, and
-//! integration tests share one implementation.
+//! One driver per table/figure of the paper's evaluation. Binaries under
+//! `src/bin/` print the same rows/series the paper reports, and `bench`
+//! writes the engine's counter drift guard (`BENCH_engine.json`). The
+//! drivers live here so binaries and integration tests share one
+//! implementation; the simulator's wall time is measured by the separate
+//! `benchmark/` crate.
 //!
 //! Sweeps over independent configurations ([`fig12_sweep`], [`fir_rows`])
-//! shard their points across the std-thread worker pool in [`pool`]; the
-//! `*_jobs` variants take an explicit thread count (`0` = all cores) and
-//! produce bit-identical rows at any job count.
+//! shard their points across the std-thread worker pool in [`pool`]: they
+//! take an explicit thread count (`0` = all cores) and produce
+//! bit-identical rows at any job count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,23 +61,16 @@ pub fn to_conv_shape(d: ConvDims) -> scalesim::ConvShape {
 }
 
 /// Simulates a module without tracing (sweep mode).
-pub fn run_quiet(module: &equeue_ir::Module) -> SimReport {
-    run_quiet_backend(module, Backend::default())
-}
-
-/// [`run_quiet`] under an explicit execution backend — the harness for
-/// fused-vs-interpreter differential checks.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails (benchmark scenarios are known-good).
-pub fn run_quiet_backend(module: &equeue_ir::Module, backend: Backend) -> SimReport {
+pub fn run_quiet(module: &equeue_ir::Module) -> SimReport {
     match simulate_with(
         module,
         standard_library(),
         &SimOptions {
             trace: false,
-            backend,
             ..Default::default()
         },
     ) {
@@ -304,18 +298,6 @@ pub fn fig12_configs(full: bool) -> Vec<Fig12Config> {
     out
 }
 
-/// Runs one sweep point.
-pub fn fig12_point(ah: usize, hw: usize, f: usize, c: usize, n: usize, df: Dataflow) -> Fig12Row {
-    let opts = SimOptions {
-        trace: false,
-        ..Default::default()
-    };
-    match try_fig12_point(ah, hw, f, c, n, df, &opts) {
-        Ok(row) => row,
-        Err(e) => panic!("simulation failed: {e}"),
-    }
-}
-
 /// Runs one sweep point under explicit [`SimOptions`] (limits, cancel
 /// token), surfacing failures as typed [`SimError`]s instead of panicking.
 ///
@@ -376,23 +358,11 @@ pub fn try_fig12_point(
     })
 }
 
-/// Runs the whole sweep on the default worker-pool width (all cores).
-pub fn fig12_sweep(full: bool) -> Vec<Fig12Row> {
-    fig12_sweep_jobs(full, 0)
-}
-
 /// Runs the whole sweep sharded across `jobs` worker threads (`0` = all
-/// cores). Every point is an independent simulation; rows come back in
-/// configuration order with bit-identical cycles/events/ops at any job
-/// count.
-pub fn fig12_sweep_jobs(full: bool, jobs: usize) -> Vec<Fig12Row> {
-    fig12_sweep_jobs_backend(full, jobs, Backend::default())
-}
-
-/// [`fig12_sweep_jobs`] under an explicit execution backend. Cycles, wakes,
-/// and interpreted-op counts are bit-identical across backends (the fused
-/// trace runner's contract); only wall-clock differs.
-pub fn fig12_sweep_jobs_backend(full: bool, jobs: usize, backend: Backend) -> Vec<Fig12Row> {
+/// cores) under `backend`. Every point is an independent simulation; rows
+/// come back in configuration order with bit-identical cycles/events/ops
+/// at any job count and on either backend.
+pub fn fig12_sweep(full: bool, jobs: usize, backend: Backend) -> Vec<Fig12Row> {
     let configs = fig12_configs(full);
     pool::run_batch(jobs, &configs, move |&(ah, hw, f, c, n, df)| {
         let opts = SimOptions {
@@ -460,15 +430,10 @@ pub struct FirRow {
     pub trace_json: String,
 }
 
-/// Runs all four FIR cases on the default worker-pool width.
-pub fn fir_rows() -> Vec<FirRow> {
-    fir_rows_jobs(0)
-}
-
 /// Runs all four FIR cases, one worker per case up to `jobs` threads
-/// (`0` = all cores). Traces are recorded per case as before; rows come
-/// back in case order.
-pub fn fir_rows_jobs(jobs: usize) -> Vec<FirRow> {
+/// (`0` = all cores). Traces are recorded per case; rows come back in case
+/// order.
+pub fn fir_rows(jobs: usize) -> Vec<FirRow> {
     use equeue_gen::fir_reference as r;
     pool::run_batch(jobs, &FirCase::all(), |&case| {
         let prog = generate_fir(FirSpec::default(), case);
@@ -504,145 +469,66 @@ pub fn fir_rows_jobs(jobs: usize) -> Vec<FirRow> {
 /// `equeue_bench::scenarios::` paths working.
 pub use equeue_gen::scenarios;
 
-// ---------------------------------------------------------------------------
-// Self-contained timing harness
-// ---------------------------------------------------------------------------
-
-/// A minimal wall-clock timing harness shared by the `benches/` targets and
-/// the `bench` binary.
-///
-/// The workspace intentionally carries zero external dependencies (the build
-/// environment is offline), so instead of Criterion each bench target is a
-/// plain `main` that calls [`timing::time`]: warm up once, run a fixed
-/// iteration budget, report best/mean wall time. Deterministic enough for
-/// trend tracking in `BENCH_engine.json`; not a statistical framework.
-pub mod timing {
-    use std::time::Instant;
-
-    /// Untimed warm-up iterations before measurement begins. The first few
-    /// runs of a scenario pay one-off costs (allocator growth, page faults,
-    /// branch-predictor training) that made short benches like
-    /// `fir_balanced4` report means several times their steady-state best;
-    /// a fixed warm-up burst drains those before the clock starts.
-    pub const WARMUP_ITERS: u32 = 3;
-
-    /// One measured benchmark case.
-    #[derive(Debug, Clone)]
-    pub struct Sample {
-        /// Case name (`"fig09/equeue_16x16_ws"`).
-        pub name: String,
-        /// Iterations measured (after the warm-up burst).
-        pub iters: u32,
-        /// Fastest single-iteration wall time, milliseconds.
-        pub best_ms: f64,
-        /// Mean single-iteration wall time, milliseconds.
-        pub mean_ms: f64,
-        /// Median single-iteration wall time, milliseconds. Robust to the
-        /// occasional scheduling hiccup that skews the mean.
-        pub median_ms: f64,
-    }
-
-    impl Sample {
-        /// One formatted report row.
-        pub fn row(&self) -> String {
-            format!(
-                "{:<40} {:>5} iters   best {:>10.3} ms   median {:>10.3} ms   mean {:>10.3} ms",
-                self.name, self.iters, self.best_ms, self.median_ms, self.mean_ms
-            )
-        }
-    }
-
-    /// Median of a sample list (mean of the middle pair for even lengths).
-    fn median(samples: &mut [f64]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples.sort_by(f64::total_cmp);
-        let mid = samples.len() / 2;
-        if samples.len() % 2 == 1 {
-            samples[mid]
-        } else {
-            (samples[mid - 1] + samples[mid]) / 2.0
-        }
-    }
-
-    /// Times `f` over `iters` iterations (after [`WARMUP_ITERS`] untimed
-    /// warm-ups) and prints the report row.
-    pub fn time<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> Sample {
-        let iters = iters.max(1);
-        for _ in 0..WARMUP_ITERS {
-            std::hint::black_box(f());
-        }
-        let mut best = f64::INFINITY;
-        let mut total = 0.0;
-        let mut all = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            best = best.min(ms);
-            total += ms;
-            all.push(ms);
-        }
-        let sample = Sample {
-            name: name.to_string(),
-            iters,
-            best_ms: best,
-            mean_ms: total / f64::from(iters),
-            median_ms: median(&mut all),
-        };
-        println!("{}", sample.row());
-        sample
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn timing_reports_positive_times() {
-        let s = timing::time("noop", 3, || 1 + 1);
-        assert_eq!(s.iters, 3);
-        assert!(s.best_ms >= 0.0 && s.mean_ms >= s.best_ms);
-        assert!(s.median_ms >= s.best_ms && s.median_ms <= s.mean_ms * 3.0 + f64::EPSILON);
-    }
-
-    #[test]
     fn fig09_equeue_tracks_scalesim() {
-        for row in fig09_ifmap_sweep() {
-            assert!(
-                row.cycle_error() < 0.02,
-                "{}: equeue {} vs scalesim {}",
-                row.label,
-                row.equeue_cycles,
-                row.scalesim_cycles
-            );
+        for row in fig09_ifmap_sweep().into_iter().chain(fig09_weight_sweep()) {
+            assert_eq!(row.equeue_cycles, row.scalesim_cycles, "{}", row.label);
         }
     }
 
     #[test]
     fn fig12_small_sweep_consistent() {
-        let rows = fig12_sweep(false);
+        let rows = fig12_sweep(false, 0, Backend::default());
         assert!(rows.len() > 100, "sweep too small: {}", rows.len());
         for r in &rows {
-            let err = (r.cycles as f64 - r.scalesim_cycles as f64).abs()
-                / r.scalesim_cycles.max(1) as f64;
-            assert!(
-                err < 0.05,
-                "ah={} hw={} f={} c={} n={} {:?}: {} vs {}",
-                r.ah,
-                r.hw,
-                r.f,
-                r.c,
-                r.n,
-                r.dataflow,
-                r.cycles,
-                r.scalesim_cycles
+            assert_eq!(
+                r.cycles, r.scalesim_cycles,
+                "ah={} hw={} f={} c={} n={} {:?}",
+                r.ah, r.hw, r.f, r.c, r.n, r.dataflow
             );
             // Cycles are proportional to loop iterations (Fig. 12c–e).
             assert!(r.cycles as usize >= r.loop_iterations);
         }
+    }
+
+    /// EQueue and `scalesim` cycles for one point on a 4×4 array.
+    fn systolic_vs_scalesim(df: Dataflow, dims: ConvDims) -> (u64, u64) {
+        let spec = SystolicSpec {
+            rows: 4,
+            cols: 4,
+            dataflow: df,
+        };
+        let equeue = run_quiet(&generate_systolic(&spec, dims).module).cycles;
+        let ss = scalesim::scale_sim(
+            scalesim::ArrayShape { rows: 4, cols: 4 },
+            to_conv_shape(dims),
+            to_scalesim(df),
+        );
+        (equeue, ss.cycles)
+    }
+
+    #[test]
+    fn systolic_matches_scalesim_ws() {
+        for hw in [4usize, 8, 16] {
+            let (equeue, ss) = systolic_vs_scalesim(Dataflow::Ws, ConvDims::square(hw, 2, 3, 2));
+            assert_eq!(equeue, ss, "hw={hw}");
+        }
+    }
+
+    #[test]
+    fn systolic_matches_scalesim_is() {
+        let (equeue, ss) = systolic_vs_scalesim(Dataflow::Is, ConvDims::square(8, 2, 3, 4));
+        assert_eq!(equeue, ss);
+    }
+
+    #[test]
+    fn systolic_matches_scalesim_os() {
+        let (equeue, ss) = systolic_vs_scalesim(Dataflow::Os, ConvDims::square(8, 2, 3, 4));
+        assert_eq!(equeue, ss);
     }
 
     #[test]
@@ -650,7 +536,13 @@ mod tests {
         // A slice of the sweep, sequential vs pooled: same rows, same order,
         // same determinism counters.
         let configs: Vec<Fig12Config> = fig12_configs(false).into_iter().take(12).collect();
-        let point = |&(ah, hw, f, c, n, df): &Fig12Config| fig12_point(ah, hw, f, c, n, df);
+        let opts = SimOptions {
+            trace: false,
+            ..Default::default()
+        };
+        let point = |&(ah, hw, f, c, n, df): &Fig12Config| {
+            try_fig12_point(ah, hw, f, c, n, df, &opts).unwrap()
+        };
         let seq: Vec<Fig12Row> = configs.iter().map(point).collect();
         let par = pool::run_batch(4, &configs, point);
         assert_eq!(seq.len(), par.len());
@@ -694,7 +586,7 @@ mod tests {
 
     #[test]
     fn fir_rows_match_paper() {
-        let rows = fir_rows();
+        let rows = fir_rows(0);
         assert_eq!(rows[0].cycles, rows[0].paper_cycles);
         assert_eq!(rows[1].cycles, rows[1].paper_cycles);
         assert_eq!(rows[2].cycles, rows[2].paper_cycles);

@@ -8,7 +8,8 @@
 //! enforces the contract over three surfaces:
 //!
 //! 1. every golden benchmark scenario (`BENCH_engine.json` rows);
-//! 2. the fault-injection matrix (perturbed-but-structured programs);
+//! 2. the fault-injection matrix (perturbed-but-structured programs, plus
+//!    the zero-fault run against its golden);
 //! 3. a malformed-IR fuzzer corpus (hostile text through the full
 //!    parse → compile → simulate pipeline).
 
@@ -420,6 +421,7 @@ fn fault_matrix_outcomes_agree_across_backends() {
             }],
         ),
         ("drop-operand", vec![Fault::DropOperand { nth: 0 }]),
+        ("drop-third-operand", vec![Fault::DropOperand { nth: 2 }]),
         ("zero-loop-step", vec![Fault::ZeroLoopStep { nth: 0 }]),
         (
             "ext-op-small-latency",
@@ -459,10 +461,34 @@ fn fault_matrix_outcomes_agree_across_backends() {
             ],
         ),
     ];
-    for (name, faults) in matrix {
-        let mut m = fault_target();
-        apply_faults(&mut m, &faults);
-        assert_outcomes_agree(name, &m);
+    // Besides the fixture, perturb a Linalg-level, an affine-loop, and an
+    // ext-op-heavy scenario so each fault kind meets ops it can land on.
+    let targets = [
+        ("fault_target", fault_target()),
+        ("matmul8_linalg", scenarios::matmul_linalg(8)),
+        ("matmul4_affine", scenarios::matmul_affine(4)),
+        (
+            "fir_single_core",
+            generate_fir(FirSpec::default(), FirCase::SingleCore).module,
+        ),
+    ];
+    for (name, faults) in &matrix {
+        for (target, module) in &targets {
+            let mut m = module.clone();
+            apply_faults(&mut m, faults);
+            assert_outcomes_agree(&format!("{name} on {target}"), &m);
+        }
+    }
+
+    // Zero faults applied leaves a scenario bit-identical to its golden,
+    // unperturbed run under both backends.
+    let golden = equeue_bench::run_quiet(&scenarios::matmul_linalg(8));
+    for backend in [Backend::Fused, Backend::Interp] {
+        let mut unfaulted = scenarios::matmul_linalg(8);
+        assert_eq!(apply_faults(&mut unfaulted, &[]), 0);
+        let again = simulate_with(&unfaulted, &SimLibrary::standard(), &options(backend))
+            .unwrap_or_else(|e| panic!("zero-fault matmul8_linalg ({backend:?}): {e}"));
+        assert_reports_identical(&format!("zero-fault {backend:?}"), &golden, &again);
     }
 }
 

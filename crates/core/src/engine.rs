@@ -179,9 +179,8 @@ pub fn simulate_with(
     library: &SimLibrary,
     options: &SimOptions,
 ) -> Result<SimReport, SimError> {
-    let start = Instant::now();
     let plan = Plan::build(module, library);
-    run_with_plan(module, &plan, library, options, start)
+    run_with_plan(module, &plan, library, options, Instant::now())
 }
 
 /// Executes a module against an already-built [`Plan`]: the compile-once /

@@ -62,7 +62,10 @@ pub struct MemReport {
 pub struct SimReport {
     /// Simulated runtime in cycles.
     pub cycles: u64,
-    /// Wall-clock time the simulation took.
+    /// Wall-clock time of the engine run, on every entry point: it starts
+    /// after the layout prepass ([`crate::CompiledModule::compile`], or the
+    /// one inside [`crate::simulate_with`]) and ends when the run does. For
+    /// [`crate::CompiledModule::resume`] it covers only the resumed window.
     pub execution_time: Duration,
     /// Number of engine events processed (scheduler wakes).
     pub events_processed: u64,

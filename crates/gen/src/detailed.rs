@@ -7,8 +7,8 @@
 //! per-fold work is an `affine.for` whose body costs one cycle per
 //! element, with boundary PEs doing real indexed SRAM reads/writes — so
 //! the two fidelities can be compared directly: identical cycle counts,
-//! very different event counts (and simulation cost). DESIGN.md documents
-//! why the Fig. 12 sweep uses the wave model.
+//! very different event counts (and simulation cost). The Fig. 12 sweep
+//! uses the wave model because its cost grows with folds, not cycles.
 
 use crate::systolic::{generate_systolic, SystolicProgram, SystolicSpec};
 use equeue_dialect::{kinds, AffineBuilder, ConnKind, ConvDims, EqueueBuilder};

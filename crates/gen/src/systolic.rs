@@ -16,9 +16,10 @@
 //! SRAMs through infinite-bandwidth connections so traffic and bandwidth
 //! statistics are exact, while interior PEs run an opaque `equeue.op`.
 //! This reproduces the analytical per-fold timing
-//! `load + S + ru + cu − 1` exactly (see `scalesim`) at a simulation cost
-//! of `O(folds · PEs)` events instead of `O(cycles · PEs)` — the
-//! trade-off DESIGN.md documents for the 4,050-point sweep of Fig. 12.
+//! `load + S + ru + cu − 1` exactly (see `scalesim`; the bench crate's
+//! tests pin the agreement) at a simulation cost of `O(folds · PEs)`
+//! events instead of `O(cycles · PEs)`, which keeps the 4,050-point sweep
+//! of Fig. 12 affordable.
 
 use equeue_dialect::{kinds, ConnKind, ConvDims, EqueueBuilder};
 use equeue_ir::{Module, OpBuilder, Type, ValueId};
@@ -369,30 +370,6 @@ mod tests {
     use equeue_core::simulate;
     use equeue_dialect::standard_registry;
     use equeue_ir::verify_module;
-    use scalesim_shim::analytical_cycles;
-
-    /// Local mirror of the scalesim per-fold formula so this crate's tests
-    /// do not depend on the baseline crate (the bench crate cross-checks
-    /// the real one).
-    mod scalesim_shim {
-        use super::*;
-        pub fn analytical_cycles(spec: &SystolicSpec, dims: ConvDims) -> u64 {
-            let (d1, d2, stream, double) = super::mapping(dims, spec.dataflow);
-            let s = if double { 2 * stream } else { stream } as u64;
-            let used = |dim: usize, avail: usize, idx: usize| (dim - idx * avail).min(avail);
-            let mut cycles = 0;
-            for fi in 0..d1.div_ceil(spec.rows) {
-                for fj in 0..d2.div_ceil(spec.cols) {
-                    let ru = used(d1, spec.rows, fi) as u64;
-                    let cu = used(d2, spec.cols, fj) as u64;
-                    let load = (ru * cu).div_ceil(spec.cols as u64);
-                    let drain = if double { ru } else { 0 };
-                    cycles += load + s + ru + cu - 1 + drain;
-                }
-            }
-            cycles
-        }
-    }
 
     #[test]
     fn verifies_and_simulates() {
@@ -407,50 +384,6 @@ mod tests {
         assert!(report.cycles > 0);
         assert_eq!(prog.folds, (3, 1));
         assert_eq!(prog.loop_iterations(), 3);
-    }
-
-    #[test]
-    fn matches_analytical_model_ws() {
-        for hw in [4usize, 8, 16] {
-            let spec = SystolicSpec {
-                rows: 4,
-                cols: 4,
-                dataflow: Dataflow::Ws,
-            };
-            let dims = ConvDims::square(hw, 2, 3, 2);
-            let prog = generate_systolic(&spec, dims);
-            let report = simulate(&prog.module).unwrap();
-            let expect = analytical_cycles(&spec, dims);
-            assert_eq!(report.cycles, expect, "hw={hw}");
-        }
-    }
-
-    #[test]
-    fn matches_analytical_model_is() {
-        let spec = SystolicSpec {
-            rows: 4,
-            cols: 4,
-            dataflow: Dataflow::Is,
-        };
-        let dims = ConvDims::square(8, 2, 3, 4);
-        let prog = generate_systolic(&spec, dims);
-        let report = simulate(&prog.module).unwrap();
-        assert_eq!(report.cycles, analytical_cycles(&spec, dims));
-    }
-
-    #[test]
-    fn close_to_analytical_model_os() {
-        let spec = SystolicSpec {
-            rows: 4,
-            cols: 4,
-            dataflow: Dataflow::Os,
-        };
-        let dims = ConvDims::square(8, 2, 3, 4);
-        let prog = generate_systolic(&spec, dims);
-        let report = simulate(&prog.module).unwrap();
-        let expect = analytical_cycles(&spec, dims);
-        let err = (report.cycles as f64 - expect as f64).abs() / expect as f64;
-        assert!(err < 0.05, "got {} expected {expect}", report.cycles);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use equeue_bench::{
     fig09_ifmap_sweep, fig09_weight_sweep, fig11_rows, fig12_sweep, fir_rows, run_quiet, scenarios,
 };
+use equeue_core::Backend;
 
 #[test]
 fn fig09_sweeps_golden() {
@@ -61,7 +62,7 @@ fn fig11_grid_golden() {
 
 #[test]
 fn fig12_sweep_golden() {
-    let rows = fig12_sweep(false);
+    let rows = fig12_sweep(false, 0, Backend::default());
     assert_eq!(rows.len(), 216);
     let sum: u64 = rows.iter().map(|r| r.cycles).sum();
     assert_eq!(
@@ -72,7 +73,7 @@ fn fig12_sweep_golden() {
 
 #[test]
 fn fir_cases_golden() {
-    let got: Vec<u64> = fir_rows().into_iter().map(|r| r.cycles).collect();
+    let got: Vec<u64> = fir_rows(0).into_iter().map(|r| r.cycles).collect();
     assert_eq!(got, vec![2048, 143, 588, 540]);
 }
 
