@@ -3,11 +3,9 @@
 //! Builds a graph whose nodes are processors (plus the implicit host and
 //! every DMA engine) and whose edges connect two nodes that statically
 //! *may* touch the same memory or connection — i.e. that can contend for
-//! ports/bandwidth if scheduled in the same time window. The complement
-//! relation (absence of an edge) is the safety certificate the future
-//! parallel event loop needs: two processors in different independent
-//! groups can be stepped concurrently without observing each other's
-//! machine state.
+//! ports/bandwidth if scheduled in the same time window. Two processors in
+//! different independent groups never observe each other's memory or
+//! connection state.
 //!
 //! Resolution is conservative. A node whose resource footprint contains
 //! anything unresolvable is marked *opaque* and conflicts with every other
@@ -17,10 +15,12 @@
 
 use std::collections::BTreeSet;
 
-use equeue_dialect::{launch_view, memcpy_view, read_view, write_view};
+use equeue_dialect::{
+    buffer_origin, launch_view, memcpy_view, read_view, resolve_def, write_view, BufferOrigin,
+};
 use equeue_ir::{BlockId, OpId};
 
-use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, BufferOrigin, Diagnostic, Severity};
+use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, Diagnostic, Severity};
 
 /// One conflict-graph node: a processor, DMA engine, or the implicit host.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl<'c, 'm> Builder<'c, 'm> {
     /// Records one resource use by `node`, degrading to opaque on
     /// unresolvable buffers/connections.
     fn touch_buffer(&mut self, node: usize, buffer: equeue_ir::ValueId) {
-        match self.ctx.buffer_origin(buffer) {
+        match buffer_origin(self.ctx.module, buffer) {
             BufferOrigin::Mem(m) => {
                 self.footprints[node].insert(Res::Mem(m.index()));
             }
@@ -87,7 +87,7 @@ impl<'c, 'm> Builder<'c, 'm> {
 
     fn touch_conn(&mut self, node: usize, conn: Option<equeue_ir::ValueId>) {
         let Some(c) = conn else { return };
-        match self.ctx.resolve_def(c) {
+        match resolve_def(self.ctx.module, c) {
             Some(def)
                 if self
                     .ctx
@@ -118,9 +118,7 @@ impl<'c, 'm> Builder<'c, 'm> {
                         self.unresolved_launches.push(self.ctx.location(op));
                         continue;
                     };
-                    let target = self
-                        .ctx
-                        .resolve_def(lv.proc)
+                    let target = resolve_def(self.ctx.module, lv.proc)
                         .and_then(|d| self.node_of_proc.get(&d.index()).copied());
                     match target {
                         Some(node) => self.visit_block(lv.body, node, depth + 1),
@@ -134,9 +132,7 @@ impl<'c, 'm> Builder<'c, 'm> {
                 }
                 "equeue.memcpy" => {
                     if let Ok(mv) = memcpy_view(self.ctx.module, op) {
-                        let node = self
-                            .ctx
-                            .resolve_def(mv.dma)
+                        let node = resolve_def(self.ctx.module, mv.dma)
                             .and_then(|d| self.node_of_proc.get(&d.index()).copied());
                         match node {
                             Some(n) => {
@@ -207,11 +203,18 @@ impl AnalysisPass for ConflictPass {
             opaque: false,
         }];
         let mut node_of_proc = std::collections::HashMap::new();
-        for p in &ctx.facts.procs {
-            node_of_proc.insert(p.op.index(), nodes.len());
+        for op in ctx.module.live_ops() {
+            let data = ctx.module.op(op);
+            let kind = match data.name.as_str() {
+                "equeue.create_proc" => data.attrs.str("kind"),
+                "equeue.create_dma" => Some("dma"),
+                _ => None,
+            };
+            let Some(kind) = kind else { continue };
+            node_of_proc.insert(op.index(), nodes.len());
             nodes.push(ConflictNode {
-                op: Some(p.op),
-                label: format!("{}@{}", p.kind, p.op),
+                op: Some(op),
+                label: format!("{kind}@{op}"),
                 opaque: false,
             });
         }

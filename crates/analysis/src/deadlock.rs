@@ -42,7 +42,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use equeue_dialect::launch_view;
+use equeue_dialect::{launch_view, resolve_def};
 use equeue_ir::{BlockId, OpId, ValueId};
 
 use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, Diagnostic, Severity};
@@ -92,7 +92,7 @@ struct Collector<'c, 'm> {
 
 impl Collector<'_, '_> {
     fn resolve_target(&self, v: ValueId) -> Option<usize> {
-        let d = self.ctx.resolve_def(v)?;
+        let d = resolve_def(self.ctx.module, v)?;
         self.ctx
             .op_checked(d)
             .filter(|o| o.name == "equeue.create_proc" || o.name == "equeue.create_dma")
@@ -232,7 +232,7 @@ impl GraphBuilder<'_, '_> {
             self.saw_unknown = true;
             return self.unknown_node;
         }
-        let Some(def) = self.ctx.resolve_def(v) else {
+        let Some(def) = resolve_def(self.ctx.module, v) else {
             self.saw_unknown = true;
             return self.unknown_node;
         };

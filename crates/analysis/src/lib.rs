@@ -9,16 +9,15 @@
 //!
 //! 1. **conflict** — builds the port/connection [`ConflictGraph`]: which
 //!    processors touch overlapping memories/connections and therefore
-//!    contend if scheduled in the same time window. The serialized graph is
-//!    the prerequisite artifact for the parallel event loop on the roadmap.
+//!    contend if scheduled in the same time window.
 //! 2. **deadlock** — a sound completion proof over the launch/connection
 //!    graph. `deadlock_free = true` is a *guarantee* (the runtime can never
 //!    return `SimError::Deadlock`); `false` means either a proven wait
 //!    cycle (Error) or an unprovable case (Warning).
 //! 3. **fusibility** — for every `affine.for`, either "fuses" (with trace
-//!    length) or the precise decline reason, including the
-//!    statically-decidable parts of the runtime preflight (non-integer
-//!    tensors, cache-backed memories).
+//!    length) or the precise decline reason, exactly as the engine's plan
+//!    decided it (including non-integer tensors and cache-backed
+//!    memories).
 //! 4. **dead** — dead values and never-used hardware entities
 //!    (processors, memories, connections, DMA engines).
 //! 5. **resource** — static upper bounds on live tensor bytes and spawned
@@ -50,9 +49,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use equeue_core::{analyze_facts, CompiledModule, MemFact, PrepassFacts, RunLimits, SimLibrary};
-use equeue_dialect::launch_view;
-use equeue_ir::{BlockId, Module, OpId, ValueDef, ValueId};
+use equeue_core::{analyze_facts, CompiledModule, PrepassFacts, RunLimits, SimLibrary};
+use equeue_ir::{BlockId, Module, OpId, ValueId};
 
 mod conflict;
 mod dead;
@@ -63,7 +61,7 @@ mod resource;
 
 pub use conflict::{ConflictGraph, ConflictNode};
 pub use deadlock::DeadlockPass;
-pub use fusibility::{FuseStatus, FusibilityReport, LoopReport};
+pub use fusibility::{FusibilityReport, LoopReport};
 pub use resource::ResourceEstimate;
 
 pub use conflict::ConflictPass;
@@ -134,34 +132,19 @@ impl fmt::Display for Diagnostic {
 // Analysis context
 // ---------------------------------------------------------------------------
 
-/// Where a buffer value ultimately lives, as far as static resolution can
-/// tell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferOrigin {
-    /// Allocated (via `equeue.alloc`) in the memory created by this
-    /// `equeue.create_mem` op.
-    Mem(OpId),
-    /// Host memory (`memref.alloc`).
-    Host(OpId),
-    /// Not statically resolvable (malformed IR, or a value shape the
-    /// resolver does not model). Passes must treat this conservatively.
-    Unknown,
-}
-
 /// Shared read-only state handed to every pass: the module, the engine's
 /// prepass facts, run limits to cross-check against, and pre-computed
 /// op-path / use maps.
 pub struct AnalysisCtx<'m> {
     /// The module under analysis.
     pub module: &'m Module,
-    /// The engine layout prepass's view of the module (lenient: malformed
-    /// ops are data, not errors).
+    /// The engine layout prepass's loop facts and fusion verdicts
+    /// (lenient: malformed ops decline fusion, they are not errors).
     pub facts: PrepassFacts,
     /// Limits the resource pass cross-checks its bounds against.
     pub limits: RunLimits,
     op_paths: Vec<Option<String>>,
     uses: HashMap<ValueId, Vec<(OpId, usize)>>,
-    mem_by_op: HashMap<usize, usize>,
     loop_by_body: HashMap<usize, usize>,
 }
 
@@ -182,12 +165,6 @@ impl<'m> AnalysisCtx<'m> {
             &mut op_paths,
             0,
         );
-        let mem_by_op = facts
-            .mems
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.op.index(), i))
-            .collect();
         let loop_by_body = facts
             .loops
             .iter()
@@ -200,7 +177,6 @@ impl<'m> AnalysisCtx<'m> {
             limits,
             op_paths,
             uses: module.collect_uses(),
-            mem_by_op,
             loop_by_body,
         }
     }
@@ -220,14 +196,6 @@ impl<'m> AnalysisCtx<'m> {
         self.uses.get(&value).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The [`MemFact`] for a `equeue.create_mem` op, if the prepass decoded
-    /// one there.
-    pub fn mem_fact(&self, op: OpId) -> Option<&MemFact> {
-        self.mem_by_op
-            .get(&op.index())
-            .map(|&i| &self.facts.mems[i])
-    }
-
     /// The loop-fact index for an `affine.for` *body* block.
     pub fn loop_fact_by_body(&self, body: BlockId) -> Option<&equeue_core::LoopFact> {
         self.loop_by_body
@@ -242,71 +210,6 @@ impl<'m> AnalysisCtx<'m> {
         }
         let data = self.module.op(op);
         (!data.erased).then_some(data)
-    }
-
-    /// Resolves a value to its ultimate defining op, looking through
-    /// `equeue.launch` body arguments to the captured value in the parent
-    /// scope. Returns `None` for block arguments that are not launch
-    /// captures (loop induction variables, top-level args) and for
-    /// malformed chains.
-    pub fn resolve_def(&self, value: ValueId) -> Option<OpId> {
-        let mut v = value;
-        for _ in 0..MAX_DEPTH {
-            if v.index() >= self.module.num_values() {
-                return None;
-            }
-            match self.module.value(v).def {
-                ValueDef::OpResult { op, .. } => {
-                    return self.op_checked(op).map(|_| op);
-                }
-                ValueDef::BlockArg { block, index } => {
-                    if block.index() >= self.module.num_blocks() {
-                        return None;
-                    }
-                    let region = self.module.block(block).parent_region;
-                    if region.index() >= self.module.num_regions() {
-                        return None;
-                    }
-                    let parent = self.module.region(region).parent_op?;
-                    let pdata = self.op_checked(parent)?;
-                    if pdata.name != "equeue.launch" {
-                        return None;
-                    }
-                    let lv = launch_view(self.module, parent).ok()?;
-                    v = *lv.captures.get(index)?;
-                }
-            }
-        }
-        None
-    }
-
-    /// Resolves a buffer-typed value to its allocation site's memory.
-    pub fn buffer_origin(&self, value: ValueId) -> BufferOrigin {
-        let Some(def) = self.resolve_def(value) else {
-            return BufferOrigin::Unknown;
-        };
-        let Some(data) = self.op_checked(def) else {
-            return BufferOrigin::Unknown;
-        };
-        match data.name.as_str() {
-            "equeue.alloc" => {
-                let Some(&mem) = data.operands.first() else {
-                    return BufferOrigin::Unknown;
-                };
-                match self.resolve_def(mem) {
-                    Some(m)
-                        if self
-                            .op_checked(m)
-                            .is_some_and(|d| d.name == "equeue.create_mem") =>
-                    {
-                        BufferOrigin::Mem(m)
-                    }
-                    _ => BufferOrigin::Unknown,
-                }
-            }
-            "memref.alloc" => BufferOrigin::Host(def),
-            _ => BufferOrigin::Unknown,
-        }
     }
 }
 
@@ -494,7 +397,10 @@ mod tests {
             if data.name == "affine.load" {
                 loads += 1;
                 let buf = data.operands[0];
-                assert!(matches!(ctx.buffer_origin(buf), BufferOrigin::Mem(_)));
+                assert!(matches!(
+                    equeue_dialect::buffer_origin(ctx.module, buf),
+                    equeue_dialect::BufferOrigin::Mem(_)
+                ));
             }
         });
         assert!(loads >= 3);

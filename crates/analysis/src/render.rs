@@ -7,7 +7,9 @@
 
 use std::fmt::Write as _;
 
-use crate::{AnalysisReport, FuseStatus};
+use equeue_core::FuseVerdict;
+
+use crate::AnalysisReport;
 
 /// Plain-text rendering (the `simcheck` default output).
 pub(crate) fn to_text(report: &AnalysisReport) -> String {
@@ -32,10 +34,10 @@ pub(crate) fn to_text(report: &AnalysisReport) -> String {
     let _ = writeln!(s, "deadlock_free: {}", report.deadlock_free);
     let _ = writeln!(s, "== fusibility ==");
     for l in &report.fusibility.loops {
-        let status = match &l.status {
-            FuseStatus::Fuses { insts } => format!("fuses ({insts} insts)"),
-            FuseStatus::ZeroTrip => "zero-trip".to_string(),
-            FuseStatus::Declines { reason } => format!("declines: {reason}"),
+        let status = match &l.verdict {
+            FuseVerdict::Fused { insts } => format!("fuses ({insts} insts)"),
+            FuseVerdict::ZeroTrip => "zero-trip".to_string(),
+            FuseVerdict::Declined(reason) => format!("declines: {reason}"),
         };
         let trip = l
             .trip_count
@@ -135,14 +137,14 @@ pub(crate) fn to_json(report: &AnalysisReport) -> String {
         s.push_str(",\"trip\":");
         opt_u64(&mut s, l.trip_count);
         s.push_str(",\"status\":");
-        match &l.status {
-            FuseStatus::Fuses { insts } => {
+        match &l.verdict {
+            FuseVerdict::Fused { insts } => {
                 let _ = write!(s, "\"fuses\",\"insts\":{insts}");
             }
-            FuseStatus::ZeroTrip => s.push_str("\"zero-trip\""),
-            FuseStatus::Declines { reason } => {
+            FuseVerdict::ZeroTrip => s.push_str("\"zero-trip\""),
+            FuseVerdict::Declined(reason) => {
                 s.push_str("\"declines\",\"reason\":");
-                esc(&mut s, reason);
+                esc(&mut s, &reason.to_string());
             }
         }
         s.push('}');

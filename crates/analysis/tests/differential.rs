@@ -10,15 +10,19 @@
 //! * **Fusibility**: the per-loop fuse verdicts must agree with the fused
 //!   backend's `fused_trace_entries` counter — loops reported fusible
 //!   produce trace entries, scenarios with none (the fig12 convolutions)
-//!   produce exactly zero.
+//!   produce exactly zero, and loops declined for a cache-backed or float
+//!   buffer run on the interpreter with counters equal to the `Interp`
+//!   backend's.
 //! * **Resources**: the static bounds are sound over-approximations of
 //!   the runtime `events_spawned` / `peak_live_tensor_bytes` counters.
 
-use equeue_analysis::{analyze_module, FuseStatus};
-use equeue_core::{Backend, CompiledModule, RunLimits, SimError, SimLibrary, SimOptions};
-use equeue_dialect::{kinds, EqueueBuilder};
+use equeue_analysis::analyze_module;
+use equeue_core::{
+    Backend, CompiledModule, FuseDecline, FuseVerdict, RunLimits, SimError, SimLibrary, SimOptions,
+};
+use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
 use equeue_gen::scenarios::{golden_scenarios, matmul_affine};
-use equeue_ir::{Module, OpBuilder};
+use equeue_ir::{Module, OpBuilder, Type};
 
 fn quiet_options() -> SimOptions {
     SimOptions {
@@ -177,7 +181,7 @@ fn fusibility_report_matches_fused_backend() {
         .fusibility
         .loops
         .iter()
-        .filter(|l| matches!(l.status, FuseStatus::Fuses { .. }))
+        .filter(|l| matches!(l.verdict, FuseVerdict::Fused { .. }))
         .collect();
     assert_eq!(fusible.len(), 1, "exactly the innermost loop fuses");
     assert_eq!(fusible[0].trip_count, Some(16));
@@ -216,6 +220,87 @@ fn fusibility_report_matches_fused_backend() {
             assert_eq!(run.fused_trace_entries, 0, "{}", scenario.name);
         }
     }
+
+    // The plan-time buffer checks: the innermost matmul body forms a trace
+    // but its buffers sit in a cache, or hold floats, so the plan declines
+    // it. The fused backend must then never enter a trace, and match the
+    // interpreter counter for counter.
+    let cases = [
+        (
+            matmul_affine_in(kinds::CACHE, Type::I32, 8),
+            FuseDecline::StatefulMemory("Cache".to_string()),
+        ),
+        (
+            matmul_affine_in(kinds::REGISTER, Type::F32, 8),
+            FuseDecline::NonIntegerTensor("f32".to_string()),
+        ),
+    ];
+    for (module, reason) in cases {
+        let report = analyze_module(&module, &library, &limits);
+        // Loops are in op order, so the innermost comes last.
+        let inner = report.fusibility.loops.last().expect("the innermost loop");
+        assert_eq!(inner.verdict, FuseVerdict::Declined(reason.clone()));
+        assert_eq!(report.fusibility.fusible_count(), 0, "{reason}");
+        let compiled = CompiledModule::compile(module, SimLibrary::standard()).expect("compile");
+        let run = compiled.simulate(&fused).expect("simulate");
+        let interp = compiled
+            .simulate(&SimOptions {
+                backend: Backend::Interp,
+                ..fused.clone()
+            })
+            .expect("simulate");
+        assert_eq!(run.fused_trace_entries, 0, "{reason}");
+        assert_eq!(
+            (run.cycles, run.events_processed, run.ops_interpreted),
+            (
+                interp.cycles,
+                interp.events_processed,
+                interp.ops_interpreted
+            ),
+            "{reason}"
+        );
+    }
+}
+
+/// `matmul_affine`'s 3-deep nest with its buffers in a `mem_kind` memory
+/// and `elem` elements.
+fn matmul_affine_in(mem_kind: &str, elem: Type, n: usize) -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(kinds::ARM_R5);
+    let mem = b.create_mem(mem_kind, &[3 * n * n], 32, n as u32);
+    let bufs: Vec<_> = (0..3)
+        .map(|_| b.alloc(mem, &[n, n], elem.clone()))
+        .collect();
+    let start = b.control_start();
+    let l = b.launch(start, pe, &bufs, vec![]);
+    let (va, vb, vc) = (l.body_args[0], l.body_args[1], l.body_args[2]);
+    let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+    let (_, bi, i) = ib.affine_for(0, n as i64, 1);
+    let mut ib = OpBuilder::at_end(ib.module_mut(), bi);
+    let (_, bj, j) = ib.affine_for(0, n as i64, 1);
+    let mut ib = OpBuilder::at_end(ib.module_mut(), bj);
+    let (_, bk, k) = ib.affine_for(0, n as i64, 1);
+    let mut kb = OpBuilder::at_end(ib.module_mut(), bk);
+    let aik = kb.affine_load(va, vec![i, k]);
+    let bkj = kb.affine_load(vb, vec![k, j]);
+    let cij = kb.affine_load(vc, vec![i, j]);
+    let sum = if elem.is_integer() {
+        let prod = kb.muli(aik, bkj);
+        kb.addi(cij, prod)
+    } else {
+        let prod = kb.mulf(aik, bkj);
+        kb.addf(cij, prod)
+    };
+    kb.affine_store(sum, vc, vec![i, j]);
+    kb.affine_yield();
+    for body in [bj, bi] {
+        OpBuilder::at_end(&mut m, body).affine_yield();
+    }
+    OpBuilder::at_end(&mut m, l.body).ret(vec![]);
+    OpBuilder::at_end(&mut m, blk).await_all(vec![l.done]);
+    m
 }
 
 /// Static resource bounds are sound: runtime counters never exceed them.

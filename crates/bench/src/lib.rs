@@ -495,6 +495,32 @@ mod tests {
         }
     }
 
+    /// The full 3780-point grid agrees exactly with `scalesim`. Ignored by
+    /// default (about half a minute in release on two cores); CI's release
+    /// job runs it by name.
+    #[test]
+    #[ignore]
+    fn fig12_full_sweep_matches_scalesim() {
+        let rows = fig12_sweep(true, 0, Backend::default());
+        assert_eq!(rows.len(), 3780);
+        let mismatches: Vec<String> = rows
+            .iter()
+            .filter(|r| r.cycles != r.scalesim_cycles)
+            .map(|r| {
+                format!(
+                    "ah={} hw={} f={} c={} n={} {:?}: {} != {}",
+                    r.ah, r.hw, r.f, r.c, r.n, r.dataflow, r.cycles, r.scalesim_cycles
+                )
+            })
+            .collect();
+        assert!(
+            mismatches.is_empty(),
+            "{} mismatches:\n{}",
+            mismatches.len(),
+            mismatches.join("\n")
+        );
+    }
+
     /// EQueue and `scalesim` cycles for one point on a 4×4 array.
     fn systolic_vs_scalesim(df: Dataflow, dims: ConvDims) -> (u64, u64) {
         let spec = SystolicSpec {

@@ -50,7 +50,6 @@ fn bounded(backend: Backend) -> SimOptions {
         },
         cancel: None,
         backend,
-        ..Default::default()
     }
 }
 

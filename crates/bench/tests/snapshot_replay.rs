@@ -65,10 +65,7 @@ fn replay_is_bit_identical_across_cuts_and_backends() {
         for cut in cut_points(full.cycles) {
             for snap_backend in [Backend::Fused, Backend::Interp] {
                 let snap = compiled
-                    .snapshot(&SimOptions {
-                        snapshot_at: Some(cut),
-                        ..options(snap_backend)
-                    })
+                    .snapshot(cut, &options(snap_backend))
                     .unwrap_or_else(|e| panic!("{name}: snapshot at {cut}: {e}"));
                 assert_eq!(snap.requested_cut(), cut, "{name}: requested cut");
                 assert!(
@@ -109,10 +106,7 @@ fn snapshot_past_completion_resumes_to_same_report() {
             .simulate(&options(Backend::Fused))
             .unwrap_or_else(|e| panic!("{name}: full run: {e}"));
         let snap = compiled
-            .snapshot(&SimOptions {
-                snapshot_at: Some(full.cycles + 1),
-                ..options(Backend::Fused)
-            })
+            .snapshot(full.cycles + 1, &options(Backend::Fused))
             .unwrap_or_else(|e| panic!("{name}: snapshot: {e}"));
         assert!(snap.completed(), "{name}: run should have completed");
         let resumed = compiled
@@ -143,10 +137,7 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
         // Snapshot leg untraced — the point of windowing is skipping the
         // waveform cost of the fast-forward.
         let snap = compiled
-            .snapshot(&SimOptions {
-                snapshot_at: Some(cut),
-                ..options(Backend::Fused)
-            })
+            .snapshot(cut, &options(Backend::Fused))
             .unwrap_or_else(|e| panic!("{name}: snapshot: {e}"));
         let resumed = compiled
             .resume(&snap, &traced(Backend::Fused))
@@ -222,10 +213,7 @@ fn snapshot_roundtrip_is_byte_identical_at_random_cuts() {
         for _ in 0..5 {
             let cut = rng.next() % full.cycles.max(1) + 1;
             let snap = compiled
-                .snapshot(&SimOptions {
-                    snapshot_at: Some(cut),
-                    ..options(Backend::Fused)
-                })
+                .snapshot(cut, &options(Backend::Fused))
                 .unwrap_or_else(|e| panic!("{name}: snapshot at {cut}: {e}"));
             let bytes = snap.encode();
             let decoded =

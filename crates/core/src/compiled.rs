@@ -167,8 +167,8 @@ impl CompiledModule {
         )
     }
 
-    /// Runs the module up to [`SimOptions::snapshot_at`] and captures a
-    /// [`Snapshot`] of the complete engine state at that cycle boundary.
+    /// Runs the module up to cycle `at` and captures a [`Snapshot`] of the
+    /// complete engine state at that cycle boundary.
     ///
     /// The capture lands at the first scheduler boundary at or after the
     /// requested cycle: every event strictly before it has been processed.
@@ -179,13 +179,13 @@ impl CompiledModule {
     ///
     /// # Errors
     ///
-    /// [`SimError::Snapshot`] when `options.snapshot_at` is `None`;
-    /// otherwise any error the run itself produces (see [`SimError`]).
-    pub fn snapshot(&self, options: &SimOptions) -> Result<Snapshot, SimError> {
+    /// Any error the run itself produces (see [`SimError`]).
+    pub fn snapshot(&self, at: u64, options: &SimOptions) -> Result<Snapshot, SimError> {
         snapshot_with_plan(
             &self.module,
             &self.plan,
             &self.library,
+            at,
             options,
             Instant::now(),
         )
@@ -200,8 +200,7 @@ impl CompiledModule {
     /// window. Counters are run totals continuing from the snapshot. The
     /// wall-clock budget ([`crate::RunLimits::wall_deadline`]) restarts at
     /// the resume; cycle/event budgets continue from the captured counters.
-    /// `options.snapshot_at` is ignored — a resumed run always runs to
-    /// completion. With `trace: true`, the report's waveform covers only
+    /// A resumed run always runs to completion. With `trace: true`, the report's waveform covers only
     /// the resumed window: per trace row, a suffix of the full-run
     /// waveform — work already executed or issued at capture time (e.g. a
     /// DMA transfer in flight across the cut) belongs to the pre-cut leg.
@@ -226,15 +225,6 @@ impl CompiledModule {
     /// The compiled module.
     pub fn module(&self) -> &Module {
         &self.module
-    }
-
-    /// The prepass facts for this module: decoded components, memory
-    /// timing models, connection tables, and per-loop fusion verdicts —
-    /// the static-analysis view of the captured [`Plan`]. Pure data; cheap
-    /// relative to compilation (it re-walks the decoded op table, not the
-    /// IR attribute maps).
-    pub fn facts(&self) -> crate::PrepassFacts {
-        crate::facts::facts_from_plan(&self.module, &self.plan, &self.library)
     }
 
     /// The captured simulator library.

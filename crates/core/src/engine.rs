@@ -114,14 +114,6 @@ pub struct SimOptions {
     /// produce bit-identical cycles, events, ops, and buffer contents; they
     /// differ only in wall-clock speed.
     pub backend: Backend,
-    /// Cycle boundary at which [`crate::CompiledModule::snapshot`] pauses
-    /// the run and captures a [`crate::Snapshot`]: the engine stops before
-    /// processing the first event at or after this cycle. Only consulted by
-    /// `CompiledModule::snapshot` — [`simulate`], [`simulate_with`], and
-    /// [`crate::CompiledModule::simulate`] ignore it, and
-    /// [`crate::CompiledModule::resume`] ignores it too (a resumed run
-    /// always runs to completion).
-    pub snapshot_at: Option<u64>,
 }
 
 impl Default for SimOptions {
@@ -131,7 +123,6 @@ impl Default for SimOptions {
             limits: RunLimits::default(),
             cancel: None,
             backend: Backend::default(),
-            snapshot_at: None,
         }
     }
 }
@@ -219,8 +210,8 @@ fn build_report(engine: &mut Engine, start: Instant) -> SimReport {
     report
 }
 
-/// Runs `module` up to `options.snapshot_at` and captures a [`Snapshot`]:
-/// the entry point behind [`crate::CompiledModule::snapshot`].
+/// Runs `module` up to cycle `at` and captures a [`Snapshot`]: the entry
+/// point behind [`crate::CompiledModule::snapshot`].
 ///
 /// The engine pauses before processing the first event at or after the cut
 /// (under the fused backend, at the first trace exit at or after it). If the
@@ -230,18 +221,14 @@ pub(crate) fn snapshot_with_plan(
     module: &Module,
     plan: &Plan,
     library: &SimLibrary,
+    at: u64,
     options: &SimOptions,
     start: Instant,
 ) -> Result<Snapshot, SimError> {
-    let Some(cut) = options.snapshot_at else {
-        return Err(snap_err(
-            "SimOptions::snapshot_at is not set (nothing to capture)",
-        ));
-    };
     let mut engine = Engine::new(module, plan, library, options, start);
-    engine.snapshot_at = Some(cut);
+    engine.snapshot_at = Some(at);
     engine.run()?;
-    Ok(engine.capture(cut))
+    Ok(engine.capture(at))
 }
 
 /// Restores a [`Snapshot`] and runs it to completion: the entry point behind
@@ -559,6 +546,33 @@ pub(crate) enum OpCode {
     Unsupported(String),
 }
 
+impl OpCode {
+    /// The library spec of a decoded `equeue.create_mem`: `None` for any
+    /// other op, or when the shape's capacity overflows `usize`.
+    pub(crate) fn mem_spec(&self) -> Option<MemSpec> {
+        let OpCode::CreateMem {
+            kind,
+            shape,
+            data_bits,
+            banks,
+            attrs,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Some(MemSpec {
+            kind: kind.clone(),
+            capacity_elems: shape
+                .iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))?,
+            data_bits: *data_bits,
+            banks: *banks,
+            attrs: attrs.clone(),
+        })
+    }
+}
+
 /// Pre-decoded form of one op.
 #[derive(Debug)]
 pub(crate) struct OpInfo {
@@ -586,14 +600,12 @@ pub(crate) struct Plan {
     /// Indexed by `OpId::index()`. Readable crate-wide so the prepass-facts
     /// view ([`crate::PrepassFacts`]) can walk the decoded ops.
     pub(crate) ops: Vec<OpInfo>,
-    /// Fused loop traces, indexed by the loop *body*'s `BlockId::index()`;
-    /// `None` for blocks that are not a fusible `affine.for` body. Built
-    /// unconditionally (it is cheap and pure); whether a run consults it is
-    /// decided per run by [`SimOptions::backend`].
-    pub(crate) fused: Vec<Option<Box<crate::fused::FusedLoop>>>,
-    /// Why each non-fused `affine.for` body declined trace formation, same
-    /// indexing as `fused`. Diagnostics only — execution never reads it.
-    pub(crate) fuse_declines: Vec<Option<crate::fused::FuseDecline>>,
+    /// The fusion verdict of every entered `affine.for` body, indexed by
+    /// the body's `BlockId::index()`: its trace, or why it declined.
+    /// `None` for blocks that are not such a body. Built unconditionally
+    /// (it is cheap and pure); whether a run consults it is decided per
+    /// run by [`SimOptions::backend`].
+    pub(crate) fusion: Vec<Option<crate::fused::LoopFusion>>,
 }
 
 /// Scope discovery scratch state.
@@ -634,8 +646,10 @@ impl Plan {
             defined: vec![],
             used: vec![],
         }];
-        let mut scope_of_root: HashMap<RegionId, usize> = HashMap::new();
-        scope_of_root.insert(module.top_region(), 0);
+        // Scope index of each launch-body (and the top) region, indexed by
+        // `RegionId::index()`.
+        let mut scope_of_root: Vec<Option<u32>> = vec![None; module.num_regions()];
+        scope_of_root[module.top_region().index()] = Some(0);
         let mut i = 0;
         while i < tmp.len() {
             let root = tmp[i].root;
@@ -643,7 +657,7 @@ impl Plan {
             collect_scope(module, root, &mut blocks, &mut ops, &mut child_regions);
             for r in child_regions {
                 let idx = tmp.len();
-                scope_of_root.insert(r, idx);
+                scope_of_root[r.index()] = Some(idx as u32);
                 tmp[i].children.push(idx);
                 tmp.push(ScopeTmp {
                     root: r,
@@ -732,16 +746,15 @@ impl Plan {
             }
         }
 
-        // -- 6. Fused loop traces: compile static affine loop bodies into
-        // dispatch-free instruction tables (see `crate::fused`). Purely
-        // derived from the decoded ops; loops the builder declines simply
-        // have no table entry and run on the interpreter.
-        let (fused, fuse_declines) = crate::fused::build_fused(module, &ops);
+        // -- 6. Fusion: compile static affine loop bodies into
+        // dispatch-free instruction tables (see `crate::fused`), or record
+        // why each declined. Purely derived from the decoded ops and the
+        // library's memory models; declined loops run on the interpreter.
+        let fusion = crate::fused::build_fused(module, lib, &ops);
         Plan {
             scopes,
             ops,
-            fused,
-            fuse_declines,
+            fusion,
         }
     }
 }
@@ -787,7 +800,7 @@ fn decode_op(
     s: usize,
     scopes: &[ScopeLayout],
     free: &[Vec<ValueId>],
-    scope_of_root: &HashMap<RegionId, usize>,
+    scope_of_root: &[Option<u32>],
 ) -> OpInfo {
     let data = module.op(op);
     // Slot of one value (binary search in the sorted layout); an operand
@@ -957,9 +970,12 @@ fn decode_op(
             "equeue.launch" => {
                 let view = launch_view(module, op).map_err(|e| format!("{e} (launch op)"))?;
                 let body_region = data.regions.first().ok_or("launch needs a body region")?;
-                let child = *scope_of_root
-                    .get(body_region)
-                    .ok_or("launch body region is not a scope")?;
+                let child = scope_of_root
+                    .get(body_region.index())
+                    .copied()
+                    .flatten()
+                    .ok_or("launch body region is not a scope")?
+                    as usize;
                 let child_slot = |v: ValueId| -> Result<Slot, String> {
                     scopes[child]
                         .values
@@ -1411,7 +1427,7 @@ impl<'m> Engine<'m> {
             // A trace-enabled run records per-op events, so it interprets
             // op by op; fused traces engage only with tracing off.
             fused_on: options.backend == Backend::Fused && !options.trace,
-            fused: crate::fused::FusedScratch::new(plan.fused.len()),
+            fused: crate::fused::FusedScratch::new(plan.fusion.len()),
             snapshot_at: None,
             snapshot_due: false,
         };
@@ -1751,7 +1767,7 @@ impl<'m> Engine<'m> {
             },
             host_mem: snap.host_mem.map(CompId),
             fused_on: options.backend == Backend::Fused && !options.trace,
-            fused: crate::fused::FusedScratch::new(plan.fused.len()),
+            fused: crate::fused::FusedScratch::new(plan.fusion.len()),
             snapshot_at: None,
             snapshot_due: false,
         };
@@ -2339,14 +2355,14 @@ impl<'m> Engine<'m> {
         // instructions — bit-identical counters — and returns to the
         // event engine only at trace exits (contention, completion, limit
         // epochs). `Ok(None)` means the runtime preflight declined (e.g. a
-        // cache-backed buffer): the run marks the block skipped and falls
+        // non-integer loop input): the run marks the block skipped and falls
         // through to the interpreter.
         if self.fused_on {
             let plan: &'m Plan = self.plan;
             if let Some(scope) = frame.stack.last() {
                 if scope.looping.is_some() {
                     let bi = scope.block.index();
-                    if let Some(f) = plan.fused.get(bi).and_then(|o| o.as_deref()) {
+                    if let Some(Some(Ok(f))) = plan.fusion.get(bi) {
                         if !self.fused.skip[bi] {
                             if let Some(step) = self.run_fused(p, frame, f, bi)? {
                                 self.fused_trace_entries += 1;
@@ -2415,21 +2431,11 @@ impl<'m> Engine<'m> {
                 data_bits,
                 banks,
                 ports,
-                attrs,
+                ..
             } => {
-                let capacity_elems = shape
-                    .iter()
-                    .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                    .ok_or_else(|| {
-                        SimError::Port(format!("memory shape {shape:?} capacity overflows"))
-                    })?;
-                let spec = MemSpec {
-                    kind: kind.clone(),
-                    capacity_elems,
-                    data_bits: *data_bits,
-                    banks: *banks,
-                    attrs: attrs.clone(),
-                };
+                let spec = info.code.mem_spec().ok_or_else(|| {
+                    SimError::Port(format!("memory shape {shape:?} capacity overflows"))
+                })?;
                 let behavior = self.lib.make_memory(&spec);
                 let energy = spec
                     .attrs

@@ -2,40 +2,32 @@
 //! prepass.
 //!
 //! The same prepass that makes execution fast ([`crate::CompiledModule`])
-//! also *knows* things about the module before any cycle runs: which ops
-//! decoded, what every memory's timing model looks like, which `affine.for`
-//! bodies compiled to fused traces and why the rest declined. This module
-//! packages those facts into plain public data ([`PrepassFacts`]) so the
-//! static-analysis crate (`equeue-analysis`) and its `simcheck` binary can
-//! consume them without reaching into engine internals.
-//!
-//! Two entry points:
-//!
-//! * [`CompiledModule::facts`](crate::CompiledModule::facts) — from an
-//!   already-compiled (strictly validated) handle, reusing its plan.
-//! * [`analyze_facts`] — **lenient**: builds a fresh plan and reports
-//!   malformed ops as data ([`InvalidOpFact`]) instead of failing, so the
-//!   analyzer can diagnose fuzzer-malformed IR that
-//!   [`crate::CompiledModule::compile`] would reject.
+//! also decides, before any cycle runs, which `affine.for` bodies fuse and
+//! why the rest decline. [`analyze_facts`] packages those verdicts into
+//! plain public data ([`PrepassFacts`]) so the static-analysis crate
+//! (`equeue-analysis`) and its `simcheck` binary read the engine's own
+//! decision instead of re-deriving it. It builds the plan **leniently**:
+//! it accepts IR that [`crate::CompiledModule::compile`] rejects, so the
+//! analyzer can diagnose fuzzer-malformed modules.
 
 use crate::engine::{OpCode, Plan};
 use crate::fused::FuseDecline;
-use crate::library::{MemSpec, SimLibrary};
-use equeue_dialect::ConnKind;
+use crate::library::SimLibrary;
 use equeue_ir::{BlockId, Module, OpId};
 
 /// Whether (and how) an `affine.for` body compiled to a fused trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FuseVerdict {
-    /// Compiled to a straight-line trace of `insts` instructions. The
-    /// runtime preflight can still decline on live machine state
-    /// (non-integer tensors, cache-backed memories) — static analysis
-    /// re-checks the statically-decidable parts of that separately.
+    /// Compiled to a straight-line trace of `insts` instructions, and
+    /// every condition of the fused backend known before the run holds.
+    /// The runtime preflight still guards live machine state, and an entry
+    /// contended by another pending event takes the interpreter for that
+    /// step.
     Fused {
         /// Trace length in instructions.
         insts: usize,
     },
-    /// Trace formation declined, with the precise reason.
+    /// `Plan::build` declined the loop, with the precise reason.
     Declined(FuseDecline),
     /// The loop never enters (`lower >= upper`); no trace was attempted.
     ZeroTrip,
@@ -74,213 +66,53 @@ impl LoopFact {
     }
 }
 
-/// One `equeue.create_proc` (or `equeue.create_dma`) op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcFact {
-    /// The defining op.
-    pub op: OpId,
-    /// Processor kind string (`"dma"` for `equeue.create_dma`).
-    pub kind: String,
-}
-
-/// One `equeue.create_mem` op, with its resolved timing model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemFact {
-    /// The defining op.
-    pub op: OpId,
-    /// Memory kind string (`"SRAM"`, `"Cache"`, …).
-    pub kind: String,
-    /// The resolved [`crate::MemoryBehavior::model_name`].
-    pub model: String,
-    /// [`crate::MemoryBehavior::uniform_scalar_cycles`] of the resolved
-    /// model: `Some` for stateless uniform-latency memories, `None` for
-    /// state-dependent ones (caches) — the latter decline fused traces at
-    /// run time.
-    pub uniform_scalar_cycles: Option<u64>,
-    /// Declared capacity in elements.
-    pub capacity_elems: usize,
-    /// Declared capacity in bytes (elements × element width).
-    pub capacity_bytes: u64,
-    /// Bank count.
-    pub banks: u32,
-    /// Concurrent access ports (explicit attribute or the library default).
-    pub ports: usize,
-}
-
-/// One `equeue.create_connection` op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnFact {
-    /// The defining op.
-    pub op: OpId,
-    /// Connection kind.
-    pub kind: ConnKind,
-    /// Bandwidth in bytes/cycle (`0` = unlimited).
-    pub bandwidth: u64,
-}
-
-/// One `equeue.op` site, with the cycle cost the prepass resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtOpFact {
-    /// The op.
-    pub op: OpId,
-    /// External-op signature (`"mac4"`, …).
-    pub sig: String,
-    /// Resolved cycle cost; `None` means no library implementation and no
-    /// explicit override — a [`crate::SimError::Unsupported`] if executed.
-    pub cycles: Option<u64>,
-}
-
-/// One op that failed to decode (would raise [`crate::SimError::Layout`]
-/// if executed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidOpFact {
-    /// The op.
-    pub op: OpId,
-    /// The op's name.
-    pub name: String,
-    /// The decoder's message.
-    pub msg: String,
-}
-
-/// One op the engine does not model (would raise
-/// [`crate::SimError::Unsupported`] if executed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsupportedOpFact {
-    /// The op.
-    pub op: OpId,
-    /// The op's name.
-    pub name: String,
-}
-
-/// Everything the layout prepass statically knows about a module, in op
-/// order (deterministic across runs and thread counts — the prepass is a
-/// pure function of the module and library).
+/// Everything the layout prepass statically decides about a module's
+/// loops, in op order (deterministic across runs and thread counts — the
+/// prepass is a pure function of the module and library).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrepassFacts {
-    /// Processors and DMA engines.
-    pub procs: Vec<ProcFact>,
-    /// Memories, with resolved timing models.
-    pub mems: Vec<MemFact>,
-    /// Connections.
-    pub conns: Vec<ConnFact>,
-    /// External-op sites.
-    pub ext_ops: Vec<ExtOpFact>,
     /// `affine.for` loops with fusion verdicts.
     pub loops: Vec<LoopFact>,
-    /// Ops that failed to decode — *all* of them, unlike the strict
-    /// compile path which reports only the first.
-    pub invalid_ops: Vec<InvalidOpFact>,
-    /// Ops the engine does not model.
-    pub unsupported_ops: Vec<UnsupportedOpFact>,
 }
 
-/// Builds [`PrepassFacts`] by running the layout prepass **leniently**:
-/// malformed ops become [`InvalidOpFact`] entries instead of errors, so the
-/// analyzer can produce typed diagnostics for IR that
-/// [`crate::CompiledModule::compile`] rejects. Never panics.
+/// Builds [`PrepassFacts`] by running the layout prepass leniently:
+/// malformed ops only ever decline fusion, so the analyzer can report on
+/// IR that [`crate::CompiledModule::compile`] rejects. Never panics.
 pub fn analyze_facts(module: &Module, library: &SimLibrary) -> PrepassFacts {
     let plan = Plan::build(module, library);
-    facts_from_plan(module, &plan, library)
-}
-
-pub(crate) fn facts_from_plan(module: &Module, plan: &Plan, lib: &SimLibrary) -> PrepassFacts {
     let mut facts = PrepassFacts::default();
     for op in module.live_ops() {
-        let Some(info) = plan.ops.get(op.index()) else {
+        let Some(OpCode::For {
+            lower,
+            upper,
+            step,
+            body,
+            ..
+        }) = plan.ops.get(op.index()).map(|info| &info.code)
+        else {
             continue;
         };
-        match &info.code {
-            OpCode::CreateProc { kind } => facts.procs.push(ProcFact {
-                op,
-                kind: kind.clone(),
-            }),
-            OpCode::CreateDma => facts.procs.push(ProcFact {
-                op,
-                kind: "dma".to_string(),
-            }),
-            OpCode::CreateMem {
-                kind,
-                shape,
-                data_bits,
-                banks,
-                ports,
-                attrs,
-            } => {
-                let capacity_elems = shape
-                    .iter()
-                    .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                    .unwrap_or(usize::MAX);
-                let spec = MemSpec {
-                    kind: kind.clone(),
-                    capacity_elems,
-                    data_bits: *data_bits,
-                    banks: *banks,
-                    attrs: attrs.clone(),
-                };
-                let behavior = lib.make_memory(&spec);
-                let elem_bytes = u64::from(data_bits.div_ceil(8).max(1));
-                facts.mems.push(MemFact {
-                    op,
-                    kind: kind.clone(),
-                    model: behavior.model_name().to_string(),
-                    uniform_scalar_cycles: behavior.uniform_scalar_cycles(),
-                    capacity_elems,
-                    capacity_bytes: (capacity_elems as u64).saturating_mul(elem_bytes),
-                    banks: *banks,
-                    ports: ports.unwrap_or(lib.default_mem_ports),
-                });
+        let verdict = if lower >= upper {
+            FuseVerdict::ZeroTrip
+        } else {
+            match plan.fusion.get(body.index()) {
+                Some(Some(Ok(f))) => FuseVerdict::Fused {
+                    insts: f.inst_count(),
+                },
+                Some(Some(Err(d))) => FuseVerdict::Declined(d.clone()),
+                // A body block outside the block table (malformed IR past
+                // the fuzzer's reach): treat as malformed.
+                _ => FuseVerdict::Declined(FuseDecline::Malformed),
             }
-            OpCode::CreateConnection { kind, bandwidth } => facts.conns.push(ConnFact {
-                op,
-                kind: *kind,
-                bandwidth: *bandwidth,
-            }),
-            OpCode::ExtOp { sig, cycles } => facts.ext_ops.push(ExtOpFact {
-                op,
-                sig: sig.clone(),
-                cycles: *cycles,
-            }),
-            OpCode::For {
-                lower,
-                upper,
-                step,
-                body,
-                ..
-            } => {
-                let bi = body.index();
-                let verdict = if lower >= upper {
-                    FuseVerdict::ZeroTrip
-                } else if let Some(f) = plan.fused.get(bi).and_then(|o| o.as_deref()) {
-                    FuseVerdict::Fused {
-                        insts: f.inst_count(),
-                    }
-                } else if let Some(d) = plan.fuse_declines.get(bi).and_then(|o| o.as_ref()) {
-                    FuseVerdict::Declined(d.clone())
-                } else {
-                    // A body block outside the block table (malformed IR
-                    // past the fuzzer's reach): treat as malformed.
-                    FuseVerdict::Declined(FuseDecline::Malformed)
-                };
-                facts.loops.push(LoopFact {
-                    op,
-                    body: *body,
-                    lower: *lower,
-                    upper: *upper,
-                    step: *step,
-                    verdict,
-                });
-            }
-            OpCode::Invalid { op: name, msg } => facts.invalid_ops.push(InvalidOpFact {
-                op,
-                name: name.clone(),
-                msg: msg.clone(),
-            }),
-            OpCode::Unsupported(name) => facts.unsupported_ops.push(UnsupportedOpFact {
-                op,
-                name: name.clone(),
-            }),
-            _ => {}
-        }
+        };
+        facts.loops.push(LoopFact {
+            op,
+            body: *body,
+            lower: *lower,
+            upper: *upper,
+            step: *step,
+            verdict,
+        });
     }
     facts
 }
@@ -322,17 +154,12 @@ mod tests {
     #[test]
     fn facts_report_fused_loop_and_components() {
         let facts = analyze_facts(&loop_module(8), &SimLibrary::standard());
-        assert_eq!(facts.procs.len(), 1);
-        assert_eq!(facts.mems.len(), 1);
-        assert!(facts.mems[0].uniform_scalar_cycles.is_some());
-        assert_eq!(facts.mems[0].capacity_elems, 64);
         assert_eq!(facts.loops.len(), 1);
         assert_eq!(facts.loops[0].trip_count(), Some(8));
         assert!(matches!(
             facts.loops[0].verdict,
             FuseVerdict::Fused { insts } if insts >= 4
         ));
-        assert!(facts.invalid_ops.is_empty());
     }
 
     #[test]
@@ -387,25 +214,5 @@ mod tests {
             .iter()
             .any(|l| matches!(l.verdict, FuseVerdict::Fused { .. })));
         let _ = outer;
-    }
-
-    #[test]
-    fn invalid_ops_are_all_reported() {
-        let mut m = Module::new();
-        let blk = m.top_block();
-        // Two malformed launches (no operands): the strict compile path
-        // reports only the first; facts must list both.
-        for _ in 0..2 {
-            let op = m.create_op(
-                "equeue.launch",
-                vec![],
-                vec![Type::Signal],
-                Default::default(),
-                vec![],
-            );
-            m.append_op(blk, op);
-        }
-        let facts = analyze_facts(&m, &SimLibrary::standard());
-        assert_eq!(facts.invalid_ops.len(), 2);
     }
 }

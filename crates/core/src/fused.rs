@@ -33,17 +33,21 @@
 //! predicates, use-before-def — leaves the body to the interpreter, which
 //! is always correct. Formation also marks each access whose subscripts
 //! are all the induction variable or loop-invariant inputs as *strided*:
-//! its flat address is `base + iv·stride`.
+//! its flat address is `base + iv·stride`. A body that forms a trace is
+//! then checked against everything else known before the run: each
+//! accessed buffer must statically be an integer tensor, allocated in host
+//! memory or in a memory whose model has uniform stateless access latency
+//! ([`crate::MemoryBehavior::uniform_scalar_cycles`]). A cache-backed,
+//! float or unresolvable buffer declines the loop at plan time, with a
+//! [`FuseDecline`] reason that static analysis reads as is.
 //!
-//! **Runtime preflight** (`run_fused`) re-validates the parts only the
-//! running machine knows: the buffers must be live integer tensors of the
-//! decoded rank, backed by memories with uniform stateless access latency
-//! ([`crate::MemoryBehavior::uniform_scalar_cycles`]), and every
-//! loop-invariant input must currently hold a scalar integer. Any mismatch
-//! *declines* the trace — the block is marked skipped for the rest of the
-//! run and the interpreter takes over. Declining is never an error: it is
-//! the escape hatch that keeps cache-backed memories, float data, and
-//! malformed programs on the exact interpreter semantics.
+//! **Runtime preflight** (`run_fused`) re-validates the live machine state
+//! as safety code: the buffers must be live integer tensors of the decoded
+//! rank in uniform-latency memories, and every loop-invariant input must
+//! currently hold a scalar integer. Any mismatch *declines* the trace — the
+//! block is marked skipped for the rest of the run and the interpreter
+//! takes over. Declining is never an error: it is the escape hatch that
+//! keeps malformed programs on the exact interpreter semantics.
 //!
 //! **Bulk segments.** For the trace's duration each distinct buffer's
 //! elements are hoisted out of the machine into a plain `Vec<i64>`. At every
@@ -59,11 +63,13 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Instant;
 
+use equeue_dialect::{buffer_origin, BufferOrigin};
 use equeue_ir::Module;
 
 use crate::engine::{Engine, Frame, OpCode, OpInfo, Slot, Step, OP_EPOCH, WAKE_EPOCH};
 use crate::error::{LimitExceeded, LimitKind, Progress, SimError};
 use crate::interp::{BinOp, CmpPred};
+use crate::library::SimLibrary;
 use crate::machine::{AccessKind, Machine};
 use crate::value::{BufId, CompId, SimValue, TensorData};
 
@@ -71,15 +77,13 @@ use crate::value::{BufId, CompId, SimValue, TensorData};
 // Trace representation
 // ---------------------------------------------------------------------------
 
-/// Why trace formation declined to fuse an `affine.for` body.
+/// Why [`Plan::build`](crate::engine) declined to fuse an `affine.for` body.
 ///
-/// Produced by the compile-time half of the fused backend (the layout
-/// prepass) and surfaced through [`crate::PrepassFacts`] so static analysis
-/// — and the phase-2 fusion worklist — can see *why* a loop still pays
-/// interpreter dispatch. Runtime-only declines (cache-backed memories,
-/// non-integer tensors, contended entry) are not represented here: they
-/// depend on live machine state and are reported separately by the
-/// analyzer's fusibility pass.
+/// Everything about fusion that is known before the run is decided once,
+/// at plan time, and surfaced through [`crate::PrepassFacts`] so static
+/// analysis can see *why* a loop still pays interpreter dispatch. The
+/// runtime preflight in `run_fused` stays as safety code over live machine
+/// state; its declines (and contended entries) are not represented here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FuseDecline {
@@ -99,6 +103,14 @@ pub enum FuseDecline {
     /// inconsistent buffer ranks, out-of-range op ids); execution will
     /// surface the precise typed error.
     Malformed,
+    /// A body buffer has a non-integer element type (the `i64` register
+    /// bank models integer data only).
+    NonIntegerTensor(String),
+    /// A body buffer lives in a memory whose model (named here) has
+    /// state-dependent latency, e.g. a cache.
+    StatefulMemory(String),
+    /// A body buffer's allocation site cannot be resolved statically.
+    UnresolvedBuffer,
 }
 
 impl std::fmt::Display for FuseDecline {
@@ -115,6 +127,11 @@ impl std::fmt::Display for FuseDecline {
             }
             FuseDecline::EmptyBody => write!(f, "empty body"),
             FuseDecline::Malformed => write!(f, "structurally malformed body"),
+            FuseDecline::NonIntegerTensor(elem) => write!(f, "non-integer tensor ({elem})"),
+            FuseDecline::StatefulMemory(model) => {
+                write!(f, "{model} memory has state-dependent latency")
+            }
+            FuseDecline::UnresolvedBuffer => write!(f, "buffer origin not resolvable"),
         }
     }
 }
@@ -314,20 +331,23 @@ fn buffer_index(
     Ok((buffers.len() - 1) as u32)
 }
 
-/// Walks every decoded op and compiles each fusible `affine.for` body into
-/// a [`FusedLoop`], returning a trace table and a decline table, both
-/// indexed by the body block's
+/// One `affine.for` body's fusion outcome: its trace, or why `Plan::build`
+/// declined it.
+pub(crate) type LoopFusion = Result<Box<FusedLoop>, FuseDecline>;
+
+/// Walks every decoded op and decides fusion for each entered `affine.for`
+/// body: a [`FusedLoop`] trace, or the reason it stays on the interpreter.
+/// The table is indexed by the body block's
 /// [`BlockId::index`](equeue_ir::BlockId::index). Pure and cheap (linear in
 /// the module); runs unconditionally in `Plan::build` so a single compiled
 /// module can serve both backends. Blocks that are not an `affine.for` body
-/// (or whose loop never enters) are `None` in both tables.
-#[allow(clippy::type_complexity)]
+/// (or whose loop never enters) are `None`.
 pub(crate) fn build_fused(
     module: &Module,
+    lib: &SimLibrary,
     ops: &[OpInfo],
-) -> (Vec<Option<Box<FusedLoop>>>, Vec<Option<FuseDecline>>) {
-    let mut fused: Vec<Option<Box<FusedLoop>>> = (0..module.num_blocks()).map(|_| None).collect();
-    let mut declines: Vec<Option<FuseDecline>> = (0..module.num_blocks()).map(|_| None).collect();
+) -> Vec<Option<LoopFusion>> {
+    let mut table: Vec<Option<LoopFusion>> = (0..module.num_blocks()).map(|_| None).collect();
     for info in ops {
         if let OpCode::For {
             lower,
@@ -338,19 +358,60 @@ pub(crate) fn build_fused(
         } = &info.code
         {
             if lower < upper {
-                let bi = body.index();
-                if let Some(entry) = fused.get_mut(bi) {
-                    if entry.is_none() && declines[bi].is_none() {
-                        match try_build(module, ops, *body, *iv, *step, *upper) {
-                            Ok(f) => *entry = Some(Box::new(f)),
-                            Err(why) => declines[bi] = Some(why),
-                        }
-                    }
+                if let Some(entry @ None) = table.get_mut(body.index()) {
+                    *entry = Some(
+                        try_build(module, ops, *body, *iv, *step, *upper)
+                            .and_then(|f| check_buffers(module, lib, ops, *body).map(|()| f))
+                            .map(Box::new),
+                    );
                 }
             }
         }
     }
-    (fused, declines)
+    table
+}
+
+/// The statically decidable half of the runtime preflight, run on bodies
+/// whose trace formed: every accessed buffer must be an integer tensor
+/// allocated in host memory or in a memory whose model has uniform
+/// stateless access latency
+/// ([`crate::MemoryBehavior::uniform_scalar_cycles`]). The first offending
+/// access, in body order, names the reason.
+fn check_buffers(
+    module: &Module,
+    lib: &SimLibrary,
+    ops: &[OpInfo],
+    body: equeue_ir::BlockId,
+) -> Result<(), FuseDecline> {
+    for &op in &module.block(body).ops {
+        let operands = &module.op(op).operands;
+        let buf = match ops.get(op.index()).map(|info| &info.code) {
+            Some(OpCode::AffineLoad { .. }) => operands.first(),
+            Some(OpCode::AffineStore { .. }) => operands.get(1),
+            _ => None,
+        };
+        let Some(&buf) = buf else { continue };
+        if let Some(elem) = module.value_type(buf).elem() {
+            if !elem.is_integer() {
+                return Err(FuseDecline::NonIntegerTensor(elem.to_string()));
+            }
+        }
+        let spec = match buffer_origin(module, buf) {
+            BufferOrigin::Host(_) => continue,
+            BufferOrigin::Mem(mem) => ops.get(mem.index()).and_then(|info| info.code.mem_spec()),
+            BufferOrigin::Unknown => None,
+        };
+        let Some(spec) = spec else {
+            return Err(FuseDecline::UnresolvedBuffer);
+        };
+        let behavior = lib.make_memory(&spec);
+        if behavior.uniform_scalar_cycles().is_none() {
+            return Err(FuseDecline::StatefulMemory(
+                behavior.model_name().to_string(),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Attempts to compile one loop body; `Err` carries the precise decline

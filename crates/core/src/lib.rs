@@ -109,10 +109,7 @@ mod value;
 pub use compiled::CompiledModule;
 pub use engine::{simulate, simulate_with, Backend, SimOptions};
 pub use error::{CancelToken, LimitExceeded, LimitKind, Progress, RunLimits, SimError};
-pub use facts::{
-    analyze_facts, ConnFact, ExtOpFact, FuseVerdict, InvalidOpFact, LoopFact, MemFact,
-    PrepassFacts, ProcFact, UnsupportedOpFact,
-};
+pub use facts::{analyze_facts, FuseVerdict, LoopFact, PrepassFacts};
 pub use fused::FuseDecline;
 pub use interp::{apply_binary, apply_cmpi, conv2d_int, matmul_int};
 pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary};

@@ -5,7 +5,7 @@
 //! event queues, executing frames), the signal table, memory contents and
 //! in-flight port reservations, connection traffic, and every run counter.
 //! Snapshots are produced by [`crate::CompiledModule::snapshot`] (which runs
-//! the module up to [`crate::SimOptions::snapshot_at`]) and consumed by
+//! the module up to a given cycle) and consumed by
 //! [`crate::CompiledModule::resume`].
 //!
 //! # Wire format
@@ -171,11 +171,7 @@ pub(crate) struct MachineSnap {
 ///
 /// let compiled = CompiledModule::compile_standard(m)?;
 /// let full = compiled.simulate(&SimOptions::default())?;
-/// let opts = SimOptions {
-///     snapshot_at: Some(1),
-///     ..SimOptions::default()
-/// };
-/// let snap = compiled.snapshot(&opts)?;
+/// let snap = compiled.snapshot(1, &SimOptions::default())?;
 /// let bytes = snap.encode();
 /// let reloaded = Snapshot::decode(&bytes)?;
 /// let resumed = compiled.resume(&reloaded, &SimOptions::default())?;
@@ -209,8 +205,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The cycle boundary that was requested via
-    /// [`crate::SimOptions::snapshot_at`].
+    /// The cycle boundary that was requested from
+    /// [`crate::CompiledModule::snapshot`].
     pub fn requested_cut(&self) -> u64 {
         self.requested_cut
     }

@@ -90,11 +90,13 @@ fn seed(module: Module, cut: u64) -> (CompiledModule, Vec<u8>) {
     let compiled =
         CompiledModule::compile(module, SimLibrary::standard()).expect("corpus module compiles");
     let snap = compiled
-        .snapshot(&SimOptions {
-            trace: false,
-            snapshot_at: Some(cut),
-            ..Default::default()
-        })
+        .snapshot(
+            cut,
+            &SimOptions {
+                trace: false,
+                ..Default::default()
+            },
+        )
         .expect("corpus snapshot captures");
     let bytes = snap.encode();
     (compiled, bytes)

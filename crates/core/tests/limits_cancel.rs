@@ -338,12 +338,7 @@ fn snapshot_cut_is_exact_at_every_offset_of_three_iterations() {
         for cut in 500..500 + 3 * cycles {
             let run = |backend| {
                 let opts = with_backend(RunLimits::default(), None, backend);
-                let snap = compiled
-                    .snapshot(&SimOptions {
-                        snapshot_at: Some(cut),
-                        ..opts.clone()
-                    })
-                    .unwrap();
+                let snap = compiled.snapshot(cut, &opts).unwrap();
                 (snap.actual_cut(), compiled.resume(&snap, &opts).unwrap())
             };
             let (fused_cut, fused) = run(Backend::Fused);
@@ -432,10 +427,7 @@ fn resume_restarts_wall_deadline() {
     use equeue_core::{CompiledModule, SimLibrary};
     let compiled = CompiledModule::compile(fused_loop(256), SimLibrary::standard()).unwrap();
     let snap = compiled
-        .snapshot(&SimOptions {
-            snapshot_at: Some(10),
-            ..options(RunLimits::unlimited(), None)
-        })
+        .snapshot(10, &options(RunLimits::unlimited(), None))
         .unwrap();
     std::thread::sleep(Duration::from_millis(400));
     let report = compiled
@@ -483,10 +475,7 @@ fn resume_continues_cycle_and_event_budgets() {
         // Cut well before the budget trips, so the limited portion replays
         // inside the resumed window.
         let snap = compiled
-            .snapshot(&SimOptions {
-                snapshot_at: Some(10),
-                ..options(RunLimits::unlimited(), None)
-            })
+            .snapshot(10, &options(RunLimits::unlimited(), None))
             .unwrap();
         let resumed = compiled.resume(&snap, &options(limits, None)).unwrap_err();
         let SimError::Limit(l) = &resumed else {

@@ -619,6 +619,90 @@ pub fn launch_view(m: &Module, op: OpId) -> Result<LaunchView, String> {
     })
 }
 
+// ---- buffer-origin resolution -----------------------------------------------
+
+/// Where a buffer value ultimately lives, as far as static resolution can
+/// tell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BufferOrigin {
+    /// Allocated (via `equeue.alloc`) in the memory created by this
+    /// `equeue.create_mem` op.
+    Mem(OpId),
+    /// Host memory (`memref.alloc`).
+    Host(OpId),
+    /// Not statically resolvable (malformed IR, or a value shape the
+    /// resolver does not model). Callers must treat this conservatively.
+    Unknown,
+}
+
+/// Hop cap for [`resolve_def`]: fuzzer-mutated IR may contain capture
+/// chains the arena invariants no longer bound.
+const MAX_RESOLVE_DEPTH: usize = 128;
+
+/// Bounds-checked lookup of a live (in-range, not erased) op.
+fn live_op(m: &Module, op: OpId) -> Option<&equeue_ir::Operation> {
+    if op.index() >= m.num_ops() {
+        return None;
+    }
+    let data = m.op(op);
+    (!data.erased).then_some(data)
+}
+
+/// Resolves a value to its ultimate defining op, looking through
+/// `equeue.launch` body arguments to the captured value in the parent
+/// scope. Returns `None` for block arguments that are not launch captures
+/// (loop induction variables, top-level args) and for malformed chains.
+/// Never panics, whatever the IR.
+pub fn resolve_def(m: &Module, value: ValueId) -> Option<OpId> {
+    let mut v = value;
+    for _ in 0..MAX_RESOLVE_DEPTH {
+        if v.index() >= m.num_values() {
+            return None;
+        }
+        match m.value(v).def {
+            equeue_ir::ValueDef::OpResult { op, .. } => return live_op(m, op).map(|_| op),
+            equeue_ir::ValueDef::BlockArg { block, index } => {
+                if block.index() >= m.num_blocks() {
+                    return None;
+                }
+                let region = m.block(block).parent_region;
+                if region.index() >= m.num_regions() {
+                    return None;
+                }
+                let parent = m.region(region).parent_op?;
+                if live_op(m, parent)?.name != "equeue.launch" {
+                    return None;
+                }
+                v = *launch_view(m, parent).ok()?.captures.get(index)?;
+            }
+        }
+    }
+    None
+}
+
+/// Resolves a buffer-typed value to its allocation site's memory.
+pub fn buffer_origin(m: &Module, value: ValueId) -> BufferOrigin {
+    let Some(def) = resolve_def(m, value) else {
+        return BufferOrigin::Unknown;
+    };
+    let Some(data) = live_op(m, def) else {
+        return BufferOrigin::Unknown;
+    };
+    match data.name.as_str() {
+        "equeue.alloc" => {
+            let mem = data.operands.first().and_then(|&v| resolve_def(m, v));
+            match mem {
+                Some(op) if live_op(m, op).is_some_and(|d| d.name == "equeue.create_mem") => {
+                    BufferOrigin::Mem(op)
+                }
+                _ => BufferOrigin::Unknown,
+            }
+        }
+        "memref.alloc" => BufferOrigin::Host(def),
+        _ => BufferOrigin::Unknown,
+    }
+}
+
 // ---- verifiers -------------------------------------------------------------
 
 /// Verifies `equeue.create_proc`: `kind` attribute and a `!equeue.proc`

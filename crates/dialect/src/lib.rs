@@ -47,8 +47,9 @@ mod registry;
 pub use affine::AffineBuilder;
 pub use arith::{ArithBuilder, CmpPred};
 pub use equeue::{
-    kinds, launch_view, memcpy_view, read_view, write_view, ConnKind, EqueueBuilder, LaunchParts,
-    LaunchView, MemcpyView, ReadView, WriteView,
+    buffer_origin, kinds, launch_view, memcpy_view, read_view, resolve_def, write_view,
+    BufferOrigin, ConnKind, EqueueBuilder, LaunchParts, LaunchView, MemcpyView, ReadView,
+    WriteView,
 };
 pub use linalg::{conv2d_dims, ConvDims, LinalgBuilder};
 pub use registry::{register_into, standard_registry};
