@@ -25,9 +25,10 @@
 //! cycle/event/op counts between them (see `docs/fused-backend.md`).
 
 use crate::engine::{
-    resume_with_plan, run_with_plan, snapshot_with_plan, Backend, Plan, SimError, SimOptions,
+    resume_with_plan, run_with_plan, snapshot_with_plan, Backend, SimError, SimOptions,
 };
 use crate::library::SimLibrary;
+use crate::plan::Plan;
 use crate::profile::SimReport;
 use crate::snapshot::Snapshot;
 use equeue_ir::Module;

@@ -51,6 +51,7 @@ use crate::machine::{
     AccessKind, Component, ComponentKind, Composite, Connection, Machine, Memory, ProcProfile,
     Processor, RegisterBehavior,
 };
+use crate::plan::{OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::signal::{SignalState, SignalTable};
 use crate::snapshot::{
@@ -60,10 +61,8 @@ use crate::snapshot::{
 use crate::trace::{Trace, TraceCat};
 use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
-use equeue_dialect::{
-    conv2d_dims, launch_view, memcpy_view, read_view, write_view, ConnKind, ConvDims,
-};
-use equeue_ir::{AttrMap, BlockId, Module, OpId, RegionId, Type, ValueId};
+use equeue_dialect::ConvDims;
+use equeue_ir::{AttrMap, BlockId, Module, OpId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
@@ -348,816 +347,6 @@ fn check_frame(
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// The layout prepass
-// ---------------------------------------------------------------------------
-
-/// A dense index into a frame's environment vector.
-pub(crate) type Slot = u32;
-
-/// Pre-decoded spawn recipe for one `equeue.launch`.
-#[derive(Debug)]
-pub(crate) struct LaunchInfo {
-    /// Dependency signal operand.
-    dep: Slot,
-    /// Target processor operand.
-    proc: Slot,
-    /// The body's entry block.
-    body: BlockId,
-    /// The child frame scope.
-    scope: u32,
-    /// Environment size of the child frame.
-    frame_len: usize,
-    /// Free variables the body (transitively) references:
-    /// `(parent slot, child slot)`. Values absent in the parent frame are
-    /// skipped at spawn, like the original interpreter.
-    captures: Vec<(Slot, Slot)>,
-    /// Explicit capture operands bound to body block args:
-    /// `(parent slot, child slot)`.
-    arg_binds: Vec<(Slot, Slot)>,
-}
-
-/// One op, pre-decoded: operand/result slots plus parsed attributes.
-/// Decoding happens once per module in [`Plan::build`]; execution dispatches
-/// on this enum without touching op names or attribute maps.
-#[derive(Debug)]
-pub(crate) enum OpCode {
-    /// Erased op, or an op unreachable by execution: skip.
-    Erased,
-    // ---- structure specification ----
-    CreateProc {
-        kind: String,
-    },
-    CreateMem {
-        kind: String,
-        shape: Vec<usize>,
-        data_bits: u32,
-        banks: u32,
-        ports: Option<usize>,
-        attrs: AttrMap,
-    },
-    CreateDma,
-    CreateComp {
-        names: Vec<String>,
-        children: Vec<Slot>,
-    },
-    AddComp {
-        names: Vec<String>,
-        target: Slot,
-        children: Vec<Slot>,
-    },
-    GetComp {
-        target: Slot,
-        child: String,
-    },
-    CreateConnection {
-        kind: ConnKind,
-        bandwidth: u64,
-    },
-    // ---- data movement ----
-    Alloc {
-        mem: Slot,
-        shape: Vec<usize>,
-        elem_bytes: usize,
-        is_int: bool,
-    },
-    MemrefAlloc {
-        shape: Vec<usize>,
-        elem_bytes: usize,
-        is_int: bool,
-    },
-    Dealloc {
-        buf: Slot,
-    },
-    Read {
-        buffer: Slot,
-        indices: Vec<Slot>,
-        conn: Option<Slot>,
-    },
-    Write {
-        value: Slot,
-        buffer: Slot,
-        indices: Vec<Slot>,
-        conn: Option<Slot>,
-    },
-    AffineLoad {
-        buffer: Slot,
-        indices: Vec<Slot>,
-    },
-    AffineStore {
-        value: Slot,
-        buffer: Slot,
-        indices: Vec<Slot>,
-    },
-    // ---- events and control ----
-    Memcpy {
-        dep: Slot,
-        src: Slot,
-        dst: Slot,
-        dma: Slot,
-        conn: Option<Slot>,
-    },
-    Launch(Box<LaunchInfo>),
-    ControlStart,
-    Control {
-        and: bool,
-        deps: Vec<Slot>,
-    },
-    Await {
-        deps: Vec<Slot>,
-    },
-    Return {
-        values: Vec<Slot>,
-    },
-    /// `equeue.op`; `cycles` is `None` when the signature has no library
-    /// implementation and no explicit override — an error *if executed*.
-    ExtOp {
-        sig: String,
-        cycles: Option<u64>,
-    },
-    // ---- loops ----
-    For {
-        lower: i64,
-        upper: i64,
-        step: i64,
-        body: BlockId,
-        iv: Slot,
-    },
-    Parallel {
-        lowers: Vec<i64>,
-        uppers: Vec<i64>,
-        steps: Vec<i64>,
-        body: BlockId,
-        ivs: Vec<Slot>,
-    },
-    Yield,
-    // ---- linalg ----
-    Conv2d {
-        dims: ConvDims,
-        ifmap: Slot,
-        weights: Slot,
-        ofmap: Slot,
-    },
-    Matmul {
-        a: Slot,
-        b: Slot,
-        c: Slot,
-    },
-    Fill {
-        scalar: Slot,
-        buffer: Slot,
-    },
-    // ---- arith ----
-    Constant(SimValue),
-    Cmpi {
-        pred: String,
-        lhs: Slot,
-        rhs: Slot,
-    },
-    Select {
-        cond: Slot,
-        on_true: Slot,
-        on_false: Slot,
-    },
-    /// A binary `arith` op. `kind` is the pre-decoded operator for the
-    /// scalar fast path; `None` means an op name `apply_binary` will
-    /// reject (kept so the error fires at execution, like everything
-    /// else). `name` feeds tracing, profile fallback, and the
-    /// tensor/error slow path.
-    Binary {
-        kind: Option<BinOp>,
-        name: String,
-        lhs: Slot,
-        rhs: Slot,
-        index_typed: bool,
-    },
-    // ---- failures, deferred to execution time ----
-    /// The op failed to decode (malformed views/attrs, or an operand with
-    /// no materialisable definition). Raises [`SimError::Layout`] if
-    /// executed.
-    Invalid {
-        op: String,
-        msg: String,
-    },
-    /// An op name the engine does not model. Raises `Unsupported` if
-    /// executed.
-    Unsupported(String),
-}
-
-impl OpCode {
-    /// The library spec of a decoded `equeue.create_mem`: `None` for any
-    /// other op, or when the shape's capacity overflows `usize`.
-    pub(crate) fn mem_spec(&self) -> Option<MemSpec> {
-        let OpCode::CreateMem {
-            kind,
-            shape,
-            data_bits,
-            banks,
-            attrs,
-            ..
-        } = self
-        else {
-            return None;
-        };
-        Some(MemSpec {
-            kind: kind.clone(),
-            capacity_elems: shape
-                .iter()
-                .try_fold(1usize, |acc, &d| acc.checked_mul(d))?,
-            data_bits: *data_bits,
-            banks: *banks,
-            attrs: attrs.clone(),
-        })
-    }
-}
-
-/// Pre-decoded form of one op.
-#[derive(Debug)]
-pub(crate) struct OpInfo {
-    pub(crate) code: OpCode,
-    /// Result slots, in result order.
-    pub(crate) results: Vec<Slot>,
-}
-
-/// Value numbering of one frame scope.
-#[derive(Debug)]
-struct ScopeLayout {
-    /// Environment length (number of slots).
-    len: usize,
-    /// Slot → value, for diagnostics only.
-    values: Vec<ValueId>,
-}
-
-/// The prepass output: scope layouts, a per-op side table, and the fused
-/// loop traces. Immutable once built — a plan can back any number of
-/// simulations, sequentially or from several threads at once (see
-/// [`crate::CompiledModule`]).
-#[derive(Debug)]
-pub(crate) struct Plan {
-    scopes: Vec<ScopeLayout>,
-    /// Indexed by `OpId::index()`. Readable crate-wide so the prepass-facts
-    /// view ([`crate::PrepassFacts`]) can walk the decoded ops.
-    pub(crate) ops: Vec<OpInfo>,
-    /// The fusion verdict of every entered `affine.for` body, indexed by
-    /// the body's `BlockId::index()`: its trace, or why it declined.
-    /// `None` for blocks that are not such a body. Built unconditionally
-    /// (it is cheap and pure); whether a run consults it is decided per
-    /// run by [`SimOptions::backend`].
-    pub(crate) fusion: Vec<Option<crate::fused::LoopFusion>>,
-}
-
-/// Scope discovery scratch state.
-struct ScopeTmp {
-    root: RegionId,
-    blocks: Vec<BlockId>,
-    ops: Vec<OpId>,
-    children: Vec<usize>,
-    /// Values defined in the scope (block args + op results), in program
-    /// order.
-    defined: Vec<ValueId>,
-    /// Operand occurrences (with duplicates).
-    used: Vec<ValueId>,
-}
-
-impl Plan {
-    /// The first structurally-invalid decoded op, if any: `(name, message)`.
-    /// Used by [`crate::CompiledModule::compile`] to reject malformed
-    /// modules eagerly; the lazy [`crate::simulate_with`] path never calls
-    /// it.
-    pub(crate) fn first_invalid(&self) -> Option<(&str, &str)> {
-        self.ops.iter().find_map(|info| match &info.code {
-            OpCode::Invalid { op, msg } => Some((op.as_str(), msg.as_str())),
-            _ => None,
-        })
-    }
-
-    /// The one-shot layout prepass. Infallible: malformed ops decode to
-    /// [`OpCode::Invalid`] and only fail if executed. Linear in the module
-    /// size (dense arrays indexed by value id, no per-event work).
-    pub(crate) fn build(module: &Module, lib: &SimLibrary) -> Plan {
-        // -- 1. Scope discovery: the top region plus every launch body.
-        let mut tmp: Vec<ScopeTmp> = vec![ScopeTmp {
-            root: module.top_region(),
-            blocks: vec![],
-            ops: vec![],
-            children: vec![],
-            defined: vec![],
-            used: vec![],
-        }];
-        // Scope index of each launch-body (and the top) region, indexed by
-        // `RegionId::index()`.
-        let mut scope_of_root: Vec<Option<u32>> = vec![None; module.num_regions()];
-        scope_of_root[module.top_region().index()] = Some(0);
-        let mut i = 0;
-        while i < tmp.len() {
-            let root = tmp[i].root;
-            let (mut blocks, mut ops, mut child_regions) = (vec![], vec![], vec![]);
-            collect_scope(module, root, &mut blocks, &mut ops, &mut child_regions);
-            for r in child_regions {
-                let idx = tmp.len();
-                scope_of_root[r.index()] = Some(idx as u32);
-                tmp[i].children.push(idx);
-                tmp.push(ScopeTmp {
-                    root: r,
-                    blocks: vec![],
-                    ops: vec![],
-                    children: vec![],
-                    defined: vec![],
-                    used: vec![],
-                });
-            }
-            tmp[i].blocks = blocks;
-            tmp[i].ops = ops;
-            i += 1;
-        }
-        let n = tmp.len();
-
-        // -- 2. Defined/used per scope. Every value is defined in at most
-        // one scope; `def_scope` is a dense module-wide map of it.
-        const NO_SCOPE: u32 = u32::MAX;
-        let mut def_scope: Vec<u32> = vec![NO_SCOPE; module.num_values()];
-        for (s, t) in tmp.iter_mut().enumerate() {
-            for &b in &t.blocks {
-                for &a in &module.block(b).args {
-                    t.defined.push(a);
-                    def_scope[a.index()] = s as u32;
-                }
-            }
-            for &op in &t.ops {
-                let data = module.op(op);
-                for &r in &data.results {
-                    t.defined.push(r);
-                    def_scope[r.index()] = s as u32;
-                }
-                t.used.extend(data.operands.iter().copied());
-            }
-        }
-
-        // -- 3. Free sets, bottom-up (children have higher indices): a
-        // value is free in a scope if the scope — or any launch nested in
-        // it — uses it without defining it. Free vars of children must get
-        // slots here too, so the child's spawn can capture them from this
-        // frame.
-        let mut free: Vec<Vec<ValueId>> = vec![vec![]; n];
-        for s in (0..n).rev() {
-            let mut f: Vec<ValueId> = tmp[s]
-                .used
-                .iter()
-                .copied()
-                .filter(|v| def_scope[v.index()] != s as u32)
-                .collect();
-            for &c in &tmp[s].children {
-                f.extend(free[c].iter().filter(|v| def_scope[v.index()] != s as u32));
-            }
-            f.sort_unstable();
-            f.dedup();
-            free[s] = f;
-        }
-
-        // -- 4. Slot assignment: defined ∪ free, ordered by ValueId for
-        // determinism. The sorted layout doubles as the slot map (binary
-        // search at decode time — no per-scope hash maps).
-        let mut scopes: Vec<ScopeLayout> = Vec::with_capacity(n);
-        for s in 0..n {
-            let mut vals: Vec<ValueId> = Vec::with_capacity(tmp[s].defined.len() + free[s].len());
-            vals.extend(tmp[s].defined.iter().copied());
-            vals.extend(free[s].iter().copied());
-            vals.sort_unstable();
-            vals.dedup();
-            scopes.push(ScopeLayout {
-                len: vals.len(),
-                values: vals,
-            });
-        }
-
-        // -- 5. Op decode. Ops outside every scope (inside erased ops)
-        // stay `Erased`: they can never execute.
-        let mut ops: Vec<OpInfo> = (0..module.num_ops())
-            .map(|_| OpInfo {
-                code: OpCode::Erased,
-                results: vec![],
-            })
-            .collect();
-        for (s, t) in tmp.iter().enumerate() {
-            for &op in &t.ops {
-                ops[op.index()] = decode_op(module, lib, op, s, &scopes, &free, &scope_of_root);
-            }
-        }
-
-        // -- 6. Fusion: compile static affine loop bodies into
-        // dispatch-free instruction tables (see `crate::fused`), or record
-        // why each declined. Purely derived from the decoded ops and the
-        // library's memory models; declined loops run on the interpreter.
-        let fusion = crate::fused::build_fused(module, lib, &ops);
-        Plan {
-            scopes,
-            ops,
-            fusion,
-        }
-    }
-}
-
-/// Collects the blocks and ops of one frame scope: descends into nested
-/// regions (loops) but **not** into launch bodies, which start scopes of
-/// their own and are appended to `child_regions`.
-fn collect_scope(
-    module: &Module,
-    region: RegionId,
-    blocks: &mut Vec<BlockId>,
-    ops: &mut Vec<OpId>,
-    child_regions: &mut Vec<RegionId>,
-) {
-    for &b in &module.region(region).blocks {
-        blocks.push(b);
-        for &op in &module.block(b).ops {
-            let data = module.op(op);
-            if data.erased {
-                continue;
-            }
-            ops.push(op);
-            if data.name == "equeue.launch" && !data.regions.is_empty() {
-                child_regions.push(data.regions[0]);
-                for &r in &data.regions[1..] {
-                    collect_scope(module, r, blocks, ops, child_regions);
-                }
-            } else {
-                for &r in &data.regions {
-                    collect_scope(module, r, blocks, ops, child_regions);
-                }
-            }
-        }
-    }
-}
-
-/// Decodes one op of scope `s` into its [`OpInfo`].
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn decode_op(
-    module: &Module,
-    lib: &SimLibrary,
-    op: OpId,
-    s: usize,
-    scopes: &[ScopeLayout],
-    free: &[Vec<ValueId>],
-    scope_of_root: &[Option<u32>],
-) -> OpInfo {
-    let data = module.op(op);
-    // Slot of one value (binary search in the sorted layout); an operand
-    // defined by nothing executable (e.g. a result of an erased op) has no
-    // slot and poisons the decode.
-    let slot = |v: ValueId| -> Result<Slot, String> {
-        scopes[s]
-            .values
-            .binary_search(&v)
-            .map(|i| i as Slot)
-            .map_err(|_| format!("value %{v} has no materialisable definition"))
-    };
-    let slots_of =
-        |vs: &[ValueId]| -> Result<Vec<Slot>, String> { vs.iter().map(|&v| slot(v)).collect() };
-    // Checked accessors: a wrong-arity op must decode to `OpCode::Invalid`
-    // (failing only if executed), never panic the prepass.
-    let operand = |i: usize| -> Result<ValueId, String> {
-        data.operands
-            .get(i)
-            .copied()
-            .ok_or_else(|| format!("op '{}' missing operand {i}", data.name))
-    };
-    let operands_from = |i: usize| -> &[ValueId] { data.operands.get(i..).unwrap_or(&[]) };
-    let result0 = || -> Result<ValueId, String> {
-        data.results
-            .first()
-            .copied()
-            .ok_or_else(|| format!("op '{}' missing its result", data.name))
-    };
-    let results: Vec<Slot> = match slots_of(&data.results) {
-        Ok(r) => r,
-        Err(e) => {
-            return OpInfo {
-                code: OpCode::Invalid {
-                    op: data.name.clone(),
-                    msg: e,
-                },
-                results: vec![],
-            }
-        }
-    };
-
-    let code = (|| -> Result<OpCode, String> {
-        let attr_str = |name: &str| -> Result<String, String> {
-            data.attrs
-                .str(name)
-                .map(str::to_string)
-                .ok_or_else(|| format!("op '{}' missing attribute '{name}'", data.name))
-        };
-        Ok(match data.name.as_str() {
-            "equeue.create_proc" => OpCode::CreateProc {
-                kind: attr_str("kind")?,
-            },
-            "equeue.create_mem" => {
-                let shape = data
-                    .attrs
-                    .shape("shape")
-                    .ok_or("create_mem missing shape")?;
-                OpCode::CreateMem {
-                    kind: attr_str("kind")?,
-                    shape,
-                    data_bits: data.attrs.int("data_bits").unwrap_or(32) as u32,
-                    banks: data.attrs.int("banks").unwrap_or(1).max(1) as u32,
-                    ports: data.attrs.int("ports").map(|v| v.max(1) as usize),
-                    attrs: data.attrs.clone(),
-                }
-            }
-            "equeue.create_dma" => OpCode::CreateDma,
-            "equeue.create_comp" | "equeue.add_comp" => {
-                let names: Vec<String> = data
-                    .attrs
-                    .get("names")
-                    .and_then(|a| a.as_str_array())
-                    .map(|s| s.to_vec())
-                    .ok_or_else(|| format!("{} missing names", data.name))?;
-                if data.name == "equeue.create_comp" {
-                    OpCode::CreateComp {
-                        names,
-                        children: slots_of(&data.operands)?,
-                    }
-                } else {
-                    OpCode::AddComp {
-                        names,
-                        target: slot(operand(0)?)?,
-                        children: slots_of(operands_from(1))?,
-                    }
-                }
-            }
-            "equeue.get_comp" => OpCode::GetComp {
-                target: slot(operand(0)?)?,
-                child: attr_str("name")?,
-            },
-            "equeue.create_connection" => {
-                let kind_s = attr_str("kind")?;
-                let kind = ConnKind::from_str(&kind_s)
-                    .ok_or_else(|| format!("bad connection kind {kind_s}"))?;
-                let bw = data.attrs.int("bandwidth").unwrap_or(0).max(0) as u64;
-                OpCode::CreateConnection {
-                    kind,
-                    bandwidth: bw,
-                }
-            }
-            "equeue.alloc" => {
-                let rt = module.value_type(result0()?);
-                let (shape, elem) = match rt {
-                    Type::Buffer { shape, elem } => (shape.clone(), (**elem).clone()),
-                    other => return Err(format!("alloc result must be a buffer, got {other}")),
-                };
-                OpCode::Alloc {
-                    mem: slot(operand(0)?)?,
-                    shape,
-                    elem_bytes: elem.elem_byte_width().unwrap_or(4),
-                    is_int: elem.is_integer(),
-                }
-            }
-            "memref.alloc" => {
-                let rt = module.value_type(result0()?);
-                let (shape, elem) = match rt {
-                    Type::MemRef { shape, elem } => (shape.clone(), (**elem).clone()),
-                    other => return Err(format!("memref.alloc result {other}")),
-                };
-                OpCode::MemrefAlloc {
-                    shape,
-                    elem_bytes: elem.elem_byte_width().unwrap_or(4),
-                    is_int: elem.is_integer(),
-                }
-            }
-            "equeue.dealloc" | "memref.dealloc" => OpCode::Dealloc {
-                buf: slot(operand(0)?)?,
-            },
-            "equeue.read" => {
-                let view = read_view(module, op)?;
-                OpCode::Read {
-                    buffer: slot(view.buffer)?,
-                    indices: slots_of(&view.indices)?,
-                    conn: view.conn.map(slot).transpose()?,
-                }
-            }
-            "equeue.write" => {
-                let view = write_view(module, op)?;
-                OpCode::Write {
-                    value: slot(view.value)?,
-                    buffer: slot(view.buffer)?,
-                    indices: slots_of(&view.indices)?,
-                    conn: view.conn.map(slot).transpose()?,
-                }
-            }
-            "affine.load" => OpCode::AffineLoad {
-                buffer: slot(operand(0)?)?,
-                indices: slots_of(operands_from(1))?,
-            },
-            "affine.store" => OpCode::AffineStore {
-                value: slot(operand(0)?)?,
-                buffer: slot(operand(1)?)?,
-                indices: slots_of(operands_from(2))?,
-            },
-            "equeue.memcpy" => {
-                let view = memcpy_view(module, op)?;
-                OpCode::Memcpy {
-                    dep: slot(view.dep)?,
-                    src: slot(view.src)?,
-                    dst: slot(view.dst)?,
-                    dma: slot(view.dma)?,
-                    conn: view.conn.map(slot).transpose()?,
-                }
-            }
-            "equeue.launch" => {
-                let view = launch_view(module, op).map_err(|e| format!("{e} (launch op)"))?;
-                let body_region = data.regions.first().ok_or("launch needs a body region")?;
-                let child = scope_of_root
-                    .get(body_region.index())
-                    .copied()
-                    .flatten()
-                    .ok_or("launch body region is not a scope")?
-                    as usize;
-                let child_slot = |v: ValueId| -> Result<Slot, String> {
-                    scopes[child]
-                        .values
-                        .binary_search(&v)
-                        .map(|i| i as Slot)
-                        .map_err(|_| format!("value %{v} missing from launch scope"))
-                };
-                // Free-variable capture map: parent slot → child slot.
-                let captures: Vec<(Slot, Slot)> = free[child]
-                    .iter()
-                    .map(|&v| Ok((slot(v)?, child_slot(v)?)))
-                    .collect::<Result<_, String>>()?;
-                // Explicit captures bound to body block args.
-                let args = &module.block(view.body).args;
-                let arg_binds: Vec<(Slot, Slot)> = view
-                    .captures
-                    .iter()
-                    .zip(args.iter())
-                    .map(|(&cap, &arg)| Ok((slot(cap)?, child_slot(arg)?)))
-                    .collect::<Result<_, String>>()?;
-                OpCode::Launch(Box::new(LaunchInfo {
-                    dep: slot(view.dep)?,
-                    proc: slot(view.proc)?,
-                    body: view.body,
-                    scope: child as u32,
-                    frame_len: scopes[child].len,
-                    captures,
-                    arg_binds,
-                }))
-            }
-            "equeue.control_start" => OpCode::ControlStart,
-            "equeue.control_and" | "equeue.control_or" => OpCode::Control {
-                and: data.name == "equeue.control_and",
-                deps: slots_of(&data.operands)?,
-            },
-            "equeue.await" => OpCode::Await {
-                deps: slots_of(&data.operands)?,
-            },
-            "equeue.return" => OpCode::Return {
-                values: slots_of(&data.operands)?,
-            },
-            "equeue.op" => {
-                let sig = attr_str("signature")?;
-                // An explicit `cycles` attribute overrides the library, so
-                // generators can emit parameterised macro-ops; otherwise
-                // the signature must be implemented in the simulator
-                // library (§III-E). Unknown signatures only fail when
-                // executed.
-                let cycles = match data.attrs.int("cycles") {
-                    Some(c) => Some(c.max(0) as u64),
-                    None => lib.ext_op(&sig).map(|e| e.cycles),
-                };
-                OpCode::ExtOp { sig, cycles }
-            }
-            "affine.for" => {
-                let region = *data.regions.first().ok_or("affine.for needs a region")?;
-                let body = *module
-                    .region(region)
-                    .blocks
-                    .first()
-                    .ok_or("affine.for empty region")?;
-                let iv = *module
-                    .block(body)
-                    .args
-                    .first()
-                    .ok_or("affine.for body needs an iv")?;
-                let step = data.attrs.int("step").unwrap_or(1);
-                // A non-positive step can never reach the upper bound; it
-                // would spin the interpreter forever, so reject it here.
-                if step <= 0 {
-                    return Err(format!("affine.for step must be positive, got {step}"));
-                }
-                OpCode::For {
-                    lower: data.attrs.int("lower").unwrap_or(0),
-                    upper: data.attrs.int("upper").unwrap_or(0),
-                    step,
-                    body,
-                    iv: slot(iv)?,
-                }
-            }
-            "affine.parallel" => {
-                let region = *data
-                    .regions
-                    .first()
-                    .ok_or("affine.parallel needs a region")?;
-                let body = *module
-                    .region(region)
-                    .blocks
-                    .first()
-                    .ok_or("affine.parallel empty region")?;
-                let lowers = data.attrs.int_array("lowers").unwrap_or(&[]).to_vec();
-                let uppers = data.attrs.int_array("uppers").unwrap_or(&[]).to_vec();
-                let steps = data.attrs.int_array("steps").unwrap_or(&[]).to_vec();
-                let ivs = slots_of(&module.block(body).args.clone())?;
-                // Mismatched bound arrays would index out of range during
-                // iteration; non-positive steps would never terminate.
-                if lowers.len() != uppers.len()
-                    || lowers.len() != steps.len()
-                    || lowers.len() != ivs.len()
-                {
-                    return Err(format!(
-                        "affine.parallel bounds mismatch: {} lowers, {} uppers, {} steps, {} ivs",
-                        lowers.len(),
-                        uppers.len(),
-                        steps.len(),
-                        ivs.len()
-                    ));
-                }
-                if let Some(s) = steps.iter().find(|&&s| s <= 0) {
-                    return Err(format!("affine.parallel step must be positive, got {s}"));
-                }
-                OpCode::Parallel {
-                    lowers,
-                    uppers,
-                    steps,
-                    body,
-                    ivs,
-                }
-            }
-            "affine.yield" => OpCode::Yield,
-            "linalg.conv2d" => OpCode::Conv2d {
-                dims: conv2d_dims(module, op)?,
-                ifmap: slot(operand(0)?)?,
-                weights: slot(operand(1)?)?,
-                ofmap: slot(operand(2)?)?,
-            },
-            "linalg.matmul" => OpCode::Matmul {
-                a: slot(operand(0)?)?,
-                b: slot(operand(1)?)?,
-                c: slot(operand(2)?)?,
-            },
-            "linalg.fill" => OpCode::Fill {
-                scalar: slot(operand(0)?)?,
-                buffer: slot(operand(1)?)?,
-            },
-            "arith.constant" => {
-                let rt = module.value_type(result0()?);
-                OpCode::Constant(if rt.is_float() {
-                    SimValue::Float(data.attrs.float("value").unwrap_or(0.0))
-                } else {
-                    SimValue::Int(data.attrs.int("value").unwrap_or(0))
-                })
-            }
-            "arith.cmpi" => OpCode::Cmpi {
-                pred: attr_str("predicate")?,
-                lhs: slot(operand(0)?)?,
-                rhs: slot(operand(1)?)?,
-            },
-            "arith.select" => OpCode::Select {
-                cond: slot(operand(0)?)?,
-                on_true: slot(operand(1)?)?,
-                on_false: slot(operand(2)?)?,
-            },
-            name if name.starts_with("arith.") => {
-                if data.operands.len() != 2 {
-                    return Err(format!("'{name}' needs exactly two operands"));
-                }
-                // Index-typed arithmetic is address generation, which the
-                // memory pipeline absorbs; it costs no datapath cycles.
-                let index_typed = *module.value_type(result0()?) == Type::Index;
-                OpCode::Binary {
-                    kind: BinOp::from_name(name),
-                    name: name.to_string(),
-                    lhs: slot(operand(0)?)?,
-                    rhs: slot(operand(1)?)?,
-                    index_typed,
-                }
-            }
-            other => OpCode::Unsupported(other.to_string()),
-        })
-    })();
-
-    match code {
-        Ok(code) => OpInfo { code, results },
-        Err(e) => OpInfo {
-            code: OpCode::Invalid {
-                op: data.name.clone(),
-                msg: e,
-            },
-            results,
-        },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -3362,8 +2551,8 @@ fn write_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use equeue_dialect::{kinds, ArithBuilder, EqueueBuilder};
-    use equeue_ir::OpBuilder;
+    use equeue_dialect::{kinds, ArithBuilder, ConnKind, EqueueBuilder};
+    use equeue_ir::{OpBuilder, Type};
 
     /// Fig. 2a-style toy program: kernel launches work on two PEs after a
     /// DMA copy; both PEs start simultaneously.

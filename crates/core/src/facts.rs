@@ -10,9 +10,9 @@
 //! it accepts IR that [`crate::CompiledModule::compile`] rejects, so the
 //! analyzer can diagnose fuzzer-malformed modules.
 
-use crate::engine::{OpCode, Plan};
 use crate::fused::FuseDecline;
 use crate::library::SimLibrary;
+use crate::plan::{OpCode, Plan};
 use equeue_ir::{BlockId, Module, OpId};
 
 /// Whether (and how) an `affine.for` body compiled to a fused trace.

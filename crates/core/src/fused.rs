@@ -66,11 +66,12 @@ use std::time::Instant;
 use equeue_dialect::{buffer_origin, BufferOrigin};
 use equeue_ir::Module;
 
-use crate::engine::{Engine, Frame, OpCode, OpInfo, Slot, Step, OP_EPOCH, WAKE_EPOCH};
+use crate::engine::{Engine, Frame, Step, OP_EPOCH, WAKE_EPOCH};
 use crate::error::{LimitExceeded, LimitKind, Progress, SimError};
 use crate::interp::{BinOp, CmpPred};
 use crate::library::SimLibrary;
 use crate::machine::{AccessKind, Machine};
+use crate::plan::{OpCode, OpInfo, Slot};
 use crate::value::{BufId, CompId, SimValue, TensorData};
 
 // ---------------------------------------------------------------------------

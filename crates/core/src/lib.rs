@@ -100,6 +100,7 @@ mod fused;
 mod interp;
 mod library;
 mod machine;
+mod plan;
 mod profile;
 mod signal;
 mod snapshot;
