@@ -591,7 +591,7 @@ fn decode_op(
                 let view = read_view(module, op)?;
                 OpCode::Read {
                     buffer: slot(view.buffer)?,
-                    indices: slots_of(&view.indices)?,
+                    indices: slots_of(view.indices)?,
                     conn: view.conn.map(slot).transpose()?,
                 }
             }
@@ -600,7 +600,7 @@ fn decode_op(
                 OpCode::Write {
                     value: slot(view.value)?,
                     buffer: slot(view.buffer)?,
-                    indices: slots_of(&view.indices)?,
+                    indices: slots_of(view.indices)?,
                     conn: view.conn.map(slot).transpose()?,
                 }
             }

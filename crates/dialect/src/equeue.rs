@@ -423,13 +423,14 @@ impl EqueueBuilder for OpBuilder<'_> {
 
 // ---- structured views ------------------------------------------------------
 
-/// Decoded view of an `equeue.read` op's operand groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadView {
+/// Decoded view of an `equeue.read` op's operand groups, borrowing the
+/// op's operand list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadView<'m> {
     /// The buffer operand.
     pub buffer: ValueId,
     /// Optional element subscripts.
-    pub indices: Vec<ValueId>,
+    pub indices: &'m [ValueId],
     /// Optional connection.
     pub conn: Option<ValueId>,
 }
@@ -455,7 +456,7 @@ fn checked_sum(counts: &[usize]) -> Option<usize> {
 /// # Errors
 ///
 /// Fails when the `segments` attribute is missing or inconsistent.
-pub fn read_view(m: &Module, op: OpId) -> Result<ReadView, String> {
+pub fn read_view(m: &Module, op: OpId) -> Result<ReadView<'_>, String> {
     let data = m.op(op);
     let seg = data
         .attrs
@@ -471,7 +472,7 @@ pub fn read_view(m: &Module, op: OpId) -> Result<ReadView, String> {
     }
     Ok(ReadView {
         buffer: data.operands[0],
-        indices: data.operands[1..1 + ni].to_vec(),
+        indices: &data.operands[1..1 + ni],
         conn: if nc == 1 {
             Some(data.operands[1 + ni])
         } else {
@@ -480,15 +481,16 @@ pub fn read_view(m: &Module, op: OpId) -> Result<ReadView, String> {
     })
 }
 
-/// Decoded view of an `equeue.write` op's operand groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteView {
+/// Decoded view of an `equeue.write` op's operand groups, borrowing the
+/// op's operand list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteView<'m> {
     /// The value being written.
     pub value: ValueId,
     /// The target buffer.
     pub buffer: ValueId,
     /// Optional element subscripts.
-    pub indices: Vec<ValueId>,
+    pub indices: &'m [ValueId],
     /// Optional connection.
     pub conn: Option<ValueId>,
 }
@@ -498,7 +500,7 @@ pub struct WriteView {
 /// # Errors
 ///
 /// Fails when the `segments` attribute is missing or inconsistent.
-pub fn write_view(m: &Module, op: OpId) -> Result<WriteView, String> {
+pub fn write_view(m: &Module, op: OpId) -> Result<WriteView<'_>, String> {
     let data = m.op(op);
     let seg = data
         .attrs
@@ -515,7 +517,7 @@ pub fn write_view(m: &Module, op: OpId) -> Result<WriteView, String> {
     Ok(WriteView {
         value: data.operands[0],
         buffer: data.operands[1],
-        indices: data.operands[2..2 + ni].to_vec(),
+        indices: &data.operands[2..2 + ni],
         conn: if nc == 1 {
             Some(data.operands[2 + ni])
         } else {
@@ -571,19 +573,20 @@ pub fn memcpy_view(m: &Module, op: OpId) -> Result<MemcpyView, String> {
     })
 }
 
-/// Decoded view of an `equeue.launch` op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaunchView {
+/// Decoded view of an `equeue.launch` op, borrowing the op's operand and
+/// result lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaunchView<'m> {
     /// Dependency signal.
     pub dep: ValueId,
     /// Target processor (or DMA).
     pub proc: ValueId,
     /// Captured operands bound to the body's block arguments.
-    pub captures: Vec<ValueId>,
+    pub captures: &'m [ValueId],
     /// Completion signal (result 0).
     pub done: ValueId,
     /// Extra results.
-    pub results: Vec<ValueId>,
+    pub results: &'m [ValueId],
     /// The body block.
     pub body: BlockId,
 }
@@ -593,7 +596,7 @@ pub struct LaunchView {
 /// # Errors
 ///
 /// Fails on malformed launches (wrong operand count or missing region).
-pub fn launch_view(m: &Module, op: OpId) -> Result<LaunchView, String> {
+pub fn launch_view(m: &Module, op: OpId) -> Result<LaunchView<'_>, String> {
     let data = m.op(op);
     if data.operands.len() < 2 {
         return Err("equeue.launch needs (dep, proc, captures...)".into());
@@ -612,9 +615,9 @@ pub fn launch_view(m: &Module, op: OpId) -> Result<LaunchView, String> {
     Ok(LaunchView {
         dep: data.operands[0],
         proc: data.operands[1],
-        captures: data.operands[2..].to_vec(),
+        captures: &data.operands[2..],
         done: data.results[0],
-        results: data.results[1..].to_vec(),
+        results: &data.results[1..],
         body,
     })
 }
@@ -832,7 +835,7 @@ pub fn verify_read(m: &Module, op: OpId) -> Result<(), String> {
     if !matches!(m.value_type(v.buffer), Type::Buffer { .. }) {
         return Err("read target must be a buffer".into());
     }
-    for &i in &v.indices {
+    for &i in v.indices {
         if *m.value_type(i) != Type::Index {
             return Err("read subscripts must be index-typed".into());
         }
@@ -854,7 +857,7 @@ pub fn verify_write(m: &Module, op: OpId) -> Result<(), String> {
     if !matches!(m.value_type(v.buffer), Type::Buffer { .. }) {
         return Err("write target must be a buffer".into());
     }
-    for &i in &v.indices {
+    for &i in v.indices {
         if *m.value_type(i) != Type::Index {
             return Err("write subscripts must be index-typed".into());
         }

@@ -32,8 +32,9 @@ impl Pass for SplitLaunch {
         if module.op(launch).name != "equeue.launch" {
             return Err(IrError::pass(self.name(), "target is not an equeue.launch"));
         }
-        let view = launch_view(module, launch).map_err(|e| IrError::pass(self.name(), e))?;
-        let body = view.body;
+        let (body, proc) = launch_view(module, launch)
+            .map(|view| (view.body, view.proc))
+            .map_err(|e| IrError::pass(self.name(), e))?;
         let body_ops: Vec<OpId> = module.block(body).ops.clone();
         if self.at == 0 || self.at >= body_ops.len() {
             return Err(IrError::pass(self.name(), "split point out of range"));
@@ -167,7 +168,7 @@ impl Pass for SplitLaunch {
         let mut spec = b
             .op("equeue.launch")
             .operand(done1)
-            .operand(view.proc)
+            .operand(proc)
             .operands(threaded_results.iter().copied());
         for t in result_types2 {
             spec = spec.result(t);
