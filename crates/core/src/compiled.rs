@@ -114,7 +114,7 @@ impl CompiledModule {
     /// [`SimError::Layout`] naming the first malformed op.
     pub fn compile(module: Module, library: SimLibrary) -> Result<Self, SimError> {
         let plan = Plan::build(&module, &library);
-        if let Some((op, msg)) = plan.first_invalid() {
+        if let Some((op, msg)) = plan.first_invalid(&module) {
             return Err(SimError::Layout {
                 op: op.to_string(),
                 msg: msg.to_string(),

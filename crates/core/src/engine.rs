@@ -32,26 +32,28 @@
 //!   scope* (the innermost enclosing `equeue.launch` body, or the top
 //!   region). A running frame's environment is a `Vec<Option<SimValue>>`
 //!   indexed by slot — no hashing on any value read or write.
-//! * Every op is pre-decoded into an [`OpCode`]: operand/result slots,
-//!   parsed attribute views (`launch`/`memcpy`/`read`/`write` segments,
-//!   loop bounds, constants, external-op cycle counts) — so the inner loop
-//!   dispatches on a plain enum and never touches strings or attribute
-//!   maps. Ops that fail to decode become [`OpCode::Invalid`] and only
-//!   error if actually executed, preserving the lazy semantics of the
-//!   original interpreter.
+//! * Every op is pre-decoded into an [`OpCode`]: operand/result slots and
+//!   parsed attribute scalars (`launch`/`memcpy`/`read`/`write` segments,
+//!   loop bounds, constants, cmpi predicates, external-op cycle counts) —
+//!   so the inner loop dispatches on a plain enum and never touches
+//!   attribute maps. Lists are ranges into pooled tables; names and
+//!   attributes needed only on rare paths are read from the module by op
+//!   id (see [`crate::plan`]). Ops that fail to decode become
+//!   [`OpCode::Invalid`] and only error if actually executed, preserving
+//!   the lazy semantics of the original interpreter.
 //! * Each `equeue.launch` gets a pre-computed **capture map**: exactly the
 //!   values its body (transitively) references, as parent-slot → child-slot
 //!   pairs. Spawning an event copies just those — with copy-on-write
 //!   tensors ([`crate::TensorData`]), each copy is a pointer bump.
 
 use crate::error::{LimitExceeded, LimitKind, Progress};
-use crate::interp::{apply_binary, apply_cmpi, conv2d_int, matmul_int, BinOp};
+use crate::interp::{apply_binary, conv2d_int, eval_cmpi, matmul_int, BinOp};
 use crate::library::{MemSpec, SimLibrary};
 use crate::machine::{
     AccessKind, Component, ComponentKind, Composite, Connection, Machine, Memory, ProcProfile,
     Processor, RegisterBehavior,
 };
-use crate::plan::{OpCode, OpInfo, Plan, Slot};
+use crate::plan::{mem_spec, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::signal::{SignalState, SignalTable};
 use crate::snapshot::{
@@ -62,7 +64,7 @@ use crate::trace::{Trace, TraceCat};
 use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
 use equeue_dialect::ConvDims;
-use equeue_ir::{AttrMap, BlockId, Module, OpId};
+use equeue_ir::{AttrMap, BlockId, Module, OpId, Operation};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
@@ -285,10 +287,10 @@ fn check_event(
     }
     match &ev.kind {
         EventKind::Launch { op, env } => {
-            let Some(OpCode::Launch(info)) = plan.ops.get(op.index()).map(|o| &o.code) else {
+            let Some(&OpCode::Launch(launch)) = plan.ops.get(op.index()).map(|o| &o.code) else {
                 return Err(snap_err("queued launch does not name a launch op"));
             };
-            if env.len() != info.frame_len {
+            if env.len() != plan.scope_values(plan.launch(launch).scope).len() {
                 return Err(snap_err("queued launch environment has the wrong size"));
             }
             for v in env.iter().flatten() {
@@ -318,10 +320,10 @@ fn check_frame(
     nbuf: usize,
     nconn: usize,
 ) -> Result<(), SimError> {
-    let Some(layout) = plan.scopes.get(frame.scope as usize) else {
+    if frame.scope as usize >= plan.num_scopes() {
         return Err(snap_err("frame references an unknown scope"));
-    };
-    if frame.env.len() != layout.len {
+    }
+    if frame.env.len() != plan.scope_values(frame.scope).len() {
         return Err(snap_err(
             "frame environment does not match its scope layout",
         ));
@@ -628,7 +630,7 @@ impl<'m> Engine<'m> {
         let host_idx = engine.add_proc_runtime(host, ProcProfile::uniform(0));
         let done = engine.signals.fresh();
         engine.procs[host_idx].frame = Some(Frame {
-            env: vec![None; plan.scopes[0].len],
+            env: vec![None; plan.scope_values(0).len()],
             stack: vec![Scope {
                 block: module.top_block(),
                 idx: 0,
@@ -1000,10 +1002,10 @@ impl<'m> Engine<'m> {
         let scope = frame.stack.last()?;
         let ops = &self.module.block(scope.block).ops;
         let op = *ops.get(scope.idx)?;
-        let OpCode::Await { deps } = &self.plan.ops[op.index()].code else {
+        let OpCode::Await { deps } = self.plan.ops[op.index()].code else {
             return None;
         };
-        for &d in deps {
+        for &d in self.plan.slots(deps) {
             match self.lookup_signal(frame, d) {
                 Ok(sig) if self.signals.resolve_time(sig).is_none() => return Some(sig),
                 Ok(_) => {}
@@ -1203,9 +1205,10 @@ impl<'m> Engine<'m> {
     fn issue_event(&mut self, p: usize, event: PendingEvent) -> Result<(), SimError> {
         match event.kind {
             EventKind::Launch { op, env } => {
-                let OpCode::Launch(info) = &self.plan.ops[op.index()].code else {
+                let OpCode::Launch(launch) = self.plan.ops[op.index()].code else {
                     return Err(SimError::Runtime("launch event for a non-launch op".into()));
                 };
+                let info = self.plan.launch(launch);
                 self.procs[p].frame = Some(Frame {
                     env,
                     stack: vec![Scope {
@@ -1334,7 +1337,7 @@ impl<'m> Engine<'m> {
 
     /// "Used before definition" diagnostic for an empty slot.
     fn undef(&self, frame: &Frame, slot: Slot) -> SimError {
-        let v = self.plan.scopes[frame.scope as usize].values[slot as usize];
+        let v = self.plan.scope_values(frame.scope)[slot as usize];
         SimError::Runtime(format!("value %{v} used before definition in simulation"))
     }
 
@@ -1591,50 +1594,52 @@ impl<'m> Engine<'m> {
 
     /// Binds an op's `index`-th result in the frame.
     fn bind(&self, frame: &mut Frame, info: &OpInfo, index: usize, value: SimValue) {
-        frame.env[info.results[index] as usize] = Some(value);
+        frame.env[self.plan.slots(info.results)[index] as usize] = Some(value);
     }
 
     /// Executes one pre-decoded op inside a frame. Returns how the
     /// scheduler should proceed.
     #[allow(clippy::too_many_lines)]
     fn exec_op(&mut self, p: usize, frame: &mut Frame, op: OpId) -> Result<Step, SimError> {
-        // `plan` is a copy of the `&'m Plan` reference, so `info` borrows
-        // the plan, not `self` — the machine/signal state stays mutable.
+        // `plan` and `module` are copies of the `&'m` references, so `info`
+        // and the op's module data borrow them, not `self` — the
+        // machine/signal state stays mutable.
         let plan: &'m Plan = self.plan;
+        let module: &'m Module = self.module;
+        let data = module.op(op);
         let info = &plan.ops[op.index()];
         let clock = self.procs[p].clock;
-        match &info.code {
+        // Attribute strings are read from the module, only on the rare
+        // paths that need them; decode has checked they are present.
+        let attr_str = |name: &str| data.attrs.str(name).unwrap_or_default();
+        match info.code {
             OpCode::Erased => Ok(Step::Continue),
 
             // ---- structure specification (elaboration, free) ----
-            OpCode::CreateProc { kind } => {
+            OpCode::CreateProc => {
+                let kind = attr_str("kind");
                 let profile = self.lib.proc_profile(kind);
                 let comp = self.machine.add_processor(kind, profile.clone());
                 self.add_proc_runtime(comp, profile);
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
-            OpCode::CreateMem {
-                kind,
-                shape,
-                data_bits,
-                banks,
-                ports,
-                ..
-            } => {
-                let spec = info.code.mem_spec().ok_or_else(|| {
+            OpCode::CreateMem => {
+                let spec = mem_spec(module, op).ok_or_else(|| {
+                    let shape = data.attrs.shape("shape").unwrap_or_default();
                     SimError::Port(format!("memory shape {shape:?} capacity overflows"))
                 })?;
                 let behavior = self.lib.make_memory(&spec);
                 let energy = spec
                     .attrs
                     .float("energy_pj")
-                    .unwrap_or_else(|| self.lib.energy_per_access(kind));
+                    .unwrap_or_else(|| self.lib.energy_per_access(&spec.kind));
+                let ports = data.attrs.int("ports").map(|v| v.max(1) as usize);
                 let comp = self.machine.add_memory_with_energy(
-                    kind,
+                    &spec.kind,
                     spec.capacity_elems,
-                    *data_bits,
-                    *banks,
+                    spec.data_bits,
+                    spec.banks,
                     ports.unwrap_or(self.lib.default_mem_ports),
                     behavior,
                     energy,
@@ -1648,7 +1653,9 @@ impl<'m> Engine<'m> {
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
-            OpCode::CreateComp { names, children } => {
+            OpCode::CreateComp { children } => {
+                let names = comp_names(data);
+                let children = plan.slots(children);
                 if names.len() != children.len() {
                     return Err(SimError::Port(format!(
                         "create_comp has {} names for {} children",
@@ -1664,11 +1671,9 @@ impl<'m> Engine<'m> {
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
-            OpCode::AddComp {
-                names,
-                target,
-                children,
-            } => {
+            OpCode::AddComp { target, children } => {
+                let names = comp_names(data);
+                let children = plan.slots(children);
                 if names.len() != children.len() {
                     return Err(SimError::Port(format!(
                         "add_comp has {} names for {} children",
@@ -1676,7 +1681,7 @@ impl<'m> Engine<'m> {
                         children.len()
                     )));
                 }
-                let target = self.lookup_comp(frame, *target)?;
+                let target = self.lookup_comp(frame, target)?;
                 let kids: Vec<CompId> = children
                     .iter()
                     .map(|&s| self.lookup_comp(frame, s))
@@ -1686,8 +1691,9 @@ impl<'m> Engine<'m> {
                     .map_err(SimError::Port)?;
                 Ok(Step::Continue)
             }
-            OpCode::GetComp { target, child } => {
-                let target = self.lookup_comp(frame, *target)?;
+            OpCode::GetComp { target } => {
+                let target = self.lookup_comp(frame, target)?;
+                let child = attr_str("name");
                 let found = self.machine.child(target, child).ok_or_else(|| {
                     SimError::Port(format!(
                         "component '{}' has no child '{child}'",
@@ -1698,7 +1704,7 @@ impl<'m> Engine<'m> {
                 Ok(Step::Continue)
             }
             OpCode::CreateConnection { kind, bandwidth } => {
-                let conn = self.machine.add_connection(*kind, *bandwidth);
+                let conn = self.machine.add_connection(kind, bandwidth);
                 self.bind(frame, info, 0, SimValue::Connection(conn));
                 Ok(Step::Continue)
             }
@@ -1706,35 +1712,32 @@ impl<'m> Engine<'m> {
             // ---- data movement ----
             OpCode::Alloc {
                 mem,
-                shape,
                 elem_bytes,
                 is_int,
             } => {
-                let mem = self.lookup_comp(frame, *mem)?;
-                self.charge_tensor_bytes(shape, *elem_bytes, clock)?;
+                let mem = self.lookup_comp(frame, mem)?;
+                let shape = result_shape(module, data);
+                self.charge_tensor_bytes(shape, elem_bytes as usize, clock)?;
                 let buf = self
                     .machine
-                    .alloc_buffer(mem, shape.clone(), *elem_bytes, *is_int)
+                    .alloc_buffer(mem, shape.to_vec(), elem_bytes as usize, is_int)
                     .map_err(SimError::Port)?;
                 self.bind(frame, info, 0, SimValue::Buffer(buf));
                 Ok(Step::Continue)
             }
-            OpCode::MemrefAlloc {
-                shape,
-                elem_bytes,
-                is_int,
-            } => {
-                self.charge_tensor_bytes(shape, *elem_bytes, clock)?;
+            OpCode::MemrefAlloc { elem_bytes, is_int } => {
+                let shape = result_shape(module, data);
+                self.charge_tensor_bytes(shape, elem_bytes as usize, clock)?;
                 let host_mem = self.host_memory();
                 let buf = self
                     .machine
-                    .alloc_buffer(host_mem, shape.clone(), *elem_bytes, *is_int)
+                    .alloc_buffer(host_mem, shape.to_vec(), elem_bytes as usize, is_int)
                     .map_err(SimError::Port)?;
                 self.bind(frame, info, 0, SimValue::Buffer(buf));
                 Ok(Step::Continue)
             }
             OpCode::Dealloc { buf } => {
-                let buf = self.lookup_buffer(frame, *buf)?;
+                let buf = self.lookup_buffer(frame, buf)?;
                 let freed = self.machine.dealloc_buffer(buf);
                 self.live_tensor_bytes = self.live_tensor_bytes.saturating_sub(freed as u64);
                 Ok(Step::Continue)
@@ -1744,10 +1747,10 @@ impl<'m> Engine<'m> {
                 indices,
                 conn,
             } => {
-                let buf = self.lookup_buffer(frame, *buffer)?;
+                let buf = self.lookup_buffer(frame, buffer)?;
                 let mut idx = IndexBuf::default();
-                self.read_indices(frame, indices, &mut idx)?;
-                let conn = self.lookup_conn(frame, *conn)?;
+                self.read_indices(frame, plan.slots(indices), &mut idx)?;
+                let conn = self.lookup_conn(frame, conn.get())?;
                 let (value, end) = self.access_buffer(
                     p,
                     AccessKind::Read,
@@ -1768,11 +1771,11 @@ impl<'m> Engine<'m> {
                 indices,
                 conn,
             } => {
-                let value = self.lookup(frame, *value)?;
-                let buf = self.lookup_buffer(frame, *buffer)?;
+                let value = self.lookup(frame, value)?;
+                let buf = self.lookup_buffer(frame, buffer)?;
                 let mut idx = IndexBuf::default();
-                self.read_indices(frame, indices, &mut idx)?;
-                let conn = self.lookup_conn(frame, *conn)?;
+                self.read_indices(frame, plan.slots(indices), &mut idx)?;
+                let conn = self.lookup_conn(frame, conn.get())?;
                 let (_, end) = self.access_buffer(
                     p,
                     AccessKind::Write,
@@ -1785,9 +1788,9 @@ impl<'m> Engine<'m> {
                 self.advance(p, end)
             }
             OpCode::AffineLoad { buffer, indices } => {
-                let buf = self.lookup_buffer(frame, *buffer)?;
+                let buf = self.lookup_buffer(frame, buffer)?;
                 let mut idx = IndexBuf::default();
-                self.read_indices(frame, indices, &mut idx)?;
+                self.read_indices(frame, plan.slots(indices), &mut idx)?;
                 let (value, _) = self.access_buffer(
                     p,
                     AccessKind::Read,
@@ -1808,10 +1811,10 @@ impl<'m> Engine<'m> {
                 buffer,
                 indices,
             } => {
-                let value = self.lookup(frame, *value)?;
-                let buf = self.lookup_buffer(frame, *buffer)?;
+                let value = self.lookup(frame, value)?;
+                let buf = self.lookup_buffer(frame, buffer)?;
                 let mut idx = IndexBuf::default();
-                self.read_indices(frame, indices, &mut idx)?;
+                self.read_indices(frame, plan.slots(indices), &mut idx)?;
                 self.access_buffer(
                     p,
                     AccessKind::Write,
@@ -1833,11 +1836,11 @@ impl<'m> Engine<'m> {
                 dma,
                 conn,
             } => {
-                let dep = self.lookup_signal(frame, *dep)?;
-                let src = self.lookup_buffer(frame, *src)?;
-                let dst = self.lookup_buffer(frame, *dst)?;
-                let dma = self.lookup_comp(frame, *dma)?;
-                let conn = self.lookup_conn(frame, *conn)?;
+                let dep = self.lookup_signal(frame, dep)?;
+                let src = self.lookup_buffer(frame, src)?;
+                let dst = self.lookup_buffer(frame, dst)?;
+                let dma = self.lookup_comp(frame, dma)?;
+                let conn = self.lookup_conn(frame, conn.get())?;
                 let done = self.signals.fresh();
                 self.bind(frame, info, 0, SimValue::Signal(done));
                 let target = *self.proc_of_comp.get(&dma).ok_or_else(|| {
@@ -1855,15 +1858,16 @@ impl<'m> Engine<'m> {
                 self.schedule(clock, target);
                 Ok(Step::Continue)
             }
-            OpCode::Launch(l) => {
+            OpCode::Launch(launch) => {
+                let l = plan.launch(launch);
                 let dep = self.lookup_signal(frame, l.dep)?;
                 let proc_comp = self.lookup_comp(frame, l.proc)?;
                 // Snapshot exactly the values the body references (the
                 // pre-computed capture map), then bind explicit captures
                 // to block args. Copy-on-write makes each copy cheap.
-                let mut env: Vec<Option<SimValue>> = vec![None; l.frame_len];
-                for &(src, dst) in &l.captures {
-                    if let Some(v) = &frame.env[src as usize] {
+                let mut env: Vec<Option<SimValue>> = vec![None; plan.scope_values(l.scope).len()];
+                for pair in plan.slots(l.captures).chunks_exact(2) {
+                    if let Some(v) = &frame.env[pair[0] as usize] {
                         let v = if let SimValue::Deferred { signal, index } = *v {
                             self.signals
                                 .payload(signal)
@@ -1873,16 +1877,17 @@ impl<'m> Engine<'m> {
                         } else {
                             v.clone()
                         };
-                        env[dst as usize] = Some(v);
+                        env[pair[1] as usize] = Some(v);
                     }
                 }
-                for &(src, dst) in &l.arg_binds {
-                    env[dst as usize] = Some(self.lookup_lazy(frame, src)?);
+                for pair in plan.slots(l.arg_binds).chunks_exact(2) {
+                    env[pair[1] as usize] = Some(self.lookup_lazy(frame, pair[0])?);
                 }
                 let done = self.signals.fresh();
-                self.bind(frame, info, 0, SimValue::Signal(done));
-                for i in 1..info.results.len() {
-                    frame.env[info.results[i] as usize] = Some(SimValue::Deferred {
+                let results = plan.slots(info.results);
+                frame.env[results[0] as usize] = Some(SimValue::Signal(done));
+                for (i, &r) in results.iter().enumerate().skip(1) {
+                    frame.env[r as usize] = Some(SimValue::Deferred {
                         signal: done,
                         index: i - 1,
                     });
@@ -1908,11 +1913,12 @@ impl<'m> Engine<'m> {
                 Ok(Step::Continue)
             }
             OpCode::Control { and, deps } => {
-                let deps: Vec<SignalId> = deps
+                let deps: Vec<SignalId> = plan
+                    .slots(deps)
                     .iter()
                     .map(|&s| self.lookup_signal(frame, s))
                     .collect::<Result<_, _>>()?;
-                let sig = if *and {
+                let sig = if and {
                     self.signals.new_and(&deps)
                 } else {
                     self.signals.new_or(&deps)
@@ -1922,7 +1928,7 @@ impl<'m> Engine<'m> {
             }
             OpCode::Await { deps } => {
                 let mut latest = clock;
-                for &d in deps {
+                for &d in plan.slots(deps) {
                     let sig = self.lookup_signal(frame, d)?;
                     match self.signals.resolve_time(sig) {
                         Some(t) => latest = latest.max(t),
@@ -1943,16 +1949,19 @@ impl<'m> Engine<'m> {
                 Ok(Step::Continue)
             }
             OpCode::Return { values } => {
-                let payload: Vec<SimValue> = values
+                let payload: Vec<SimValue> = plan
+                    .slots(values)
                     .iter()
                     .map(|&s| self.lookup(frame, s))
                     .collect::<Result<_, _>>()?;
                 self.finish_frame(p, frame, payload)
             }
-            OpCode::ExtOp { sig, cycles } => {
+            OpCode::ExtOp { cycles } => {
+                let sig = || attr_str("signature");
                 let cycles = cycles.ok_or_else(|| {
                     SimError::Unsupported(format!(
-                        "no simulator-library implementation for equeue.op signature '{sig}'"
+                        "no simulator-library implementation for equeue.op signature '{}'",
+                        sig()
                     ))
                 })?;
                 for i in 0..info.results.len() {
@@ -1962,44 +1971,35 @@ impl<'m> Engine<'m> {
                 if self.trace.is_enabled() {
                     let tid = self.machine.name(self.procs[p].comp).to_string();
                     self.trace
-                        .record(sig, TraceCat::Operation, clock, cycles, "Processor", &tid);
+                        .record(sig(), TraceCat::Operation, clock, cycles, "Processor", &tid);
                 }
                 self.advance(p, end)
             }
 
             // ---- loops ----
-            OpCode::For {
-                lower,
-                upper,
-                step,
-                body,
-                iv,
-            } => {
+            OpCode::For { bounds, body, iv } => {
+                let (lower, upper, step) = plan.for_bounds(bounds);
                 if lower < upper {
-                    frame.env[*iv as usize] = Some(SimValue::Int(*lower));
+                    frame.env[iv as usize] = Some(SimValue::Int(lower));
                     frame.stack.push(Scope {
-                        block: *body,
+                        block: body,
                         idx: 0,
                         looping: Some(LoopState {
                             dims: vec![LoopDim {
-                                iv: *iv,
-                                lower: *lower,
-                                upper: *upper,
-                                step: *step,
-                                current: *lower,
+                                iv,
+                                lower,
+                                upper,
+                                step,
+                                current: lower,
                             }],
                         }),
                     });
                 }
                 Ok(Step::Continue)
             }
-            OpCode::Parallel {
-                lowers,
-                uppers,
-                steps,
-                body,
-                ivs,
-            } => {
+            OpCode::Parallel { bounds, body, ivs } => {
+                let ivs = plan.slots(ivs);
+                let (lowers, uppers, steps) = plan.parallel_bounds(bounds, ivs.len());
                 // Interpreted sequentially at the Affine level; the
                 // --parallel-to-equeue pass lowers it to true concurrency.
                 let live = lowers.iter().zip(uppers).all(|(l, u)| l < u);
@@ -2008,7 +2008,7 @@ impl<'m> Engine<'m> {
                         frame.env[iv as usize] = Some(SimValue::Int(v));
                     }
                     frame.stack.push(Scope {
-                        block: *body,
+                        block: body,
                         idx: 0,
                         looping: Some(LoopState {
                             dims: ivs
@@ -2037,19 +2037,24 @@ impl<'m> Engine<'m> {
                 ifmap,
                 weights,
                 ofmap,
-            } => self.exec_conv2d(p, frame, *dims, *ifmap, *weights, *ofmap),
-            OpCode::Matmul { a, b, c } => self.exec_matmul(p, frame, *a, *b, *c),
-            OpCode::Fill { scalar, buffer } => self.exec_fill(p, frame, *scalar, *buffer),
+            } => self.exec_conv2d(p, frame, plan.conv(dims), ifmap, weights, ofmap),
+            OpCode::Matmul { a, b, c } => self.exec_matmul(p, frame, a, b, c),
+            OpCode::Fill { scalar, buffer } => self.exec_fill(p, frame, scalar, buffer),
 
             // ---- arith ----
-            OpCode::Constant(v) => {
-                self.bind(frame, info, 0, v.clone());
+            OpCode::ConstInt(v) => {
+                self.bind(frame, info, 0, SimValue::Int(v));
+                Ok(Step::Continue)
+            }
+            OpCode::ConstFloat(v) => {
+                self.bind(frame, info, 0, SimValue::Float(v));
                 Ok(Step::Continue)
             }
             OpCode::Cmpi { pred, lhs, rhs } => {
-                let a = self.lookup(frame, *lhs)?;
-                let b = self.lookup(frame, *rhs)?;
-                let v = apply_cmpi(pred, &a, &b).map_err(SimError::Runtime)?;
+                let a = self.lookup(frame, lhs)?;
+                let b = self.lookup(frame, rhs)?;
+                let pred = pred.ok_or_else(|| attr_str("predicate"));
+                let v = eval_cmpi(pred, &a, &b).map_err(SimError::Runtime)?;
                 self.bind(frame, info, 0, v);
                 let cycles = self.procs[p].hot.cmpi;
                 self.advance(p, clock + cycles)
@@ -2059,11 +2064,11 @@ impl<'m> Engine<'m> {
                 on_true,
                 on_false,
             } => {
-                let c = self.lookup(frame, *cond)?;
+                let c = self.lookup(frame, cond)?;
                 let v = if c.as_int().unwrap_or(0) != 0 {
-                    self.lookup(frame, *on_true)?
+                    self.lookup(frame, on_true)?
                 } else {
-                    self.lookup(frame, *on_false)?
+                    self.lookup(frame, on_false)?
                 };
                 self.bind(frame, info, 0, v);
                 let cycles = self.procs[p].hot.select;
@@ -2071,15 +2076,15 @@ impl<'m> Engine<'m> {
             }
             OpCode::Binary {
                 kind,
-                name,
                 lhs,
                 rhs,
                 index_typed,
             } => {
-                let a = self.lookup(frame, *lhs)?;
-                let b = self.lookup(frame, *rhs)?;
+                let a = self.lookup(frame, lhs)?;
+                let b = self.lookup(frame, rhs)?;
                 // Scalar fast path on the pre-decoded operator; tensors,
-                // promotions, and unknown names take the generic route.
+                // promotions, and unknown names take the generic route
+                // (the only paths that read the op name from the module).
                 let v = match (kind, &a, &b) {
                     (Some(op), SimValue::Int(x), SimValue::Int(y)) => {
                         SimValue::Int(op.int(*x, *y).map_err(SimError::Runtime)?)
@@ -2087,33 +2092,40 @@ impl<'m> Engine<'m> {
                     (Some(op), SimValue::Float(x), SimValue::Float(y)) => {
                         SimValue::Float(op.float(*x, *y))
                     }
-                    _ => apply_binary(name, &a, &b).map_err(SimError::Runtime)?,
+                    _ => apply_binary(&data.name, &a, &b).map_err(SimError::Runtime)?,
                 };
                 self.bind(frame, info, 0, v);
                 // Index-typed arithmetic is address generation, which the
                 // memory pipeline absorbs; it costs no datapath cycles.
-                let cycles = if *index_typed {
+                let cycles = if index_typed {
                     0
                 } else {
                     match kind {
-                        Some(op) => self.procs[p].hot.arith[*op as usize],
-                        None => self.procs[p].profile.cycles(name),
+                        Some(op) => self.procs[p].hot.arith[op as usize],
+                        None => self.procs[p].profile.cycles(&data.name),
                     }
                 };
                 if cycles > 0 && self.trace.is_enabled() {
                     let tid = self.machine.name(self.procs[p].comp).to_string();
-                    self.trace
-                        .record(name, TraceCat::Operation, clock, cycles, "Processor", &tid);
+                    self.trace.record(
+                        &data.name,
+                        TraceCat::Operation,
+                        clock,
+                        cycles,
+                        "Processor",
+                        &tid,
+                    );
                 }
                 self.advance(p, clock + cycles)
             }
 
-            OpCode::Invalid { op, msg } => Err(SimError::Layout {
-                op: op.clone(),
-                msg: msg.clone(),
+            OpCode::Invalid(ref msg) => Err(SimError::Layout {
+                op: data.name.clone(),
+                msg: msg.to_string(),
             }),
-            OpCode::Unsupported(name) => Err(SimError::Unsupported(format!(
-                "op '{name}' is not simulatable"
+            OpCode::Unsupported => Err(SimError::Unsupported(format!(
+                "op '{}' is not simulatable",
+                data.name
             ))),
         }
     }
@@ -2449,6 +2461,22 @@ impl<'m> Engine<'m> {
         self.host_mem = Some(m);
         m
     }
+}
+
+/// The `names` attribute of a `create_comp`/`add_comp` (checked at decode).
+fn comp_names(data: &Operation) -> &[String] {
+    data.attrs
+        .get("names")
+        .and_then(|a| a.as_str_array())
+        .unwrap_or_default()
+}
+
+/// The shape of an allocation op's result type (checked at decode).
+fn result_shape<'m>(module: &'m Module, data: &Operation) -> &'m [usize] {
+    data.results
+        .first()
+        .and_then(|&r| module.value_type(r).shape())
+        .unwrap_or_default()
 }
 
 fn element_value(t: &Tensor, flat: usize) -> SimValue {

@@ -82,16 +82,12 @@ pub fn analyze_facts(module: &Module, library: &SimLibrary) -> PrepassFacts {
     let plan = Plan::build(module, library);
     let mut facts = PrepassFacts::default();
     for op in module.live_ops() {
-        let Some(OpCode::For {
-            lower,
-            upper,
-            step,
-            body,
-            ..
-        }) = plan.ops.get(op.index()).map(|info| &info.code)
+        let Some(&OpCode::For { bounds, body, .. }) =
+            plan.ops.get(op.index()).map(|info| &info.code)
         else {
             continue;
         };
+        let (lower, upper, step) = plan.for_bounds(bounds);
         let verdict = if lower >= upper {
             FuseVerdict::ZeroTrip
         } else {
@@ -107,10 +103,10 @@ pub fn analyze_facts(module: &Module, library: &SimLibrary) -> PrepassFacts {
         };
         facts.loops.push(LoopFact {
             op,
-            body: *body,
-            lower: *lower,
-            upper: *upper,
-            step: *step,
+            body,
+            lower,
+            upper,
+            step,
             verdict,
         });
     }

@@ -71,14 +71,14 @@ use crate::error::{LimitExceeded, LimitKind, Progress, SimError};
 use crate::interp::{BinOp, CmpPred};
 use crate::library::SimLibrary;
 use crate::machine::{AccessKind, Machine};
-use crate::plan::{OpCode, OpInfo, Slot};
+use crate::plan::{mem_spec, OpCode, Plan, Slot};
 use crate::value::{BufId, CompId, SimValue, TensorData};
 
 // ---------------------------------------------------------------------------
 // Trace representation
 // ---------------------------------------------------------------------------
 
-/// Why [`Plan::build`](crate::engine) declined to fuse an `affine.for` body.
+/// Why [`Plan::build`](crate::plan) declined to fuse an `affine.for` body.
 ///
 /// Everything about fusion that is known before the run is decided once,
 /// at plan time, and surfaced through [`crate::PrepassFacts`] so static
@@ -215,7 +215,7 @@ impl FusedInst {
 /// the register-bank layout needed to enter and exit the trace.
 ///
 /// Plain data (no interior mutability, no machine references), so the
-/// containing [`Plan`](crate::engine) stays `Send + Sync` and one compiled
+/// containing [`Plan`](crate::plan) stays `Send + Sync` and one compiled
 /// module can back concurrent simulations.
 #[derive(Debug)]
 pub(crate) struct FusedLoop {
@@ -249,7 +249,7 @@ impl FusedLoop {
 }
 
 // ---------------------------------------------------------------------------
-// Trace formation (Plan::build step 6)
+// Trace formation (Plan::build step 5)
 // ---------------------------------------------------------------------------
 
 /// Register allocation state while decoding one loop body.
@@ -346,23 +346,17 @@ pub(crate) type LoopFusion = Result<Box<FusedLoop>, FuseDecline>;
 pub(crate) fn build_fused(
     module: &Module,
     lib: &SimLibrary,
-    ops: &[OpInfo],
+    plan: &Plan,
 ) -> Vec<Option<LoopFusion>> {
     let mut table: Vec<Option<LoopFusion>> = (0..module.num_blocks()).map(|_| None).collect();
-    for info in ops {
-        if let OpCode::For {
-            lower,
-            upper,
-            step,
-            body,
-            iv,
-        } = &info.code
-        {
+    for info in &plan.ops {
+        if let OpCode::For { bounds, body, iv } = info.code {
+            let (lower, upper, step) = plan.for_bounds(bounds);
             if lower < upper {
                 if let Some(entry @ None) = table.get_mut(body.index()) {
                     *entry = Some(
-                        try_build(module, ops, *body, *iv, *step, *upper)
-                            .and_then(|f| check_buffers(module, lib, ops, *body).map(|()| f))
+                        try_build(module, plan, body, iv, step, upper)
+                            .and_then(|f| check_buffers(module, lib, plan, body).map(|()| f))
                             .map(Box::new),
                     );
                 }
@@ -381,9 +375,10 @@ pub(crate) fn build_fused(
 fn check_buffers(
     module: &Module,
     lib: &SimLibrary,
-    ops: &[OpInfo],
+    plan: &Plan,
     body: equeue_ir::BlockId,
 ) -> Result<(), FuseDecline> {
+    let ops = &plan.ops;
     for &op in &module.block(body).ops {
         let operands = &module.op(op).operands;
         let buf = match ops.get(op.index()).map(|info| &info.code) {
@@ -399,7 +394,10 @@ fn check_buffers(
         }
         let spec = match buffer_origin(module, buf) {
             BufferOrigin::Host(_) => continue,
-            BufferOrigin::Mem(mem) => ops.get(mem.index()).and_then(|info| info.code.mem_spec()),
+            BufferOrigin::Mem(mem) => ops
+                .get(mem.index())
+                .filter(|info| matches!(info.code, OpCode::CreateMem))
+                .and_then(|_| mem_spec(module, mem)),
             BufferOrigin::Unknown => None,
         };
         let Some(spec) = spec else {
@@ -419,7 +417,7 @@ fn check_buffers(
 /// reason ("leave it to the interpreter, because …").
 fn try_build(
     module: &Module,
-    ops: &[OpInfo],
+    plan: &Plan,
     body: equeue_ir::BlockId,
     iv: Slot,
     step: i64,
@@ -435,11 +433,11 @@ fn try_build(
     // can tell loop-invariant inputs from in-body defs.
     let mut def_slots: Vec<Slot> = Vec::new();
     for &op in &block.ops {
-        let info = ops.get(op.index()).ok_or_else(bad)?;
+        let info = plan.ops.get(op.index()).ok_or_else(bad)?;
         if matches!(info.code, OpCode::Erased) {
             continue;
         }
-        def_slots.extend(&info.results);
+        def_slots.extend(plan.slots(info.results));
     }
     if def_slots.contains(&iv) {
         return Err(flow());
@@ -457,17 +455,18 @@ fn try_build(
     let mut buffers: Vec<(Slot, u32)> = Vec::new();
     let mut insts: Vec<FusedInst> = Vec::new();
     for (pos, &op) in block.ops.iter().enumerate() {
-        let info = ops.get(op.index()).ok_or_else(bad)?;
+        let info = plan.ops.get(op.index()).ok_or_else(bad)?;
+        let results = plan.slots(info.results);
         let op_pos = pos as u32;
-        match &info.code {
+        match info.code {
             OpCode::Erased => continue,
             OpCode::AffineLoad { buffer, indices } => {
-                if info.results.len() != 1 {
+                if results.len() != 1 {
                     return Err(bad());
                 }
-                let buf = buffer_index(&mut buffers, &def_slots, *buffer, indices.len() as u32)?;
-                let (indices, strided) = regs.subscripts(indices).ok_or_else(flow)?;
-                let dst = regs.define(info.results[0]);
+                let buf = buffer_index(&mut buffers, &def_slots, buffer, indices.len() as u32)?;
+                let (indices, strided) = regs.subscripts(plan.slots(indices)).ok_or_else(flow)?;
+                let dst = regs.define(results[0]);
                 insts.push(FusedInst::Load {
                     buf,
                     indices,
@@ -481,12 +480,12 @@ fn try_build(
                 buffer,
                 indices,
             } => {
-                if !info.results.is_empty() {
+                if !results.is_empty() {
                     return Err(bad());
                 }
-                let src = regs.operand(*value).ok_or_else(flow)?;
-                let buf = buffer_index(&mut buffers, &def_slots, *buffer, indices.len() as u32)?;
-                let (indices, strided) = regs.subscripts(indices).ok_or_else(flow)?;
+                let src = regs.operand(value).ok_or_else(flow)?;
+                let buf = buffer_index(&mut buffers, &def_slots, buffer, indices.len() as u32)?;
+                let (indices, strided) = regs.subscripts(plan.slots(indices)).ok_or_else(flow)?;
                 insts.push(FusedInst::Store {
                     buf,
                     indices,
@@ -502,30 +501,32 @@ fn try_build(
                 index_typed,
                 ..
             } => {
-                if info.results.len() != 1 {
+                if results.len() != 1 {
                     return Err(bad());
                 }
-                let lhs = regs.operand(*lhs).ok_or_else(flow)?;
-                let rhs = regs.operand(*rhs).ok_or_else(flow)?;
-                let dst = regs.define(info.results[0]);
+                let lhs = regs.operand(lhs).ok_or_else(flow)?;
+                let rhs = regs.operand(rhs).ok_or_else(flow)?;
+                let dst = regs.define(results[0]);
                 insts.push(FusedInst::Bin {
-                    op: *op,
+                    op,
                     lhs,
                     rhs,
                     dst,
-                    index_typed: *index_typed,
+                    index_typed,
                     op_pos,
                 });
             }
             OpCode::Cmpi { pred, lhs, rhs } => {
-                if info.results.len() != 1 {
+                if results.len() != 1 {
                     return Err(bad());
                 }
-                let pred = CmpPred::from_name(pred)
-                    .ok_or_else(|| FuseDecline::UnsupportedOp(format!("arith.cmpi {pred}")))?;
-                let lhs = regs.operand(*lhs).ok_or_else(flow)?;
-                let rhs = regs.operand(*rhs).ok_or_else(flow)?;
-                let dst = regs.define(info.results[0]);
+                let pred = pred.ok_or_else(|| {
+                    let name = module.op(op).attrs.str("predicate").unwrap_or_default();
+                    FuseDecline::UnsupportedOp(format!("arith.cmpi {name}"))
+                })?;
+                let lhs = regs.operand(lhs).ok_or_else(flow)?;
+                let rhs = regs.operand(rhs).ok_or_else(flow)?;
+                let dst = regs.define(results[0]);
                 insts.push(FusedInst::Cmp {
                     pred,
                     lhs,
@@ -539,13 +540,13 @@ fn try_build(
                 on_true,
                 on_false,
             } => {
-                if info.results.len() != 1 {
+                if results.len() != 1 {
                     return Err(bad());
                 }
-                let cond = regs.operand(*cond).ok_or_else(flow)?;
-                let on_true = regs.operand(*on_true).ok_or_else(flow)?;
-                let on_false = regs.operand(*on_false).ok_or_else(flow)?;
-                let dst = regs.define(info.results[0]);
+                let cond = regs.operand(cond).ok_or_else(flow)?;
+                let on_true = regs.operand(on_true).ok_or_else(flow)?;
+                let on_false = regs.operand(on_false).ok_or_else(flow)?;
+                let dst = regs.define(results[0]);
                 insts.push(FusedInst::Sel {
                     cond,
                     on_true,
@@ -554,19 +555,15 @@ fn try_build(
                     op_pos,
                 });
             }
-            OpCode::Constant(SimValue::Int(v)) => {
-                if info.results.len() != 1 {
+            OpCode::ConstInt(value) => {
+                if results.len() != 1 {
                     return Err(bad());
                 }
-                let dst = regs.define(info.results[0]);
-                insts.push(FusedInst::Const {
-                    value: *v,
-                    dst,
-                    op_pos,
-                });
+                let dst = regs.define(results[0]);
+                insts.push(FusedInst::Const { value, dst, op_pos });
             }
             OpCode::Yield => {
-                if !info.results.is_empty() {
+                if !results.is_empty() {
                     return Err(bad());
                 }
                 insts.push(FusedInst::Nop { op_pos });

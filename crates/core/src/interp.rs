@@ -256,9 +256,19 @@ impl CmpPred {
 ///
 /// Returns a message for unknown predicates or non-integer operands.
 pub fn apply_cmpi(pred: &str, lhs: &SimValue, rhs: &SimValue) -> Result<SimValue, String> {
+    eval_cmpi(CmpPred::from_name(pred).ok_or(pred), lhs, rhs)
+}
+
+/// [`apply_cmpi`] on a decoded predicate; `Err` carries the name of an
+/// unknown one. Operands are checked first, whatever the predicate.
+pub(crate) fn eval_cmpi(
+    pred: Result<CmpPred, &str>,
+    lhs: &SimValue,
+    rhs: &SimValue,
+) -> Result<SimValue, String> {
     let a = lhs.as_int().ok_or("cmpi needs integer operands")?;
     let b = rhs.as_int().ok_or("cmpi needs integer operands")?;
-    let p = CmpPred::from_name(pred).ok_or_else(|| format!("unknown cmpi predicate '{pred}'"))?;
+    let p = pred.map_err(|name| format!("unknown cmpi predicate '{name}'"))?;
     Ok(SimValue::Int(p.eval(a, b) as i64))
 }
 

@@ -35,12 +35,25 @@
 //! enclosing `equeue.launch` body (or the top region). A running frame's
 //! environment is a `Vec<Option<SimValue>>` indexed by slot, so value
 //! reads/writes are array indexing, never hashing. The same prepass
-//! pre-decodes every op into an internal opcode: operand/result slots,
-//! parsed attribute views (launch/memcpy/read/write segments, loop bounds,
-//! constants, external-op cycle counts), so the interpreter's inner loop
-//! dispatches on a plain enum and never re-parses names or attributes.
-//! Malformed ops are decoded to poison values that only raise an error if
-//! actually executed, preserving lazy interpreter semantics.
+//! pre-decodes every op into an internal opcode: operand/result slots and
+//! parsed attribute scalars (launch/memcpy/read/write segments, loop
+//! bounds, constants, cmpi predicates, external-op cycle counts), so the
+//! interpreter's inner loop dispatches on a plain enum and never re-parses
+//! names or attributes. Malformed ops are decoded to poison values that
+//! only raise an error if actually executed, preserving lazy interpreter
+//! semantics.
+//!
+//! **Pooled tables.** The prepass output is a few flat tables, not a tree
+//! of small allocations. A decoded op is 32 bytes of ids, slots and
+//! scalars; each operand, result and capture list is a `u32` range into
+//! one shared slot pool, each scope layout a range into one shared value
+//! pool, and launches, loop bounds and convolution shapes live in side
+//! tables indexed from the op. Data the module already owns and the engine
+//! needs only on rare paths (component kinds and names, memory attributes,
+//! op names for traces and errors) is read from the module by op id, not
+//! copied. Scope discovery is one walk that fills offset tables, and
+//! operand → slot lookup is a reusable value-indexed array, so compiling
+//! allocates per table, not per op or scope.
 //!
 //! **Capture maps.** Each `equeue.launch` carries a pre-computed list of
 //! exactly the values its body (transitively) references, as parent-slot →
