@@ -345,7 +345,8 @@ impl Plan {
     /// The one-shot layout prepass. Infallible: malformed ops decode to
     /// [`OpCode::Invalid`] and only fail if executed. Linear in the module
     /// size apart from sorting each scope's values: dense arrays indexed by
-    /// value id, no per-scope or per-op allocation.
+    /// value id, and no per-scope or per-op allocation (save the message of
+    /// an op that fails to decode).
     pub(crate) fn build(module: &Module, lib: &SimLibrary) -> Plan {
         const NO_SCOPE: u32 = u32::MAX;
         let nvalues = module.num_values();
@@ -353,10 +354,10 @@ impl Plan {
         // -- 1. Scope discovery, in one walk: the top region plus every
         // launch body, breadth first. Each scope's ops, defined values
         // (block args + op results) and used values (operands, with
-        // duplicates) land in CSR tables; its child scopes
-        // are the scopes discovered while walking it, so they are
-        // contiguous too. Every value is defined in at most one scope;
-        // `def_scope` is a dense module-wide map of it.
+        // duplicates) land in CSR tables; its child scopes are the scopes
+        // discovered while walking it, so they are contiguous too. Every
+        // value is defined in at most one scope; `def_scope` is a dense
+        // module-wide map of it.
         let mut walk = ScopeWalk {
             module,
             roots: vec![module.top_region()],
