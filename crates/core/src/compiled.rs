@@ -34,7 +34,7 @@ use crate::snapshot::Snapshot;
 use equeue_ir::Module;
 use std::time::Instant;
 
-/// A module compiled for repeated simulation: the layout prepass ([`Plan`])
+/// A module compiled for repeated simulation: the layout prepass (`Plan`)
 /// is built once and reused by every [`CompiledModule::simulate`] call.
 ///
 /// # Examples

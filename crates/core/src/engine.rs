@@ -81,8 +81,8 @@ pub(crate) const OP_EPOCH: u64 = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Fused threaded-code execution (the default): static affine loop
-    /// bodies are pre-compiled at [`Plan::build`] time into dispatch-free
-    /// traces (see [`crate::fused`]); everything else — and every loop the
+    /// bodies are pre-compiled at `Plan::build` time into dispatch-free
+    /// traces (see the crate's `fused` module); everything else — and every loop the
     /// trace builder declines — runs on the interpreter. Counters
     /// (cycles/events/ops) are bit-identical to [`Backend::Interp`].
     /// Traces only engage when tracing is off; a trace-enabled run records
@@ -2120,7 +2120,7 @@ impl<'m> Engine<'m> {
             }
 
             OpCode::Invalid(ref msg) => Err(SimError::Layout {
-                op: data.name.clone(),
+                op: data.name.to_string(),
                 msg: msg.to_string(),
             }),
             OpCode::Unsupported => Err(SimError::Unsupported(format!(

@@ -99,7 +99,7 @@ fn apply_fault(module: &mut Module, fault: &Fault) -> bool {
             let Some(id) = nth_live_op(module, *nth, |_, _| true) else {
                 return false;
             };
-            module.op_mut(id).name = to.clone();
+            module.op_mut(id).name = to.into();
             true
         }
         Fault::DropOperand { nth } => {

@@ -78,7 +78,7 @@ use crate::value::{BufId, CompId, SimValue, TensorData};
 // Trace representation
 // ---------------------------------------------------------------------------
 
-/// Why [`Plan::build`](crate::plan) declined to fuse an `affine.for` body.
+/// Why `Plan::build` declined to fuse an `affine.for` body.
 ///
 /// Everything about fusion that is known before the run is decided once,
 /// at plan time, and surfaced through [`crate::PrepassFacts`] so static
@@ -571,7 +571,7 @@ fn try_build(
             OpCode::For { .. } | OpCode::Parallel { .. } => {
                 return Err(FuseDecline::MultiLevelNest)
             }
-            _ => return Err(FuseDecline::UnsupportedOp(module.op(op).name.clone())),
+            _ => return Err(FuseDecline::UnsupportedOp(module.op(op).name.to_string())),
         }
     }
     if insts.is_empty() {

@@ -342,7 +342,7 @@ impl EqueueBuilder for OpBuilder<'_> {
         let n_conn = conn.iter().len() as i64;
         self.op("equeue.memcpy")
             .attr("segments", vec![1, 1, 1, 1, n_conn])
-            .operands(vec![dep, src, dst, dma])
+            .operands([dep, src, dst, dma])
             .operands(conn)
             .result(Type::Signal)
             .finish_value()
@@ -381,14 +381,13 @@ impl EqueueBuilder for OpBuilder<'_> {
             .collect();
         let (region, body) = self.region_with_block(arg_types);
         let body_args = self.module().block(body).args.clone();
-        let mut result_types = vec![Type::Signal];
-        result_types.extend(extra_results);
         let op = self
             .op("equeue.launch")
             .operand(dep)
             .operand(proc)
             .operands(captures.iter().copied())
-            .results(result_types)
+            .result(Type::Signal)
+            .results(extra_results)
             .region(region)
             .finish();
         let done = self.module().result(op, 0);

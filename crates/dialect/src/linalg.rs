@@ -115,18 +115,16 @@ pub trait LinalgBuilder {
 impl LinalgBuilder for OpBuilder<'_> {
     fn linalg_conv2d(&mut self, ifmap: ValueId, weights: ValueId, ofmap: ValueId) -> OpId {
         self.op("linalg.conv2d")
-            .operands(vec![ifmap, weights, ofmap])
+            .operands([ifmap, weights, ofmap])
             .finish()
     }
 
     fn linalg_matmul(&mut self, a: ValueId, b: ValueId, c: ValueId) -> OpId {
-        self.op("linalg.matmul").operands(vec![a, b, c]).finish()
+        self.op("linalg.matmul").operands([a, b, c]).finish()
     }
 
     fn linalg_fill(&mut self, scalar: ValueId, buffer: ValueId) -> OpId {
-        self.op("linalg.fill")
-            .operands(vec![scalar, buffer])
-            .finish()
+        self.op("linalg.fill").operands([scalar, buffer]).finish()
     }
 }
 

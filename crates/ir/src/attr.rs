@@ -4,8 +4,8 @@
 //! sorted map from names to [`Attr`] values. Attributes encode things such as
 //! component kinds (`"SRAM"`), shapes, bandwidths, and loop bounds.
 
+use crate::inline::Name;
 use crate::types::Type;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A single attribute value.
@@ -208,8 +208,11 @@ impl fmt::Display for Attr {
 
 /// A sorted attribute dictionary, keyed by attribute name.
 ///
-/// The `BTreeMap` ordering makes printing deterministic, which the
-/// parser/printer round-trip tests rely on.
+/// Entries live in one `Vec` kept sorted by key bytes (the order of `str`,
+/// and of the `BTreeMap<String, Attr>` this replaced), so iteration and
+/// printing are deterministic, which the parser/printer round-trip tests
+/// rely on. Lookups are binary searches. Keys are [`Name`]s, so an op with
+/// a few short keys costs one allocation for its whole dictionary.
 ///
 /// # Examples
 ///
@@ -220,9 +223,9 @@ impl fmt::Display for Attr {
 /// assert_eq!(attrs.int("banks"), Some(4));
 /// assert!(attrs.get("ports").is_none());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct AttrMap {
-    entries: BTreeMap<String, Attr>,
+    entries: Vec<(Name, Attr)>,
 }
 
 impl AttrMap {
@@ -231,25 +234,40 @@ impl AttrMap {
         Self::default()
     }
 
+    /// Position of `name` in `entries`, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|(k, _)| k.as_bytes().cmp(name.as_bytes()))
+    }
+
     /// Inserts an attribute, replacing any previous value for `name`.
     pub fn set(&mut self, name: &str, value: impl Into<Attr>) -> &mut Self {
-        self.entries.insert(name.to_string(), value.into());
+        self.insert(Name::from(name), value.into());
         self
+    }
+
+    fn insert(&mut self, name: Name, value: Attr) {
+        match self.find(&name) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (name, value)),
+        }
     }
 
     /// Removes an attribute, returning the previous value if present.
     pub fn remove(&mut self, name: &str) -> Option<Attr> {
-        self.entries.remove(name)
+        let i = self.find(name).ok()?;
+        Some(self.entries.remove(i).1)
     }
 
     /// Looks up an attribute by name.
     pub fn get(&self, name: &str) -> Option<&Attr> {
-        self.entries.get(name)
+        let i = self.find(name).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// Whether an attribute with `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Shortcut: the integer payload of attribute `name`.
@@ -293,17 +311,36 @@ impl AttrMap {
     }
 }
 
-impl FromIterator<(String, Attr)> for AttrMap {
-    fn from_iter<T: IntoIterator<Item = (String, Attr)>>(iter: T) -> Self {
-        AttrMap {
-            entries: iter.into_iter().collect(),
+impl fmt::Debug for AttrMap {
+    /// Prints as the map it is, `AttrMap { entries: {"k": v} }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a AttrMap);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
         }
+        f.debug_struct("AttrMap")
+            .field("entries", &Entries(self))
+            .finish()
+    }
+}
+
+impl FromIterator<(String, Attr)> for AttrMap {
+    /// Later duplicates of a key replace earlier ones.
+    fn from_iter<T: IntoIterator<Item = (String, Attr)>>(iter: T) -> Self {
+        let mut m = AttrMap::new();
+        m.extend(iter);
+        m
     }
 }
 
 impl Extend<(String, Attr)> for AttrMap {
+    /// Later duplicates of a key replace earlier ones.
     fn extend<T: IntoIterator<Item = (String, Attr)>>(&mut self, iter: T) {
-        self.entries.extend(iter);
+        for (k, v) in iter {
+            self.insert(Name::from(k), v);
+        }
     }
 }
 
@@ -364,6 +401,48 @@ mod tests {
         m.set("a", 2i64);
         let keys: Vec<_> = m.iter().map(|(k, _)| k.to_string()).collect();
         assert_eq!(keys, vec!["a", "z"]);
+    }
+
+    #[test]
+    fn attr_map_orders_keys_like_a_btree_map() {
+        use std::collections::BTreeMap;
+        // Keys across the 22-byte inline boundary, inserted in reverse and
+        // with duplicates: the last write wins and iteration is in byte
+        // order, as with the `BTreeMap<String, _>` the map once was.
+        let keys = [
+            "zeta",
+            "a_key_that_is_longer_than_22_bytes",
+            "a_key_of_exactly_22_by",
+            "B",
+            "b",
+            "é",
+            "a",
+            "zeta",
+        ];
+        let mut m = AttrMap::new();
+        let mut model = BTreeMap::new();
+        for (i, k) in keys.iter().enumerate() {
+            m.set(k, i as i64);
+            model.insert(k.to_string(), Attr::Int(i as i64));
+        }
+        let got: Vec<_> = m.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let want: Vec<_> = model.clone().into_iter().collect();
+        assert_eq!(got, want);
+        assert_eq!(m.int("zeta"), Some(7));
+        assert_eq!(m, model.into_iter().collect::<AttrMap>());
+        assert_eq!(m.remove("b"), Some(Attr::Int(4)));
+        assert_eq!(m.remove("b"), None);
+        assert!(m.contains("B") && !m.contains("b"));
+    }
+
+    #[test]
+    fn attr_map_debug_prints_a_map() {
+        let mut m = AttrMap::new();
+        m.set("z", 1i64).set("a", "x");
+        assert_eq!(
+            format!("{m:?}"),
+            "AttrMap { entries: {\"a\": Str(\"x\"), \"z\": Int(1)} }"
+        );
     }
 
     #[test]

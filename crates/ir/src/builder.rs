@@ -6,6 +6,7 @@
 //! generators (§VI-B) are written against this API.
 
 use crate::attr::{Attr, AttrMap};
+use crate::inline::{IdVec, Name};
 use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
 use crate::types::Type;
 
@@ -131,11 +132,11 @@ impl<'m> OpBuilder<'m> {
     pub fn op<'a>(&'a mut self, name: &str) -> OpSpec<'a, 'm> {
         OpSpec {
             builder: self,
-            name: name.to_string(),
-            operands: vec![],
-            result_types: vec![],
+            name: Name::from(name),
+            operands: IdVec::new(),
+            result_types: ResultTypes::default(),
             attrs: AttrMap::new(),
-            regions: vec![],
+            regions: IdVec::new(),
             result_names: vec![],
         }
     }
@@ -159,16 +160,45 @@ impl<'m> OpBuilder<'m> {
 /// In-progress operation description produced by [`OpBuilder::op`].
 ///
 /// Terminal method [`OpSpec::finish`] creates the op and inserts it at the
-/// builder's insertion point.
+/// builder's insertion point. The spec stores the name, operand and region
+/// lists in the op's own inline forms ([`Name`], [`IdVec`]) and the first
+/// result type inline, so building an ordinary op allocates only for its
+/// attributes, and `finish` moves everything into the module uncopied.
 #[derive(Debug)]
 pub struct OpSpec<'a, 'm> {
     builder: &'a mut OpBuilder<'m>,
-    name: String,
-    operands: Vec<ValueId>,
-    result_types: Vec<Type>,
+    name: Name,
+    operands: IdVec<ValueId>,
+    result_types: ResultTypes,
     attrs: AttrMap,
-    regions: Vec<RegionId>,
+    regions: IdVec<RegionId>,
     result_names: Vec<(usize, String)>,
+}
+
+/// Result types of an [`OpSpec`]: the first inline (most ops have at most
+/// one result), any further ones in a `Vec`.
+#[derive(Debug, Default)]
+struct ResultTypes {
+    first: Option<Type>,
+    rest: Vec<Type>,
+}
+
+impl ResultTypes {
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn push(&mut self, ty: Type) {
+        if self.first.is_none() {
+            self.first = Some(ty);
+        } else {
+            self.rest.push(ty);
+        }
+    }
+
+    fn into_iter(self) -> impl Iterator<Item = Type> {
+        self.first.into_iter().chain(self.rest)
+    }
 }
 
 impl OpSpec<'_, '_> {
@@ -200,7 +230,9 @@ impl OpSpec<'_, '_> {
 
     /// Declares several results.
     pub fn results(mut self, tys: impl IntoIterator<Item = Type>) -> Self {
-        self.result_types.extend(tys);
+        for ty in tys {
+            self.result_types.push(ty);
+        }
         self
     }
 
@@ -218,22 +250,7 @@ impl OpSpec<'_, '_> {
 
     /// Creates the op, inserts it at the insertion point, and returns its id.
     pub fn finish(self) -> OpId {
-        let OpSpec {
-            builder,
-            name,
-            operands,
-            result_types,
-            attrs,
-            regions,
-            result_names,
-        } = self;
-        let op = builder
-            .module
-            .create_op(&name, operands, result_types, attrs, regions);
-        for (idx, hint) in result_names {
-            let v = builder.module.result(op, idx);
-            builder.module.set_value_name(v, &hint);
-        }
+        let (builder, op) = self.create();
         builder.insert(op)
     }
 
@@ -248,6 +265,16 @@ impl OpSpec<'_, '_> {
             1,
             "finish_value requires exactly one result"
         );
+        let (builder, op) = self.create();
+        let v = builder.module.result(op, 0);
+        builder.insert(op);
+        v
+    }
+}
+
+impl<'a, 'm> OpSpec<'a, 'm> {
+    /// Creates the op, detached, and names its results.
+    fn create(self) -> (&'a mut OpBuilder<'m>, OpId) {
         let OpSpec {
             builder,
             name,
@@ -259,14 +286,12 @@ impl OpSpec<'_, '_> {
         } = self;
         let op = builder
             .module
-            .create_op(&name, operands, result_types, attrs, regions);
+            .create_op(name, operands, result_types.into_iter(), attrs, regions);
         for (idx, hint) in result_names {
             let v = builder.module.result(op, idx);
             builder.module.set_value_name(v, &hint);
         }
-        let v = builder.module.result(op, 0);
-        builder.insert(op);
-        v
+        (builder, op)
     }
 }
 
@@ -285,7 +310,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["test.a", "test.b"]);
     }
@@ -307,7 +332,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["test.a", "test.b", "test.c"]);
     }
@@ -326,7 +351,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["test.pre", "test.mid", "test.post"]);
     }

@@ -52,6 +52,7 @@
 mod attr;
 mod builder;
 mod error;
+mod inline;
 mod module;
 mod parser;
 mod printer;
@@ -65,6 +66,7 @@ pub mod pass;
 pub use attr::{Attr, AttrMap};
 pub use builder::{OpBuilder, OpSpec};
 pub use error::{IrError, IrResult};
+pub use inline::{IdVec, IdVecIntoIter, Name};
 pub use module::{
     Block, BlockId, Module, OpId, Operation, Region, RegionId, ValueData, ValueDef, ValueId,
 };

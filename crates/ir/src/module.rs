@@ -9,6 +9,7 @@
 //! cheap to traverse and mutate.
 
 use crate::attr::AttrMap;
+use crate::inline::{IdVec, Name};
 use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
@@ -123,18 +124,24 @@ pub struct ValueData {
 /// (e.g. `"equeue.launch"`), never to distinct Rust types. This is the
 /// property that lets compiler passes transform hardware structure like any
 /// other IR.
+///
+/// The record is built to be cheap in bulk: a name of up to 22 bytes and up
+/// to four operands, results and regions each are stored inline ([`Name`],
+/// [`IdVec`]), and the attribute dictionary is a single sorted vector, so a
+/// typical op costs at most one heap block of its own. The fields read as
+/// `&str` and `&[T]` through `Deref`.
 #[derive(Debug, Clone)]
 pub struct Operation {
     /// Fully-qualified name, `"<dialect>.<mnemonic>"`.
-    pub name: String,
+    pub name: Name,
     /// SSA operands, in order.
-    pub operands: Vec<ValueId>,
+    pub operands: IdVec<ValueId>,
     /// SSA results defined by this op, in order.
-    pub results: Vec<ValueId>,
+    pub results: IdVec<ValueId>,
     /// The attribute dictionary.
     pub attrs: AttrMap,
     /// Nested regions, in order.
-    pub regions: Vec<RegionId>,
+    pub regions: IdVec<RegionId>,
     /// The block this op currently lives in, if attached.
     pub parent_block: Option<BlockId>,
     /// Whether the op has been erased (arena slot retained).
@@ -276,14 +283,17 @@ impl Module {
     ///
     /// The op is not yet inside any block; attach it with
     /// [`Module::append_op`] or [`Module::insert_op`]. Regions passed in
-    /// `regions` are re-parented to the new op.
+    /// `regions` are re-parented to the new op. Name, operand and region
+    /// lists are taken by value, so a caller that already holds a [`Name`]
+    /// or [`IdVec`] (as [`OpSpec`](crate::OpSpec) does) hands it over
+    /// without a copy; `&str` and `Vec` arguments work too.
     pub fn create_op(
         &mut self,
-        name: &str,
-        operands: Vec<ValueId>,
-        result_types: Vec<Type>,
+        name: impl Into<Name>,
+        operands: impl Into<IdVec<ValueId>>,
+        result_types: impl IntoIterator<Item = Type>,
         attrs: AttrMap,
-        regions: Vec<RegionId>,
+        regions: impl Into<IdVec<RegionId>>,
     ) -> OpId {
         let id = OpId(self.ops.len() as u32);
         let results = result_types
@@ -299,12 +309,13 @@ impl Module {
                 v
             })
             .collect();
+        let regions = regions.into();
         for &r in &regions {
             self.regions[r.0 as usize].parent_op = Some(id);
         }
         self.ops.push(Operation {
-            name: name.to_string(),
-            operands,
+            name: name.into(),
+            operands: operands.into(),
             results,
             attrs,
             regions,
@@ -560,7 +571,7 @@ impl Module {
     /// added to `value_map` so later clones see them.
     pub fn clone_op(&mut self, op: OpId, value_map: &mut HashMap<ValueId, ValueId>) -> OpId {
         let src = self.ops[op.0 as usize].clone();
-        let operands = src
+        let operands: IdVec<ValueId> = src
             .operands
             .iter()
             .map(|v| *value_map.get(v).unwrap_or(v))
@@ -570,7 +581,7 @@ impl Module {
             .iter()
             .map(|&v| self.values[v.0 as usize].ty.clone())
             .collect();
-        let mut new_regions = vec![];
+        let mut new_regions = IdVec::new();
         for &r in &src.regions {
             let nr = self.new_region(None);
             let blocks = self.regions[r.0 as usize].blocks.clone();
@@ -599,19 +610,8 @@ impl Module {
             }
             new_regions.push(nr);
         }
-        let new_op = self.create_op(
-            &src.name,
-            operands,
-            result_types,
-            src.attrs.clone(),
-            new_regions,
-        );
-        for (o, n) in self.ops[op.0 as usize]
-            .results
-            .clone()
-            .into_iter()
-            .zip(self.ops[new_op.0 as usize].results.clone())
-        {
+        let new_op = self.create_op(src.name, operands, result_types, src.attrs, new_regions);
+        for (&o, &n) in src.results.iter().zip(&self.ops[new_op.0 as usize].results) {
             value_map.insert(o, n);
         }
         new_op
@@ -631,6 +631,19 @@ mod tests {
                 op
             })
             .collect()
+    }
+
+    /// Guards the inline capacities of [`Name`] and [`IdVec`]: a generated
+    /// module holds ~10^5 ops, so every byte of the record is paid for in
+    /// build, traversal and drop time.
+    #[test]
+    fn operation_record_stays_small() {
+        assert_eq!(std::mem::size_of::<Name>(), 24);
+        assert!(
+            std::mem::size_of::<Operation>() <= 160,
+            "Operation is {} bytes",
+            std::mem::size_of::<Operation>()
+        );
     }
 
     #[test]
@@ -712,7 +725,7 @@ mod tests {
         let after = m.create_op("test.after", vec![], vec![], AttrMap::new(), vec![]);
         m.append_op(m.top_block(), after);
         let mut names = vec![];
-        m.walk(|op| names.push(m.op(op).name.clone()));
+        m.walk(|op| names.push(m.op(op).name.to_string()));
         assert_eq!(names, vec!["test.outer", "test.inner", "test.after"]);
     }
 

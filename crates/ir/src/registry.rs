@@ -91,7 +91,7 @@ impl DialectRegistry {
 
     /// Runs the registered verifier for `op`, if any.
     pub fn verify_op(&self, module: &Module, op: OpId) -> Result<(), String> {
-        if let Some(info) = self.ops.get(&module.op(op).name) {
+        if let Some(info) = self.ops.get(module.op(op).name.as_str()) {
             if let Some(v) = info.verify {
                 return v(module, op);
             }

@@ -225,7 +225,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["t.a", "t.b", "t.c"]);
         move_after(&mut m, a, c2);
@@ -233,7 +233,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["t.b", "t.c", "t.a"]);
     }
@@ -253,13 +253,13 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         let tail_names: Vec<String> = m
             .block(tail)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(head, vec!["t.a"]);
         assert_eq!(tail_names, vec!["t.b", "t.c"]);

@@ -221,3 +221,77 @@ fn type_display_parses_back() {
         assert_eq!(t, parsed);
     }
 }
+
+/// A module whose every op record leaves the inline storage of `Name` and
+/// `IdVec`: op names longer than 22 bytes (`equeue.create_connection` is
+/// 24), more than four operands, results and regions, attribute keys
+/// either side of 22 bytes, and attributes set out of key order with a
+/// duplicate (the last write wins).
+fn spill_module() -> Module {
+    let mut m = Module::new();
+    let top = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, top);
+    let conn = b
+        .op("equeue.create_connection")
+        .attr("kind", "Streaming")
+        .attr("bandwidth", 0i64)
+        .result(Type::Conn)
+        .finish_value();
+    let five = b
+        .op("test.five_results")
+        .results(vec![Type::I32; 5])
+        .finish();
+    let vals: Vec<ValueId> = (0..5).map(|i| b.module().result(five, i)).collect();
+    let mut regions = vec![];
+    for i in 0..5i64 {
+        let (r, body) = b.region_with_block(vec![]);
+        OpBuilder::at_end(b.module_mut(), body)
+            .op("test.region_body")
+            .attr("index", i)
+            .finish();
+        regions.push(r);
+    }
+    let mut spec = b
+        .op("test.an_op_name_longer_than_22_bytes")
+        .operands(vals.iter().copied())
+        .operand(conn)
+        .attr("zeta", 3i64)
+        .attr("an_attribute_key_longer_than_22_bytes", "long")
+        .attr("mid", true)
+        .attr("alpha", vec![1i64, 2])
+        .attr("a_key_of_exactly_22_by", 22i64)
+        .attr("a_key_of_exactly_23_byt", 23i64)
+        .attr("zeta", 4i64)
+        .results(vec![Type::Signal; 6]);
+    for r in regions {
+        spec = spec.region(r);
+    }
+    spec.finish();
+    m
+}
+
+/// The printed text of [`spill_module`], pinned as the printer produced it
+/// when op names, id lists and attribute dictionaries were `String`, `Vec`
+/// and `BTreeMap<String, Attr>`.
+const SPILL_TEXT: &str = r#"%0 = "equeue.create_connection"() {bandwidth = 0, kind = "Streaming"} : () -> !equeue.conn
+%1, %2, %3, %4, %5 = "test.five_results"() : () -> (i32, i32, i32, i32, i32)
+%6, %7, %8, %9, %10, %11 = "test.an_op_name_longer_than_22_bytes"(%1, %2, %3, %4, %5, %0) ({
+  "test.region_body"() {index = 0} : () -> ()
+}, {
+  "test.region_body"() {index = 1} : () -> ()
+}, {
+  "test.region_body"() {index = 2} : () -> ()
+}, {
+  "test.region_body"() {index = 3} : () -> ()
+}, {
+  "test.region_body"() {index = 4} : () -> ()
+}) {a_key_of_exactly_22_by = 22, a_key_of_exactly_23_byt = 23, alpha = [1, 2], an_attribute_key_longer_than_22_bytes = "long", mid = true, zeta = 4} : (i32, i32, i32, i32, i32, !equeue.conn) -> (!equeue.signal, !equeue.signal, !equeue.signal, !equeue.signal, !equeue.signal, !equeue.signal)
+"#;
+
+#[test]
+fn spill_paths_print_pinned_text() {
+    let text = print_module(&spill_module());
+    assert_eq!(text, SPILL_TEXT);
+    let reparsed = parse_module(&text).unwrap();
+    assert_eq!(print_module(&reparsed), text);
+}

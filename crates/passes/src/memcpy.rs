@@ -44,7 +44,7 @@ impl Pass for InsertMemcpy {
         let done = b
             .op("equeue.memcpy")
             .attr("segments", vec![1, 1, 1, 1, 0])
-            .operands(vec![start, src, dst, dma])
+            .operands([start, src, dst, dma])
             .result(Type::Signal)
             .finish_value();
         module.set_operand(launch, 0, done);

@@ -76,7 +76,7 @@ impl Pass for SplitLaunch {
         };
         let is_ret = module.op(old_ret).name == "equeue.return";
         let old_ret_operands = if is_ret {
-            module.op(old_ret).operands.clone()
+            module.op(old_ret).operands.to_vec()
         } else {
             vec![]
         };
