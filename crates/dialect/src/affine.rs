@@ -95,7 +95,7 @@ impl AffineBuilder for OpBuilder<'_> {
         assert_eq!(lowers.len(), uppers.len());
         assert_eq!(lowers.len(), steps.len());
         let (region, body) = self.region_with_block(vec![Type::Index; lowers.len()]);
-        let ivs = self.module().block(body).args.clone();
+        let ivs = self.module().block(body).args.to_vec();
         let op = self
             .op("affine.parallel")
             .attr("lowers", lowers)

@@ -263,15 +263,13 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn read(&mut self, buffer: ValueId, conn: Option<ValueId>) -> ValueId {
-        let bt = self.module().value_type(buffer).clone();
-        let (shape, elem) = (
-            bt.shape().unwrap_or(&[]).to_vec(),
-            bt.elem().cloned().unwrap_or(Type::Any),
-        );
+        let bt = self.module().value_type(buffer);
+        let shape = bt.shape().unwrap_or(&[]);
+        let elem = bt.elem().cloned().unwrap_or(Type::Any);
         let result_ty = if shape.iter().product::<usize>() <= 1 {
             elem
         } else {
-            Type::tensor(shape, elem)
+            Type::tensor(shape.to_vec(), elem)
         };
         let n_conn = conn.iter().len() as i64;
         self.op("equeue.read")
@@ -380,7 +378,7 @@ impl EqueueBuilder for OpBuilder<'_> {
             .map(|&c| self.module().value_type(c).clone())
             .collect();
         let (region, body) = self.region_with_block(arg_types);
-        let body_args = self.module().block(body).args.clone();
+        let body_args = self.module().block(body).args.to_vec();
         let op = self
             .op("equeue.launch")
             .operand(dep)

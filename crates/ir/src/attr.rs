@@ -234,10 +234,10 @@ impl AttrMap {
         Self::default()
     }
 
-    /// Position of `name` in `entries`, or where it would be inserted.
-    fn find(&self, name: &str) -> Result<usize, usize> {
+    /// Position of key `name` in `entries`, or where it would be inserted.
+    fn find(&self, name: &[u8]) -> Result<usize, usize> {
         self.entries
-            .binary_search_by(|(k, _)| k.as_bytes().cmp(name.as_bytes()))
+            .binary_search_by(|(k, _)| k.as_bytes().cmp(name))
     }
 
     /// Inserts an attribute, replacing any previous value for `name`.
@@ -247,27 +247,35 @@ impl AttrMap {
     }
 
     fn insert(&mut self, name: Name, value: Attr) {
-        match self.find(&name) {
+        match self.find(name.as_bytes()) {
             Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (name, value)),
+            Err(i) => {
+                // Grow 1, 2, 4, … rather than `Vec`'s first step of 4:
+                // most ops carry one or two attributes.
+                let n = self.entries.len();
+                if n == self.entries.capacity() {
+                    self.entries.reserve_exact(n.max(1));
+                }
+                self.entries.insert(i, (name, value));
+            }
         }
     }
 
     /// Removes an attribute, returning the previous value if present.
     pub fn remove(&mut self, name: &str) -> Option<Attr> {
-        let i = self.find(name).ok()?;
+        let i = self.find(name.as_bytes()).ok()?;
         Some(self.entries.remove(i).1)
     }
 
     /// Looks up an attribute by name.
     pub fn get(&self, name: &str) -> Option<&Attr> {
-        let i = self.find(name).ok()?;
+        let i = self.find(name.as_bytes()).ok()?;
         Some(&self.entries[i].1)
     }
 
     /// Whether an attribute with `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.find(name).is_ok()
+        self.find(name.as_bytes()).is_ok()
     }
 
     /// Shortcut: the integer payload of attribute `name`.

@@ -162,11 +162,14 @@ impl fmt::Debug for Name {
 /// How many ids an [`IdVec`] stores without a heap allocation.
 const IDS_INLINE: usize = 4;
 
-/// A growable list of small `Copy` ids (operands, results, regions).
+/// A growable list of small `Copy` ids (operands, results, regions,
+/// block arguments and block contents).
 ///
 /// Up to four ids are stored inside the value; the fifth moves the list to
-/// a `Vec`, where it stays. It dereferences to `[T]` and offers the `Vec`
-/// mutators IR code uses. Equality and `Debug` are those of the
+/// a boxed slice, which doubles when full, and the list stays there. The
+/// boxed slice and a `u32` length keep an `IdVec` of 4-byte ids at 24
+/// bytes, the size of a `Vec`. It dereferences to `[T]` and offers the
+/// `Vec` mutators IR code uses. Equality and `Debug` are those of the
 /// slice, and an `IdVec` compares equal to a `Vec` or array with the same
 /// contents.
 ///
@@ -183,74 +186,86 @@ const IDS_INLINE: usize = 4;
 #[derive(Clone)]
 pub struct IdVec<T>(IdRepr<T>);
 
+/// The ids are `ids[..len]`; the rest of `ids` is spare capacity, filled
+/// with copies of some id. An empty list that never held an id is an
+/// empty `Heap`, which allocates nothing.
 #[derive(Clone)]
 enum IdRepr<T> {
-    Inline { len: u8, ids: [T; IDS_INLINE] },
-    Heap(Vec<T>),
+    Inline { len: u32, ids: [T; IDS_INLINE] },
+    Heap { len: u32, ids: Box<[T]> },
 }
 
 impl<T: Copy> IdVec<T> {
     /// An empty list; allocates nothing.
-    pub const fn new() -> Self {
-        IdVec(IdRepr::Heap(Vec::new()))
+    pub fn new() -> Self {
+        IdVec(IdRepr::Heap {
+            len: 0,
+            ids: Box::new([]),
+        })
+    }
+
+    fn raw(&self) -> (usize, &[T]) {
+        match &self.0 {
+            IdRepr::Inline { len, ids } => (*len as usize, ids),
+            IdRepr::Heap { len, ids } => (*len as usize, ids),
+        }
+    }
+
+    fn raw_mut(&mut self) -> (&mut u32, &mut [T]) {
+        match &mut self.0 {
+            IdRepr::Inline { len, ids } => (len, ids),
+            IdRepr::Heap { len, ids } => (len, ids),
+        }
     }
 
     /// The ids as a slice.
     pub fn as_slice(&self) -> &[T] {
-        match &self.0 {
-            IdRepr::Inline { len, ids } => &ids[..*len as usize],
-            IdRepr::Heap(v) => v,
-        }
+        let (len, ids) = self.raw();
+        &ids[..len]
     }
 
     /// The ids as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        match &mut self.0 {
-            IdRepr::Inline { len, ids } => &mut ids[..*len as usize],
-            IdRepr::Heap(v) => v,
-        }
+        let (len, ids) = self.raw_mut();
+        &mut ids[..*len as usize]
     }
 
-    /// The heap form of the list, moving inline ids out first.
-    fn spill(&mut self) -> &mut Vec<T> {
-        if let IdRepr::Inline { len, ids } = &self.0 {
-            let mut v = Vec::with_capacity(2 * IDS_INLINE);
-            v.extend_from_slice(&ids[..*len as usize]);
-            self.0 = IdRepr::Heap(v);
+    /// Makes room for one more id: a full list moves to a buffer of twice
+    /// the capacity (at least the inline four), spare slots set to `fill`.
+    fn reserve_one(&mut self, fill: T) {
+        let (len, ids) = self.raw();
+        if len < ids.len() {
+            return;
         }
-        match &mut self.0 {
-            IdRepr::Heap(v) => v,
-            IdRepr::Inline { .. } => unreachable!("spilled above"),
-        }
+        assert!(
+            len < u32::MAX as usize,
+            "an IdVec holds at most u32::MAX ids"
+        );
+        self.0 = if len == 0 {
+            IdRepr::Inline {
+                len: 0,
+                ids: [fill; IDS_INLINE],
+            }
+        } else {
+            let mut grown = vec![fill; 2 * len].into_boxed_slice();
+            grown[..len].copy_from_slice(&ids[..len]);
+            IdRepr::Heap {
+                len: len as u32,
+                ids: grown,
+            }
+        };
     }
 
     /// Appends `id`.
     pub fn push(&mut self, id: T) {
-        match &mut self.0 {
-            IdRepr::Inline { len, ids } if (*len as usize) < IDS_INLINE => {
-                ids[*len as usize] = id;
-                *len += 1;
-            }
-            // An empty list that never spilled starts inline.
-            IdRepr::Heap(v) if v.capacity() == 0 => {
-                self.0 = IdRepr::Inline {
-                    len: 1,
-                    ids: [id; IDS_INLINE],
-                };
-            }
-            _ => self.spill().push(id),
-        }
+        self.insert(self.len(), id);
     }
 
     /// Removes and returns the last id, or `None` if the list is empty.
     pub fn pop(&mut self) -> Option<T> {
-        match &mut self.0 {
-            IdRepr::Inline { len, ids } => {
-                *len = len.checked_sub(1)?;
-                Some(ids[*len as usize])
-            }
-            IdRepr::Heap(v) => v.pop(),
-        }
+        let (len, ids) = self.raw_mut();
+        *len = len.checked_sub(1)?;
+        Some(ids[*len as usize])
     }
 
     /// Inserts `id` at `index`, shifting later ids right.
@@ -259,19 +274,13 @@ impl<T: Copy> IdVec<T> {
     ///
     /// Panics if `index > len`.
     pub fn insert(&mut self, index: usize, id: T) {
-        if index == self.len() {
-            return self.push(id);
-        }
-        match &mut self.0 {
-            IdRepr::Inline { len, ids } if (*len as usize) < IDS_INLINE => {
-                let n = *len as usize;
-                assert!(index <= n, "insertion index {index} out of range (len {n})");
-                ids.copy_within(index..n, index + 1);
-                ids[index] = id;
-                *len += 1;
-            }
-            _ => self.spill().insert(index, id),
-        }
+        let n = self.len();
+        assert!(index <= n, "insertion index {index} out of range (len {n})");
+        self.reserve_one(id);
+        let (len, ids) = self.raw_mut();
+        ids.copy_within(index..n, index + 1);
+        ids[index] = id;
+        *len += 1;
     }
 
     /// Removes and returns the id at `index`, shifting later ids left.
@@ -280,42 +289,31 @@ impl<T: Copy> IdVec<T> {
     ///
     /// Panics if `index >= len`.
     pub fn remove(&mut self, index: usize) -> T {
-        match &mut self.0 {
-            IdRepr::Inline { len, ids } => {
-                let n = *len as usize;
-                assert!(index < n, "removal index {index} out of range (len {n})");
-                let id = ids[index];
-                ids.copy_within(index + 1..n, index);
-                *len -= 1;
-                id
-            }
-            IdRepr::Heap(v) => v.remove(index),
-        }
+        let n = self.len();
+        assert!(index < n, "removal index {index} out of range (len {n})");
+        let (len, ids) = self.raw_mut();
+        let id = ids[index];
+        ids.copy_within(index + 1..n, index);
+        *len -= 1;
+        id
     }
 
     /// Keeps only the ids for which `keep` returns `true`, in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        match &mut self.0 {
-            IdRepr::Inline { len, ids } => {
-                let mut kept = 0;
-                for i in 0..*len as usize {
-                    if keep(&ids[i]) {
-                        ids[kept] = ids[i];
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
+        let (len, ids) = self.raw_mut();
+        let mut kept = 0;
+        for i in 0..*len as usize {
+            if keep(&ids[i]) {
+                ids[kept] = ids[i];
+                kept += 1;
             }
-            IdRepr::Heap(v) => v.retain(keep),
         }
+        *len = kept as u32;
     }
 
     /// Removes every id.
     pub fn clear(&mut self) {
-        match &mut self.0 {
-            IdRepr::Inline { len, .. } => *len = 0,
-            IdRepr::Heap(v) => v.clear(),
-        }
+        *self.raw_mut().0 = 0;
     }
 }
 
@@ -343,10 +341,12 @@ impl<T: Copy> From<Vec<T>> for IdVec<T> {
     /// Short lists move inline (the `Vec` is freed); longer ones keep
     /// the `Vec`'s buffer.
     fn from(v: Vec<T>) -> Self {
-        if v.len() <= IDS_INLINE {
-            v.into_iter().collect()
-        } else {
-            IdVec(IdRepr::Heap(v))
+        match u32::try_from(v.len()) {
+            Ok(len) if v.len() > IDS_INLINE => IdVec(IdRepr::Heap {
+                len,
+                ids: v.into_boxed_slice(),
+            }),
+            _ => v.into_iter().collect(),
         }
     }
 }
@@ -533,17 +533,21 @@ mod tests {
     #[test]
     fn id_vec_spills_on_the_fifth_id() {
         let mut v: IdVec<u32> = IdVec::new();
+        assert!(matches!(&v.0, IdRepr::Heap { len: 0, ids } if ids.is_empty()));
         v.extend([1, 2, 3, 4]);
         assert!(matches!(v.0, IdRepr::Inline { len: 4, .. }));
         v.push(5);
-        assert!(matches!(&v.0, IdRepr::Heap(h) if h.len() == 5));
+        assert!(matches!(&v.0, IdRepr::Heap { len: 5, ids } if ids.len() == 8));
         assert_eq!(v.pop(), Some(5));
         assert_eq!(v, [1, 2, 3, 4]);
         assert!(matches!(
             IdVec::from(vec![1u32; 4]).0,
             IdRepr::Inline { .. }
         ));
-        assert!(matches!(IdVec::from(vec![1u32; 5]).0, IdRepr::Heap(_)));
+        assert!(matches!(
+            IdVec::from(vec![1u32; 5]).0,
+            IdRepr::Heap { len: 5, .. }
+        ));
         for x in &mut v {
             *x *= 10;
         }

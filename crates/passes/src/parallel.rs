@@ -106,7 +106,7 @@ impl ParallelToEqueue {
                 }
             }
             // Clone body ops (minus the yield) into the launch body.
-            let src_ops: Vec<OpId> = module.block(body).ops.clone();
+            let src_ops: Vec<OpId> = module.block(body).ops.to_vec();
             for op in src_ops {
                 if module.op(op).erased || module.op(op).name == "affine.yield" {
                     continue;

@@ -35,7 +35,7 @@ impl Pass for SplitLaunch {
         let (body, proc) = launch_view(module, launch)
             .map(|view| (view.body, view.proc))
             .map_err(|e| IrError::pass(self.name(), e))?;
-        let body_ops: Vec<OpId> = module.block(body).ops.clone();
+        let body_ops: Vec<OpId> = module.block(body).ops.to_vec();
         if self.at == 0 || self.at >= body_ops.len() {
             return Err(IrError::pass(self.name(), "split point out of range"));
         }
