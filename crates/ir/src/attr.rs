@@ -223,7 +223,7 @@ impl fmt::Display for Attr {
 /// assert_eq!(attrs.int("banks"), Some(4));
 /// assert!(attrs.get("ports").is_none());
 /// ```
-#[derive(Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttrMap {
     entries: Vec<(Name, Attr)>,
 }
@@ -316,21 +316,6 @@ impl AttrMap {
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Attr)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-impl fmt::Debug for AttrMap {
-    /// Prints as the map it is, `AttrMap { entries: {"k": v} }`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Entries<'a>(&'a AttrMap);
-        impl fmt::Debug for Entries<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map().entries(self.0.iter()).finish()
-            }
-        }
-        f.debug_struct("AttrMap")
-            .field("entries", &Entries(self))
-            .finish()
     }
 }
 
@@ -441,16 +426,6 @@ mod tests {
         assert_eq!(m.remove("b"), Some(Attr::Int(4)));
         assert_eq!(m.remove("b"), None);
         assert!(m.contains("B") && !m.contains("b"));
-    }
-
-    #[test]
-    fn attr_map_debug_prints_a_map() {
-        let mut m = AttrMap::new();
-        m.set("z", 1i64).set("a", "x");
-        assert_eq!(
-            format!("{m:?}"),
-            "AttrMap { entries: {\"a\": Str(\"x\"), \"z\": Int(1)} }"
-        );
     }
 
     #[test]

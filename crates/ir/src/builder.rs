@@ -201,7 +201,7 @@ impl ResultTypes {
     }
 }
 
-impl OpSpec<'_, '_> {
+impl<'a, 'm> OpSpec<'a, 'm> {
     /// Appends one operand.
     pub fn operand(mut self, v: ValueId) -> Self {
         self.operands.push(v);
@@ -270,9 +270,7 @@ impl OpSpec<'_, '_> {
         builder.insert(op);
         v
     }
-}
 
-impl<'a, 'm> OpSpec<'a, 'm> {
     /// Creates the op, detached, and names its results.
     fn create(self) -> (&'a mut OpBuilder<'m>, OpId) {
         let OpSpec {

@@ -1,11 +1,13 @@
-//! Small inline containers for the per-op records of a [`Module`].
+//! Small inline containers for the op, block and region records of a
+//! [`Module`].
 //!
 //! A generated module holds hundreds of thousands of operations, and most
 //! of them have a short name, a couple of short attribute keys and at most
-//! four operands, results or regions. Storing each of those in its own heap
-//! block costs several allocations per op to build and as many frees to
-//! drop. [`Name`] and [`IdVec`] keep the common case inside the op record
-//! and spill to the heap only past a fixed capacity. Both dereference to
+//! four operands, results or regions; most blocks hold a few ops. Storing
+//! each of those in its own heap block costs several allocations per op to
+//! build and as many frees to drop. [`Name`] and [`IdVec`] keep the common
+//! case inside the record and spill to the heap only past a fixed
+//! capacity. Both dereference to
 //! the plain `str` / slice they hold, so code that reads an op's name or
 //! operand list is written exactly as it would be against `String` and
 //! `Vec`.

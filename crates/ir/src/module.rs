@@ -128,8 +128,8 @@ pub struct ValueData {
 /// The record is built to be cheap in bulk: a name of up to 22 bytes and up
 /// to four operands, results and regions each are stored inline ([`Name`],
 /// [`IdVec`]), and the attribute dictionary is a single sorted vector, so a
-/// typical op costs at most one heap block of its own. The fields read as
-/// `&str` and `&[T]` through `Deref`.
+/// typical op costs at most one heap block of its own (none without
+/// attributes). The fields read as `&str` and `&[T]` through `Deref`.
 #[derive(Debug, Clone)]
 pub struct Operation {
     /// Fully-qualified name, `"<dialect>.<mnemonic>"`.
@@ -164,6 +164,9 @@ impl Operation {
 }
 
 /// Arena record for a basic block.
+///
+/// Like [`Operation`]'s lists, `args` and `ops` hold up to four ids inline,
+/// so a typical `equeue.launch` body allocates nothing of its own.
 #[derive(Debug, Clone)]
 pub struct Block {
     /// Block arguments (SSA values).
