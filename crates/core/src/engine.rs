@@ -55,6 +55,7 @@ use crate::machine::{
 };
 use crate::plan::{mem_spec, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
+use crate::queue::EventQueue;
 use crate::signal::{SignalState, SignalTable};
 use crate::snapshot::{
     err as snap_err, CompKindSnap, CompSnap, ConnSnap, MachineSnap, MemSnap, ModuleFingerprint,
@@ -65,8 +66,8 @@ use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
 use equeue_dialect::ConvDims;
 use equeue_ir::{AttrMap, BlockId, Module, OpId, Operation};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Scheduler wakes per epoch: the cadence at which the engine polls the
@@ -74,7 +75,7 @@ use std::time::Instant;
 /// a mask). Cancellation latency is bounded by one epoch.
 pub(crate) const WAKE_EPOCH: u64 = 1024;
 /// Interpreted-op cadence for the same polls, bounding zero-time op bursts
-/// (tight loops that never touch the scheduler heap).
+/// (tight loops that never touch the wake queue).
 pub(crate) const OP_EPOCH: u64 = 4096;
 
 /// Which execution backend interprets launch bodies.
@@ -351,6 +352,43 @@ fn check_frame(
     Ok(())
 }
 
+/// Validates a restored wake queue. Every wake must target a known
+/// processor, be due no earlier than the snapshot's `now`, and carry a
+/// unique `seq` below the snapshot's counter: [`EventQueue`]'s same-time
+/// FIFO pops in push order, which is `(time, seq)` order only when seqs
+/// are unique and every later push carries a larger one.
+fn check_wake_queue(snap: &Snapshot, nproc: usize) -> Result<(), SimError> {
+    let mut seqs = Vec::with_capacity(snap.wake_queue.len());
+    for &(t, s, p) in &snap.wake_queue {
+        if (p as usize) >= nproc {
+            return Err(snap_err("scheduled event targets an unknown processor"));
+        }
+        if t < snap.now {
+            return Err(snap_err("scheduled wake is due before the captured time"));
+        }
+        if s >= snap.seq {
+            return Err(snap_err(
+                "scheduled wake has a sequence number not yet issued",
+            ));
+        }
+        seqs.push(s);
+    }
+    seqs.sort_unstable();
+    if seqs.windows(2).any(|w| w[0] == w[1]) {
+        return Err(snap_err("two scheduled wakes share a sequence number"));
+    }
+    Ok(())
+}
+
+/// Records that executor component `comp` runs as processor `idx`.
+fn set_proc_of_comp(proc_of_comp: &mut Vec<Option<usize>>, comp: CompId, idx: usize) {
+    let i = comp.0 as usize;
+    if proc_of_comp.len() <= i {
+        proc_of_comp.resize(i + 1, None);
+    }
+    proc_of_comp[i] = Some(idx);
+}
+
 // ---------------------------------------------------------------------------
 // Runtime state
 // ---------------------------------------------------------------------------
@@ -472,7 +510,7 @@ pub(crate) struct ProcRuntime {
     pub(crate) queue: VecDeque<PendingEvent>,
     pub(crate) frame: Option<Frame>,
     pub(crate) clock: u64,
-    pub(crate) profile: ProcProfile,
+    pub(crate) profile: Arc<ProcProfile>,
     pub(crate) hot: HotCycles,
 }
 
@@ -533,10 +571,11 @@ pub(crate) struct Engine<'m> {
     /// states on snapshot resume (`rebuild_waiters`).
     waiters: Vec<Vec<usize>>,
     pub(crate) procs: Vec<ProcRuntime>,
-    proc_of_comp: HashMap<CompId, usize>,
+    /// Processor index of each executor component, indexed by `CompId`.
+    proc_of_comp: Vec<Option<usize>>,
     /// Pending wakes `(time, seq, proc)`. Ordering is `(time, seq)` —
     /// `seq` is unique, so `proc` never tie-breaks.
-    pub(crate) heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    pub(crate) wake_queue: EventQueue,
     seq: u64,
     pub(crate) now: u64,
     pub(crate) horizon: u64,
@@ -574,8 +613,16 @@ pub(crate) struct Engine<'m> {
     /// runs never set it. Read by the fused backend to cap trace barriers.
     pub(crate) snapshot_at: Option<u64>,
     /// Set when [`Engine::run`] returned because it reached `snapshot_at`
-    /// (as opposed to draining the heap / completing the program).
+    /// (as opposed to draining the wake queue / completing the program).
     snapshot_due: bool,
+    /// Wake-path scratch, reused so a wake allocates nothing of its own:
+    /// waiter lists drained by a resolution (`subscribe` draws from them),
+    /// the processors a resolution wakes, finished frames' scope stacks
+    /// (`issue_event` draws from them) and `control_and`/`_or` deps.
+    waiter_pool: Vec<Vec<usize>>,
+    woken: Vec<usize>,
+    stack_pool: Vec<Vec<Scope>>,
+    dep_buf: Vec<SignalId>,
 }
 
 impl<'m> Engine<'m> {
@@ -596,8 +643,8 @@ impl<'m> Engine<'m> {
             signals: SignalTable::new(),
             waiters: vec![],
             procs: vec![],
-            proc_of_comp: HashMap::new(),
-            heap: BinaryHeap::new(),
+            proc_of_comp: vec![],
+            wake_queue: EventQueue::new(),
             seq: 0,
             now: 0,
             horizon: 0,
@@ -621,13 +668,18 @@ impl<'m> Engine<'m> {
             fused: crate::fused::FusedScratch::new(plan.fusion.len()),
             snapshot_at: None,
             snapshot_due: false,
+            waiter_pool: vec![],
+            woken: vec![],
+            stack_pool: vec![],
+            dep_buf: vec![],
         };
         // The implicit host processor interprets the top block at time 0;
         // all its ops are free (orchestration, not datapath).
+        let host_profile = Arc::new(ProcProfile::uniform(0));
         let host = engine
             .machine
-            .add_processor("Host", ProcProfile::uniform(0));
-        let host_idx = engine.add_proc_runtime(host, ProcProfile::uniform(0));
+            .add_processor("Host", Arc::clone(&host_profile));
+        let host_idx = engine.add_proc_runtime(host, host_profile);
         let done = engine.signals.fresh();
         engine.procs[host_idx].frame = Some(Frame {
             env: vec![None; plan.scope_values(0).len()],
@@ -643,7 +695,7 @@ impl<'m> Engine<'m> {
         engine
     }
 
-    fn add_proc_runtime(&mut self, comp: CompId, profile: ProcProfile) -> usize {
+    fn add_proc_runtime(&mut self, comp: CompId, profile: Arc<ProcProfile>) -> usize {
         let idx = self.procs.len();
         self.procs.push(ProcRuntime {
             comp,
@@ -653,13 +705,18 @@ impl<'m> Engine<'m> {
             hot: HotCycles::from_profile(&profile),
             profile,
         });
-        self.proc_of_comp.insert(comp, idx);
+        set_proc_of_comp(&mut self.proc_of_comp, comp, idx);
         idx
+    }
+
+    /// The processor index of executor component `comp`.
+    fn proc_of(&self, comp: CompId) -> Option<usize> {
+        self.proc_of_comp.get(comp.0 as usize).copied().flatten()
     }
 
     fn schedule(&mut self, time: u64, proc: usize) {
         let t = time.max(self.now);
-        self.heap.push(Reverse((t, self.seq, proc)));
+        self.wake_queue.push(t, self.seq, proc);
         self.seq += 1;
     }
 
@@ -668,13 +725,13 @@ impl<'m> Engine<'m> {
     /// paused at the cut, or finished early (then the snapshot records the
     /// terminal state).
     fn capture(&self, requested: u64) -> Snapshot {
-        let mut heap: Vec<(u64, u64, u32)> = self
-            .heap
+        let mut wake_queue: Vec<(u64, u64, u32)> = self
+            .wake_queue
             .iter()
-            .map(|&Reverse((t, s, p))| (t, s, p as u32))
+            .map(|(t, s, p)| (t, s, p as u32))
             .collect();
-        heap.sort_unstable();
-        let actual_cut = heap.first().map_or(self.horizon, |&(t, _, _)| t);
+        wake_queue.sort_unstable();
+        let actual_cut = wake_queue.first().map_or(self.horizon, |&(t, _, _)| t);
         let components = self
             .machine
             .components
@@ -744,7 +801,7 @@ impl<'m> Engine<'m> {
             idle_steps: self.idle_steps,
             seq: self.seq,
             host_mem: self.host_mem.map(|c| c.0),
-            heap,
+            wake_queue,
             signals: self.signals.signals.clone(),
             procs: self
                 .procs
@@ -813,7 +870,7 @@ impl<'m> Engine<'m> {
             let kind = match &c.kind {
                 CompKindSnap::Processor { kind, profile } => ComponentKind::Processor(Processor {
                     kind: kind.clone(),
-                    profile: profile.restore(),
+                    profile: Arc::new(profile.restore()),
                 }),
                 CompKindSnap::Memory(m) => {
                     if m.ports.is_empty() {
@@ -887,7 +944,7 @@ impl<'m> Engine<'m> {
         }
         // Rebuild processor runtimes.
         let mut procs = Vec::with_capacity(nproc);
-        let mut proc_of_comp = HashMap::new();
+        let mut proc_of_comp = vec![];
         for p in &snap.procs {
             if (p.comp as usize) >= ncomp {
                 return Err(snap_err("processor component out of range"));
@@ -898,8 +955,8 @@ impl<'m> Engine<'m> {
             if let Some(frame) = &p.frame {
                 check_frame(frame, module, plan, nsig, ncomp, nbuf, nconn)?;
             }
-            let profile = p.profile.restore();
-            proc_of_comp.insert(CompId(p.comp), procs.len());
+            let profile = Arc::new(p.profile.restore());
+            set_proc_of_comp(&mut proc_of_comp, CompId(p.comp), procs.len());
             procs.push(ProcRuntime {
                 comp: CompId(p.comp),
                 queue: p.queue.iter().cloned().collect(),
@@ -909,9 +966,7 @@ impl<'m> Engine<'m> {
                 profile,
             });
         }
-        if snap.heap.iter().any(|&(_, _, p)| (p as usize) >= nproc) {
-            return Err(snap_err("scheduled event targets an unknown processor"));
-        }
+        check_wake_queue(snap, nproc)?;
         if let Some(hm) = snap.host_mem {
             let ok = matches!(
                 machine.components.get(hm as usize),
@@ -924,10 +979,11 @@ impl<'m> Engine<'m> {
                 return Err(snap_err("host scratch memory is not a memory"));
             }
         }
-        let heap = snap
-            .heap
-            .iter()
-            .map(|&(t, s, p)| Reverse((t, s, p as usize)))
+        let mut wakes = snap.wake_queue.clone();
+        wakes.sort_unstable();
+        let wake_queue = wakes
+            .into_iter()
+            .map(|(t, s, p)| (t, s, p as usize))
             .collect();
         let mut engine = Engine {
             module,
@@ -939,7 +995,7 @@ impl<'m> Engine<'m> {
             waiters: vec![],
             procs,
             proc_of_comp,
-            heap,
+            wake_queue,
             seq: snap.seq,
             now: snap.now,
             horizon: snap.horizon,
@@ -961,6 +1017,10 @@ impl<'m> Engine<'m> {
             fused: crate::fused::FusedScratch::new(plan.fusion.len()),
             snapshot_at: None,
             snapshot_due: false,
+            waiter_pool: vec![],
+            woken: vec![],
+            stack_pool: vec![],
+            dep_buf: vec![],
         };
         engine.rebuild_waiters();
         Ok(engine)
@@ -971,12 +1031,11 @@ impl<'m> Engine<'m> {
     /// registered on a signal iff (a) it is idle and its queue head's
     /// dependency is that signal, unresolved, or (b) its frame is blocked
     /// in an `await` whose first unresolved dependency is that signal —
-    /// and in either case no wake for it is pending in the heap (a pending
-    /// wake re-discovers the block and re-registers when it pops, exactly
-    /// as the live engine does).
+    /// and in either case no wake for it is pending in the wake queue (a
+    /// pending wake re-discovers the block and re-registers when it pops,
+    /// exactly as the live engine does).
     fn rebuild_waiters(&mut self) {
-        let scheduled: std::collections::HashSet<usize> =
-            self.heap.iter().map(|&Reverse((_, _, p))| p).collect();
+        let scheduled: HashSet<usize> = self.wake_queue.iter().map(|(_, _, p)| p).collect();
         for p in 0..self.procs.len() {
             if scheduled.contains(&p) {
                 continue;
@@ -1022,6 +1081,11 @@ impl<'m> Engine<'m> {
             self.waiters.resize_with(i + 1, Vec::new);
         }
         let list = &mut self.waiters[i];
+        if list.capacity() == 0 {
+            if let Some(spare) = self.waiter_pool.pop() {
+                *list = spare;
+            }
+        }
         if !list.contains(&p) {
             list.push(p);
         }
@@ -1074,7 +1138,7 @@ impl<'m> Engine<'m> {
     }
 
     /// The per-wake budget check, inlined into both scheduler loops (the
-    /// heap pop and the inline-wake fast path in `step_frame`). The cheap
+    /// queue pop and the inline-wake fast path in `step_frame`). The cheap
     /// counter comparisons run every wake; the epoch poll fires on
     /// `wakes % WAKE_EPOCH == 1`, so a pre-cancelled run stops on its very
     /// first wake.
@@ -1093,11 +1157,11 @@ impl<'m> Engine<'m> {
         Ok(())
     }
 
-    /// The scheduler loop: pops wakes in `(time, seq)` order until the heap
-    /// drains (or an armed snapshot cut is reached), then checks for stuck
-    /// work.
+    /// The scheduler loop: pops wakes in `(time, seq)` order until the
+    /// queue drains (or an armed snapshot cut is reached), then checks for
+    /// stuck work.
     fn run(&mut self) -> Result<(), SimError> {
-        while let Some(&Reverse((t, _, p))) = self.heap.peek() {
+        while let Some(t) = self.wake_queue.peek_time() {
             if self.snapshot_at.is_some_and(|cut| t >= cut) {
                 // Snapshot boundary: every event strictly before the cut has
                 // been processed. Leave the event untouched (its wake is
@@ -1106,7 +1170,9 @@ impl<'m> Engine<'m> {
                 self.snapshot_due = true;
                 return Ok(());
             }
-            self.heap.pop();
+            let Some((t, _, p)) = self.wake_queue.pop() else {
+                break;
+            };
             self.now = t;
             self.wakes += 1;
             self.check_budget(t)?;
@@ -1209,13 +1275,15 @@ impl<'m> Engine<'m> {
                     return Err(SimError::Runtime("launch event for a non-launch op".into()));
                 };
                 let info = self.plan.launch(launch);
+                let mut stack = self.stack_pool.pop().unwrap_or_default();
+                stack.push(Scope {
+                    block: info.body,
+                    idx: 0,
+                    looping: None,
+                });
                 self.procs[p].frame = Some(Frame {
                     env,
-                    stack: vec![Scope {
-                        block: info.body,
-                        idx: 0,
-                        looping: None,
-                    }],
+                    stack,
                     done: event.done,
                     scope: info.scope,
                 });
@@ -1310,27 +1378,37 @@ impl<'m> Engine<'m> {
     /// `max(resolve_time, clock)` never depended on the spurious clock
     /// bumps the broadcast produced — but drops the O(procs) wake storm
     /// per resolution (the fig12 sweep spends most of its 9.26 M wakes
-    /// there). Waking in ascending processor order preserves heap sequence
+    /// there). Waking in ascending processor order preserves queue sequence
     /// assignment for same-time ties.
     fn resolve_signal(&mut self, sig: SignalId, time: u64, payload: Vec<SimValue>) {
-        let fired = self.signals.resolve(sig, time, payload);
-        self.bump_horizon(time);
-        let mut woken: Vec<usize> = vec![];
-        for f in &fired {
-            if let Some(list) = self.waiters.get_mut(f.0 as usize) {
-                for p in list.drain(..) {
-                    if !woken.contains(&p) {
-                        woken.push(p);
-                    }
+        let mut woken = std::mem::take(&mut self.woken);
+        for &f in self.signals.resolve_cascade(sig, time, payload) {
+            let Some(list) = self.waiters.get_mut(f.0 as usize) else {
+                continue;
+            };
+            if list.is_empty() {
+                continue;
+            }
+            // A signal resolves once, so its list is never used again:
+            // hand its allocation to the next `subscribe`.
+            let mut list = std::mem::take(list);
+            for &p in &list {
+                if !woken.contains(&p) {
+                    woken.push(p);
                 }
             }
+            list.clear();
+            self.waiter_pool.push(list);
         }
+        self.bump_horizon(time);
         woken.sort_unstable();
         let rt = self.signals.resolve_time(sig).unwrap_or(time);
-        for p in woken {
+        for &p in &woken {
             let at = rt.max(self.procs[p].clock);
             self.schedule(at, p);
         }
+        woken.clear();
+        self.woken = woken;
     }
 
     // ---- value evaluation -------------------------------------------------
@@ -1443,9 +1521,9 @@ impl<'m> Engine<'m> {
     /// in-frame operations): keeps stepping through zero-time ops, and
     /// through timed ops whenever no other event is due at or before this
     /// processor's advancing clock — those wakes would be the very next
-    /// heap pop, so they are taken inline (still counted, so
+    /// queue pop, so they are taken inline (still counted, so
     /// `events_processed` and the event-limit guard behave exactly as if
-    /// each had gone through the heap). Returns `Yield` only when another
+    /// each had gone through the queue). Returns `Yield` only when another
     /// processor must run first.
     fn step_frame(&mut self, p: usize) -> Result<Step, SimError> {
         let Some(mut frame) = self.procs[p].frame.take() else {
@@ -1467,9 +1545,9 @@ impl<'m> Engine<'m> {
                 Ok(Step::Yield) => {
                     let clock = self.procs[p].clock;
                     let contended = self
-                        .heap
-                        .peek()
-                        .is_some_and(|&Reverse((t_top, _, _))| t_top <= clock);
+                        .wake_queue
+                        .peek_time()
+                        .is_some_and(|t_top| t_top <= clock);
                     // An armed snapshot cut behaves like contention: yield to
                     // the scheduler without counting a wake here — the
                     // resumed run's pop of the rescheduled wake counts it,
@@ -1489,7 +1567,11 @@ impl<'m> Engine<'m> {
         };
         match &result {
             Ok(Step::Finished) => {
-                // Frame dropped; done signal was resolved inside.
+                // The done signal was resolved inside; keep the stack's
+                // allocation for a later launch.
+                let mut stack = frame.stack;
+                stack.clear();
+                self.stack_pool.push(stack);
             }
             _ => self.procs[p].frame = Some(frame),
         }
@@ -1619,7 +1701,7 @@ impl<'m> Engine<'m> {
             OpCode::CreateProc => {
                 let kind = attr_str("kind");
                 let profile = self.lib.proc_profile(kind);
-                let comp = self.machine.add_processor(kind, profile.clone());
+                let comp = self.machine.add_processor(kind, Arc::clone(&profile));
                 self.add_proc_runtime(comp, profile);
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
@@ -1649,7 +1731,7 @@ impl<'m> Engine<'m> {
             }
             OpCode::CreateDma => {
                 let comp = self.machine.add_dma();
-                self.add_proc_runtime(comp, SimLibrary::default_profile());
+                self.add_proc_runtime(comp, self.lib.default_proc_profile());
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -1843,7 +1925,7 @@ impl<'m> Engine<'m> {
                 let conn = self.lookup_conn(frame, conn.get())?;
                 let done = self.signals.fresh();
                 self.bind(frame, info, 0, SimValue::Signal(done));
-                let target = *self.proc_of_comp.get(&dma).ok_or_else(|| {
+                let target = self.proc_of(dma).ok_or_else(|| {
                     SimError::Port(format!(
                         "memcpy target '{}' is not an executor",
                         self.machine.name(dma)
@@ -1892,7 +1974,7 @@ impl<'m> Engine<'m> {
                         index: i - 1,
                     });
                 }
-                let target = *self.proc_of_comp.get(&proc_comp).ok_or_else(|| {
+                let target = self.proc_of(proc_comp).ok_or_else(|| {
                     SimError::Port(format!(
                         "launch target '{}' is not an executor",
                         self.machine.name(proc_comp)
@@ -1913,16 +1995,17 @@ impl<'m> Engine<'m> {
                 Ok(Step::Continue)
             }
             OpCode::Control { and, deps } => {
-                let deps: Vec<SignalId> = plan
-                    .slots(deps)
-                    .iter()
-                    .map(|&s| self.lookup_signal(frame, s))
-                    .collect::<Result<_, _>>()?;
+                let mut sigs = std::mem::take(&mut self.dep_buf);
+                sigs.clear();
+                for &s in plan.slots(deps) {
+                    sigs.push(self.lookup_signal(frame, s)?);
+                }
                 let sig = if and {
-                    self.signals.new_and(&deps)
+                    self.signals.new_and(&sigs)
                 } else {
-                    self.signals.new_or(&deps)
+                    self.signals.new_or(&sigs)
                 };
+                self.dep_buf = sigs;
                 self.bind(frame, info, 0, SimValue::Signal(sig));
                 Ok(Step::Continue)
             }

@@ -9,7 +9,7 @@
 //! time, into flat instruction tables ([`FusedLoop`]) whose operands are
 //! pre-resolved virtual-register indices into a dense `i64` bank. The trace
 //! runner ([`Engine::run_fused`]) then executes whole loop nests without
-//! touching the frame environment or the event heap, consulting the event
+//! touching the frame environment or the wake queue, consulting the event
 //! engine only at *trace exits*:
 //!
 //! * **contention** — a timed instruction's finish time reaches another
@@ -59,7 +59,6 @@
 //! iterations at those boundaries; both loops execute instructions through
 //! one semantics function (`exec`).
 
-use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1009,16 +1008,12 @@ impl<'m> Engine<'m> {
         // block skipped — the next uncontended entry runs the trace.
         {
             let clock = self.procs[p].clock;
-            if self
-                .heap
-                .peek()
-                .is_some_and(|&Reverse((t, _, _))| t <= clock)
-            {
+            if self.wake_queue.peek_time().is_some_and(|t| t <= clock) {
                 return Ok(None);
             }
         }
         // The scratch is moved out for the duration of the run so the
-        // borrow checker sees `self` (machine, heap, counters) and the
+        // borrow checker sees `self` (machine, wake queue, counters) and the
         // scratch as disjoint. It is restored on every path.
         let mut s = std::mem::take(&mut self.fused);
         let out = self.fused_exec(p, frame, f, &mut s);
@@ -1190,13 +1185,13 @@ impl<'m> Engine<'m> {
             }
         }
 
-        // ---- trace state: engine counters as locals. The heap is
+        // ---- trace state: engine counters as locals. The wake queue is
         // untouched inside a trace (no pushes, no signal resolutions), so
         // the earliest pending event is a constant contention barrier. An
         // armed snapshot cut caps the barrier too: the trace then exits via
         // `Exit::Yield` at the first timed op at or past the cut — this is
         // where a snapshot requested mid-trace lands. ----
-        let mut barrier = self.heap.peek().map_or(u64::MAX, |&Reverse((t, _, _))| t);
+        let mut barrier = self.wake_queue.peek_time().unwrap_or(u64::MAX);
         if let Some(cut) = self.snapshot_at {
             barrier = barrier.min(cut);
         }

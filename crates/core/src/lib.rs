@@ -115,6 +115,7 @@ mod library;
 mod machine;
 mod plan;
 mod profile;
+mod queue;
 mod signal;
 mod snapshot;
 mod trace;

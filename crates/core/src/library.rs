@@ -17,6 +17,7 @@ use crate::machine::{
 };
 use equeue_ir::AttrMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Description of a `create_mem` op handed to a memory factory.
 #[derive(Debug, Clone)]
@@ -58,7 +59,10 @@ pub struct ExtOp {
 /// ```
 pub struct SimLibrary {
     ext_ops: HashMap<String, ExtOp>,
-    proc_profiles: HashMap<String, ProcProfile>,
+    /// Shared by every processor of a kind, so creating one copies no map.
+    proc_profiles: HashMap<String, Arc<ProcProfile>>,
+    /// [`SimLibrary::default_profile`], for DMA engines and unknown kinds.
+    fallback_profile: Arc<ProcProfile>,
     mem_factories: HashMap<String, MemFactory>,
     /// Cycles per multiply-accumulate when executing `linalg.conv2d` /
     /// `linalg.matmul` analytically. The Linalg level is the most abstract
@@ -126,6 +130,7 @@ impl SimLibrary {
         let mut lib = SimLibrary {
             ext_ops: HashMap::new(),
             proc_profiles: HashMap::new(),
+            fallback_profile: Arc::new(Self::default_profile()),
             mem_factories: HashMap::new(),
             linalg_cycles_per_mac: 8,
             default_mem_ports: 2,
@@ -154,7 +159,7 @@ impl SimLibrary {
         // queue pushes, not datapath work).
         for kind in ["ARMr5", "ARMr6", "MAC", "AIEngine", "Generic"] {
             lib.proc_profiles
-                .insert(kind.to_string(), Self::default_profile());
+                .insert(kind.to_string(), Arc::clone(&lib.fallback_profile));
         }
 
         lib.mem_factories.insert("SRAM".into(), sram_factory);
@@ -210,15 +215,23 @@ impl SimLibrary {
 
     /// Registers (or overrides) a processor profile for `kind`.
     pub fn register_proc_profile(&mut self, kind: &str, profile: ProcProfile) {
-        self.proc_profiles.insert(kind.to_string(), profile);
+        self.proc_profiles
+            .insert(kind.to_string(), Arc::new(profile));
     }
 
-    /// The profile for processor `kind` (default profile when unknown).
-    pub fn proc_profile(&self, kind: &str) -> ProcProfile {
-        self.proc_profiles
-            .get(kind)
-            .cloned()
-            .unwrap_or_else(Self::default_profile)
+    /// The profile for processor `kind` (default profile when unknown),
+    /// shared with every other processor of that kind.
+    pub fn proc_profile(&self, kind: &str) -> Arc<ProcProfile> {
+        Arc::clone(
+            self.proc_profiles
+                .get(kind)
+                .unwrap_or(&self.fallback_profile),
+        )
+    }
+
+    /// The shared [`SimLibrary::default_profile`] (DMA engines use it).
+    pub(crate) fn default_proc_profile(&self) -> Arc<ProcProfile> {
+        Arc::clone(&self.fallback_profile)
     }
 
     /// Registers (or overrides) a memory factory for `kind` — the §IV-D

@@ -11,6 +11,7 @@
 use crate::value::{BufId, CompId, ConnId, Tensor};
 use equeue_dialect::ConnKind;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Read or write, for memory/connection accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -512,8 +513,8 @@ impl ProcProfile {
 pub struct Processor {
     /// Kind string (`"ARMr5"`, `"MAC"`, `"AIEngine"`, …).
     pub kind: String,
-    /// Timing profile.
-    pub profile: ProcProfile,
+    /// Timing profile, shared by the processors of one kind.
+    pub profile: Arc<ProcProfile>,
 }
 
 /// A composite component grouping named children.
@@ -733,7 +734,7 @@ impl Machine {
     }
 
     /// Adds a processor; returns its id.
-    pub fn add_processor(&mut self, kind: &str, profile: ProcProfile) -> CompId {
+    pub fn add_processor(&mut self, kind: &str, profile: Arc<ProcProfile>) -> CompId {
         let id = CompId(self.components.len() as u32);
         self.components.push(Component {
             name: format!("{kind}#{}", id.0),
@@ -1086,7 +1087,7 @@ mod tests {
     #[test]
     fn composite_lookup() {
         let mut m = Machine::new();
-        let p = m.add_processor("MAC", ProcProfile::default());
+        let p = m.add_processor("MAC", Arc::new(ProcProfile::default()));
         let mem = m.add_memory("SRAM", 64, 32, 1, 1, Box::new(SramBehavior::default()));
         let c = m.add_composite(&["PE".into(), "Mem".into()], &[p, mem]);
         assert_eq!(m.child(c, "PE"), Some(p));

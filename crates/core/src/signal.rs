@@ -7,6 +7,7 @@
 //! resolve when all/any of their dependencies resolve (§III-D).
 
 use crate::value::{SignalId, SimValue};
+use equeue_ir::IdVec;
 
 /// State of one signal. `pub(crate)` so the snapshot codec can serialise
 /// and restore the table verbatim.
@@ -21,8 +22,9 @@ pub(crate) enum SignalState {
         time_acc: u64,
         /// Whether this is an `or` combinator (first dep fires it).
         any_mode: bool,
-        /// Downstream derived signals to notify on resolution.
-        dependents: Vec<SignalId>,
+        /// Downstream derived signals to notify on resolution. Most
+        /// signals have one or none, which `IdVec` holds inline.
+        dependents: IdVec<SignalId>,
     },
     /// Fired at `time` with `payload`.
     Resolved {
@@ -52,7 +54,7 @@ pub(crate) enum SignalState {
 pub struct SignalTable {
     pub(crate) signals: Vec<SignalState>,
     /// Signals resolved by the most recent `resolve` cascade. Transient
-    /// scratch: empty between `resolve` calls, so snapshots need not
+    /// scratch: only read right after a cascade, so snapshots need not
     /// capture it.
     just_resolved: Vec<SignalId>,
 }
@@ -80,7 +82,7 @@ impl SignalTable {
             remaining: 1,
             time_acc: 0,
             any_mode: false,
-            dependents: vec![],
+            dependents: IdVec::new(),
         });
         id
     }
@@ -140,7 +142,7 @@ impl SignalTable {
                     remaining: 1,
                     time_acc: u64::MAX,
                     any_mode: true,
-                    dependents: vec![],
+                    dependents: IdVec::new(),
                 }
             }
         } else if remaining == 0 {
@@ -153,7 +155,7 @@ impl SignalTable {
                 remaining,
                 time_acc,
                 any_mode: false,
-                dependents: vec![],
+                dependents: IdVec::new(),
             }
         };
         let resolved = matches!(state, SignalState::Resolved { .. });
@@ -194,9 +196,20 @@ impl SignalTable {
     /// `sig`). Resolving an already-resolved signal is a no-op: the first
     /// resolution wins (faulty or adversarial IR can attempt it).
     pub fn resolve(&mut self, sig: SignalId, time: u64, payload: Vec<SimValue>) -> Vec<SignalId> {
+        self.resolve_cascade(sig, time, payload).to_vec()
+    }
+
+    /// [`SignalTable::resolve`] without the copy: the fired signals are
+    /// borrowed from the table's scratch, which the next call reuses.
+    pub(crate) fn resolve_cascade(
+        &mut self,
+        sig: SignalId,
+        time: u64,
+        payload: Vec<SimValue>,
+    ) -> &[SignalId] {
         self.just_resolved.clear();
         self.resolve_inner(sig, time, payload);
-        std::mem::take(&mut self.just_resolved)
+        &self.just_resolved
     }
 
     fn resolve_inner(&mut self, sig: SignalId, time: u64, payload: Vec<SimValue>) {

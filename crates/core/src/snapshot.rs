@@ -1,9 +1,10 @@
 //! Simulation snapshots: complete engine state at a cycle boundary.
 //!
 //! A [`Snapshot`] captures everything a paused run needs to continue
-//! bit-identically: the event heap, per-processor runtime state (clocks,
-//! event queues, executing frames), the signal table, memory contents and
-//! in-flight port reservations, connection traffic, and every run counter.
+//! bit-identically: the scheduler's wake queue, per-processor runtime state
+//! (clocks, event queues, executing frames), the signal table, memory
+//! contents and in-flight port reservations, connection traffic, and every
+//! run counter.
 //! Snapshots are produced by [`crate::CompiledModule::snapshot`] (which runs
 //! the module up to a given cycle) and consumed by
 //! [`crate::CompiledModule::resume`].
@@ -16,8 +17,8 @@
 //! before it. [`Snapshot::decode`] verifies the checksum first, so any
 //! truncation or byte mutation is rejected with a typed
 //! [`SimError::Snapshot`] — never a panic. Encoding is canonical
-//! (deterministic field order, profile maps sorted by key, heap sorted by
-//! `(time, seq)`), so `encode(decode(bytes)) == bytes` for any stream that
+//! (deterministic field order, profile maps sorted by key, wake queue sorted
+//! by `(time, seq)`), so `encode(decode(bytes)) == bytes` for any stream that
 //! decodes successfully.
 //!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
@@ -27,6 +28,7 @@
 use std::collections::HashMap;
 
 use equeue_dialect::ConnKind;
+use equeue_ir::IdVec;
 
 use crate::engine::{Backend, EventKind, Frame, LoopDim, LoopState, PendingEvent, Scope};
 use crate::machine::{AccessKind, BehaviorSnapshot, Buffer, MemCounters, ProcProfile, Transfer};
@@ -197,8 +199,8 @@ pub struct Snapshot {
     pub(crate) idle_steps: u64,
     pub(crate) seq: u64,
     pub(crate) host_mem: Option<u32>,
-    /// Pending scheduler events, sorted ascending by `(time, seq, proc)`.
-    pub(crate) heap: Vec<(u64, u64, u32)>,
+    /// Pending scheduler wakes `(time, seq, proc)`, sorted ascending.
+    pub(crate) wake_queue: Vec<(u64, u64, u32)>,
     pub(crate) signals: Vec<SignalState>,
     pub(crate) procs: Vec<ProcSnap>,
     pub(crate) machine: MachineSnap,
@@ -262,8 +264,8 @@ impl Snapshot {
             w.u64(c);
         }
         w.opt_u32(self.host_mem);
-        w.seq_len(self.heap.len());
-        for &(t, s, p) in &self.heap {
+        w.seq_len(self.wake_queue.len());
+        for &(t, s, p) in &self.wake_queue {
             w.u64(t);
             w.u64(s);
             w.u32(p);
@@ -337,9 +339,9 @@ impl Snapshot {
         let seq = r.u64()?;
         let host_mem = r.opt_u32()?;
         let n = r.seq_len(8 + 8 + 4)?;
-        let mut heap = Vec::with_capacity(n);
+        let mut wake_queue = Vec::with_capacity(n);
         for _ in 0..n {
-            heap.push((r.u64()?, r.u64()?, r.u32()?));
+            wake_queue.push((r.u64()?, r.u64()?, r.u32()?));
         }
         let n = r.seq_len(1)?;
         let mut signals = Vec::with_capacity(n);
@@ -372,7 +374,7 @@ impl Snapshot {
             idle_steps,
             seq,
             host_mem,
-            heap,
+            wake_queue,
             signals,
             procs,
             machine,
@@ -736,7 +738,7 @@ fn r_signal_state(r: &mut Reader) -> Result<SignalState, SimError> {
             let time_acc = r.u64()?;
             let any_mode = r.boolean()?;
             let n = r.seq_len(4)?;
-            let mut dependents = Vec::with_capacity(n);
+            let mut dependents = IdVec::new();
             for _ in 0..n {
                 dependents.push(SignalId(r.u32()?));
             }
@@ -1276,7 +1278,7 @@ mod tests {
             idle_steps: 0,
             seq: 6,
             host_mem: Some(1),
-            heap: vec![(12, 5, 0)],
+            wake_queue: vec![(12, 5, 0)],
             signals: vec![
                 SignalState::Resolved {
                     time: 3,
@@ -1286,7 +1288,7 @@ mod tests {
                     remaining: 2,
                     time_acc: 7,
                     any_mode: false,
-                    dependents: vec![SignalId(0)],
+                    dependents: [SignalId(0)].into_iter().collect(),
                 },
             ],
             procs: vec![ProcSnap {

@@ -260,3 +260,108 @@ fn resume_against_wrong_module_is_typed() {
         Ok(_) => panic!("wrong-module resume succeeded"),
     }
 }
+
+/// Byte offset of the captured `now` in an encoded snapshot: magic and
+/// version (8 bytes), the two cuts (16), the completion flag and backend
+/// (2) and the module fingerprint (24). Nine more `u64` counters follow it,
+/// the last of which is the scheduler's `seq`.
+const NOW_AT: usize = 50;
+const SEQ_AT: usize = NOW_AT + 9 * 8;
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// FNV-1a 64, the wire format's trailing checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites the wake-queue section of an encoded snapshot with `edit`
+/// (given the captured `now` and `seq`) and re-seals the checksum, so the
+/// stream still decodes and only resume's checks can reject it.
+fn edit_wake_queue(
+    bytes: &[u8],
+    edit: impl FnOnce(u64, u64, &mut Vec<(u64, u64, u32)>),
+) -> Vec<u8> {
+    let (now, seq) = (u64_at(bytes, NOW_AT), u64_at(bytes, SEQ_AT));
+    // The host-memory id: a tag byte, then a `u32` when present.
+    let len_at = SEQ_AT + 8 + if bytes[SEQ_AT + 8] == 0 { 1 } else { 5 };
+    let n = u64_at(bytes, len_at) as usize;
+    let mut wakes: Vec<(u64, u64, u32)> = (0..n)
+        .map(|i| {
+            let at = len_at + 8 + i * 20;
+            let p = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().expect("4 bytes"));
+            (u64_at(bytes, at), u64_at(bytes, at + 8), p)
+        })
+        .collect();
+    edit(now, seq, &mut wakes);
+    let mut out = bytes[..len_at].to_vec();
+    out.extend_from_slice(&(wakes.len() as u64).to_le_bytes());
+    for (t, s, p) in wakes {
+        out.extend_from_slice(&t.to_le_bytes());
+        out.extend_from_slice(&s.to_le_bytes());
+        out.extend_from_slice(&p.to_le_bytes());
+    }
+    out.extend_from_slice(&bytes[len_at + 8 + n * 20..bytes.len() - 8]);
+    let checksum = fnv1a(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// A restored wake queue must name known processors, be due no earlier
+/// than the captured time, and carry unique seqs below the captured
+/// counter; the scheduler's same-time FIFO pops in `(time, seq)` order only
+/// then. Each violation is a typed rejection at resume.
+#[test]
+fn invalid_wake_queue_entries_are_rejected() {
+    let (compiled, bytes) = seed(mac_chain(16), 5);
+    let opts = SimOptions {
+        trace: false,
+        ..Default::default()
+    };
+    let resume = |bytes: &[u8]| {
+        let snap = Snapshot::decode(bytes).expect("re-sealed stream decodes");
+        compiled.resume(&snap, &opts)
+    };
+    // The rewrite itself is faithful: an unedited queue resumes.
+    let same = edit_wake_queue(&bytes, |_, _, _| {});
+    assert_eq!(same, bytes);
+    assert!(resume(&same).is_ok());
+
+    type Edit = fn(u64, u64, &mut Vec<(u64, u64, u32)>);
+    let cases: [(&str, Edit, &str); 4] = [
+        (
+            "unknown processor",
+            |_, _, w| w[0].2 = 1000,
+            "unknown processor",
+        ),
+        (
+            "due before now",
+            |now, _, w| w[0].0 = now - 1,
+            "before the captured time",
+        ),
+        (
+            "seq not yet issued",
+            |_, seq, w| w[0].1 = seq,
+            "not yet issued",
+        ),
+        (
+            "duplicate seq",
+            |_, _, w| w.push((w[0].0 + 1, w[0].1, w[0].2)),
+            "share a sequence number",
+        ),
+    ];
+    assert!(u64_at(&bytes, NOW_AT) > 0, "the cut must leave now > 0");
+    for (name, edit, want) in cases {
+        match resume(&edit_wake_queue(&bytes, edit)) {
+            Err(SimError::Snapshot(msg)) => {
+                assert!(msg.contains(want), "{name}: unexpected message {msg:?}");
+            }
+            Err(e) => panic!("{name}: non-Snapshot error {e}"),
+            Ok(_) => panic!("{name}: resumed"),
+        }
+    }
+}
