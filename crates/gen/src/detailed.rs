@@ -6,18 +6,25 @@
 //! its own operation. This module emits that program shape — each PE's
 //! per-fold work is an `affine.for` whose body costs one cycle per
 //! element, with boundary PEs doing real indexed SRAM reads/writes — so
-//! the two fidelities can be compared directly: identical cycle counts,
-//! very different event counts (and simulation cost). The Fig. 12 sweep
-//! uses the wave model because its cost grows with folds, not cycles.
+//! the two fidelities can be compared directly: identical cycle counts
+//! and SRAM traffic, very different event counts (and simulation cost).
+//! The Fig. 12 sweep uses the wave model because its cost grows with
+//! folds, not cycles.
+//!
+//! The two generators share only the mapping, [`SystolicMapping`]: this
+//! one builds its own memories, buffers and fold skeleton and never
+//! reuses a wave module, so it checks the wave model independently.
 
-use crate::systolic::{generate_systolic, SystolicProgram, SystolicSpec};
+use crate::systolic::{SystolicMapping, SystolicProgram, SystolicSpec};
 use equeue_dialect::{kinds, AffineBuilder, ConnKind, ConvDims, EqueueBuilder};
 use equeue_ir::{Module, OpBuilder, Type, ValueId};
 use equeue_passes::Dataflow;
+use std::collections::HashMap;
 
 /// Generates the per-element (cycle-level) systolic program.
 ///
-/// Semantically equivalent to [`generate_systolic`] — same mapping, folds,
+/// Semantically equivalent to [`generate_systolic`](crate::generate_systolic)
+/// — same mapping, folds,
 /// and per-fold timing — but each stream element is an individual event.
 ///
 /// # Panics
@@ -40,30 +47,19 @@ use equeue_passes::Dataflow;
 /// assert!(detailed.ops_interpreted > wave.ops_interpreted);
 /// ```
 pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram {
-    // Reuse the wave generator's mapping arithmetic for the metadata…
-    let meta = generate_systolic(spec, dims);
-    let (fr, fc) = meta.folds;
-    let (d1, d2, stream) = (meta.d1, meta.d2, meta.stream);
-    let double = spec.dataflow == Dataflow::Os;
-    let per_elem_cycles: i64 = if double { 2 } else { 1 };
+    let m = SystolicMapping::new(spec, dims);
+    let (fr, fc) = m.folds();
+    let stream = m.stream;
+    // Cycles per stream element: 2 under OS (two operands enter per
+    // accumulation), else 1.
+    let per_elem_cycles = (m.stream_cycles() / stream.max(1)) as i64;
 
-    // …then build the detailed module from scratch.
     let mut module = Module::new();
     let top = module.top_block();
-    let used = |dim: usize, avail: usize, idx: usize| (dim - idx * avail).min(avail);
-    let max_ru = spec.rows.min(d1);
-    let max_cu = spec.cols.min(d2);
-
-    let mut sizes = vec![];
-    for fi in 0..fr {
-        for fj in 0..fc {
-            let sz = used(d1, spec.rows, fi) * used(d2, spec.cols, fj);
-            if !sizes.contains(&sz) {
-                sizes.push(sz);
-            }
-        }
-    }
-    let stationary_capacity: usize = sizes.iter().sum::<usize>().max(1);
+    let max_ru = m.rows_used(0);
+    let max_cu = m.cols_used(0);
+    let load_sizes = m.load_sizes();
+    let stationary_capacity: usize = load_sizes.iter().sum::<usize>().max(1);
 
     let mut b = OpBuilder::at_end(&mut module, top);
     let kernel = b.create_proc(kinds::ARM_R5);
@@ -95,10 +91,10 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
     }
     let stores: Vec<ValueId> = (0..max_cu).map(|_| b.create_proc(kinds::GENERIC)).collect();
 
-    let mut load_bufs = std::collections::HashMap::new();
-    for &sz in &sizes {
-        load_bufs.insert(sz, b.alloc(stationary_sram, &[sz], Type::I32));
-    }
+    let load_bufs: HashMap<usize, ValueId> = load_sizes
+        .iter()
+        .map(|&sz| (sz, b.alloc(stationary_sram, &[sz], Type::I32)))
+        .collect();
     let row_bufs: Vec<ValueId> = (0..max_ru)
         .map(|_| b.alloc(stream_sram, &[stream.max(1)], Type::I32))
         .collect();
@@ -113,8 +109,8 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
     let mut prev_done = b.control_start();
     for fi in 0..fr {
         for fj in 0..fc {
-            let ru = used(d1, spec.rows, fi);
-            let cu = used(d2, spec.cols, fj);
+            let ru = m.rows_used(fi);
+            let cu = m.cols_used(fj);
 
             // Stationary load (same as the wave model).
             let load = b.launch(prev_done, kernel, &[], vec![]);
@@ -134,23 +130,16 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
             b = OpBuilder::at_end(&mut module, top);
             let load_done = load.done;
 
-            let mut skew_done: Vec<Vec<Option<ValueId>>> = vec![vec![None; cu]; ru];
+            let mut skew_done: Vec<Vec<ValueId>> = vec![];
             let mut work_done: Vec<ValueId> = vec![];
-            let mut bottom_work: Vec<Option<ValueId>> = vec![None; cu];
             for i in 0..ru {
+                let mut row_done: Vec<ValueId> = vec![];
                 for j in 0..cu {
-                    let filled = |o: Option<ValueId>| match o {
-                        Some(v) => v,
-                        None => unreachable!("the wavefront fills earlier PEs first"),
-                    };
                     let dep = match (i, j) {
                         (0, 0) => load_done,
-                        (0, _) => filled(skew_done[0][j - 1]),
-                        (_, 0) => filled(skew_done[i - 1][0]),
-                        _ => b.control_and(vec![
-                            filled(skew_done[i - 1][j]),
-                            filled(skew_done[i][j - 1]),
-                        ]),
+                        (0, _) => row_done[j - 1],
+                        (_, 0) => skew_done[i - 1][0],
+                        _ => b.control_and(vec![skew_done[i - 1][j], row_done[j - 1]]),
                     };
                     let skew = b.launch(dep, pes[i][j], &[], vec![]);
                     {
@@ -162,7 +151,7 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
                         ib.ret(vec![]);
                     }
                     b = OpBuilder::at_end(&mut module, top);
-                    skew_done[i][j] = Some(skew.done);
+                    row_done.push(skew.done);
 
                     // Per-element work: a loop of `stream` iterations, one
                     // element each. Boundary PEs perform the real indexed
@@ -179,7 +168,7 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
                             let mut lb = OpBuilder::at_end(ib.module_mut(), body);
                             if boundary {
                                 lb.read_indexed(work.body_args[0], vec![iv], Some(conn_in));
-                                if double {
+                                if per_elem_cycles > 1 {
                                     lb.op("equeue.op")
                                         .attr("signature", "step")
                                         .attr("cycles", 1i64)
@@ -198,10 +187,8 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
                     }
                     b = OpBuilder::at_end(&mut module, top);
                     work_done.push(work.done);
-                    if i == ru - 1 {
-                        bottom_work[j] = Some(work.done);
-                    }
                 }
+                skew_done.push(row_done);
             }
 
             // Per-element drain.
@@ -211,13 +198,9 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
             };
             let mut store_done: Vec<ValueId> = vec![];
             for (j, &store) in stores.iter().enumerate().take(cu) {
-                let filled = |o: Option<ValueId>| match o {
-                    Some(v) => v,
-                    None => unreachable!("the wavefront covered every column"),
-                };
                 let dep = match spec.dataflow {
-                    Dataflow::Os => filled(bottom_work[j]),
-                    _ => filled(skew_done[ru - 1][j]),
+                    Dataflow::Os => work_done[(ru - 1) * cu + j],
+                    _ => skew_done[ru - 1][j],
                 };
                 let st = b.launch(dep, store, &[col_bufs[j]], vec![]);
                 {
@@ -247,46 +230,59 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
     }
     b.await_all(vec![prev_done]);
 
-    SystolicProgram {
-        module,
-        folds: meta.folds,
-        d1,
-        d2,
-        stream,
-    }
+    SystolicProgram { module, mapping: m }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use equeue_core::simulate;
+    use crate::generate_systolic;
+    use equeue_core::{simulate, SimReport};
 
+    /// The two fidelities agree on cycles and on every memory's
+    /// `(bytes_read, bytes_written)`, in creation order, over a WS/IS/OS
+    /// grid of array and conv shapes. Every dataflow has a point with
+    /// remainder folds in both dimensions.
     #[test]
-    fn fidelity_wave_equals_per_element_ws() {
-        for (rows, hw, f, n) in [(2usize, 5usize, 2usize, 2usize), (4, 6, 2, 3)] {
-            let spec = SystolicSpec {
-                rows,
-                cols: rows,
-                dataflow: Dataflow::Ws,
-            };
-            let dims = ConvDims::square(hw, f, 1, n);
-            let wave = simulate(&generate_systolic(&spec, dims).module).unwrap();
-            let detailed = simulate(&generate_systolic_detailed(&spec, dims).module).unwrap();
-            assert_eq!(wave.cycles, detailed.cycles, "rows={rows} hw={hw}");
-        }
-    }
-
-    #[test]
-    fn fidelity_wave_equals_per_element_is() {
-        let spec = SystolicSpec {
-            rows: 2,
-            cols: 2,
-            dataflow: Dataflow::Is,
+    fn fidelity_grid_wave_equals_per_element() {
+        let arrays = [(2, 2), (2, 3), (3, 2), (4, 4)];
+        let shapes = [
+            ConvDims::square(5, 2, 1, 2),
+            ConvDims::square(4, 2, 1, 3),
+            ConvDims::square(6, 3, 2, 5),
+            ConvDims::square(5, 1, 3, 3),
+            ConvDims::square(7, 2, 2, 1),
+        ];
+        let traffic = |r: &SimReport| -> Vec<(u64, u64)> {
+            r.memories
+                .iter()
+                .map(|m| (m.bytes_read, m.bytes_written))
+                .collect()
         };
-        let dims = ConvDims::square(4, 2, 1, 3);
-        let wave = simulate(&generate_systolic(&spec, dims).module).unwrap();
-        let detailed = simulate(&generate_systolic_detailed(&spec, dims).module).unwrap();
-        assert_eq!(wave.cycles, detailed.cycles);
+        for dataflow in [Dataflow::Ws, Dataflow::Is, Dataflow::Os] {
+            let mut remainders_in_both = false;
+            for (rows, cols) in arrays {
+                for dims in shapes {
+                    let spec = SystolicSpec {
+                        rows,
+                        cols,
+                        dataflow,
+                    };
+                    let wave = generate_systolic(&spec, dims);
+                    let m = wave.mapping;
+                    remainders_in_both |= !m.d1.is_multiple_of(rows) && !m.d2.is_multiple_of(cols);
+                    let wave = simulate(&wave.module).unwrap();
+                    let detailed =
+                        simulate(&generate_systolic_detailed(&spec, dims).module).unwrap();
+                    assert_eq!(wave.cycles, detailed.cycles, "{spec:?} {dims:?}");
+                    assert_eq!(traffic(&wave), traffic(&detailed), "{spec:?} {dims:?}");
+                }
+            }
+            assert!(
+                remainders_in_both,
+                "{dataflow:?}: no point folds unevenly in both dimensions"
+            );
+        }
     }
 
     #[test]
@@ -308,24 +304,5 @@ mod tests {
             wave.ops_interpreted
         );
         assert!(detailed.events_processed > wave.events_processed);
-    }
-
-    #[test]
-    fn fidelity_traffic_matches_wave_model() {
-        let spec = SystolicSpec {
-            rows: 2,
-            cols: 2,
-            dataflow: Dataflow::Ws,
-        };
-        let dims = ConvDims::square(5, 2, 1, 2);
-        let wave = simulate(&generate_systolic(&spec, dims).module).unwrap();
-        let detailed = simulate(&generate_systolic_detailed(&spec, dims).module).unwrap();
-        let sum = |r: &equeue_core::SimReport| {
-            (
-                r.memories.iter().map(|m| m.bytes_read).sum::<u64>(),
-                r.memories.iter().map(|m| m.bytes_written).sum::<u64>(),
-            )
-        };
-        assert_eq!(sum(&wave), sum(&detailed));
     }
 }

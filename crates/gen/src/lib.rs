@@ -19,4 +19,4 @@ mod systolic;
 pub use detailed::generate_systolic_detailed;
 pub use fir::{generate_fir, reference as fir_reference, FirCase, FirProgram, FirSpec};
 pub use pipeline::{build_stage_program, Stage, StageProgram};
-pub use systolic::{generate_systolic, SystolicProgram, SystolicSpec};
+pub use systolic::{generate_systolic, SystolicMapping, SystolicProgram, SystolicSpec};

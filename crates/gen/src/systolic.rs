@@ -18,8 +18,11 @@
 //! This reproduces the analytical per-fold timing
 //! `load + S + ru + cu − 1` exactly (see `scalesim`; the bench crate's
 //! tests pin the agreement) at a simulation cost of `O(folds · PEs)`
-//! events instead of `O(cycles · PEs)`, which keeps the 4,050-point sweep
+//! events instead of `O(cycles · PEs)`, which keeps the 3,780-point sweep
 //! of Fig. 12 affordable.
+//!
+//! [`SystolicMapping`] is the fold arithmetic; the per-element generator
+//! ([`crate::generate_systolic_detailed`]) shares it and nothing else.
 
 use equeue_dialect::{kinds, ConnKind, ConvDims, EqueueBuilder};
 use equeue_ir::{Module, OpBuilder, Type, ValueId};
@@ -37,13 +40,12 @@ pub struct SystolicSpec {
     pub dataflow: Dataflow,
 }
 
-/// The generated program plus mapping metadata.
-#[derive(Debug)]
-pub struct SystolicProgram {
-    /// The EQueue module, ready to simulate.
-    pub module: Module,
-    /// Fold counts `(Fr, Fc)`.
-    pub folds: (usize, usize),
+/// How a convolution maps onto the array (§VI-E): `D1 × D2` is cut into
+/// folds of at most `rows × cols` PEs, each streaming `stream` elements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SystolicMapping {
+    /// Array geometry and dataflow.
+    pub spec: SystolicSpec,
     /// Rows-mapped dimension `D1`.
     pub d1: usize,
     /// Columns-mapped dimension `D2`.
@@ -52,21 +54,90 @@ pub struct SystolicProgram {
     pub stream: usize,
 }
 
-impl SystolicProgram {
-    /// The paper's loop-iteration count `⌈D1/Ah⌉·⌈D2/Aw⌉` (Fig. 12c–e).
-    pub fn loop_iterations(&self) -> usize {
-        self.folds.0 * self.folds.1
+impl SystolicMapping {
+    /// Maps `dims` onto `spec`'s array under its dataflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the filter does not fit in the input or the array is empty.
+    pub fn new(spec: &SystolicSpec, dims: ConvDims) -> SystolicMapping {
+        assert!(spec.rows > 0 && spec.cols > 0, "array must be non-empty");
+        assert!(
+            dims.fh <= dims.h && dims.fw <= dims.w,
+            "filter must fit in the input"
+        );
+        let (k, e) = (dims.fh * dims.fw * dims.c, dims.eh() * dims.ew());
+        let (d1, d2, stream) = match spec.dataflow {
+            Dataflow::Ws => (k, dims.n, e),
+            Dataflow::Is => (k, e, dims.n),
+            Dataflow::Os => (dims.n, k, e),
+        };
+        SystolicMapping {
+            spec: *spec,
+            d1,
+            d2,
+            stream,
+        }
+    }
+
+    /// Fold counts `(Fr, Fc) = (⌈D1/Ah⌉, ⌈D2/Aw⌉)`.
+    pub fn folds(&self) -> (usize, usize) {
+        (
+            self.d1.div_ceil(self.spec.rows),
+            self.d2.div_ceil(self.spec.cols),
+        )
+    }
+
+    /// PE rows used in row fold `fi` (fewer in the remainder fold).
+    pub fn rows_used(&self, fi: usize) -> usize {
+        (self.d1 - fi * self.spec.rows).min(self.spec.rows)
+    }
+
+    /// PE columns used in column fold `fj` (fewer in the remainder fold).
+    pub fn cols_used(&self, fj: usize) -> usize {
+        (self.d2 - fj * self.spec.cols).min(self.spec.cols)
+    }
+
+    /// Cycles one fold's steady state lasts: `stream`, doubled under OS,
+    /// where two operands enter per accumulation.
+    pub fn stream_cycles(&self) -> usize {
+        match self.spec.dataflow {
+            Dataflow::Os => 2 * self.stream,
+            Dataflow::Ws | Dataflow::Is => self.stream,
+        }
+    }
+
+    /// The distinct stationary load sizes `ru·cu`, in fold order (full
+    /// folds and remainders).
+    pub fn load_sizes(&self) -> Vec<usize> {
+        let (fr, fc) = self.folds();
+        let mut sizes = vec![];
+        for fi in 0..fr {
+            for fj in 0..fc {
+                let sz = self.rows_used(fi) * self.cols_used(fj);
+                if !sizes.contains(&sz) {
+                    sizes.push(sz);
+                }
+            }
+        }
+        sizes
     }
 }
 
-/// `(D1, D2, stream, double)` for a dataflow, following §VI-E.
-fn mapping(dims: ConvDims, df: Dataflow) -> (usize, usize, usize, bool) {
-    let k = dims.fh * dims.fw * dims.c;
-    let e = dims.eh() * dims.ew();
-    match df {
-        Dataflow::Ws => (k, dims.n, e, false),
-        Dataflow::Is => (k, e, dims.n, false),
-        Dataflow::Os => (dims.n, k, e, true),
+/// The generated program plus its mapping.
+#[derive(Debug)]
+pub struct SystolicProgram {
+    /// The EQueue module, ready to simulate.
+    pub module: Module,
+    /// The mapping the module was generated from.
+    pub mapping: SystolicMapping,
+}
+
+impl SystolicProgram {
+    /// The paper's loop-iteration count `⌈D1/Ah⌉·⌈D2/Aw⌉` (Fig. 12c–e).
+    pub fn loop_iterations(&self) -> usize {
+        let (fr, fc) = self.mapping.folds();
+        fr * fc
     }
 }
 
@@ -90,37 +161,23 @@ fn mapping(dims: ConvDims, df: Dataflow) -> (usize, usize, usize, bool) {
 /// assert!(report.cycles > 0);
 /// ```
 pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram {
-    assert!(spec.rows > 0 && spec.cols > 0, "array must be non-empty");
-    assert!(
-        dims.fh <= dims.h && dims.fw <= dims.w,
-        "filter must fit in the input"
-    );
-    let (d1, d2, stream, double) = mapping(dims, spec.dataflow);
-    let fr = d1.div_ceil(spec.rows);
-    let fc = d2.div_ceil(spec.cols);
-    let stream_cycles = if double { 2 * stream } else { stream } as i64;
+    let m = SystolicMapping::new(spec, dims);
+    let (fr, fc) = m.folds();
+    let stream = m.stream;
+    let stream_cycles = m.stream_cycles() as i64;
 
     let mut module = Module::new();
     let top = module.top_block();
 
     // ---- structure specification (§VI-B) --------------------------------
-    // Distinct (ru, cu) pairs across folds (full folds plus remainders).
-    let used = |dim: usize, avail: usize, idx: usize| (dim - idx * avail).min(avail);
-    let mut load_shapes: Vec<usize> = vec![];
-    for fi in 0..fr {
-        for fj in 0..fc {
-            let sz = used(d1, spec.rows, fi) * used(d2, spec.cols, fj);
-            if !load_shapes.contains(&sz) {
-                load_shapes.push(sz);
-            }
-        }
-    }
-    let max_ru = spec.rows.min(d1);
-    let max_cu = spec.cols.min(d2);
+    // The widest fold uses `max_ru × max_cu` PEs.
+    let load_sizes = m.load_sizes();
+    let max_ru = m.rows_used(0);
+    let max_cu = m.cols_used(0);
     // Stationary buffers live on their own SRAM; stream sources on another;
     // ofmap on a third — mirroring the paper's separate ifmap/weight/ofmap
     // SRAM regions (Fig. 8).
-    let stationary_capacity: usize = load_shapes.iter().sum::<usize>().max(1);
+    let stationary_capacity: usize = load_sizes.iter().sum::<usize>().max(1);
     let stream_capacity = (max_ru * stream).max(1);
     // Drain sizes: WS/IS stream their outputs continuously (stream
     // elements per column per fold); OS drains the ru accumulated outputs
@@ -128,7 +185,7 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
     let mut drain_sizes: Vec<usize> = vec![];
     for fi in 0..fr {
         let sz = match spec.dataflow {
-            Dataflow::Os => used(d1, spec.rows, fi),
+            Dataflow::Os => m.rows_used(fi),
             _ => stream,
         };
         if !drain_sizes.contains(&sz) {
@@ -140,54 +197,41 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
     let mut b = OpBuilder::at_end(&mut module, top);
     let kernel = b.create_proc(kinds::ARM_R5);
     let stationary_sram = b.create_mem(kinds::SRAM, &[stationary_capacity], 32, spec.cols as u32);
-    let stream_sram = {
-        // One port per row so boundary PEs stream in parallel; single bank
-        // so one row's stream is one element per cycle.
-        let v = b
-            .op("equeue.create_mem")
-            .attr("kind", kinds::SRAM)
-            .attr("shape", vec![stream_capacity as i64])
-            .attr("data_bits", 32i64)
-            .attr("banks", 1i64)
-            .attr("ports", (max_ru + max_cu).max(1) as i64)
-            .result(Type::Mem)
-            .finish_value();
-        v
-    };
-    let ofmap_sram = {
-        let v = b
-            .op("equeue.create_mem")
-            .attr("kind", kinds::SRAM)
-            .attr("shape", vec![ofmap_capacity as i64])
-            .attr("data_bits", 32i64)
-            .attr("banks", 1i64)
-            .attr("ports", max_cu.max(1) as i64)
-            .result(Type::Mem)
-            .finish_value();
-        v
-    };
+    // One port per row so boundary PEs stream in parallel; single bank so
+    // one row's stream is one element per cycle.
+    let stream_sram = b
+        .op("equeue.create_mem")
+        .attr("kind", kinds::SRAM)
+        .attr("shape", vec![stream_capacity as i64])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64)
+        .attr("ports", (max_ru + max_cu).max(1) as i64)
+        .result(Type::Mem)
+        .finish_value();
+    let ofmap_sram = b
+        .op("equeue.create_mem")
+        .attr("kind", kinds::SRAM)
+        .attr("shape", vec![ofmap_capacity as i64])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64)
+        .attr("ports", max_cu.max(1) as i64)
+        .result(Type::Mem)
+        .finish_value();
     let conn_in = b.create_connection(ConnKind::Streaming, 0);
     let conn_out = b.create_connection(ConnKind::Streaming, 0);
 
     // PE grid + per-column store units.
     let mut pes: Vec<Vec<ValueId>> = vec![];
-    for _i in 0..max_ru {
-        let mut row = vec![];
-        for _j in 0..max_cu {
-            row.push(b.create_proc(kinds::MAC));
-        }
-        pes.push(row);
+    for _ in 0..max_ru {
+        pes.push((0..max_cu).map(|_| b.create_proc(kinds::MAC)).collect());
     }
     let stores: Vec<ValueId> = (0..max_cu).map(|_| b.create_proc(kinds::GENERIC)).collect();
 
     // Group everything under one composite, with names, as in Fig. 2.
     {
-        let mut names: Vec<String> = vec![
-            "Kernel".into(),
-            "StationarySRAM".into(),
-            "StreamSRAM".into(),
-            "OfmapSRAM".into(),
-        ];
+        let mut names: Vec<String> = ["Kernel", "StationarySRAM", "StreamSRAM", "OfmapSRAM"]
+            .map(String::from)
+            .into();
         let mut comps = vec![kernel, stationary_sram, stream_sram, ofmap_sram];
         for (i, row) in pes.iter().enumerate() {
             for (j, &pe) in row.iter().enumerate() {
@@ -204,11 +248,10 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
     }
 
     // Buffers.
-    let mut load_bufs: HashMap<usize, ValueId> = HashMap::new();
-    for &sz in &load_shapes {
-        let buf = b.alloc(stationary_sram, &[sz], Type::I32);
-        load_bufs.insert(sz, buf);
-    }
+    let load_bufs: HashMap<usize, ValueId> = load_sizes
+        .iter()
+        .map(|&sz| (sz, b.alloc(stationary_sram, &[sz], Type::I32)))
+        .collect();
     let row_bufs: Vec<ValueId> = (0..max_ru)
         .map(|_| b.alloc(stream_sram, &[stream.max(1)], Type::I32))
         .collect();
@@ -224,8 +267,8 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
     let mut prev_done = b.control_start();
     for fi in 0..fr {
         for fj in 0..fc {
-            let ru = used(d1, spec.rows, fi);
-            let cu = used(d2, spec.cols, fj);
+            let ru = m.rows_used(fi);
+            let cu = m.cols_used(fj);
 
             // Stationary load on the kernel processor (WS/IS read the
             // stationary operand from SRAM; OS resets output registers).
@@ -249,23 +292,16 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
 
             // Skewed start: PE(i,j) begins one cycle after its up/left
             // neighbours (pipeline fill), then streams the fold.
-            let mut skew_done: Vec<Vec<Option<ValueId>>> = vec![vec![None; cu]; ru];
+            let mut skew_done: Vec<Vec<ValueId>> = vec![];
             let mut work_done: Vec<ValueId> = vec![];
-            let mut bottom_work: Vec<Option<ValueId>> = vec![None; cu];
             for i in 0..ru {
+                let mut row_done: Vec<ValueId> = vec![];
                 for j in 0..cu {
-                    let filled = |o: Option<ValueId>| match o {
-                        Some(v) => v,
-                        None => unreachable!("the wavefront fills earlier PEs first"),
-                    };
                     let dep = match (i, j) {
                         (0, 0) => load_done,
-                        (0, _) => filled(skew_done[0][j - 1]),
-                        (_, 0) => filled(skew_done[i - 1][0]),
-                        _ => b.control_and(vec![
-                            filled(skew_done[i - 1][j]),
-                            filled(skew_done[i][j - 1]),
-                        ]),
+                        (0, _) => row_done[j - 1],
+                        (_, 0) => skew_done[i - 1][0],
+                        _ => b.control_and(vec![skew_done[i - 1][j], row_done[j - 1]]),
                     };
                     let skew = b.launch(dep, pes[i][j], &[], vec![]);
                     {
@@ -277,7 +313,7 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
                         ib.ret(vec![]);
                     }
                     b = OpBuilder::at_end(&mut module, top);
-                    skew_done[i][j] = Some(skew.done);
+                    row_done.push(skew.done);
 
                     let work = b.launch(skew.done, pes[i][j], &[], vec![]);
                     {
@@ -310,10 +346,8 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
                     }
                     b = OpBuilder::at_end(&mut module, top);
                     work_done.push(work.done);
-                    if i == ru - 1 {
-                        bottom_work[j] = Some(work.done);
-                    }
                 }
+                skew_done.push(row_done);
             }
 
             // Per-column drain to the ofmap SRAM. WS/IS stores overlap the
@@ -325,13 +359,9 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
             };
             let mut store_done: Vec<ValueId> = vec![];
             for (j, &store) in stores.iter().enumerate().take(cu) {
-                let filled = |o: Option<ValueId>| match o {
-                    Some(v) => v,
-                    None => unreachable!("the wavefront covered every column"),
-                };
                 let dep = match spec.dataflow {
-                    Dataflow::Os => filled(bottom_work[j]),
-                    _ => filled(skew_done[ru - 1][j]),
+                    Dataflow::Os => work_done[(ru - 1) * cu + j],
+                    _ => skew_done[ru - 1][j],
                 };
                 let zero = b
                     .op("arith.constant")
@@ -355,13 +385,7 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
     }
     b.await_all(vec![prev_done]);
 
-    SystolicProgram {
-        module,
-        folds: (fr, fc),
-        d1,
-        d2,
-        stream,
-    }
+    SystolicProgram { module, mapping: m }
 }
 
 #[cfg(test)]
@@ -382,7 +406,7 @@ mod tests {
         verify_module(&prog.module, &standard_registry()).unwrap();
         let report = simulate(&prog.module).unwrap();
         assert!(report.cycles > 0);
-        assert_eq!(prog.folds, (3, 1));
+        assert_eq!(prog.mapping.folds(), (3, 1));
         assert_eq!(prog.loop_iterations(), 3);
     }
 
