@@ -776,7 +776,8 @@ impl<'m> Engine<'m> {
                     bytes_per_cycle: c.bytes_per_cycle,
                     read_free,
                     write_free,
-                    transfers: c.transfers.clone(),
+                    read_stats: c.read_stats,
+                    write_stats: c.write_stats,
                 }
             })
             .collect();
@@ -939,7 +940,8 @@ impl<'m> Engine<'m> {
         for c in &snap.machine.connections {
             let mut conn = Connection::new(c.name.clone(), c.kind, c.bytes_per_cycle);
             conn.restore_channels(c.read_free, c.write_free);
-            conn.transfers = c.transfers.clone();
+            conn.read_stats = c.read_stats;
+            conn.write_stats = c.write_stats;
             machine.connections.push(conn);
         }
         // Rebuild processor runtimes.

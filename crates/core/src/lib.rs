@@ -131,7 +131,7 @@ pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary};
 pub use machine::{
     AccessKind, BehaviorSnapshot, Buffer, CacheBehavior, Component, ComponentKind, Connection,
     DramBehavior, Machine, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor,
-    RegisterBehavior, SramBehavior, Transfer,
+    RegisterBehavior, SramBehavior,
 };
 pub use profile::{BandwidthStats, BufferDump, ConnReport, MemReport, SimReport};
 pub use signal::SignalTable;

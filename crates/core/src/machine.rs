@@ -8,6 +8,7 @@
 //! [`MemoryBehavior`] (the paper's `getReadOrWriteCycles` extension point),
 //! and connections ration bytes per cycle.
 
+use crate::profile::BandwidthStats;
 use crate::value::{BufId, CompId, ConnId, Tensor};
 use equeue_dialect::ConnKind;
 use std::collections::HashMap;
@@ -585,17 +586,45 @@ impl Buffer {
     }
 }
 
-/// Per-direction bandwidth interval recorded on a connection.
+/// Running bandwidth statistics of one connection direction: the bytes
+/// moved, the peak rate as the exact rational `peak_bytes / peak_dur`, and
+/// the cycles spent at that rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transfer {
-    /// Start cycle.
-    pub start: u64,
-    /// End cycle (exclusive); equals `start` for instant transfers.
-    pub end: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Direction.
-    pub kind: AccessKind,
+pub(crate) struct ChannelStats {
+    pub(crate) bytes: u64,
+    pub(crate) peak_bytes: u64,
+    /// At least 1.
+    pub(crate) peak_dur: u64,
+    pub(crate) at_peak: u64,
+}
+
+impl Default for ChannelStats {
+    fn default() -> Self {
+        ChannelStats {
+            bytes: 0,
+            peak_bytes: 0,
+            peak_dur: 1,
+            at_peak: 0,
+        }
+    }
+}
+
+impl ChannelStats {
+    /// Accounts a transfer of `bytes` over `dur` cycles. An instant
+    /// transfer (`dur = 0`) runs at `bytes/1` and counts one cycle.
+    fn record(&mut self, bytes: u64, dur: u64) {
+        let dur = dur.max(1);
+        self.bytes += bytes;
+        let rate = u128::from(bytes) * u128::from(self.peak_dur);
+        let peak = u128::from(self.peak_bytes) * u128::from(dur);
+        match rate.cmp(&peak) {
+            std::cmp::Ordering::Greater => {
+                (self.peak_bytes, self.peak_dur, self.at_peak) = (bytes, dur, dur);
+            }
+            std::cmp::Ordering::Equal => self.at_peak += dur,
+            std::cmp::Ordering::Less => {}
+        }
+    }
 }
 
 /// A connection instance with its schedule queue and statistics.
@@ -613,8 +642,10 @@ pub struct Connection {
     read_free: u64,
     /// Next-free time of the write channel (same as read for Window).
     write_free: u64,
-    /// All transfers, for bandwidth statistics.
-    pub transfers: Vec<Transfer>,
+    /// Read-direction bandwidth statistics.
+    pub(crate) read_stats: ChannelStats,
+    /// Write-direction bandwidth statistics.
+    pub(crate) write_stats: ChannelStats,
 }
 
 impl Connection {
@@ -626,7 +657,8 @@ impl Connection {
             bytes_per_cycle,
             read_free: 0,
             write_free: 0,
-            transfers: vec![],
+            read_stats: ChannelStats::default(),
+            write_stats: ChannelStats::default(),
         }
     }
 
@@ -640,6 +672,28 @@ impl Connection {
     pub(crate) fn restore_channels(&mut self, read_free: u64, write_free: u64) {
         self.read_free = read_free;
         self.write_free = write_free;
+    }
+
+    /// The bandwidth summary of direction `kind` over a run of `cycles`
+    /// (at least 1).
+    pub fn bandwidth(&self, kind: AccessKind, cycles: u64) -> BandwidthStats {
+        let s = match kind {
+            AccessKind::Read => &self.read_stats,
+            AccessKind::Write => &self.write_stats,
+        };
+        BandwidthStats {
+            bytes: s.bytes,
+            avg_bw: s.bytes as f64 / cycles as f64,
+            max_bw: s.peak_bytes as f64 / s.peak_dur as f64,
+            max_bw_portion: (s.at_peak as f64 / cycles as f64).min(1.0),
+        }
+    }
+
+    fn record(&mut self, kind: AccessKind, bytes: u64, dur: u64) {
+        match kind {
+            AccessKind::Read => self.read_stats.record(bytes, dur),
+            AccessKind::Write => self.write_stats.record(bytes, dur),
+        }
     }
 
     /// Cycles needed to move `bytes` (0 when unlimited).
@@ -665,14 +719,8 @@ impl Connection {
         min_duration: u64,
     ) -> (u64, u64) {
         if self.bytes_per_cycle == 0 {
-            let end = start + min_duration;
-            self.transfers.push(Transfer {
-                start,
-                end,
-                bytes,
-                kind,
-            });
-            return (start, end);
+            self.record(kind, bytes, min_duration);
+            return (start, start + min_duration);
         }
         let dur = self.transfer_cycles(bytes).max(min_duration);
         self.reserve_for(kind, start, bytes, dur)
@@ -706,12 +754,7 @@ impl Connection {
             self.read_free = self.read_free.max(finish);
             self.write_free = self.write_free.max(finish);
         }
-        self.transfers.push(Transfer {
-            start: actual,
-            end: finish,
-            bytes,
-            kind,
-        });
+        self.record(kind, bytes, dur);
         (actual, finish)
     }
 }
@@ -1127,7 +1170,12 @@ mod tests {
         let mut c = Connection::new("c".into(), ConnKind::Streaming, 0);
         let (s, f) = c.reserve(AccessKind::Read, 7, 1_000_000);
         assert_eq!((s, f), (7, 7));
-        assert_eq!(c.transfers.len(), 1);
+        // Statistics still see the transfer: instant, so one cycle at its size.
+        let bw = c.bandwidth(AccessKind::Read, 10);
+        assert_eq!(
+            (bw.bytes, bw.max_bw, bw.max_bw_portion),
+            (1_000_000, 1e6, 0.1)
+        );
     }
 
     #[test]

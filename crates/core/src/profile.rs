@@ -110,53 +110,11 @@ impl SimReport {
     pub(crate) fn collect(&mut self, machine: &Machine) {
         let cycles = self.cycles.max(1);
         for conn in &machine.connections {
-            let mut report = ConnReport {
+            self.connections.push(ConnReport {
                 name: conn.name.clone(),
-                ..Default::default()
-            };
-            for dir in [AccessKind::Read, AccessKind::Write] {
-                let mut bytes = 0u64;
-                let mut max_bw = 0f64;
-                for t in conn.transfers.iter().filter(|t| t.kind == dir) {
-                    bytes += t.bytes;
-                    let dur = t.end.saturating_sub(t.start);
-                    let bw = if dur == 0 {
-                        // Instant transfer on an unlimited connection: peak
-                        // equals the transfer size (moved within one cycle).
-                        t.bytes as f64
-                    } else {
-                        t.bytes as f64 / dur as f64
-                    };
-                    if bw > max_bw {
-                        max_bw = bw;
-                    }
-                }
-                // Portion of the runtime spent at (approximately) max bw.
-                let eps = 1e-9;
-                let mut at_max = 0u64;
-                for t in conn.transfers.iter().filter(|t| t.kind == dir) {
-                    let dur = t.end.saturating_sub(t.start);
-                    let bw = if dur == 0 {
-                        t.bytes as f64
-                    } else {
-                        t.bytes as f64 / dur as f64
-                    };
-                    if (bw - max_bw).abs() < eps {
-                        at_max += dur.max(1);
-                    }
-                }
-                let stats = BandwidthStats {
-                    bytes,
-                    avg_bw: bytes as f64 / cycles as f64,
-                    max_bw,
-                    max_bw_portion: (at_max as f64 / cycles as f64).min(1.0),
-                };
-                match dir {
-                    AccessKind::Read => report.read = stats,
-                    AccessKind::Write => report.write = stats,
-                }
-            }
-            self.connections.push(report);
+                read: conn.bandwidth(AccessKind::Read, cycles),
+                write: conn.bandwidth(AccessKind::Write, cycles),
+            });
         }
         for (index, buf) in machine.buffers.iter().enumerate() {
             if buf.live {

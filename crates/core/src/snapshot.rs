@@ -31,7 +31,7 @@ use equeue_dialect::ConnKind;
 use equeue_ir::IdVec;
 
 use crate::engine::{Backend, EventKind, Frame, LoopDim, LoopState, PendingEvent, Scope};
-use crate::machine::{AccessKind, BehaviorSnapshot, Buffer, MemCounters, ProcProfile, Transfer};
+use crate::machine::{BehaviorSnapshot, Buffer, ChannelStats, MemCounters, ProcProfile};
 use crate::signal::SignalState;
 use crate::value::{BufId, CompId, ConnId, SignalId, SimValue, Tensor, TensorData};
 use crate::SimError;
@@ -41,7 +41,7 @@ const MAGIC: [u8; 4] = *b"EQSS";
 
 /// Current snapshot format version. Bumped on any wire-format change;
 /// decoding rejects unknown versions.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Shape fingerprint of the module a snapshot was captured from, so resuming
 /// against a different module fails with a typed error instead of undefined
@@ -122,9 +122,9 @@ pub(crate) struct CompSnap {
     pub(crate) kind: CompKindSnap,
 }
 
-/// Captured connection: configuration, channel reservations, and the full
-/// transfer log (the transfer log is what bandwidth statistics are computed
-/// from, so it must round-trip for resumed reports to match).
+/// Captured connection: configuration, channel reservations, and the
+/// per-direction bandwidth accumulators (bandwidth statistics are computed
+/// from them, so they must round-trip for resumed reports to match).
 #[derive(Debug, Clone)]
 pub(crate) struct ConnSnap {
     pub(crate) name: String,
@@ -132,7 +132,8 @@ pub(crate) struct ConnSnap {
     pub(crate) bytes_per_cycle: u64,
     pub(crate) read_free: u64,
     pub(crate) write_free: u64,
-    pub(crate) transfers: Vec<Transfer>,
+    pub(crate) read_stats: ChannelStats,
+    pub(crate) write_stats: ChannelStats,
 }
 
 /// The captured hardware model: components, buffers, connections.
@@ -1122,17 +1123,26 @@ fn w_machine(w: &mut Writer, m: &MachineSnap) {
         w.u64(c.bytes_per_cycle);
         w.u64(c.read_free);
         w.u64(c.write_free);
-        w.seq_len(c.transfers.len());
-        for t in &c.transfers {
-            w.u64(t.start);
-            w.u64(t.end);
-            w.u64(t.bytes);
-            w.u8(match t.kind {
-                AccessKind::Read => 0,
-                AccessKind::Write => 1,
-            });
+        for s in [&c.read_stats, &c.write_stats] {
+            w.u64(s.bytes);
+            w.u64(s.peak_bytes);
+            w.u64(s.peak_dur);
+            w.u64(s.at_peak);
         }
     }
+}
+
+fn r_channel_stats(r: &mut Reader) -> Result<ChannelStats, SimError> {
+    let stats = ChannelStats {
+        bytes: r.u64()?,
+        peak_bytes: r.u64()?,
+        peak_dur: r.u64()?,
+        at_peak: r.u64()?,
+    };
+    if stats.peak_dur == 0 {
+        return Err(err("connection peak duration is zero"));
+    }
+    Ok(stats)
 }
 
 fn r_machine(r: &mut Reader) -> Result<MachineSnap, SimError> {
@@ -1222,27 +1232,16 @@ fn r_machine(r: &mut Reader) -> Result<MachineSnap, SimError> {
         let bytes_per_cycle = r.u64()?;
         let read_free = r.u64()?;
         let write_free = r.u64()?;
-        let m = r.seq_len(8 + 8 + 8 + 1)?;
-        let mut transfers = Vec::with_capacity(m);
-        for _ in 0..m {
-            transfers.push(Transfer {
-                start: r.u64()?,
-                end: r.u64()?,
-                bytes: r.u64()?,
-                kind: match r.u8()? {
-                    0 => AccessKind::Read,
-                    1 => AccessKind::Write,
-                    t => return Err(err(&format!("unknown access tag {t}"))),
-                },
-            });
-        }
+        let read_stats = r_channel_stats(r)?;
+        let write_stats = r_channel_stats(r)?;
         connections.push(ConnSnap {
             name,
             kind,
             bytes_per_cycle,
             read_free,
             write_free,
-            transfers,
+            read_stats,
+            write_stats,
         });
     }
     Ok(MachineSnap {
@@ -1346,12 +1345,13 @@ mod tests {
                     bytes_per_cycle: 4,
                     read_free: 8,
                     write_free: 9,
-                    transfers: vec![Transfer {
-                        start: 2,
-                        end: 6,
+                    read_stats: ChannelStats::default(),
+                    write_stats: ChannelStats {
                         bytes: 16,
-                        kind: AccessKind::Write,
-                    }],
+                        peak_bytes: 16,
+                        peak_dur: 4,
+                        at_peak: 4,
+                    },
                 }],
             },
         }
@@ -1405,6 +1405,14 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         match Snapshot::decode(&bytes) {
             Err(SimError::Snapshot(msg)) => assert!(msg.contains("version"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        // A version-1 stream (it carried a transfer log) is rejected too.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let sum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        match Snapshot::decode(&bytes) {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains("version 1"), "{msg}"),
             other => panic!("{other:?}"),
         }
     }

@@ -99,6 +99,7 @@ fn connection_stats_conserve_bytes() {
         let mut conn = Connection::new("c".into(), kind, bw);
         let mut expect_read = 0u64;
         let mut expect_write = 0u64;
+        let mut transfers: Vec<(u64, u64, AccessKind)> = vec![];
         for &(start, bytes, is_read) in &requests {
             let dir = if is_read {
                 AccessKind::Read
@@ -106,6 +107,7 @@ fn connection_stats_conserve_bytes() {
                 AccessKind::Write
             };
             let (actual, finish) = conn.reserve(dir, start, bytes);
+            transfers.push((actual, finish, dir));
             assert!(actual >= start, "requests = {requests:?}");
             assert_eq!(
                 finish - actual,
@@ -118,27 +120,14 @@ fn connection_stats_conserve_bytes() {
                 expect_write += bytes;
             }
         }
-        let read: u64 = conn
-            .transfers
-            .iter()
-            .filter(|t| t.kind == AccessKind::Read)
-            .map(|t| t.bytes)
-            .sum();
-        let write: u64 = conn
-            .transfers
-            .iter()
-            .filter(|t| t.kind == AccessKind::Write)
-            .map(|t| t.bytes)
-            .sum();
-        assert_eq!(read, expect_read);
-        assert_eq!(write, expect_write);
+        assert_eq!(conn.bandwidth(AccessKind::Read, 1).bytes, expect_read);
+        assert_eq!(conn.bandwidth(AccessKind::Write, 1).bytes, expect_write);
         // Per direction (or globally for Window), transfers are disjoint.
         let check = |dir: AccessKind| {
-            let mut spans: Vec<(u64, u64)> = conn
-                .transfers
+            let mut spans: Vec<(u64, u64)> = transfers
                 .iter()
-                .filter(|t| kind == ConnKind::Window || t.kind == dir)
-                .map(|t| (t.start, t.end))
+                .filter(|t| kind == ConnKind::Window || t.2 == dir)
+                .map(|t| (t.0, t.1))
                 .collect();
             spans.sort_unstable();
             for w in spans.windows(2) {
