@@ -1439,3 +1439,88 @@ impl<'m> Engine<'m> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shape whose iteration takes `wakes` timed ops (one cycle each)
+    /// and `ops` ops, with the trip count and strided range open.
+    fn shape(wakes: u64, ops: u64) -> Shape {
+        Shape {
+            step: 1,
+            upper: i64::MAX,
+            cycles: wakes,
+            wakes,
+            ops,
+            iv_lo: 0,
+            iv_hi: i64::MAX,
+        }
+    }
+
+    /// `segment_len` at a fresh boundary, with no barrier and no budgets.
+    fn open_segment(shape: &Shape, wakes: u64, ops: u64, idle: u64) -> u64 {
+        let t = Tally {
+            clock: 0,
+            wakes,
+            ops,
+            idle,
+            last_wake: None,
+        };
+        shape.segment_len(0, &t, u64::MAX, u64::MAX, u64::MAX)
+    }
+
+    /// Steps one iteration at a time from `count`, adding `per` a step:
+    /// the largest `k` such that no count in `(count, count + k·per]` is
+    /// `hit` modulo `epoch`.
+    fn reference(count: u64, per: u64, epoch: u64, hit: u64) -> u64 {
+        let mut k = 0;
+        let mut c = count;
+        loop {
+            for _ in 0..per {
+                c += 1;
+                if c % epoch == hit {
+                    return k;
+                }
+            }
+            k += 1;
+        }
+    }
+
+    #[test]
+    fn segment_stops_before_a_wake_epoch_poll() {
+        for per in 1..=5 {
+            for wakes in 0..=3 * WAKE_EPOCH {
+                assert_eq!(
+                    open_segment(&shape(per, 0), wakes, 0, 0),
+                    reference(wakes, per, WAKE_EPOCH, 1),
+                    "wakes {wakes}, {per} per iteration"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_stops_before_an_op_epoch_poll() {
+        for per in 1..=5 {
+            for ops in 0..=3 * OP_EPOCH {
+                assert_eq!(
+                    open_segment(&shape(0, per), 0, ops, 0),
+                    reference(ops, per, OP_EPOCH, 0),
+                    "ops {ops}, {per} per iteration"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_stops_before_an_idle_epoch_poll() {
+        for idle in 0..=3 * OP_EPOCH {
+            assert_eq!(
+                open_segment(&shape(0, 0), 0, 0, idle),
+                reference(idle, 1, OP_EPOCH, 0),
+                "idle {idle}"
+            );
+        }
+    }
+}
