@@ -100,6 +100,22 @@ pub struct Fig09Row {
     pub equeue_time: Duration,
 }
 
+impl Fig12Row {
+    /// EQueue's `(cycles, SRAM bytes read, SRAM bytes written)`.
+    pub fn equeue_totals(&self) -> (u64, u64, u64) {
+        (self.cycles, self.sram_read_bytes, self.sram_write_bytes)
+    }
+
+    /// SCALE-Sim's `(cycles, SRAM bytes read, SRAM bytes written)`.
+    pub fn scalesim_totals(&self) -> (u64, u64, u64) {
+        (
+            self.scalesim_cycles,
+            self.scalesim_read_bytes,
+            self.scalesim_write_bytes,
+        )
+    }
+}
+
 impl Fig09Row {
     /// Relative cycle error |EQ − SS| / SS.
     pub fn cycle_error(&self) -> f64 {
@@ -240,6 +256,14 @@ pub struct Fig12Row {
     pub cycles: u64,
     /// SCALE-Sim cycles (cross-check).
     pub scalesim_cycles: u64,
+    /// EQueue SRAM bytes read, summed over the program's memories.
+    pub sram_read_bytes: u64,
+    /// EQueue SRAM bytes written, summed over the program's memories.
+    pub sram_write_bytes: u64,
+    /// SCALE-Sim ifmap plus weight bytes read (cross-check).
+    pub scalesim_read_bytes: u64,
+    /// SCALE-Sim ofmap bytes written (cross-check).
+    pub scalesim_write_bytes: u64,
     /// Wall-clock simulation time.
     pub execution_time: Duration,
     /// SRAM peak write bandwidth × portion (Fig. 12b's y-axis).
@@ -350,6 +374,10 @@ pub fn try_fig12_point(
         dataflow: df,
         cycles: report.cycles,
         scalesim_cycles: ss.cycles,
+        sram_read_bytes: report.memories.iter().map(|m| m.bytes_read).sum(),
+        sram_write_bytes: report.memories.iter().map(|m| m.bytes_written).sum(),
+        scalesim_read_bytes: ss.ifmap_read_bytes + ss.weight_read_bytes,
+        scalesim_write_bytes: ss.ofmap_write_bytes,
         execution_time: report.execution_time,
         peak_write_bw_x_portion: peak,
         loop_iterations: prog.loop_iterations(),
@@ -485,19 +513,26 @@ mod tests {
         let rows = fig12_sweep(false, 0, Backend::default());
         assert!(rows.len() > 100, "sweep too small: {}", rows.len());
         for r in &rows {
+            // Cycles and SRAM traffic both equal the analytical model's.
             assert_eq!(
-                r.cycles, r.scalesim_cycles,
+                r.equeue_totals(),
+                r.scalesim_totals(),
                 "ah={} hw={} f={} c={} n={} {:?}",
-                r.ah, r.hw, r.f, r.c, r.n, r.dataflow
+                r.ah,
+                r.hw,
+                r.f,
+                r.c,
+                r.n,
+                r.dataflow
             );
             // Cycles are proportional to loop iterations (Fig. 12c–e).
             assert!(r.cycles as usize >= r.loop_iterations);
         }
     }
 
-    /// The full 3780-point grid agrees exactly with `scalesim`. Ignored by
-    /// default (about half a minute in release on two cores); CI's release
-    /// job runs it by name.
+    /// The full 3780-point grid agrees exactly with `scalesim` on cycles
+    /// and SRAM traffic. Ignored by default (about half a minute in release
+    /// on two cores); CI's release job runs it by name.
     #[test]
     #[ignore]
     fn fig12_full_sweep_matches_scalesim() {
@@ -505,11 +540,18 @@ mod tests {
         assert_eq!(rows.len(), 3780);
         let mismatches: Vec<String> = rows
             .iter()
-            .filter(|r| r.cycles != r.scalesim_cycles)
+            .filter(|r| r.equeue_totals() != r.scalesim_totals())
             .map(|r| {
                 format!(
-                    "ah={} hw={} f={} c={} n={} {:?}: {} != {}",
-                    r.ah, r.hw, r.f, r.c, r.n, r.dataflow, r.cycles, r.scalesim_cycles
+                    "ah={} hw={} f={} c={} n={} {:?}: (cycles, read, written) {:?} != {:?}",
+                    r.ah,
+                    r.hw,
+                    r.f,
+                    r.c,
+                    r.n,
+                    r.dataflow,
+                    r.equeue_totals(),
+                    r.scalesim_totals()
                 )
             })
             .collect();
