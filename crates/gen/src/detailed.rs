@@ -53,6 +53,7 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
     // Cycles per stream element: 2 under OS (two operands enter per
     // accumulation), else 1.
     let per_elem_cycles = (m.stream_cycles() / stream.max(1)) as i64;
+    let os = spec.dataflow == Dataflow::Os;
 
     let mut module = Module::new();
     let top = module.top_block();
@@ -116,7 +117,7 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
             let load = b.launch(prev_done, kernel, &[], vec![]);
             {
                 let mut ib = OpBuilder::at_end(b.module_mut(), load.body);
-                if spec.dataflow == Dataflow::Os {
+                if os {
                     let cycles = (ru * cu).div_ceil(spec.cols) as i64;
                     ib.op("equeue.op")
                         .attr("signature", "reset_acc")
@@ -155,29 +156,25 @@ pub fn generate_systolic_detailed(spec: &SystolicSpec, dims: ConvDims) -> Systol
 
                     // Per-element work: a loop of `stream` iterations, one
                     // element each. Boundary PEs perform the real indexed
-                    // SRAM read (1-cycle single-bank access), interior PEs
-                    // a 1-cycle step op; OS costs two cycles per element
-                    // (two operands enter per accumulation).
-                    let boundary = j == 0 || (spec.dataflow == Dataflow::Os && i == 0);
-                    let work =
-                        b.launch(skew.done, pes[i][j], &[row_bufs[i.min(max_ru - 1)]], vec![]);
+                    // SRAM reads (1-cycle single-bank accesses): ifmap from
+                    // the left edge and, under OS, weights from the top
+                    // edge, so PE(0,0) reads two. A step op covers the rest
+                    // of the element's cycles.
+                    let reads = usize::from(j == 0) + usize::from(os && i == 0);
+                    let work = b.launch(skew.done, pes[i][j], &[row_bufs[i]], vec![]);
                     {
                         let mut ib = OpBuilder::at_end(b.module_mut(), work.body);
                         let (_, body, iv) = ib.affine_for(0, stream.max(1) as i64, 1);
                         {
                             let mut lb = OpBuilder::at_end(ib.module_mut(), body);
-                            if boundary {
+                            for _ in 0..reads {
                                 lb.read_indexed(work.body_args[0], vec![iv], Some(conn_in));
-                                if per_elem_cycles > 1 {
-                                    lb.op("equeue.op")
-                                        .attr("signature", "step")
-                                        .attr("cycles", 1i64)
-                                        .finish();
-                                }
-                            } else {
+                            }
+                            let rest = per_elem_cycles - reads as i64;
+                            if rest > 0 {
                                 lb.op("equeue.op")
                                     .attr("signature", "step")
-                                    .attr("cycles", per_elem_cycles)
+                                    .attr("cycles", rest)
                                     .finish();
                             }
                             lb.affine_yield();

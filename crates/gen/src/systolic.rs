@@ -165,6 +165,7 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
     let (fr, fc) = m.folds();
     let stream = m.stream;
     let stream_cycles = m.stream_cycles() as i64;
+    let os = spec.dataflow == Dataflow::Os;
 
     let mut module = Module::new();
     let top = module.top_block();
@@ -275,7 +276,7 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
             let load = b.launch(prev_done, kernel, &[], vec![]);
             {
                 let mut ib = OpBuilder::at_end(b.module_mut(), load.body);
-                if spec.dataflow == Dataflow::Os {
+                if os {
                     let cycles = (ru * cu).div_ceil(spec.cols) as i64;
                     ib.op("equeue.op")
                         .attr("signature", "reset_acc")
@@ -318,28 +319,19 @@ pub fn generate_systolic(spec: &SystolicSpec, dims: ConvDims) -> SystolicProgram
                     let work = b.launch(skew.done, pes[i][j], &[], vec![]);
                     {
                         let mut ib = OpBuilder::at_end(b.module_mut(), work.body);
-                        let boundary_read =
-                            j == 0 || (spec.dataflow == Dataflow::Os && i == 0 && j > 0);
-                        if boundary_read {
-                            // Boundary PEs perform the fold's real SRAM
-                            // stream (ifmap from the left edge; for OS,
-                            // weights also enter along the top edge) …
-                            let buf = if j == 0 { row_bufs[i] } else { row_bufs[0] };
-                            ib.read(buf, Some(conn_in));
-                            // … plus the rest of the fold's compute when
-                            // the stream is longer than the buffer (OS
-                            // streams two operands per accumulation).
-                            let remaining = stream_cycles - stream.max(1) as i64;
-                            if remaining > 0 {
-                                ib.op("equeue.op")
-                                    .attr("signature", "stream")
-                                    .attr("cycles", remaining)
-                                    .finish();
-                            }
-                        } else {
+                        // Boundary PEs perform the fold's real SRAM streams:
+                        // ifmap from the left edge and, under OS, weights
+                        // from the top edge, so PE(0,0) reads two …
+                        let reads = usize::from(j == 0) + usize::from(os && i == 0);
+                        for _ in 0..reads {
+                            ib.read(row_bufs[i], Some(conn_in));
+                        }
+                        // … and an opaque op covers the rest of the fold.
+                        let remaining = stream_cycles - (reads * stream.max(1)) as i64;
+                        if remaining > 0 {
                             ib.op("equeue.op")
                                 .attr("signature", "stream")
-                                .attr("cycles", stream_cycles)
+                                .attr("cycles", remaining)
                                 .finish();
                         }
                         ib.ret(vec![]);
