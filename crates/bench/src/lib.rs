@@ -100,22 +100,6 @@ pub struct Fig09Row {
     pub equeue_time: Duration,
 }
 
-impl Fig12Row {
-    /// EQueue's `(cycles, SRAM bytes read, SRAM bytes written)`.
-    pub fn equeue_totals(&self) -> (u64, u64, u64) {
-        (self.cycles, self.sram_read_bytes, self.sram_write_bytes)
-    }
-
-    /// SCALE-Sim's `(cycles, SRAM bytes read, SRAM bytes written)`.
-    pub fn scalesim_totals(&self) -> (u64, u64, u64) {
-        (
-            self.scalesim_cycles,
-            self.scalesim_read_bytes,
-            self.scalesim_write_bytes,
-        )
-    }
-}
-
 impl Fig09Row {
     /// Relative cycle error |EQ − SS| / SS.
     pub fn cycle_error(&self) -> f64 {
@@ -501,6 +485,20 @@ pub use equeue_gen::scenarios;
 mod tests {
     use super::*;
 
+    /// `(cycles, SRAM bytes read, SRAM bytes written)` from EQueue and
+    /// from SCALE-Sim.
+    type Totals = (u64, u64, u64);
+    fn totals(r: &Fig12Row) -> (Totals, Totals) {
+        (
+            (r.cycles, r.sram_read_bytes, r.sram_write_bytes),
+            (
+                r.scalesim_cycles,
+                r.scalesim_read_bytes,
+                r.scalesim_write_bytes,
+            ),
+        )
+    }
+
     #[test]
     fn fig09_equeue_tracks_scalesim() {
         for row in fig09_ifmap_sweep().into_iter().chain(fig09_weight_sweep()) {
@@ -514,16 +512,11 @@ mod tests {
         assert!(rows.len() > 100, "sweep too small: {}", rows.len());
         for r in &rows {
             // Cycles and SRAM traffic both equal the analytical model's.
+            let (equeue, scalesim) = totals(r);
             assert_eq!(
-                r.equeue_totals(),
-                r.scalesim_totals(),
+                equeue, scalesim,
                 "ah={} hw={} f={} c={} n={} {:?}",
-                r.ah,
-                r.hw,
-                r.f,
-                r.c,
-                r.n,
-                r.dataflow
+                r.ah, r.hw, r.f, r.c, r.n, r.dataflow
             );
             // Cycles are proportional to loop iterations (Fig. 12c–e).
             assert!(r.cycles as usize >= r.loop_iterations);
@@ -540,18 +533,12 @@ mod tests {
         assert_eq!(rows.len(), 3780);
         let mismatches: Vec<String> = rows
             .iter()
-            .filter(|r| r.equeue_totals() != r.scalesim_totals())
-            .map(|r| {
+            .map(|r| (r, totals(r)))
+            .filter(|(_, (equeue, scalesim))| equeue != scalesim)
+            .map(|(r, (equeue, scalesim))| {
                 format!(
                     "ah={} hw={} f={} c={} n={} {:?}: (cycles, read, written) {:?} != {:?}",
-                    r.ah,
-                    r.hw,
-                    r.f,
-                    r.c,
-                    r.n,
-                    r.dataflow,
-                    r.equeue_totals(),
-                    r.scalesim_totals()
+                    r.ah, r.hw, r.f, r.c, r.n, r.dataflow, equeue, scalesim
                 )
             })
             .collect();
