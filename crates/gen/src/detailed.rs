@@ -236,12 +236,11 @@ mod tests {
     use crate::generate_systolic;
     use equeue_core::{simulate, SimReport};
 
-    /// The two fidelities agree on cycles and on every memory's
-    /// `(bytes_read, bytes_written)`, in creation order, over a WS/IS/OS
-    /// grid of array and conv shapes. Every dataflow has a point with
-    /// remainder folds in both dimensions.
-    #[test]
-    fn fidelity_grid_wave_equals_per_element() {
+    /// Simulates both fidelities on every point of a grid of array and conv
+    /// shapes under `dataflow` and hands each pair of reports to `check`.
+    /// Asserts that the grid has a point with remainder folds in both
+    /// dimensions.
+    fn on_grid(dataflow: Dataflow, mut check: impl FnMut(&str, &SimReport, &SimReport)) {
         let arrays = [(2, 2), (2, 3), (3, 2), (4, 4)];
         let shapes = [
             ConvDims::square(5, 2, 1, 2),
@@ -250,6 +249,52 @@ mod tests {
             ConvDims::square(5, 1, 3, 3),
             ConvDims::square(7, 2, 2, 1),
         ];
+        let mut remainders_in_both = false;
+        for (rows, cols) in arrays {
+            for dims in shapes {
+                let spec = SystolicSpec {
+                    rows,
+                    cols,
+                    dataflow,
+                };
+                let wave = generate_systolic(&spec, dims);
+                let m = wave.mapping;
+                remainders_in_both |= !m.d1.is_multiple_of(rows) && !m.d2.is_multiple_of(cols);
+                let wave = simulate(&wave.module).unwrap();
+                let detailed = simulate(&generate_systolic_detailed(&spec, dims).module).unwrap();
+                check(&format!("{spec:?} {dims:?}"), &wave, &detailed);
+            }
+        }
+        assert!(
+            remainders_in_both,
+            "{dataflow:?}: no point folds unevenly in both dimensions"
+        );
+    }
+
+    fn assert_same_cycles(dataflow: Dataflow) {
+        on_grid(dataflow, |point, wave, detailed| {
+            assert_eq!(wave.cycles, detailed.cycles, "{point}");
+        });
+    }
+
+    #[test]
+    fn fidelity_wave_equals_per_element_ws() {
+        assert_same_cycles(Dataflow::Ws);
+    }
+
+    #[test]
+    fn fidelity_wave_equals_per_element_is() {
+        assert_same_cycles(Dataflow::Is);
+    }
+
+    #[test]
+    fn fidelity_wave_equals_per_element_os() {
+        assert_same_cycles(Dataflow::Os);
+    }
+
+    /// Every memory's `(bytes_read, bytes_written)`, in creation order.
+    #[test]
+    fn fidelity_traffic_matches_wave_model() {
         let traffic = |r: &SimReport| -> Vec<(u64, u64)> {
             r.memories
                 .iter()
@@ -257,28 +302,9 @@ mod tests {
                 .collect()
         };
         for dataflow in [Dataflow::Ws, Dataflow::Is, Dataflow::Os] {
-            let mut remainders_in_both = false;
-            for (rows, cols) in arrays {
-                for dims in shapes {
-                    let spec = SystolicSpec {
-                        rows,
-                        cols,
-                        dataflow,
-                    };
-                    let wave = generate_systolic(&spec, dims);
-                    let m = wave.mapping;
-                    remainders_in_both |= !m.d1.is_multiple_of(rows) && !m.d2.is_multiple_of(cols);
-                    let wave = simulate(&wave.module).unwrap();
-                    let detailed =
-                        simulate(&generate_systolic_detailed(&spec, dims).module).unwrap();
-                    assert_eq!(wave.cycles, detailed.cycles, "{spec:?} {dims:?}");
-                    assert_eq!(traffic(&wave), traffic(&detailed), "{spec:?} {dims:?}");
-                }
-            }
-            assert!(
-                remainders_in_both,
-                "{dataflow:?}: no point folds unevenly in both dimensions"
-            );
+            on_grid(dataflow, |point, wave, detailed| {
+                assert_eq!(traffic(wave), traffic(detailed), "{point}");
+            });
         }
     }
 
