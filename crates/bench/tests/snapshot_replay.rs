@@ -226,3 +226,143 @@ fn snapshot_roundtrip_is_byte_identical_at_random_cuts() {
         }
     }
 }
+
+/// FNV-1a 64, the same hash the wire format uses for its trailing checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `(len, fnv1a64)` of an encoded snapshot.
+type Pin = (usize, u64);
+
+/// `(name, pin under Fused, pin under Interp)` of every golden scenario's
+/// snapshot at its mid cut.
+const WIRE_PINS: &[(&str, Pin, Pin)] = &[
+    (
+        "fig09_4x4_ws_8x8",
+        (15695, 13089863184803001008),
+        (15695, 3420205274227672579),
+    ),
+    (
+        "fig11_linalg_ws_8",
+        (6739, 15318386356856159597),
+        (6739, 18108582887090201286),
+    ),
+    (
+        "fig11_affine_ws_8",
+        (7427, 14050222878376910091),
+        (7427, 6409482229741675234),
+    ),
+    (
+        "fig11_reassign_ws_8",
+        (10023, 859648426160786472),
+        (10023, 7567962052601662663),
+    ),
+    (
+        "fig11_systolic_ws_8",
+        (50338, 14438544525173035981),
+        (50338, 6280256945478011450),
+    ),
+    (
+        "fig12_ah8_hw16_f4_c4_n8_ws",
+        (191501, 17047646536716353670),
+        (191501, 14141946398289295101),
+    ),
+    (
+        "fig12_ah8_hw16_f4_c4_n8_is",
+        (1364824, 1400852349047750786),
+        (1364824, 3256213913545610209),
+    ),
+    (
+        "fig12_ah8_hw16_f4_c4_n8_os",
+        (181463, 3085903034259315199),
+        (181463, 10962550267008415508),
+    ),
+    (
+        "fir_single_core",
+        (2748, 8807336249167457382),
+        (2748, 11160774596675263293),
+    ),
+    (
+        "fir_pipelined16",
+        (200444, 1240496702802227791),
+        (200444, 3142083527287517564),
+    ),
+    (
+        "fir_bandwidth16",
+        (199633, 7017918271913152689),
+        (199633, 16660722119704845654),
+    ),
+    (
+        "fir_balanced4",
+        (48909, 7899499156346561368),
+        (48909, 11119446597496859101),
+    ),
+    (
+        "matmul_linalg16",
+        (8452, 10719728200088221666),
+        (8452, 13723705650798802710),
+    ),
+    (
+        "matmul_affine16",
+        (8811, 10808619618060999387),
+        (8811, 1858078669443374406),
+    ),
+    (
+        "tensor_stream_64x8",
+        (68020, 7512912900657338466),
+        (68020, 11546962672998089215),
+    ),
+    (
+        "conv2d_systolic_8x3",
+        (14141, 8706591866385622843),
+        (14141, 1222169517462118693),
+    ),
+    (
+        "multi_tenant_4x16x6",
+        (28801, 10704629002017560476),
+        (28801, 15493648583680614129),
+    ),
+    (
+        "mega_grid_8x8",
+        (114207, 2292367802713551436),
+        (114207, 10417101527896585484),
+    ),
+    (
+        "shard_grid_4x4",
+        (30876, 15045590557980387305),
+        (30876, 2983877944269480024),
+    ),
+];
+
+/// The wire format is pinned, not just self-consistent: the encoding of
+/// every golden scenario's mid-cut snapshot, under both capture backends,
+/// must match the recorded length and FNV-1a 64 hash byte for byte. Any
+/// change to what a snapshot stores or how it lays it out shows up here and
+/// needs a format-version bump.
+#[test]
+fn wire_format_is_pinned() {
+    let mut got = Vec::new();
+    for scenario in golden_scenarios() {
+        let name = scenario.name;
+        let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
+            .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
+        let full = compiled
+            .simulate(&options(Backend::Fused))
+            .unwrap_or_else(|e| panic!("{name}: full run: {e}"));
+        let pin = |backend| {
+            let bytes = compiled
+                .snapshot(full.cycles / 2, &options(backend))
+                .unwrap_or_else(|e| panic!("{name}: snapshot: {e}"))
+                .encode();
+            (bytes.len(), fnv1a(&bytes))
+        };
+        got.push((name, pin(Backend::Fused), pin(Backend::Interp)));
+    }
+    for row in &got {
+        println!("    {row:?},");
+    }
+    assert_eq!(got, WIRE_PINS, "snapshot wire format drifted");
+}
