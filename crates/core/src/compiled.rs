@@ -24,13 +24,11 @@
 //! can serve `Fused` and `Interp` runs concurrently, with bit-identical
 //! cycle/event/op counts between them (see `docs/fused-backend.md`).
 
-use crate::engine::{
-    resume_with_plan, run_with_plan, snapshot_with_plan, Backend, SimError, SimOptions,
-};
+use crate::engine::{run_with_plan, Backend, SimError, SimOptions};
 use crate::library::SimLibrary;
 use crate::plan::Plan;
 use crate::profile::SimReport;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{resume_with_plan, snapshot_with_plan, Snapshot};
 use equeue_ir::Module;
 use std::time::Instant;
 

@@ -48,24 +48,17 @@
 
 use crate::error::{LimitExceeded, LimitKind, Progress};
 use crate::interp::{apply_binary, conv2d_int, eval_cmpi, matmul_int, BinOp};
-use crate::library::{MemSpec, SimLibrary};
-use crate::machine::{
-    AccessKind, Component, ComponentKind, Composite, Connection, Machine, Memory, ProcProfile,
-    Processor, RegisterBehavior,
-};
+use crate::library::SimLibrary;
+use crate::machine::{AccessKind, Machine, ProcProfile, RegisterBehavior};
 use crate::plan::{mem_spec, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::queue::EventQueue;
-use crate::signal::{SignalState, SignalTable};
-use crate::snapshot::{
-    err as snap_err, CompKindSnap, CompSnap, ConnSnap, MachineSnap, MemSnap, ModuleFingerprint,
-    ProcSnap, ProfileSnap, Snapshot,
-};
+use crate::signal::SignalTable;
 use crate::trace::{Trace, TraceCat};
 use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
 use equeue_dialect::ConvDims;
-use equeue_ir::{AttrMap, BlockId, Module, OpId, Operation};
+use equeue_ir::{BlockId, Module, OpId, Operation};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -187,7 +180,7 @@ pub(crate) fn run_with_plan(
     options: &SimOptions,
     start: Instant,
 ) -> Result<SimReport, SimError> {
-    let mut engine = Engine::new(module, plan, library, options, start);
+    let mut engine = Engine::fresh(module, plan, library, options, start);
     engine.run()?;
     Ok(build_report(&mut engine, start))
 }
@@ -196,7 +189,7 @@ pub(crate) fn run_with_plan(
 /// plain and resumed entry points: counters are run totals (a resumed run's
 /// counters continue from the snapshot), while `execution_time` covers only
 /// the window since `start` (the resumed portion, for a resume).
-fn build_report(engine: &mut Engine, start: Instant) -> SimReport {
+pub(crate) fn build_report(engine: &mut Engine, start: Instant) -> SimReport {
     let mut report = SimReport {
         cycles: engine.horizon,
         execution_time: start.elapsed(),
@@ -212,176 +205,8 @@ fn build_report(engine: &mut Engine, start: Instant) -> SimReport {
     report
 }
 
-/// Runs `module` up to cycle `at` and captures a [`Snapshot`]: the entry
-/// point behind [`crate::CompiledModule::snapshot`].
-///
-/// The engine pauses before processing the first event at or after the cut
-/// (under the fused backend, at the first trace exit at or after it). If the
-/// program completes earlier, the snapshot records the terminal state and is
-/// marked [`completed`](Snapshot::completed).
-pub(crate) fn snapshot_with_plan(
-    module: &Module,
-    plan: &Plan,
-    library: &SimLibrary,
-    at: u64,
-    options: &SimOptions,
-    start: Instant,
-) -> Result<Snapshot, SimError> {
-    let mut engine = Engine::new(module, plan, library, options, start);
-    engine.snapshot_at = Some(at);
-    engine.run()?;
-    Ok(engine.capture(at))
-}
-
-/// Restores a [`Snapshot`] and runs it to completion: the entry point behind
-/// [`crate::CompiledModule::resume`]. `start` should be the resume time —
-/// the wall-clock budget restarts from it, while cycle/event budgets
-/// continue from the snapshot's counters.
-pub(crate) fn resume_with_plan(
-    module: &Module,
-    plan: &Plan,
-    library: &SimLibrary,
-    options: &SimOptions,
-    start: Instant,
-    snap: &Snapshot,
-) -> Result<SimReport, SimError> {
-    let mut engine = Engine::from_snapshot(module, plan, library, options, start, snap)?;
-    engine.run()?;
-    Ok(build_report(&mut engine, start))
-}
-
-/// Validates every id a restored [`SimValue`] references, so a resumed
-/// engine never indexes out of range on snapshot-supplied data.
-fn check_value(
-    v: &SimValue,
-    nsig: usize,
-    ncomp: usize,
-    nbuf: usize,
-    nconn: usize,
-) -> Result<(), SimError> {
-    let ok = match v {
-        SimValue::Signal(s) => (s.0 as usize) < nsig,
-        SimValue::Deferred { signal, .. } => (signal.0 as usize) < nsig,
-        SimValue::Component(c) => (c.0 as usize) < ncomp,
-        SimValue::Buffer(b) => (b.0 as usize) < nbuf,
-        SimValue::Connection(c) => (c.0 as usize) < nconn,
-        _ => true,
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(snap_err("id out of range in a captured value"))
-    }
-}
-
-/// Validates a restored queue event against the plan and arena sizes.
-fn check_event(
-    ev: &PendingEvent,
-    plan: &Plan,
-    nsig: usize,
-    ncomp: usize,
-    nbuf: usize,
-    nconn: usize,
-) -> Result<(), SimError> {
-    if (ev.dep.0 as usize) >= nsig || (ev.done.0 as usize) >= nsig {
-        return Err(snap_err("queued event references an unknown signal"));
-    }
-    match &ev.kind {
-        EventKind::Launch { op, env } => {
-            let Some(&OpCode::Launch(launch)) = plan.ops.get(op.index()).map(|o| &o.code) else {
-                return Err(snap_err("queued launch does not name a launch op"));
-            };
-            if env.len() != plan.scope_values(plan.launch(launch).scope).len() {
-                return Err(snap_err("queued launch environment has the wrong size"));
-            }
-            for v in env.iter().flatten() {
-                check_value(v, nsig, ncomp, nbuf, nconn)?;
-            }
-        }
-        EventKind::Memcpy { src, dst, conn } => {
-            if (src.0 as usize) >= nbuf || (dst.0 as usize) >= nbuf {
-                return Err(snap_err("queued memcpy references an unknown buffer"));
-            }
-            if conn.is_some_and(|c| (c.0 as usize) >= nconn) {
-                return Err(snap_err("queued memcpy references an unknown connection"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a restored frame: scope layout, block stack, loop state, and
-/// every captured value.
-fn check_frame(
-    frame: &Frame,
-    module: &Module,
-    plan: &Plan,
-    nsig: usize,
-    ncomp: usize,
-    nbuf: usize,
-    nconn: usize,
-) -> Result<(), SimError> {
-    if frame.scope as usize >= plan.num_scopes() {
-        return Err(snap_err("frame references an unknown scope"));
-    }
-    if frame.env.len() != plan.scope_values(frame.scope).len() {
-        return Err(snap_err(
-            "frame environment does not match its scope layout",
-        ));
-    }
-    if (frame.done.0 as usize) >= nsig {
-        return Err(snap_err("frame done-signal out of range"));
-    }
-    for v in frame.env.iter().flatten() {
-        check_value(v, nsig, ncomp, nbuf, nconn)?;
-    }
-    for scope in &frame.stack {
-        if scope.block.index() >= module.num_blocks() {
-            return Err(snap_err("frame block out of range"));
-        }
-        if let Some(state) = &scope.looping {
-            if state
-                .dims
-                .iter()
-                .any(|d| (d.iv as usize) >= frame.env.len())
-            {
-                return Err(snap_err("loop induction slot out of range"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a restored wake queue. Every wake must target a known
-/// processor, be due no earlier than the snapshot's `now`, and carry a
-/// unique `seq` below the snapshot's counter: [`EventQueue`]'s same-time
-/// FIFO pops in push order, which is `(time, seq)` order only when seqs
-/// are unique and every later push carries a larger one.
-fn check_wake_queue(snap: &Snapshot, nproc: usize) -> Result<(), SimError> {
-    let mut seqs = Vec::with_capacity(snap.wake_queue.len());
-    for &(t, s, p) in &snap.wake_queue {
-        if (p as usize) >= nproc {
-            return Err(snap_err("scheduled event targets an unknown processor"));
-        }
-        if t < snap.now {
-            return Err(snap_err("scheduled wake is due before the captured time"));
-        }
-        if s >= snap.seq {
-            return Err(snap_err(
-                "scheduled wake has a sequence number not yet issued",
-            ));
-        }
-        seqs.push(s);
-    }
-    seqs.sort_unstable();
-    if seqs.windows(2).any(|w| w[0] == w[1]) {
-        return Err(snap_err("two scheduled wakes share a sequence number"));
-    }
-    Ok(())
-}
-
 /// Records that executor component `comp` runs as processor `idx`.
-fn set_proc_of_comp(proc_of_comp: &mut Vec<Option<usize>>, comp: CompId, idx: usize) {
+pub(crate) fn set_proc_of_comp(proc_of_comp: &mut Vec<Option<usize>>, comp: CompId, idx: usize) {
     let i = comp.0 as usize;
     if proc_of_comp.len() <= i {
         proc_of_comp.resize(i + 1, None);
@@ -393,9 +218,9 @@ fn set_proc_of_comp(proc_of_comp: &mut Vec<Option<usize>>, comp: CompId, idx: us
 // Runtime state
 // ---------------------------------------------------------------------------
 
-/// A pending event in a processor's event queue. `pub(crate)` + `Clone` so
-/// the snapshot codec can serialise and restore queues verbatim.
-#[derive(Debug, Clone)]
+/// A pending event in a processor's event queue. `pub(crate)` so snapshots
+/// can write and read queues verbatim.
+#[derive(Debug)]
 pub(crate) enum EventKind {
     Launch {
         op: OpId,
@@ -408,7 +233,7 @@ pub(crate) enum EventKind {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PendingEvent {
     pub(crate) kind: EventKind,
     pub(crate) dep: SignalId,
@@ -428,7 +253,7 @@ pub(crate) struct LoopDim {
 
 /// Loop bookkeeping for `affine.for` / `affine.parallel` scopes, outermost
 /// dimension first.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LoopState {
     pub(crate) dims: Vec<LoopDim>,
 }
@@ -459,7 +284,7 @@ impl LoopState {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Scope {
     pub(crate) block: BlockId,
     pub(crate) idx: usize,
@@ -468,7 +293,7 @@ pub(crate) struct Scope {
 
 /// An executing launch body: a dense slot-indexed environment plus a block
 /// stack. `scope` names the frame's [`ScopeLayout`] (diagnostics).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Frame {
     pub(crate) env: Vec<Option<SimValue>>,
     pub(crate) stack: Vec<Scope>,
@@ -559,12 +384,12 @@ pub(crate) enum Step {
 }
 
 pub(crate) struct Engine<'m> {
-    module: &'m Module,
-    plan: &'m Plan,
-    lib: &'m SimLibrary,
+    pub(crate) module: &'m Module,
+    pub(crate) plan: &'m Plan,
+    pub(crate) lib: &'m SimLibrary,
     pub(crate) options: SimOptions,
     pub(crate) machine: Machine,
-    signals: SignalTable,
+    pub(crate) signals: SignalTable,
     /// Per-signal waiter lists: processors whose queue head waits on the
     /// signal, or whose frame is blocked in an `await` on it. Indexed by
     /// signal id (grown lazily). Not serialised — rebuilt from the proc
@@ -572,11 +397,11 @@ pub(crate) struct Engine<'m> {
     waiters: Vec<Vec<usize>>,
     pub(crate) procs: Vec<ProcRuntime>,
     /// Processor index of each executor component, indexed by `CompId`.
-    proc_of_comp: Vec<Option<usize>>,
+    pub(crate) proc_of_comp: Vec<Option<usize>>,
     /// Pending wakes `(time, seq, proc)`. Ordering is `(time, seq)` —
     /// `seq` is unique, so `proc` never tie-breaks.
     pub(crate) wake_queue: EventQueue,
-    seq: u64,
+    pub(crate) seq: u64,
     pub(crate) now: u64,
     pub(crate) horizon: u64,
     pub(crate) wakes: u64,
@@ -584,16 +409,16 @@ pub(crate) struct Engine<'m> {
     /// Events pushed onto processor queues (launches + memcpys issued).
     /// Reported so static spawn-count estimates can be validated against
     /// actual runs; never consulted by limits or scheduling.
-    events_spawned: u64,
+    pub(crate) events_spawned: u64,
     /// Bytes of simultaneously-live tensor storage (for
     /// `max_live_tensor_bytes`).
-    live_tensor_bytes: u64,
+    pub(crate) live_tensor_bytes: u64,
     /// High-water mark of `live_tensor_bytes` over the run (reported; the
     /// static resource-estimation pass upper-bounds it).
-    peak_live_tensor_bytes: u64,
+    pub(crate) peak_live_tensor_bytes: u64,
     /// Successful fused-trace entries (the fusibility report's runtime
     /// ground truth; `0` under `Backend::Interp`).
-    fused_trace_entries: u64,
+    pub(crate) fused_trace_entries: u64,
     /// Loop-bookkeeping iterations that executed no op (empty bodies);
     /// bounded alongside `max_events` so degenerate loops cannot spin the
     /// interpreter forever. Not reported — purely a safety counter.
@@ -601,20 +426,20 @@ pub(crate) struct Engine<'m> {
     /// Absolute wall-clock deadline (run start + `wall_deadline`).
     pub(crate) deadline: Option<Instant>,
     trace: Trace,
-    host_mem: Option<CompId>,
+    pub(crate) host_mem: Option<CompId>,
     /// Whether fused loop traces may run this run (backend is
     /// [`Backend::Fused`] and tracing is off).
     fused_on: bool,
     /// Per-run fused-trace scratch (registers, costs, skip set).
     pub(crate) fused: crate::fused::FusedScratch,
     /// When armed (`Some(cut)`), the scheduler pauses before processing the
-    /// first event at or after cycle `cut` so [`Engine::capture`] can
+    /// first event at or after cycle `cut` so the snapshot writer can
     /// serialise the state. Armed only by the snapshot entry point — plain
     /// runs never set it. Read by the fused backend to cap trace barriers.
     pub(crate) snapshot_at: Option<u64>,
     /// Set when [`Engine::run`] returned because it reached `snapshot_at`
     /// (as opposed to draining the wake queue / completing the program).
-    snapshot_due: bool,
+    pub(crate) snapshot_due: bool,
     /// Wake-path scratch, reused so a wake allocates nothing of its own:
     /// waiter lists drained by a resolution (`subscribe` draws from them),
     /// the processors a resolution wakes, finished frames' scope stacks
@@ -626,15 +451,17 @@ pub(crate) struct Engine<'m> {
 }
 
 impl<'m> Engine<'m> {
-    fn new(
+    /// An engine with no state yet: no components, signals or processors,
+    /// every counter at zero. A fresh run starts the host on it
+    /// ([`Engine::fresh`]); a resume reads a snapshot into it.
+    pub(crate) fn new(
         module: &'m Module,
         plan: &'m Plan,
         lib: &'m SimLibrary,
         options: &SimOptions,
         start: Instant,
     ) -> Self {
-        let deadline = options.limits.wall_deadline.map(|d| start + d);
-        let mut engine = Engine {
+        Engine {
             module,
             plan,
             lib,
@@ -655,7 +482,7 @@ impl<'m> Engine<'m> {
             peak_live_tensor_bytes: 0,
             fused_trace_entries: 0,
             idle_steps: 0,
-            deadline,
+            deadline: options.limits.wall_deadline.map(|d| start + d),
             trace: if options.trace {
                 Trace::new()
             } else {
@@ -672,7 +499,19 @@ impl<'m> Engine<'m> {
             woken: vec![],
             stack_pool: vec![],
             dep_buf: vec![],
-        };
+        }
+    }
+
+    /// An engine at cycle 0, its host processor about to interpret the
+    /// top block.
+    pub(crate) fn fresh(
+        module: &'m Module,
+        plan: &'m Plan,
+        lib: &'m SimLibrary,
+        options: &SimOptions,
+        start: Instant,
+    ) -> Self {
+        let mut engine = Self::new(module, plan, lib, options, start);
         // The implicit host processor interprets the top block at time 0;
         // all its ops are free (orchestration, not datapath).
         let host_profile = Arc::new(ProcProfile::uniform(0));
@@ -720,314 +559,6 @@ impl<'m> Engine<'m> {
         self.seq += 1;
     }
 
-    /// Serialises the complete engine state into a [`Snapshot`]. Called
-    /// after [`Engine::run`] returned with `snapshot_at` armed — either
-    /// paused at the cut, or finished early (then the snapshot records the
-    /// terminal state).
-    fn capture(&self, requested: u64) -> Snapshot {
-        let mut wake_queue: Vec<(u64, u64, u32)> = self
-            .wake_queue
-            .iter()
-            .map(|(t, s, p)| (t, s, p as u32))
-            .collect();
-        wake_queue.sort_unstable();
-        let actual_cut = wake_queue.first().map_or(self.horizon, |&(t, _, _)| t);
-        let components = self
-            .machine
-            .components
-            .iter()
-            .map(|c| CompSnap {
-                name: c.name.clone(),
-                kind: match &c.kind {
-                    ComponentKind::Processor(p) => CompKindSnap::Processor {
-                        kind: p.kind.clone(),
-                        profile: ProfileSnap::capture(&p.profile),
-                    },
-                    ComponentKind::Memory(m) => CompKindSnap::Memory(MemSnap {
-                        kind: m.kind.clone(),
-                        capacity_elems: m.capacity_elems as u64,
-                        data_bits: m.data_bits,
-                        banks: m.banks,
-                        used_elems: m.used_elems as u64,
-                        behavior: m.behavior.snapshot_behavior(),
-                        ports: m.ports.clone(),
-                        counters: m.counters,
-                        energy_per_access_pj: m.energy_per_access_pj,
-                    }),
-                    ComponentKind::Dma => CompKindSnap::Dma,
-                    ComponentKind::Composite(comp) => CompKindSnap::Composite(
-                        comp.children
-                            .iter()
-                            .map(|(n, id)| (n.clone(), id.0))
-                            .collect(),
-                    ),
-                },
-            })
-            .collect();
-        let connections = self
-            .machine
-            .connections
-            .iter()
-            .map(|c| {
-                let (read_free, write_free) = c.channel_state();
-                ConnSnap {
-                    name: c.name.clone(),
-                    kind: c.kind,
-                    bytes_per_cycle: c.bytes_per_cycle,
-                    read_free,
-                    write_free,
-                    read_stats: c.read_stats,
-                    write_stats: c.write_stats,
-                }
-            })
-            .collect();
-        Snapshot {
-            requested_cut: requested,
-            actual_cut,
-            completed: !self.snapshot_due,
-            capture_backend: self.options.backend,
-            fingerprint: ModuleFingerprint {
-                num_ops: self.module.num_ops() as u64,
-                num_blocks: self.module.num_blocks() as u64,
-                num_values: self.module.num_values() as u64,
-            },
-            now: self.now,
-            horizon: self.horizon,
-            wakes: self.wakes,
-            ops_interpreted: self.ops_interpreted,
-            events_spawned: self.events_spawned,
-            live_tensor_bytes: self.live_tensor_bytes,
-            peak_live_tensor_bytes: self.peak_live_tensor_bytes,
-            fused_trace_entries: self.fused_trace_entries,
-            idle_steps: self.idle_steps,
-            seq: self.seq,
-            host_mem: self.host_mem.map(|c| c.0),
-            wake_queue,
-            signals: self.signals.signals.clone(),
-            procs: self
-                .procs
-                .iter()
-                .map(|p| ProcSnap {
-                    comp: p.comp.0,
-                    clock: p.clock,
-                    profile: ProfileSnap::capture(&p.profile),
-                    queue: p.queue.iter().cloned().collect(),
-                    frame: p.frame.clone(),
-                })
-                .collect(),
-            machine: MachineSnap {
-                components,
-                buffers: self.machine.buffers.clone(),
-                connections,
-            },
-        }
-    }
-
-    /// Rebuilds a runnable engine from a decoded [`Snapshot`], validating
-    /// every cross-reference so adversarial or mismatched snapshots fail
-    /// with [`SimError::Snapshot`] instead of panicking later. The wall
-    /// deadline restarts from `start`; cycle/event budgets continue from the
-    /// snapshot's counters.
-    fn from_snapshot(
-        module: &'m Module,
-        plan: &'m Plan,
-        lib: &'m SimLibrary,
-        options: &SimOptions,
-        start: Instant,
-        snap: &Snapshot,
-    ) -> Result<Self, SimError> {
-        let fp = ModuleFingerprint {
-            num_ops: module.num_ops() as u64,
-            num_blocks: module.num_blocks() as u64,
-            num_values: module.num_values() as u64,
-        };
-        if snap.fingerprint != fp {
-            return Err(snap_err(
-                "snapshot was captured from a different module (fingerprint mismatch)",
-            ));
-        }
-        let nsig = snap.signals.len();
-        let ncomp = snap.machine.components.len();
-        let nbuf = snap.machine.buffers.len();
-        let nconn = snap.machine.connections.len();
-        let nproc = snap.procs.len();
-        for s in &snap.signals {
-            match s {
-                SignalState::Pending { dependents, .. } => {
-                    if dependents.iter().any(|d| (d.0 as usize) >= nsig) {
-                        return Err(snap_err("signal dependent out of range"));
-                    }
-                }
-                SignalState::Resolved { payload, .. } => {
-                    for v in payload {
-                        check_value(v, nsig, ncomp, nbuf, nconn)?;
-                    }
-                }
-            }
-        }
-        // Rebuild the hardware model.
-        let mut machine = Machine::new();
-        for c in &snap.machine.components {
-            let kind = match &c.kind {
-                CompKindSnap::Processor { kind, profile } => ComponentKind::Processor(Processor {
-                    kind: kind.clone(),
-                    profile: Arc::new(profile.restore()),
-                }),
-                CompKindSnap::Memory(m) => {
-                    if m.ports.is_empty() {
-                        return Err(snap_err("memory with no access ports"));
-                    }
-                    let capacity_elems = usize::try_from(m.capacity_elems)
-                        .map_err(|_| snap_err("memory capacity exceeds the address space"))?;
-                    let used_elems = usize::try_from(m.used_elems)
-                        .map_err(|_| snap_err("memory usage exceeds the address space"))?;
-                    let behavior = match m.behavior.rebuild() {
-                        Some(b) => b,
-                        // Opaque custom model: re-create it from the library
-                        // factory (exact only for stateless models — see
-                        // `MemoryBehavior::snapshot_behavior`).
-                        None => lib.make_memory(&MemSpec {
-                            kind: m.kind.clone(),
-                            capacity_elems,
-                            data_bits: m.data_bits,
-                            banks: m.banks,
-                            attrs: AttrMap::new(),
-                        }),
-                    };
-                    ComponentKind::Memory(Memory {
-                        kind: m.kind.clone(),
-                        capacity_elems,
-                        data_bits: m.data_bits,
-                        banks: m.banks,
-                        used_elems,
-                        behavior,
-                        ports: m.ports.clone(),
-                        counters: m.counters,
-                        energy_per_access_pj: m.energy_per_access_pj,
-                    })
-                }
-                CompKindSnap::Dma => ComponentKind::Dma,
-                CompKindSnap::Composite(children) => {
-                    if children.iter().any(|(_, id)| (*id as usize) >= ncomp) {
-                        return Err(snap_err("composite child out of range"));
-                    }
-                    ComponentKind::Composite(Composite {
-                        children: children
-                            .iter()
-                            .map(|(n, id)| (n.clone(), CompId(*id)))
-                            .collect(),
-                    })
-                }
-            };
-            machine.components.push(Component {
-                name: c.name.clone(),
-                kind,
-            });
-        }
-        for b in &snap.machine.buffers {
-            let mem_ok = matches!(
-                machine.components.get(b.mem.0 as usize),
-                Some(Component {
-                    kind: ComponentKind::Memory(_),
-                    ..
-                })
-            );
-            if !mem_ok {
-                return Err(snap_err("buffer owned by a non-memory component"));
-            }
-        }
-        machine.buffers = snap.machine.buffers.clone();
-        for c in &snap.machine.connections {
-            let mut conn = Connection::new(c.name.clone(), c.kind, c.bytes_per_cycle);
-            conn.restore_channels(c.read_free, c.write_free);
-            conn.read_stats = c.read_stats;
-            conn.write_stats = c.write_stats;
-            machine.connections.push(conn);
-        }
-        // Rebuild processor runtimes.
-        let mut procs = Vec::with_capacity(nproc);
-        let mut proc_of_comp = vec![];
-        for p in &snap.procs {
-            if (p.comp as usize) >= ncomp {
-                return Err(snap_err("processor component out of range"));
-            }
-            for ev in &p.queue {
-                check_event(ev, plan, nsig, ncomp, nbuf, nconn)?;
-            }
-            if let Some(frame) = &p.frame {
-                check_frame(frame, module, plan, nsig, ncomp, nbuf, nconn)?;
-            }
-            let profile = Arc::new(p.profile.restore());
-            set_proc_of_comp(&mut proc_of_comp, CompId(p.comp), procs.len());
-            procs.push(ProcRuntime {
-                comp: CompId(p.comp),
-                queue: p.queue.iter().cloned().collect(),
-                frame: p.frame.clone(),
-                clock: p.clock,
-                hot: HotCycles::from_profile(&profile),
-                profile,
-            });
-        }
-        check_wake_queue(snap, nproc)?;
-        if let Some(hm) = snap.host_mem {
-            let ok = matches!(
-                machine.components.get(hm as usize),
-                Some(Component {
-                    kind: ComponentKind::Memory(_),
-                    ..
-                })
-            );
-            if !ok {
-                return Err(snap_err("host scratch memory is not a memory"));
-            }
-        }
-        let mut wakes = snap.wake_queue.clone();
-        wakes.sort_unstable();
-        let wake_queue = wakes
-            .into_iter()
-            .map(|(t, s, p)| (t, s, p as usize))
-            .collect();
-        let mut engine = Engine {
-            module,
-            plan,
-            lib,
-            options: options.clone(),
-            machine,
-            signals: SignalTable::from_states(snap.signals.clone()),
-            waiters: vec![],
-            procs,
-            proc_of_comp,
-            wake_queue,
-            seq: snap.seq,
-            now: snap.now,
-            horizon: snap.horizon,
-            wakes: snap.wakes,
-            ops_interpreted: snap.ops_interpreted,
-            events_spawned: snap.events_spawned,
-            live_tensor_bytes: snap.live_tensor_bytes,
-            peak_live_tensor_bytes: snap.peak_live_tensor_bytes,
-            fused_trace_entries: snap.fused_trace_entries,
-            idle_steps: snap.idle_steps,
-            deadline: options.limits.wall_deadline.map(|d| start + d),
-            trace: if options.trace {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
-            host_mem: snap.host_mem.map(CompId),
-            fused_on: options.backend == Backend::Fused && !options.trace,
-            fused: crate::fused::FusedScratch::new(plan.fusion.len()),
-            snapshot_at: None,
-            snapshot_due: false,
-            waiter_pool: vec![],
-            woken: vec![],
-            stack_pool: vec![],
-            dep_buf: vec![],
-        };
-        engine.rebuild_waiters();
-        Ok(engine)
-    }
-
     /// Reconstructs the per-signal waiter lists from the processor states
     /// after a snapshot restore. The runtime invariant is: a processor is
     /// registered on a signal iff (a) it is idle and its queue head's
@@ -1036,7 +567,7 @@ impl<'m> Engine<'m> {
     /// and in either case no wake for it is pending in the wake queue (a
     /// pending wake re-discovers the block and re-registers when it pops,
     /// exactly as the live engine does).
-    fn rebuild_waiters(&mut self) {
+    pub(crate) fn rebuild_waiters(&mut self) {
         let scheduled: HashSet<usize> = self.wake_queue.iter().map(|(_, _, p)| p).collect();
         for p in 0..self.procs.len() {
             if scheduled.contains(&p) {
@@ -1162,7 +693,7 @@ impl<'m> Engine<'m> {
     /// The scheduler loop: pops wakes in `(time, seq)` order until the
     /// queue drains (or an armed snapshot cut is reached), then checks for
     /// stuck work.
-    fn run(&mut self) -> Result<(), SimError> {
+    pub(crate) fn run(&mut self) -> Result<(), SimError> {
         while let Some(t) = self.wake_queue.peek_time() {
             if self.snapshot_at.is_some_and(|cut| t >= cut) {
                 // Snapshot boundary: every event strictly before the cut has

@@ -106,52 +106,6 @@ pub enum BehaviorSnapshot {
     Opaque,
 }
 
-impl BehaviorSnapshot {
-    /// Rebuilds the concrete behavior object, or `None` for
-    /// [`Opaque`](BehaviorSnapshot::Opaque) (the caller falls back to the
-    /// library's memory factory).
-    pub(crate) fn rebuild(&self) -> Option<Box<dyn MemoryBehavior>> {
-        match self {
-            BehaviorSnapshot::Sram { cycles_per_access } => Some(Box::new(SramBehavior {
-                cycles_per_access: *cycles_per_access,
-            })),
-            BehaviorSnapshot::Register => Some(Box::new(RegisterBehavior)),
-            BehaviorSnapshot::Dram {
-                latency,
-                cycles_per_access,
-            } => Some(Box::new(DramBehavior {
-                latency: *latency,
-                cycles_per_access: *cycles_per_access,
-            })),
-            BehaviorSnapshot::Cache {
-                sets,
-                ways,
-                line_elems,
-                hit_cycles,
-                miss_cycles,
-                tags,
-                hits,
-                misses,
-            } => {
-                if *sets == 0 || *ways == 0 || *line_elems == 0 || tags.len() != *sets {
-                    return None;
-                }
-                Some(Box::new(CacheBehavior {
-                    sets: *sets,
-                    ways: *ways,
-                    line_elems: *line_elems,
-                    hit_cycles: *hit_cycles,
-                    miss_cycles: *miss_cycles,
-                    tags: tags.clone(),
-                    hits: *hits,
-                    misses: *misses,
-                }))
-            }
-            BehaviorSnapshot::Opaque => None,
-        }
-    }
-}
-
 /// SRAM: one access per bank per `cycles_per_access`; a burst of `elems`
 /// spreads across banks.
 #[derive(Debug, Clone)]
@@ -274,7 +228,7 @@ pub struct CacheBehavior {
     /// Miss latency (fill from backing store).
     pub miss_cycles: u64,
     /// Per-set LRU stacks of line tags (most recent last).
-    tags: Vec<Vec<usize>>,
+    pub(crate) tags: Vec<Vec<usize>>,
     /// Hit/miss counters for tests and reports.
     pub hits: u64,
     /// Miss counter.
@@ -639,9 +593,9 @@ pub struct Connection {
     /// statistics").
     pub bytes_per_cycle: u64,
     /// Next-free time of the read channel.
-    read_free: u64,
+    pub(crate) read_free: u64,
     /// Next-free time of the write channel (same as read for Window).
-    write_free: u64,
+    pub(crate) write_free: u64,
     /// Read-direction bandwidth statistics.
     pub(crate) read_stats: ChannelStats,
     /// Write-direction bandwidth statistics.
@@ -660,18 +614,6 @@ impl Connection {
             read_stats: ChannelStats::default(),
             write_stats: ChannelStats::default(),
         }
-    }
-
-    /// The next-free times of the read and write channels (snapshot
-    /// capture).
-    pub(crate) fn channel_state(&self) -> (u64, u64) {
-        (self.read_free, self.write_free)
-    }
-
-    /// Restores the channel schedule (snapshot resume).
-    pub(crate) fn restore_channels(&mut self, read_free: u64, write_free: u64) {
-        self.read_free = read_free;
-        self.write_free = write_free;
     }
 
     /// The bandwidth summary of direction `kind` over a run of `cycles`

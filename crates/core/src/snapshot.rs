@@ -11,28 +11,45 @@
 //!
 //! # Wire format
 //!
-//! [`Snapshot::encode`] emits a dependency-free, versioned, little-endian
-//! binary stream: the magic `EQSS`, a `u32` format version, the header and
-//! state sections, and a trailing FNV-1a 64-bit checksum over everything
-//! before it. [`Snapshot::decode`] verifies the checksum first, so any
-//! truncation or byte mutation is rejected with a typed
-//! [`SimError::Snapshot`] — never a panic. Encoding is canonical
-//! (deterministic field order, profile maps sorted by key, wake queue sorted
-//! by `(time, seq)`), so `encode(decode(bytes)) == bytes` for any stream that
-//! decodes successfully.
+//! The encoded stream is the only representation of a snapshot: capture
+//! writes the live engine's state (its `Machine`, processor runtimes,
+//! signal table and wake queue) straight into a dependency-free, versioned,
+//! little-endian binary stream, and resume reads the stream straight back
+//! into those types. The stream is the magic `EQSS`, a `u32` format
+//! version, the header (requested and actual cut, completion flag, capture
+//! backend), the state sections, and a trailing FNV-1a 64-bit checksum over
+//! everything before it. Encoding is canonical (deterministic field order,
+//! profile maps sorted by key, wake queue sorted by `(time, seq)`).
+//!
+//! [`Snapshot::decode`] checks the envelope: length, checksum, magic,
+//! version and header tags, so any truncation or byte mutation is rejected
+//! with a typed [`SimError::Snapshot`] — never a panic. Resume checks the
+//! rest, once: every tag, length and shape in the state sections, the
+//! module fingerprint, and every id the state cross-references.
 //!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
 //! cycle/event budgets from the captured counters.
 
-use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
 
 use equeue_dialect::ConnKind;
-use equeue_ir::IdVec;
+use equeue_ir::{AttrMap, BlockId, IdVec, Module, OpId};
 
-use crate::engine::{Backend, EventKind, Frame, LoopDim, LoopState, PendingEvent, Scope};
-use crate::machine::{BehaviorSnapshot, Buffer, ChannelStats, MemCounters, ProcProfile};
-use crate::signal::SignalState;
+use crate::engine::{
+    build_report, set_proc_of_comp, Backend, Engine, EventKind, Frame, HotCycles, LoopDim,
+    LoopState, PendingEvent, ProcRuntime, Scope, SimOptions,
+};
+use crate::library::{MemSpec, SimLibrary};
+use crate::machine::{
+    BehaviorSnapshot, Buffer, CacheBehavior, ChannelStats, Component, ComponentKind, Composite,
+    Connection, DramBehavior, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor,
+    RegisterBehavior, SramBehavior,
+};
+use crate::plan::{OpCode, Plan};
+use crate::profile::SimReport;
+use crate::signal::{SignalState, SignalTable};
 use crate::value::{BufId, CompId, ConnId, SignalId, SimValue, Tensor, TensorData};
 use crate::SimError;
 
@@ -43,106 +60,12 @@ const MAGIC: [u8; 4] = *b"EQSS";
 /// decoding rejects unknown versions.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Shape fingerprint of the module a snapshot was captured from, so resuming
-/// against a different module fails with a typed error instead of undefined
-/// replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ModuleFingerprint {
-    /// Total ops in the module.
-    pub(crate) num_ops: u64,
-    /// Total blocks in the module.
-    pub(crate) num_blocks: u64,
-    /// Total SSA values in the module.
-    pub(crate) num_values: u64,
-}
+/// Bytes before the state sections: magic, version, both cuts, the
+/// completion flag and the backend tag.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 1 + 1;
 
-/// Captured timing profile of a processor (sorted for canonical encoding).
-#[derive(Debug, Clone)]
-pub(crate) struct ProfileSnap {
-    pub(crate) default_cycles: u64,
-    pub(crate) per_op: Vec<(String, u64)>,
-}
-
-impl ProfileSnap {
-    pub(crate) fn capture(p: &ProcProfile) -> Self {
-        let mut per_op: Vec<(String, u64)> =
-            p.per_op.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        per_op.sort();
-        ProfileSnap {
-            default_cycles: p.default_cycles,
-            per_op,
-        }
-    }
-
-    pub(crate) fn restore(&self) -> ProcProfile {
-        ProcProfile {
-            default_cycles: self.default_cycles,
-            per_op: self.per_op.iter().cloned().collect::<HashMap<_, _>>(),
-        }
-    }
-}
-
-/// Captured state of one processor runtime.
-#[derive(Debug, Clone)]
-pub(crate) struct ProcSnap {
-    pub(crate) comp: u32,
-    pub(crate) clock: u64,
-    pub(crate) profile: ProfileSnap,
-    pub(crate) queue: Vec<PendingEvent>,
-    pub(crate) frame: Option<Frame>,
-}
-
-/// Captured state of one memory component.
-#[derive(Debug, Clone)]
-pub(crate) struct MemSnap {
-    pub(crate) kind: String,
-    pub(crate) capacity_elems: u64,
-    pub(crate) data_bits: u32,
-    pub(crate) banks: u32,
-    pub(crate) used_elems: u64,
-    pub(crate) behavior: BehaviorSnapshot,
-    pub(crate) ports: Vec<u64>,
-    pub(crate) counters: MemCounters,
-    pub(crate) energy_per_access_pj: f64,
-}
-
-/// Captured component (name + kind-specific state).
-#[derive(Debug, Clone)]
-pub(crate) enum CompKindSnap {
-    Processor { kind: String, profile: ProfileSnap },
-    Memory(MemSnap),
-    Dma,
-    Composite(Vec<(String, u32)>),
-}
-
-/// One captured component instance.
-#[derive(Debug, Clone)]
-pub(crate) struct CompSnap {
-    pub(crate) name: String,
-    pub(crate) kind: CompKindSnap,
-}
-
-/// Captured connection: configuration, channel reservations, and the
-/// per-direction bandwidth accumulators (bandwidth statistics are computed
-/// from them, so they must round-trip for resumed reports to match).
-#[derive(Debug, Clone)]
-pub(crate) struct ConnSnap {
-    pub(crate) name: String,
-    pub(crate) kind: ConnKind,
-    pub(crate) bytes_per_cycle: u64,
-    pub(crate) read_free: u64,
-    pub(crate) write_free: u64,
-    pub(crate) read_stats: ChannelStats,
-    pub(crate) write_stats: ChannelStats,
-}
-
-/// The captured hardware model: components, buffers, connections.
-#[derive(Debug, Clone)]
-pub(crate) struct MachineSnap {
-    pub(crate) components: Vec<CompSnap>,
-    pub(crate) buffers: Vec<Buffer>,
-    pub(crate) connections: Vec<ConnSnap>,
-}
+/// Wire tags of the capture backends.
+const BACKENDS: [Backend; 2] = [Backend::Interp, Backend::Fused];
 
 /// Complete engine state at a cycle boundary, resumable via
 /// [`crate::CompiledModule::resume`].
@@ -184,27 +107,12 @@ pub(crate) struct MachineSnap {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    pub(crate) requested_cut: u64,
-    pub(crate) actual_cut: u64,
-    pub(crate) completed: bool,
-    pub(crate) capture_backend: Backend,
-    pub(crate) fingerprint: ModuleFingerprint,
-    pub(crate) now: u64,
-    pub(crate) horizon: u64,
-    pub(crate) wakes: u64,
-    pub(crate) ops_interpreted: u64,
-    pub(crate) events_spawned: u64,
-    pub(crate) live_tensor_bytes: u64,
-    pub(crate) peak_live_tensor_bytes: u64,
-    pub(crate) fused_trace_entries: u64,
-    pub(crate) idle_steps: u64,
-    pub(crate) seq: u64,
-    pub(crate) host_mem: Option<u32>,
-    /// Pending scheduler wakes `(time, seq, proc)`, sorted ascending.
-    pub(crate) wake_queue: Vec<(u64, u64, u32)>,
-    pub(crate) signals: Vec<SignalState>,
-    pub(crate) procs: Vec<ProcSnap>,
-    pub(crate) machine: MachineSnap,
+    /// The encoded stream, checksum included.
+    bytes: Vec<u8>,
+    requested_cut: u64,
+    actual_cut: u64,
+    completed: bool,
+    capture_backend: Backend,
 }
 
 impl Snapshot {
@@ -237,72 +145,24 @@ impl Snapshot {
 
     /// Serialises to the versioned binary wire format (see module docs).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u64(self.requested_cut);
-        w.u64(self.actual_cut);
-        w.boolean(self.completed);
-        w.u8(match self.capture_backend {
-            Backend::Interp => 0,
-            Backend::Fused => 1,
-        });
-        w.u64(self.fingerprint.num_ops);
-        w.u64(self.fingerprint.num_blocks);
-        w.u64(self.fingerprint.num_values);
-        for c in [
-            self.now,
-            self.horizon,
-            self.wakes,
-            self.ops_interpreted,
-            self.events_spawned,
-            self.live_tensor_bytes,
-            self.peak_live_tensor_bytes,
-            self.fused_trace_entries,
-            self.idle_steps,
-            self.seq,
-        ] {
-            w.u64(c);
-        }
-        w.opt_u32(self.host_mem);
-        w.seq_len(self.wake_queue.len());
-        for &(t, s, p) in &self.wake_queue {
-            w.u64(t);
-            w.u64(s);
-            w.u32(p);
-        }
-        w.seq_len(self.signals.len());
-        for s in &self.signals {
-            w_signal_state(&mut w, s);
-        }
-        w.seq_len(self.procs.len());
-        for p in &self.procs {
-            w_proc(&mut w, p);
-        }
-        w_machine(&mut w, &self.machine);
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
-        w.buf
+        self.bytes.clone()
     }
 
-    /// Deserialises a snapshot from `bytes`.
+    /// Deserialises a snapshot from `bytes`, checking its envelope: length,
+    /// checksum, magic, version and header tags. The state sections are
+    /// checked when the snapshot is resumed.
     ///
     /// # Errors
     ///
-    /// [`SimError::Snapshot`] on bad magic, unknown version, checksum
-    /// mismatch (any truncation or mutation), or a structurally invalid
-    /// stream. Never panics.
+    /// [`SimError::Snapshot`] on a short stream, checksum mismatch (any
+    /// truncation or mutation), bad magic, unknown version or bad header
+    /// tag. Never panics.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SimError> {
-        // Checksum first: everything after this point may assume the stream
-        // is the untampered output of `encode` (structural validation is
-        // still performed — defence in depth for hand-crafted streams).
         if bytes.len() < MAGIC.len() + 4 + 8 {
             return Err(err("stream shorter than the fixed header"));
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut stored = [0u8; 8];
-        stored.copy_from_slice(tail);
-        if fnv1a(body) != u64::from_le_bytes(stored) {
+        if fnv1a(body).to_le_bytes() != tail {
             return Err(err("checksum mismatch (truncated or corrupted stream)"));
         }
         let mut r = Reader::new(body);
@@ -318,73 +178,61 @@ impl Snapshot {
         let requested_cut = r.u64()?;
         let actual_cut = r.u64()?;
         let completed = r.boolean()?;
-        let capture_backend = match r.u8()? {
-            0 => Backend::Interp,
-            1 => Backend::Fused,
-            t => return Err(err(&format!("unknown backend tag {t}"))),
+        let tag = r.u8()?;
+        let Some(&capture_backend) = BACKENDS.get(usize::from(tag)) else {
+            return Err(err(&format!("unknown backend tag {tag}")));
         };
-        let fingerprint = ModuleFingerprint {
-            num_ops: r.u64()?,
-            num_blocks: r.u64()?,
-            num_values: r.u64()?,
-        };
-        let now = r.u64()?;
-        let horizon = r.u64()?;
-        let wakes = r.u64()?;
-        let ops_interpreted = r.u64()?;
-        let events_spawned = r.u64()?;
-        let live_tensor_bytes = r.u64()?;
-        let peak_live_tensor_bytes = r.u64()?;
-        let fused_trace_entries = r.u64()?;
-        let idle_steps = r.u64()?;
-        let seq = r.u64()?;
-        let host_mem = r.opt_u32()?;
-        let n = r.seq_len(8 + 8 + 4)?;
-        let mut wake_queue = Vec::with_capacity(n);
-        for _ in 0..n {
-            wake_queue.push((r.u64()?, r.u64()?, r.u32()?));
-        }
-        let n = r.seq_len(1)?;
-        let mut signals = Vec::with_capacity(n);
-        for _ in 0..n {
-            signals.push(r_signal_state(&mut r)?);
-        }
-        let n = r.seq_len(1)?;
-        let mut procs = Vec::with_capacity(n);
-        for _ in 0..n {
-            procs.push(r_proc(&mut r)?);
-        }
-        let machine = r_machine(&mut r)?;
-        if !r.at_end() {
-            return Err(err("trailing bytes after the machine section"));
-        }
         Ok(Snapshot {
+            bytes: bytes.to_vec(),
             requested_cut,
             actual_cut,
             completed,
             capture_backend,
-            fingerprint,
-            now,
-            horizon,
-            wakes,
-            ops_interpreted,
-            events_spawned,
-            live_tensor_bytes,
-            peak_live_tensor_bytes,
-            fused_trace_entries,
-            idle_steps,
-            seq,
-            host_mem,
-            wake_queue,
-            signals,
-            procs,
-            machine,
         })
     }
 }
 
+/// Runs `module` up to cycle `at` and captures a [`Snapshot`]: the entry
+/// point behind [`crate::CompiledModule::snapshot`].
+///
+/// The engine pauses before processing the first event at or after the cut
+/// (under the fused backend, at the first trace exit at or after it). If the
+/// program completes earlier, the snapshot records the terminal state and is
+/// marked [`completed`](Snapshot::completed).
+pub(crate) fn snapshot_with_plan(
+    module: &Module,
+    plan: &Plan,
+    library: &SimLibrary,
+    at: u64,
+    options: &SimOptions,
+    start: Instant,
+) -> Result<Snapshot, SimError> {
+    let mut engine = Engine::fresh(module, plan, library, options, start);
+    engine.snapshot_at = Some(at);
+    engine.run()?;
+    Ok(capture(&engine, at))
+}
+
+/// Restores a [`Snapshot`] and runs it to completion: the entry point behind
+/// [`crate::CompiledModule::resume`]. `start` should be the resume time —
+/// the wall-clock budget restarts from it, while cycle/event budgets
+/// continue from the snapshot's counters.
+pub(crate) fn resume_with_plan(
+    module: &Module,
+    plan: &Plan,
+    library: &SimLibrary,
+    options: &SimOptions,
+    start: Instant,
+    snap: &Snapshot,
+) -> Result<SimReport, SimError> {
+    let mut engine = Engine::new(module, plan, library, options, start);
+    restore(&mut engine, &snap.bytes[HEADER_LEN..snap.bytes.len() - 8])?;
+    engine.run()?;
+    Ok(build_report(&mut engine, start))
+}
+
 /// Builds a [`SimError::Snapshot`].
-pub(crate) fn err(msg: &str) -> SimError {
+fn err(msg: &str) -> SimError {
     SimError::Snapshot(msg.to_string())
 }
 
@@ -398,23 +246,304 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Shape fingerprint of a module (ops, blocks, values), so resuming against
+/// a different module fails with a typed error instead of undefined replay.
+fn fingerprint(module: &Module) -> [u64; 3] {
+    [module.num_ops(), module.num_blocks(), module.num_values()].map(|n| n as u64)
+}
+
+/// Serialises the engine's complete state. Called after [`Engine::run`]
+/// returned with `snapshot_at` armed — either paused at the cut, or
+/// finished early (then the snapshot records the terminal state).
+fn capture(e: &Engine, requested: u64) -> Snapshot {
+    let mut wakes: Vec<(u64, u64, usize)> = e.wake_queue.iter().collect();
+    wakes.sort_unstable();
+    let actual_cut = wakes.first().map_or(e.horizon, |w| w.0);
+    let completed = !e.snapshot_due;
+    let backend = e.options.backend;
+    let mut w = Writer::default();
+    w.buf.extend_from_slice(&MAGIC);
+    w.u32(FORMAT_VERSION);
+    w.u64(requested);
+    w.u64(actual_cut);
+    w.boolean(completed);
+    w.u8(BACKENDS.iter().position(|&b| b == backend).unwrap_or(0) as u8);
+    let counters = [
+        e.now,
+        e.horizon,
+        e.wakes,
+        e.ops_interpreted,
+        e.events_spawned,
+        e.live_tensor_bytes,
+        e.peak_live_tensor_bytes,
+        e.fused_trace_entries,
+        e.idle_steps,
+        e.seq,
+    ];
+    for c in fingerprint(e.module).into_iter().chain(counters) {
+        w.u64(c);
+    }
+    w.opt(e.host_mem.map(|c| c.0), Writer::u32);
+    w.seq(wakes.into_iter(), |w, (t, s, p)| {
+        w.u64(t);
+        w.u64(s);
+        w.u32(p as u32);
+    });
+    w.seq(e.signals.signals.iter(), Writer::signal_state);
+    w.seq(e.procs.iter(), Writer::proc);
+    w.seq(e.machine.components.iter(), Writer::component);
+    w.seq(e.machine.buffers.iter(), Writer::buffer);
+    w.seq(e.machine.connections.iter(), Writer::connection);
+    let checksum = fnv1a(&w.buf);
+    w.u64(checksum);
+    Snapshot {
+        bytes: w.buf,
+        requested_cut: requested,
+        actual_cut,
+        completed,
+        capture_backend: backend,
+    }
+}
+
+/// Reads a snapshot's state sections (the stream between the header and
+/// the checksum) into `e`, an engine with no state yet, then checks every
+/// cross-reference so adversarial or mismatched snapshots fail with
+/// [`SimError::Snapshot`] instead of panicking later.
+fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
+    let mut r = Reader::new(bytes);
+    if [r.u64()?, r.u64()?, r.u64()?] != fingerprint(e.module) {
+        return Err(err(
+            "snapshot was captured from a different module (fingerprint mismatch)",
+        ));
+    }
+    for c in [
+        &mut e.now,
+        &mut e.horizon,
+        &mut e.wakes,
+        &mut e.ops_interpreted,
+        &mut e.events_spawned,
+        &mut e.live_tensor_bytes,
+        &mut e.peak_live_tensor_bytes,
+        &mut e.fused_trace_entries,
+        &mut e.idle_steps,
+        &mut e.seq,
+    ] {
+        *c = r.u64()?;
+    }
+    e.host_mem = r.opt(Reader::u32)?.map(CompId);
+    let mut wakes = r.seq(8 + 8 + 4, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))?;
+    e.signals = SignalTable::from_states(r.seq(1, Reader::signal_state)?);
+    e.procs = r.seq(1, Reader::proc)?;
+    let lib = e.lib;
+    let ncomp = r.seq_len(1)?;
+    for _ in 0..ncomp {
+        let c = r.component(ncomp, lib)?;
+        e.machine.components.push(c);
+    }
+    let comps = &e.machine.components;
+    e.machine.buffers = r.seq(1, |r| r.buffer(comps))?;
+    e.machine.connections = r.seq(1, Reader::connection)?;
+    if !r.at_end() {
+        return Err(err("trailing bytes after the machine section"));
+    }
+    check_state(e, &wakes)?;
+    for (i, p) in e.procs.iter().enumerate() {
+        set_proc_of_comp(&mut e.proc_of_comp, p.comp, i);
+    }
+    wakes.sort_unstable();
+    e.wake_queue = wakes
+        .into_iter()
+        .map(|(t, s, p)| (t, s, p as usize))
+        .collect();
+    e.rebuild_waiters();
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Cross-reference checks
+// ---------------------------------------------------------------------------
+
+/// Arena sizes a restored id must stay below.
+struct Bounds {
+    sig: usize,
+    comp: usize,
+    buf: usize,
+    conn: usize,
+}
+
+/// Checks every id the restored state references, so a resumed engine
+/// never indexes out of range on snapshot-supplied data.
+fn check_state(e: &Engine, wakes: &[(u64, u64, u32)]) -> Result<(), SimError> {
+    let b = Bounds {
+        sig: e.signals.signals.len(),
+        comp: e.machine.components.len(),
+        buf: e.machine.buffers.len(),
+        conn: e.machine.connections.len(),
+    };
+    for s in &e.signals.signals {
+        match s {
+            SignalState::Pending { dependents, .. } => {
+                if dependents.iter().any(|d| (d.0 as usize) >= b.sig) {
+                    return Err(err("signal dependent out of range"));
+                }
+            }
+            SignalState::Resolved { payload, .. } => {
+                for v in payload {
+                    check_value(v, &b)?;
+                }
+            }
+        }
+    }
+    for p in &e.procs {
+        if (p.comp.0 as usize) >= b.comp {
+            return Err(err("processor component out of range"));
+        }
+        for ev in &p.queue {
+            check_event(ev, e.plan, &b)?;
+        }
+        if let Some(frame) = &p.frame {
+            check_frame(frame, e.module, e.plan, &b)?;
+        }
+    }
+    check_wake_queue(wakes, e.now, e.seq, e.procs.len())?;
+    if let Some(hm) = e.host_mem {
+        if !is_memory(&e.machine.components, hm) {
+            return Err(err("host scratch memory is not a memory"));
+        }
+    }
+    Ok(())
+}
+
+/// Whether `comp` names a memory component.
+fn is_memory(components: &[Component], comp: CompId) -> bool {
+    matches!(
+        components.get(comp.0 as usize),
+        Some(Component {
+            kind: ComponentKind::Memory(_),
+            ..
+        })
+    )
+}
+
+/// Validates every id a restored [`SimValue`] references.
+fn check_value(v: &SimValue, b: &Bounds) -> Result<(), SimError> {
+    let ok = match v {
+        SimValue::Signal(s) => (s.0 as usize) < b.sig,
+        SimValue::Deferred { signal, .. } => (signal.0 as usize) < b.sig,
+        SimValue::Component(c) => (c.0 as usize) < b.comp,
+        SimValue::Buffer(x) => (x.0 as usize) < b.buf,
+        SimValue::Connection(c) => (c.0 as usize) < b.conn,
+        _ => true,
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(err("id out of range in a captured value"))
+    }
+}
+
+/// Validates a restored queue event against the plan and arena sizes.
+fn check_event(ev: &PendingEvent, plan: &Plan, b: &Bounds) -> Result<(), SimError> {
+    if (ev.dep.0 as usize) >= b.sig || (ev.done.0 as usize) >= b.sig {
+        return Err(err("queued event references an unknown signal"));
+    }
+    match &ev.kind {
+        EventKind::Launch { op, env } => {
+            let Some(&OpCode::Launch(launch)) = plan.ops.get(op.index()).map(|o| &o.code) else {
+                return Err(err("queued launch does not name a launch op"));
+            };
+            if env.len() != plan.scope_values(plan.launch(launch).scope).len() {
+                return Err(err("queued launch environment has the wrong size"));
+            }
+            for v in env.iter().flatten() {
+                check_value(v, b)?;
+            }
+        }
+        EventKind::Memcpy { src, dst, conn } => {
+            if (src.0 as usize) >= b.buf || (dst.0 as usize) >= b.buf {
+                return Err(err("queued memcpy references an unknown buffer"));
+            }
+            if conn.is_some_and(|c| (c.0 as usize) >= b.conn) {
+                return Err(err("queued memcpy references an unknown connection"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Validates a restored frame: scope layout, block stack, loop state, and
+/// every captured value.
+fn check_frame(frame: &Frame, module: &Module, plan: &Plan, b: &Bounds) -> Result<(), SimError> {
+    if frame.scope as usize >= plan.num_scopes() {
+        return Err(err("frame references an unknown scope"));
+    }
+    if frame.env.len() != plan.scope_values(frame.scope).len() {
+        return Err(err("frame environment does not match its scope layout"));
+    }
+    if (frame.done.0 as usize) >= b.sig {
+        return Err(err("frame done-signal out of range"));
+    }
+    for v in frame.env.iter().flatten() {
+        check_value(v, b)?;
+    }
+    for scope in &frame.stack {
+        if scope.block.index() >= module.num_blocks() {
+            return Err(err("frame block out of range"));
+        }
+        if let Some(state) = &scope.looping {
+            if state
+                .dims
+                .iter()
+                .any(|d| (d.iv as usize) >= frame.env.len())
+            {
+                return Err(err("loop induction slot out of range"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Validates a restored wake queue. Every wake must target a known
+/// processor, be due no earlier than the captured `now`, and carry a unique
+/// `seq` below the captured counter: the scheduler's same-time FIFO pops in
+/// push order, which is `(time, seq)` order only when seqs are unique and
+/// every later push carries a larger one.
+fn check_wake_queue(
+    wakes: &[(u64, u64, u32)],
+    now: u64,
+    seq: u64,
+    nproc: usize,
+) -> Result<(), SimError> {
+    let mut seqs = Vec::with_capacity(wakes.len());
+    for &(t, s, p) in wakes {
+        if (p as usize) >= nproc {
+            return Err(err("scheduled event targets an unknown processor"));
+        }
+        if t < now {
+            return Err(err("scheduled wake is due before the captured time"));
+        }
+        if s >= seq {
+            return Err(err("scheduled wake has a sequence number not yet issued"));
+        }
+        seqs.push(s);
+    }
+    seqs.sort_unstable();
+    if seqs.windows(2).any(|w| w[0] == w[1]) {
+        return Err(err("two scheduled wakes share a sequence number"));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -443,25 +572,272 @@ impl Writer {
         self.u64(v as u64);
     }
 
-    fn seq_len(&mut self, len: usize) {
-        self.u64(len as u64);
-    }
-
     fn string(&mut self, s: &str) {
-        self.seq_len(s.len());
-        self.bytes(s.as_bytes());
+        self.usize(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
-    fn opt_u32(&mut self, v: Option<u32>) {
+    /// A length prefix, then each item.
+    fn seq<I: ExactSizeIterator>(&mut self, items: I, mut f: impl FnMut(&mut Self, I::Item)) {
+        self.usize(items.len());
+        for x in items {
+            f(self, x);
+        }
+    }
+
+    /// A presence tag (0 or 1), then the value if present.
+    fn opt<T>(&mut self, v: Option<T>, f: impl FnOnce(&mut Self, T)) {
+        self.boolean(v.is_some());
+        if let Some(x) = v {
+            f(self, x);
+        }
+    }
+
+    fn value(&mut self, v: &SimValue) {
         match v {
-            None => self.u8(0),
-            Some(x) => {
+            SimValue::Unit => self.u8(0),
+            SimValue::Int(i) => {
                 self.u8(1);
-                self.u32(x);
+                self.i64(*i);
+            }
+            SimValue::Float(x) => {
+                self.u8(2);
+                self.f64(*x);
+            }
+            SimValue::Tensor(t) => {
+                self.u8(3);
+                self.tensor(t);
+            }
+            SimValue::Signal(s) => {
+                self.u8(4);
+                self.u32(s.0);
+            }
+            SimValue::Component(c) => {
+                self.u8(5);
+                self.u32(c.0);
+            }
+            SimValue::Buffer(b) => {
+                self.u8(6);
+                self.u32(b.0);
+            }
+            SimValue::Connection(c) => {
+                self.u8(7);
+                self.u32(c.0);
+            }
+            SimValue::Deferred { signal, index } => {
+                self.u8(8);
+                self.u32(signal.0);
+                self.usize(*index);
+            }
+        }
+    }
+
+    fn env(&mut self, env: &[Option<SimValue>]) {
+        self.seq(env.iter(), |w, v| w.opt(v.as_ref(), Writer::value));
+    }
+
+    fn tensor(&mut self, t: &Tensor) {
+        self.seq(t.shape.iter(), |w, &d| w.usize(d));
+        match &t.data {
+            TensorData::Int(v) => {
+                self.u8(0);
+                self.seq(v.iter(), |w, &x| w.i64(x));
+            }
+            TensorData::Float(v) => {
+                self.u8(1);
+                self.seq(v.iter(), |w, &x| w.f64(x));
+            }
+        }
+    }
+
+    fn signal_state(&mut self, s: &SignalState) {
+        match s {
+            SignalState::Pending {
+                remaining,
+                time_acc,
+                any_mode,
+                dependents,
+            } => {
+                self.u8(0);
+                self.usize(*remaining);
+                self.u64(*time_acc);
+                self.boolean(*any_mode);
+                self.seq(dependents.iter(), |w, d| w.u32(d.0));
+            }
+            SignalState::Resolved { time, payload } => {
+                self.u8(1);
+                self.u64(*time);
+                self.seq(payload.iter(), Writer::value);
+            }
+        }
+    }
+
+    fn event(&mut self, e: &PendingEvent) {
+        match &e.kind {
+            EventKind::Launch { op, env } => {
+                self.u8(0);
+                self.usize(op.index());
+                self.env(env);
+            }
+            EventKind::Memcpy { src, dst, conn } => {
+                self.u8(1);
+                self.u32(src.0);
+                self.u32(dst.0);
+                self.opt(conn.map(|c| c.0), Writer::u32);
+            }
+        }
+        self.u32(e.dep.0);
+        self.u32(e.done.0);
+    }
+
+    /// Loop state is columnar: the iv slots, then one sequence per field in
+    /// [`LOOP_FIELDS`] order.
+    fn loop_state(&mut self, s: &LoopState) {
+        self.seq(s.dims.iter(), |w, d| w.u32(d.iv));
+        for field in LOOP_FIELDS {
+            self.seq(s.dims.iter(), |w, d| {
+                let mut d = *d;
+                w.i64(*field(&mut d));
+            });
+        }
+    }
+
+    fn frame(&mut self, f: &Frame) {
+        self.env(&f.env);
+        self.seq(f.stack.iter(), |w, s| {
+            w.usize(s.block.index());
+            w.usize(s.idx);
+            w.opt(s.looping.as_ref(), Writer::loop_state);
+        });
+        self.u32(f.done.0);
+        self.u32(f.scope);
+    }
+
+    /// A timing profile, its per-op map sorted by name.
+    fn profile(&mut self, p: &ProcProfile) {
+        self.u64(p.default_cycles);
+        let mut per_op: Vec<_> = p.per_op.iter().collect();
+        per_op.sort();
+        self.seq(per_op.into_iter(), |w, (name, cycles)| {
+            w.string(name);
+            w.u64(*cycles);
+        });
+    }
+
+    fn proc(&mut self, p: &ProcRuntime) {
+        self.u32(p.comp.0);
+        self.u64(p.clock);
+        self.profile(&p.profile);
+        self.seq(p.queue.iter(), Writer::event);
+        self.opt(p.frame.as_ref(), Writer::frame);
+    }
+
+    fn behavior(&mut self, b: &BehaviorSnapshot) {
+        match b {
+            BehaviorSnapshot::Sram { cycles_per_access } => {
+                self.u8(0);
+                self.u64(*cycles_per_access);
+            }
+            BehaviorSnapshot::Register => self.u8(1),
+            BehaviorSnapshot::Dram {
+                latency,
+                cycles_per_access,
+            } => {
+                self.u8(2);
+                self.u64(*latency);
+                self.u64(*cycles_per_access);
+            }
+            BehaviorSnapshot::Cache {
+                sets,
+                ways,
+                line_elems,
+                hit_cycles,
+                miss_cycles,
+                tags,
+                hits,
+                misses,
+            } => {
+                self.u8(3);
+                self.usize(*sets);
+                self.usize(*ways);
+                self.usize(*line_elems);
+                self.u64(*hit_cycles);
+                self.u64(*miss_cycles);
+                self.seq(tags.iter(), |w, set| w.seq(set.iter(), |w, &t| w.usize(t)));
+                self.u64(*hits);
+                self.u64(*misses);
+            }
+            BehaviorSnapshot::Opaque => self.u8(4),
+        }
+    }
+
+    fn component(&mut self, c: &Component) {
+        self.string(&c.name);
+        match &c.kind {
+            ComponentKind::Processor(p) => {
+                self.u8(0);
+                self.string(&p.kind);
+                self.profile(&p.profile);
+            }
+            ComponentKind::Memory(m) => {
+                self.u8(1);
+                self.string(&m.kind);
+                self.usize(m.capacity_elems);
+                self.u32(m.data_bits);
+                self.u32(m.banks);
+                self.usize(m.used_elems);
+                self.behavior(&m.behavior.snapshot_behavior());
+                self.seq(m.ports.iter(), |w, &p| w.u64(p));
+                let c = m.counters;
+                for v in [c.bytes_read, c.bytes_written, c.reads, c.writes] {
+                    self.u64(v);
+                }
+                self.f64(m.energy_per_access_pj);
+            }
+            ComponentKind::Dma => self.u8(2),
+            ComponentKind::Composite(comp) => {
+                self.u8(3);
+                self.seq(comp.children.iter(), |w, (name, id)| {
+                    w.string(name);
+                    w.u32(id.0);
+                });
+            }
+        }
+    }
+
+    fn buffer(&mut self, b: &Buffer) {
+        self.u32(b.mem.0);
+        self.seq(b.shape.iter(), |w, &d| w.usize(d));
+        self.usize(b.elem_bytes);
+        self.usize(b.base_addr);
+        self.boolean(b.live);
+        self.tensor(&b.data);
+    }
+
+    fn connection(&mut self, c: &Connection) {
+        self.string(&c.name);
+        self.u8(match c.kind {
+            ConnKind::Streaming => 0,
+            ConnKind::Window => 1,
+        });
+        self.u64(c.bytes_per_cycle);
+        self.u64(c.read_free);
+        self.u64(c.write_free);
+        for s in [&c.read_stats, &c.write_stats] {
+            for v in [s.bytes, s.peak_bytes, s.peak_dur, s.at_peak] {
+                self.u64(v);
             }
         }
     }
 }
+
+/// The loop-state fields in wire order (after the iv slots).
+const LOOP_FIELDS: [fn(&mut LoopDim) -> &mut i64; 4] = [
+    |d| &mut d.lower,
+    |d| &mut d.upper,
+    |d| &mut d.step,
+    |d| &mut d.current,
+];
 
 // ---------------------------------------------------------------------------
 // Reader
@@ -481,10 +857,6 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], SimError> {
         let end = self
             .pos
@@ -496,6 +868,12 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SimError> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.take(N)?);
+        Ok(b)
     }
 
     fn u8(&mut self) -> Result<u8, SimError> {
@@ -511,21 +889,15 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, SimError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, SimError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn i64(&mut self) -> Result<i64, SimError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(i64::from_le_bytes(b))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, SimError> {
@@ -541,10 +913,36 @@ impl<'a> Reader<'a> {
     /// adversarial streams cannot trigger huge allocations.
     fn seq_len(&mut self, min_elem: usize) -> Result<usize, SimError> {
         let n = self.usize()?;
-        if n > self.remaining() / min_elem.max(1) {
+        if n > (self.buf.len() - self.pos) / min_elem.max(1) {
             return Err(err("sequence length exceeds the remaining stream"));
         }
         Ok(n)
+    }
+
+    /// A length-prefixed sequence of at least `min_elem` bytes per item.
+    fn seq<T>(
+        &mut self,
+        min_elem: usize,
+        mut f: impl FnMut(&mut Self) -> Result<T, SimError>,
+    ) -> Result<Vec<T>, SimError> {
+        let n = self.seq_len(min_elem)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(f(self)?);
+        }
+        Ok(out)
+    }
+
+    /// A presence tag (0 or 1), then the value if present.
+    fn opt<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SimError>,
+    ) -> Result<Option<T>, SimError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(f(self)?)),
+            t => Err(err(&format!("bad option tag {t}"))),
+        }
     }
 
     fn string(&mut self) -> Result<String, SimError> {
@@ -553,627 +951,222 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8 in string"))
     }
 
-    fn opt_u32(&mut self) -> Result<Option<u32>, SimError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            t => Err(err(&format!("bad option tag {t}"))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Value codecs
-// ---------------------------------------------------------------------------
-
-fn w_value(w: &mut Writer, v: &SimValue) {
-    match v {
-        SimValue::Unit => w.u8(0),
-        SimValue::Int(i) => {
-            w.u8(1);
-            w.i64(*i);
-        }
-        SimValue::Float(x) => {
-            w.u8(2);
-            w.f64(*x);
-        }
-        SimValue::Tensor(t) => {
-            w.u8(3);
-            w_tensor(w, t);
-        }
-        SimValue::Signal(s) => {
-            w.u8(4);
-            w.u32(s.0);
-        }
-        SimValue::Component(c) => {
-            w.u8(5);
-            w.u32(c.0);
-        }
-        SimValue::Buffer(b) => {
-            w.u8(6);
-            w.u32(b.0);
-        }
-        SimValue::Connection(c) => {
-            w.u8(7);
-            w.u32(c.0);
-        }
-        SimValue::Deferred { signal, index } => {
-            w.u8(8);
-            w.u32(signal.0);
-            w.usize(*index);
-        }
-    }
-}
-
-fn r_value(r: &mut Reader) -> Result<SimValue, SimError> {
-    Ok(match r.u8()? {
-        0 => SimValue::Unit,
-        1 => SimValue::Int(r.i64()?),
-        2 => SimValue::Float(r.f64()?),
-        3 => SimValue::Tensor(r_tensor(r)?),
-        4 => SimValue::Signal(SignalId(r.u32()?)),
-        5 => SimValue::Component(CompId(r.u32()?)),
-        6 => SimValue::Buffer(BufId(r.u32()?)),
-        7 => SimValue::Connection(ConnId(r.u32()?)),
-        8 => SimValue::Deferred {
-            signal: SignalId(r.u32()?),
-            index: r.usize()?,
-        },
-        t => return Err(err(&format!("unknown value tag {t}"))),
-    })
-}
-
-fn w_opt_value(w: &mut Writer, v: &Option<SimValue>) {
-    match v {
-        None => w.u8(0),
-        Some(x) => {
-            w.u8(1);
-            w_value(w, x);
-        }
-    }
-}
-
-fn r_opt_value(r: &mut Reader) -> Result<Option<SimValue>, SimError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r_value(r)?)),
-        t => Err(err(&format!("bad option tag {t}"))),
-    }
-}
-
-fn w_tensor(w: &mut Writer, t: &Tensor) {
-    w.seq_len(t.shape.len());
-    for &d in &t.shape {
-        w.usize(d);
-    }
-    match &t.data {
-        TensorData::Int(v) => {
-            w.u8(0);
-            w.seq_len(v.len());
-            for &x in v.iter() {
-                w.i64(x);
-            }
-        }
-        TensorData::Float(v) => {
-            w.u8(1);
-            w.seq_len(v.len());
-            for &x in v.iter() {
-                w.f64(x);
-            }
-        }
-    }
-}
-
-fn r_tensor(r: &mut Reader) -> Result<Tensor, SimError> {
-    let rank = r.seq_len(8)?;
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(r.usize()?);
-    }
-    let data = match r.u8()? {
-        0 => {
-            let n = r.seq_len(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            TensorData::from_ints(v)
-        }
-        1 => {
-            let n = r.seq_len(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            TensorData::from_floats(v)
-        }
-        t => return Err(err(&format!("unknown tensor-data tag {t}"))),
-    };
-    // Element count must match the shape: engine indexing trusts it.
-    let elems: usize = shape.iter().try_fold(1usize, |acc, &d| {
-        acc.checked_mul(d)
-            .ok_or_else(|| err("tensor shape overflows the address space"))
-    })?;
-    let len = match &data {
-        TensorData::Int(v) => v.len(),
-        TensorData::Float(v) => v.len(),
-    };
-    if elems != len {
-        return Err(err("tensor data length does not match its shape"));
-    }
-    Ok(Tensor { shape, data })
-}
-
-fn w_signal_state(w: &mut Writer, s: &SignalState) {
-    match s {
-        SignalState::Pending {
-            remaining,
-            time_acc,
-            any_mode,
-            dependents,
-        } => {
-            w.u8(0);
-            w.usize(*remaining);
-            w.u64(*time_acc);
-            w.boolean(*any_mode);
-            w.seq_len(dependents.len());
-            for d in dependents {
-                w.u32(d.0);
-            }
-        }
-        SignalState::Resolved { time, payload } => {
-            w.u8(1);
-            w.u64(*time);
-            w.seq_len(payload.len());
-            for v in payload {
-                w_value(w, v);
-            }
-        }
-    }
-}
-
-fn r_signal_state(r: &mut Reader) -> Result<SignalState, SimError> {
-    Ok(match r.u8()? {
-        0 => {
-            let remaining = r.usize()?;
-            let time_acc = r.u64()?;
-            let any_mode = r.boolean()?;
-            let n = r.seq_len(4)?;
-            let mut dependents = IdVec::new();
-            for _ in 0..n {
-                dependents.push(SignalId(r.u32()?));
-            }
-            SignalState::Pending {
-                remaining,
-                time_acc,
-                any_mode,
-                dependents,
-            }
-        }
-        1 => {
-            let time = r.u64()?;
-            let n = r.seq_len(1)?;
-            let mut payload = Vec::with_capacity(n);
-            for _ in 0..n {
-                payload.push(r_value(r)?);
-            }
-            SignalState::Resolved { time, payload }
-        }
-        t => return Err(err(&format!("unknown signal-state tag {t}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Engine-state codecs
-// ---------------------------------------------------------------------------
-
-fn w_event(w: &mut Writer, e: &PendingEvent) {
-    match &e.kind {
-        EventKind::Launch { op, env } => {
-            w.u8(0);
-            w.usize(op.index());
-            w.seq_len(env.len());
-            for v in env {
-                w_opt_value(w, v);
-            }
-        }
-        EventKind::Memcpy { src, dst, conn } => {
-            w.u8(1);
-            w.u32(src.0);
-            w.u32(dst.0);
-            w.opt_u32(conn.map(|c| c.0));
-        }
-    }
-    w.u32(e.dep.0);
-    w.u32(e.done.0);
-}
-
-fn r_event(r: &mut Reader) -> Result<PendingEvent, SimError> {
-    let kind = match r.u8()? {
-        0 => {
-            let op = equeue_ir::OpId::from_index(r.usize()?);
-            let n = r.seq_len(1)?;
-            let mut env = Vec::with_capacity(n);
-            for _ in 0..n {
-                env.push(r_opt_value(r)?);
-            }
-            EventKind::Launch { op, env }
-        }
-        1 => EventKind::Memcpy {
-            src: BufId(r.u32()?),
-            dst: BufId(r.u32()?),
-            conn: r.opt_u32()?.map(ConnId),
-        },
-        t => return Err(err(&format!("unknown event tag {t}"))),
-    };
-    Ok(PendingEvent {
-        kind,
-        dep: SignalId(r.u32()?),
-        done: SignalId(r.u32()?),
-    })
-}
-
-/// The loop-state wire format is columnar: the iv slots, then one sequence
-/// per field in this order.
-const LOOP_FIELDS: [fn(&mut LoopDim) -> &mut i64; 4] = [
-    |d| &mut d.lower,
-    |d| &mut d.upper,
-    |d| &mut d.step,
-    |d| &mut d.current,
-];
-
-fn w_loop_state(w: &mut Writer, s: &LoopState) {
-    w.seq_len(s.dims.len());
-    for d in &s.dims {
-        w.u32(d.iv);
-    }
-    for field in LOOP_FIELDS {
-        w.seq_len(s.dims.len());
-        for mut d in s.dims.iter().copied() {
-            w.i64(*field(&mut d));
-        }
-    }
-}
-
-fn r_loop_state(r: &mut Reader) -> Result<LoopState, SimError> {
-    let n = r.seq_len(4)?;
-    let mut dims = Vec::with_capacity(n);
-    for _ in 0..n {
-        dims.push(LoopDim {
-            iv: r.u32()?,
-            lower: 0,
-            upper: 0,
-            step: 0,
-            current: 0,
-        });
-    }
-    for field in LOOP_FIELDS {
-        if r.seq_len(8)? != n {
-            return Err(err("loop-state dimension mismatch"));
-        }
-        for d in &mut dims {
-            *field(d) = r.i64()?;
-        }
-    }
-    Ok(LoopState { dims })
-}
-
-fn w_frame(w: &mut Writer, f: &Frame) {
-    w.seq_len(f.env.len());
-    for v in &f.env {
-        w_opt_value(w, v);
-    }
-    w.seq_len(f.stack.len());
-    for s in &f.stack {
-        w.usize(s.block.index());
-        w.usize(s.idx);
-        match &s.looping {
-            None => w.u8(0),
-            Some(ls) => {
-                w.u8(1);
-                w_loop_state(w, ls);
-            }
-        }
-    }
-    w.u32(f.done.0);
-    w.u32(f.scope);
-}
-
-fn r_frame(r: &mut Reader) -> Result<Frame, SimError> {
-    let n = r.seq_len(1)?;
-    let mut env = Vec::with_capacity(n);
-    for _ in 0..n {
-        env.push(r_opt_value(r)?);
-    }
-    let n = r.seq_len(1)?;
-    let mut stack = Vec::with_capacity(n);
-    for _ in 0..n {
-        let block = equeue_ir::BlockId::from_index(r.usize()?);
-        let idx = r.usize()?;
-        let looping = match r.u8()? {
-            0 => None,
-            1 => Some(r_loop_state(r)?),
-            t => return Err(err(&format!("bad option tag {t}"))),
-        };
-        stack.push(Scope {
-            block,
-            idx,
-            looping,
-        });
-    }
-    Ok(Frame {
-        env,
-        stack,
-        done: SignalId(r.u32()?),
-        scope: r.u32()?,
-    })
-}
-
-fn w_profile(w: &mut Writer, p: &ProfileSnap) {
-    w.u64(p.default_cycles);
-    w.seq_len(p.per_op.len());
-    for (name, cycles) in &p.per_op {
-        w.string(name);
-        w.u64(*cycles);
-    }
-}
-
-fn r_profile(r: &mut Reader) -> Result<ProfileSnap, SimError> {
-    let default_cycles = r.u64()?;
-    let n = r.seq_len(1)?;
-    let mut per_op = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_op.push((r.string()?, r.u64()?));
-    }
-    Ok(ProfileSnap {
-        default_cycles,
-        per_op,
-    })
-}
-
-fn w_proc(w: &mut Writer, p: &ProcSnap) {
-    w.u32(p.comp);
-    w.u64(p.clock);
-    w_profile(w, &p.profile);
-    w.seq_len(p.queue.len());
-    for e in &p.queue {
-        w_event(w, e);
-    }
-    match &p.frame {
-        None => w.u8(0),
-        Some(f) => {
-            w.u8(1);
-            w_frame(w, f);
-        }
-    }
-}
-
-fn r_proc(r: &mut Reader) -> Result<ProcSnap, SimError> {
-    let comp = r.u32()?;
-    let clock = r.u64()?;
-    let profile = r_profile(r)?;
-    let n = r.seq_len(1)?;
-    let mut queue = Vec::with_capacity(n);
-    for _ in 0..n {
-        queue.push(r_event(r)?);
-    }
-    let frame = match r.u8()? {
-        0 => None,
-        1 => Some(r_frame(r)?),
-        t => return Err(err(&format!("bad option tag {t}"))),
-    };
-    Ok(ProcSnap {
-        comp,
-        clock,
-        profile,
-        queue,
-        frame,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Machine codecs
-// ---------------------------------------------------------------------------
-
-fn w_behavior(w: &mut Writer, b: &BehaviorSnapshot) {
-    match b {
-        BehaviorSnapshot::Sram { cycles_per_access } => {
-            w.u8(0);
-            w.u64(*cycles_per_access);
-        }
-        BehaviorSnapshot::Register => w.u8(1),
-        BehaviorSnapshot::Dram {
-            latency,
-            cycles_per_access,
-        } => {
-            w.u8(2);
-            w.u64(*latency);
-            w.u64(*cycles_per_access);
-        }
-        BehaviorSnapshot::Cache {
-            sets,
-            ways,
-            line_elems,
-            hit_cycles,
-            miss_cycles,
-            tags,
-            hits,
-            misses,
-        } => {
-            w.u8(3);
-            w.usize(*sets);
-            w.usize(*ways);
-            w.usize(*line_elems);
-            w.u64(*hit_cycles);
-            w.u64(*miss_cycles);
-            w.seq_len(tags.len());
-            for set in tags {
-                w.seq_len(set.len());
-                for &t in set {
-                    w.usize(t);
-                }
-            }
-            w.u64(*hits);
-            w.u64(*misses);
-        }
-        _ => w.u8(4),
-    }
-}
-
-fn r_behavior(r: &mut Reader) -> Result<BehaviorSnapshot, SimError> {
-    Ok(match r.u8()? {
-        0 => BehaviorSnapshot::Sram {
-            cycles_per_access: r.u64()?,
-        },
-        1 => BehaviorSnapshot::Register,
-        2 => BehaviorSnapshot::Dram {
-            latency: r.u64()?,
-            cycles_per_access: r.u64()?,
-        },
-        3 => {
-            let sets = r.usize()?;
-            let ways = r.usize()?;
-            let line_elems = r.usize()?;
-            let hit_cycles = r.u64()?;
-            let miss_cycles = r.u64()?;
-            let n = r.seq_len(8)?;
-            let mut tags = Vec::with_capacity(n);
-            for _ in 0..n {
-                let m = r.seq_len(8)?;
-                let mut set = Vec::with_capacity(m);
-                for _ in 0..m {
-                    set.push(r.usize()?);
-                }
-                tags.push(set);
-            }
-            BehaviorSnapshot::Cache {
-                sets,
-                ways,
-                line_elems,
-                hit_cycles,
-                miss_cycles,
-                tags,
-                hits: r.u64()?,
-                misses: r.u64()?,
-            }
-        }
-        4 => BehaviorSnapshot::Opaque,
-        t => return Err(err(&format!("unknown behavior tag {t}"))),
-    })
-}
-
-fn w_machine(w: &mut Writer, m: &MachineSnap) {
-    w.seq_len(m.components.len());
-    for c in &m.components {
-        w.string(&c.name);
-        match &c.kind {
-            CompKindSnap::Processor { kind, profile } => {
-                w.u8(0);
-                w.string(kind);
-                w_profile(w, profile);
-            }
-            CompKindSnap::Memory(mem) => {
-                w.u8(1);
-                w.string(&mem.kind);
-                w.u64(mem.capacity_elems);
-                w.u32(mem.data_bits);
-                w.u32(mem.banks);
-                w.u64(mem.used_elems);
-                w_behavior(w, &mem.behavior);
-                w.seq_len(mem.ports.len());
-                for &p in &mem.ports {
-                    w.u64(p);
-                }
-                w.u64(mem.counters.bytes_read);
-                w.u64(mem.counters.bytes_written);
-                w.u64(mem.counters.reads);
-                w.u64(mem.counters.writes);
-                w.f64(mem.energy_per_access_pj);
-            }
-            CompKindSnap::Dma => w.u8(2),
-            CompKindSnap::Composite(children) => {
-                w.u8(3);
-                w.seq_len(children.len());
-                for (name, id) in children {
-                    w.string(name);
-                    w.u32(*id);
-                }
-            }
-        }
-    }
-    w.seq_len(m.buffers.len());
-    for b in &m.buffers {
-        w.u32(b.mem.0);
-        w.seq_len(b.shape.len());
-        for &d in &b.shape {
-            w.usize(d);
-        }
-        w.usize(b.elem_bytes);
-        w.usize(b.base_addr);
-        w.boolean(b.live);
-        w_tensor(w, &b.data);
-    }
-    w.seq_len(m.connections.len());
-    for c in &m.connections {
-        w.string(&c.name);
-        w.u8(match c.kind {
-            ConnKind::Streaming => 0,
-            ConnKind::Window => 1,
-        });
-        w.u64(c.bytes_per_cycle);
-        w.u64(c.read_free);
-        w.u64(c.write_free);
-        for s in [&c.read_stats, &c.write_stats] {
-            w.u64(s.bytes);
-            w.u64(s.peak_bytes);
-            w.u64(s.peak_dur);
-            w.u64(s.at_peak);
-        }
-    }
-}
-
-fn r_channel_stats(r: &mut Reader) -> Result<ChannelStats, SimError> {
-    let stats = ChannelStats {
-        bytes: r.u64()?,
-        peak_bytes: r.u64()?,
-        peak_dur: r.u64()?,
-        at_peak: r.u64()?,
-    };
-    if stats.peak_dur == 0 {
-        return Err(err("connection peak duration is zero"));
-    }
-    Ok(stats)
-}
-
-fn r_machine(r: &mut Reader) -> Result<MachineSnap, SimError> {
-    let n = r.seq_len(1)?;
-    let mut components = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        let kind = match r.u8()? {
-            0 => CompKindSnap::Processor {
-                kind: r.string()?,
-                profile: r_profile(r)?,
+    fn value(&mut self) -> Result<SimValue, SimError> {
+        Ok(match self.u8()? {
+            0 => SimValue::Unit,
+            1 => SimValue::Int(self.i64()?),
+            2 => SimValue::Float(self.f64()?),
+            3 => SimValue::Tensor(self.tensor()?),
+            4 => SimValue::Signal(SignalId(self.u32()?)),
+            5 => SimValue::Component(CompId(self.u32()?)),
+            6 => SimValue::Buffer(BufId(self.u32()?)),
+            7 => SimValue::Connection(ConnId(self.u32()?)),
+            8 => SimValue::Deferred {
+                signal: SignalId(self.u32()?),
+                index: self.usize()?,
             },
-            1 => {
-                let kind = r.string()?;
-                let capacity_elems = r.u64()?;
-                let data_bits = r.u32()?;
-                let banks = r.u32()?;
-                let used_elems = r.u64()?;
-                let behavior = r_behavior(r)?;
-                let m = r.seq_len(8)?;
-                let mut ports = Vec::with_capacity(m);
-                for _ in 0..m {
-                    ports.push(r.u64()?);
+            t => return Err(err(&format!("unknown value tag {t}"))),
+        })
+    }
+
+    fn env(&mut self) -> Result<Vec<Option<SimValue>>, SimError> {
+        self.seq(1, |r| r.opt(Reader::value))
+    }
+
+    fn tensor(&mut self) -> Result<Tensor, SimError> {
+        let shape = self.seq(8, Reader::usize)?;
+        let data = match self.u8()? {
+            0 => TensorData::from_ints(self.seq(8, Reader::i64)?),
+            1 => TensorData::from_floats(self.seq(8, Reader::f64)?),
+            t => return Err(err(&format!("unknown tensor-data tag {t}"))),
+        };
+        // Element count must match the shape: engine indexing trusts it.
+        let elems: usize = shape.iter().try_fold(1usize, |acc, &d| {
+            acc.checked_mul(d)
+                .ok_or_else(|| err("tensor shape overflows the address space"))
+        })?;
+        let len = match &data {
+            TensorData::Int(v) => v.len(),
+            TensorData::Float(v) => v.len(),
+        };
+        if elems != len {
+            return Err(err("tensor data length does not match its shape"));
+        }
+        Ok(Tensor { shape, data })
+    }
+
+    fn signal_state(&mut self) -> Result<SignalState, SimError> {
+        Ok(match self.u8()? {
+            0 => SignalState::Pending {
+                remaining: self.usize()?,
+                time_acc: self.u64()?,
+                any_mode: self.boolean()?,
+                dependents: self
+                    .seq(4, |r| Ok(SignalId(r.u32()?)))?
+                    .into_iter()
+                    .collect::<IdVec<_>>(),
+            },
+            1 => SignalState::Resolved {
+                time: self.u64()?,
+                payload: self.seq(1, Reader::value)?,
+            },
+            t => return Err(err(&format!("unknown signal-state tag {t}"))),
+        })
+    }
+
+    fn event(&mut self) -> Result<PendingEvent, SimError> {
+        let kind = match self.u8()? {
+            0 => EventKind::Launch {
+                op: OpId::from_index(self.usize()?),
+                env: self.env()?,
+            },
+            1 => EventKind::Memcpy {
+                src: BufId(self.u32()?),
+                dst: BufId(self.u32()?),
+                conn: self.opt(Reader::u32)?.map(ConnId),
+            },
+            t => return Err(err(&format!("unknown event tag {t}"))),
+        };
+        Ok(PendingEvent {
+            kind,
+            dep: SignalId(self.u32()?),
+            done: SignalId(self.u32()?),
+        })
+    }
+
+    fn loop_state(&mut self) -> Result<LoopState, SimError> {
+        let mut dims = self.seq(4, |r| {
+            Ok(LoopDim {
+                iv: r.u32()?,
+                lower: 0,
+                upper: 0,
+                step: 0,
+                current: 0,
+            })
+        })?;
+        for field in LOOP_FIELDS {
+            if self.seq_len(8)? != dims.len() {
+                return Err(err("loop-state dimension mismatch"));
+            }
+            for d in &mut dims {
+                *field(d) = self.i64()?;
+            }
+        }
+        Ok(LoopState { dims })
+    }
+
+    fn frame(&mut self) -> Result<Frame, SimError> {
+        Ok(Frame {
+            env: self.env()?,
+            stack: self.seq(1, |r| {
+                Ok(Scope {
+                    block: BlockId::from_index(r.usize()?),
+                    idx: r.usize()?,
+                    looping: r.opt(Reader::loop_state)?,
+                })
+            })?,
+            done: SignalId(self.u32()?),
+            scope: self.u32()?,
+        })
+    }
+
+    fn profile(&mut self) -> Result<ProcProfile, SimError> {
+        Ok(ProcProfile {
+            default_cycles: self.u64()?,
+            per_op: self
+                .seq(1, |r| Ok((r.string()?, r.u64()?)))?
+                .into_iter()
+                .collect(),
+        })
+    }
+
+    fn proc(&mut self) -> Result<ProcRuntime, SimError> {
+        let comp = CompId(self.u32()?);
+        let clock = self.u64()?;
+        let profile = Arc::new(self.profile()?);
+        Ok(ProcRuntime {
+            comp,
+            queue: self.seq(1, Reader::event)?.into(),
+            frame: self.opt(Reader::frame)?,
+            clock,
+            hot: HotCycles::from_profile(&profile),
+            profile,
+        })
+    }
+
+    /// A memory timing model. A custom model whose state the stream does
+    /// not carry is rebuilt by `opaque`.
+    fn behavior(
+        &mut self,
+        opaque: impl FnOnce() -> Box<dyn MemoryBehavior>,
+    ) -> Result<Box<dyn MemoryBehavior>, SimError> {
+        Ok(match self.u8()? {
+            0 => Box::new(SramBehavior {
+                cycles_per_access: self.u64()?,
+            }),
+            1 => Box::new(RegisterBehavior),
+            2 => Box::new(DramBehavior {
+                latency: self.u64()?,
+                cycles_per_access: self.u64()?,
+            }),
+            3 => {
+                let (sets, ways, line_elems) = (self.usize()?, self.usize()?, self.usize()?);
+                let (hit_cycles, miss_cycles) = (self.u64()?, self.u64()?);
+                let tags = self.seq(8, |r| r.seq(8, Reader::usize))?;
+                let (hits, misses) = (self.u64()?, self.u64()?);
+                if sets == 0 || ways == 0 || line_elems == 0 || tags.len() != sets {
+                    opaque()
+                } else {
+                    Box::new(CacheBehavior {
+                        sets,
+                        ways,
+                        line_elems,
+                        hit_cycles,
+                        miss_cycles,
+                        tags,
+                        hits,
+                        misses,
+                    })
                 }
-                let counters = MemCounters {
-                    bytes_read: r.u64()?,
-                    bytes_written: r.u64()?,
-                    reads: r.u64()?,
-                    writes: r.u64()?,
-                };
-                CompKindSnap::Memory(MemSnap {
+            }
+            4 => opaque(),
+            t => return Err(err(&format!("unknown behavior tag {t}"))),
+        })
+    }
+
+    /// A component of a machine with `ncomp` of them.
+    fn component(&mut self, ncomp: usize, lib: &SimLibrary) -> Result<Component, SimError> {
+        let name = self.string()?;
+        let kind = match self.u8()? {
+            0 => ComponentKind::Processor(Processor {
+                kind: self.string()?,
+                profile: Arc::new(self.profile()?),
+            }),
+            1 => {
+                let kind = self.string()?;
+                let capacity_elems = self.usize()?;
+                let data_bits = self.u32()?;
+                let banks = self.u32()?;
+                let used_elems = self.usize()?;
+                let behavior = self.behavior(|| {
+                    // Only the library factory can rebuild a custom model
+                    // (exact for stateless ones: see
+                    // `MemoryBehavior::snapshot_behavior`).
+                    lib.make_memory(&MemSpec {
+                        kind: kind.clone(),
+                        capacity_elems,
+                        data_bits,
+                        banks,
+                        attrs: AttrMap::new(),
+                    })
+                })?;
+                let ports = self.seq(8, Reader::u64)?;
+                if ports.is_empty() {
+                    return Err(err("memory with no access ports"));
+                }
+                let [bytes_read, bytes_written, reads, writes] =
+                    [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
+                ComponentKind::Memory(Memory {
                     kind,
                     capacity_elems,
                     data_bits,
@@ -1181,180 +1174,107 @@ fn r_machine(r: &mut Reader) -> Result<MachineSnap, SimError> {
                     used_elems,
                     behavior,
                     ports,
-                    counters,
-                    energy_per_access_pj: r.f64()?,
+                    counters: MemCounters {
+                        bytes_read,
+                        bytes_written,
+                        reads,
+                        writes,
+                    },
+                    energy_per_access_pj: self.f64()?,
                 })
             }
-            2 => CompKindSnap::Dma,
+            2 => ComponentKind::Dma,
             3 => {
-                let m = r.seq_len(1)?;
-                let mut children = Vec::with_capacity(m);
-                for _ in 0..m {
-                    children.push((r.string()?, r.u32()?));
+                let children = self.seq(1, |r| Ok((r.string()?, CompId(r.u32()?))))?;
+                if children.iter().any(|(_, id)| (id.0 as usize) >= ncomp) {
+                    return Err(err("composite child out of range"));
                 }
-                CompKindSnap::Composite(children)
+                ComponentKind::Composite(Composite { children })
             }
             t => return Err(err(&format!("unknown component tag {t}"))),
         };
-        components.push(CompSnap { name, kind });
+        Ok(Component { name, kind })
     }
-    let n = r.seq_len(1)?;
-    let mut buffers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mem = CompId(r.u32()?);
-        let rank = r.seq_len(8)?;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(r.usize()?);
+
+    /// A buffer, whose owner must be one of the memories in `components`.
+    fn buffer(&mut self, components: &[Component]) -> Result<Buffer, SimError> {
+        let mem = CompId(self.u32()?);
+        if !is_memory(components, mem) {
+            return Err(err("buffer owned by a non-memory component"));
         }
-        let elem_bytes = r.usize()?;
-        let base_addr = r.usize()?;
-        let live = r.boolean()?;
-        let data = r_tensor(r)?;
-        buffers.push(Buffer {
+        Ok(Buffer {
             mem,
-            shape,
-            elem_bytes,
-            base_addr,
-            live,
-            data,
-        });
+            shape: self.seq(8, Reader::usize)?,
+            elem_bytes: self.usize()?,
+            base_addr: self.usize()?,
+            live: self.boolean()?,
+            data: self.tensor()?,
+        })
     }
-    let n = r.seq_len(1)?;
-    let mut connections = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        let kind = match r.u8()? {
+
+    fn channel_stats(&mut self) -> Result<ChannelStats, SimError> {
+        let stats = ChannelStats {
+            bytes: self.u64()?,
+            peak_bytes: self.u64()?,
+            peak_dur: self.u64()?,
+            at_peak: self.u64()?,
+        };
+        if stats.peak_dur == 0 {
+            return Err(err("connection peak duration is zero"));
+        }
+        Ok(stats)
+    }
+
+    fn connection(&mut self) -> Result<Connection, SimError> {
+        let name = self.string()?;
+        let kind = match self.u8()? {
             0 => ConnKind::Streaming,
             1 => ConnKind::Window,
             t => return Err(err(&format!("unknown connection tag {t}"))),
         };
-        let bytes_per_cycle = r.u64()?;
-        let read_free = r.u64()?;
-        let write_free = r.u64()?;
-        let read_stats = r_channel_stats(r)?;
-        let write_stats = r_channel_stats(r)?;
-        connections.push(ConnSnap {
-            name,
-            kind,
-            bytes_per_cycle,
-            read_free,
-            write_free,
-            read_stats,
-            write_stats,
-        });
+        let mut c = Connection::new(name, kind, self.u64()?);
+        c.read_free = self.u64()?;
+        c.write_free = self.u64()?;
+        c.read_stats = self.channel_stats()?;
+        c.write_stats = self.channel_stats()?;
+        Ok(c)
     }
-    Ok(MachineSnap {
-        components,
-        buffers,
-        connections,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompiledModule;
+    use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
+    use equeue_ir::{OpBuilder, Type};
 
+    /// A real capture, mid-loop: an affine loop doubling an SRAM buffer in
+    /// place, so frames, loop state, a memory and a buffer are all in it.
     fn tiny() -> Snapshot {
-        Snapshot {
-            requested_cut: 10,
-            actual_cut: 12,
-            completed: false,
-            capture_backend: Backend::Fused,
-            fingerprint: ModuleFingerprint {
-                num_ops: 3,
-                num_blocks: 2,
-                num_values: 5,
-            },
-            now: 9,
-            horizon: 12,
-            wakes: 4,
-            ops_interpreted: 7,
-            events_spawned: 2,
-            live_tensor_bytes: 64,
-            peak_live_tensor_bytes: 128,
-            fused_trace_entries: 1,
-            idle_steps: 0,
-            seq: 6,
-            host_mem: Some(1),
-            wake_queue: vec![(12, 5, 0)],
-            signals: vec![
-                SignalState::Resolved {
-                    time: 3,
-                    payload: vec![SimValue::Int(-4), SimValue::Float(1.5)],
-                },
-                SignalState::Pending {
-                    remaining: 2,
-                    time_acc: 7,
-                    any_mode: false,
-                    dependents: [SignalId(0)].into_iter().collect(),
-                },
-            ],
-            procs: vec![ProcSnap {
-                comp: 0,
-                clock: 9,
-                profile: ProfileSnap {
-                    default_cycles: 1,
-                    per_op: vec![("mac".into(), 2)],
-                },
-                queue: vec![PendingEvent {
-                    kind: EventKind::Memcpy {
-                        src: BufId(0),
-                        dst: BufId(0),
-                        conn: None,
-                    },
-                    dep: SignalId(0),
-                    done: SignalId(1),
-                }],
-                frame: None,
-            }],
-            machine: MachineSnap {
-                components: vec![CompSnap {
-                    name: "HostMem".into(),
-                    kind: CompKindSnap::Memory(MemSnap {
-                        kind: "Register".into(),
-                        capacity_elems: 1024,
-                        data_bits: 32,
-                        banks: 1,
-                        used_elems: 4,
-                        behavior: BehaviorSnapshot::Register,
-                        ports: vec![0],
-                        counters: MemCounters {
-                            bytes_read: 16,
-                            bytes_written: 16,
-                            reads: 1,
-                            writes: 1,
-                        },
-                        energy_per_access_pj: 0.5,
-                    }),
-                }],
-                buffers: vec![Buffer {
-                    mem: CompId(0),
-                    shape: vec![2, 2],
-                    elem_bytes: 4,
-                    base_addr: 0,
-                    live: true,
-                    data: Tensor {
-                        shape: vec![2, 2],
-                        data: TensorData::from_ints(vec![1, 2, 3, 4]),
-                    },
-                }],
-                connections: vec![ConnSnap {
-                    name: "c0".into(),
-                    kind: ConnKind::Streaming,
-                    bytes_per_cycle: 4,
-                    read_free: 8,
-                    write_free: 9,
-                    read_stats: ChannelStats::default(),
-                    write_stats: ChannelStats {
-                        bytes: 16,
-                        peak_bytes: 16,
-                        peak_dur: 4,
-                        at_peak: 4,
-                    },
-                }],
-            },
-        }
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::ARM_R5);
+        let mem = b.create_mem(kinds::SRAM, &[4], 32, 1);
+        let buf = b.alloc(mem, &[4], Type::I32);
+        let start = b.control_start();
+        let l = b.launch(start, pe, &[buf], vec![]);
+        let v = l.body_args[0];
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let (_, bi, i) = ib.affine_for(0, 4, 1);
+        let mut lb = OpBuilder::at_end(ib.module_mut(), bi);
+        let x = lb.affine_load(v, vec![i]);
+        let y = lb.addi(x, x);
+        lb.affine_store(y, v, vec![i]);
+        lb.affine_yield();
+        OpBuilder::at_end(&mut m, l.body).ret(vec![]);
+        OpBuilder::at_end(&mut m, blk).await_all(vec![l.done]);
+        let options = SimOptions {
+            trace: false,
+            ..Default::default()
+        };
+        let compiled = CompiledModule::compile_standard(m).expect("compiles");
+        compiled.snapshot(3, &options).expect("captures")
     }
 
     #[test]
@@ -1363,8 +1283,8 @@ mod tests {
         let bytes = snap.encode();
         let decoded = Snapshot::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode(), bytes);
-        assert_eq!(decoded.requested_cut(), 10);
-        assert_eq!(decoded.actual_cut(), 12);
+        assert_eq!(decoded.requested_cut(), 3);
+        assert_eq!(decoded.actual_cut(), snap.actual_cut());
         assert!(!decoded.completed());
         assert_eq!(decoded.capture_backend(), Backend::Fused);
     }
