@@ -1940,7 +1940,7 @@ impl<'m> Engine<'m> {
         // operands with agreeing inner dimensions — `matmul_int` indexes
         // against these products.
         let rank2 = |buf: BufId| -> Result<(usize, usize), SimError> {
-            let s = &self.machine.buffer(buf).shape;
+            let s = &self.machine.buffer(buf).data.shape;
             match s[..] {
                 [rows, cols] => Ok((rows, cols)),
                 _ => Err(SimError::Runtime(format!(

@@ -516,22 +516,20 @@ pub struct Component {
 pub struct Buffer {
     /// The owning memory component.
     pub mem: CompId,
-    /// Element shape.
-    pub shape: Vec<usize>,
     /// Bytes per element.
     pub elem_bytes: usize,
     /// Flat element offset within the memory (for cache indexing).
     pub base_addr: usize,
     /// Live (not deallocated).
     pub live: bool,
-    /// Current contents.
+    /// Current contents; `data.shape` is the buffer's element shape.
     pub data: Tensor,
 }
 
 impl Buffer {
     /// Number of elements.
     pub fn elems(&self) -> usize {
-        self.shape.iter().product()
+        self.data.shape.iter().product()
     }
 
     /// Size in bytes.
@@ -922,13 +920,12 @@ impl Machine {
         m.used_elems += elems;
         let id = BufId(self.buffers.len() as u32);
         let data = if int_data {
-            Tensor::zeros_int(shape.clone())
+            Tensor::zeros_int(shape)
         } else {
-            Tensor::zeros_float(shape.clone())
+            Tensor::zeros_float(shape)
         };
         self.buffers.push(Buffer {
             mem,
-            shape,
             elem_bytes,
             base_addr,
             live: true,

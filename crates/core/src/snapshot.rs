@@ -805,9 +805,11 @@ impl Writer {
         }
     }
 
+    /// A buffer. Its shape slot repeats `data.shape`; resume rejects a
+    /// stream whose two shapes disagree.
     fn buffer(&mut self, b: &Buffer) {
         self.u32(b.mem.0);
-        self.seq(b.shape.iter(), |w, &d| w.usize(d));
+        self.seq(b.data.shape.iter(), |w, &d| w.usize(d));
         self.usize(b.elem_bytes);
         self.usize(b.base_addr);
         self.boolean(b.live);
@@ -1202,13 +1204,18 @@ impl<'a> Reader<'a> {
         if !is_memory(components, mem) {
             return Err(err("buffer owned by a non-memory component"));
         }
+        let shape = self.seq(8, Reader::usize)?;
+        let (elem_bytes, base_addr, live) = (self.usize()?, self.usize()?, self.boolean()?);
+        let data = self.tensor()?;
+        if data.shape != shape {
+            return Err(err("buffer shape does not match its contents"));
+        }
         Ok(Buffer {
             mem,
-            shape: self.seq(8, Reader::usize)?,
-            elem_bytes: self.usize()?,
-            base_addr: self.usize()?,
-            live: self.boolean()?,
-            data: self.tensor()?,
+            elem_bytes,
+            base_addr,
+            live,
+            data,
         })
     }
 
@@ -1248,9 +1255,16 @@ mod tests {
     use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
     use equeue_ir::{OpBuilder, Type};
 
+    fn options() -> SimOptions {
+        SimOptions {
+            trace: false,
+            ..Default::default()
+        }
+    }
+
     /// A real capture, mid-loop: an affine loop doubling an SRAM buffer in
     /// place, so frames, loop state, a memory and a buffer are all in it.
-    fn tiny() -> Snapshot {
+    fn tiny() -> (CompiledModule, Snapshot) {
         let mut m = Module::new();
         let blk = m.top_block();
         let mut b = OpBuilder::at_end(&mut m, blk);
@@ -1269,20 +1283,35 @@ mod tests {
         lb.affine_yield();
         OpBuilder::at_end(&mut m, l.body).ret(vec![]);
         OpBuilder::at_end(&mut m, blk).await_all(vec![l.done]);
-        let options = SimOptions {
-            trace: false,
-            ..Default::default()
-        };
         let compiled = CompiledModule::compile_standard(m).expect("compiles");
-        compiled.snapshot(3, &options).expect("captures")
+        let snap = compiled.snapshot(3, &options()).expect("captures");
+        (compiled, snap)
+    }
+
+    /// Re-stamps the trailing checksum after an edit, so only the checks
+    /// past the envelope can reject the stream.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Resumes `bytes` and returns the rejection message.
+    fn rejection(compiled: &CompiledModule, bytes: &[u8]) -> String {
+        let snap = Snapshot::decode(bytes).expect("the stream decodes");
+        match compiled.resume(&snap, &options()) {
+            Err(SimError::Snapshot(msg)) => msg,
+            other => panic!("expected a snapshot rejection, got {other:?}"),
+        }
     }
 
     #[test]
     fn round_trip_is_byte_identical() {
-        let snap = tiny();
+        let (compiled, snap) = tiny();
         let bytes = snap.encode();
         let decoded = Snapshot::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode(), bytes);
+        assert!(compiled.resume(&decoded, &options()).is_ok());
         assert_eq!(decoded.requested_cut(), 3);
         assert_eq!(decoded.actual_cut(), snap.actual_cut());
         assert!(!decoded.completed());
@@ -1291,7 +1320,7 @@ mod tests {
 
     #[test]
     fn every_truncation_fails_typed() {
-        let bytes = tiny().encode();
+        let bytes = tiny().1.encode();
         for n in 0..bytes.len() {
             match Snapshot::decode(&bytes[..n]) {
                 Err(SimError::Snapshot(_)) => {}
@@ -1302,7 +1331,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_fails_typed() {
-        let bytes = tiny().encode();
+        let bytes = tiny().1.encode();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x41;
@@ -1315,25 +1344,46 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        let mut bytes = tiny().encode();
+        let mut bytes = tiny().1.encode();
         assert!(matches!(Snapshot::decode(&[]), Err(SimError::Snapshot(_))));
         // Corrupt the version but re-stamp the checksum: the version check
         // itself must fire.
         bytes[4] = 0xEE;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         match Snapshot::decode(&bytes) {
             Err(SimError::Snapshot(msg)) => assert!(msg.contains("version"), "{msg}"),
             other => panic!("{other:?}"),
         }
         // A version-1 stream (it carried a transfer log) is rejected too.
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         match Snapshot::decode(&bytes) {
             Err(SimError::Snapshot(msg)) => assert!(msg.contains("version 1"), "{msg}"),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The stream stores a buffer's shape twice: in its own slot and in its
+    /// contents. Resume rejects a stream where they disagree.
+    #[test]
+    fn buffer_shape_must_match_its_contents() {
+        let (compiled, snap) = tiny();
+        let mut bytes = snap.encode();
+        // The one buffer's record: shape slot [4], 4-byte elements at
+        // address 0, live, then its contents' shape [4].
+        let mut w = Writer::default();
+        w.seq([4usize].iter(), |w, &d| w.usize(d));
+        w.usize(4);
+        w.usize(0);
+        w.boolean(true);
+        w.seq([4usize].iter(), |w, &d| w.usize(d));
+        let at: Vec<usize> = (0..bytes.len())
+            .filter(|&i| bytes[i..].starts_with(&w.buf))
+            .collect();
+        assert_eq!(at.len(), 1, "the buffer record is found once");
+        bytes[at[0] + 8] = 2;
+        reseal(&mut bytes);
+        let msg = rejection(&compiled, &bytes);
+        assert!(msg.contains("buffer shape"), "{msg}");
     }
 }
