@@ -1116,20 +1116,25 @@ impl<'a> Reader<'a> {
                 let (hit_cycles, miss_cycles) = (self.u64()?, self.u64()?);
                 let tags = self.seq(8, |r| r.seq(8, Reader::usize))?;
                 let (hits, misses) = (self.u64()?, self.u64()?);
-                if sets == 0 || ways == 0 || line_elems == 0 || tags.len() != sets {
-                    opaque()
-                } else {
-                    Box::new(CacheBehavior {
-                        sets,
-                        ways,
-                        line_elems,
-                        hit_cycles,
-                        miss_cycles,
-                        tags,
-                        hits,
-                        misses,
-                    })
+                if sets == 0 || ways == 0 || line_elems == 0 {
+                    return Err(err("cache with zero sets, ways or line size"));
                 }
+                if tags.len() != sets {
+                    return Err(err("cache tag table does not hold one stack per set"));
+                }
+                if tags.iter().any(|set| set.len() > ways) {
+                    return Err(err("cache set holds more tags than it has ways"));
+                }
+                Box::new(CacheBehavior {
+                    sets,
+                    ways,
+                    line_elems,
+                    hit_cycles,
+                    miss_cycles,
+                    tags,
+                    hits,
+                    misses,
+                })
             }
             4 => opaque(),
             t => return Err(err(&format!("unknown behavior tag {t}"))),
@@ -1262,14 +1267,14 @@ mod tests {
         }
     }
 
-    /// A real capture, mid-loop: an affine loop doubling an SRAM buffer in
-    /// place, so frames, loop state, a memory and a buffer are all in it.
-    fn tiny() -> (CompiledModule, Snapshot) {
+    /// An affine loop doubling a 4-element buffer in a `mem_kind` memory
+    /// in place.
+    fn program(mem_kind: &str) -> Module {
         let mut m = Module::new();
         let blk = m.top_block();
         let mut b = OpBuilder::at_end(&mut m, blk);
         let pe = b.create_proc(kinds::ARM_R5);
-        let mem = b.create_mem(kinds::SRAM, &[4], 32, 1);
+        let mem = b.create_mem(mem_kind, &[4], 32, 1);
         let buf = b.alloc(mem, &[4], Type::I32);
         let start = b.control_start();
         let l = b.launch(start, pe, &[buf], vec![]);
@@ -1283,7 +1288,13 @@ mod tests {
         lb.affine_yield();
         OpBuilder::at_end(&mut m, l.body).ret(vec![]);
         OpBuilder::at_end(&mut m, blk).await_all(vec![l.done]);
-        let compiled = CompiledModule::compile_standard(m).expect("compiles");
+        m
+    }
+
+    /// A real capture, mid-loop, so frames, loop state, a memory and a
+    /// buffer are all in it.
+    fn tiny() -> (CompiledModule, Snapshot) {
+        let compiled = CompiledModule::compile_standard(program(kinds::SRAM)).expect("compiles");
         let snap = compiled.snapshot(3, &options()).expect("captures");
         (compiled, snap)
     }
@@ -1385,5 +1396,72 @@ mod tests {
         reseal(&mut bytes);
         let msg = rejection(&compiled, &bytes);
         assert!(msg.contains("buffer shape"), "{msg}");
+    }
+
+    /// Runs the cache program to cycle 3, lets `edit` change its cache's
+    /// state, captures it and resumes the capture.
+    fn resume_with_cache(edit: fn(&mut CacheBehavior)) -> Result<SimReport, SimError> {
+        let module = program(kinds::CACHE);
+        let lib = SimLibrary::standard();
+        let plan = Plan::build(&module, &lib);
+        let start = Instant::now();
+        let mut engine = Engine::fresh(&module, &plan, &lib, &options(), start);
+        engine.snapshot_at = Some(3);
+        engine.run().expect("runs to the cut");
+        let mut cache = CacheBehavior::new(2, 2, 1, 1, 10);
+        edit(&mut cache);
+        let mem = engine
+            .machine
+            .components
+            .iter_mut()
+            .find_map(|c| match &mut c.kind {
+                ComponentKind::Memory(m) => Some(m),
+                _ => None,
+            });
+        mem.expect("the program has a memory").behavior = Box::new(cache);
+        let snap = capture(&engine, 3);
+        resume_with_plan(&module, &plan, &lib, &options(), start, &snap)
+    }
+
+    /// Resume's rejection of a cache edited by `edit`.
+    fn cache_rejection(edit: fn(&mut CacheBehavior)) -> String {
+        match resume_with_cache(edit) {
+            Err(SimError::Snapshot(msg)) => msg,
+            other => panic!("expected a snapshot rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sound_cache_state_resumes() {
+        assert!(resume_with_cache(|_| {}).is_ok());
+    }
+
+    #[test]
+    fn cache_with_zero_sets_is_rejected() {
+        assert!(cache_rejection(|c| c.sets = 0).contains("zero sets"));
+    }
+
+    #[test]
+    fn cache_with_zero_ways_is_rejected() {
+        assert!(cache_rejection(|c| c.ways = 0).contains("zero sets, ways"));
+    }
+
+    #[test]
+    fn cache_with_zero_line_size_is_rejected() {
+        assert!(cache_rejection(|c| c.line_elems = 0).contains("line size"));
+    }
+
+    #[test]
+    fn cache_tag_table_must_match_its_sets() {
+        let msg = cache_rejection(|c| {
+            c.tags.pop();
+        });
+        assert!(msg.contains("one stack per set"), "{msg}");
+    }
+
+    #[test]
+    fn cache_set_cannot_exceed_its_ways() {
+        let msg = cache_rejection(|c| c.tags[0] = vec![0, 2, 4]);
+        assert!(msg.contains("more tags than it has ways"), "{msg}");
     }
 }
