@@ -16,8 +16,13 @@
 //!    `encode(decode(bytes))` must reproduce `bytes` exactly (the
 //!    canonical-encoding property, probed at xorshift-random cuts too).
 
-use equeue_core::{Backend, CompiledModule, SimLibrary, SimOptions, SimReport, Snapshot};
+use equeue_core::{
+    AccessKind, Backend, CompiledModule, MemSpec, MemoryBehavior, SimLibrary, SimOptions,
+    SimReport, Snapshot,
+};
+use equeue_dialect::{kinds, ArithBuilder, EqueueBuilder};
 use equeue_gen::scenarios::golden_scenarios;
+use equeue_ir::{Module, OpBuilder, Type};
 
 fn options(backend: Backend) -> SimOptions {
     SimOptions {
@@ -183,6 +188,89 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
     }
 }
 
+/// A stateless custom memory model: even addresses hit, odd ones miss.
+struct ParityCache {
+    hit: u64,
+    miss: u64,
+}
+
+impl MemoryBehavior for ParityCache {
+    fn access_cycles(&mut self, _kind: AccessKind, addr: usize, elems: usize, _banks: u32) -> u64 {
+        (addr..addr + elems.max(1))
+            .map(|a| if a % 2 == 0 { self.hit } else { self.miss })
+            .sum()
+    }
+
+    fn model_name(&self) -> &str {
+        "ParityCache"
+    }
+}
+
+/// Builds a [`ParityCache`] from its `create_mem` attributes.
+fn parity_cache_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
+    let hit = spec.attrs.int("hit_cycles").unwrap_or(1).max(0) as u64;
+    let miss = spec.attrs.int("miss_cycles").unwrap_or(20).max(0) as u64;
+    Box::new(ParityCache { hit, miss })
+}
+
+/// Eight single-element reads from a `ParityCache` memory whose
+/// `create_mem` op sets `miss_cycles = 50`: 4 hits and 4 misses.
+fn parity_cache_program() -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(kinds::ARM_R5);
+    let mem = b
+        .op("equeue.create_mem")
+        .attr("kind", "ParityCache")
+        .attr("shape", vec![64i64])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64)
+        .attr("miss_cycles", 50i64)
+        .result(Type::Mem)
+        .finish_value();
+    let buf = b.alloc(mem, &[8], Type::I32);
+    let start = b.control_start();
+    let l = b.launch(start, pe, &[buf], vec![]);
+    let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+    for i in 0..8 {
+        let idx = ib.const_index(i);
+        ib.read_indexed(l.body_args[0], vec![idx], None);
+    }
+    ib.ret(vec![]);
+    OpBuilder::at_end(&mut m, blk).await_all(vec![l.done]);
+    m
+}
+
+/// A custom memory model carries no state in a snapshot; resume rebuilds it
+/// from the attributes of the `create_mem` op that built it. For a
+/// stateless model that is exact: at every cut and for every
+/// capture×resume backend pair, the resumed run equals the full run.
+#[test]
+fn custom_memory_model_resumes_with_its_attributes() {
+    let mut lib = SimLibrary::standard();
+    lib.register_mem_factory("ParityCache", parity_cache_factory);
+    let compiled = CompiledModule::compile(parity_cache_program(), lib).expect("compiles");
+    let full = compiled
+        .simulate(&options(Backend::Fused))
+        .expect("full run");
+    assert_eq!(full.cycles, 4 + 4 * 50);
+    for cut in 0..=full.cycles {
+        for snap_backend in [Backend::Fused, Backend::Interp] {
+            let snap = compiled
+                .snapshot(cut, &options(snap_backend))
+                .unwrap_or_else(|e| panic!("snapshot at {cut}: {e}"));
+            for resume_backend in [Backend::Fused, Backend::Interp] {
+                let tag = format!("parity cache cut={cut} {snap_backend:?}->{resume_backend:?}");
+                let resumed = compiled
+                    .resume(&snap, &options(resume_backend))
+                    .unwrap_or_else(|e| panic!("{tag}: resume: {e}"));
+                assert_reports_identical(&tag, &full, &resumed);
+            }
+        }
+    }
+}
+
 /// xorshift64* — the workspace's std-only PRNG for property probes.
 struct XorShift(u64);
 
@@ -238,102 +326,102 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 type Pin = (usize, u64);
 
 /// `(name, pin under Fused, pin under Interp)` of every golden scenario's
-/// snapshot at its mid cut.
+/// snapshot at its mid cut, recorded at snapshot format version 3.
 const WIRE_PINS: &[(&str, Pin, Pin)] = &[
     (
         "fig09_4x4_ws_8x8",
-        (15695, 13089863184803001008),
-        (15695, 3420205274227672579),
+        (15722, 5346188757928143059),
+        (15722, 17241391650335983198),
     ),
     (
         "fig11_linalg_ws_8",
-        (6739, 15318386356856159597),
-        (6739, 18108582887090201286),
+        (6748, 11420471001740467011),
+        (6748, 12102504865277337812),
     ),
     (
         "fig11_affine_ws_8",
-        (7427, 14050222878376910091),
-        (7427, 6409482229741675234),
+        (7436, 12003585691440223334),
+        (7436, 18188586685873840204),
     ),
     (
         "fig11_reassign_ws_8",
-        (10023, 859648426160786472),
-        (10023, 7567962052601662663),
+        (10041, 1859001155988271838),
+        (10041, 3481312156735166701),
     ),
     (
         "fig11_systolic_ws_8",
-        (50338, 14438544525173035981),
-        (50338, 6280256945478011450),
+        (50365, 4262417462626458536),
+        (50365, 7696944081453142156),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_ws",
-        (191501, 17047646536716353670),
-        (191501, 14141946398289295101),
+        (191528, 16557175545121071984),
+        (191528, 11270675910983135410),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_is",
-        (1364824, 1400852349047750786),
-        (1364824, 3256213913545610209),
+        (1364851, 763603142412454155),
+        (1364851, 1963073133654519464),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_os",
-        (181463, 3085903034259315199),
-        (181463, 10962550267008415508),
+        (181490, 6687024256968297783),
+        (181490, 9641459226942369699),
     ),
     (
         "fir_single_core",
-        (2748, 8807336249167457382),
-        (2748, 11160774596675263293),
+        (2757, 13348887157553238626),
+        (2757, 1140328352361518251),
     ),
     (
         "fir_pipelined16",
-        (200444, 1240496702802227791),
-        (200444, 3142083527287517564),
+        (200453, 7436794503034790128),
+        (200453, 8206867183419975629),
     ),
     (
         "fir_bandwidth16",
-        (199633, 7017918271913152689),
-        (199633, 16660722119704845654),
+        (199642, 3938691369744519695),
+        (199642, 136827897497938328),
     ),
     (
         "fir_balanced4",
-        (48909, 7899499156346561368),
-        (48909, 11119446597496859101),
+        (48918, 7088297765446974865),
+        (48918, 26968562357851287),
     ),
     (
         "matmul_linalg16",
-        (8452, 10719728200088221666),
-        (8452, 13723705650798802710),
+        (8461, 6710583606701673602),
+        (8461, 788702992248590862),
     ),
     (
         "matmul_affine16",
-        (8811, 10808619618060999387),
-        (8811, 1858078669443374406),
+        (8820, 10268451290551947463),
+        (8820, 16443978003230772815),
     ),
     (
         "tensor_stream_64x8",
-        (68020, 7512912900657338466),
-        (68020, 11546962672998089215),
+        (68029, 8900763672854502727),
+        (68029, 114182351287417379),
     ),
     (
         "conv2d_systolic_8x3",
-        (14141, 8706591866385622843),
-        (14141, 1222169517462118693),
+        (14159, 2282069398409615489),
+        (14159, 9271580430719363845),
     ),
     (
         "multi_tenant_4x16x6",
-        (28801, 10704629002017560476),
-        (28801, 15493648583680614129),
+        (28837, 12578830653139846147),
+        (28837, 6040775558096500188),
     ),
     (
         "mega_grid_8x8",
-        (114207, 2292367802713551436),
-        (114207, 10417101527896585484),
+        (114216, 9502170864749398476),
+        (114216, 9073069573186693861),
     ),
     (
         "shard_grid_4x4",
-        (30876, 15045590557980387305),
-        (30876, 2983877944269480024),
+        (31020, 4699856857211464763),
+        (31020, 4051154839521128775),
     ),
 ];
 

@@ -1259,6 +1259,9 @@ impl<'m> Engine<'m> {
                     behavior,
                     energy,
                 );
+                if let Some(m) = self.machine.memory_mut(comp) {
+                    m.origin = Some(op);
+                }
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }

@@ -11,6 +11,7 @@
 use crate::profile::BandwidthStats;
 use crate::value::{BufId, CompId, ConnId, Tensor};
 use equeue_dialect::ConnKind;
+use equeue_ir::OpId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -49,10 +50,11 @@ pub trait MemoryBehavior: Send {
     /// The model's complete timing state, for simulation snapshots. The
     /// stock behaviors return their matching [`BehaviorSnapshot`] variant so
     /// a resumed run replays bit-identically; the default is
-    /// [`BehaviorSnapshot::Opaque`], which tells the snapshot codec it
+    /// [`BehaviorSnapshot::Opaque`], which tells the snapshot writer it
     /// cannot capture this model's state — on resume the memory is rebuilt
-    /// from its [`MemSpec`](crate::MemSpec) factory instead, which is only
-    /// exact for stateless custom models.
+    /// by its library factory from the [`MemSpec`](crate::MemSpec) of the
+    /// `equeue.create_mem` op that built it, which is exact for stateless
+    /// custom models; a stateful one restarts from its initial state.
     fn snapshot_behavior(&self) -> BehaviorSnapshot {
         BehaviorSnapshot::Opaque
     }
@@ -64,8 +66,9 @@ pub trait MemoryBehavior: Send {
 /// The stock models round-trip exactly (including [`CacheBehavior`]'s LRU
 /// tag stacks and hit/miss counters). Custom library models that do not
 /// override [`MemoryBehavior::snapshot_behavior`] serialise as
-/// [`Opaque`](BehaviorSnapshot::Opaque) and are re-created from their
-/// factory on resume — exact only if the model is stateless.
+/// [`Opaque`](BehaviorSnapshot::Opaque) and are re-created on resume by
+/// their factory, from their `equeue.create_mem` attributes — exact only if
+/// the model is stateless.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BehaviorSnapshot {
@@ -350,6 +353,11 @@ pub struct Memory {
     /// Energy per access in picojoules (the paper's Fig. 2 discussion:
     /// SRAM costs more energy per access than a register file).
     pub energy_per_access_pj: f64,
+    /// The `equeue.create_mem` op that built this memory: `None` for
+    /// memories built through the [`Machine`] API and for the host scratch
+    /// memory. Resuming a snapshot rebuilds a custom timing model from
+    /// this op's attributes.
+    pub origin: Option<OpId>,
 }
 
 impl std::fmt::Debug for Memory {
@@ -767,6 +775,7 @@ impl Machine {
                 ports: vec![0; ports.max(1)],
                 counters: MemCounters::default(),
                 energy_per_access_pj,
+                origin: None,
             }),
         });
         id

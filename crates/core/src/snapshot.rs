@@ -35,19 +35,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use equeue_dialect::ConnKind;
-use equeue_ir::{AttrMap, BlockId, IdVec, Module, OpId};
+use equeue_ir::{BlockId, IdVec, Module, OpId};
 
 use crate::engine::{
     build_report, set_proc_of_comp, Backend, Engine, EventKind, Frame, HotCycles, LoopDim,
     LoopState, PendingEvent, ProcRuntime, Scope, SimOptions,
 };
-use crate::library::{MemSpec, SimLibrary};
+use crate::library::SimLibrary;
 use crate::machine::{
     BehaviorSnapshot, Buffer, CacheBehavior, ChannelStats, Component, ComponentKind, Composite,
     Connection, DramBehavior, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor,
     RegisterBehavior, SramBehavior,
 };
-use crate::plan::{OpCode, Plan};
+use crate::plan::{mem_spec, OpCode, Plan};
 use crate::profile::SimReport;
 use crate::signal::{SignalState, SignalTable};
 use crate::value::{BufId, CompId, ConnId, SignalId, SimValue, Tensor, TensorData};
@@ -58,7 +58,7 @@ const MAGIC: [u8; 4] = *b"EQSS";
 
 /// Current snapshot format version. Bumped on any wire-format change;
 /// decoding rejects unknown versions.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes before the state sections: magic, version, both cuts, the
 /// completion flag and the backend tag.
@@ -334,10 +334,10 @@ fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
     let mut wakes = r.seq(8 + 8 + 4, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))?;
     e.signals = SignalTable::from_states(r.seq(1, Reader::signal_state)?);
     e.procs = r.seq(1, Reader::proc)?;
-    let lib = e.lib;
+    let (module, plan, lib) = (e.module, e.plan, e.lib);
     let ncomp = r.seq_len(1)?;
     for _ in 0..ncomp {
-        let c = r.component(ncomp, lib)?;
+        let c = r.component(ncomp, module, plan, lib)?;
         e.machine.components.push(c);
     }
     let comps = &e.machine.components;
@@ -782,6 +782,7 @@ impl Writer {
             ComponentKind::Memory(m) => {
                 self.u8(1);
                 self.string(&m.kind);
+                self.opt(m.origin.map(|op| op.index()), Writer::usize);
                 self.usize(m.capacity_elems);
                 self.u32(m.data_bits);
                 self.u32(m.banks);
@@ -1100,7 +1101,7 @@ impl<'a> Reader<'a> {
     /// not carry is rebuilt by `opaque`.
     fn behavior(
         &mut self,
-        opaque: impl FnOnce() -> Box<dyn MemoryBehavior>,
+        opaque: impl FnOnce() -> Result<Box<dyn MemoryBehavior>, SimError>,
     ) -> Result<Box<dyn MemoryBehavior>, SimError> {
         Ok(match self.u8()? {
             0 => Box::new(SramBehavior {
@@ -1136,60 +1137,27 @@ impl<'a> Reader<'a> {
                     misses,
                 })
             }
-            4 => opaque(),
+            4 => opaque()?,
             t => return Err(err(&format!("unknown behavior tag {t}"))),
         })
     }
 
-    /// A component of a machine with `ncomp` of them.
-    fn component(&mut self, ncomp: usize, lib: &SimLibrary) -> Result<Component, SimError> {
+    /// A component of a machine with `ncomp` of them, resumed against
+    /// `module`, its `plan` and `lib`.
+    fn component(
+        &mut self,
+        ncomp: usize,
+        module: &Module,
+        plan: &Plan,
+        lib: &SimLibrary,
+    ) -> Result<Component, SimError> {
         let name = self.string()?;
         let kind = match self.u8()? {
             0 => ComponentKind::Processor(Processor {
                 kind: self.string()?,
                 profile: Arc::new(self.profile()?),
             }),
-            1 => {
-                let kind = self.string()?;
-                let capacity_elems = self.usize()?;
-                let data_bits = self.u32()?;
-                let banks = self.u32()?;
-                let used_elems = self.usize()?;
-                let behavior = self.behavior(|| {
-                    // Only the library factory can rebuild a custom model
-                    // (exact for stateless ones: see
-                    // `MemoryBehavior::snapshot_behavior`).
-                    lib.make_memory(&MemSpec {
-                        kind: kind.clone(),
-                        capacity_elems,
-                        data_bits,
-                        banks,
-                        attrs: AttrMap::new(),
-                    })
-                })?;
-                let ports = self.seq(8, Reader::u64)?;
-                if ports.is_empty() {
-                    return Err(err("memory with no access ports"));
-                }
-                let [bytes_read, bytes_written, reads, writes] =
-                    [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
-                ComponentKind::Memory(Memory {
-                    kind,
-                    capacity_elems,
-                    data_bits,
-                    banks,
-                    used_elems,
-                    behavior,
-                    ports,
-                    counters: MemCounters {
-                        bytes_read,
-                        bytes_written,
-                        reads,
-                        writes,
-                    },
-                    energy_per_access_pj: self.f64()?,
-                })
-            }
+            1 => ComponentKind::Memory(self.memory(module, plan, lib)?),
             2 => ComponentKind::Dma,
             3 => {
                 let children = self.seq(1, |r| Ok((r.string()?, CompId(r.u32()?))))?;
@@ -1201,6 +1169,60 @@ impl<'a> Reader<'a> {
             t => return Err(err(&format!("unknown component tag {t}"))),
         };
         Ok(Component { name, kind })
+    }
+
+    /// A memory. A custom timing model, whose state the stream does not
+    /// carry, is rebuilt by `lib`'s factory from the `equeue.create_mem` op
+    /// that built the memory (exact for stateless models: see
+    /// `MemoryBehavior::snapshot_behavior`).
+    fn memory(
+        &mut self,
+        module: &Module,
+        plan: &Plan,
+        lib: &SimLibrary,
+    ) -> Result<Memory, SimError> {
+        let kind = self.string()?;
+        let origin = self.opt(|r| r.usize().map(OpId::from_index))?;
+        let capacity_elems = self.usize()?;
+        let data_bits = self.u32()?;
+        let banks = self.u32()?;
+        let used_elems = self.usize()?;
+        let behavior = self.behavior(|| {
+            origin
+                .filter(|op| {
+                    matches!(
+                        plan.ops.get(op.index()).map(|o| &o.code),
+                        Some(OpCode::CreateMem)
+                    )
+                })
+                .and_then(|op| mem_spec(module, op))
+                .filter(|spec| spec.kind == kind)
+                .map(|spec| lib.make_memory(&spec))
+                .ok_or_else(|| err("custom memory model without the create_mem op that built it"))
+        })?;
+        let ports = self.seq(8, Reader::u64)?;
+        if ports.is_empty() {
+            return Err(err("memory with no access ports"));
+        }
+        let [bytes_read, bytes_written, reads, writes] =
+            [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
+        Ok(Memory {
+            kind,
+            capacity_elems,
+            data_bits,
+            banks,
+            used_elems,
+            behavior,
+            ports,
+            counters: MemCounters {
+                bytes_read,
+                bytes_written,
+                reads,
+                writes,
+            },
+            energy_per_access_pj: self.f64()?,
+            origin,
+        })
     }
 
     /// A buffer, whose owner must be one of the memories in `components`.
@@ -1365,12 +1387,17 @@ mod tests {
             Err(SimError::Snapshot(msg)) => assert!(msg.contains("version"), "{msg}"),
             other => panic!("{other:?}"),
         }
-        // A version-1 stream (it carried a transfer log) is rejected too.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        reseal(&mut bytes);
-        match Snapshot::decode(&bytes) {
-            Err(SimError::Snapshot(msg)) => assert!(msg.contains("version 1"), "{msg}"),
-            other => panic!("{other:?}"),
+        // Version-1 streams (they carried a transfer log) and version-2
+        // streams (they lacked each memory's create_mem op) are rejected too.
+        for old in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            reseal(&mut bytes);
+            match Snapshot::decode(&bytes) {
+                Err(SimError::Snapshot(msg)) => {
+                    assert!(msg.contains(&format!("version {old}")), "{msg}")
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 
