@@ -27,6 +27,12 @@
 //! rest, once: every tag, length and shape in the state sections, the
 //! module fingerprint, and every id the state cross-references.
 //!
+//! Since version 3 each memory records the `equeue.create_mem` op that
+//! built it. A custom timing model carries no state in the stream; resume
+//! rebuilds it with its library factory from that op's attributes, which
+//! is exact for stateless models, while a stateful one restarts from the
+//! factory's initial state.
+//!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
 //! cycle/event budgets from the captured counters.
@@ -210,7 +216,7 @@ pub(crate) fn snapshot_with_plan(
     let mut engine = Engine::fresh(module, plan, library, options, start);
     engine.snapshot_at = Some(at);
     engine.run()?;
-    Ok(capture(&engine, at))
+    Ok(capture(&mut engine, at))
 }
 
 /// Restores a [`Snapshot`] and runs it to completion: the entry point behind
@@ -252,10 +258,27 @@ fn fingerprint(module: &Module) -> [u64; 3] {
     [module.num_ops(), module.num_blocks(), module.num_values()].map(|n| n as u64)
 }
 
+/// The run counters a snapshot carries, in wire order.
+fn counters<'a>(e: &'a mut Engine<'_>) -> [&'a mut u64; 10] {
+    [
+        &mut e.now,
+        &mut e.horizon,
+        &mut e.wakes,
+        &mut e.ops_interpreted,
+        &mut e.events_spawned,
+        &mut e.live_tensor_bytes,
+        &mut e.peak_live_tensor_bytes,
+        &mut e.fused_trace_entries,
+        &mut e.idle_steps,
+        &mut e.seq,
+    ]
+}
+
 /// Serialises the engine's complete state. Called after [`Engine::run`]
 /// returned with `snapshot_at` armed — either paused at the cut, or
-/// finished early (then the snapshot records the terminal state).
-fn capture(e: &Engine, requested: u64) -> Snapshot {
+/// finished early (then the snapshot records the terminal state). The
+/// engine is only read; `&mut` lets [`counters`] serve both directions.
+fn capture(e: &mut Engine, requested: u64) -> Snapshot {
     let mut wakes: Vec<(u64, u64, usize)> = e.wake_queue.iter().collect();
     wakes.sort_unstable();
     let actual_cut = wakes.first().map_or(e.horizon, |w| w.0);
@@ -268,20 +291,11 @@ fn capture(e: &Engine, requested: u64) -> Snapshot {
     w.u64(actual_cut);
     w.boolean(completed);
     w.u8(BACKENDS.iter().position(|&b| b == backend).unwrap_or(0) as u8);
-    let counters = [
-        e.now,
-        e.horizon,
-        e.wakes,
-        e.ops_interpreted,
-        e.events_spawned,
-        e.live_tensor_bytes,
-        e.peak_live_tensor_bytes,
-        e.fused_trace_entries,
-        e.idle_steps,
-        e.seq,
-    ];
-    for c in fingerprint(e.module).into_iter().chain(counters) {
+    for c in fingerprint(e.module) {
         w.u64(c);
+    }
+    for c in counters(e) {
+        w.u64(*c);
     }
     w.opt(e.host_mem.map(|c| c.0), Writer::u32);
     w.seq(wakes.into_iter(), |w, (t, s, p)| {
@@ -316,18 +330,7 @@ fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
             "snapshot was captured from a different module (fingerprint mismatch)",
         ));
     }
-    for c in [
-        &mut e.now,
-        &mut e.horizon,
-        &mut e.wakes,
-        &mut e.ops_interpreted,
-        &mut e.events_spawned,
-        &mut e.live_tensor_bytes,
-        &mut e.peak_live_tensor_bytes,
-        &mut e.fused_trace_entries,
-        &mut e.idle_steps,
-        &mut e.seq,
-    ] {
+    for c in counters(e) {
         *c = r.u64()?;
     }
     e.host_mem = r.opt(Reader::u32)?.map(CompId);
@@ -781,19 +784,7 @@ impl Writer {
             }
             ComponentKind::Memory(m) => {
                 self.u8(1);
-                self.string(&m.kind);
-                self.opt(m.origin.map(|op| op.index()), Writer::usize);
-                self.usize(m.capacity_elems);
-                self.u32(m.data_bits);
-                self.u32(m.banks);
-                self.usize(m.used_elems);
-                self.behavior(&m.behavior.snapshot_behavior());
-                self.seq(m.ports.iter(), |w, &p| w.u64(p));
-                let c = m.counters;
-                for v in [c.bytes_read, c.bytes_written, c.reads, c.writes] {
-                    self.u64(v);
-                }
-                self.f64(m.energy_per_access_pj);
+                self.memory(m);
             }
             ComponentKind::Dma => self.u8(2),
             ComponentKind::Composite(comp) => {
@@ -804,6 +795,22 @@ impl Writer {
                 });
             }
         }
+    }
+
+    fn memory(&mut self, m: &Memory) {
+        self.string(&m.kind);
+        self.opt(m.origin.map(|op| op.index()), Writer::usize);
+        self.usize(m.capacity_elems);
+        self.u32(m.data_bits);
+        self.u32(m.banks);
+        self.usize(m.used_elems);
+        self.behavior(&m.behavior.snapshot_behavior());
+        self.seq(m.ports.iter(), |w, &p| w.u64(p));
+        let c = m.counters;
+        for v in [c.bytes_read, c.bytes_written, c.reads, c.writes] {
+            self.u64(v);
+        }
+        self.f64(m.energy_per_access_pj);
     }
 
     /// A buffer. Its shape slot repeats `data.shape`; resume rejects a
@@ -1446,7 +1453,7 @@ mod tests {
                 _ => None,
             });
         mem.expect("the program has a memory").behavior = Box::new(cache);
-        let snap = capture(&engine, 3);
+        let snap = capture(&mut engine, 3);
         resume_with_plan(&module, &plan, &lib, &options(), start, &snap)
     }
 
