@@ -397,6 +397,9 @@ fn check_state(e: &Engine, wakes: &[(u64, u64, u32)]) -> Result<(), SimError> {
             }
         }
     }
+    if e.procs.is_empty() {
+        return Err(err("snapshot has no host processor"));
+    }
     for p in &e.procs {
         if (p.comp.0 as usize) >= b.comp {
             return Err(err("processor component out of range"));
@@ -1285,6 +1288,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::EventQueue;
     use crate::CompiledModule;
     use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
     use equeue_ir::{OpBuilder, Type};
@@ -1432,29 +1436,39 @@ mod tests {
         assert!(msg.contains("buffer shape"), "{msg}");
     }
 
-    /// Runs the cache program to cycle 3, lets `edit` change its cache's
-    /// state, captures it and resumes the capture.
-    fn resume_with_cache(edit: fn(&mut CacheBehavior)) -> Result<SimReport, SimError> {
-        let module = program(kinds::CACHE);
+    /// Runs `program(mem_kind)` to cycle 3, lets `edit` change the paused
+    /// engine, captures it and resumes the capture.
+    fn resume_edited(
+        mem_kind: &str,
+        edit: impl FnOnce(&mut Engine),
+    ) -> Result<SimReport, SimError> {
+        let module = program(mem_kind);
         let lib = SimLibrary::standard();
         let plan = Plan::build(&module, &lib);
         let start = Instant::now();
         let mut engine = Engine::fresh(&module, &plan, &lib, &options(), start);
         engine.snapshot_at = Some(3);
         engine.run().expect("runs to the cut");
-        let mut cache = CacheBehavior::new(2, 2, 1, 1, 10);
-        edit(&mut cache);
-        let mem = engine
-            .machine
-            .components
-            .iter_mut()
-            .find_map(|c| match &mut c.kind {
-                ComponentKind::Memory(m) => Some(m),
-                _ => None,
-            });
-        mem.expect("the program has a memory").behavior = Box::new(cache);
+        edit(&mut engine);
         let snap = capture(&mut engine, 3);
         resume_with_plan(&module, &plan, &lib, &options(), start, &snap)
+    }
+
+    /// Resumes the cache program after `edit` changed its cache's state.
+    fn resume_with_cache(edit: fn(&mut CacheBehavior)) -> Result<SimReport, SimError> {
+        resume_edited(kinds::CACHE, |e| {
+            let mut cache = CacheBehavior::new(2, 2, 1, 1, 10);
+            edit(&mut cache);
+            let mem = e
+                .machine
+                .components
+                .iter_mut()
+                .find_map(|c| match &mut c.kind {
+                    ComponentKind::Memory(m) => Some(m),
+                    _ => None,
+                });
+            mem.expect("the program has a memory").behavior = Box::new(cache);
+        })
     }
 
     /// Resume's rejection of a cache edited by `edit`.
@@ -1497,5 +1511,19 @@ mod tests {
     fn cache_set_cannot_exceed_its_ways() {
         let msg = cache_rejection(|c| c.tags[0] = vec![0, 2, 4]);
         assert!(msg.contains("more tags than it has ways"), "{msg}");
+    }
+
+    /// The engine's stuck-work check reads the host processor, so a
+    /// stream without one must be rejected before the run starts.
+    #[test]
+    fn snapshot_without_processors_is_rejected() {
+        let got = resume_edited(kinds::SRAM, |e| {
+            e.procs.clear();
+            e.wake_queue = EventQueue::new();
+        });
+        match got {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains("host processor"), "{msg}"),
+            other => panic!("expected a snapshot rejection, got {other:?}"),
+        }
     }
 }
