@@ -1235,25 +1235,37 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// A buffer, whose owner must be one of the memories in `components`.
+    /// A buffer, which must lie inside one of the memories in `components`.
     fn buffer(&mut self, components: &[Component]) -> Result<Buffer, SimError> {
         let mem = CompId(self.u32()?);
-        if !is_memory(components, mem) {
+        let Some(ComponentKind::Memory(m)) = components.get(mem.0 as usize).map(|c| &c.kind) else {
             return Err(err("buffer owned by a non-memory component"));
-        }
+        };
         let shape = self.seq(8, Reader::usize)?;
         let (elem_bytes, base_addr, live) = (self.usize()?, self.usize()?, self.boolean()?);
         let data = self.tensor()?;
         if data.shape != shape {
             return Err(err("buffer shape does not match its contents"));
         }
-        Ok(Buffer {
+        let b = Buffer {
             mem,
             elem_bytes,
             base_addr,
             live,
             data,
-        })
+        };
+        // Allocation keeps every buffer inside its memory; the engine's
+        // address and byte arithmetic relies on it.
+        if base_addr
+            .checked_add(b.elems())
+            .is_none_or(|end| end > m.capacity_elems)
+        {
+            return Err(err("buffer lies outside its memory"));
+        }
+        if b.elems().checked_mul(elem_bytes).is_none() {
+            return Err(err("buffer size overflows the address space"));
+        }
+        Ok(b)
     }
 
     fn channel_stats(&mut self) -> Result<ChannelStats, SimError> {
@@ -1523,6 +1535,28 @@ mod tests {
         });
         match got {
             Err(SimError::Snapshot(msg)) => assert!(msg.contains("host processor"), "{msg}"),
+            other => panic!("expected a snapshot rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn buffer_outside_its_memory_is_rejected() {
+        let got = resume_edited(kinds::CACHE, |e| {
+            e.machine.buffers[0].base_addr = usize::MAX - 1;
+        });
+        match got {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains("outside its memory"), "{msg}"),
+            other => panic!("expected a snapshot rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn buffer_size_overflow_is_rejected() {
+        let got = resume_edited(kinds::SRAM, |e| {
+            e.machine.buffers[0].elem_bytes = usize::MAX;
+        });
+        match got {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains("size overflows"), "{msg}"),
             other => panic!("expected a snapshot rejection, got {other:?}"),
         }
     }
