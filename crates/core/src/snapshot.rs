@@ -496,6 +496,9 @@ fn check_frame(frame: &Frame, module: &Module, plan: &Plan, b: &Bounds) -> Resul
         if scope.block.index() >= module.num_blocks() {
             return Err(err("frame block out of range"));
         }
+        if scope_of_block(module, plan, scope.block) != Some(frame.scope) {
+            return Err(err("frame block lies outside the frame's scope"));
+        }
         if let Some(state) = &scope.looping {
             if state
                 .dims
@@ -507,6 +510,21 @@ fn check_frame(frame: &Frame, module: &Module, plan: &Plan, b: &Bounds) -> Resul
         }
     }
     Ok(())
+}
+
+/// The frame scope that runs `block`: that of the innermost launch whose
+/// body encloses it, or the top scope 0.
+fn scope_of_block(module: &Module, plan: &Plan, mut block: BlockId) -> Option<u32> {
+    loop {
+        let region = module.block(block).parent_region;
+        let Some(op) = module.region(region).parent_op else {
+            return (region == module.top_region()).then_some(0);
+        };
+        if let OpCode::Launch(launch) = plan.ops[op.index()].code {
+            return Some(plan.launch(launch).scope);
+        }
+        block = module.op(op).parent_block?;
+    }
 }
 
 /// Validates a restored wake queue. Every wake must target a known
@@ -1557,6 +1575,26 @@ mod tests {
         });
         match got {
             Err(SimError::Snapshot(msg)) => assert!(msg.contains("size overflows"), "{msg}"),
+            other => panic!("expected a snapshot rejection, got {other:?}"),
+        }
+    }
+
+    /// A frame runs the ops of its own scope only: its slots index that
+    /// scope's layout.
+    #[test]
+    fn frame_block_outside_its_scope_is_rejected() {
+        let got = resume_edited(kinds::SRAM, |e| {
+            let top = e.module.top_block();
+            let frame = e
+                .procs
+                .iter_mut()
+                .find_map(|p| p.frame.as_mut().filter(|f| f.scope != 0));
+            frame.expect("the launch is running at the cut").stack[0].block = top;
+        });
+        match got {
+            Err(SimError::Snapshot(msg)) => {
+                assert!(msg.contains("outside the frame's scope"), "{msg}")
+            }
             other => panic!("expected a snapshot rejection, got {other:?}"),
         }
     }
