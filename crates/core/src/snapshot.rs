@@ -1370,10 +1370,9 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// Resumes `bytes` and returns the rejection message.
-    fn rejection(compiled: &CompiledModule, bytes: &[u8]) -> String {
-        let snap = Snapshot::decode(bytes).expect("the stream decodes");
-        match compiled.resume(&snap, &options()) {
+    /// The message of a resume's snapshot rejection.
+    fn rejected(got: Result<SimReport, SimError>) -> String {
+        match got {
             Err(SimError::Snapshot(msg)) => msg,
             other => panic!("expected a snapshot rejection, got {other:?}"),
         }
@@ -1462,7 +1461,8 @@ mod tests {
         assert_eq!(at.len(), 1, "the buffer record is found once");
         bytes[at[0] + 8] = 2;
         reseal(&mut bytes);
-        let msg = rejection(&compiled, &bytes);
+        let snap = Snapshot::decode(&bytes).expect("the stream decodes");
+        let msg = rejected(compiled.resume(&snap, &options()));
         assert!(msg.contains("buffer shape"), "{msg}");
     }
 
@@ -1501,14 +1501,6 @@ mod tests {
         })
     }
 
-    /// Resume's rejection of a cache edited by `edit`.
-    fn cache_rejection(edit: fn(&mut CacheBehavior)) -> String {
-        match resume_with_cache(edit) {
-            Err(SimError::Snapshot(msg)) => msg,
-            other => panic!("expected a snapshot rejection, got {other:?}"),
-        }
-    }
-
     #[test]
     fn sound_cache_state_resumes() {
         assert!(resume_with_cache(|_| {}).is_ok());
@@ -1516,30 +1508,30 @@ mod tests {
 
     #[test]
     fn cache_with_zero_sets_is_rejected() {
-        assert!(cache_rejection(|c| c.sets = 0).contains("zero sets"));
+        assert!(rejected(resume_with_cache(|c| c.sets = 0)).contains("zero sets"));
     }
 
     #[test]
     fn cache_with_zero_ways_is_rejected() {
-        assert!(cache_rejection(|c| c.ways = 0).contains("zero sets, ways"));
+        assert!(rejected(resume_with_cache(|c| c.ways = 0)).contains("zero sets, ways"));
     }
 
     #[test]
     fn cache_with_zero_line_size_is_rejected() {
-        assert!(cache_rejection(|c| c.line_elems = 0).contains("line size"));
+        assert!(rejected(resume_with_cache(|c| c.line_elems = 0)).contains("line size"));
     }
 
     #[test]
     fn cache_tag_table_must_match_its_sets() {
-        let msg = cache_rejection(|c| {
+        let msg = rejected(resume_with_cache(|c| {
             c.tags.pop();
-        });
+        }));
         assert!(msg.contains("one stack per set"), "{msg}");
     }
 
     #[test]
     fn cache_set_cannot_exceed_its_ways() {
-        let msg = cache_rejection(|c| c.tags[0] = vec![0, 2, 4]);
+        let msg = rejected(resume_with_cache(|c| c.tags[0] = vec![0, 2, 4]));
         assert!(msg.contains("more tags than it has ways"), "{msg}");
     }
 
@@ -1547,55 +1539,41 @@ mod tests {
     /// stream without one must be rejected before the run starts.
     #[test]
     fn snapshot_without_processors_is_rejected() {
-        let got = resume_edited(kinds::SRAM, |e| {
+        let msg = rejected(resume_edited(kinds::SRAM, |e| {
             e.procs.clear();
             e.wake_queue = EventQueue::new();
-        });
-        match got {
-            Err(SimError::Snapshot(msg)) => assert!(msg.contains("host processor"), "{msg}"),
-            other => panic!("expected a snapshot rejection, got {other:?}"),
-        }
+        }));
+        assert!(msg.contains("host processor"), "{msg}");
     }
 
     #[test]
     fn buffer_outside_its_memory_is_rejected() {
-        let got = resume_edited(kinds::CACHE, |e| {
+        let msg = rejected(resume_edited(kinds::CACHE, |e| {
             e.machine.buffers[0].base_addr = usize::MAX - 1;
-        });
-        match got {
-            Err(SimError::Snapshot(msg)) => assert!(msg.contains("outside its memory"), "{msg}"),
-            other => panic!("expected a snapshot rejection, got {other:?}"),
-        }
+        }));
+        assert!(msg.contains("outside its memory"), "{msg}");
     }
 
     #[test]
     fn buffer_size_overflow_is_rejected() {
-        let got = resume_edited(kinds::SRAM, |e| {
+        let msg = rejected(resume_edited(kinds::SRAM, |e| {
             e.machine.buffers[0].elem_bytes = usize::MAX;
-        });
-        match got {
-            Err(SimError::Snapshot(msg)) => assert!(msg.contains("size overflows"), "{msg}"),
-            other => panic!("expected a snapshot rejection, got {other:?}"),
-        }
+        }));
+        assert!(msg.contains("size overflows"), "{msg}");
     }
 
     /// A frame runs the ops of its own scope only: its slots index that
     /// scope's layout.
     #[test]
     fn frame_block_outside_its_scope_is_rejected() {
-        let got = resume_edited(kinds::SRAM, |e| {
+        let msg = rejected(resume_edited(kinds::SRAM, |e| {
             let top = e.module.top_block();
             let frame = e
                 .procs
                 .iter_mut()
                 .find_map(|p| p.frame.as_mut().filter(|f| f.scope != 0));
             frame.expect("the launch is running at the cut").stack[0].block = top;
-        });
-        match got {
-            Err(SimError::Snapshot(msg)) => {
-                assert!(msg.contains("outside the frame's scope"), "{msg}")
-            }
-            other => panic!("expected a snapshot rejection, got {other:?}"),
-        }
+        }));
+        assert!(msg.contains("outside the frame's scope"), "{msg}");
     }
 }
