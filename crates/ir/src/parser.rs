@@ -11,14 +11,36 @@
 //! functype  := '(' types? ')' '->' (type | '(' types? ')')
 //! ```
 //!
+//! It makes one forward pass over the input `&str`:
+//!
+//! - Tokens borrow slices of the input. A string literal is copied only
+//!   when it holds an escape or a non-ASCII byte; op names and attribute
+//!   keys go straight into [`Name`]s and operand lists into an [`IdVec`].
+//! - One token of lookahead: a token peeked to choose a branch is kept
+//!   and handed to the next reader, so no token is lexed twice.
+//! - Only a byte offset is tracked. Line and column are counted from it
+//!   when an error is built.
+//! - SSA names live in one scope map from name to value (`Scope`).
+//!   Inside a region each definition logs the definition it shadows, and
+//!   the region rolls the log back when it closes, so outer names
+//!   reappear.
+//! - A type is read straight from the input: its text runs to the next
+//!   `,`, `)`, `}`, `]` or newline outside angle brackets. Each distinct
+//!   type text is parsed once per module and cloned after that.
+//!
+//! String literals and type texts are read one byte per `char`, so a
+//! non-ASCII byte stands for the Latin-1 character of its value.
+//!
 //! Printing a parsed module reproduces the input exactly (module-level
 //! round-trip property tests live in `tests/`).
 
 use crate::attr::{Attr, AttrMap};
 use crate::error::{IrError, IrResult};
+use crate::hash::FxHashMap;
+use crate::inline::{IdVec, Name};
 use crate::module::{BlockId, Module, RegionId, ValueId};
 use crate::types::Type;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Parses the textual form of a module.
 ///
@@ -39,14 +61,15 @@ use std::collections::HashMap;
 pub fn parse_module(text: &str) -> IrResult<Module> {
     let mut p = Parser::new(text);
     let mut module = Module::new();
+    // A printed op with its result takes 60-100 bytes.
+    module.reserve(text.len() / 64);
     let top = module.top_block();
-    let mut scope = Scope::new();
     loop {
         p.skip_ws();
-        if p.at_end() {
+        if p.pos >= p.bytes.len() {
             break;
         }
-        p.parse_op(&mut module, top, &mut scope)?;
+        p.parse_op(&mut module, top)?;
     }
     Ok(module)
 }
@@ -66,83 +89,95 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
 /// # Ok::<(), equeue_ir::IrError>(())
 /// ```
 pub fn parse_type(text: &str) -> IrResult<Type> {
-    let t = text.trim();
-    let err = || IrError::Parse {
+    type_of(text).map_err(|msg| IrError::Parse {
         line: 0,
         col: 0,
-        msg: format!("unknown type '{t}'"),
-    };
-    let shaped = |prefix: &str, t: &str| -> Option<IrResult<(Vec<usize>, Type)>> {
-        let rest = t.strip_prefix(prefix)?;
-        let rest = rest.strip_prefix('<')?;
-        let body = rest.strip_suffix('>')?;
-        Some(parse_shape_body(body))
-    };
-    match t {
-        "i1" => return Ok(Type::I1),
-        "i8" => return Ok(Type::I8),
-        "i16" => return Ok(Type::I16),
-        "i32" => return Ok(Type::I32),
-        "i64" => return Ok(Type::I64),
-        "f32" => return Ok(Type::F32),
-        "f64" => return Ok(Type::F64),
-        "index" => return Ok(Type::Index),
-        "none" => return Ok(Type::None),
-        "!equeue.signal" => return Ok(Type::Signal),
-        "!equeue.proc" => return Ok(Type::Proc),
-        "!equeue.mem" => return Ok(Type::Mem),
-        "!equeue.dma" => return Ok(Type::Dma),
-        "!equeue.comp" => return Ok(Type::Comp),
-        "!equeue.conn" => return Ok(Type::Conn),
-        "!equeue.any" => return Ok(Type::Any),
-        _ => {}
-    }
-    if let Some(r) = shaped("memref", t) {
-        let (shape, elem) = r?;
-        return Ok(Type::memref(shape, elem));
-    }
-    if let Some(r) = shaped("tensor", t) {
-        let (shape, elem) = r?;
-        return Ok(Type::tensor(shape, elem));
-    }
-    if let Some(r) = shaped("!equeue.buffer", t) {
-        let (shape, elem) = r?;
-        return Ok(Type::buffer(shape, elem));
-    }
-    Err(err())
+        msg,
+    })
 }
 
-/// Parses `4x4xf32`-style shaped-type bodies: leading `NNx` runs are dims,
-/// the remainder is the element type.
-fn parse_shape_body(body: &str) -> IrResult<(Vec<usize>, Type)> {
+/// The types one keyword names. A module's type table starts with them, in
+/// this order.
+const KEYWORD_TYPES: [(&str, Type); 16] = [
+    ("i1", Type::I1),
+    ("i8", Type::I8),
+    ("i16", Type::I16),
+    ("i32", Type::I32),
+    ("i64", Type::I64),
+    ("f32", Type::F32),
+    ("f64", Type::F64),
+    ("index", Type::Index),
+    ("none", Type::None),
+    ("!equeue.signal", Type::Signal),
+    ("!equeue.proc", Type::Proc),
+    ("!equeue.mem", Type::Mem),
+    ("!equeue.dma", Type::Dma),
+    ("!equeue.comp", Type::Comp),
+    ("!equeue.conn", Type::Conn),
+    ("!equeue.any", Type::Any),
+];
+
+/// The index of keyword `t` in [`KEYWORD_TYPES`].
+fn keyword(t: &str) -> Option<usize> {
+    KEYWORD_TYPES.iter().position(|(k, _)| *k == t)
+}
+
+/// Parses a type text. Every level is trimmed; a shaped type's body is a
+/// run of `NNx` dims followed by the element type.
+fn type_of(text: &str) -> Result<Type, String> {
+    let t = text.trim();
+    if let Some(i) = keyword(t) {
+        return Ok(KEYWORD_TYPES[i].1.clone());
+    }
+    let body = |prefix: &str| t.strip_prefix(prefix)?.strip_prefix('<')?.strip_suffix('>');
+    if let Some(b) = body("memref") {
+        let (shape, elem) = shape_body(b)?;
+        Ok(Type::memref(shape, elem))
+    } else if let Some(b) = body("tensor") {
+        let (shape, elem) = shape_body(b)?;
+        Ok(Type::tensor(shape, elem))
+    } else if let Some(b) = body("!equeue.buffer") {
+        let (shape, elem) = shape_body(b)?;
+        Ok(Type::buffer(shape, elem))
+    } else {
+        Err(format!("unknown type '{t}'"))
+    }
+}
+
+/// Splits `4x4xf32`-style bodies: leading `NNx` runs are dims, the rest is
+/// the element type.
+fn shape_body(body: &str) -> Result<(Vec<usize>, Type), String> {
     let mut dims = vec![];
     let mut rest = body;
     loop {
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if digits.is_empty() {
-            break;
-        }
-        let after = &rest[digits.len()..];
-        if let Some(tail) = after.strip_prefix('x') {
-            dims.push(digits.parse::<usize>().map_err(|e| IrError::Parse {
-                line: 0,
-                col: 0,
-                msg: format!("bad dimension '{digits}': {e}"),
-            })?);
-            rest = tail;
-        } else {
-            break;
+        let n = rest.bytes().take_while(u8::is_ascii_digit).count();
+        let (digits, after) = rest.split_at_checked(n).unwrap_or((rest, ""));
+        match after.strip_prefix('x') {
+            Some(tail) if n > 0 => {
+                let dim = digits
+                    .parse::<usize>()
+                    .map_err(|e| format!("bad dimension '{digits}': {e}"))?;
+                dims.push(dim);
+                rest = tail;
+            }
+            _ => break,
         }
     }
-    Ok((dims, parse_type(rest)?))
+    Ok((dims, type_of(rest)?))
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Percent(String),
-    Caret(String),
-    Str(String),
+#[derive(Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Percent(&'a str),
+    Caret(&'a str),
+    /// A string literal's text between the quotes, escapes still in it.
+    /// `plain` when it holds no escape and no non-ASCII byte, so that the
+    /// text is its own value.
+    Str {
+        raw: &'a str,
+        plain: bool,
+    },
     Int(i64),
     Float(f64),
     LParen,
@@ -158,318 +193,399 @@ enum Token {
     Eof,
 }
 
-impl Token {
+impl Tok<'_> {
     fn describe(&self) -> String {
-        match self {
-            Token::Ident(s) => format!("identifier '{s}'"),
-            Token::Percent(s) => format!("value '%{s}'"),
-            Token::Caret(s) => format!("block label '^{s}'"),
-            Token::Str(s) => format!("string {s:?}"),
-            Token::Int(v) => format!("integer {v}"),
-            Token::Float(v) => format!("float {v}"),
-            Token::LParen => "'('".into(),
-            Token::RParen => "')'".into(),
-            Token::LBrace => "'{'".into(),
-            Token::RBrace => "'}'".into(),
-            Token::LBracket => "'['".into(),
-            Token::RBracket => "']'".into(),
-            Token::Comma => "','".into(),
-            Token::Equal => "'='".into(),
-            Token::Colon => "':'".into(),
-            Token::Arrow => "'->'".into(),
-            Token::Eof => "end of input".into(),
+        match *self {
+            Tok::Ident(s) => format!("identifier '{s}'"),
+            Tok::Percent(s) => format!("value '%{s}'"),
+            Tok::Caret(s) => format!("block label '^{s}'"),
+            Tok::Str { raw, plain } => format!("string {:?}", unescape(raw, plain)),
+            Tok::Int(v) => format!("integer {v}"),
+            Tok::Float(v) => format!("float {v}"),
+            Tok::LParen => "'('".into(),
+            Tok::RParen => "')'".into(),
+            Tok::LBrace => "'{'".into(),
+            Tok::RBrace => "'}'".into(),
+            Tok::LBracket => "'['".into(),
+            Tok::RBracket => "']'".into(),
+            Tok::Comma => "','".into(),
+            Tok::Equal => "'='".into(),
+            Tok::Colon => "':'".into(),
+            Tok::Arrow => "'->'".into(),
+            Tok::Eof => "end of input".into(),
         }
     }
 }
 
-/// Lexical scopes for SSA names; a new scope is pushed per region.
-struct Scope {
-    stack: Vec<HashMap<String, ValueId>>,
+/// The value of a string literal whose escapes the lexer has checked.
+fn unescape(raw: &str, plain: bool) -> Cow<'_, str> {
+    if plain {
+        return Cow::Borrowed(raw);
+    }
+    let mut s = String::with_capacity(raw.len());
+    let mut bytes = raw.bytes();
+    while let Some(c) = bytes.next() {
+        let ch = if c == b'\\' {
+            match bytes.next() {
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(e) => char::from(e),
+                None => '\\',
+            }
+        } else {
+            char::from(c)
+        };
+        s.push(ch);
+    }
+    Cow::Owned(s)
 }
 
-impl Scope {
+fn starts_ident(c: u8) -> bool {
+    c.is_ascii_alphabetic() || c == b'_' || c == b'!'
+}
+
+fn ident_char(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'!')
+}
+
+/// Every type a module's text names, parsed once per distinct text: the
+/// keyword types, then each shaped type text as it first appears.
+struct TypeTable<'a> {
+    slot: FxHashMap<&'a str, usize>,
+    types: Vec<Type>,
+}
+
+impl TypeTable<'_> {
     fn new() -> Self {
+        TypeTable {
+            slot: FxHashMap::default(),
+            types: KEYWORD_TYPES.iter().map(|(_, ty)| ty.clone()).collect(),
+        }
+    }
+}
+
+/// The SSA names in scope: one map from name to value with an undo log.
+///
+/// A name that is a decimal number without leading zeros, which is how
+/// the printer names every value without a name hint, indexes a dense
+/// table; any other name is hashed. Inside a region each definition logs
+/// the one it shadows, and closing the region undoes its log. Top-level
+/// definitions are never undone, so they are not logged.
+struct Scope<'a> {
+    numbered: Vec<Option<ValueId>>,
+    named: FxHashMap<&'a str, ValueId>,
+    shadowed: Vec<(&'a str, Option<ValueId>)>,
+    /// Regions open around the cursor.
+    depth: usize,
+    /// Numbers from the input's length on are hashed instead, so the
+    /// table never outgrows the input.
+    numbered_limit: usize,
+}
+
+impl<'a> Scope<'a> {
+    fn new(text_len: usize) -> Self {
         Scope {
-            stack: vec![HashMap::new()],
+            numbered: vec![],
+            named: FxHashMap::default(),
+            shadowed: vec![],
+            depth: 0,
+            numbered_limit: text_len,
         }
     }
-    fn push(&mut self) {
-        self.stack.push(HashMap::new());
-    }
-    fn pop(&mut self) {
-        // The root scope always survives so `define` has somewhere to write.
-        if self.stack.len() > 1 {
-            self.stack.pop();
+
+    /// The table index of `name`, if it is a number the table holds.
+    fn number(&self, name: &str) -> Option<usize> {
+        let b = name.as_bytes();
+        if b.len() > 9 || (b.len() > 1 && b[0] == b'0') || !b.iter().all(u8::is_ascii_digit) {
+            return None;
         }
+        let n = b.iter().fold(0, |n, d| n * 10 + usize::from(d - b'0'));
+        (n < self.numbered_limit).then_some(n)
     }
-    fn define(&mut self, name: &str, v: ValueId) {
-        if let Some(top) = self.stack.last_mut() {
-            top.insert(name.to_string(), v);
-        }
-    }
+
     fn lookup(&self, name: &str) -> Option<ValueId> {
-        self.stack.iter().rev().find_map(|s| s.get(name).copied())
+        match self.number(name) {
+            Some(n) => self.numbered.get(n).copied().flatten(),
+            None => self.named.get(name).copied(),
+        }
+    }
+
+    /// Brings `name` into scope, shadowing any outer definition.
+    fn define(&mut self, name: &'a str, v: ValueId) {
+        let outer = self.set(name, Some(v));
+        if self.depth > 0 {
+            self.shadowed.push((name, outer));
+        }
+    }
+
+    /// Binds `name` to `v` (or unbinds it) and returns its old binding.
+    fn set(&mut self, name: &'a str, v: Option<ValueId>) -> Option<ValueId> {
+        match (self.number(name), v) {
+            (Some(n), _) => {
+                if n >= self.numbered.len() {
+                    self.numbered.resize(n + 1, None);
+                }
+                std::mem::replace(&mut self.numbered[n], v)
+            }
+            (None, Some(v)) => self.named.insert(name, v),
+            (None, None) => self.named.remove(name),
+        }
+    }
+
+    /// Opens a region's scope; returns the mark that closes it.
+    fn open(&mut self) -> usize {
+        self.depth += 1;
+        self.shadowed.len()
+    }
+
+    fn close(&mut self, mark: usize) {
+        while self.shadowed.len() > mark {
+            if let Some((name, outer)) = self.shadowed.pop() {
+                self.set(name, outer);
+            }
+        }
+        self.depth -= 1;
     }
 }
 
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
+    bytes: &'a [u8],
     pos: usize,
-    line: usize,
-    col: usize,
+    /// A token peeked but not consumed, with the offset just past it.
+    ahead: Option<(Tok<'a>, usize)>,
+    /// The SSA names in scope.
+    scope: Scope<'a>,
+    /// Result and block-argument names waiting for their values. It is a
+    /// stack, since an op's regions are parsed between its result names
+    /// and its signature.
+    pending: Vec<&'a str>,
+    types: TypeTable<'a>,
+    /// The result types of the op being finished, as `types` slots.
+    sig: Vec<usize>,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
-            src: text.as_bytes(),
+            src: text,
+            bytes: text.as_bytes(),
             pos: 0,
-            line: 1,
-            col: 1,
+            ahead: None,
+            scope: Scope::new(text.len()),
+            pending: vec![],
+            types: TypeTable::new(),
+            sig: vec![],
         }
     }
 
     fn err(&self, msg: impl Into<String>) -> IrError {
+        self.err_at(self.pos, msg)
+    }
+
+    /// An error at byte offset `pos`, with its 1-based line and column.
+    fn err_at(&self, pos: usize, msg: impl Into<String>) -> IrError {
+        let before = self.bytes.get(..pos).unwrap_or(self.bytes);
+        let line_start = before
+            .iter()
+            .rposition(|&c| c == b'\n')
+            .map_or(0, |i| i + 1);
         IrError::Parse {
-            line: self.line,
-            col: self.col,
+            line: 1 + before.iter().filter(|&&c| c == b'\n').count(),
+            col: 1 + before.len() - line_start,
             msg: msg.into(),
         }
     }
 
-    fn at_end(&self) -> bool {
-        self.pos >= self.src.len()
+    fn slice(&self, start: usize, end: usize) -> &'a str {
+        self.src.get(start..end).unwrap_or("")
     }
 
-    fn peek_char(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek_char()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
+    /// Skips whitespace and `//` comments.
     fn skip_ws(&mut self) {
-        while let Some(c) = self.peek_char() {
-            if c.is_ascii_whitespace() {
-                self.bump();
-            } else if c == b'/' && self.src.get(self.pos + 1) == Some(&b'/') {
-                while let Some(c) = self.peek_char() {
-                    if c == b'\n' {
-                        break;
-                    }
-                    self.bump();
-                }
-            } else {
-                break;
+        if self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|&c| c > b' ' && c != b'/')
+        {
+            return;
+        }
+        loop {
+            self.scan(|c| c.is_ascii_whitespace());
+            let rest = self.rest();
+            if !rest.starts_with(b"//") {
+                return;
             }
+            self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
         }
     }
 
-    fn save(&self) -> (usize, usize, usize) {
-        (self.pos, self.line, self.col)
+    /// Advances over bytes that `keep` accepts and returns them.
+    fn scan(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let rest = self.rest();
+        self.pos += rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len());
+        self.slice(start, self.pos)
     }
 
-    fn restore(&mut self, s: (usize, usize, usize)) {
-        self.pos = s.0;
-        self.line = s.1;
-        self.col = s.2;
-    }
-
-    fn next_token(&mut self) -> IrResult<Token> {
+    fn lex(&mut self) -> IrResult<Tok<'a>> {
         self.skip_ws();
-        let c = match self.peek_char() {
-            None => return Ok(Token::Eof),
-            Some(c) => c,
+        let Some(&c) = self.bytes.get(self.pos) else {
+            return Ok(Tok::Eof);
         };
-        match c {
-            b'(' => {
-                self.bump();
-                Ok(Token::LParen)
-            }
-            b')' => {
-                self.bump();
-                Ok(Token::RParen)
-            }
-            b'{' => {
-                self.bump();
-                Ok(Token::LBrace)
-            }
-            b'}' => {
-                self.bump();
-                Ok(Token::RBrace)
-            }
-            b'[' => {
-                self.bump();
-                Ok(Token::LBracket)
-            }
-            b']' => {
-                self.bump();
-                Ok(Token::RBracket)
-            }
-            b',' => {
-                self.bump();
-                Ok(Token::Comma)
-            }
-            b'=' => {
-                self.bump();
-                Ok(Token::Equal)
-            }
-            b':' => {
-                self.bump();
-                Ok(Token::Colon)
-            }
+        let punct = match c {
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b'[' => Tok::LBracket,
+            b']' => Tok::RBracket,
+            b',' => Tok::Comma,
+            b'=' => Tok::Equal,
+            b':' => Tok::Colon,
             b'-' => {
-                self.bump();
-                match self.peek_char() {
+                self.pos += 1;
+                return match self.bytes.get(self.pos) {
                     Some(b'>') => {
-                        self.bump();
-                        Ok(Token::Arrow)
+                        self.pos += 1;
+                        Ok(Tok::Arrow)
                     }
-                    Some(d) if d.is_ascii_digit() => self.lex_number(true),
+                    Some(d) if d.is_ascii_digit() => self.lex_number(self.pos - 1),
                     _ => Err(self.err("expected '->' or a number after '-'")),
-                }
+                };
             }
-            b'"' => self.lex_string(),
+            b'"' => {
+                let (raw, plain) = self.lex_string()?;
+                return Ok(Tok::Str { raw, plain });
+            }
             b'%' => {
-                self.bump();
-                Ok(Token::Percent(self.lex_suffix_ident()?))
+                self.pos += 1;
+                return Ok(Tok::Percent(self.lex_suffix_ident()?));
             }
             b'^' => {
-                self.bump();
-                Ok(Token::Caret(self.lex_suffix_ident()?))
+                self.pos += 1;
+                return Ok(Tok::Caret(self.lex_suffix_ident()?));
             }
-            d if d.is_ascii_digit() => self.lex_number(false),
-            a if a.is_ascii_alphabetic() || a == b'_' || a == b'!' => {
-                let mut s = String::new();
-                while let Some(c) = self.peek_char() {
-                    if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'!') {
-                        self.bump();
-                        s.push(c as char);
-                    } else {
-                        break;
-                    }
-                }
-                Ok(Token::Ident(s))
+            d if d.is_ascii_digit() => return self.lex_number(self.pos),
+            a if starts_ident(a) => {
+                return Ok(Tok::Ident(self.scan(ident_char)));
             }
-            other => Err(self.err(format!("unexpected character '{}'", other as char))),
-        }
+            other => return Err(self.err(format!("unexpected character '{}'", char::from(other)))),
+        };
+        self.pos += 1;
+        Ok(punct)
     }
 
-    fn lex_suffix_ident(&mut self) -> IrResult<String> {
-        let mut s = String::new();
-        while let Some(c) = self.peek_char() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                self.bump();
-                s.push(c as char);
-            } else {
-                break;
-            }
-        }
+    fn lex_suffix_ident(&mut self) -> IrResult<&'a str> {
+        let s = self.scan(|c| c.is_ascii_alphanumeric() || c == b'_');
         if s.is_empty() {
             return Err(self.err("expected an identifier"));
         }
         Ok(s)
     }
 
-    fn lex_number(&mut self, negative: bool) -> IrResult<Token> {
-        let mut s = String::new();
-        if negative {
-            s.push('-');
-        }
-        while let Some(c) = self.peek_char() {
-            if c.is_ascii_digit() {
-                self.bump();
-                s.push(c as char);
+    /// Lexes a number whose text starts at `start` (a `-` or a digit).
+    fn lex_number(&mut self, start: usize) -> IrResult<Tok<'a>> {
+        let digits = self.scan(|c| c.is_ascii_digit());
+        let float = self.bytes.get(self.pos) == Some(&b'.');
+        if !float && digits.len() <= 18 {
+            // Cannot overflow: the common case needs no `str::parse`.
+            let v = digits.bytes().fold(0, |v, d| v * 10 + i64::from(d - b'0'));
+            return Ok(Tok::Int(if start < self.pos - digits.len() {
+                -v
             } else {
-                break;
-            }
+                v
+            }));
         }
-        let mut is_float = false;
-        if self.peek_char() == Some(b'.') {
-            is_float = true;
-            self.bump();
-            s.push('.');
-            while let Some(c) = self.peek_char() {
-                if c.is_ascii_digit() {
-                    self.bump();
-                    s.push(c as char);
-                } else {
-                    break;
-                }
-            }
+        if float {
+            self.pos += 1;
+            self.scan(|c| c.is_ascii_digit());
         }
-        if is_float {
-            s.parse::<f64>()
-                .map(Token::Float)
+        let text = self.slice(start, self.pos);
+        if float {
+            text.parse::<f64>()
+                .map(Tok::Float)
                 .map_err(|e| self.err(format!("bad float: {e}")))
         } else {
-            s.parse::<i64>()
-                .map(Token::Int)
+            text.parse::<i64>()
+                .map(Tok::Int)
                 .map_err(|e| self.err(format!("bad integer: {e}")))
         }
     }
 
-    fn lex_string(&mut self) -> IrResult<Token> {
-        self.bump(); // opening quote
-        let mut s = String::new();
+    /// Lexes a string literal at the opening quote; returns its raw text
+    /// and whether that text is its own value.
+    fn lex_string(&mut self) -> IrResult<(&'a str, bool)> {
+        self.pos += 1;
+        let start = self.pos;
+        let rest = self.rest();
+        if let Some(end) = rest.iter().position(|&c| c == b'"' || c == b'\\') {
+            if rest[end] == b'"' {
+                self.pos += end + 1;
+                return Ok((self.slice(start, start + end), rest[..end].is_ascii()));
+            }
+        }
+        // An escape, or no closing quote: walk the literal byte by byte.
+        let mut plain = true;
         loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => s.push('\n'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    other => {
-                        return Err(
-                            self.err(format!("bad escape '\\{:?}'", other.map(|c| c as char)))
-                        )
-                    }
-                },
-                Some(c) => s.push(c as char),
-            }
-        }
-        Ok(Token::Str(s))
-    }
-
-    /// Consumes raw text forming a type: stops at a depth-0 delimiter.
-    fn lex_type_text(&mut self) -> IrResult<String> {
-        self.skip_ws();
-        let mut depth = 0usize;
-        let mut s = String::new();
-        while let Some(c) = self.peek_char() {
+            let Some(&c) = self.bytes.get(self.pos) else {
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += 1;
             match c {
-                b'<' => depth += 1,
-                b'>' => {
-                    if depth == 0 {
-                        break;
+                b'"' => return Ok((self.slice(start, self.pos - 1), plain)),
+                b'\\' => {
+                    plain = false;
+                    let escaped = self.bytes.get(self.pos).copied();
+                    if escaped.is_some() {
+                        self.pos += 1;
                     }
-                    depth -= 1;
+                    if !matches!(escaped, Some(b'n' | b't' | b'"' | b'\\')) {
+                        return Err(
+                            self.err(format!("bad escape '\\{:?}'", escaped.map(char::from)))
+                        );
+                    }
                 }
-                b',' | b')' | b'}' | b']' | b'\n' if depth == 0 => break,
-                _ => {}
+                c => plain &= c.is_ascii(),
             }
-            self.bump();
-            s.push(c as char);
         }
-        if s.trim().is_empty() {
-            return Err(self.err("expected a type"));
-        }
-        Ok(s.trim().to_string())
     }
 
-    fn expect(&mut self, want: Token) -> IrResult<()> {
-        let got = self.next_token()?;
+    /// The next token, left unconsumed.
+    fn peek(&mut self) -> IrResult<Tok<'a>> {
+        if let Some((t, _)) = self.ahead {
+            return Ok(t);
+        }
+        let start = self.pos;
+        let t = self.lex()?;
+        self.ahead = Some((t, self.pos));
+        self.pos = start;
+        Ok(t)
+    }
+
+    /// Consumes the peeked token.
+    fn bump(&mut self) {
+        if let Some((_, end)) = self.ahead.take() {
+            self.pos = end;
+        }
+    }
+
+    fn next(&mut self) -> IrResult<Tok<'a>> {
+        match self.ahead.take() {
+            Some((t, end)) => {
+                self.pos = end;
+                Ok(t)
+            }
+            None => self.lex(),
+        }
+    }
+
+    fn expect(&mut self, want: Tok<'a>) -> IrResult<()> {
+        let got = self.next()?;
         if got == want {
             Ok(())
         } else {
@@ -481,104 +597,176 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_op(&mut self, module: &mut Module, block: BlockId, scope: &mut Scope) -> IrResult<()> {
+    /// Peeks where a type may start. A type name starts like an
+    /// identifier, whose token cannot fail to lex and is not needed, so that
+    /// case returns `None` without lexing. Any other start is lexed in full,
+    /// so its lexing errors surface here.
+    fn peek_type_start(&mut self) -> IrResult<Option<Tok<'a>>> {
+        if self.ahead.is_none() {
+            self.skip_ws();
+            if self.bytes.get(self.pos).is_some_and(|&c| starts_ident(c)) {
+                return Ok(None);
+            }
+        }
+        self.peek().map(Some)
+    }
+
+    /// Reads a type at the cursor and returns its slot in the type table.
+    fn type_here(&mut self) -> IrResult<usize> {
+        self.ahead = None;
+        self.skip_ws();
+        let start = self.pos;
+        // A keyword type ends at a delimiter right after it. Its word holds
+        // no delimiter, so a longer type text goes on from its end.
+        let word = self.scan(ident_char);
+        if matches!(
+            self.bytes.get(self.pos),
+            None | Some(b',' | b')' | b'}' | b']' | b'\n' | b'>')
+        ) {
+            if let Some(slot) = keyword(word) {
+                return Ok(slot);
+            }
+        }
+        let mut depth = 0usize;
+        let mut ascii = true;
+        while let Some(&c) = self.bytes.get(self.pos) {
+            match c {
+                b'<' => depth += 1,
+                b'>' if depth == 0 => break,
+                b'>' => depth -= 1,
+                b',' | b')' | b'}' | b']' | b'\n' if depth == 0 => break,
+                c => ascii &= c.is_ascii(),
+            }
+            self.pos += 1;
+        }
+        if !ascii {
+            let latin1: String = self.bytes[start..self.pos]
+                .iter()
+                .map(|&c| char::from(c))
+                .collect();
+            return self.add_type(latin1.trim());
+        }
+        let text = self.slice(start, self.pos).trim();
+        if let Some(&slot) = self.types.slot.get(text) {
+            return Ok(slot);
+        }
+        let slot = self.add_type(text)?;
+        self.types.slot.insert(text, slot);
+        Ok(slot)
+    }
+
+    /// Parses a trimmed type text into a new slot of the type table.
+    fn add_type(&mut self, text: &str) -> IrResult<usize> {
+        if text.is_empty() {
+            return Err(self.err("expected a type"));
+        }
+        let ty = type_of(text).map_err(|msg| IrError::Parse {
+            line: 0,
+            col: 0,
+            msg,
+        })?;
+        self.types.types.push(ty);
+        Ok(self.types.types.len() - 1)
+    }
+
+    /// Binds the pending names from `first` on to `values`, in order.
+    fn bind_pending(&mut self, module: &mut Module, first: usize, values: &[ValueId]) {
+        for (i, &v) in values.iter().enumerate() {
+            let name = self.pending[first + i];
+            self.scope.define(name, v);
+            if name.parse::<usize>().is_err() {
+                module.set_value_name(v, name);
+            }
+        }
+        self.pending.truncate(first);
+    }
+
+    fn parse_op(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
         // Optional result list.
-        let mut result_names: Vec<String> = vec![];
-        let save = self.save();
-        match self.next_token()? {
-            Token::Percent(first) => {
-                result_names.push(first);
-                loop {
-                    let save2 = self.save();
-                    match self.next_token()? {
-                        Token::Comma => match self.next_token()? {
-                            Token::Percent(n) => result_names.push(n),
-                            t => {
-                                return Err(self
-                                    .err(format!("expected value name, found {}", t.describe())))
-                            }
-                        },
-                        Token::Equal => break,
+        let first_result = self.pending.len();
+        let mut tok = self.next()?;
+        if let Tok::Percent(first) = tok {
+            self.pending.push(first);
+            loop {
+                match self.next()? {
+                    Tok::Comma => match self.next()? {
+                        Tok::Percent(n) => self.pending.push(n),
                         t => {
-                            let _ = save2;
                             return Err(
-                                self.err(format!("expected ',' or '=', found {}", t.describe()))
-                            );
+                                self.err(format!("expected value name, found {}", t.describe()))
+                            )
                         }
+                    },
+                    Tok::Equal => break,
+                    t => {
+                        return Err(self.err(format!("expected ',' or '=', found {}", t.describe())))
                     }
                 }
             }
-            Token::Str(_) => self.restore(save),
-            t => return Err(self.err(format!("expected an operation, found {}", t.describe()))),
+            tok = self.next()?;
+        } else if !matches!(tok, Tok::Str { .. }) {
+            return Err(self.err(format!("expected an operation, found {}", tok.describe())));
         }
 
         // Op name.
-        let name = match self.next_token()? {
-            Token::Str(s) => s,
+        let name = match tok {
+            Tok::Str { raw, plain } => unescape(raw, plain),
             t => return Err(self.err(format!("expected quoted op name, found {}", t.describe()))),
         };
 
         // Operands.
-        self.expect(Token::LParen)?;
-        let mut operands: Vec<ValueId> = vec![];
+        self.expect(Tok::LParen)?;
+        let mut operands: IdVec<ValueId> = IdVec::new();
         loop {
-            let save2 = self.save();
-            match self.next_token()? {
-                Token::RParen => break,
-                Token::Percent(n) => {
-                    let v = scope
-                        .lookup(&n)
-                        .ok_or_else(|| self.err(format!("use of undefined value '%{n}'")))?;
-                    operands.push(v);
-                }
-                Token::Comma => {
-                    let _ = save2;
-                }
+            match self.next()? {
+                Tok::RParen => break,
+                Tok::Percent(n) => match self.scope.lookup(n) {
+                    Some(v) => operands.push(v),
+                    None => return Err(self.err(format!("use of undefined value '%{n}'"))),
+                },
+                Tok::Comma => {}
                 t => return Err(self.err(format!("expected operand, found {}", t.describe()))),
             }
         }
 
         // Optional region group.
-        let mut regions: Vec<RegionId> = vec![];
-        let save2 = self.save();
-        if self.next_token()? == Token::LParen {
+        let mut regions: IdVec<RegionId> = IdVec::new();
+        if self.peek()? == Tok::LParen {
+            self.bump();
             loop {
-                self.expect(Token::LBrace)?;
-                let region = self.parse_region_body(module, scope)?;
-                regions.push(region);
-                match self.next_token()? {
-                    Token::Comma => continue,
-                    Token::RParen => break,
+                self.expect(Tok::LBrace)?;
+                regions.push(self.parse_region_body(module)?);
+                match self.next()? {
+                    Tok::Comma => continue,
+                    Tok::RParen => break,
                     t => {
                         return Err(self.err(format!("expected ',' or ')', found {}", t.describe())))
                     }
                 }
             }
-        } else {
-            self.restore(save2);
         }
 
         // Optional attribute dictionary.
         let mut attrs = AttrMap::new();
-        let save3 = self.save();
-        if self.next_token()? == Token::LBrace {
+        if self.peek()? == Tok::LBrace {
+            self.bump();
             loop {
-                let key = match self.next_token()? {
-                    Token::RBrace => break,
-                    Token::Ident(k) => k,
-                    Token::Str(k) => k,
+                let key = match self.next()? {
+                    Tok::RBrace => break,
+                    Tok::Ident(k) => Cow::Borrowed(k),
+                    Tok::Str { raw, plain } => unescape(raw, plain),
                     t => {
                         return Err(
                             self.err(format!("expected attribute name, found {}", t.describe()))
                         )
                     }
                 };
-                self.expect(Token::Equal)?;
+                self.expect(Tok::Equal)?;
                 let value = self.parse_attr_value()?;
                 attrs.set(&key, value);
-                match self.next_token()? {
-                    Token::Comma => continue,
-                    Token::RBrace => break,
+                match self.next()? {
+                    Tok::Comma => continue,
+                    Tok::RBrace => break,
                     t => {
                         return Err(
                             self.err(format!("expected ',' or '}}', found {}", t.describe()))
@@ -586,115 +774,115 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-        } else {
-            self.restore(save3);
         }
 
-        // Functional type.
-        self.expect(Token::Colon)?;
-        self.expect(Token::LParen)?;
-        let mut operand_types: Vec<Type> = vec![];
+        // Functional type. Operand types are checked as they are read; the
+        // first mismatch is reported once the count is known to agree.
+        self.expect(Tok::Colon)?;
+        self.expect(Tok::LParen)?;
+        let mut operand_types = 0usize;
+        let mut mismatch = None;
         loop {
-            let save4 = self.save();
-            match self.next_token()? {
-                Token::RParen => break,
-                Token::Comma => continue,
+            match self.peek_type_start()? {
+                Some(Tok::RParen) => {
+                    self.bump();
+                    break;
+                }
+                Some(Tok::Comma) => self.bump(),
                 _ => {
-                    self.restore(save4);
-                    let t = self.lex_type_text()?;
-                    operand_types.push(parse_type(&t)?);
+                    let slot = self.type_here()?;
+                    let ty = &self.types.types[slot];
+                    if let Some(&v) = operands.get(operand_types) {
+                        let actual = module.value_type(v);
+                        if mismatch.is_none() && !actual.matches(ty) {
+                            mismatch = Some((operand_types, actual.clone(), ty.clone()));
+                        }
+                    }
+                    operand_types += 1;
                 }
             }
         }
-        self.expect(Token::Arrow)?;
-        let mut result_types: Vec<Type> = vec![];
-        let save5 = self.save();
-        if self.next_token()? == Token::LParen {
+        self.expect(Tok::Arrow)?;
+        self.sig.clear();
+        if self.peek_type_start()? == Some(Tok::LParen) {
+            self.bump();
             loop {
-                let save6 = self.save();
-                match self.next_token()? {
-                    Token::RParen => break,
-                    Token::Comma => continue,
+                match self.peek_type_start()? {
+                    Some(Tok::RParen) => {
+                        self.bump();
+                        break;
+                    }
+                    Some(Tok::Comma) => self.bump(),
                     _ => {
-                        self.restore(save6);
-                        let t = self.lex_type_text()?;
-                        result_types.push(parse_type(&t)?);
+                        let slot = self.type_here()?;
+                        self.sig.push(slot);
                     }
                 }
             }
         } else {
-            self.restore(save5);
-            let t = self.lex_type_text()?;
-            result_types.push(parse_type(&t)?);
+            let slot = self.type_here()?;
+            self.sig.push(slot);
         }
 
-        // Validate operand types against definitions.
-        if operand_types.len() != operands.len() {
+        // Validate the signature against the operands and result names.
+        if operand_types != operands.len() {
             return Err(self.err(format!(
-                "op '{name}' lists {} operand types but has {} operands",
-                operand_types.len(),
+                "op '{name}' lists {operand_types} operand types but has {} operands",
                 operands.len()
             )));
         }
-        for (i, (v, ty)) in operands.iter().zip(&operand_types).enumerate() {
-            let actual = module.value_type(*v);
-            if !actual.matches(ty) {
-                return Err(self.err(format!(
-                    "operand {i} of '{name}' has type {actual} but signature says {ty}"
-                )));
-            }
-        }
-        if result_names.len() != result_types.len()
-            && !(result_names.is_empty() && result_types.is_empty())
-        {
+        if let Some((i, actual, ty)) = mismatch {
             return Err(self.err(format!(
-                "op '{name}' binds {} results but signature lists {}",
-                result_names.len(),
-                result_types.len()
+                "operand {i} of '{name}' has type {actual} but signature says {ty}"
+            )));
+        }
+        let results = self.pending.len() - first_result;
+        if results != self.sig.len() {
+            return Err(self.err(format!(
+                "op '{name}' binds {results} results but signature lists {}",
+                self.sig.len()
             )));
         }
 
-        let op = module.create_op(&name, operands, result_types, attrs, regions);
+        let types = &self.types.types;
+        let result_types = self.sig.iter().map(|&slot| types[slot].clone());
+        let op = module.create_op(Name::from(&*name), operands, result_types, attrs, regions);
         module.append_op(block, op);
-        for (i, rname) in result_names.iter().enumerate() {
-            let v = module.result(op, i);
-            scope.define(rname, v);
-            if rname.parse::<usize>().is_err() {
-                module.set_value_name(v, rname);
-            }
-        }
+        let values = module.op(op).results.clone();
+        self.bind_pending(module, first_result, &values);
         Ok(())
     }
 
-    fn parse_region_body(&mut self, module: &mut Module, scope: &mut Scope) -> IrResult<RegionId> {
-        // The '{' is already consumed.
+    /// Parses a region after its `{`, through the closing `}`.
+    fn parse_region_body(&mut self, module: &mut Module) -> IrResult<RegionId> {
         let region = module.new_region(None);
-        scope.push();
+        let scope = self.scope.open();
         let mut first = true;
         loop {
-            let save = self.save();
-            match self.next_token()? {
-                Token::RBrace => {
+            match self.peek()? {
+                Tok::RBrace => {
+                    self.bump();
                     if first {
                         module.new_block(region, vec![]);
                     }
                     break;
                 }
-                Token::Caret(_) => {
+                Tok::Caret(_) => {
                     // Block header with optional args.
-                    let mut arg_names = vec![];
+                    self.bump();
+                    let first_arg = self.pending.len();
                     let mut arg_types = vec![];
-                    let save2 = self.save();
-                    if self.next_token()? == Token::LParen {
+                    if self.peek()? == Tok::LParen {
+                        self.bump();
                         loop {
-                            match self.next_token()? {
-                                Token::RParen => break,
-                                Token::Comma => continue,
-                                Token::Percent(n) => {
-                                    self.expect(Token::Colon)?;
-                                    let t = self.lex_type_text()?;
-                                    arg_names.push(n);
-                                    arg_types.push(parse_type(&t)?);
+                            match self.next()? {
+                                Tok::RParen => break,
+                                Tok::Comma => continue,
+                                Tok::Percent(n) => {
+                                    self.expect(Tok::Colon)?;
+                                    let slot = self.type_here()?;
+                                    self.pending.push(n);
+                                    arg_types.push(self.types.types[slot].clone());
                                 }
                                 t => {
                                     return Err(self.err(format!(
@@ -704,123 +892,108 @@ impl<'a> Parser<'a> {
                                 }
                             }
                         }
-                    } else {
-                        self.restore(save2);
                     }
-                    self.expect(Token::Colon)?;
+                    self.expect(Tok::Colon)?;
                     let b = module.new_block(region, arg_types);
-                    for (i, n) in arg_names.iter().enumerate() {
-                        let v = module.block(b).args[i];
-                        scope.define(n, v);
-                        if n.parse::<usize>().is_err() {
-                            module.set_value_name(v, n);
-                        }
-                    }
-                    self.parse_block_ops(module, b, scope)?;
+                    let args = module.block(b).args.clone();
+                    self.bind_pending(module, first_arg, &args);
+                    self.parse_block_ops(module, b)?;
                     first = false;
                 }
                 _ => {
                     // Header-less entry block.
-                    self.restore(save);
                     let b = module.new_block(region, vec![]);
-                    self.parse_block_ops(module, b, scope)?;
+                    self.parse_block_ops(module, b)?;
                     first = false;
                 }
             }
         }
-        scope.pop();
+        self.scope.close(scope);
         Ok(region)
     }
 
     /// Parses ops until the next '}' or '^' (left unconsumed).
-    fn parse_block_ops(
-        &mut self,
-        module: &mut Module,
-        block: BlockId,
-        scope: &mut Scope,
-    ) -> IrResult<()> {
+    fn parse_block_ops(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
         loop {
-            let save = self.save();
-            match self.next_token()? {
-                Token::RBrace | Token::Caret(_) => {
-                    self.restore(save);
-                    return Ok(());
+            match self.peek()? {
+                Tok::RBrace | Tok::Caret(_) => return Ok(()),
+                Tok::Eof => {
+                    self.bump();
+                    return Err(self.err("unterminated region"));
                 }
-                Token::Eof => return Err(self.err("unterminated region")),
-                _ => {
-                    self.restore(save);
-                    self.parse_op(module, block, scope)?;
-                }
+                _ => self.parse_op(module, block)?,
             }
         }
     }
 
     fn parse_attr_value(&mut self) -> IrResult<Attr> {
         self.skip_ws();
-        match self.peek_char() {
+        match self.bytes.get(self.pos).copied() {
             Some(b'"') => {
-                if let Token::Str(s) = self.next_token()? {
-                    Ok(Attr::Str(s))
-                } else {
-                    unreachable!()
-                }
+                let (raw, plain) = self.lex_string()?;
+                Ok(Attr::Str(unescape(raw, plain).into_owned()))
             }
-            Some(c) if c.is_ascii_digit() || c == b'-' => match self.next_token()? {
-                Token::Int(v) => Ok(Attr::Int(v)),
-                Token::Float(v) => Ok(Attr::Float(v)),
+            Some(c) if c.is_ascii_digit() || c == b'-' => match self.next()? {
+                Tok::Int(v) => Ok(Attr::Int(v)),
+                Tok::Float(v) => Ok(Attr::Float(v)),
                 t => Err(self.err(format!("expected number, found {}", t.describe()))),
             },
             Some(b'[') => {
-                self.next_token()?; // consume '['
+                self.pos += 1;
+                // The leading run of integers, then every item from the first
+                // other one on.
+                let mut ints = vec![];
                 let mut items = vec![];
                 loop {
                     self.skip_ws();
-                    if self.peek_char() == Some(b']') {
-                        self.next_token()?;
+                    if self.bytes.get(self.pos) == Some(&b']') {
+                        self.pos += 1;
                         break;
                     }
-                    items.push(self.parse_attr_value()?);
-                    let save = self.save();
-                    match self.next_token()? {
-                        Token::Comma => continue,
-                        Token::RBracket => break,
+                    match self.parse_attr_value()? {
+                        Attr::Int(v) if items.is_empty() => ints.push(v),
+                        item => {
+                            items.extend(ints.drain(..).map(Attr::Int));
+                            items.push(item);
+                        }
+                    }
+                    match self.next()? {
+                        Tok::Comma => continue,
+                        Tok::RBracket => break,
                         t => {
-                            let _ = save;
                             return Err(
                                 self.err(format!("expected ',' or ']', found {}", t.describe()))
-                            );
+                            )
                         }
                     }
                 }
                 // Homogeneous lists collapse to the compact array attrs; a
                 // mixed (or empty) list stays generic.
-                if !items.is_empty() {
-                    if let Some(ints) = items.iter().map(Attr::as_int).collect::<Option<Vec<_>>>() {
-                        return Ok(Attr::IntArray(ints));
-                    }
-                    if let Some(strs) = items
-                        .iter()
-                        .map(|a| a.as_str().map(str::to_string))
-                        .collect::<Option<Vec<_>>>()
-                    {
-                        return Ok(Attr::StrArray(strs));
-                    }
+                if !ints.is_empty() {
+                    return Ok(Attr::IntArray(ints));
+                }
+                if !items.is_empty() && items.iter().all(|a| matches!(a, Attr::Str(_))) {
+                    let strs = items.into_iter().filter_map(|a| match a {
+                        Attr::Str(s) => Some(s),
+                        _ => None,
+                    });
+                    return Ok(Attr::StrArray(strs.collect()));
                 }
                 Ok(Attr::Array(items))
             }
-            _ => {
-                let save = self.save();
-                if let Ok(Token::Ident(word)) = self.next_token() {
-                    match word.as_str() {
+            c => {
+                if c.is_some_and(starts_ident) {
+                    let start = self.pos;
+                    let word = self.scan(ident_char);
+                    match word {
                         "true" => return Ok(Attr::Bool(true)),
                         "false" => return Ok(Attr::Bool(false)),
                         "unit" => return Ok(Attr::Unit),
-                        _ => {}
+                        _ => self.pos = start,
                     }
                 }
-                self.restore(save);
-                let t = self.lex_type_text()?;
-                Ok(Attr::Ty(parse_type(&t)?))
+                let slot = self.type_here()?;
+                Ok(Attr::Ty(self.types.types[slot].clone()))
             }
         }
     }
