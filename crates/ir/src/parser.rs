@@ -78,7 +78,8 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
 ///
 /// # Errors
 ///
-/// Returns [`IrError::Parse`] for unknown type syntax.
+/// Returns [`IrError::Parse`] for unknown type syntax, located at the
+/// type's first character within `text`.
 ///
 /// # Examples
 ///
@@ -89,11 +90,24 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
 /// # Ok::<(), equeue_ir::IrError>(())
 /// ```
 pub fn parse_type(text: &str) -> IrResult<Type> {
-    type_of(text).map_err(|msg| IrError::Parse {
-        line: 0,
-        col: 0,
-        msg,
+    type_of(text).map_err(|msg| {
+        let (line, col) = line_col(text.as_bytes(), text.len() - text.trim_start().len());
+        IrError::Parse { line, col, msg }
     })
+}
+
+/// The 1-based line and column of byte offset `pos` in `text`; a column
+/// counts bytes.
+fn line_col(text: &[u8], pos: usize) -> (usize, usize) {
+    let before = text.get(..pos).unwrap_or(text);
+    let line_start = before
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |i| i + 1);
+    (
+        1 + before.iter().filter(|&&c| c == b'\n').count(),
+        1 + before.len() - line_start,
+    )
 }
 
 /// The types one keyword names. A module's type table starts with them, in
@@ -385,14 +399,10 @@ impl<'a> Parser<'a> {
 
     /// An error at byte offset `pos`, with its 1-based line and column.
     fn err_at(&self, pos: usize, msg: impl Into<String>) -> IrError {
-        let before = self.bytes.get(..pos).unwrap_or(self.bytes);
-        let line_start = before
-            .iter()
-            .rposition(|&c| c == b'\n')
-            .map_or(0, |i| i + 1);
+        let (line, col) = line_col(self.bytes, pos);
         IrError::Parse {
-            line: 1 + before.iter().filter(|&&c| c == b'\n').count(),
-            col: 1 + before.len() - line_start,
+            line,
+            col,
             msg: msg.into(),
         }
     }
@@ -644,27 +654,24 @@ impl<'a> Parser<'a> {
                 .iter()
                 .map(|&c| char::from(c))
                 .collect();
-            return self.add_type(latin1.trim());
+            return self.add_type(start, latin1.trim());
         }
         let text = self.slice(start, self.pos).trim();
         if let Some(&slot) = self.types.slot.get(text) {
             return Ok(slot);
         }
-        let slot = self.add_type(text)?;
+        let slot = self.add_type(start, text)?;
         self.types.slot.insert(text, slot);
         Ok(slot)
     }
 
-    /// Parses a trimmed type text into a new slot of the type table.
-    fn add_type(&mut self, text: &str) -> IrResult<usize> {
+    /// Parses a trimmed type text that starts at byte `start` into a new
+    /// slot of the type table. A bad type is reported at its start.
+    fn add_type(&mut self, start: usize, text: &str) -> IrResult<usize> {
         if text.is_empty() {
             return Err(self.err("expected a type"));
         }
-        let ty = type_of(text).map_err(|msg| IrError::Parse {
-            line: 0,
-            col: 0,
-            msg,
-        })?;
+        let ty = type_of(text).map_err(|msg| self.err_at(start, msg))?;
         self.types.types.push(ty);
         Ok(self.types.types.len() - 1)
     }
@@ -1128,6 +1135,35 @@ mod tests {
         match e {
             IrError::Parse { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn type_errors_carry_the_types_location() {
+        let at = |text: &str| match parse_module(text) {
+            Err(IrError::Parse { line, col, msg }) => (line, col, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        assert_eq!(
+            at("%a = \"t.s\"() : () -> q32\n"),
+            (1, 22, "unknown type 'q32'".to_string())
+        );
+        assert_eq!(
+            at("%a = \"t.s\"() : () -> i32\n\"t.k\"(%a) : (memref<2xq8>) -> ()\n"),
+            (2, 14, "unknown type 'q8'".to_string())
+        );
+        assert_eq!(
+            at("\"t.k\"() {t = tensor<99999999999999999999xi32>} : () -> ()\n"),
+            (
+                1,
+                14,
+                "bad dimension '99999999999999999999': number too large to fit in target type"
+                    .to_string()
+            )
+        );
+        match parse_type("\n  q32") {
+            Err(IrError::Parse { line, col, .. }) => assert_eq!((line, col), (2, 3)),
+            other => panic!("expected a parse error, got {other:?}"),
         }
     }
 

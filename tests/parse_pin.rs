@@ -232,7 +232,7 @@ fn parse_outcomes_match_the_pin() {
     assert_eq!(
         pin,
         Pin {
-            digest: 0x20a3_070a_6384_f00f,
+            digest: 0xa766_fa29_f51a_be74,
             accepted: 444,
             rejected: 2778,
         }
