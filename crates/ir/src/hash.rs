@@ -9,11 +9,14 @@
 //! table picks its bucket; without it, names that differ only in their
 //! last bytes (`%841`, `%842`, …) crowd into a few buckets.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` using [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` using [`FxHasher`].
+pub(crate) type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// Add-multiply over 8-byte words.
 #[derive(Default, Clone, Copy)]

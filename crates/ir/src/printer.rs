@@ -14,8 +14,8 @@
 //! [`crate::parser::parse_module`], which the round-trip property tests rely
 //! on.
 
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 
 /// Prints an entire module.
@@ -40,25 +40,49 @@ pub fn print_op(module: &Module, op: OpId) -> String {
     let mut p = Printer::new(module);
     // Name every value reachable from the op's operands first so uses of
     // outer values print stably.
-    p.prename_region_free_values(op);
+    for &v in &module.op(op).operands {
+        p.name_of(v);
+    }
     let mut out = String::new();
     p.write_op(&mut out, op, 0);
     out
 }
 
+/// A value's printed name, without its `%`.
+enum ValueName {
+    Number(usize),
+    Hinted(Box<str>),
+}
+
 struct Printer<'m> {
     module: &'m Module,
-    names: HashMap<ValueId, String>,
-    taken: HashSet<String>,
+    /// Each value's name once given, indexed by [`ValueId::index`].
+    names: Vec<Option<ValueName>>,
+    /// The names given from hints.
+    hinted: FxHashSet<Box<str>>,
+    /// The hinted names that read as numbers, by value, so numbering can
+    /// skip them.
+    hinted_numbers: FxHashMap<usize, ()>,
     next_id: usize,
+}
+
+/// The number `s` spells as `usize`'s `Display` would, if any.
+fn as_number(s: &str) -> Option<usize> {
+    let canonical = s == "0" || (!s.starts_with('0') && s.bytes().all(|b| b.is_ascii_digit()));
+    if canonical {
+        s.parse().ok()
+    } else {
+        None
+    }
 }
 
 impl<'m> Printer<'m> {
     fn new(module: &'m Module) -> Self {
         Printer {
             module,
-            names: HashMap::new(),
-            taken: HashSet::new(),
+            names: Vec::new(),
+            hinted: FxHashSet::default(),
+            hinted_numbers: FxHashMap::default(),
             next_id: 0,
         }
     }
@@ -75,75 +99,107 @@ impl<'m> Printer<'m> {
         out
     }
 
-    fn prename_region_free_values(&mut self, op: OpId) {
-        for &v in &self.module.op(op).operands.clone() {
-            self.name_of(v);
+    /// Whether `candidate` is already some value's name. Numbers are given
+    /// in rising order, so a number below `next_id` is taken unless it was
+    /// skipped, and a skipped number is a hinted name.
+    fn taken(&self, candidate: &str) -> bool {
+        self.hinted.contains(candidate) || as_number(candidate).is_some_and(|n| n < self.next_id)
+    }
+
+    /// Names `v` on first use: its hint, suffixed `_1`, `_2`, … until the
+    /// name is free, or else the next free number.
+    fn name_of(&mut self, v: ValueId) {
+        let i = v.index();
+        if i >= self.names.len() {
+            self.names
+                .resize_with(self.module.num_values().max(i + 1), || None);
+        }
+        if self.names[i].is_none() {
+            let name = match self.module.value(v).name_hint.as_deref() {
+                Some(hint) => {
+                    let mut candidate = hint.to_string();
+                    let mut k = 0;
+                    while self.taken(&candidate) {
+                        k += 1;
+                        candidate = format!("{hint}_{k}");
+                    }
+                    if let Some(n) = as_number(&candidate) {
+                        self.hinted_numbers.insert(n, ());
+                    }
+                    let candidate: Box<str> = candidate.into();
+                    self.hinted.insert(candidate.clone());
+                    ValueName::Hinted(candidate)
+                }
+                None => {
+                    while self.hinted_numbers.contains_key(&self.next_id) {
+                        self.next_id += 1;
+                    }
+                    self.next_id += 1;
+                    ValueName::Number(self.next_id - 1)
+                }
+            };
+            self.names[i] = Some(name);
         }
     }
 
-    fn fresh_name(&mut self, hint: Option<&str>) -> String {
-        if let Some(h) = hint {
-            let mut candidate = h.to_string();
-            let mut i = 0;
-            while self.taken.contains(&candidate) {
-                i += 1;
-                candidate = format!("{h}_{i}");
+    /// Writes `%name` for `v`, naming it first if needed.
+    fn write_value(&mut self, out: &mut String, v: ValueId) {
+        self.name_of(v);
+        out.push('%');
+        match &self.names[v.index()] {
+            Some(ValueName::Number(n)) => {
+                let _ = write!(out, "{n}");
             }
-            self.taken.insert(candidate.clone());
-            return candidate;
-        }
-        loop {
-            let candidate = format!("{}", self.next_id);
-            self.next_id += 1;
-            if !self.taken.contains(&candidate) {
-                self.taken.insert(candidate.clone());
-                return candidate;
-            }
+            Some(ValueName::Hinted(h)) => out.push_str(h),
+            None => {}
         }
     }
 
-    fn name_of(&mut self, v: ValueId) -> String {
-        if let Some(n) = self.names.get(&v) {
-            return n.clone();
+    fn write_values(&mut self, out: &mut String, values: &[ValueId]) {
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            self.write_value(out, v);
         }
-        let hint = self.module.value(v).name_hint.clone();
-        let n = self.fresh_name(hint.as_deref());
-        self.names.insert(v, n.clone());
-        n
+    }
+
+    fn write_types(&self, out: &mut String, values: &[ValueId]) {
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{}", self.module.value_type(v));
+        }
     }
 
     fn write_op(&mut self, out: &mut String, op: OpId, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let data = self.module.op(op);
-        out.push_str(&pad);
+        let module = self.module;
+        let data = module.op(op);
+        indent_by(out, indent);
         if !data.results.is_empty() {
-            let names: Vec<String> = data
-                .results
-                .clone()
-                .iter()
-                .map(|&r| self.name_of(r))
-                .collect();
-            let _ = write!(out, "%{}", names.join(", %"));
+            self.write_values(out, &data.results);
             out.push_str(" = ");
         }
-        let _ = write!(out, "{:?}(", data.name);
-        let operand_names: Vec<String> = data
-            .operands
-            .clone()
-            .iter()
-            .map(|&v| self.name_of(v))
-            .collect();
-        let _ = write!(out, "%{}", operand_names.join(", %"));
-        if operand_names.is_empty() {
-            // Undo the stray "%" written for the empty case.
-            out.truncate(out.len() - 1);
+        // `Debug` quotes and escapes the name; a plain name is quoted as is.
+        if data
+            .name
+            .bytes()
+            .all(|b| b.is_ascii_graphic() && b != b'"' && b != b'\\')
+        {
+            out.push('"');
+            out.push_str(&data.name);
+            out.push('"');
+        } else {
+            let _ = write!(out, "{:?}", data.name);
         }
+        out.push('(');
+        self.write_values(out, &data.operands);
         out.push(')');
 
-        let regions = data.regions.clone();
-        if !regions.is_empty() {
+        if !data.regions.is_empty() {
             out.push_str(" (");
-            for (i, &r) in regions.iter().enumerate() {
+            for (i, &r) in data.regions.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
@@ -152,7 +208,6 @@ impl<'m> Printer<'m> {
             out.push(')');
         }
 
-        let data = self.module.op(op);
         if !data.attrs.is_empty() {
             out.push_str(" {");
             for (i, (k, v)) in data.attrs.iter().enumerate() {
@@ -166,26 +221,14 @@ impl<'m> Printer<'m> {
 
         // Functional type signature.
         out.push_str(" : (");
-        let operand_tys: Vec<String> = data
-            .operands
-            .iter()
-            .map(|&v| self.module.value_type(v).to_string())
-            .collect();
-        out.push_str(&operand_tys.join(", "));
+        self.write_types(out, &data.operands);
         out.push_str(") -> ");
-        let result_tys: Vec<String> = data
-            .results
-            .iter()
-            .map(|&v| self.module.value_type(v).to_string())
-            .collect();
-        match result_tys.len() {
-            0 => out.push_str("()"),
-            1 => out.push_str(&result_tys[0]),
-            _ => {
-                out.push('(');
-                out.push_str(&result_tys.join(", "));
-                out.push(')');
-            }
+        if data.results.len() == 1 {
+            self.write_types(out, &data.results);
+        } else {
+            out.push('(');
+            self.write_types(out, &data.results);
+            out.push(')');
         }
         out.push('\n');
     }
@@ -195,30 +238,38 @@ impl<'m> Printer<'m> {
         for (bi, &b) in self.module.region(region).blocks.iter().enumerate() {
             self.write_block(out, b, bi, indent + 1);
         }
-        out.push_str(&"  ".repeat(indent));
+        indent_by(out, indent);
         out.push('}');
     }
 
     fn write_block(&mut self, out: &mut String, block: BlockId, index: usize, indent: usize) {
-        let args = self.module.block(block).args.clone();
+        let module = self.module;
+        let args = &module.block(block).args;
         if !args.is_empty() || index > 0 {
-            let pad = "  ".repeat(indent.saturating_sub(1));
-            let _ = write!(out, "{pad}^bb{index}(");
+            indent_by(out, indent.saturating_sub(1));
+            let _ = write!(out, "^bb{index}(");
             for (i, &a) in args.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let n = self.name_of(a);
-                let _ = write!(out, "%{n}: {}", self.module.value_type(a));
+                self.write_value(out, a);
+                let _ = write!(out, ": {}", module.value_type(a));
             }
             out.push_str("):\n");
         }
-        for &op in &self.module.block(block).ops.clone() {
-            if self.module.op(op).erased {
+        for &op in &module.block(block).ops {
+            if module.op(op).erased {
                 continue;
             }
             self.write_op(out, op, indent);
         }
+    }
+}
+
+/// Writes two spaces per level of `indent`.
+fn indent_by(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }
 
@@ -273,6 +324,37 @@ mod tests {
         let text = print_module(&m);
         assert!(text.contains("%x = \"test.a\""));
         assert!(text.contains("%x_1 = \"test.b\""));
+    }
+
+    #[test]
+    fn numbers_skip_hinted_names_and_hints_skip_numbers() {
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        for hint in [
+            None,
+            Some("2"),
+            None,
+            None,
+            Some("1"),
+            Some("x"),
+            Some("x"),
+            Some("x_1"),
+        ] {
+            let op = b.op("t.v");
+            match hint {
+                Some(h) => op.named_result(Type::I32, h).finish(),
+                None => op.result(Type::I32).finish(),
+            };
+        }
+        let names: Vec<String> = print_module(&m)
+            .lines()
+            .map(|l| l.split(' ').next().unwrap_or_default().to_string())
+            .collect();
+        assert_eq!(
+            names,
+            ["%0", "%2", "%1", "%3", "%1_1", "%x", "%x_1", "%x_1_1"]
+        );
     }
 
     #[test]

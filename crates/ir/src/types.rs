@@ -200,14 +200,17 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn shape_str(shape: &[usize], elem: &Type) -> String {
-            let mut s = String::new();
+        fn shaped(
+            f: &mut fmt::Formatter<'_>,
+            kind: &str,
+            shape: &[usize],
+            elem: &Type,
+        ) -> fmt::Result {
+            write!(f, "{kind}<")?;
             for d in shape {
-                s.push_str(&d.to_string());
-                s.push('x');
+                write!(f, "{d}x")?;
             }
-            s.push_str(&elem.to_string());
-            s
+            write!(f, "{elem}>")
         }
         match self {
             Type::I1 => write!(f, "i1"),
@@ -219,15 +222,15 @@ impl fmt::Display for Type {
             Type::F64 => write!(f, "f64"),
             Type::Index => write!(f, "index"),
             Type::None => write!(f, "none"),
-            Type::MemRef { shape, elem } => write!(f, "memref<{}>", shape_str(shape, elem)),
-            Type::Tensor { shape, elem } => write!(f, "tensor<{}>", shape_str(shape, elem)),
+            Type::MemRef { shape, elem } => shaped(f, "memref", shape, elem),
+            Type::Tensor { shape, elem } => shaped(f, "tensor", shape, elem),
             Type::Signal => write!(f, "!equeue.signal"),
             Type::Proc => write!(f, "!equeue.proc"),
             Type::Mem => write!(f, "!equeue.mem"),
             Type::Dma => write!(f, "!equeue.dma"),
             Type::Comp => write!(f, "!equeue.comp"),
             Type::Conn => write!(f, "!equeue.conn"),
-            Type::Buffer { shape, elem } => write!(f, "!equeue.buffer<{}>", shape_str(shape, elem)),
+            Type::Buffer { shape, elem } => shaped(f, "!equeue.buffer", shape, elem),
             Type::Any => write!(f, "!equeue.any"),
         }
     }
