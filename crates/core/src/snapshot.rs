@@ -25,7 +25,10 @@
 //! version and header tags, so any truncation or byte mutation is rejected
 //! with a typed [`SimError::Snapshot`] — never a panic. Resume checks the
 //! rest, once: every tag, length and shape in the state sections, the
-//! module fingerprint, and every id the state cross-references.
+//! module fingerprint, every id the state cross-references, and the
+//! size of every number the resumed run adds to: times and counters must
+//! stay below 2^62 and cycle costs below 2^32, so a stream edited and
+//! re-sealed with a fresh checksum cannot make the run overflow them.
 //!
 //! Since version 3 each memory records the `equeue.create_mem` op that
 //! built it. A custom timing model carries no state in the stream; resume
@@ -331,10 +334,10 @@ fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
         ));
     }
     for c in counters(e) {
-        *c = r.u64()?;
+        *c = r.time()?;
     }
     e.host_mem = r.opt(Reader::u32)?.map(CompId);
-    let mut wakes = r.seq(8 + 8 + 4, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))?;
+    let mut wakes = r.seq(8 + 8 + 4, |r| Ok((r.time()?, r.u64()?, r.u32()?)))?;
     e.signals = SignalTable::from_states(r.seq(1, Reader::signal_state)?);
     e.procs = r.seq(1, Reader::proc)?;
     let (module, plan, lib) = (e.module, e.plan, e.lib);
@@ -365,6 +368,12 @@ fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
 // ---------------------------------------------------------------------------
 // Cross-reference checks
 // ---------------------------------------------------------------------------
+
+/// Restored times and counters stay below this (see [`Reader::time`]).
+const MAX_TIME: u64 = 1 << 62;
+
+/// Restored cycle costs stay below this (see [`Reader::cost`]).
+const MAX_COST: u64 = 1 << 32;
 
 /// Arena sizes a restored id must stay below.
 struct Bounds {
@@ -927,6 +936,26 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
+    /// A time or counter the run goes on adding to. Below 2^62 it cannot
+    /// overflow before the run has added as much again, which no run does.
+    fn time(&mut self) -> Result<u64, SimError> {
+        let v = self.u64()?;
+        if v >= MAX_TIME {
+            return Err(err("time or counter too large to resume"));
+        }
+        Ok(v)
+    }
+
+    /// A per-op or per-access cycle cost, which the run adds and
+    /// multiplies by access sizes.
+    fn cost(&mut self) -> Result<u64, SimError> {
+        let v = self.u64()?;
+        if v >= MAX_COST {
+            return Err(err("cycle cost too large to resume"));
+        }
+        Ok(v)
+    }
+
     fn i64(&mut self) -> Result<i64, SimError> {
         Ok(i64::from_le_bytes(self.array()?))
     }
@@ -1038,7 +1067,7 @@ impl<'a> Reader<'a> {
                     .collect::<IdVec<_>>(),
             },
             1 => SignalState::Resolved {
-                time: self.u64()?,
+                time: self.time()?,
                 payload: self.seq(1, Reader::value)?,
             },
             t => return Err(err(&format!("unknown signal-state tag {t}"))),
@@ -1103,9 +1132,9 @@ impl<'a> Reader<'a> {
 
     fn profile(&mut self) -> Result<ProcProfile, SimError> {
         Ok(ProcProfile {
-            default_cycles: self.u64()?,
+            default_cycles: self.cost()?,
             per_op: self
-                .seq(1, |r| Ok((r.string()?, r.u64()?)))?
+                .seq(1, |r| Ok((r.string()?, r.cost()?)))?
                 .into_iter()
                 .collect(),
         })
@@ -1113,7 +1142,7 @@ impl<'a> Reader<'a> {
 
     fn proc(&mut self) -> Result<ProcRuntime, SimError> {
         let comp = CompId(self.u32()?);
-        let clock = self.u64()?;
+        let clock = self.time()?;
         let profile = Arc::new(self.profile()?);
         Ok(ProcRuntime {
             comp,
@@ -1133,18 +1162,18 @@ impl<'a> Reader<'a> {
     ) -> Result<Box<dyn MemoryBehavior>, SimError> {
         Ok(match self.u8()? {
             0 => Box::new(SramBehavior {
-                cycles_per_access: self.u64()?,
+                cycles_per_access: self.cost()?,
             }),
             1 => Box::new(RegisterBehavior),
             2 => Box::new(DramBehavior {
-                latency: self.u64()?,
-                cycles_per_access: self.u64()?,
+                latency: self.cost()?,
+                cycles_per_access: self.cost()?,
             }),
             3 => {
                 let (sets, ways, line_elems) = (self.usize()?, self.usize()?, self.usize()?);
-                let (hit_cycles, miss_cycles) = (self.u64()?, self.u64()?);
+                let (hit_cycles, miss_cycles) = (self.cost()?, self.cost()?);
                 let tags = self.seq(8, |r| r.seq(8, Reader::usize))?;
-                let (hits, misses) = (self.u64()?, self.u64()?);
+                let (hits, misses) = (self.time()?, self.time()?);
                 if sets == 0 || ways == 0 || line_elems == 0 {
                     return Err(err("cache with zero sets, ways or line size"));
                 }
@@ -1228,12 +1257,12 @@ impl<'a> Reader<'a> {
                 .map(|spec| lib.make_memory(&spec))
                 .ok_or_else(|| err("custom memory model without the create_mem op that built it"))
         })?;
-        let ports = self.seq(8, Reader::u64)?;
+        let ports = self.seq(8, Reader::time)?;
         if ports.is_empty() {
             return Err(err("memory with no access ports"));
         }
         let [bytes_read, bytes_written, reads, writes] =
-            [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
+            [self.time()?, self.time()?, self.time()?, self.time()?];
         Ok(Memory {
             kind,
             capacity_elems,
@@ -1288,10 +1317,10 @@ impl<'a> Reader<'a> {
 
     fn channel_stats(&mut self) -> Result<ChannelStats, SimError> {
         let stats = ChannelStats {
-            bytes: self.u64()?,
+            bytes: self.time()?,
             peak_bytes: self.u64()?,
             peak_dur: self.u64()?,
-            at_peak: self.u64()?,
+            at_peak: self.time()?,
         };
         if stats.peak_dur == 0 {
             return Err(err("connection peak duration is zero"));
@@ -1307,8 +1336,8 @@ impl<'a> Reader<'a> {
             t => return Err(err(&format!("unknown connection tag {t}"))),
         };
         let mut c = Connection::new(name, kind, self.u64()?);
-        c.read_free = self.u64()?;
-        c.write_free = self.u64()?;
+        c.read_free = self.time()?;
+        c.write_free = self.time()?;
         c.read_stats = self.channel_stats()?;
         c.write_stats = self.channel_stats()?;
         Ok(c)

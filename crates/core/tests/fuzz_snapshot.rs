@@ -6,11 +6,15 @@
 //! mutations of real encoded snapshots captured from small programs. The
 //! wire format carries a trailing checksum, so almost every mutation must
 //! be rejected at decode; the rare survivor (a no-op mutation) must still
-//! resume cleanly.
+//! resume cleanly. A second arm re-seals each mutated stream with a fresh
+//! checksum, so the mutation reaches resume's checks and the resumed run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
-use equeue_core::{CompiledModule, SimError, SimLibrary, SimOptions, SimReport, Snapshot};
+use equeue_core::{
+    CompiledModule, RunLimits, SimError, SimLibrary, SimOptions, SimReport, Snapshot,
+};
 use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
 use equeue_ir::{Module, OpBuilder, Type};
 
@@ -364,4 +368,92 @@ fn invalid_wake_queue_entries_are_rejected() {
             Ok(_) => panic!("{name}: resumed"),
         }
     }
+}
+
+/// Re-stamps the trailing checksum over a (mutated) stream.
+fn reseal(bytes: &mut [u8]) {
+    if let Some(body) = bytes.len().checked_sub(8) {
+        let checksum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    }
+}
+
+/// Mutated streams re-sealed with a fresh checksum get past decode, so
+/// resume's own checks (and the resumed run, under tight limits) see every
+/// mutation. Restored counters, clocks and free times near `u64::MAX` once
+/// overflowed here. Every outcome must be typed: a rejection at resume, a
+/// run error, or a report.
+#[test]
+fn resealed_snapshots_never_panic() {
+    let corpus = [seed(mac_chain(16), 5), seed(affine_double(8), 7)];
+    let opts = SimOptions {
+        trace: false,
+        limits: RunLimits {
+            max_cycles: 1 << 20,
+            max_events: 1 << 20,
+            max_live_tensor_bytes: 16 << 20,
+            wall_deadline: Some(Duration::from_millis(500)),
+        },
+        ..Default::default()
+    };
+    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+    let (mut rejected, mut ran) = (0usize, 0usize);
+    for case in 0..3000 {
+        let (compiled, base) = &corpus[rng.below(corpus.len())];
+        let mut bytes = mutate(&mut rng, base);
+        for _ in 0..rng.below(3) {
+            bytes = mutate(&mut rng, &bytes);
+        }
+        reseal(&mut bytes);
+        let outcome = catch_unwind(AssertUnwindSafe(|| match Snapshot::decode(&bytes) {
+            Ok(snap) => compiled.resume(&snap, &opts).map(drop),
+            Err(e) => Err(e),
+        }));
+        match outcome {
+            Err(_) => panic!("re-sealed case {case} panicked ({} bytes)", bytes.len()),
+            Ok(Err(SimError::Snapshot(_))) => rejected += 1,
+            Ok(_) => ran += 1,
+        }
+    }
+    // Both paths must be exercised: a mutation in a tensor or a clock
+    // often still resumes, and one in a tag or length never does.
+    assert!(rejected > 300, "only {rejected} cases rejected");
+    assert!(ran > 200, "only {ran} cases ran");
+}
+
+/// A restored time or counter at 2^62 or above is a typed rejection at
+/// resume; just below it, the run resumes and counts on.
+#[test]
+fn oversized_counters_are_rejected() {
+    let (compiled, bytes) = seed(mac_chain(16), 5);
+    let opts = SimOptions {
+        trace: false,
+        limits: RunLimits {
+            max_events: u64::MAX,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let with = |at: usize, v: u64| {
+        let mut b = bytes.clone();
+        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        reseal(&mut b);
+        let snap = Snapshot::decode(&b).expect("re-sealed stream decodes");
+        compiled.resume(&snap, &opts)
+    };
+    // The counters in stream order: now, horizon, wakes, …, seq.
+    for (name, at) in [("now", NOW_AT), ("wakes", NOW_AT + 16), ("seq", SEQ_AT)] {
+        match with(at, 1 << 62) {
+            Err(SimError::Snapshot(msg)) => {
+                assert!(
+                    msg.contains("too large"),
+                    "{name}: unexpected message {msg:?}"
+                );
+            }
+            Err(e) => panic!("{name}: non-Snapshot error {e}"),
+            Ok(_) => panic!("{name}: resumed"),
+        }
+    }
+    let report = with(NOW_AT + 16, (1 << 62) - 1).expect("a counter below the bound resumes");
+    assert!(report.events_processed >= 1 << 62);
 }
