@@ -234,13 +234,6 @@ impl Module {
         m
     }
 
-    /// Reserves room for `ops` more operations and as many values, so a
-    /// module built in bulk fills its arenas without regrowing them.
-    pub(crate) fn reserve(&mut self, ops: usize) {
-        self.ops.reserve(ops);
-        self.values.reserve(ops);
-    }
-
     /// The module's top region.
     pub fn top_region(&self) -> RegionId {
         self.top

@@ -17,7 +17,10 @@
 //!   when it holds an escape or a non-ASCII byte; op names and attribute
 //!   keys go straight into [`Name`]s and operand lists into an [`IdVec`].
 //! - One token of lookahead: a token peeked to choose a branch is kept
-//!   and handed to the next reader, so no token is lexed twice.
+//!   and handed to the next reader, so no token is lexed twice. Where the
+//!   grammar expects one punctuation byte, that byte is matched without
+//!   building a token; anything else is left to the lexer, which reports
+//!   it where it always has.
 //! - Only a byte offset is tracked. Line and column are counted from it
 //!   when an error is built.
 //! - SSA names live in one scope map from name to value (`Scope`).
@@ -61,8 +64,6 @@ use std::borrow::Cow;
 pub fn parse_module(text: &str) -> IrResult<Module> {
     let mut p = Parser::new(text);
     let mut module = Module::new();
-    // A printed op with its result takes 60-100 bytes.
-    module.reserve(text.len() / 64);
     let top = module.top_block();
     loop {
         p.skip_ws();
@@ -377,6 +378,8 @@ struct Parser<'a> {
     types: TypeTable<'a>,
     /// The result types of the op being finished, as `types` slots.
     sig: Vec<usize>,
+    /// Integer lists being read, innermost last.
+    ints: Vec<i64>,
 }
 
 impl<'a> Parser<'a> {
@@ -390,6 +393,7 @@ impl<'a> Parser<'a> {
             pending: vec![],
             types: TypeTable::new(),
             sig: vec![],
+            ints: vec![],
         }
     }
 
@@ -594,6 +598,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Whether the next token is the one-byte punctuation `want`, spelt
+    /// `c`. When nothing is peeked, the byte decides: it is that token
+    /// exactly when the byte is `c`, and any other token is left for the
+    /// next reader to lex (and to report, if it is malformed).
+    fn at(&mut self, c: u8, want: Tok<'a>) -> bool {
+        if let Some((t, _)) = self.ahead {
+            return t == want;
+        }
+        self.skip_ws();
+        self.bytes.get(self.pos) == Some(&c)
+    }
+
+    /// Consumes the one-byte punctuation `want`, spelt `c`, if it is next.
+    fn eat(&mut self, c: u8, want: Tok<'a>) -> bool {
+        let found = self.at(c, want);
+        if found {
+            match self.ahead.take() {
+                Some((_, end)) => self.pos = end,
+                None => self.pos += 1,
+            }
+        }
+        found
+    }
+
     fn expect(&mut self, want: Tok<'a>) -> IrResult<()> {
         let got = self.next()?;
         if got == want {
@@ -722,9 +750,14 @@ impl<'a> Parser<'a> {
         };
 
         // Operands.
-        self.expect(Tok::LParen)?;
+        if !self.eat(b'(', Tok::LParen) {
+            self.expect(Tok::LParen)?;
+        }
         let mut operands: IdVec<ValueId> = IdVec::new();
         loop {
+            if self.eat(b')', Tok::RParen) {
+                break;
+            }
             match self.next()? {
                 Tok::RParen => break,
                 Tok::Percent(n) => match self.scope.lookup(n) {
@@ -738,8 +771,7 @@ impl<'a> Parser<'a> {
 
         // Optional region group.
         let mut regions: IdVec<RegionId> = IdVec::new();
-        if self.peek()? == Tok::LParen {
-            self.bump();
+        if self.eat(b'(', Tok::LParen) {
             loop {
                 self.expect(Tok::LBrace)?;
                 regions.push(self.parse_region_body(module)?);
@@ -755,8 +787,7 @@ impl<'a> Parser<'a> {
 
         // Optional attribute dictionary.
         let mut attrs = AttrMap::new();
-        if self.peek()? == Tok::LBrace {
-            self.bump();
+        if self.eat(b'{', Tok::LBrace) {
             loop {
                 let key = match self.next()? {
                     Tok::RBrace => break,
@@ -768,9 +799,14 @@ impl<'a> Parser<'a> {
                         )
                     }
                 };
-                self.expect(Tok::Equal)?;
+                if !self.eat(b'=', Tok::Equal) {
+                    self.expect(Tok::Equal)?;
+                }
                 let value = self.parse_attr_value()?;
                 attrs.set(&key, value);
+                if self.eat(b'}', Tok::RBrace) {
+                    break;
+                }
                 match self.next()? {
                     Tok::Comma => continue,
                     Tok::RBrace => break,
@@ -785,11 +821,21 @@ impl<'a> Parser<'a> {
 
         // Functional type. Operand types are checked as they are read; the
         // first mismatch is reported once the count is known to agree.
-        self.expect(Tok::Colon)?;
-        self.expect(Tok::LParen)?;
+        if !self.eat(b':', Tok::Colon) {
+            self.expect(Tok::Colon)?;
+        }
+        if !self.eat(b'(', Tok::LParen) {
+            self.expect(Tok::LParen)?;
+        }
         let mut operand_types = 0usize;
         let mut mismatch = None;
         loop {
+            if self.eat(b')', Tok::RParen) {
+                break;
+            }
+            if self.eat(b',', Tok::Comma) {
+                continue;
+            }
             match self.peek_type_start()? {
                 Some(Tok::RParen) => {
                     self.bump();
@@ -809,11 +855,23 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.expect(Tok::Arrow)?;
+        if self.ahead.is_none() {
+            self.skip_ws();
+        }
+        if self.ahead.is_none() && self.rest().starts_with(b"->") {
+            self.pos += 2;
+        } else {
+            self.expect(Tok::Arrow)?;
+        }
         self.sig.clear();
-        if self.peek_type_start()? == Some(Tok::LParen) {
-            self.bump();
+        if self.eat(b'(', Tok::LParen) {
             loop {
+                if self.eat(b')', Tok::RParen) {
+                    break;
+                }
+                if self.eat(b',', Tok::Comma) {
+                    continue;
+                }
                 match self.peek_type_start()? {
                     Some(Tok::RParen) => {
                         self.bump();
@@ -827,6 +885,8 @@ impl<'a> Parser<'a> {
                 }
             }
         } else {
+            // Lexes a malformed start, so that its error surfaces here.
+            self.peek_type_start()?;
             let slot = self.type_here()?;
             self.sig.push(slot);
         }
@@ -922,6 +982,9 @@ impl<'a> Parser<'a> {
     /// Parses ops until the next '}' or '^' (left unconsumed).
     fn parse_block_ops(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
         loop {
+            if self.at(b'}', Tok::RBrace) {
+                return Ok(());
+            }
             match self.peek()? {
                 Tok::RBrace | Tok::Caret(_) => return Ok(()),
                 Tok::Eof => {
@@ -947,9 +1010,9 @@ impl<'a> Parser<'a> {
             },
             Some(b'[') => {
                 self.pos += 1;
-                // The leading run of integers, then every item from the first
-                // other one on.
-                let mut ints = vec![];
+                // The leading run of integers goes on the `ints` stack (lists
+                // nest), then every item from the first other one on.
+                let first = self.ints.len();
                 let mut items = vec![];
                 loop {
                     self.skip_ws();
@@ -958,11 +1021,14 @@ impl<'a> Parser<'a> {
                         break;
                     }
                     match self.parse_attr_value()? {
-                        Attr::Int(v) if items.is_empty() => ints.push(v),
+                        Attr::Int(v) if items.is_empty() => self.ints.push(v),
                         item => {
-                            items.extend(ints.drain(..).map(Attr::Int));
+                            items.extend(self.ints.drain(first..).map(Attr::Int));
                             items.push(item);
                         }
+                    }
+                    if self.eat(b',', Tok::Comma) {
+                        continue;
                     }
                     match self.next()? {
                         Tok::Comma => continue,
@@ -976,7 +1042,8 @@ impl<'a> Parser<'a> {
                 }
                 // Homogeneous lists collapse to the compact array attrs; a
                 // mixed (or empty) list stays generic.
-                if !ints.is_empty() {
+                if self.ints.len() > first {
+                    let ints = self.ints.split_off(first);
                     return Ok(Attr::IntArray(ints));
                 }
                 if !items.is_empty() && items.iter().all(|a| matches!(a, Attr::Str(_))) {
