@@ -39,11 +39,11 @@
 
 use crate::attr::{Attr, AttrMap};
 use crate::error::{IrError, IrResult};
-use crate::hash::FxHashMap;
 use crate::inline::{IdVec, Name};
 use crate::module::{BlockId, Module, RegionId, ValueId};
 use crate::types::Type;
 use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Parses the textual form of a module.
 ///
@@ -266,14 +266,14 @@ fn ident_char(c: u8) -> bool {
 /// Every type a module's text names, parsed once per distinct text: the
 /// keyword types, then each shaped type text as it first appears.
 struct TypeTable<'a> {
-    slot: FxHashMap<&'a str, usize>,
+    slot: HashMap<&'a str, usize>,
     types: Vec<Type>,
 }
 
 impl TypeTable<'_> {
     fn new() -> Self {
         TypeTable {
-            slot: FxHashMap::default(),
+            slot: HashMap::new(),
             types: KEYWORD_TYPES.iter().map(|(_, ty)| ty.clone()).collect(),
         }
     }
@@ -288,7 +288,7 @@ impl TypeTable<'_> {
 /// definitions are never undone, so they are not logged.
 struct Scope<'a> {
     numbered: Vec<Option<ValueId>>,
-    named: FxHashMap<&'a str, ValueId>,
+    named: HashMap<&'a str, ValueId>,
     shadowed: Vec<(&'a str, Option<ValueId>)>,
     /// Regions open around the cursor.
     depth: usize,
@@ -301,7 +301,7 @@ impl<'a> Scope<'a> {
     fn new(text_len: usize) -> Self {
         Scope {
             numbered: vec![],
-            named: FxHashMap::default(),
+            named: HashMap::new(),
             shadowed: vec![],
             depth: 0,
             numbered_limit: text_len,

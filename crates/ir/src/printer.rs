@@ -14,8 +14,8 @@
 //! [`crate::parser::parse_module`], which the round-trip property tests rely
 //! on.
 
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
+use std::collections::HashSet;
 use std::fmt::Write;
 
 /// Prints an entire module.
@@ -59,10 +59,10 @@ struct Printer<'m> {
     /// Each value's name once given, indexed by [`ValueId::index`].
     names: Vec<Option<ValueName>>,
     /// The names given from hints.
-    hinted: FxHashSet<Box<str>>,
+    hinted: HashSet<Box<str>>,
     /// The hinted names that read as numbers, by value, so numbering can
     /// skip them.
-    hinted_numbers: FxHashMap<usize, ()>,
+    hinted_numbers: HashSet<usize>,
     next_id: usize,
 }
 
@@ -81,8 +81,8 @@ impl<'m> Printer<'m> {
         Printer {
             module,
             names: Vec::new(),
-            hinted: FxHashSet::default(),
-            hinted_numbers: FxHashMap::default(),
+            hinted: HashSet::new(),
+            hinted_numbers: HashSet::new(),
             next_id: 0,
         }
     }
@@ -124,14 +124,14 @@ impl<'m> Printer<'m> {
                         candidate = format!("{hint}_{k}");
                     }
                     if let Some(n) = as_number(&candidate) {
-                        self.hinted_numbers.insert(n, ());
+                        self.hinted_numbers.insert(n);
                     }
                     let candidate: Box<str> = candidate.into();
                     self.hinted.insert(candidate.clone());
                     ValueName::Hinted(candidate)
                 }
                 None => {
-                    while self.hinted_numbers.contains_key(&self.next_id) {
+                    while self.hinted_numbers.contains(&self.next_id) {
                         self.next_id += 1;
                     }
                     self.next_id += 1;
