@@ -1057,15 +1057,26 @@ impl<'a> Reader<'a> {
 
     fn signal_state(&mut self) -> Result<SignalState, SimError> {
         Ok(match self.u8()? {
-            0 => SignalState::Pending {
-                remaining: self.usize()?,
-                time_acc: self.u64()?,
-                any_mode: self.boolean()?,
-                dependents: self
-                    .seq(4, |r| Ok(SignalId(r.u32()?)))?
-                    .into_iter()
-                    .collect::<IdVec<_>>(),
-            },
+            0 => {
+                let remaining = self.usize()?;
+                let time_acc = self.u64()?;
+                let any_mode = self.boolean()?;
+                // An `and` resolves at its `time_acc`, so that is a time the
+                // run goes on from. An `or` holds `u64::MAX` there and never
+                // reads it.
+                if !any_mode && time_acc >= MAX_TIME {
+                    return Err(err("time or counter too large to resume"));
+                }
+                SignalState::Pending {
+                    remaining,
+                    time_acc,
+                    any_mode,
+                    dependents: self
+                        .seq(4, |r| Ok(SignalId(r.u32()?)))?
+                        .into_iter()
+                        .collect::<IdVec<_>>(),
+                }
+            }
             1 => SignalState::Resolved {
                 time: self.time()?,
                 payload: self.seq(1, Reader::value)?,

@@ -88,6 +88,32 @@ fn affine_double(n: usize) -> Module {
     m
 }
 
+/// Two MAC units joined by both signal combinators: a `control_and` and a
+/// `control_or` over their launches' done signals, which a mid-run
+/// snapshot captures while both are still pending.
+fn fork_join(n: usize) -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut dones = vec![];
+    for _ in 0..2 {
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::MAC);
+        let start = b.control_start();
+        let l = b.launch(start, pe, &[], vec![]);
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        for _ in 0..n {
+            ib.ext_op("mac", vec![], vec![]);
+        }
+        ib.ret(vec![]);
+        dones.push(l.done);
+    }
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let all = b.control_and(dones.clone());
+    let any = b.control_or(dones);
+    b.await_all(vec![all, any]);
+    m
+}
+
 /// Captures a mid-run snapshot of `module` and returns the compiled
 /// handle plus the snapshot's canonical encoding.
 fn seed(module: Module, cut: u64) -> (CompiledModule, Vec<u8>) {
@@ -385,7 +411,11 @@ fn reseal(bytes: &mut [u8]) {
 /// run error, or a report.
 #[test]
 fn resealed_snapshots_never_panic() {
-    let corpus = [seed(mac_chain(16), 5), seed(affine_double(8), 7)];
+    let corpus = [
+        seed(mac_chain(16), 5),
+        seed(affine_double(8), 7),
+        seed(fork_join(16), 5),
+    ];
     let opts = SimOptions {
         trace: false,
         limits: RunLimits {
@@ -456,4 +486,39 @@ fn oversized_counters_are_rejected() {
     }
     let report = with(NOW_AT + 16, (1 << 62) - 1).expect("a counter below the bound resumes");
     assert!(report.events_processed >= 1 << 62);
+}
+
+/// A pending `and` combinator resolves at the latest time its
+/// dependencies resolved so far, so a restored one is bounded like any
+/// other time. A pending `or` keeps `u64::MAX` there and never reads it:
+/// turning it into an `and` by its mode byte is a typed rejection.
+#[test]
+fn pending_and_combinator_time_is_bounded() {
+    let (compiled, bytes) = seed(fork_join(16), 5);
+    let opts = SimOptions {
+        trace: false,
+        ..Default::default()
+    };
+    let resume = |bytes: &[u8]| {
+        let snap = Snapshot::decode(bytes).expect("re-sealed stream decodes");
+        compiled.resume(&snap, &opts)
+    };
+    assert!(resume(&bytes).is_ok(), "the captured stream resumes");
+    // The pending `or`: its `u64::MAX` accumulator, then its mode byte.
+    let or_state = [[0xff; 8].as_slice(), &[1]].concat();
+    let at = bytes
+        .windows(or_state.len())
+        .position(|w| w == or_state)
+        .expect("a pending `or` in the stream")
+        + 8;
+    let mut flipped = bytes.clone();
+    flipped[at] = 0;
+    reseal(&mut flipped);
+    match resume(&flipped) {
+        Err(SimError::Snapshot(msg)) => {
+            assert!(msg.contains("too large"), "unexpected message {msg:?}");
+        }
+        Err(e) => panic!("non-Snapshot error {e}"),
+        Ok(_) => panic!("an `and` pending at u64::MAX resumed"),
+    }
 }
