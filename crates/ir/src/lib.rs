@@ -52,6 +52,7 @@
 mod attr;
 mod builder;
 mod error;
+mod hash;
 mod inline;
 mod module;
 mod parser;

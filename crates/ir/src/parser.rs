@@ -17,13 +17,14 @@
 //!   when it holds an escape or a non-ASCII byte; op names and attribute
 //!   keys go straight into [`Name`]s and operand lists into an [`IdVec`].
 //! - One token of lookahead: a token peeked to choose a branch is kept
-//!   and handed to the next reader, so no token is lexed twice. Where the
-//!   grammar expects one punctuation byte, that byte is matched without
-//!   building a token; anything else is left to the lexer, which reports
-//!   it where it always has.
+//!   and handed to the next reader, so no token is lexed twice. Expected
+//!   punctuation is matched on its spelling without building a token;
+//!   anything else is left to the lexer, which reports it where it always
+//!   has.
 //! - Only a byte offset is tracked. Line and column are counted from it
 //!   when an error is built.
-//! - SSA names live in one scope map from name to value (`Scope`).
+//! - SSA names live in one map from name to value (`Scope`), hashed by
+//!   the in-crate [`FxHasher`](crate::hash::FxHasher).
 //!   Inside a region each definition logs the definition it shadows, and
 //!   the region rolls the log back when it closes, so outer names
 //!   reappear.
@@ -39,11 +40,11 @@
 
 use crate::attr::{Attr, AttrMap};
 use crate::error::{IrError, IrResult};
+use crate::hash::FxHashMap;
 use crate::inline::{IdVec, Name};
 use crate::module::{BlockId, Module, RegionId, ValueId};
 use crate::types::Type;
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// Parses the textual form of a module.
 ///
@@ -111,8 +112,7 @@ fn line_col(text: &[u8], pos: usize) -> (usize, usize) {
     )
 }
 
-/// The types one keyword names. A module's type table starts with them, in
-/// this order.
+/// The types one keyword names.
 const KEYWORD_TYPES: [(&str, Type); 16] = [
     ("i1", Type::I1),
     ("i8", Type::I8),
@@ -132,17 +132,12 @@ const KEYWORD_TYPES: [(&str, Type); 16] = [
     ("!equeue.any", Type::Any),
 ];
 
-/// The index of keyword `t` in [`KEYWORD_TYPES`].
-fn keyword(t: &str) -> Option<usize> {
-    KEYWORD_TYPES.iter().position(|(k, _)| *k == t)
-}
-
 /// Parses a type text. Every level is trimmed; a shaped type's body is a
 /// run of `NNx` dims followed by the element type.
 fn type_of(text: &str) -> Result<Type, String> {
     let t = text.trim();
-    if let Some(i) = keyword(t) {
-        return Ok(KEYWORD_TYPES[i].1.clone());
+    if let Some((_, ty)) = KEYWORD_TYPES.iter().find(|(k, _)| *k == t) {
+        return Ok(ty.clone());
     }
     let body = |prefix: &str| t.strip_prefix(prefix)?.strip_prefix('<')?.strip_suffix('>');
     if let Some(b) = body("memref") {
@@ -217,17 +212,25 @@ impl Tok<'_> {
             Tok::Str { raw, plain } => format!("string {:?}", unescape(raw, plain)),
             Tok::Int(v) => format!("integer {v}"),
             Tok::Float(v) => format!("float {v}"),
-            Tok::LParen => "'('".into(),
-            Tok::RParen => "')'".into(),
-            Tok::LBrace => "'{'".into(),
-            Tok::RBrace => "'}'".into(),
-            Tok::LBracket => "'['".into(),
-            Tok::RBracket => "']'".into(),
-            Tok::Comma => "','".into(),
-            Tok::Equal => "'='".into(),
-            Tok::Colon => "':'".into(),
-            Tok::Arrow => "'->'".into(),
             Tok::Eof => "end of input".into(),
+            punct => format!("'{}'", punct.spelling()),
+        }
+    }
+
+    /// How a punctuation token is spelt; empty for any other token.
+    fn spelling(&self) -> &'static str {
+        match self {
+            Tok::LParen => "(",
+            Tok::RParen => ")",
+            Tok::LBrace => "{",
+            Tok::RBrace => "}",
+            Tok::LBracket => "[",
+            Tok::RBracket => "]",
+            Tok::Comma => ",",
+            Tok::Equal => "=",
+            Tok::Colon => ":",
+            Tok::Arrow => "->",
+            _ => "",
         }
     }
 }
@@ -263,87 +266,37 @@ fn ident_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'!')
 }
 
-/// Every type a module's text names, parsed once per distinct text: the
-/// keyword types, then each shaped type text as it first appears.
+/// Every type a module's text names, parsed once per distinct text, in
+/// the order the texts first appear.
+#[derive(Default)]
 struct TypeTable<'a> {
-    slot: HashMap<&'a str, usize>,
+    slot: FxHashMap<&'a str, usize>,
     types: Vec<Type>,
-}
-
-impl TypeTable<'_> {
-    fn new() -> Self {
-        TypeTable {
-            slot: HashMap::new(),
-            types: KEYWORD_TYPES.iter().map(|(_, ty)| ty.clone()).collect(),
-        }
-    }
 }
 
 /// The SSA names in scope: one map from name to value with an undo log.
 ///
-/// A name that is a decimal number without leading zeros, which is how
-/// the printer names every value without a name hint, indexes a dense
-/// table; any other name is hashed. Inside a region each definition logs
-/// the one it shadows, and closing the region undoes its log. Top-level
-/// definitions are never undone, so they are not logged.
+/// Inside a region each definition logs the one it shadows, and closing
+/// the region undoes its log. Top-level definitions are never undone, so
+/// they are not logged.
+#[derive(Default)]
 struct Scope<'a> {
-    numbered: Vec<Option<ValueId>>,
-    named: HashMap<&'a str, ValueId>,
+    names: FxHashMap<&'a str, ValueId>,
     shadowed: Vec<(&'a str, Option<ValueId>)>,
     /// Regions open around the cursor.
     depth: usize,
-    /// Numbers from the input's length on are hashed instead, so the
-    /// table never outgrows the input.
-    numbered_limit: usize,
 }
 
 impl<'a> Scope<'a> {
-    fn new(text_len: usize) -> Self {
-        Scope {
-            numbered: vec![],
-            named: HashMap::new(),
-            shadowed: vec![],
-            depth: 0,
-            numbered_limit: text_len,
-        }
-    }
-
-    /// The table index of `name`, if it is a number the table holds.
-    fn number(&self, name: &str) -> Option<usize> {
-        let b = name.as_bytes();
-        if b.len() > 9 || (b.len() > 1 && b[0] == b'0') || !b.iter().all(u8::is_ascii_digit) {
-            return None;
-        }
-        let n = b.iter().fold(0, |n, d| n * 10 + usize::from(d - b'0'));
-        (n < self.numbered_limit).then_some(n)
-    }
-
     fn lookup(&self, name: &str) -> Option<ValueId> {
-        match self.number(name) {
-            Some(n) => self.numbered.get(n).copied().flatten(),
-            None => self.named.get(name).copied(),
-        }
+        self.names.get(name).copied()
     }
 
     /// Brings `name` into scope, shadowing any outer definition.
     fn define(&mut self, name: &'a str, v: ValueId) {
-        let outer = self.set(name, Some(v));
+        let outer = self.names.insert(name, v);
         if self.depth > 0 {
             self.shadowed.push((name, outer));
-        }
-    }
-
-    /// Binds `name` to `v` (or unbinds it) and returns its old binding.
-    fn set(&mut self, name: &'a str, v: Option<ValueId>) -> Option<ValueId> {
-        match (self.number(name), v) {
-            (Some(n), _) => {
-                if n >= self.numbered.len() {
-                    self.numbered.resize(n + 1, None);
-                }
-                std::mem::replace(&mut self.numbered[n], v)
-            }
-            (None, Some(v)) => self.named.insert(name, v),
-            (None, None) => self.named.remove(name),
         }
     }
 
@@ -354,10 +307,11 @@ impl<'a> Scope<'a> {
     }
 
     fn close(&mut self, mark: usize) {
-        while self.shadowed.len() > mark {
-            if let Some((name, outer)) = self.shadowed.pop() {
-                self.set(name, outer);
-            }
+        for (name, outer) in self.shadowed.drain(mark..).rev() {
+            match outer {
+                Some(v) => self.names.insert(name, v),
+                None => self.names.remove(name),
+            };
         }
         self.depth -= 1;
     }
@@ -378,8 +332,6 @@ struct Parser<'a> {
     types: TypeTable<'a>,
     /// The result types of the op being finished, as `types` slots.
     sig: Vec<usize>,
-    /// Integer lists being read, innermost last.
-    ints: Vec<i64>,
 }
 
 impl<'a> Parser<'a> {
@@ -389,11 +341,10 @@ impl<'a> Parser<'a> {
             bytes: text.as_bytes(),
             pos: 0,
             ahead: None,
-            scope: Scope::new(text.len()),
+            scope: Scope::default(),
             pending: vec![],
-            types: TypeTable::new(),
+            types: TypeTable::default(),
             sig: vec![],
-            ints: vec![],
         }
     }
 
@@ -504,17 +455,8 @@ impl<'a> Parser<'a> {
 
     /// Lexes a number whose text starts at `start` (a `-` or a digit).
     fn lex_number(&mut self, start: usize) -> IrResult<Tok<'a>> {
-        let digits = self.scan(|c| c.is_ascii_digit());
+        self.scan(|c| c.is_ascii_digit());
         let float = self.bytes.get(self.pos) == Some(&b'.');
-        if !float && digits.len() <= 18 {
-            // Cannot overflow: the common case needs no `str::parse`.
-            let v = digits.bytes().fold(0, |v, d| v * 10 + i64::from(d - b'0'));
-            return Ok(Tok::Int(if start < self.pos - digits.len() {
-                -v
-            } else {
-                v
-            }));
-        }
         if float {
             self.pos += 1;
             self.scan(|c| c.is_ascii_digit());
@@ -536,35 +478,26 @@ impl<'a> Parser<'a> {
     fn lex_string(&mut self) -> IrResult<(&'a str, bool)> {
         self.pos += 1;
         let start = self.pos;
-        let rest = self.rest();
-        if let Some(end) = rest.iter().position(|&c| c == b'"' || c == b'\\') {
-            if rest[end] == b'"' {
-                self.pos += end + 1;
-                return Ok((self.slice(start, start + end), rest[..end].is_ascii()));
-            }
-        }
-        // An escape, or no closing quote: walk the literal byte by byte.
         let mut plain = true;
         loop {
-            let Some(&c) = self.bytes.get(self.pos) else {
+            // Up to the next quote or escape.
+            let rest = self.rest();
+            let Some(i) = rest.iter().position(|&c| c == b'"' || c == b'\\') else {
+                self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok((self.slice(start, self.pos - 1), plain)),
-                b'\\' => {
-                    plain = false;
-                    let escaped = self.bytes.get(self.pos).copied();
-                    if escaped.is_some() {
-                        self.pos += 1;
-                    }
-                    if !matches!(escaped, Some(b'n' | b't' | b'"' | b'\\')) {
-                        return Err(
-                            self.err(format!("bad escape '\\{:?}'", escaped.map(char::from)))
-                        );
-                    }
-                }
-                c => plain &= c.is_ascii(),
+            plain &= rest[..i].is_ascii();
+            self.pos += i + 1;
+            if rest[i] == b'"' {
+                return Ok((self.slice(start, self.pos - 1), plain));
+            }
+            plain = false;
+            let escaped = self.bytes.get(self.pos).copied();
+            if escaped.is_some() {
+                self.pos += 1;
+            }
+            if !matches!(escaped, Some(b'n' | b't' | b'"' | b'\\')) {
+                return Err(self.err(format!("bad escape '\\{:?}'", escaped.map(char::from))));
             }
         }
     }
@@ -598,55 +531,60 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Whether the next token is the one-byte punctuation `want`, spelt
-    /// `c`. When nothing is peeked, the byte decides: it is that token
-    /// exactly when the byte is `c`, and any other token is left for the
-    /// next reader to lex (and to report, if it is malformed).
-    fn at(&mut self, c: u8, want: Tok<'a>) -> bool {
-        if let Some((t, _)) = self.ahead {
-            return t == want;
+    /// Consumes the punctuation spelt `spelt` if it is next. When nothing
+    /// is peeked, the input's bytes decide: they spell that token exactly
+    /// when it is next, and any other token is left for the next reader to
+    /// lex (and to report, if it is malformed).
+    // Always inlined, so that each literal `spelt` compiles to a byte test.
+    #[inline(always)]
+    fn eat(&mut self, spelt: &str) -> bool {
+        if let Some((t, end)) = self.ahead {
+            let found = t.spelling() == spelt;
+            if found {
+                self.ahead = None;
+                self.pos = end;
+            }
+            return found;
         }
         self.skip_ws();
-        self.bytes.get(self.pos) == Some(&c)
-    }
-
-    /// Consumes the one-byte punctuation `want`, spelt `c`, if it is next.
-    fn eat(&mut self, c: u8, want: Tok<'a>) -> bool {
-        let found = self.at(c, want);
+        let found = self.rest().starts_with(spelt.as_bytes());
         if found {
-            match self.ahead.take() {
-                Some((_, end)) => self.pos = end,
-                None => self.pos += 1,
-            }
+            self.pos += spelt.len();
         }
         found
     }
 
-    fn expect(&mut self, want: Tok<'a>) -> IrResult<()> {
-        let got = self.next()?;
-        if got == want {
+    /// Consumes the punctuation spelt `spelt`, or reports the token found
+    /// instead.
+    #[inline(always)]
+    fn expect(&mut self, spelt: &str) -> IrResult<()> {
+        if self.eat(spelt) {
             Ok(())
         } else {
-            Err(self.err(format!(
-                "expected {}, found {}",
-                want.describe(),
-                got.describe()
-            )))
+            Err(self.unexpected(&format!("'{spelt}'")))
         }
     }
 
-    /// Peeks where a type may start. A type name starts like an
-    /// identifier, whose token cannot fail to lex and is not needed, so that
-    /// case returns `None` without lexing. Any other start is lexed in full,
-    /// so its lexing errors surface here.
-    fn peek_type_start(&mut self) -> IrResult<Option<Tok<'a>>> {
+    /// The error for the next token, which is not the `wanted` one; or the
+    /// error lexing it.
+    fn unexpected(&mut self, wanted: &str) -> IrError {
+        match self.next() {
+            Ok(t) => self.err(format!("expected {wanted}, found {}", t.describe())),
+            Err(e) => e,
+        }
+    }
+
+    /// Lexes the token where a type starts, so that a malformed one is
+    /// reported by the lexer. A type name starts like an identifier, whose
+    /// token cannot fail to lex, so that case lexes nothing.
+    fn lex_type_start(&mut self) -> IrResult<()> {
         if self.ahead.is_none() {
             self.skip_ws();
             if self.bytes.get(self.pos).is_some_and(|&c| starts_ident(c)) {
-                return Ok(None);
+                return Ok(());
             }
         }
-        self.peek().map(Some)
+        self.peek().map(drop)
     }
 
     /// Reads a type at the cursor and returns its slot in the type table.
@@ -654,34 +592,26 @@ impl<'a> Parser<'a> {
         self.ahead = None;
         self.skip_ws();
         let start = self.pos;
-        // A keyword type ends at a delimiter right after it. Its word holds
-        // no delimiter, so a longer type text goes on from its end.
-        let word = self.scan(ident_char);
-        if matches!(
-            self.bytes.get(self.pos),
-            None | Some(b',' | b')' | b'}' | b']' | b'\n' | b'>')
-        ) {
-            if let Some(slot) = keyword(word) {
-                return Ok(slot);
-            }
-        }
+        let rest = self.rest();
         let mut depth = 0usize;
-        let mut ascii = true;
-        while let Some(&c) = self.bytes.get(self.pos) {
-            match c {
-                b'<' => depth += 1,
-                b'>' if depth == 0 => break,
-                b'>' => depth -= 1,
-                b',' | b')' | b'}' | b']' | b'\n' if depth == 0 => break,
-                c => ascii &= c.is_ascii(),
-            }
-            self.pos += 1;
-        }
-        if !ascii {
-            let latin1: String = self.bytes[start..self.pos]
-                .iter()
-                .map(|&c| char::from(c))
-                .collect();
+        let len = rest
+            .iter()
+            .position(|&c| match c {
+                b'<' => {
+                    depth += 1;
+                    false
+                }
+                b'>' if depth > 0 => {
+                    depth -= 1;
+                    false
+                }
+                b'>' | b',' | b')' | b'}' | b']' | b'\n' => depth == 0,
+                _ => false,
+            })
+            .unwrap_or(rest.len());
+        self.pos += len;
+        if !rest[..len].is_ascii() {
+            let latin1: String = rest[..len].iter().map(|&c| char::from(c)).collect();
             return self.add_type(start, latin1.trim());
         }
         let text = self.slice(start, self.pos).trim();
@@ -750,16 +680,13 @@ impl<'a> Parser<'a> {
         };
 
         // Operands.
-        if !self.eat(b'(', Tok::LParen) {
-            self.expect(Tok::LParen)?;
-        }
+        self.expect("(")?;
         let mut operands: IdVec<ValueId> = IdVec::new();
         loop {
-            if self.eat(b')', Tok::RParen) {
+            if self.eat(")") {
                 break;
             }
             match self.next()? {
-                Tok::RParen => break,
                 Tok::Percent(n) => match self.scope.lookup(n) {
                     Some(v) => operands.push(v),
                     None => return Err(self.err(format!("use of undefined value '%{n}'"))),
@@ -771,23 +698,22 @@ impl<'a> Parser<'a> {
 
         // Optional region group.
         let mut regions: IdVec<RegionId> = IdVec::new();
-        if self.eat(b'(', Tok::LParen) {
+        if self.eat("(") {
             loop {
-                self.expect(Tok::LBrace)?;
+                self.expect("{")?;
                 regions.push(self.parse_region_body(module)?);
-                match self.next()? {
-                    Tok::Comma => continue,
-                    Tok::RParen => break,
-                    t => {
-                        return Err(self.err(format!("expected ',' or ')', found {}", t.describe())))
-                    }
+                if self.eat(")") {
+                    break;
+                }
+                if !self.eat(",") {
+                    return Err(self.unexpected("',' or ')'"));
                 }
             }
         }
 
         // Optional attribute dictionary.
         let mut attrs = AttrMap::new();
-        if self.eat(b'{', Tok::LBrace) {
+        if self.eat("{") {
             loop {
                 let key = match self.next()? {
                     Tok::RBrace => break,
@@ -799,94 +725,58 @@ impl<'a> Parser<'a> {
                         )
                     }
                 };
-                if !self.eat(b'=', Tok::Equal) {
-                    self.expect(Tok::Equal)?;
-                }
+                self.expect("=")?;
                 let value = self.parse_attr_value()?;
                 attrs.set(&key, value);
-                if self.eat(b'}', Tok::RBrace) {
+                if self.eat("}") {
                     break;
                 }
-                match self.next()? {
-                    Tok::Comma => continue,
-                    Tok::RBrace => break,
-                    t => {
-                        return Err(
-                            self.err(format!("expected ',' or '}}', found {}", t.describe()))
-                        )
-                    }
+                if !self.eat(",") {
+                    return Err(self.unexpected("',' or '}'"));
                 }
             }
         }
 
         // Functional type. Operand types are checked as they are read; the
         // first mismatch is reported once the count is known to agree.
-        if !self.eat(b':', Tok::Colon) {
-            self.expect(Tok::Colon)?;
-        }
-        if !self.eat(b'(', Tok::LParen) {
-            self.expect(Tok::LParen)?;
-        }
+        self.expect(":")?;
+        self.expect("(")?;
         let mut operand_types = 0usize;
         let mut mismatch = None;
         loop {
-            if self.eat(b')', Tok::RParen) {
+            if self.eat(")") {
                 break;
             }
-            if self.eat(b',', Tok::Comma) {
+            if self.eat(",") {
                 continue;
             }
-            match self.peek_type_start()? {
-                Some(Tok::RParen) => {
-                    self.bump();
-                    break;
-                }
-                Some(Tok::Comma) => self.bump(),
-                _ => {
-                    let slot = self.type_here()?;
-                    let ty = &self.types.types[slot];
-                    if let Some(&v) = operands.get(operand_types) {
-                        let actual = module.value_type(v);
-                        if mismatch.is_none() && !actual.matches(ty) {
-                            mismatch = Some((operand_types, actual.clone(), ty.clone()));
-                        }
-                    }
-                    operand_types += 1;
+            self.lex_type_start()?;
+            let slot = self.type_here()?;
+            let ty = &self.types.types[slot];
+            if let Some(&v) = operands.get(operand_types) {
+                let actual = module.value_type(v);
+                if mismatch.is_none() && !actual.matches(ty) {
+                    mismatch = Some((operand_types, actual.clone(), ty.clone()));
                 }
             }
+            operand_types += 1;
         }
-        if self.ahead.is_none() {
-            self.skip_ws();
-        }
-        if self.ahead.is_none() && self.rest().starts_with(b"->") {
-            self.pos += 2;
-        } else {
-            self.expect(Tok::Arrow)?;
-        }
+        self.expect("->")?;
         self.sig.clear();
-        if self.eat(b'(', Tok::LParen) {
+        if self.eat("(") {
             loop {
-                if self.eat(b')', Tok::RParen) {
+                if self.eat(")") {
                     break;
                 }
-                if self.eat(b',', Tok::Comma) {
+                if self.eat(",") {
                     continue;
                 }
-                match self.peek_type_start()? {
-                    Some(Tok::RParen) => {
-                        self.bump();
-                        break;
-                    }
-                    Some(Tok::Comma) => self.bump(),
-                    _ => {
-                        let slot = self.type_here()?;
-                        self.sig.push(slot);
-                    }
-                }
+                self.lex_type_start()?;
+                let slot = self.type_here()?;
+                self.sig.push(slot);
             }
         } else {
-            // Lexes a malformed start, so that its error surfaces here.
-            self.peek_type_start()?;
+            self.lex_type_start()?;
             let slot = self.type_here()?;
             self.sig.push(slot);
         }
@@ -939,14 +829,13 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let first_arg = self.pending.len();
                     let mut arg_types = vec![];
-                    if self.peek()? == Tok::LParen {
-                        self.bump();
+                    if self.eat("(") {
                         loop {
                             match self.next()? {
                                 Tok::RParen => break,
                                 Tok::Comma => continue,
                                 Tok::Percent(n) => {
-                                    self.expect(Tok::Colon)?;
+                                    self.expect(":")?;
                                     let slot = self.type_here()?;
                                     self.pending.push(n);
                                     arg_types.push(self.types.types[slot].clone());
@@ -960,7 +849,7 @@ impl<'a> Parser<'a> {
                             }
                         }
                     }
-                    self.expect(Tok::Colon)?;
+                    self.expect(":")?;
                     let b = module.new_block(region, arg_types);
                     let args = module.block(b).args.clone();
                     self.bind_pending(module, first_arg, &args);
@@ -982,9 +871,6 @@ impl<'a> Parser<'a> {
     /// Parses ops until the next '}' or '^' (left unconsumed).
     fn parse_block_ops(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
         loop {
-            if self.at(b'}', Tok::RBrace) {
-                return Ok(());
-            }
             match self.peek()? {
                 Tok::RBrace | Tok::Caret(_) => return Ok(()),
                 Tok::Eof => {
@@ -1010,41 +896,25 @@ impl<'a> Parser<'a> {
             },
             Some(b'[') => {
                 self.pos += 1;
-                // The leading run of integers goes on the `ints` stack (lists
-                // nest), then every item from the first other one on.
-                let first = self.ints.len();
                 let mut items = vec![];
                 loop {
-                    self.skip_ws();
-                    if self.bytes.get(self.pos) == Some(&b']') {
-                        self.pos += 1;
+                    if self.eat("]") {
                         break;
                     }
-                    match self.parse_attr_value()? {
-                        Attr::Int(v) if items.is_empty() => self.ints.push(v),
-                        item => {
-                            items.extend(self.ints.drain(first..).map(Attr::Int));
-                            items.push(item);
-                        }
+                    items.push(self.parse_attr_value()?);
+                    if self.eat("]") {
+                        break;
                     }
-                    if self.eat(b',', Tok::Comma) {
-                        continue;
-                    }
-                    match self.next()? {
-                        Tok::Comma => continue,
-                        Tok::RBracket => break,
-                        t => {
-                            return Err(
-                                self.err(format!("expected ',' or ']', found {}", t.describe()))
-                            )
-                        }
+                    if !self.eat(",") {
+                        return Err(self.unexpected("',' or ']'"));
                     }
                 }
                 // Homogeneous lists collapse to the compact array attrs; a
                 // mixed (or empty) list stays generic.
-                if self.ints.len() > first {
-                    let ints = self.ints.split_off(first);
-                    return Ok(Attr::IntArray(ints));
+                if !items.is_empty() {
+                    if let Some(ints) = items.iter().map(Attr::as_int).collect::<Option<Vec<_>>>() {
+                        return Ok(Attr::IntArray(ints));
+                    }
                 }
                 if !items.is_empty() && items.iter().all(|a| matches!(a, Attr::Str(_))) {
                     let strs = items.into_iter().filter_map(|a| match a {

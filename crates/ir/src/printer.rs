@@ -181,18 +181,8 @@ impl<'m> Printer<'m> {
             self.write_values(out, &data.results);
             out.push_str(" = ");
         }
-        // `Debug` quotes and escapes the name; a plain name is quoted as is.
-        if data
-            .name
-            .bytes()
-            .all(|b| b.is_ascii_graphic() && b != b'"' && b != b'\\')
-        {
-            out.push('"');
-            out.push_str(&data.name);
-            out.push('"');
-        } else {
-            let _ = write!(out, "{:?}", data.name);
-        }
+        // `Debug` quotes and escapes the name.
+        let _ = write!(out, "{:?}", data.name);
         out.push('(');
         self.write_values(out, &data.operands);
         out.push(')');
