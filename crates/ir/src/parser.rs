@@ -534,8 +534,8 @@ impl<'a> Parser<'a> {
     /// Consumes the punctuation spelt `spelt` if it is next. When nothing
     /// is peeked, the input's bytes decide: they spell that token exactly
     /// when it is next, and any other token is left for the next reader to
-    /// lex (and to report, if it is malformed).
-    // Always inlined, so that each literal `spelt` compiles to a byte test.
+    /// lex (and to report, if it is malformed). Always inlined, so that
+    /// each literal `spelt` compiles to a byte test.
     #[inline(always)]
     fn eat(&mut self, spelt: &str) -> bool {
         if let Some((t, end)) = self.ahead {
