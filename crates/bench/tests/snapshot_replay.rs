@@ -16,6 +16,8 @@
 //!    `encode(decode(bytes))` must reproduce `bytes` exactly (the
 //!    canonical-encoding property, probed at xorshift-random cuts too).
 
+use std::collections::BTreeMap;
+
 use equeue_core::{
     AccessKind, Backend, CompiledModule, MemSpec, MemoryBehavior, SimLibrary, SimOptions,
     SimReport, Snapshot,
@@ -150,10 +152,10 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
         // Nothing before the cut is re-recorded…
         for e in resumed.trace.events() {
             assert!(
-                e.ts >= snap.actual_cut(),
+                e.ts() >= snap.actual_cut(),
                 "{name}: resumed event {}@{} precedes the cut {}",
-                e.name,
-                e.ts,
+                e.name(),
+                e.ts(),
                 snap.actual_cut()
             );
         }
@@ -164,18 +166,17 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
         // each row's resumed sequence must be a *suffix* of that row's
         // full-run sequence. (A row can be legitimately all-prefix — e.g.
         // a single analytic op issued before the cut.)
-        let by_tid = |events: &[equeue_core::TraceEvent]| {
-            let mut rows: std::collections::BTreeMap<String, Vec<equeue_core::TraceEvent>> =
-                std::collections::BTreeMap::new();
-            for e in events {
-                rows.entry(e.tid.clone()).or_default().push(e.clone());
+        fn by_tid(trace: &equeue_core::Trace) -> BTreeMap<&str, Vec<equeue_core::TraceEvent<'_>>> {
+            let mut rows: BTreeMap<&str, Vec<equeue_core::TraceEvent>> = BTreeMap::new();
+            for e in trace.events() {
+                rows.entry(e.tid()).or_default().push(e);
             }
             rows
-        };
-        let full_rows = by_tid(full.trace.events());
-        for (tid, row) in by_tid(resumed.trace.events()) {
+        }
+        let full_rows = by_tid(&full.trace);
+        for (tid, row) in by_tid(&resumed.trace) {
             let whole = full_rows
-                .get(&tid)
+                .get(tid)
                 .unwrap_or_else(|| panic!("{name}: row {tid} absent from the full waveform"));
             assert!(
                 row.len() <= whole.len() && row == whole[whole.len() - row.len()..],

@@ -54,7 +54,7 @@ use crate::plan::{mem_spec, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::queue::EventQueue;
 use crate::signal::SignalTable;
-use crate::trace::{Trace, TraceCat};
+use crate::trace::{self, Pid, Trace, TraceCat};
 use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
 use equeue_dialect::ConvDims;
@@ -888,14 +888,13 @@ impl<'m> Engine<'m> {
         let data = self.machine.buffer(src).data.clone();
         self.machine.buffer_mut(dst).data = data;
         if self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            self.trace.record(
-                "equeue.memcpy",
+            self.trace_slot(
+                p,
+                Pid::Dma,
+                trace::MEMCPY,
                 TraceCat::Operation,
                 start,
                 end - start,
-                "DMA",
-                &tid,
             );
         }
         self.bump_horizon(end);
@@ -1286,6 +1285,7 @@ impl<'m> Engine<'m> {
                     .map(|&s| self.lookup_comp(frame, s))
                     .collect::<Result<_, _>>()?;
                 let comp = self.machine.add_composite(names, &kids);
+                self.trace.renamed(kids.iter().map(|c| c.0 as usize));
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -1307,6 +1307,7 @@ impl<'m> Engine<'m> {
                 self.machine
                     .extend_composite(target, names, &kids)
                     .map_err(SimError::Port)?;
+                self.trace.renamed(kids.iter().map(|c| c.0 as usize));
                 Ok(Step::Continue)
             }
             OpCode::GetComp { target } => {
@@ -1588,9 +1589,8 @@ impl<'m> Engine<'m> {
                 }
                 let end = clock.saturating_add(cycles);
                 if self.trace.is_enabled() {
-                    let tid = self.machine.name(self.procs[p].comp).to_string();
-                    self.trace
-                        .record(sig(), TraceCat::Operation, clock, cycles, "Processor", &tid);
+                    let name = self.trace.name_id(sig());
+                    self.trace_slot(p, Pid::Processor, name, TraceCat::Operation, clock, cycles);
                 }
                 self.advance(p, end)
             }
@@ -1725,15 +1725,8 @@ impl<'m> Engine<'m> {
                     }
                 };
                 if cycles > 0 && self.trace.is_enabled() {
-                    let tid = self.machine.name(self.procs[p].comp).to_string();
-                    self.trace.record(
-                        &data.name,
-                        TraceCat::Operation,
-                        clock,
-                        cycles,
-                        "Processor",
-                        &tid,
-                    );
+                    let name = self.trace.name_id(&data.name);
+                    self.trace_slot(p, Pid::Processor, name, TraceCat::Operation, clock, cycles);
                 }
                 self.advance(p, clock + cycles)
             }
@@ -1820,31 +1813,36 @@ impl<'m> Engine<'m> {
 
         // Trace: stall slot (schedule-queue wait) then the operation slot.
         if end > start && self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
             if astart > start {
-                self.trace.record(
-                    "stall",
-                    TraceCat::Stall,
-                    start,
-                    astart - start,
-                    "Processor",
-                    &tid,
-                );
+                let (stall, dur) = (TraceCat::Stall, astart - start);
+                self.trace_slot(p, Pid::Processor, trace::STALL, stall, start, dur);
             }
-            let opname = match kind {
-                AccessKind::Read => "equeue.read",
-                AccessKind::Write => "equeue.write",
+            let name = match kind {
+                AccessKind::Read => trace::READ,
+                AccessKind::Write => trace::WRITE,
             };
-            self.trace.record(
-                opname,
-                TraceCat::Operation,
-                astart,
-                end - astart,
-                "Processor",
-                &tid,
-            );
+            let (op, dur) = (TraceCat::Operation, end - astart);
+            self.trace_slot(p, Pid::Processor, name, op, astart, dur);
         }
         Ok((out, end))
+    }
+
+    /// Records one trace slot on processor `p`'s row under `pid`.
+    fn trace_slot(
+        &mut self,
+        p: usize,
+        pid: Pid,
+        name: trace::NameId,
+        cat: TraceCat,
+        ts: u64,
+        dur: u64,
+    ) {
+        let comp = self.procs[p].comp;
+        let machine = &self.machine;
+        let row = self
+            .trace
+            .comp_row(comp.0 as usize, pid, || machine.name(comp));
+        self.trace.push(name, cat, ts, dur, row);
     }
 
     fn exec_conv2d(
@@ -1915,14 +1913,13 @@ impl<'m> Engine<'m> {
             }
         }
         if self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            self.trace.record(
-                "linalg.conv2d",
+            self.trace_slot(
+                p,
+                Pid::Processor,
+                trace::CONV2D,
                 TraceCat::Operation,
                 clock,
                 cycles,
-                "Processor",
-                &tid,
             );
         }
         self.advance(p, clock.saturating_add(cycles))
@@ -1984,14 +1981,13 @@ impl<'m> Engine<'m> {
         let clock = self.procs[p].clock;
         let cycles = (mac_count as u64).saturating_mul(self.lib.linalg_cycles_per_mac);
         if self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            self.trace.record(
-                "linalg.matmul",
+            self.trace_slot(
+                p,
+                Pid::Processor,
+                trace::MATMUL,
                 TraceCat::Operation,
                 clock,
                 cycles,
-                "Processor",
-                &tid,
             );
         }
         self.advance(p, clock.saturating_add(cycles))

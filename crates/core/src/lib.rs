@@ -20,9 +20,14 @@
 //! * [`Machine`] — the elaborated component/buffer/connection model with
 //!   schedule queues for contention.
 //! * [`Trace`] — operation-level tracing in Chrome Trace Event Format
-//!   (§IV-B), visualisable in `chrome://tracing`. With
-//!   [`SimOptions`] `trace: false`, the disabled path is zero-cost: no
-//!   event allocation and no string formatting happen on the hot loop.
+//!   (§IV-B), visualisable in `chrome://tracing`. A record is 32 bytes of
+//!   ids and times, `(name id, row id, category, ts, dur)`; the names live
+//!   in one table per run, each processor's name entered once per
+//!   component and each op name once, and [`Trace::to_chrome_json`]
+//!   escapes each of them once at export. [`Trace::events`] yields
+//!   [`TraceEvent`] views that resolve the ids. With [`SimOptions`]
+//!   `trace: false`, the disabled path is zero-cost: the trace holds no
+//!   tables, and nothing is allocated or formatted on the hot loop.
 //!
 //! ## Hot-path architecture (dense frames + copy-on-write values)
 //!

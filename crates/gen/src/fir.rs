@@ -314,9 +314,8 @@ mod tests {
         let first_last_stage = report
             .trace
             .events()
-            .iter()
-            .filter(|e| e.tid == "AIE15" && e.name == "mac4")
-            .map(|e| e.ts)
+            .filter(|e| e.tid() == "AIE15" && e.name() == "mac4")
+            .map(|e| e.ts())
             .min()
             .unwrap();
         assert_eq!(first_last_stage, 79);
@@ -331,9 +330,8 @@ mod tests {
         let busy: u64 = report
             .trace
             .events()
-            .iter()
-            .filter(|e| e.tid == "AIE7")
-            .map(|e| e.dur)
+            .filter(|e| e.tid() == "AIE7")
+            .map(|e| e.dur())
             .sum();
         let util = busy as f64 / report.cycles as f64;
         assert!(util < 0.30, "expected <30% utilisation, got {util}");
@@ -355,9 +353,8 @@ mod tests {
         let busy: u64 = report
             .trace
             .events()
-            .iter()
-            .filter(|e| e.tid == "AIE1")
-            .map(|e| e.dur)
+            .filter(|e| e.tid() == "AIE1")
+            .map(|e| e.dur())
             .sum();
         let util = busy as f64 / report.cycles as f64;
         assert!(util > 0.90, "expected >90% utilisation, got {util}");

@@ -42,9 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let busy: u64 = report
                     .trace
                     .events()
-                    .iter()
-                    .filter(|e| e.tid == "AIE7")
-                    .map(|e| e.dur)
+                    .filter(|e| e.tid() == "AIE7")
+                    .map(|e| e.dur())
                     .sum();
                 println!(
                     "  AIE7 busy     : {busy} of {} cycles ({:.0}% wasted — the paper's 75%)",

@@ -92,9 +92,8 @@ fn both_pes_run_in_parallel() {
         report
             .trace
             .events()
-            .iter()
-            .filter(|e| e.tid == tid)
-            .map(|e| e.ts)
+            .filter(|e| e.tid() == tid)
+            .map(|e| e.ts())
             .min()
     };
     // Both PEs start at the same cycle, right after the DMA copy (§II-B:

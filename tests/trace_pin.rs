@@ -41,12 +41,12 @@ fn pin(trace: &Trace) -> (usize, u64) {
         n += 1;
         let line = format!(
             "{}\0{}\0{}\0{}\0{}\0{}\0",
-            e.name,
-            e.cat.as_str(),
-            e.ts,
-            e.dur,
-            e.pid,
-            e.tid
+            e.name(),
+            e.cat().as_str(),
+            e.ts(),
+            e.dur(),
+            e.pid(),
+            e.tid()
         );
         d.feed(line.as_bytes());
     }
