@@ -266,6 +266,14 @@ fn ident_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'!')
 }
 
+/// Whether `s` lexes as one identifier, so an attribute key can be
+/// printed without quotes.
+pub(crate) fn is_bare_ident(s: &str) -> bool {
+    s.as_bytes()
+        .split_first()
+        .is_some_and(|(&first, rest)| starts_ident(first) && rest.iter().all(|&c| ident_char(c)))
+}
+
 /// Every type a module's text names, parsed once per distinct text, in
 /// the order the texts first appear.
 #[derive(Default)]

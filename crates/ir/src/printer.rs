@@ -15,6 +15,7 @@
 //! on.
 
 use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
+use crate::parser::is_bare_ident;
 use std::collections::HashSet;
 use std::fmt::Write;
 
@@ -204,7 +205,12 @@ impl<'m> Printer<'m> {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{k} = {v}");
+                if is_bare_ident(k) {
+                    out.push_str(k);
+                } else {
+                    let _ = write!(out, "{k:?}");
+                }
+                let _ = write!(out, " = {v}");
             }
             out.push('}');
         }
@@ -269,6 +275,21 @@ mod tests {
     use crate::attr::AttrMap;
     use crate::builder::OpBuilder;
     use crate::types::Type;
+
+    #[test]
+    fn keys_that_are_not_identifiers_print_quoted() {
+        let text = "\"t.op\"() {\"quoted key\" = 1, \"\" = 2, \"1x\" = 3, \"a-b\" = 4, \
+                    \"say \\\"hi\\\"\" = 5, \"bare.key_1\" = 6, !bang = 7} : () -> ()\n";
+        let printed = print_module(&crate::parse_module(text).unwrap());
+        assert_eq!(
+            printed,
+            "\"t.op\"() {\"\" = 2, !bang = 7, \"1x\" = 3, \"a-b\" = 4, bare.key_1 = 6, \
+             \"quoted key\" = 1, \"say \\\"hi\\\"\" = 5} : () -> ()\n"
+        );
+        // Print -> parse -> print is a fixed point.
+        let reprinted = print_module(&crate::parse_module(&printed).unwrap());
+        assert_eq!(reprinted, printed);
+    }
 
     #[test]
     fn simple_op() {
