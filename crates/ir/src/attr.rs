@@ -156,6 +156,29 @@ impl From<Type> for Attr {
     }
 }
 
+/// Writes `s` as a string literal that the parser reads back to `s`:
+/// exactly its escapes, `\"`, `\\`, `\n` and `\t`, are escaped, and every
+/// other character is written as it is.
+pub(crate) fn write_quoted(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so both ends are character boundaries.
+        out.write_str(&s[plain..i])?;
+        out.write_str(escape)?;
+        plain = i + 1;
+    }
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
+}
+
 impl fmt::Display for Attr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -170,7 +193,7 @@ impl fmt::Display for Attr {
                     write!(f, "{v}")
                 }
             }
-            Attr::Str(s) => write!(f, "{:?}", s),
+            Attr::Str(s) => write_quoted(f, s),
             Attr::IntArray(v) => {
                 write!(f, "[")?;
                 for (i, x) in v.iter().enumerate() {
@@ -187,7 +210,7 @@ impl fmt::Display for Attr {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{x:?}")?;
+                    write_quoted(f, x)?;
                 }
                 write!(f, "]")
             }

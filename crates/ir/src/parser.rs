@@ -14,8 +14,8 @@
 //! It makes one forward pass over the input `&str`:
 //!
 //! - Tokens borrow slices of the input. A string literal is copied only
-//!   when it holds an escape or a non-ASCII byte; op names and attribute
-//!   keys go straight into [`Name`]s and operand lists into an [`IdVec`].
+//!   when it holds an escape; op names and attribute keys go straight
+//!   into [`Name`]s and operand lists into an [`IdVec`].
 //! - One token of lookahead: a token peeked to choose a branch is kept
 //!   and handed to the next reader, so no token is lexed twice. Expected
 //!   punctuation is matched on its spelling without building a token;
@@ -32,8 +32,9 @@
 //!   `,`, `)`, `}`, `]` or newline outside angle brackets. Each distinct
 //!   type text is parsed once per module and cloned after that.
 //!
-//! String literals and type texts are read one byte per `char`, so a
-//! non-ASCII byte stands for the Latin-1 character of its value.
+//! String literals, op names and type texts are UTF-8, like the input: a
+//! literal's escapes are `\n`, `\t`, `\"` and `\\`, and every other
+//! character stands for itself.
 //!
 //! Printing a parsed module reproduces the input exactly (module-level
 //! round-trip property tests live in `tests/`).
@@ -182,8 +183,7 @@ enum Tok<'a> {
     Percent(&'a str),
     Caret(&'a str),
     /// A string literal's text between the quotes, escapes still in it.
-    /// `plain` when it holds no escape and no non-ASCII byte, so that the
-    /// text is its own value.
+    /// `plain` when it holds no escape, so that the text is its own value.
     Str {
         raw: &'a str,
         plain: bool,
@@ -241,17 +241,17 @@ fn unescape(raw: &str, plain: bool) -> Cow<'_, str> {
         return Cow::Borrowed(raw);
     }
     let mut s = String::with_capacity(raw.len());
-    let mut bytes = raw.bytes();
-    while let Some(c) = bytes.next() {
-        let ch = if c == b'\\' {
-            match bytes.next() {
-                Some(b'n') => '\n',
-                Some(b't') => '\t',
-                Some(e) => char::from(e),
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        let ch = if c == '\\' {
+            match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some(e) => e,
                 None => '\\',
             }
         } else {
-            char::from(c)
+            c
         };
         s.push(ch);
     }
@@ -374,6 +374,11 @@ impl<'a> Parser<'a> {
         self.src.get(start..end).unwrap_or("")
     }
 
+    /// The character that starts at byte `pos`.
+    fn char_at(&self, pos: usize) -> Option<char> {
+        self.src.get(pos..).and_then(|r| r.chars().next())
+    }
+
     fn rest(&self) -> &'a [u8] {
         self.bytes.get(self.pos..).unwrap_or_default()
     }
@@ -447,7 +452,10 @@ impl<'a> Parser<'a> {
             a if starts_ident(a) => {
                 return Ok(Tok::Ident(self.scan(ident_char)));
             }
-            other => return Err(self.err(format!("unexpected character '{}'", char::from(other)))),
+            other => {
+                let c = self.char_at(self.pos).unwrap_or(char::from(other));
+                return Err(self.err(format!("unexpected character '{c}'")));
+            }
         };
         self.pos += 1;
         Ok(punct)
@@ -494,18 +502,17 @@ impl<'a> Parser<'a> {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
-            plain &= rest[..i].is_ascii();
             self.pos += i + 1;
             if rest[i] == b'"' {
                 return Ok((self.slice(start, self.pos - 1), plain));
             }
             plain = false;
-            let escaped = self.bytes.get(self.pos).copied();
+            let escaped = self.char_at(self.pos);
             if escaped.is_some() {
                 self.pos += 1;
             }
-            if !matches!(escaped, Some(b'n' | b't' | b'"' | b'\\')) {
-                return Err(self.err(format!("bad escape '\\{:?}'", escaped.map(char::from))));
+            if !matches!(escaped, Some('n' | 't' | '"' | '\\')) {
+                return Err(self.err(format!("bad escape '\\{escaped:?}'")));
             }
         }
     }
@@ -618,10 +625,6 @@ impl<'a> Parser<'a> {
             })
             .unwrap_or(rest.len());
         self.pos += len;
-        if !rest[..len].is_ascii() {
-            let latin1: String = rest[..len].iter().map(|&c| char::from(c)).collect();
-            return self.add_type(start, latin1.trim());
-        }
         let text = self.slice(start, self.pos).trim();
         if let Some(&slot) = self.types.slot.get(text) {
             return Ok(slot);
@@ -959,6 +962,35 @@ mod tests {
     fn round_trip(text: &str) {
         let m = parse_module(text).expect("parse");
         assert_eq!(print_module(&m), text);
+    }
+
+    #[test]
+    fn strings_and_types_decode_as_utf8() {
+        let text = "\"t.\u{e9}\"() {k = \"\u{fc}\u{a0}\u{1f980}\", s = \"a\rb\u{1}\\\"\\\\\\n\\t\"} : () -> ()\n";
+        let m = parse_module(text).unwrap();
+        let op = m
+            .find_first("t.\u{e9}")
+            .expect("the op name reads as UTF-8");
+        let attrs = &m.op(op).attrs;
+        assert_eq!(attrs.str("k"), Some("\u{fc}\u{a0}\u{1f980}"));
+        assert_eq!(attrs.str("s"), Some("a\rb\u{1}\"\\\n\t"));
+        // The printer escapes exactly what the parser unescapes, so the
+        // text is printed back as it was written.
+        round_trip(text);
+        let err =
+            parse_module("%a = \"t.s\"() : () -> i32\n\"t.k\"(%a) : (memref<2x\u{e9}8>) -> ()\n")
+                .unwrap_err();
+        assert!(err.to_string().contains("unknown type '\u{e9}8'"), "{err}");
+        let err = parse_module("\"t.k\"() : () -> () \u{e9}\n").unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected character '\u{e9}'"),
+            "{err}"
+        );
+        let err = parse_module("\"t.\\\u{e9}\"() : () -> ()\n").unwrap_err();
+        assert!(
+            err.to_string().contains("bad escape '\\Some('\u{e9}')'"),
+            "{err}"
+        );
     }
 
     #[test]

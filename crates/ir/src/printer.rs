@@ -14,6 +14,7 @@
 //! [`crate::parser::parse_module`], which the round-trip property tests rely
 //! on.
 
+use crate::attr::write_quoted;
 use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
 use crate::parser::is_bare_ident;
 use std::collections::HashSet;
@@ -182,8 +183,7 @@ impl<'m> Printer<'m> {
             self.write_values(out, &data.results);
             out.push_str(" = ");
         }
-        // `Debug` quotes and escapes the name.
-        let _ = write!(out, "{:?}", data.name);
+        let _ = write_quoted(out, &data.name);
         out.push('(');
         self.write_values(out, &data.operands);
         out.push(')');
@@ -208,7 +208,7 @@ impl<'m> Printer<'m> {
                 if is_bare_ident(k) {
                     out.push_str(k);
                 } else {
-                    let _ = write!(out, "{k:?}");
+                    let _ = write_quoted(out, k);
                 }
                 let _ = write!(out, " = {v}");
             }
