@@ -232,7 +232,7 @@ fn parse_outcomes_match_the_pin() {
     assert_eq!(
         pin,
         Pin {
-            digest: 0xa766_fa29_f51a_be74,
+            digest: 0x7332_e737_f2bc_c3b1,
             accepted: 444,
             rejected: 2778,
         }
