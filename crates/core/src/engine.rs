@@ -1285,7 +1285,7 @@ impl<'m> Engine<'m> {
                     .map(|&s| self.lookup_comp(frame, s))
                     .collect::<Result<_, _>>()?;
                 let comp = self.machine.add_composite(names, &kids);
-                self.trace.renamed(kids.iter().map(|c| c.0 as usize));
+                self.trace.renamed(&kids);
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -1307,7 +1307,7 @@ impl<'m> Engine<'m> {
                 self.machine
                     .extend_composite(target, names, &kids)
                     .map_err(SimError::Port)?;
-                self.trace.renamed(kids.iter().map(|c| c.0 as usize));
+                self.trace.renamed(&kids);
                 Ok(Step::Continue)
             }
             OpCode::GetComp { target } => {
@@ -1814,15 +1814,15 @@ impl<'m> Engine<'m> {
         // Trace: stall slot (schedule-queue wait) then the operation slot.
         if end > start && self.trace.is_enabled() {
             if astart > start {
-                let (stall, dur) = (TraceCat::Stall, astart - start);
-                self.trace_slot(p, Pid::Processor, trace::STALL, stall, start, dur);
+                let dur = astart - start;
+                self.trace_slot(p, Pid::Processor, trace::STALL, TraceCat::Stall, start, dur);
             }
             let name = match kind {
                 AccessKind::Read => trace::READ,
                 AccessKind::Write => trace::WRITE,
             };
-            let (op, dur) = (TraceCat::Operation, end - astart);
-            self.trace_slot(p, Pid::Processor, name, op, astart, dur);
+            let dur = end - astart;
+            self.trace_slot(p, Pid::Processor, name, TraceCat::Operation, astart, dur);
         }
         Ok((out, end))
     }
@@ -1839,9 +1839,7 @@ impl<'m> Engine<'m> {
     ) {
         let comp = self.procs[p].comp;
         let machine = &self.machine;
-        let row = self
-            .trace
-            .comp_row(comp.0 as usize, pid, || machine.name(comp));
+        let row = self.trace.comp_row(comp, pid, || machine.name(comp));
         self.trace.push(name, cat, ts, dur, row);
     }
 

@@ -34,6 +34,8 @@ use std::borrow::Cow;
 
 use equeue_ir::FxHashMap;
 
+use crate::value::CompId;
+
 /// Event category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceCat {
@@ -323,11 +325,11 @@ impl Trace {
         out
     }
 
-    /// The row of the processor at component index `comp` under `pid`;
-    /// `name` gives the component's name the first time it is asked for.
+    /// The row of processor `comp` under `pid`; `name` gives the
+    /// component's name the first time its row is asked for.
     pub(crate) fn comp_row<'n>(
         &mut self,
-        comp: usize,
+        comp: CompId,
         pid: Pid,
         name: impl FnOnce() -> &'n str,
     ) -> u32 {
@@ -335,7 +337,7 @@ impl Trace {
             // Nothing is recorded on a disabled trace, so any row will do.
             return 0;
         };
-        let k = pid as usize;
+        let (comp, k) = (comp.0 as usize, pid as usize);
         if let Some(&row) = t.comp_rows.get(comp).map(|rows| &rows[k]) {
             if row != UNSET {
                 return row;
@@ -354,11 +356,12 @@ impl Trace {
         row
     }
 
-    /// Forgets the rows of the components at these indices, whose names
-    /// changed: their next event enters the new name.
-    pub(crate) fn renamed(&mut self, comps: impl IntoIterator<Item = usize>) {
+    /// Forgets the rows of these components, whose names changed: their
+    /// next event enters the new name.
+    pub(crate) fn renamed(&mut self, comps: &[CompId]) {
         for c in comps {
-            if let Some(rows) = self.tables.as_mut().and_then(|t| t.comp_rows.get_mut(c)) {
+            let t = self.tables.as_mut();
+            if let Some(rows) = t.and_then(|t| t.comp_rows.get_mut(c.0 as usize)) {
                 *rows = [UNSET; 2];
             }
         }
@@ -519,6 +522,14 @@ mod tests {
     }
 
     #[test]
+    fn fixed_ids_name_their_strings() {
+        let ids = [STALL, READ, WRITE, MEMCPY, CONV2D, MATMUL, PROCESSOR, DMA];
+        for (id, name) in ids.into_iter().zip(FIXED) {
+            assert_eq!(Trace::new().name_id(name), id, "{name}");
+        }
+    }
+
+    #[test]
     fn records_are_32_bytes() {
         assert!(std::mem::size_of::<Record>() <= 32);
     }
@@ -526,16 +537,17 @@ mod tests {
     #[test]
     fn engine_ids_share_the_table_with_strings() {
         let mut t = Trace::new();
-        let row = t.comp_row(3, Pid::Processor, || "PE0");
-        assert_eq!(t.comp_row(3, Pid::Processor, || unreachable!()), row);
-        let dma = t.comp_row(3, Pid::Dma, || "PE0");
+        let pe = CompId(3);
+        let row = t.comp_row(pe, Pid::Processor, || "PE0");
+        assert_eq!(t.comp_row(pe, Pid::Processor, || unreachable!()), row);
+        let dma = t.comp_row(pe, Pid::Dma, || "PE0");
         assert_ne!(dma, row);
         let mac = t.name_id("mac4");
         t.push(mac, TraceCat::Operation, 0, 1, row);
         t.push(MEMCPY, TraceCat::Operation, 1, 2, dma);
         t.record("mac4", TraceCat::Operation, 3, 1, "Processor", "PE0");
-        t.renamed([3]);
-        let renamed = t.comp_row(3, Pid::Processor, || "PE9");
+        t.renamed(&[pe]);
+        let renamed = t.comp_row(pe, Pid::Processor, || "PE9");
         t.push(STALL, TraceCat::Stall, 4, 1, renamed);
         let got: Vec<_> = t
             .events()
