@@ -17,11 +17,10 @@
 //! `(pid, tid)` pair of name ids. The engine finds a processor's row in a
 //! table indexed by its component id, so recording neither allocates nor
 //! hashes a processor name; a component renamed by `create_comp`/`add_comp`
-//! gets a fresh row. An op's name is looked up by its text in a map with
-//! the small add-multiply hash of `equeue_ir::FxHasher`, and entered the
+//! gets a fresh row. An op's name is looked up by its text and entered the
 //! first time it is seen: an unrolled program runs each op once, so a
-//! table by op id would miss on every record. The
-//! public [`Trace::record`] enters its strings into the same table.
+//! table by op id would miss on every record. The public
+//! [`Trace::record`] enters its strings into the same table.
 //!
 //! **Export.** [`Trace::to_chrome_json`] escapes each table entry once and
 //! renders each row's `pid`/`tid` fields once, then writes every record
@@ -31,8 +30,7 @@
 //! small objects.
 
 use std::borrow::Cow;
-
-use equeue_ir::FxHashMap;
+use std::collections::HashMap;
 
 use crate::value::CompId;
 
@@ -184,10 +182,10 @@ pub struct Trace {
 struct Tables {
     /// Every name a record or row refers to, by id.
     names: Vec<Cow<'static, str>>,
-    name_ids: FxHashMap<Cow<'static, str>, u32>,
+    name_ids: HashMap<Cow<'static, str>, u32>,
     /// `[pid, tid]` name ids, by row id.
     rows: Vec<[u32; 2]>,
-    row_ids: FxHashMap<[u32; 2], u32>,
+    row_ids: HashMap<[u32; 2], u32>,
     /// The engine's row per component index, under `[Processor, DMA]`.
     comp_rows: Vec<[u32; 2]>,
 }

@@ -1,8 +1,7 @@
-//! A small multiplicative hasher for maps keyed by short strings.
+//! A small multiplicative hasher for the parser's maps.
 //!
-//! The parser's SSA scope and type cache, and the simulator's trace name
-//! table, are keyed by short strings, which std's SipHash spends most of
-//! its time setting up for. This is the add-multiply hash rustc uses for its own
+//! The parser's SSA scope and type cache are keyed by short strings, which std's SipHash spends most of its time
+//! setting up for. This is the add-multiply hash rustc uses for its own
 //! tables: not DoS-resistant, which IR text the user feeds to their own
 //! tools does not need, and several times cheaper on short keys. The final
 //! rotation moves the product's well-mixed high bits down to where the
@@ -13,11 +12,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` using [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Add-multiply over 8-byte words.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher {
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FxHasher {
     hash: u64,
 }
 

@@ -67,7 +67,6 @@ pub mod pass;
 pub use attr::{Attr, AttrMap};
 pub use builder::{OpBuilder, OpSpec};
 pub use error::{IrError, IrResult};
-pub use hash::{FxHashMap, FxHasher};
 pub use inline::{IdVec, IdVecIntoIter, Name};
 pub use module::{
     Block, BlockId, Module, OpId, Operation, Region, RegionId, ValueData, ValueDef, ValueId,
