@@ -2514,6 +2514,40 @@ mod tests {
     }
 
     #[test]
+    fn trace_rows_follow_component_renames() {
+        // A processor runs one `mac` under its default name, is then named
+        // `PE` by `create_comp`, and runs another: each event sits on the
+        // row of the name the processor had when it ran.
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::MAC);
+        let start = b.control_start();
+        let first = b.launch(start, pe, &[], vec![]);
+        {
+            let mut ib = OpBuilder::at_end(b.module_mut(), first.body);
+            ib.ext_op("mac", vec![], vec![]);
+            ib.ret(vec![]);
+        }
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        b.await_all(vec![first.done]);
+        b.create_comp(&["PE"], vec![pe]);
+        let again = b.control_start();
+        let second = b.launch(again, pe, &[], vec![]);
+        {
+            let mut ib = OpBuilder::at_end(b.module_mut(), second.body);
+            ib.ext_op("mac", vec![], vec![]);
+            ib.ret(vec![]);
+        }
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        b.await_all(vec![second.done]);
+        let report = simulate(&m).unwrap();
+        let tids: Vec<&str> = report.trace.events().map(|e| e.tid()).collect();
+        // Component 0 is the host processor.
+        assert_eq!(tids, ["MAC#1", "PE"]);
+    }
+
+    #[test]
     fn connection_limits_read_bandwidth() {
         let mut m = Module::new();
         let blk = m.top_block();
