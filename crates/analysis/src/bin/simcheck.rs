@@ -32,8 +32,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: simcheck [--json] [--quiet] (--all-scenarios | --scenario NAME | FILE...)\n\
          \n\
-         Runs the five-pass static analysis (conflict graph, deadlock,\n\
-         fusibility, dead values, resource bounds) and prints diagnostics.\n\
+         Runs the four static analysis passes (deadlock proof, fusibility,\n\
+         dead values, resource bounds) and prints diagnostics.\n\
          Exit 0: clean; 1: errors found; 2: bad usage/input."
     );
     ExitCode::from(2)

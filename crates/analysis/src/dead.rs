@@ -12,10 +12,7 @@
 //!
 //! Both are warnings: the program still simulates, just wastefully.
 
-use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, Diagnostic, Severity};
-
-/// The dead-value / unused-hardware pass.
-pub struct DeadPass;
+use crate::{AnalysisCtx, AnalysisReport, Diagnostic, Severity};
 
 /// Ops whose only observable effect is their result value.
 fn is_pure(name: &str) -> bool {
@@ -33,51 +30,49 @@ fn entity_kind(name: &str) -> Option<&'static str> {
     }
 }
 
-impl AnalysisPass for DeadPass {
-    fn name(&self) -> &'static str {
-        "dead"
-    }
+/// The [`Diagnostic::pass`] name of this pass's diagnostics.
+const PASS: &str = "dead";
 
-    fn run(&self, ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
-        let mut dead = 0usize;
-        let mut unused = 0usize;
-        for op in ctx.module.live_ops() {
-            let Some(data) = ctx.op_checked(op) else {
-                continue;
-            };
-            if data.results.is_empty() {
-                continue;
-            }
-            let all_unused = data.results.iter().all(|r| ctx.uses_of(*r).is_empty());
-            if !all_unused {
-                continue;
-            }
-            if let Some(kind) = entity_kind(&data.name) {
-                unused += 1;
-                out.diagnostics.push(Diagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    code: "unused-port",
-                    message: format!("{kind} is created but never used"),
-                    location: Some(ctx.location(op)),
-                });
-            } else if is_pure(&data.name) {
-                dead += 1;
-                out.diagnostics.push(Diagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    code: "dead-value",
-                    message: format!("result of {} is never used", data.name),
-                    location: Some(ctx.location(op)),
-                });
-            }
+/// Runs the dead pass, appending its diagnostics to `out`. Never panics.
+pub(crate) fn run(ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
+    let mut dead = 0usize;
+    let mut unused = 0usize;
+    for op in ctx.module.live_ops() {
+        let Some(data) = ctx.op_checked(op) else {
+            continue;
+        };
+        if data.results.is_empty() {
+            continue;
         }
-        out.diagnostics.push(Diagnostic {
-            pass: self.name(),
-            severity: Severity::Info,
-            code: "dead-summary",
-            message: format!("{dead} dead values, {unused} unused hardware entities"),
-            location: None,
-        });
+        let all_unused = data.results.iter().all(|r| ctx.uses_of(*r).is_empty());
+        if !all_unused {
+            continue;
+        }
+        if let Some(kind) = entity_kind(&data.name) {
+            unused += 1;
+            out.diagnostics.push(Diagnostic {
+                pass: PASS,
+                severity: Severity::Warning,
+                code: "unused-port",
+                message: format!("{kind} is created but never used"),
+                location: Some(ctx.location(op)),
+            });
+        } else if is_pure(&data.name) {
+            dead += 1;
+            out.diagnostics.push(Diagnostic {
+                pass: PASS,
+                severity: Severity::Warning,
+                code: "dead-value",
+                message: format!("result of {} is never used", data.name),
+                location: Some(ctx.location(op)),
+            });
+        }
     }
+    out.diagnostics.push(Diagnostic {
+        pass: PASS,
+        severity: Severity::Info,
+        code: "dead-summary",
+        message: format!("{dead} dead values, {unused} unused hardware entities"),
+        location: None,
+    });
 }

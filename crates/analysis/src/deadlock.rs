@@ -45,10 +45,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use equeue_dialect::{launch_view, resolve_def};
 use equeue_ir::{BlockId, OpId, ValueId};
 
-use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, Diagnostic, Severity};
-
-/// The static deadlock-detection pass.
-pub struct DeadlockPass;
+use crate::{AnalysisCtx, AnalysisReport, Diagnostic, Severity};
 
 /// Cap on per-event diagnostics, so fuzzer-malformed modules with
 /// thousands of unprovable events stay readable.
@@ -276,297 +273,295 @@ impl GraphBuilder<'_, '_> {
     }
 }
 
-impl AnalysisPass for DeadlockPass {
-    fn name(&self) -> &'static str {
-        "deadlock"
+/// The [`Diagnostic::pass`] name of this pass's diagnostics.
+const PASS: &str = "deadlock";
+
+/// Runs the deadlock pass: appends its diagnostics to `out` and fills the
+/// report section it owns. Never panics.
+pub(crate) fn run(ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
+    let mut collector = Collector {
+        ctx,
+        events: Vec::new(),
+        frame_awaits: vec![Vec::new()],
+        event_of_op: HashMap::new(),
+        last_on_queue: HashMap::new(),
+        unresolved: Vec::new(),
+    };
+    collector.visit_block(ctx.module.top_block(), 0, None, 0);
+    let Collector {
+        events,
+        frame_awaits,
+        event_of_op,
+        unresolved,
+        ..
+    } = collector;
+    let n = events.len();
+
+    let mut clean = unresolved.is_empty();
+    for loc in unresolved.iter().take(MAX_EVENT_DIAGS) {
+        out.diagnostics.push(Diagnostic {
+            pass: PASS,
+            severity: Severity::Warning,
+            code: "unresolved-target",
+            message: "event target not statically resolvable; completion not provable".to_string(),
+            location: Some(loc.clone()),
+        });
+    }
+    if unresolved.len() > MAX_EVENT_DIAGS {
+        out.diagnostics.push(Diagnostic {
+            pass: PASS,
+            severity: Severity::Warning,
+            code: "unresolved-target",
+            message: format!(
+                "... and {} more events with unresolvable targets",
+                unresolved.len() - MAX_EVENT_DIAGS
+            ),
+            location: None,
+        });
     }
 
-    fn run(&self, ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
-        let mut collector = Collector {
-            ctx,
-            events: Vec::new(),
-            frame_awaits: vec![Vec::new()],
-            event_of_op: HashMap::new(),
-            last_on_queue: HashMap::new(),
-            unresolved: Vec::new(),
-        };
-        collector.visit_block(ctx.module.top_block(), 0, None, 0);
-        let Collector {
-            events,
-            frame_awaits,
-            event_of_op,
-            unresolved,
-            ..
-        } = collector;
-        let n = events.len();
+    // Build the provability graph.
+    let mut g = Graph {
+        deps: Vec::new(),
+        consumers: Vec::new(),
+        is_or: Vec::new(),
+        unknown: Vec::new(),
+        satisfied: Vec::new(),
+    };
+    for _ in 0..n {
+        g.new_node(false); // start(e)
+        g.new_node(false); // finish(e)
+    }
+    let unknown_node = g.new_node(false);
+    let ground_node = g.new_node(false);
+    g.unknown[unknown_node as usize] = true;
+    g.satisfied[ground_node as usize] = true;
+    let mut b = GraphBuilder {
+        ctx,
+        g,
+        unknown_node,
+        ground_node,
+        sig_memo: HashMap::new(),
+        event_of_op,
+        saw_unknown: false,
+    };
 
-        let mut clean = unresolved.is_empty();
-        for loc in unresolved.iter().take(MAX_EVENT_DIAGS) {
-            out.diagnostics.push(Diagnostic {
-                pass: self.name(),
-                severity: Severity::Warning,
-                code: "unresolved-target",
-                message: "event target not statically resolvable; completion not provable"
-                    .to_string(),
-                location: Some(loc.clone()),
-            });
+    for (e, ev) in events.iter().enumerate() {
+        let start = 2 * e;
+        let finish = 2 * e + 1;
+        match ev.dep {
+            Some(dep) => {
+                let s = b.sig_node(dep);
+                b.g.deps[start].push(s);
+            }
+            None => {
+                b.saw_unknown = true;
+                b.g.deps[start].push(unknown_node);
+            }
         }
-        if unresolved.len() > MAX_EVENT_DIAGS {
+        if let Some(awaits) = frame_awaits.get(ev.frame) {
+            let sigs: Vec<ValueId> = awaits.iter().take(ev.awaits_before).copied().collect();
+            for sig in sigs {
+                let s = b.sig_node(sig);
+                b.g.deps[start].push(s);
+            }
+        }
+        if let Some(p) = ev.fifo_pred {
+            b.g.deps[start].push((2 * p + 1) as u32);
+        }
+        if let Some(p) = ev.parent {
+            b.g.deps[start].push((2 * p) as u32);
+        }
+        b.g.deps[finish].push(start as u32);
+        if let Some(bf) = ev.body_frame {
+            let sigs: Vec<ValueId> = frame_awaits.get(bf).cloned().unwrap_or_default();
+            for sig in sigs {
+                let s = b.sig_node(sig);
+                b.g.deps[finish].push(s);
+            }
+        }
+    }
+    let mut g = b.g;
+
+    // Counter-based worklist propagation from the ground leaf.
+    let total = g.deps.len();
+    for x in 0..total {
+        for i in 0..g.deps[x].len() {
+            let d = g.deps[x][i] as usize;
+            g.consumers[d].push(x as u32);
+        }
+    }
+    let mut need: Vec<u32> = (0..total)
+        .map(|x| {
+            g.deps[x]
+                .iter()
+                .filter(|&&d| !g.satisfied[d as usize])
+                .count() as u32
+        })
+        .collect();
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    for (x, &n_unmet) in need.iter().enumerate() {
+        if g.satisfied[x] || g.unknown[x] {
+            continue;
+        }
+        let ready = if g.is_or[x] {
+            g.deps[x].iter().any(|&d| g.satisfied[d as usize])
+        } else {
+            n_unmet == 0
+        };
+        if ready {
+            g.satisfied[x] = true;
+            queue.push_back(x as u32);
+        }
+    }
+    while let Some(x) = queue.pop_front() {
+        for i in 0..g.consumers[x as usize].len() {
+            let c = g.consumers[x as usize][i];
+            let ci = c as usize;
+            if g.satisfied[ci] || g.unknown[ci] {
+                continue;
+            }
+            let ready = if g.is_or[ci] {
+                true
+            } else {
+                need[ci] = need[ci].saturating_sub(1);
+                need[ci] == 0
+            };
+            if ready {
+                g.satisfied[ci] = true;
+                queue.push_back(c);
+            }
+        }
+    }
+
+    let unproved: Vec<usize> = (0..n).filter(|&e| !g.satisfied[2 * e + 1]).collect();
+
+    if !unproved.is_empty() {
+        clean = false;
+        match find_cycle(&g) {
+            Some(cycle) => {
+                let path: Vec<String> = cycle
+                    .iter()
+                    .filter_map(|&node| {
+                        let node = node as usize;
+                        (node < 2 * n).then(|| ctx.location(events[node / 2].op))
+                    })
+                    .collect();
+                out.diagnostics.push(Diagnostic {
+                    pass: PASS,
+                    severity: Severity::Error,
+                    code: "static-deadlock",
+                    message: format!("wait cycle: {}", dedup_adjacent(path).join(" -> ")),
+                    location: None,
+                });
+            }
+            None => {
+                for &e in unproved.iter().take(MAX_EVENT_DIAGS) {
+                    out.diagnostics.push(Diagnostic {
+                        pass: PASS,
+                        severity: Severity::Warning,
+                        code: "unproved-completion",
+                        message: "cannot prove this event completes".to_string(),
+                        location: Some(ctx.location(events[e].op)),
+                    });
+                }
+                if unproved.len() > MAX_EVENT_DIAGS {
+                    out.diagnostics.push(Diagnostic {
+                        pass: PASS,
+                        severity: Severity::Warning,
+                        code: "unproved-completion",
+                        message: format!(
+                            "... and {} more events not proved to complete",
+                            unproved.len() - MAX_EVENT_DIAGS
+                        ),
+                        location: None,
+                    });
+                }
+            }
+        }
+    }
+
+    // Cross-frame queue-order hazards: only processors receiving
+    // events from more than one frame can race on arrival order, and
+    // for golden scenarios that set is empty — the reachability scan
+    // below never runs on the hot path.
+    let mut by_proc: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (e, ev) in events.iter().enumerate() {
+        if let Some(p) = ev.proc {
+            by_proc.entry(p).or_default().push(e);
+        }
+    }
+    let mut hazard_events: Vec<usize> = Vec::new();
+    for evs in by_proc.values() {
+        let first_frame = events[evs[0]].frame;
+        if evs.iter().any(|&e| events[e].frame != first_frame) {
+            hazard_events.extend(evs.iter().copied());
+        }
+    }
+    hazard_events.sort_unstable();
+    if !hazard_events.is_empty() {
+        let budget_per = HAZARD_BUDGET / hazard_events.len();
+        let mut reported = 0usize;
+        let mut capped = false;
+        for &a in &hazard_events {
+            match reaches_peer(&g, &events, a, &hazard_events, budget_per) {
+                Reach::Peer(peer) => {
+                    clean = false;
+                    if reported < MAX_EVENT_DIAGS {
+                        out.diagnostics.push(Diagnostic {
+                            pass: PASS,
+                            severity: Severity::Warning,
+                            code: "queue-order-hazard",
+                            message: format!(
+                                "waits on {}, which shares its processor queue from a different frame; completion depends on arrival order",
+                                ctx.location(events[peer].op)
+                            ),
+                            location: Some(ctx.location(events[a].op)),
+                        });
+                    }
+                    reported += 1;
+                }
+                Reach::Capped => capped = true,
+                Reach::No => {}
+            }
+        }
+        if reported > MAX_EVENT_DIAGS {
             out.diagnostics.push(Diagnostic {
-                pass: self.name(),
+                pass: PASS,
                 severity: Severity::Warning,
-                code: "unresolved-target",
+                code: "queue-order-hazard",
                 message: format!(
-                    "... and {} more events with unresolvable targets",
-                    unresolved.len() - MAX_EVENT_DIAGS
+                    "... and {} more queue-order hazards",
+                    reported - MAX_EVENT_DIAGS
                 ),
                 location: None,
             });
         }
-
-        // Build the provability graph.
-        let mut g = Graph {
-            deps: Vec::new(),
-            consumers: Vec::new(),
-            is_or: Vec::new(),
-            unknown: Vec::new(),
-            satisfied: Vec::new(),
-        };
-        for _ in 0..n {
-            g.new_node(false); // start(e)
-            g.new_node(false); // finish(e)
-        }
-        let unknown_node = g.new_node(false);
-        let ground_node = g.new_node(false);
-        g.unknown[unknown_node as usize] = true;
-        g.satisfied[ground_node as usize] = true;
-        let mut b = GraphBuilder {
-            ctx,
-            g,
-            unknown_node,
-            ground_node,
-            sig_memo: HashMap::new(),
-            event_of_op,
-            saw_unknown: false,
-        };
-
-        for (e, ev) in events.iter().enumerate() {
-            let start = 2 * e;
-            let finish = 2 * e + 1;
-            match ev.dep {
-                Some(dep) => {
-                    let s = b.sig_node(dep);
-                    b.g.deps[start].push(s);
-                }
-                None => {
-                    b.saw_unknown = true;
-                    b.g.deps[start].push(unknown_node);
-                }
-            }
-            if let Some(awaits) = frame_awaits.get(ev.frame) {
-                let sigs: Vec<ValueId> = awaits.iter().take(ev.awaits_before).copied().collect();
-                for sig in sigs {
-                    let s = b.sig_node(sig);
-                    b.g.deps[start].push(s);
-                }
-            }
-            if let Some(p) = ev.fifo_pred {
-                b.g.deps[start].push((2 * p + 1) as u32);
-            }
-            if let Some(p) = ev.parent {
-                b.g.deps[start].push((2 * p) as u32);
-            }
-            b.g.deps[finish].push(start as u32);
-            if let Some(bf) = ev.body_frame {
-                let sigs: Vec<ValueId> = frame_awaits.get(bf).cloned().unwrap_or_default();
-                for sig in sigs {
-                    let s = b.sig_node(sig);
-                    b.g.deps[finish].push(s);
-                }
-            }
-        }
-        let mut g = b.g;
-
-        // Counter-based worklist propagation from the ground leaf.
-        let total = g.deps.len();
-        for x in 0..total {
-            for i in 0..g.deps[x].len() {
-                let d = g.deps[x][i] as usize;
-                g.consumers[d].push(x as u32);
-            }
-        }
-        let mut need: Vec<u32> = (0..total)
-            .map(|x| {
-                g.deps[x]
-                    .iter()
-                    .filter(|&&d| !g.satisfied[d as usize])
-                    .count() as u32
-            })
-            .collect();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for (x, &n_unmet) in need.iter().enumerate() {
-            if g.satisfied[x] || g.unknown[x] {
-                continue;
-            }
-            let ready = if g.is_or[x] {
-                g.deps[x].iter().any(|&d| g.satisfied[d as usize])
-            } else {
-                n_unmet == 0
-            };
-            if ready {
-                g.satisfied[x] = true;
-                queue.push_back(x as u32);
-            }
-        }
-        while let Some(x) = queue.pop_front() {
-            for i in 0..g.consumers[x as usize].len() {
-                let c = g.consumers[x as usize][i];
-                let ci = c as usize;
-                if g.satisfied[ci] || g.unknown[ci] {
-                    continue;
-                }
-                let ready = if g.is_or[ci] {
-                    true
-                } else {
-                    need[ci] = need[ci].saturating_sub(1);
-                    need[ci] == 0
-                };
-                if ready {
-                    g.satisfied[ci] = true;
-                    queue.push_back(c);
-                }
-            }
-        }
-
-        let unproved: Vec<usize> = (0..n).filter(|&e| !g.satisfied[2 * e + 1]).collect();
-
-        if !unproved.is_empty() {
+        if capped {
             clean = false;
-            match find_cycle(&g) {
-                Some(cycle) => {
-                    let path: Vec<String> = cycle
-                        .iter()
-                        .filter_map(|&node| {
-                            let node = node as usize;
-                            (node < 2 * n).then(|| ctx.location(events[node / 2].op))
-                        })
-                        .collect();
-                    out.diagnostics.push(Diagnostic {
-                        pass: self.name(),
-                        severity: Severity::Error,
-                        code: "static-deadlock",
-                        message: format!("wait cycle: {}", dedup_adjacent(path).join(" -> ")),
-                        location: None,
-                    });
-                }
-                None => {
-                    for &e in unproved.iter().take(MAX_EVENT_DIAGS) {
-                        out.diagnostics.push(Diagnostic {
-                            pass: self.name(),
-                            severity: Severity::Warning,
-                            code: "unproved-completion",
-                            message: "cannot prove this event completes".to_string(),
-                            location: Some(ctx.location(events[e].op)),
-                        });
-                    }
-                    if unproved.len() > MAX_EVENT_DIAGS {
-                        out.diagnostics.push(Diagnostic {
-                            pass: self.name(),
-                            severity: Severity::Warning,
-                            code: "unproved-completion",
-                            message: format!(
-                                "... and {} more events not proved to complete",
-                                unproved.len() - MAX_EVENT_DIAGS
-                            ),
-                            location: None,
-                        });
-                    }
-                }
-            }
+            out.diagnostics.push(Diagnostic {
+                pass: PASS,
+                severity: Severity::Warning,
+                code: "queue-order-hazard",
+                message: "cross-frame queue-order analysis exceeded its work budget; not proved deadlock-free"
+                    .to_string(),
+                location: None,
+            });
         }
-
-        // Cross-frame queue-order hazards: only processors receiving
-        // events from more than one frame can race on arrival order, and
-        // for golden scenarios that set is empty — the reachability scan
-        // below never runs on the hot path.
-        let mut by_proc: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (e, ev) in events.iter().enumerate() {
-            if let Some(p) = ev.proc {
-                by_proc.entry(p).or_default().push(e);
-            }
-        }
-        let mut hazard_events: Vec<usize> = Vec::new();
-        for evs in by_proc.values() {
-            let first_frame = events[evs[0]].frame;
-            if evs.iter().any(|&e| events[e].frame != first_frame) {
-                hazard_events.extend(evs.iter().copied());
-            }
-        }
-        hazard_events.sort_unstable();
-        if !hazard_events.is_empty() {
-            let budget_per = HAZARD_BUDGET / hazard_events.len();
-            let mut reported = 0usize;
-            let mut capped = false;
-            for &a in &hazard_events {
-                match reaches_peer(&g, &events, a, &hazard_events, budget_per) {
-                    Reach::Peer(peer) => {
-                        clean = false;
-                        if reported < MAX_EVENT_DIAGS {
-                            out.diagnostics.push(Diagnostic {
-                                pass: self.name(),
-                                severity: Severity::Warning,
-                                code: "queue-order-hazard",
-                                message: format!(
-                                    "waits on {}, which shares its processor queue from a different frame; completion depends on arrival order",
-                                    ctx.location(events[peer].op)
-                                ),
-                                location: Some(ctx.location(events[a].op)),
-                            });
-                        }
-                        reported += 1;
-                    }
-                    Reach::Capped => capped = true,
-                    Reach::No => {}
-                }
-            }
-            if reported > MAX_EVENT_DIAGS {
-                out.diagnostics.push(Diagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    code: "queue-order-hazard",
-                    message: format!(
-                        "... and {} more queue-order hazards",
-                        reported - MAX_EVENT_DIAGS
-                    ),
-                    location: None,
-                });
-            }
-            if capped {
-                clean = false;
-                out.diagnostics.push(Diagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    code: "queue-order-hazard",
-                    message: "cross-frame queue-order analysis exceeded its work budget; not proved deadlock-free"
-                        .to_string(),
-                    location: None,
-                });
-            }
-        }
-
-        out.deadlock_free = clean;
-        out.diagnostics.push(Diagnostic {
-            pass: self.name(),
-            severity: Severity::Info,
-            code: "deadlock-summary",
-            message: if clean {
-                format!("proved all {n} events complete: deadlock-free")
-            } else {
-                format!("{} of {n} events not proved to complete", unproved.len())
-            },
-            location: None,
-        });
     }
+
+    out.deadlock_free = clean;
+    out.diagnostics.push(Diagnostic {
+        pass: PASS,
+        severity: Severity::Info,
+        code: "deadlock-summary",
+        message: if clean {
+            format!("proved all {n} events complete: deadlock-free")
+        } else {
+            format!("{} of {n} events not proved to complete", unproved.len())
+        },
+        location: None,
+    });
 }
 
 /// Collapses immediately-repeated path entries (the start and finish nodes
@@ -678,3 +673,4 @@ fn find_cycle(g: &Graph) -> Option<Vec<u32>> {
     }
     None
 }
+

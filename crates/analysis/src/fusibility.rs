@@ -11,7 +11,7 @@
 use equeue_core::FuseVerdict;
 use equeue_ir::OpId;
 
-use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, Diagnostic, Severity};
+use crate::{AnalysisCtx, AnalysisReport, Diagnostic, Severity};
 
 /// One loop's report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,57 +43,53 @@ impl FusibilityReport {
     }
 }
 
-/// The fusibility pass.
-pub struct FusibilityPass;
+/// The [`Diagnostic::pass`] name of this pass's diagnostics.
+const PASS: &str = "fusibility";
 
-impl AnalysisPass for FusibilityPass {
-    fn name(&self) -> &'static str {
-        "fusibility"
-    }
-
-    fn run(&self, ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
-        let mut report = FusibilityReport::default();
-        for lf in &ctx.facts.loops {
-            report.loops.push(LoopReport {
-                op: lf.op,
-                location: ctx.location(lf.op),
-                trip_count: lf.trip_count(),
-                verdict: lf.verdict.clone(),
-            });
-        }
-
-        for l in &report.loops {
-            let (code, message) = match &l.verdict {
-                FuseVerdict::Fused { insts } => (
-                    "fuses",
-                    format!(
-                        "fuses: {insts}-instruction trace, trip count {}",
-                        l.trip_count
-                            .map_or("unknown".to_string(), |t| t.to_string())
-                    ),
-                ),
-                FuseVerdict::ZeroTrip => ("zero-trip", "loop never enters".to_string()),
-                FuseVerdict::Declined(reason) => ("no-fuse", reason.to_string()),
-            };
-            out.diagnostics.push(Diagnostic {
-                pass: self.name(),
-                severity: Severity::Info,
-                code,
-                message,
-                location: Some(l.location.clone()),
-            });
-        }
-        out.diagnostics.push(Diagnostic {
-            pass: self.name(),
-            severity: Severity::Info,
-            code: "fusibility-summary",
-            message: format!(
-                "{} of {} affine.for bodies fuse",
-                report.fusible_count(),
-                report.loops.len()
-            ),
-            location: None,
+/// Runs the fusibility pass: appends its diagnostics to `out` and fills the
+/// report section it owns. Never panics.
+pub(crate) fn run(ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
+    let mut report = FusibilityReport::default();
+    for lf in &ctx.facts.loops {
+        report.loops.push(LoopReport {
+            op: lf.op,
+            location: ctx.location(lf.op),
+            trip_count: lf.trip_count(),
+            verdict: lf.verdict.clone(),
         });
-        out.fusibility = report;
     }
+
+    for l in &report.loops {
+        let (code, message) = match &l.verdict {
+            FuseVerdict::Fused { insts } => (
+                "fuses",
+                format!(
+                    "fuses: {insts}-instruction trace, trip count {}",
+                    l.trip_count
+                        .map_or("unknown".to_string(), |t| t.to_string())
+                ),
+            ),
+            FuseVerdict::ZeroTrip => ("zero-trip", "loop never enters".to_string()),
+            FuseVerdict::Declined(reason) => ("no-fuse", reason.to_string()),
+        };
+        out.diagnostics.push(Diagnostic {
+            pass: PASS,
+            severity: Severity::Info,
+            code,
+            message,
+            location: Some(l.location.clone()),
+        });
+    }
+    out.diagnostics.push(Diagnostic {
+        pass: PASS,
+        severity: Severity::Info,
+        code: "fusibility-summary",
+        message: format!(
+            "{} of {} affine.for bodies fuse",
+            report.fusible_count(),
+            report.loops.len()
+        ),
+        location: None,
+    });
+    out.fusibility = report;
 }

@@ -1,26 +1,23 @@
 //! # equeue-analysis — static analysis over EQueue modules
 //!
-//! A pass framework that inspects a module *before* any cycle is simulated
-//! and emits structured, source-located diagnostics. The passes lean on the
+//! Four passes that inspect a module *before* any cycle is simulated and
+//! emit structured, source-located diagnostics. The passes lean on the
 //! engine's own layout prepass (via [`equeue_core::PrepassFacts`]) so their
 //! claims are about exactly the program the engine would execute.
 //!
-//! The standard pipeline ([`Analyzer::standard`]) runs five passes:
+//! [`analyze_module`] runs them in this order:
 //!
-//! 1. **conflict** — builds the port/connection [`ConflictGraph`]: which
-//!    processors touch overlapping memories/connections and therefore
-//!    contend if scheduled in the same time window.
-//! 2. **deadlock** — a sound completion proof over the launch/connection
+//! 1. **deadlock** — a sound completion proof over the launch/connection
 //!    graph. `deadlock_free = true` is a *guarantee* (the runtime can never
 //!    return `SimError::Deadlock`); `false` means either a proven wait
 //!    cycle (Error) or an unprovable case (Warning).
-//! 3. **fusibility** — for every `affine.for`, either "fuses" (with trace
+//! 2. **fusibility** — for every `affine.for`, either "fuses" (with trace
 //!    length) or the precise decline reason, exactly as the engine's plan
 //!    decided it (including non-integer tensors and cache-backed
 //!    memories).
-//! 4. **dead** — dead values and never-used hardware entities
+//! 3. **dead** — dead values and never-used hardware entities
 //!    (processors, memories, connections, DMA engines).
-//! 5. **resource** — static upper bounds on live tensor bytes and spawned
+//! 4. **resource** — static upper bounds on live tensor bytes and spawned
 //!    events, cross-checked against [`RunLimits`].
 //!
 //! Analysis is total: it accepts IR that the strict
@@ -52,22 +49,14 @@ use std::fmt;
 use equeue_core::{analyze_facts, CompiledModule, PrepassFacts, RunLimits, SimLibrary};
 use equeue_ir::{BlockId, Module, OpId, ValueId};
 
-mod conflict;
 mod dead;
 mod deadlock;
 mod fusibility;
 mod render;
 mod resource;
 
-pub use conflict::{ConflictGraph, ConflictNode};
-pub use deadlock::DeadlockPass;
 pub use fusibility::{FusibilityReport, LoopReport};
 pub use resource::ResourceEstimate;
-
-pub use conflict::ConflictPass;
-pub use dead::DeadPass;
-pub use fusibility::FusibilityPass;
-pub use resource::ResourcePass;
 
 // ---------------------------------------------------------------------------
 // Diagnostics
@@ -266,17 +255,15 @@ fn build_paths(
 }
 
 // ---------------------------------------------------------------------------
-// Report and pass pipeline
+// Report and entry points
 // ---------------------------------------------------------------------------
 
 /// Aggregate result of an analysis run: diagnostics plus the structured
 /// artifacts individual passes fill in.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisReport {
-    /// All diagnostics, in pass-pipeline order (deterministic).
+    /// All diagnostics, in pass order (deterministic).
     pub diagnostics: Vec<Diagnostic>,
-    /// The port/connection conflict graph (conflict pass).
-    pub conflict: ConflictGraph,
     /// Per-loop fusibility verdicts (fusibility pass).
     pub fusibility: FusibilityReport,
     /// Static resource upper bounds (resource pass).
@@ -316,65 +303,20 @@ impl AnalysisReport {
     }
 }
 
-/// One static-analysis pass.
-pub trait AnalysisPass {
-    /// Stable pass name (used as [`Diagnostic::pass`]).
-    fn name(&self) -> &'static str;
-    /// Runs the pass, appending diagnostics and filling the report section
-    /// it owns. Must not panic on any input.
-    fn run(&self, ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport);
-}
-
-/// An ordered pipeline of [`AnalysisPass`]es.
-pub struct Analyzer {
-    passes: Vec<Box<dyn AnalysisPass>>,
-}
-
-impl Analyzer {
-    /// The standard five-pass pipeline: conflict, deadlock, fusibility,
-    /// dead, resource.
-    pub fn standard() -> Self {
-        Analyzer {
-            passes: vec![
-                Box::new(conflict::ConflictPass),
-                Box::new(deadlock::DeadlockPass),
-                Box::new(fusibility::FusibilityPass),
-                Box::new(dead::DeadPass),
-                Box::new(resource::ResourcePass),
-            ],
-        }
-    }
-
-    /// An empty pipeline to extend with [`Analyzer::add`].
-    pub fn empty() -> Self {
-        Analyzer { passes: Vec::new() }
-    }
-
-    /// Appends a pass to the pipeline.
-    pub fn add(&mut self, pass: Box<dyn AnalysisPass>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Runs every pass in order over `ctx`.
-    pub fn run(&self, ctx: &AnalysisCtx<'_>) -> AnalysisReport {
-        let mut report = AnalysisReport::default();
-        for pass in &self.passes {
-            pass.run(ctx, &mut report);
-        }
-        report
-    }
-}
-
-/// Runs the standard pipeline over a module **leniently**: malformed IR
-/// yields typed diagnostics, never a panic or an error return. This is the
-/// entry point `simcheck` and the fuzzer harness use.
+/// Runs the four passes over a module **leniently**: malformed IR yields
+/// typed diagnostics, never a panic or an error return. This is the entry
+/// point `simcheck` and the fuzzer harness use.
 pub fn analyze_module(module: &Module, library: &SimLibrary, limits: &RunLimits) -> AnalysisReport {
     let ctx = AnalysisCtx::new(module, library, *limits);
-    Analyzer::standard().run(&ctx)
+    let mut report = AnalysisReport::default();
+    deadlock::run(&ctx, &mut report);
+    fusibility::run(&ctx, &mut report);
+    dead::run(&ctx, &mut report);
+    resource::run(&ctx, &mut report);
+    report
 }
 
-/// Runs the standard pipeline over an already-compiled (strictly validated)
+/// Runs the four passes over an already-compiled (strictly validated)
 /// module, with default run limits.
 pub fn analyze(compiled: &CompiledModule) -> AnalysisReport {
     analyze_module(compiled.module(), compiled.library(), &RunLimits::default())

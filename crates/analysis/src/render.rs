@@ -14,22 +14,6 @@ use crate::AnalysisReport;
 /// Plain-text rendering (the `simcheck` default output).
 pub(crate) fn to_text(report: &AnalysisReport) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "== conflict graph ==");
-    for (i, n) in report.conflict.nodes.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "node {i}: {}{}",
-            n.label,
-            if n.opaque { " (opaque)" } else { "" }
-        );
-    }
-    for &(a, b) in &report.conflict.edges {
-        let _ = writeln!(s, "edge: {a} -- {b}");
-    }
-    for (gi, g) in report.conflict.groups.iter().enumerate() {
-        let members: Vec<String> = g.iter().map(|m| m.to_string()).collect();
-        let _ = writeln!(s, "group {gi}: [{}]", members.join(", "));
-    }
     let _ = writeln!(s, "== deadlock ==");
     let _ = writeln!(s, "deadlock_free: {}", report.deadlock_free);
     let _ = writeln!(s, "== fusibility ==");
@@ -96,37 +80,7 @@ fn opt_u64(out: &mut String, v: Option<u64>) {
 /// JSON rendering (the `simcheck --json` output).
 pub(crate) fn to_json(report: &AnalysisReport) -> String {
     let mut s = String::new();
-    s.push_str("{\"conflict\":{\"nodes\":[");
-    for (i, n) in report.conflict.nodes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"label\":");
-        esc(&mut s, &n.label);
-        let _ = write!(s, ",\"opaque\":{}}}", n.opaque);
-    }
-    s.push_str("],\"edges\":[");
-    for (i, &(a, b)) in report.conflict.edges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "[{a},{b}]");
-    }
-    s.push_str("],\"groups\":[");
-    for (i, g) in report.conflict.groups.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('[');
-        for (j, m) in g.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{m}");
-        }
-        s.push(']');
-    }
-    let _ = write!(s, "]}},\"deadlock_free\":{},", report.deadlock_free);
+    let _ = write!(s, "{{\"deadlock_free\":{},", report.deadlock_free);
     s.push_str("\"fusibility\":{\"loops\":[");
     for (i, l) in report.fusibility.loops.iter().enumerate() {
         if i > 0 {

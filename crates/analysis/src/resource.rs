@@ -18,7 +18,7 @@
 
 use equeue_ir::OpId;
 
-use crate::{AnalysisCtx, AnalysisPass, AnalysisReport, Diagnostic, Severity};
+use crate::{AnalysisCtx, AnalysisReport, Diagnostic, Severity};
 
 /// Static upper bounds; `None` = not derivable for this module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,9 +28,6 @@ pub struct ResourceEstimate {
     /// Upper bound on spawned events (launches + memcpys).
     pub events_bound: Option<u64>,
 }
-
-/// The resource-estimation pass.
-pub struct ResourcePass;
 
 /// Execution multiplicity of `op`: the product of the trip counts of every
 /// enclosing `affine.for`/`affine.parallel` across the whole launch-nest
@@ -99,99 +96,98 @@ fn alloc_bytes(ctx: &AnalysisCtx<'_>, op: OpId) -> Option<u64> {
     elems.checked_mul(width)
 }
 
-impl AnalysisPass for ResourcePass {
-    fn name(&self) -> &'static str {
-        "resource"
-    }
+/// The [`Diagnostic::pass`] name of this pass's diagnostics.
+const PASS: &str = "resource";
 
-    fn run(&self, ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
-        let mut tensor_bound: Option<u64> = Some(0);
-        let mut event_bound: Option<u64> = Some(0);
-        let mut opaque_allocs = 0usize;
-        let mut opaque_events = 0usize;
+/// Runs the resource pass: appends its diagnostics to `out` and fills the
+/// report section it owns. Never panics.
+pub(crate) fn run(ctx: &AnalysisCtx<'_>, out: &mut AnalysisReport) {
+    let mut tensor_bound: Option<u64> = Some(0);
+    let mut event_bound: Option<u64> = Some(0);
+    let mut opaque_allocs = 0usize;
+    let mut opaque_events = 0usize;
 
-        for op in ctx.module.live_ops() {
-            let Some(data) = ctx.op_checked(op) else {
-                continue;
-            };
-            match data.name.as_str() {
-                "equeue.alloc" | "memref.alloc" => {
-                    let site = alloc_bytes(ctx, op)
-                        .and_then(|b| multiplicity(ctx, op).and_then(|m| b.checked_mul(m)));
-                    match (tensor_bound, site) {
-                        (Some(acc), Some(b)) => tensor_bound = acc.checked_add(b),
-                        _ => {
-                            tensor_bound = None;
-                            opaque_allocs += 1;
-                        }
+    for op in ctx.module.live_ops() {
+        let Some(data) = ctx.op_checked(op) else {
+            continue;
+        };
+        match data.name.as_str() {
+            "equeue.alloc" | "memref.alloc" => {
+                let site = alloc_bytes(ctx, op)
+                    .and_then(|b| multiplicity(ctx, op).and_then(|m| b.checked_mul(m)));
+                match (tensor_bound, site) {
+                    (Some(acc), Some(b)) => tensor_bound = acc.checked_add(b),
+                    _ => {
+                        tensor_bound = None;
+                        opaque_allocs += 1;
                     }
                 }
-                "equeue.launch" | "equeue.memcpy" => match (event_bound, multiplicity(ctx, op)) {
-                    (Some(acc), Some(m)) => event_bound = acc.checked_add(m),
-                    _ => {
-                        event_bound = None;
-                        opaque_events += 1;
-                    }
-                },
-                _ => {}
             }
+            "equeue.launch" | "equeue.memcpy" => match (event_bound, multiplicity(ctx, op)) {
+                (Some(acc), Some(m)) => event_bound = acc.checked_add(m),
+                _ => {
+                    event_bound = None;
+                    opaque_events += 1;
+                }
+            },
+            _ => {}
         }
+    }
 
-        let fmt_bound = |b: Option<u64>| b.map_or("unknown".to_string(), |v| v.to_string());
+    let fmt_bound = |b: Option<u64>| b.map_or("unknown".to_string(), |v| v.to_string());
+    out.diagnostics.push(Diagnostic {
+        pass: PASS,
+        severity: Severity::Info,
+        code: "resource-summary",
+        message: format!(
+            "static bounds: live tensor bytes <= {}, events <= {}",
+            fmt_bound(tensor_bound),
+            fmt_bound(event_bound)
+        ),
+        location: None,
+    });
+    if opaque_allocs + opaque_events > 0 {
         out.diagnostics.push(Diagnostic {
-            pass: self.name(),
-            severity: Severity::Info,
-            code: "resource-summary",
+            pass: PASS,
+            severity: Severity::Warning,
+            code: "unbounded-site",
             message: format!(
-                "static bounds: live tensor bytes <= {}, events <= {}",
-                fmt_bound(tensor_bound),
-                fmt_bound(event_bound)
+                "{opaque_allocs} allocation and {opaque_events} event sites have no static multiplicity"
             ),
             location: None,
         });
-        if opaque_allocs + opaque_events > 0 {
+    }
+    if let Some(b) = tensor_bound {
+        if b > ctx.limits.max_live_tensor_bytes {
             out.diagnostics.push(Diagnostic {
-                pass: self.name(),
+                pass: PASS,
                 severity: Severity::Warning,
-                code: "unbounded-site",
+                code: "limit-risk",
                 message: format!(
-                    "{opaque_allocs} allocation and {opaque_events} event sites have no static multiplicity"
+                    "tensor-byte bound {b} exceeds RunLimits.max_live_tensor_bytes {}",
+                    ctx.limits.max_live_tensor_bytes
                 ),
                 location: None,
             });
         }
-        if let Some(b) = tensor_bound {
-            if b > ctx.limits.max_live_tensor_bytes {
-                out.diagnostics.push(Diagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    code: "limit-risk",
-                    message: format!(
-                        "tensor-byte bound {b} exceeds RunLimits.max_live_tensor_bytes {}",
-                        ctx.limits.max_live_tensor_bytes
-                    ),
-                    location: None,
-                });
-            }
-        }
-        if let Some(b) = event_bound {
-            if b > ctx.limits.max_events {
-                out.diagnostics.push(Diagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    code: "limit-risk",
-                    message: format!(
-                        "event bound {b} exceeds RunLimits.max_events {}",
-                        ctx.limits.max_events
-                    ),
-                    location: None,
-                });
-            }
-        }
-
-        out.resources = ResourceEstimate {
-            live_tensor_bytes_bound: tensor_bound,
-            events_bound: event_bound,
-        };
     }
+    if let Some(b) = event_bound {
+        if b > ctx.limits.max_events {
+            out.diagnostics.push(Diagnostic {
+                pass: PASS,
+                severity: Severity::Warning,
+                code: "limit-risk",
+                message: format!(
+                    "event bound {b} exceeds RunLimits.max_events {}",
+                    ctx.limits.max_events
+                ),
+                location: None,
+            });
+        }
+    }
+
+    out.resources = ResourceEstimate {
+        live_tensor_bytes_bound: tensor_bound,
+        events_bound: event_bound,
+    };
 }

@@ -1,6 +1,6 @@
 //! Malformed-IR fuzzing for the analysis pipeline: every textual program
 //! that *parses* must analyze without panicking and without diverging —
-//! all five passes run to completion and report through typed
+//! all four passes run to completion and report through typed
 //! [`equeue_analysis::Diagnostic`]s, never through unwinding.
 //!
 //! Mirrors the engine-side fuzzer (`crates/core/tests/fuzz_malformed_ir.rs`):
@@ -151,7 +151,7 @@ fn mutate(rng: &mut Rng, text: &str) -> String {
 }
 
 /// Feeds ≥1.5k mutated programs through parse → analyze. Any panic in any
-/// of the five passes fails the test with the case number and input so it
+/// of the four passes fails the test with the case number and input so it
 /// can be replayed.
 #[test]
 fn mutated_ir_never_panics_the_analyzer() {

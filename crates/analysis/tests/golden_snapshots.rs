@@ -2,9 +2,9 @@
 //! scenarios, plus determinism checks.
 //!
 //! The committed files under `tests/golden/` pin down the full text
-//! rendering — conflict graph, deadlock verdict, fusibility table,
-//! resource bounds, and every diagnostic — so an accidental change to any
-//! pass shows up as a readable diff. Regenerate intentionally with:
+//! rendering — deadlock verdict, fusibility table, resource bounds, and
+//! every diagnostic — so an accidental change to any pass shows up as a
+//! readable diff. Regenerate intentionally with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p equeue-analysis --test golden_snapshots
@@ -23,8 +23,7 @@ use equeue_gen::scenarios::golden_scenarios;
 /// Scenarios pinned as snapshots: one per paper figure family, the matmul
 /// microbenchmarks (both fusible and non-fusible shapes), and the
 /// scenario-diversity sweep (cache + DMA staging, tenant interleaving,
-/// wide processor grid), and the multi-group conflict workload (one
-/// independent group per PE, pinning the conflict pass's group split).
+/// wide processor grid), and a grid whose PEs each own a private memory.
 const SNAPSHOT_SCENARIOS: &[&str] = &[
     "fig09_4x4_ws_8x8",
     "fig11_systolic_ws_8",
@@ -140,7 +139,10 @@ fn json_rendering_is_deterministic_and_wellformed() {
         let a = report.to_json();
         let b = report.to_json();
         assert_eq!(a, b, "{name}: JSON varies across renderings");
-        assert!(a.starts_with("{\"conflict\":"), "{name}: key order changed");
+        assert!(
+            a.starts_with("{\"deadlock_free\":"),
+            "{name}: key order changed"
+        );
         assert!(a.contains("\"deadlock_free\":"), "{name}: missing key");
         assert!(a.contains("\"diagnostics\":"), "{name}: missing key");
         let depth = a.chars().fold(0i64, |d, c| match c {
