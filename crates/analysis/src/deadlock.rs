@@ -674,3 +674,41 @@ fn find_cycle(g: &Graph) -> Option<Vec<u32>> {
     None
 }
 
+#[cfg(test)]
+mod tests {
+    use equeue_core::{RunLimits, SimLibrary};
+    use equeue_ir::parse_module;
+
+    use super::*;
+
+    #[test]
+    fn unresolvable_launch_target_is_not_certified() {
+        // The launch's processor comes from an op that names no processor,
+        // so no resolver can tell which queue the event lands on.
+        let module = parse_module(
+            "%s = \"equeue.control_start\"() : () -> !equeue.signal\n\
+             %p = \"t.opaque\"() : () -> !equeue.proc\n\
+             %d = \"equeue.launch\"(%s, %p) ({\n\
+             \x20\x20\"equeue.return\"() : () -> ()\n\
+             }) : (!equeue.signal, !equeue.proc) -> !equeue.signal\n\
+             \"equeue.await\"(%d) : (!equeue.signal) -> ()\n",
+        )
+        .expect("the module parses");
+        let launch = module.find_first("equeue.launch").expect("one launch");
+        let ctx = AnalysisCtx::new(&module, &SimLibrary::standard(), RunLimits::default());
+        let mut report = AnalysisReport::default();
+        run(&ctx, &mut report);
+
+        let unresolved: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "unresolved-target")
+            .collect();
+        assert_eq!(unresolved.len(), 1, "{:?}", report.diagnostics);
+        assert_eq!(unresolved[0].pass, PASS);
+        assert_eq!(unresolved[0].severity, Severity::Warning);
+        assert_eq!(unresolved[0].location, Some(ctx.location(launch)));
+        assert_eq!(ctx.location(launch), format!("equeue.launch@{launch}"));
+        assert!(!report.deadlock_free);
+    }
+}
