@@ -72,7 +72,7 @@ pub use module::{
     Block, BlockId, Module, OpId, Operation, Region, RegionId, ValueData, ValueDef, ValueId,
 };
 pub use parser::{parse_module, parse_type};
-pub use pass::{Pass, PassManager, PassStat, PipelineStats};
+pub use pass::{Pass, PassManager};
 pub use printer::{print_module, print_op};
 pub use registry::{DialectRegistry, OpInfo, OpTraits, VerifyFn};
 pub use rewrite::{dce, inline_region, move_after, move_before, split_block};

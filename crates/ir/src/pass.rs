@@ -1,5 +1,6 @@
 //! The pass framework: named module-to-module transformations and a
-//! [`PassManager`] that runs pipelines with optional inter-pass verification.
+//! [`PassManager`] that runs pipelines and verifies the module after every
+//! pass.
 //!
 //! The reusable lowering passes of the paper's §V (implemented in the
 //! `equeue-passes` crate) all plug in through the [`Pass`] trait defined
@@ -10,7 +11,6 @@ use crate::error::{IrError, IrResult};
 use crate::module::Module;
 use crate::registry::DialectRegistry;
 use crate::verify::verify_module;
-use std::time::{Duration, Instant};
 
 /// A module transformation.
 ///
@@ -41,31 +41,6 @@ pub trait Pass {
     fn run(&mut self, module: &mut Module) -> IrResult<()>;
 }
 
-/// Timing and bookkeeping for one executed pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassStat {
-    /// The pass name.
-    pub name: String,
-    /// Wall-clock duration of the pass run.
-    pub duration: Duration,
-    /// Live op count after the pass.
-    pub ops_after: usize,
-}
-
-/// Statistics for a whole pipeline run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Per-pass entries in execution order.
-    pub passes: Vec<PassStat>,
-}
-
-impl PipelineStats {
-    /// Total wall-clock time across all passes.
-    pub fn total_duration(&self) -> Duration {
-        self.passes.iter().map(|p| p.duration).sum()
-    }
-}
-
 /// Runs a sequence of passes over a module.
 ///
 /// # Examples
@@ -74,14 +49,13 @@ impl PipelineStats {
 /// use equeue_ir::{Module, PassManager, DialectRegistry};
 /// let mut pm = PassManager::new(DialectRegistry::new());
 /// let mut m = Module::new();
-/// let stats = pm.run(&mut m)?;
-/// assert!(stats.passes.is_empty());
+/// pm.run(&mut m)?;
+/// assert!(pm.pipeline().is_empty());
 /// # Ok::<(), equeue_ir::IrError>(())
 /// ```
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     registry: DialectRegistry,
-    verify_each: bool,
 }
 
 impl std::fmt::Debug for PassManager {
@@ -95,7 +69,6 @@ impl std::fmt::Debug for PassManager {
                     .map(|p| p.name().to_string())
                     .collect::<Vec<_>>(),
             )
-            .field("verify_each", &self.verify_each)
             .finish()
     }
 }
@@ -107,25 +80,12 @@ impl PassManager {
         PassManager {
             passes: vec![],
             registry,
-            verify_each: true,
         }
-    }
-
-    /// Disables or enables per-pass verification (enabled by default).
-    pub fn verify_each(&mut self, enabled: bool) -> &mut Self {
-        self.verify_each = enabled;
-        self
     }
 
     /// Appends a pass to the pipeline.
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends a boxed pass to the pipeline.
-    pub fn add_boxed(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
         self
     }
 
@@ -140,24 +100,14 @@ impl PassManager {
     ///
     /// Stops at the first failing pass or failed verification, wrapping
     /// verification failures with the offending pass name.
-    pub fn run(&mut self, module: &mut Module) -> IrResult<PipelineStats> {
-        let mut stats = PipelineStats::default();
+    pub fn run(&mut self, module: &mut Module) -> IrResult<()> {
         for pass in &mut self.passes {
-            let start = Instant::now();
             pass.run(module)?;
-            let duration = start.elapsed();
-            if self.verify_each {
-                verify_module(module, &self.registry).map_err(|e| {
-                    IrError::pass(pass.name(), format!("post-pass verification failed: {e}"))
-                })?;
-            }
-            stats.passes.push(PassStat {
-                name: pass.name().to_string(),
-                duration,
-                ops_after: module.live_ops().count(),
-            });
+            verify_module(module, &self.registry).map_err(|e| {
+                IrError::pass(pass.name(), format!("post-pass verification failed: {e}"))
+            })?;
         }
-        Ok(stats)
+        Ok(())
     }
 }
 
@@ -214,16 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn runs_in_order_with_stats() {
+    fn runs_in_order() {
         let mut pm = PassManager::new(DialectRegistry::new());
         pm.add(AddOp("t.one")).add(AddOp("t.two"));
         assert_eq!(pm.pipeline(), vec!["add-op", "add-op"]);
         let mut m = Module::new();
-        let stats = pm.run(&mut m).unwrap();
-        assert_eq!(stats.passes.len(), 2);
-        assert_eq!(stats.passes[0].ops_after, 1);
-        assert_eq!(stats.passes[1].ops_after, 2);
-        assert!(stats.total_duration() >= Duration::ZERO);
+        pm.run(&mut m).unwrap();
+        let top = &m.block(m.top_block()).ops;
+        let names: Vec<_> = top.iter().map(|&op| m.op(op).name.to_string()).collect();
+        assert_eq!(names, ["t.one", "t.two"]);
     }
 
     #[test]
@@ -243,14 +192,5 @@ mod tests {
         let mut m = Module::new();
         let e = pm.run(&mut m).unwrap_err();
         assert!(e.to_string().contains("post-pass verification failed"));
-    }
-
-    #[test]
-    fn verification_can_be_disabled() {
-        let mut pm = PassManager::new(DialectRegistry::new());
-        pm.verify_each(false);
-        pm.add(Corrupting);
-        let mut m = Module::new();
-        assert!(pm.run(&mut m).is_ok());
     }
 }
