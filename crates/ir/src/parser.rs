@@ -591,11 +591,17 @@ impl<'a> Parser<'a> {
 
     /// Lexes the token where a type starts, so that a malformed one is
     /// reported by the lexer. A type name starts like an identifier, whose
-    /// token cannot fail to lex, so that case lexes nothing.
+    /// token cannot fail to lex, so that case lexes nothing. Nor does a
+    /// non-ASCII character, which no token starts with: the type reader
+    /// reports the text as an unknown type, as it does inside a shape.
     fn lex_type_start(&mut self) -> IrResult<()> {
         if self.ahead.is_none() {
             self.skip_ws();
-            if self.bytes.get(self.pos).is_some_and(|&c| starts_ident(c)) {
+            if self
+                .bytes
+                .get(self.pos)
+                .is_some_and(|&c| starts_ident(c) || !c.is_ascii())
+            {
                 return Ok(());
             }
         }
@@ -981,6 +987,25 @@ mod tests {
             parse_module("%a = \"t.s\"() : () -> i32\n\"t.k\"(%a) : (memref<2x\u{e9}8>) -> ()\n")
                 .unwrap_err();
         assert!(err.to_string().contains("unknown type '\u{e9}8'"), "{err}");
+        // A type text that starts with a non-ASCII character is read as a
+        // type too, in either list, and reported at its start.
+        for (text, at) in [
+            ("\"t.k\"() : () -> \u{e9}32\n", (1, 17, "\u{e9}32")),
+            (
+                "%a = \"t.s\"() : () -> i32\n\"t.k\"(%a) : (\u{e9}8) -> ()\n",
+                (2, 14, "\u{e9}8"),
+            ),
+        ] {
+            match parse_module(text) {
+                Err(IrError::Parse { line, col, msg }) => {
+                    assert_eq!(
+                        (line, col, msg),
+                        (at.0, at.1, format!("unknown type '{}'", at.2))
+                    );
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
         let err = parse_module("\"t.k\"() : () -> () \u{e9}\n").unwrap_err();
         assert!(
             err.to_string().contains("unexpected character '\u{e9}'"),
