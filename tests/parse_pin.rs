@@ -232,7 +232,7 @@ fn parse_outcomes_match_the_pin() {
     assert_eq!(
         pin,
         Pin {
-            digest: 0x7332_e737_f2bc_c3b1,
+            digest: 0xf5f0_2092_9b3b_de48,
             accepted: 444,
             rejected: 2778,
         }
