@@ -164,8 +164,8 @@ fn main() {
 
     // Engine microworkloads. `conv2d_systolic` onwards use the golden
     // scenario shapes, so the guard pins the modules the replay harness
-    // replays; `shard_grid` gives every PE+memory pair its own conflict
-    // group (contrast `mega_grid`: one shared memory, one group).
+    // replays; `shard_grid` gives every PE its own memory (contrast
+    // `mega_grid`: one memory shared by all PEs).
     let micro = [
         ("matmul64_linalg", scenarios::matmul_linalg(64)),
         ("matmul64_affine", scenarios::matmul_affine(64)),

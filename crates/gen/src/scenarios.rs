@@ -241,11 +241,8 @@ pub fn mega_grid(rows: usize, cols: usize, iters: usize) -> Module {
 }
 
 /// A `rows×cols` grid of processors where each PE owns a *private*
-/// register memory: every PE+memory pair forms its own conflict group, so
-/// the conflict pass splits the grid into `rows*cols` independent groups
-/// plus the host — the multi-group conflict workload. Contrast with
-/// [`mega_grid`], whose single shared memory merges the whole grid into
-/// one group.
+/// register memory, so no two PEs touch the same memory. Contrast with
+/// [`mega_grid`], whose PEs all share one memory.
 pub fn shard_grid(rows: usize, cols: usize, iters: usize) -> Module {
     let mut m = Module::new();
     let blk = m.top_block();
@@ -384,8 +381,7 @@ pub fn golden_scenarios() -> Vec<GoldenScenario> {
         name: "mega_grid_8x8",
         module: mega_grid(8, 8, 4),
     });
-    // Multi-group conflict workload: per-PE private memories, one
-    // independent conflict group per PE.
+    // Per-PE private memories: no memory is shared between PEs.
     out.push(GoldenScenario {
         name: "shard_grid_4x4",
         module: shard_grid(4, 4, 4),

@@ -111,7 +111,7 @@ fn fir_balanced_compiled_equivalence() {
 
 #[test]
 fn shard_grid_compiled_equivalence() {
-    // Sixteen independent conflict groups, all runnable at t = 0: many
+    // Sixteen PEs, each with its own memory, all runnable at t = 0: many
     // same-time wakes, so any scheduling nondeterminism shows here.
     assert_compiled_equivalent("shard_grid_4x4", scenarios::shard_grid(4, 4, 4));
 }
