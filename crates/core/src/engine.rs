@@ -57,7 +57,7 @@ use crate::signal::SignalTable;
 use crate::trace::{self, Pid, Trace, TraceCat};
 use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
-use equeue_dialect::ConvDims;
+use equeue_dialect::{create_mem_view, ConvDims};
 use equeue_ir::{BlockId, Module, OpId, Operation};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -1248,7 +1248,7 @@ impl<'m> Engine<'m> {
                     .attrs
                     .float("energy_pj")
                     .unwrap_or_else(|| self.lib.energy_per_access(&spec.kind));
-                let ports = data.attrs.int("ports").map(|v| v.max(1) as usize);
+                let ports = create_mem_view(module, op).ok().and_then(|v| v.ports);
                 let comp = self.machine.add_memory_with_energy(
                     &spec.kind,
                     spec.capacity_elems,

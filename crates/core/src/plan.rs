@@ -13,7 +13,8 @@ use crate::fused::LoopFusion;
 use crate::interp::{BinOp, CmpPred};
 use crate::library::{MemSpec, SimLibrary};
 use equeue_dialect::{
-    conv2d_dims, launch_view, memcpy_view, read_view, write_view, ConnKind, ConvDims,
+    conv2d_dims, create_mem_view, launch_view, memcpy_view, read_view, write_view, ConnKind,
+    ConvDims,
 };
 use equeue_ir::{BlockId, Module, OpId, Operation, RegionId, Type, ValueId};
 
@@ -242,20 +243,18 @@ pub(crate) struct OpInfo {
     pub(crate) results: Span,
 }
 
-/// The library spec of an `equeue.create_mem` op, read from its
-/// attributes: `None` when the kind or shape is missing, or the shape's
-/// capacity overflows `usize`.
+/// The library spec of an `equeue.create_mem` op, decoded by
+/// [`create_mem_view`]: `None` when the attributes do not decode or the
+/// shape's capacity overflows `usize`. An absent `data_bits` reads as 32,
+/// absent `banks` as 1.
 pub(crate) fn mem_spec(module: &Module, op: OpId) -> Option<MemSpec> {
-    let attrs = &module.op(op).attrs;
+    let view = create_mem_view(module, op).ok()?;
     Some(MemSpec {
-        kind: attrs.str("kind")?.to_string(),
-        capacity_elems: attrs
-            .shape("shape")?
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))?,
-        data_bits: attrs.int("data_bits").unwrap_or(32) as u32,
-        banks: attrs.int("banks").unwrap_or(1).max(1) as u32,
-        attrs: attrs.clone(),
+        kind: view.kind.to_string(),
+        capacity_elems: view.capacity()?,
+        data_bits: view.data_bits.unwrap_or(32),
+        banks: view.banks.unwrap_or(1),
+        attrs: module.op(op).attrs.clone(),
     })
 }
 
@@ -644,10 +643,7 @@ impl Decoder<'_> {
                 OpCode::CreateProc
             }
             "equeue.create_mem" => {
-                data.attrs
-                    .shape("shape")
-                    .ok_or("create_mem missing shape")?;
-                attr_str("kind")?;
+                create_mem_view(module, op)?;
                 OpCode::CreateMem
             }
             "equeue.create_dma" => OpCode::CreateDma,

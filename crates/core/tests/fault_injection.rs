@@ -10,7 +10,7 @@ use equeue_core::fault::{apply_faults, Fault};
 use equeue_core::{
     simulate_with, CompiledModule, RunLimits, SimError, SimLibrary, SimOptions, SimReport,
 };
-use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
+use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder, MAX_MEM_PORTS};
 use equeue_ir::{Module, OpBuilder, Type};
 
 /// A program touching every surface the faults target: a memory with a
@@ -236,6 +236,33 @@ fn decode_failures() -> Vec<(&'static str, &'static str, SimError)> {
             layout(
                 "equeue.create_mem",
                 "op 'equeue.create_mem' missing attribute 'kind'",
+            ),
+        ),
+        (
+            // 2^61 ports: allocating a free time per port fails outright.
+            "create_mem with more ports than the cap",
+            r#"%x = "equeue.create_mem"() {kind = "SRAM", ports = 2305843009213693952, shape = [8]} : () -> !equeue.mem"#,
+            layout(
+                "equeue.create_mem",
+                &format!(
+                    "create_mem ports must be in 1..={MAX_MEM_PORTS}, got 2305843009213693952"
+                ),
+            ),
+        ),
+        (
+            "create_mem whose banks do not fit u32",
+            r#"%x = "equeue.create_mem"() {banks = 4294967296, kind = "SRAM", shape = [8]} : () -> !equeue.mem"#,
+            layout(
+                "equeue.create_mem",
+                "create_mem banks must be in 1..=4294967295, got 4294967296",
+            ),
+        ),
+        (
+            "create_mem whose data_bits do not fit u32",
+            r#"%x = "equeue.create_mem"() {data_bits = 4294967304, kind = "SRAM", shape = [8]} : () -> !equeue.mem"#,
+            layout(
+                "equeue.create_mem",
+                "create_mem data_bits must be in 1..=4294967295, got 4294967304",
             ),
         ),
         (

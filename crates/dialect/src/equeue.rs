@@ -21,7 +21,7 @@
 //! attribute recording group sizes, mirroring MLIR's
 //! `operand_segment_sizes`.
 
-use equeue_ir::{Attr, BlockId, Module, OpBuilder, OpId, Type, ValueId};
+use equeue_ir::{Attr, AttrMap, BlockId, Module, OpBuilder, OpId, Type, ValueId};
 
 /// Well-known component-kind strings understood by the simulator library.
 pub mod kinds {
@@ -420,6 +420,78 @@ impl EqueueBuilder for OpBuilder<'_> {
 
 // ---- structured views ------------------------------------------------------
 
+/// The most access ports one `equeue.create_mem` may declare. The Fig. 12
+/// generators use at most 34 (`max_ru + max_cu`). The engine keeps a free
+/// time per port and scans them all on every timed access, so the cap
+/// bounds both the memory's allocation and the work of one access.
+pub const MAX_MEM_PORTS: usize = 1024;
+
+/// Decoded attributes of an `equeue.create_mem` op. Every integer is
+/// range-checked here, so no reader narrows one with a cast.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemView<'m> {
+    /// The memory kind (`"SRAM"`, `"Register"`, …).
+    pub kind: &'m str,
+    /// The `shape` attribute's dimensions.
+    pub shape: Vec<usize>,
+    /// `data_bits`, if present, in `1..=u32::MAX`.
+    pub data_bits: Option<u32>,
+    /// `banks`, if present, in `1..=u32::MAX`.
+    pub banks: Option<u32>,
+    /// `ports`, if present, in `1..=`[`MAX_MEM_PORTS`].
+    pub ports: Option<usize>,
+}
+
+impl MemView<'_> {
+    /// Capacity in elements: the product of `shape`, or `None` when it
+    /// overflows `usize`.
+    pub fn capacity(&self) -> Option<usize> {
+        self.shape
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+    }
+}
+
+/// Integer attribute `name` of a `create_mem`, if present, checked to lie
+/// in `1..=max`.
+fn positive_attr<T>(attrs: &AttrMap, name: &str, max: T) -> Result<Option<T>, String>
+where
+    T: TryFrom<i64> + PartialOrd + std::fmt::Display,
+{
+    let Some(v) = attrs.int(name) else {
+        return Ok(None);
+    };
+    match T::try_from(v) {
+        Ok(t) if v > 0 && t <= max => Ok(Some(t)),
+        _ => Err(format!("create_mem {name} must be in 1..={max}, got {v}")),
+    }
+}
+
+/// Decodes an `equeue.create_mem`.
+///
+/// # Errors
+///
+/// Fails when `shape` or `kind` is missing, or when `data_bits`, `banks`
+/// or `ports` is present but out of range.
+pub fn create_mem_view(m: &Module, op: OpId) -> Result<MemView<'_>, String> {
+    let data = m.op(op);
+    let shape = data
+        .attrs
+        .shape("shape")
+        .ok_or("create_mem missing shape")?;
+    let kind = data
+        .attrs
+        .str("kind")
+        .ok_or("op 'equeue.create_mem' missing attribute 'kind'")?;
+    Ok(MemView {
+        kind,
+        shape,
+        data_bits: positive_attr(&data.attrs, "data_bits", u32::MAX)?,
+        banks: positive_attr(&data.attrs, "banks", u32::MAX)?,
+        ports: positive_attr(&data.attrs, "ports", MAX_MEM_PORTS)?,
+    })
+}
+
 /// Decoded view of an `equeue.read` op's operand groups, borrowing the
 /// op's operand list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -718,31 +790,27 @@ pub fn verify_create_proc(m: &Module, op: OpId) -> Result<(), String> {
     Ok(())
 }
 
-/// Verifies `equeue.create_mem`: kind/shape/bits/banks attributes and a
-/// `!equeue.mem` result.
+/// Verifies `equeue.create_mem` via [`create_mem_view`], plus a non-empty
+/// shape whose capacity fits `usize`, the `data_bits` and `banks`
+/// attributes, and a `!equeue.mem` result.
 pub fn verify_create_mem(m: &Module, op: OpId) -> Result<(), String> {
-    let data = m.op(op);
-    if data.attrs.str("kind").is_none() {
-        return Err("create_mem needs a 'kind' attribute".into());
-    }
-    let shape = data
-        .attrs
-        .shape("shape")
-        .ok_or("create_mem needs a 'shape' attribute")?;
-    if shape.is_empty() || shape.iter().product::<usize>() == 0 {
+    let view = create_mem_view(m, op)?;
+    if view.shape.is_empty() || view.capacity() == Some(0) {
         return Err("create_mem shape must be non-empty".into());
     }
-    let bits = data
-        .attrs
-        .int("data_bits")
-        .ok_or("create_mem needs 'data_bits'")?;
-    if bits <= 0 {
-        return Err("create_mem data_bits must be positive".into());
+    if view.capacity().is_none() {
+        return Err(format!(
+            "create_mem shape {:?} capacity overflows",
+            view.shape
+        ));
     }
-    let banks = data.attrs.int("banks").ok_or("create_mem needs 'banks'")?;
-    if banks <= 0 {
-        return Err("create_mem banks must be positive".into());
+    if view.data_bits.is_none() {
+        return Err("create_mem needs 'data_bits'".into());
     }
+    if view.banks.is_none() {
+        return Err("create_mem needs 'banks'".into());
+    }
+    let data = m.op(op);
     if data.results.len() != 1 || *m.value_type(data.results[0]) != Type::Mem {
         return Err("create_mem must return !equeue.mem".into());
     }

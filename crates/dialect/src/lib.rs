@@ -47,9 +47,9 @@ mod registry;
 pub use affine::AffineBuilder;
 pub use arith::{ArithBuilder, CmpPred};
 pub use equeue::{
-    buffer_origin, kinds, launch_view, memcpy_view, read_view, resolve_def, write_view,
-    BufferOrigin, ConnKind, EqueueBuilder, LaunchParts, LaunchView, MemcpyView, ReadView,
-    WriteView,
+    buffer_origin, create_mem_view, kinds, launch_view, memcpy_view, read_view, resolve_def,
+    write_view, BufferOrigin, ConnKind, EqueueBuilder, LaunchParts, LaunchView, MemView,
+    MemcpyView, ReadView, WriteView, MAX_MEM_PORTS,
 };
 pub use linalg::{conv2d_dims, ConvDims, LinalgBuilder};
 pub use registry::{register_into, standard_registry};

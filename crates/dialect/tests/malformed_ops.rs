@@ -2,7 +2,8 @@
 //! structured views and verifiers with actionable messages, not panics.
 
 use equeue_dialect::{
-    kinds, launch_view, memcpy_view, read_view, standard_registry, write_view, EqueueBuilder,
+    create_mem_view, kinds, launch_view, memcpy_view, read_view, standard_registry, write_view,
+    EqueueBuilder, MAX_MEM_PORTS,
 };
 use equeue_ir::{verify_module, AttrMap, Module, OpBuilder, Type};
 
@@ -168,6 +169,84 @@ fn create_mem_with_zero_banks_rejected() {
         .finish();
     let err = verify_module(&m, &standard_registry()).unwrap_err();
     assert!(err.to_string().contains("banks"), "{err}");
+}
+
+/// A well-formed SRAM `create_mem` with one attribute replaced or added.
+fn create_mem_with(name: &str, value: i64) -> (Module, equeue_ir::OpId) {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let op = b
+        .op("equeue.create_mem")
+        .attr("kind", "SRAM")
+        .attr("shape", vec![8i64])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64)
+        .attr(name, value)
+        .result(Type::Mem)
+        .finish();
+    (m, op)
+}
+
+#[test]
+fn create_mem_integers_out_of_range_rejected() {
+    let cap = MAX_MEM_PORTS as i64;
+    for (name, value) in [
+        // 2^61: a `vec![0; ports]` of this length fails to allocate.
+        ("ports", 2_305_843_009_213_693_952),
+        ("ports", cap + 1),
+        ("ports", 0),
+        ("ports", -1),
+        // 2^32 and 2^32 + 8 would narrow to 0 and 8 under `as u32`.
+        ("banks", 4_294_967_296),
+        ("data_bits", 4_294_967_304),
+        ("data_bits", 0),
+    ] {
+        let (m, op) = create_mem_with(name, value);
+        let err = create_mem_view(&m, op).unwrap_err();
+        assert!(
+            err.contains(name) && err.contains(&value.to_string()),
+            "{name} = {value}: {err}"
+        );
+        let err = verify_module(&m, &standard_registry()).unwrap_err();
+        assert!(err.to_string().contains(name), "{name} = {value}: {err}");
+    }
+}
+
+#[test]
+fn create_mem_integers_at_their_bounds_accepted() {
+    for (name, value) in [
+        ("ports", 1),
+        ("ports", MAX_MEM_PORTS as i64),
+        ("banks", i64::from(u32::MAX)),
+        ("data_bits", i64::from(u32::MAX)),
+    ] {
+        let (m, op) = create_mem_with(name, value);
+        verify_module(&m, &standard_registry()).unwrap();
+        let view = create_mem_view(&m, op).unwrap();
+        let got = match name {
+            "ports" => view.ports.map(|p| p as i64),
+            "banks" => view.banks.map(i64::from),
+            _ => view.data_bits.map(i64::from),
+        };
+        assert_eq!(got, Some(value), "{name}");
+    }
+}
+
+#[test]
+fn create_mem_with_overflowing_capacity_rejected() {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    b.op("equeue.create_mem")
+        .attr("kind", "SRAM")
+        .attr("shape", vec![4_294_967_296i64, 4_294_967_296])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64)
+        .result(Type::Mem)
+        .finish();
+    let err = verify_module(&m, &standard_registry()).unwrap_err();
+    assert!(err.to_string().contains("capacity overflows"), "{err}");
 }
 
 #[test]
