@@ -1,11 +1,10 @@
 //! # equeue-bench — the experiment harness
 //!
 //! One driver per table/figure of the paper's evaluation. Binaries under
-//! `src/bin/` print the same rows/series the paper reports, and `bench`
-//! writes the engine's counter drift guard (`BENCH_engine.json`). The
-//! drivers live here so binaries and integration tests share one
-//! implementation; the simulator's wall time is measured by the separate
-//! `benchmark/` crate.
+//! `src/bin/` print the same rows/series the paper reports. The drivers
+//! live here so binaries and integration tests (among them the counter
+//! pins in `tests/golden_cycles.rs`) share one implementation; the
+//! simulator's wall time is measured by the separate `benchmark/` crate.
 //!
 //! Sweeps over independent configurations ([`fig12_sweep`], [`fir_rows`])
 //! shard their points across the std-thread worker pool in [`pool`]: they
@@ -254,10 +253,10 @@ pub struct Fig12Row {
     pub peak_write_bw_x_portion: f64,
     /// The paper's loop-iteration count `⌈D1/Ah⌉·⌈D2/Aw⌉`.
     pub loop_iterations: usize,
-    /// Scheduler wakes of the EQueue simulation (determinism guard: the
-    /// bench aggregates these across the sweep).
+    /// Scheduler wakes of the EQueue simulation (the golden counter pin
+    /// sums these across the sweep).
     pub events_processed: u64,
-    /// Ops interpreted by the EQueue simulation (determinism guard).
+    /// Ops interpreted by the EQueue simulation (summed likewise).
     pub ops_interpreted: u64,
 }
 
@@ -471,10 +470,10 @@ pub fn fir_rows(jobs: usize) -> Vec<FirRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Engine benchmark scenarios (`src/bin/bench.rs`, BENCH_engine.json)
+// Engine scenarios (pinned in `tests/golden_cycles.rs`)
 // ---------------------------------------------------------------------------
 
-/// Module builders for the engine benchmark binary.
+/// Module builders for the engine scenarios.
 ///
 /// Moved to `equeue_gen::scenarios` so the static-analysis crate can reach
 /// them without depending on the bench harness; re-exported here to keep

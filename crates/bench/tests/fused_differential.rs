@@ -7,7 +7,7 @@
 //! with the same [`SimError`] kind when the program is broken. This suite
 //! enforces the contract over three surfaces:
 //!
-//! 1. every golden benchmark scenario (`BENCH_engine.json` rows);
+//! 1. every golden scenario (the modules `tests/golden_cycles.rs` pins);
 //! 2. the fault-injection matrix (perturbed-but-structured programs, plus
 //!    the zero-fault run against its golden);
 //! 3. a malformed-IR fuzzer corpus (hostile text through the full
@@ -79,8 +79,8 @@ fn differential(name: &str, module: &Module) {
     assert_reports_identical(name, &fused, &interp);
 }
 
-/// The golden scenarios: the same module builders the benchmark binary
-/// feeds into `BENCH_engine.json`, at sizes small enough for debug-mode CI.
+/// The golden scenarios: the same module builders `tests/golden_cycles.rs`
+/// pins, at sizes small enough for debug-mode CI.
 fn golden_scenarios() -> Vec<(&'static str, Module)> {
     vec![
         ("matmul8_linalg", scenarios::matmul_linalg(8)),

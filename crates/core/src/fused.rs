@@ -23,7 +23,7 @@
 //! Counter identity is the contract: `wakes`, `ops_interpreted`,
 //! `idle_steps`, per-processor clocks, the horizon, and every memory traffic
 //! counter advance bit-identically to the interpreter — enforced by the
-//! `fused_differential` test suite and the CI drift guard.
+//! `fused_differential` test suite and the golden counter pins.
 //!
 //! **Trace formation** (`build_fused`) is conservative: a loop body fuses
 //! only if every op is scalar-integer straight-line work (`affine.load` /

@@ -71,8 +71,8 @@
 //!
 //! None of this changes simulated timing: cycle counts, event counts, and
 //! interpreted-op counts are bit-identical to the original
-//! `HashMap`-environment interpreter (enforced by the golden cycle-count
-//! tests and the `BENCH_engine.json` determinism guards).
+//! `HashMap`-environment interpreter (enforced by the golden counter pins
+//! in `tests/golden_cycles.rs`, on both backends).
 //!
 //! ## Example
 //!
