@@ -994,7 +994,8 @@ pub fn verify_launch(m: &Module, op: OpId) -> Result<(), String> {
     if *m.value_type(v.done) != Type::Signal {
         return Err("launch result 0 must be the done signal".into());
     }
-    let args = m.block(v.body).args.clone();
+    let body = m.block(v.body);
+    let args = &body.args;
     if args.len() != v.captures.len() {
         return Err(format!(
             "launch captures {} values but body takes {} arguments",
@@ -1011,20 +1012,17 @@ pub fn verify_launch(m: &Module, op: OpId) -> Result<(), String> {
             ));
         }
     }
-    let body_ops: Vec<OpId> = m
-        .block(v.body)
+    let last = body
         .ops
         .iter()
-        .copied()
-        .filter(|&o| !m.op(o).erased)
-        .collect();
-    let last = body_ops
-        .last()
+        .rev()
+        .map(|&o| m.op(o))
+        .find(|o| !o.erased)
         .ok_or("launch body must end with equeue.return")?;
-    if m.op(*last).name != "equeue.return" {
+    if last.name != "equeue.return" {
         return Err("launch body must end with equeue.return".into());
     }
-    let ret_operands = &m.op(*last).operands;
+    let ret_operands = &last.operands;
     if ret_operands.len() != v.results.len() {
         return Err(format!(
             "launch returns {} extra results but body yields {}",

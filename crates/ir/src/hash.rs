@@ -1,6 +1,8 @@
-//! A small multiplicative hasher for the parser's maps.
+//! A small multiplicative hasher for the parser's maps and the dialect
+//! registry.
 //!
-//! The parser's SSA scope and type cache are keyed by short strings, which std's SipHash spends most of its time
+//! The parser's SSA scope and type cache and the registry's op table are
+//! keyed by short strings, which std's SipHash spends most of its time
 //! setting up for. This is the add-multiply hash rustc uses for its own
 //! tables: not DoS-resistant, which IR text the user feeds to their own
 //! tools does not need, and several times cheaper on short keys. The final

@@ -4,8 +4,8 @@
 //! keeps the IR kernel generic — the kernel never hard-codes EQueue (or any
 //! other dialect) semantics; it only consults hooks registered here.
 
+use crate::hash::FxHashMap;
 use crate::module::{Module, OpId};
-use std::collections::HashMap;
 
 /// Per-op verification hook; returns a human-readable error on violation.
 pub type VerifyFn = fn(&Module, OpId) -> Result<(), String>;
@@ -51,7 +51,7 @@ pub struct OpInfo {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DialectRegistry {
-    ops: HashMap<String, OpInfo>,
+    ops: FxHashMap<String, OpInfo>,
 }
 
 impl DialectRegistry {

@@ -1,11 +1,15 @@
 //! Structural verification: SSA visibility, use-after-erase, terminator
 //! placement, plus dialect-specific hooks from the
 //! [`DialectRegistry`](crate::registry::DialectRegistry).
+//!
+//! The verifier is one walk over the module at traversal speed: visibility
+//! is a table of flags indexed by [`ValueId`], with an undo list that
+//! clears what a region introduced when the walk leaves it; each block's op
+//! list is read in place; and each op's registry entry is looked up once.
 
 use crate::error::{IrError, IrResult};
-use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
+use crate::module::{Module, OpId, RegionId, ValueDef, ValueId};
 use crate::registry::DialectRegistry;
-use std::collections::HashSet;
 
 /// Verifies the whole module.
 ///
@@ -33,60 +37,78 @@ use std::collections::HashSet;
 /// # Ok::<(), equeue_ir::IrError>(())
 /// ```
 pub fn verify_module(module: &Module, registry: &DialectRegistry) -> IrResult<()> {
-    let mut visible: HashSet<ValueId> = HashSet::new();
-    verify_region(module, registry, module.top_region(), &mut visible)
+    Verifier {
+        module,
+        registry,
+        visible: vec![false; module.num_values()],
+        introduced: vec![],
+    }
+    .region(module.top_region())
 }
 
 fn op_context(module: &Module, op: OpId) -> String {
     format!("in op '{}'", module.op(op).name)
 }
 
-fn verify_region(
-    module: &Module,
-    registry: &DialectRegistry,
-    region: RegionId,
-    visible: &mut HashSet<ValueId>,
-) -> IrResult<()> {
-    let mut introduced: Vec<ValueId> = vec![];
-    for &block in &module.region(region).blocks {
-        verify_block(module, registry, block, visible, &mut introduced)?;
-    }
-    for v in introduced {
-        visible.remove(&v);
-    }
-    Ok(())
+struct Verifier<'a> {
+    module: &'a Module,
+    registry: &'a DialectRegistry,
+    /// Whether each value, by [`ValueId::index`], is visible at the walk's
+    /// position.
+    visible: Vec<bool>,
+    /// The values the regions being walked made visible, innermost last.
+    introduced: Vec<ValueId>,
 }
 
-fn verify_block(
-    module: &Module,
-    registry: &DialectRegistry,
-    block: BlockId,
-    visible: &mut HashSet<ValueId>,
-    introduced: &mut Vec<ValueId>,
-) -> IrResult<()> {
-    for &arg in &module.block(block).args {
-        visible.insert(arg);
-        introduced.push(arg);
+impl Verifier<'_> {
+    fn is_visible(&self, v: ValueId) -> bool {
+        self.visible.get(v.index()).copied().unwrap_or(false)
     }
-    let ops: Vec<OpId> = module
-        .block(block)
-        .ops
-        .iter()
-        .copied()
-        .filter(|&o| !module.op(o).erased)
-        .collect();
-    for (i, &op) in ops.iter().enumerate() {
+
+    fn show(&mut self, v: ValueId) {
+        // An id beyond this module's values (a foreign or corrupt id) still
+        // becomes visible, as it does for a set.
+        if v.index() >= self.visible.len() {
+            self.visible.resize(v.index() + 1, false);
+        }
+        self.visible[v.index()] = true;
+        self.introduced.push(v);
+    }
+
+    fn region(&mut self, region: RegionId) -> IrResult<()> {
+        let mark = self.introduced.len();
+        for &block in &self.module.region(region).blocks {
+            let block = self.module.block(block);
+            for &arg in &block.args {
+                self.show(arg);
+            }
+            let last = block.ops.iter().rposition(|&o| !self.module.op(o).erased);
+            for (i, &op) in block.ops.iter().enumerate() {
+                if !self.module.op(op).erased {
+                    self.op(op, Some(i) == last)?;
+                }
+            }
+        }
+        for i in mark..self.introduced.len() {
+            let v = self.introduced[i];
+            self.visible[v.index()] = false;
+        }
+        self.introduced.truncate(mark);
+        Ok(())
+    }
+
+    fn op(&mut self, op: OpId, is_last: bool) -> IrResult<()> {
+        let module = self.module;
         let data = module.op(op);
         for (oi, &operand) in data.operands.iter().enumerate() {
-            if !visible.contains(&operand) {
+            if !self.is_visible(operand) {
                 return Err(IrError::verify(format!(
                     "operand {oi} {} is not visible at its use {}",
                     operand,
                     op_context(module, op)
                 )));
             }
-            if let crate::module::ValueDef::OpResult { op: def_op, .. } = module.value(operand).def
-            {
+            if let ValueDef::OpResult { op: def_op, .. } = module.value(operand).def {
                 if module.op(def_op).erased {
                     return Err(IrError::verify(format!(
                         "operand {oi} {} refers to an erased op {}",
@@ -96,25 +118,26 @@ fn verify_block(
                 }
             }
         }
-        let traits = registry.traits(&data.name);
-        if traits.is_terminator && i + 1 != ops.len() {
+        let info = self.registry.get(&data.name);
+        if info.is_some_and(|i| i.traits.is_terminator) && !is_last {
             return Err(IrError::verify(format!(
                 "terminator '{}' is not the last op of its block",
                 data.name
             )));
         }
-        if let Err(msg) = registry.verify_op(module, op) {
-            return Err(IrError::verify(format!("{msg} {}", op_context(module, op))));
+        if let Some(verify) = info.and_then(|i| i.verify) {
+            if let Err(msg) = verify(module, op) {
+                return Err(IrError::verify(format!("{msg} {}", op_context(module, op))));
+            }
         }
         for &r in &data.regions {
-            verify_region(module, registry, r, visible)?;
+            self.region(r)?;
         }
         for &res in &data.results {
-            visible.insert(res);
-            introduced.push(res);
+            self.show(res);
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
