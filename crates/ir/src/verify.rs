@@ -89,11 +89,9 @@ impl Verifier<'_> {
                 }
             }
         }
-        for i in mark..self.introduced.len() {
-            let v = self.introduced[i];
+        for v in self.introduced.drain(mark..) {
             self.visible[v.index()] = false;
         }
-        self.introduced.truncate(mark);
         Ok(())
     }
 
