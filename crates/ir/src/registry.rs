@@ -51,7 +51,9 @@ pub struct OpInfo {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DialectRegistry {
-    ops: FxHashMap<String, OpInfo>,
+    /// Keyed by the name's bytes, so an op's [`Name`](crate::Name) is looked
+    /// up without the UTF-8 check its `as_str` makes.
+    ops: FxHashMap<Box<[u8]>, OpInfo>,
 }
 
 impl DialectRegistry {
@@ -62,7 +64,7 @@ impl DialectRegistry {
 
     /// Registers (or replaces) op metadata.
     pub fn register(&mut self, info: OpInfo) {
-        self.ops.insert(info.name.clone(), info);
+        self.ops.insert(info.name.as_bytes().into(), info);
     }
 
     /// Convenience: registers a name with traits and an optional verifier.
@@ -76,22 +78,27 @@ impl DialectRegistry {
 
     /// Metadata for `name`, if registered.
     pub fn get(&self, name: &str) -> Option<&OpInfo> {
+        self.lookup(name.as_bytes())
+    }
+
+    /// Metadata for the op name spelled by `name`, if registered.
+    pub(crate) fn lookup(&self, name: &[u8]) -> Option<&OpInfo> {
         self.ops.get(name)
     }
 
     /// Traits for `name`; unknown ops get default (all-false) traits.
     pub fn traits(&self, name: &str) -> OpTraits {
-        self.ops.get(name).map(|i| i.traits).unwrap_or_default()
+        self.get(name).map(|i| i.traits).unwrap_or_default()
     }
 
     /// Whether any op of this name has been registered.
     pub fn knows(&self, name: &str) -> bool {
-        self.ops.contains_key(name)
+        self.get(name).is_some()
     }
 
     /// Runs the registered verifier for `op`, if any.
     pub fn verify_op(&self, module: &Module, op: OpId) -> Result<(), String> {
-        if let Some(info) = self.ops.get(module.op(op).name.as_str()) {
+        if let Some(info) = self.lookup(module.op(op).name.as_bytes()) {
             if let Some(v) = info.verify {
                 return v(module, op);
             }

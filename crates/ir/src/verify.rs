@@ -5,7 +5,8 @@
 //! The verifier is one walk over the module at traversal speed: visibility
 //! is a table of flags indexed by [`ValueId`], with an undo list that
 //! clears what a region introduced when the walk leaves it; each block's op
-//! list is read in place; and each op's registry entry is looked up once.
+//! list is read in place; and each op's registry entry is looked up once,
+//! by the bytes of its name.
 
 use crate::error::{IrError, IrResult};
 use crate::module::{Module, OpId, RegionId, ValueDef, ValueId};
@@ -116,7 +117,7 @@ impl Verifier<'_> {
                 }
             }
         }
-        let info = self.registry.get(&data.name);
+        let info = self.registry.lookup(data.name.as_bytes());
         if info.is_some_and(|i| i.traits.is_terminator) && !is_last {
             return Err(IrError::verify(format!(
                 "terminator '{}' is not the last op of its block",
