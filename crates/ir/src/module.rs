@@ -13,6 +13,7 @@ use crate::inline::{IdVec, Name};
 use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies an [`Operation`] within its [`Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -193,6 +194,12 @@ pub struct Region {
 /// built by appending operations to that block (or nested regions) through
 /// the [`OpBuilder`](crate::builder::OpBuilder).
 ///
+/// Every `&mut self` method moves a private edit stamp, even a call that
+/// changes nothing. [`PassManager`](crate::pass::PassManager) verifies the
+/// module after its first pass, and after a later pass only when the stamp
+/// moved since its last successful verification: MLIR's pass manager
+/// likewise skips the verifier after a pass that preserved all analyses.
+///
 /// # Examples
 ///
 /// ```
@@ -203,13 +210,57 @@ pub struct Region {
 /// m.append_op(b, op);
 /// assert_eq!(m.block(b).ops.len(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Module {
     ops: Vec<Operation>,
     values: Vec<ValueData>,
     blocks: Vec<Block>,
     regions: Vec<Region>,
     top: RegionId,
+    stamp: Stamp,
+}
+
+/// A module's edit stamp: which module it is, and how many mutating calls
+/// it has had.
+///
+/// Every `&mut self` method of [`Module`] moves `edits`, even a call that
+/// changes nothing, so two equal stamps read from one module bracket a
+/// stretch in which nothing mutated it. A new module and a clone each take
+/// a `module` number of their own from a process-wide counter, so a module
+/// replaced wholesale (`*module = other`, or a saved clone put back, even
+/// one edited back to the same count) never shows a stamp that was seen
+/// before. Only creation touches the shared counter; a mutation increments
+/// a plain field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    module: u64,
+    edits: u64,
+}
+
+impl Stamp {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Stamp {
+            module: NEXT.fetch_add(1, Ordering::Relaxed),
+            edits: 0,
+        }
+    }
+}
+
+impl Clone for Module {
+    fn clone(&self) -> Self {
+        Module {
+            ops: self.ops.clone(),
+            values: self.values.clone(),
+            blocks: self.blocks.clone(),
+            regions: self.regions.clone(),
+            top: self.top,
+            stamp: Stamp {
+                edits: self.stamp.edits,
+                ..Stamp::fresh()
+            },
+        }
+    }
 }
 
 impl Default for Module {
@@ -227,6 +278,7 @@ impl Module {
             blocks: vec![],
             regions: vec![],
             top: RegionId(0),
+            stamp: Stamp::fresh(),
         };
         let top = m.new_region(None);
         m.new_block(top, vec![]);
@@ -244,10 +296,23 @@ impl Module {
         self.regions[self.top.0 as usize].blocks[0]
     }
 
+    /// The module's edit stamp; see [`Stamp`].
+    pub(crate) fn stamp(&self) -> Stamp {
+        self.stamp
+    }
+
+    /// Moves the edit stamp. Every `&mut self` method calls it first, or
+    /// calls one that does: `erase_op` always calls `detach_op`, and
+    /// `clone_op` always calls `create_op`.
+    fn touch(&mut self) {
+        self.stamp.edits += 1;
+    }
+
     // ---- entity creation ------------------------------------------------
 
     /// Creates a new empty region owned by `parent_op`.
     pub fn new_region(&mut self, parent_op: Option<OpId>) -> RegionId {
+        self.touch();
         let id = RegionId(self.regions.len() as u32);
         self.regions.push(Region {
             blocks: IdVec::new(),
@@ -259,6 +324,7 @@ impl Module {
     /// Creates a new block with arguments of the given types, appended to
     /// `region`.
     pub fn new_block(&mut self, region: RegionId, arg_types: Vec<Type>) -> BlockId {
+        self.touch();
         let id = BlockId(self.blocks.len() as u32);
         let args = arg_types
             .into_iter()
@@ -298,6 +364,7 @@ impl Module {
         attrs: AttrMap,
         regions: impl Into<IdVec<RegionId>>,
     ) -> OpId {
+        self.touch();
         let id = OpId(self.ops.len() as u32);
         let results = result_types
             .into_iter()
@@ -334,6 +401,7 @@ impl Module {
     ///
     /// Panics if the op is already attached to a block.
     pub fn append_op(&mut self, block: BlockId, op: OpId) {
+        self.touch();
         assert!(
             self.ops[op.0 as usize].parent_block.is_none(),
             "op already attached"
@@ -348,6 +416,7 @@ impl Module {
     ///
     /// Panics if the op is already attached or `index` is out of bounds.
     pub fn insert_op(&mut self, block: BlockId, index: usize, op: OpId) {
+        self.touch();
         assert!(
             self.ops[op.0 as usize].parent_block.is_none(),
             "op already attached"
@@ -365,6 +434,7 @@ impl Module {
 
     /// Mutable access to an operation.
     pub fn op_mut(&mut self, id: OpId) -> &mut Operation {
+        self.touch();
         &mut self.ops[id.0 as usize]
     }
 
@@ -380,6 +450,7 @@ impl Module {
 
     /// Attaches a printer name hint (`%hint`) to a value.
     pub fn set_value_name(&mut self, id: ValueId, hint: &str) {
+        self.touch();
         self.values[id.0 as usize].name_hint = Some(hint.to_string());
     }
 
@@ -516,6 +587,7 @@ impl Module {
 
     /// Replaces every use of `old` with `new` throughout the module.
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) {
+        self.touch();
         let all: Vec<OpId> = self.live_ops().collect();
         for op in all {
             for operand in &mut self.ops[op.0 as usize].operands {
@@ -534,11 +606,13 @@ impl Module {
     ///
     /// Panics if `index` is out of range.
     pub fn set_operand(&mut self, op: OpId, index: usize, new: ValueId) {
+        self.touch();
         self.ops[op.0 as usize].operands[index] = new;
     }
 
     /// Detaches `op` from its parent block without erasing it.
     pub fn detach_op(&mut self, op: OpId) {
+        self.touch();
         if let Some(b) = self.ops[op.0 as usize].parent_block.take() {
             self.blocks[b.0 as usize].ops.retain(|&o| o != op);
         }

@@ -7,6 +7,12 @@
 //! clears what a region introduced when the walk leaves it; each block's op
 //! list is read in place; and each op's registry entry is looked up once,
 //! by the bytes of its name.
+//!
+//! [`PassManager`](crate::pass::PassManager) does not call it again after
+//! a pass that left the module's edit stamp where its last successful
+//! verification saw it, as MLIR's pass manager skips the verifier after a
+//! pass that preserved all analyses; the [`pass`](crate::pass) module docs
+//! give the rule.
 
 use crate::error::{IrError, IrResult};
 use crate::module::{Module, OpId, RegionId, ValueDef, ValueId};
