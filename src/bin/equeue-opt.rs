@@ -118,6 +118,21 @@ fn make_pass(name: &str, module: &Module) -> Result<Box<dyn Pass>, IrError> {
     })
 }
 
+/// A pipeline entry, named as on the command line. The pass is built when
+/// its turn comes, so its component lookup sees the module as the earlier
+/// passes left it.
+struct Named(String);
+
+impl Pass for Named {
+    fn name(&self) -> &str {
+        &self.0
+    }
+
+    fn run(&mut self, module: &mut Module) -> Result<(), IrError> {
+        make_pass(&self.0, module)?.run(module)
+    }
+}
+
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let opts = parse_args();
     let text = match opts.input.as_deref() {
@@ -132,12 +147,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut module = parse_module(&text)?;
     let registry = standard_registry();
 
+    let mut pm = PassManager::new(registry.clone());
     for name in &opts.pipeline {
-        let mut pass = make_pass(name, &module)?;
-        pass.run(&mut module)?;
-        verify_module(&module, &registry)
-            .map_err(|e| IrError::pass(name.clone(), format!("post-pass verification: {e}")))?;
+        pm.add(Named(name.clone()));
     }
+    pm.run(&mut module)?;
     if opts.verify {
         verify_module(&module, &registry)?;
         eprintln!("verification: ok");

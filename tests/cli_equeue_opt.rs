@@ -100,3 +100,17 @@ fn verify_flag_reports_ok() {
     assert!(ok, "{stderr}");
     assert!(stderr.contains("verification: ok"), "{stderr}");
 }
+
+#[test]
+fn post_pass_verification_names_the_pass_as_given() {
+    // The pass behind `flatten-conv-loops-ws` calls itself
+    // `flatten-conv-loops`; the error names it as the user spelled it.
+    let bad = "%m = \"equeue.create_mem\"() {banks = 0, data_bits = 32, kind = \"SRAM\", shape = [8]} : () -> !equeue.mem\n";
+    let (_, stderr, ok) = run_opt(&["-", "--pass", "flatten-conv-loops-ws", "--no-print"], bad);
+    assert!(!ok);
+    assert!(
+        stderr.contains("pass 'flatten-conv-loops-ws' failed: post-pass verification failed:"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("banks must be in 1..="), "{stderr}");
+}
