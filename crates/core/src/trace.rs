@@ -25,12 +25,15 @@
 //! **Export.** [`Trace::to_chrome_json`] escapes each table entry once and
 //! renders each row's `pid`/`tid` fields once, then writes every record
 //! into one buffer sized exactly from the records, formatting integers by
-//! hand. The JSON writer is hand-rolled: the allowed dependency set
+//! hand. [`Trace::write_chrome_json`] writes the same pieces to an
+//! `io::Write` as it goes, so a large trace is never held twice. The JSON writer is hand-rolled: the allowed dependency set
 //! contains `serde` but not `serde_json`, and the format is a flat array of
 //! small objects.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::io;
 
 use crate::value::CompId;
 
@@ -261,66 +264,23 @@ impl Trace {
     /// events, one cycle rendered as one microsecond, as in the paper's
     /// Fig. 13).
     pub fn to_chrome_json(&self) -> String {
-        let empty = Tables::default();
-        let tables = self.tables.as_deref().unwrap_or(&empty);
-        let quoted: Vec<String> = tables
-            .names
-            .iter()
-            .map(|n| {
-                let mut s = String::with_capacity(n.len() + 2);
-                push_json_string(&mut s, n);
-                s
-            })
-            .collect();
-        let tails: Vec<String> = tables
-            .rows
-            .iter()
-            .map(|&[pid, tid]| {
-                let (pid, tid) = (&quoted[pid as usize], &quoted[tid as usize]);
-                let mut s = String::with_capacity(pid.len() + tid.len() + 20);
-                s.push_str(", \"pid\": ");
-                s.push_str(pid);
-                s.push_str(", \"tid\": ");
-                s.push_str(tid);
-                s.push('}');
-                s
-            })
-            .collect();
-        const OPEN: &str = "{\"name\": ";
-        const DUR: &str = ", \"dur\": ";
-        const SEP: &str = ",\n";
-        let len = self
-            .records
-            .iter()
-            .map(|r| {
-                OPEN.len()
-                    + quoted[r.name as usize].len()
-                    + r.cat.json_middle().len()
-                    + digits(r.ts)
-                    + DUR.len()
-                    + digits(r.dur)
-                    + tails[r.row as usize].len()
-            })
-            .sum::<usize>()
-            + SEP.len() * self.records.len().saturating_sub(1)
-            + "[\n\n]\n".len();
+        let json = Json::new(self);
+        let len = json.len();
         let mut out = String::with_capacity(len);
-        out.push_str("[\n");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push_str(SEP);
-            }
-            out.push_str(OPEN);
-            out.push_str(&quoted[r.name as usize]);
-            out.push_str(r.cat.json_middle());
-            push_u64(&mut out, r.ts);
-            out.push_str(DUR);
-            push_u64(&mut out, r.dur);
-            out.push_str(&tails[r.row as usize]);
-        }
-        out.push_str("\n]\n");
+        let Ok(()) = json.write(&mut out);
         debug_assert_eq!(out.len(), len);
         out
+    }
+
+    /// Writes the same JSON as [`Trace::to_chrome_json`] to `out`, piece
+    /// by piece, without building the document in memory first. Wrap a
+    /// file in a `BufWriter`: each record is several small writes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_chrome_json(&self, out: &mut impl io::Write) -> io::Result<()> {
+        Json::new(self).write(&mut Stream(out))
     }
 
     /// The row of processor `comp` under `pid`; `name` gives the
@@ -415,13 +375,122 @@ impl Tables {
     }
 }
 
+/// A trace's JSON, ready to write: each table name quoted and escaped
+/// once, and each row's `pid`/`tid` fields rendered once.
+struct Json<'t> {
+    records: &'t [Record],
+    quoted: Vec<String>,
+    tails: Vec<String>,
+}
+
+const OPEN: &str = "{\"name\": ";
+const DUR: &str = ", \"dur\": ";
+const SEP: &str = ",\n";
+
+impl<'t> Json<'t> {
+    fn new(trace: &'t Trace) -> Self {
+        let empty = Tables::default();
+        let tables = trace.tables.as_deref().unwrap_or(&empty);
+        let quoted: Vec<String> = tables
+            .names
+            .iter()
+            .map(|n| {
+                let mut s = String::with_capacity(n.len() + 2);
+                push_json_string(&mut s, n);
+                s
+            })
+            .collect();
+        let tails = tables
+            .rows
+            .iter()
+            .map(|&[pid, tid]| {
+                let (pid, tid) = (&quoted[pid as usize], &quoted[tid as usize]);
+                let mut s = String::with_capacity(pid.len() + tid.len() + 20);
+                s.push_str(", \"pid\": ");
+                s.push_str(pid);
+                s.push_str(", \"tid\": ");
+                s.push_str(tid);
+                s.push('}');
+                s
+            })
+            .collect();
+        Json {
+            records: &trace.records,
+            quoted,
+            tails,
+        }
+    }
+
+    /// The document's length in bytes.
+    fn len(&self) -> usize {
+        self.records
+            .iter()
+            .map(|r| {
+                OPEN.len()
+                    + self.quoted[r.name as usize].len()
+                    + r.cat.json_middle().len()
+                    + digits(r.ts)
+                    + DUR.len()
+                    + digits(r.dur)
+                    + self.tails[r.row as usize].len()
+            })
+            .sum::<usize>()
+            + SEP.len() * self.records.len().saturating_sub(1)
+            + "[\n\n]\n".len()
+    }
+
+    fn write<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        out.put("[\n")?;
+        for (i, r) in self.records.iter().enumerate() {
+            if i > 0 {
+                out.put(SEP)?;
+            }
+            out.put(OPEN)?;
+            out.put(&self.quoted[r.name as usize])?;
+            out.put(r.cat.json_middle())?;
+            put_u64(out, r.ts)?;
+            out.put(DUR)?;
+            put_u64(out, r.dur)?;
+            out.put(&self.tails[r.row as usize])?;
+        }
+        out.put("\n]\n")
+    }
+}
+
+/// Where [`Json::write`] puts the text: a `String` sized up front, which
+/// cannot fail, or a [`Stream`].
+trait Sink {
+    type Error;
+    fn put(&mut self, s: &str) -> Result<(), Self::Error>;
+}
+
+impl Sink for String {
+    type Error = Infallible;
+
+    fn put(&mut self, s: &str) -> Result<(), Infallible> {
+        self.push_str(s);
+        Ok(())
+    }
+}
+
+/// An `io::Write` fed one piece at a time.
+struct Stream<W>(W);
+
+impl<W: io::Write> Sink for Stream<W> {
+    type Error = io::Error;
+
+    fn put(&mut self, s: &str) -> io::Result<()> {
+        self.0.write_all(s.as_bytes())
+    }
+}
+
 /// Number of decimal digits in `v`.
 fn digits(v: u64) -> usize {
     v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-/// Appends `v` in decimal.
-fn push_u64(out: &mut String, mut v: u64) {
+/// Puts `v` in decimal.
+fn put_u64<S: Sink>(out: &mut S, mut v: u64) -> Result<(), S::Error> {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
@@ -432,7 +501,7 @@ fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
+    out.put(std::str::from_utf8(&buf[i..]).unwrap_or_default())
 }
 
 /// Appends `s` as a JSON string literal.
@@ -505,6 +574,23 @@ mod tests {
         assert_eq!(quote("x\ny"), "\"x\\ny\"");
         assert_eq!(quote("\u{1}"), "\"\\u0001\"");
         assert_eq!(quote("\u{1f}"), "\"\\u001f\"");
+    }
+
+    #[test]
+    fn streaming_reports_the_writers_error() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut t = Trace::new();
+        t.record("op", TraceCat::Operation, 0, 1, "p", "t");
+        let e = t.write_chrome_json(&mut Full).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::StorageFull);
     }
 
     #[test]
@@ -673,7 +759,11 @@ mod tests {
             if round == 39 {
                 assert!(t.tables.as_ref().unwrap().names.len() > 256 + FIXED.len());
             }
-            assert_eq!(t.to_chrome_json(), reference_json(&model), "round {round}");
+            let json = t.to_chrome_json();
+            assert_eq!(json, reference_json(&model), "round {round}");
+            let mut streamed = vec![];
+            t.write_chrome_json(&mut streamed).unwrap();
+            assert_eq!(streamed, json.as_bytes(), "round {round}");
             let got: Vec<_> = t
                 .events()
                 .map(|e| {

@@ -6,6 +6,8 @@
 
 use equeue::gen::{fir_reference, generate_fir, FirCase, FirSpec};
 use equeue::prelude::*;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = FirSpec::default(); // 32 taps, 512 samples
@@ -59,7 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("  wall-clock    : {:.2?}", report.execution_time);
         let path = format!("target/traces/example_{}.json", case.as_str());
-        std::fs::write(&path, report.trace.to_chrome_json())?;
+        let mut file = BufWriter::new(File::create(&path)?);
+        report.trace.write_chrome_json(&mut file)?;
+        file.flush()?;
         println!("  trace         : {path}\n");
     }
 

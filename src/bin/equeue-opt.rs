@@ -21,7 +21,8 @@
 use equeue::prelude::*;
 use equeue_ir::{IrError, Pass};
 use equeue_passes as passes;
-use std::io::Read;
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
 
 struct Options {
@@ -166,7 +167,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             eprint!("{}", report.summary());
         }
         if let Some(path) = &opts.trace {
-            std::fs::write(path, report.trace.to_chrome_json())?;
+            let mut file = BufWriter::new(File::create(path)?);
+            report.trace.write_chrome_json(&mut file)?;
+            file.flush()?;
             eprintln!("trace written: {path}");
         }
     }
