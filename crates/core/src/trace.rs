@@ -26,9 +26,9 @@
 //! renders each row's `pid`/`tid` fields once, then writes every record
 //! into one buffer sized exactly from the records, formatting integers by
 //! hand. [`Trace::write_chrome_json`] writes the same pieces to an
-//! `io::Write` as it goes, so a large trace is never held twice. The JSON writer is hand-rolled: the allowed dependency set
-//! contains `serde` but not `serde_json`, and the format is a flat array of
-//! small objects.
+//! `io::Write` as it goes, so a large trace is never held twice. The JSON
+//! writer is hand-rolled: the allowed dependency set contains `serde` but
+//! not `serde_json`, and the format is a flat array of small objects.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
