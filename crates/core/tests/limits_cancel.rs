@@ -315,6 +315,46 @@ fn cycle_limit_is_exact_at_every_offset_of_three_iterations() {
     }
 }
 
+/// A launch whose body is an `iters`-trip loop that costs zero cycles
+/// (`const_index`, an index `addi`, `affine.yield`) yet fuses: no wake
+/// comes due inside it, so only the idle-step guard can stop it.
+fn zero_cycle_loop(iters: i64) -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(kinds::MAC);
+    let start = b.control_start();
+    let l = b.launch(start, pe, &[], vec![]);
+    {
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let (_, body, iv) = ib.affine_for(0, iters, 1);
+        let mut lb = OpBuilder::at_end(ib.module_mut(), body);
+        let one = lb.const_index(1);
+        lb.addi(iv, one);
+        lb.affine_yield();
+        ib.ret(vec![]);
+    }
+    let done = l.done;
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    b.await_all(vec![done]);
+    m
+}
+
+#[test]
+fn idle_step_guard_is_exact_on_both_backends() {
+    let m = zero_cycle_loop(1_000_000);
+    let lib = SimLibrary::standard();
+    let fused = with_backend(RunLimits::default(), None, Backend::Fused);
+    let report = simulate_with(&m, &lib, &fused).unwrap();
+    assert_eq!(report.cycles, 0);
+    assert_eq!(report.fused_trace_entries, 1);
+    let limits = [5000, 8191, 8192, 12288].map(|max_events| RunLimits {
+        max_events,
+        ..RunLimits::default()
+    });
+    assert_limit_errors_agree(&m, LimitKind::Events, limits.into_iter());
+}
+
 #[test]
 fn snapshot_cut_is_exact_at_every_offset_of_three_iterations() {
     // A cut caps the bulk segment like contention does. Capture and resume
