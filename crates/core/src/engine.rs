@@ -71,6 +71,22 @@ pub(crate) const WAKE_EPOCH: u64 = 1024;
 /// (tight loops that never touch the wake queue).
 pub(crate) const OP_EPOCH: u64 = 4096;
 
+/// The counters the run budget reads. The engine owns one set; a fused
+/// trace runs on a copy and writes it back at trace exit. Both backends
+/// apply the budget through the same rules (`Engine::on_wake`,
+/// `Engine::after_op`, `Engine::on_idle`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunCounters {
+    /// Scheduler wakes (reported as `events_processed`).
+    pub(crate) wakes: u64,
+    /// Ops interpreted (reported as `ops_interpreted`).
+    pub(crate) ops: u64,
+    /// Loop iteration boundaries. Bounded alongside `max_events` so a loop
+    /// whose body never comes due (an empty or zero-cycle body) cannot
+    /// spin forever. Not reported: purely a safety counter.
+    pub(crate) idle: u64,
+}
+
 /// Which execution backend interprets launch bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
@@ -193,11 +209,11 @@ pub(crate) fn build_report(engine: &mut Engine, start: Instant) -> SimReport {
     let mut report = SimReport {
         cycles: engine.horizon,
         execution_time: start.elapsed(),
-        events_processed: engine.wakes,
+        events_processed: engine.count.wakes,
         events_spawned: engine.events_spawned,
         peak_live_tensor_bytes: engine.peak_live_tensor_bytes,
         fused_trace_entries: engine.fused_trace_entries,
-        ops_interpreted: engine.ops_interpreted,
+        ops_interpreted: engine.count.ops,
         trace: std::mem::take(&mut engine.trace),
         ..Default::default()
     };
@@ -404,8 +420,7 @@ pub(crate) struct Engine<'m> {
     pub(crate) seq: u64,
     pub(crate) now: u64,
     pub(crate) horizon: u64,
-    pub(crate) wakes: u64,
-    pub(crate) ops_interpreted: u64,
+    pub(crate) count: RunCounters,
     /// Events pushed onto processor queues (launches + memcpys issued).
     /// Reported so static spawn-count estimates can be validated against
     /// actual runs; never consulted by limits or scheduling.
@@ -419,10 +434,6 @@ pub(crate) struct Engine<'m> {
     /// Successful fused-trace entries (the fusibility report's runtime
     /// ground truth; `0` under `Backend::Interp`).
     pub(crate) fused_trace_entries: u64,
-    /// Loop-bookkeeping iterations that executed no op (empty bodies);
-    /// bounded alongside `max_events` so degenerate loops cannot spin the
-    /// interpreter forever. Not reported — purely a safety counter.
-    pub(crate) idle_steps: u64,
     /// Absolute wall-clock deadline (run start + `wall_deadline`).
     pub(crate) deadline: Option<Instant>,
     trace: Trace,
@@ -475,13 +486,11 @@ impl<'m> Engine<'m> {
             seq: 0,
             now: 0,
             horizon: 0,
-            wakes: 0,
-            ops_interpreted: 0,
+            count: RunCounters::default(),
             events_spawned: 0,
             live_tensor_bytes: 0,
             peak_live_tensor_bytes: 0,
             fused_trace_entries: 0,
-            idle_steps: 0,
             deadline: options.limits.wall_deadline.map(|d| start + d),
             trace: if options.trace {
                 Trace::new()
@@ -630,31 +639,46 @@ impl<'m> Engine<'m> {
         }
     }
 
+    // ---- run budget ---------------------------------------------------------
+    // Every run-stopping rule, written once. The interpreter passes the
+    // engine's own counters, a fused trace its local copy; `clock` is the
+    // stepping processor's clock (the popped wake time in the scheduler).
+
     /// Partial statistics at the current point of execution (carried by
     /// limit/cancellation errors).
-    fn progress(&self, t: u64) -> Progress {
+    fn progress(&self, c: &RunCounters, clock: u64) -> Progress {
         Progress {
-            cycles: self.horizon.max(t),
-            events: self.wakes,
-            ops: self.ops_interpreted,
+            cycles: self.horizon.max(clock),
+            events: c.wakes,
+            ops: c.ops,
         }
     }
 
-    fn limit_err(&self, kind: LimitKind, limit: u64, t: u64) -> SimError {
+    fn limit_err(&self, kind: LimitKind, limit: u64, c: &RunCounters, clock: u64) -> SimError {
         SimError::Limit(LimitExceeded {
             kind,
             limit,
-            progress: self.progress(t),
+            progress: self.progress(c, clock),
         })
     }
 
+    /// The event budget, applied to `n` wakes or idle steps.
+    #[inline]
+    fn check_events(&self, n: u64, c: &RunCounters, clock: u64) -> Result<(), SimError> {
+        let lim = self.options.limits.max_events;
+        if n > lim {
+            return Err(self.limit_err(LimitKind::Events, lim, c, clock));
+        }
+        Ok(())
+    }
+
     /// Epoch-cadence polls: cancellation and the wall-clock deadline. Kept
-    /// off the per-wake fast path — callers gate on the epoch masks.
+    /// off the per-wake fast path — the rules below gate on epoch masks.
     #[cold]
-    fn check_epoch(&self, t: u64) -> Result<(), SimError> {
-        if let Some(c) = &self.options.cancel {
-            if c.is_cancelled() {
-                return Err(SimError::Cancelled(self.progress(t)));
+    fn poll(&self, c: &RunCounters, clock: u64) -> Result<(), SimError> {
+        if let Some(token) = &self.options.cancel {
+            if token.is_cancelled() {
+                return Err(SimError::Cancelled(self.progress(c, clock)));
             }
         }
         if let Some(d) = self.deadline {
@@ -664,28 +688,45 @@ impl<'m> Engine<'m> {
                     .limits
                     .wall_deadline
                     .map_or(0, |w| w.as_millis() as u64);
-                return Err(self.limit_err(LimitKind::WallClock, ms, t));
+                return Err(self.limit_err(LimitKind::WallClock, ms, c, clock));
             }
         }
         Ok(())
     }
 
-    /// The per-wake budget check, inlined into both scheduler loops (the
-    /// queue pop and the inline-wake fast path in `step_frame`). The cheap
-    /// counter comparisons run every wake; the epoch poll fires on
-    /// `wakes % WAKE_EPOCH == 1`, so a pre-cancelled run stops on its very
-    /// first wake.
+    /// After a wake is counted: the event budget, the cycle budget, then
+    /// the poll on `wakes % WAKE_EPOCH == 1`, so a pre-cancelled run stops
+    /// on its very first wake.
     #[inline]
-    fn check_budget(&self, t: u64) -> Result<(), SimError> {
-        let lim = &self.options.limits;
-        if self.wakes > lim.max_events {
-            return Err(self.limit_err(LimitKind::Events, lim.max_events, t));
+    pub(crate) fn on_wake(&self, c: &RunCounters, clock: u64) -> Result<(), SimError> {
+        self.check_events(c.wakes, c, clock)?;
+        let lim = self.options.limits.max_cycles;
+        if clock > lim {
+            return Err(self.limit_err(LimitKind::Cycles, lim, c, clock));
         }
-        if t > lim.max_cycles {
-            return Err(self.limit_err(LimitKind::Cycles, lim.max_cycles, t));
+        if c.wakes & (WAKE_EPOCH - 1) == 1 {
+            self.poll(c, clock)?;
         }
-        if self.wakes & (WAKE_EPOCH - 1) == 1 {
-            self.check_epoch(t)?;
+        Ok(())
+    }
+
+    /// After a zero-time op: the poll every `OP_EPOCH` ops, since op bursts
+    /// never reach the scheduler's per-wake rule.
+    #[inline]
+    pub(crate) fn after_op(&self, c: &RunCounters, clock: u64) -> Result<(), SimError> {
+        if c.ops & (OP_EPOCH - 1) == 0 {
+            self.poll(c, clock)?;
+        }
+        Ok(())
+    }
+
+    /// After an idle step is counted: every `OP_EPOCH` steps, the event
+    /// budget (on the step count) and then the poll.
+    #[inline]
+    pub(crate) fn on_idle(&self, c: &RunCounters, clock: u64) -> Result<(), SimError> {
+        if c.idle & (OP_EPOCH - 1) == 0 {
+            self.check_events(c.idle, c, clock)?;
+            self.poll(c, clock)?;
         }
         Ok(())
     }
@@ -707,8 +748,8 @@ impl<'m> Engine<'m> {
                 break;
             };
             self.now = t;
-            self.wakes += 1;
-            self.check_budget(t)?;
+            self.count.wakes += 1;
+            self.on_wake(&self.count, t)?;
             self.wake(p, t)?;
         }
         // Everything drained: check for stuck work.
@@ -1064,15 +1105,9 @@ impl<'m> Engine<'m> {
         let result = loop {
             match self.step_frame_inner(p, &mut frame) {
                 Ok(Step::Continue) => {
-                    // Zero-time op bursts never touch the scheduler loop, so
-                    // poll cancellation/deadline on an op-count cadence too.
-                    if self.ops_interpreted & (OP_EPOCH - 1) == 0 {
-                        let clock = self.procs[p].clock;
-                        if let Err(e) = self.check_epoch(clock) {
-                            break Err(e);
-                        }
+                    if let Err(e) = self.after_op(&self.count, self.procs[p].clock) {
+                        break Err(e);
                     }
-                    continue;
                 }
                 Ok(Step::Yield) => {
                     let clock = self.procs[p].clock;
@@ -1089,8 +1124,8 @@ impl<'m> Engine<'m> {
                         break Ok(Step::Yield);
                     }
                     self.now = clock;
-                    self.wakes += 1;
-                    if let Err(e) = self.check_budget(clock) {
+                    self.count.wakes += 1;
+                    if let Err(e) = self.on_wake(&self.count, clock) {
                         break Err(e);
                     }
                 }
@@ -1130,21 +1165,8 @@ impl<'m> Engine<'m> {
                     } else {
                         frame.stack.pop();
                     }
-                    // A loop whose body runs no ops (empty block) burns no
-                    // events and no cycles; bound these pure-bookkeeping
-                    // spins so a huge trip count cannot hang the engine.
-                    self.idle_steps += 1;
-                    if self.idle_steps & (OP_EPOCH - 1) == 0 {
-                        let clock = self.procs[p].clock;
-                        if self.idle_steps > self.options.limits.max_events {
-                            return Err(self.limit_err(
-                                LimitKind::Events,
-                                self.options.limits.max_events,
-                                clock,
-                            ));
-                        }
-                        self.check_epoch(clock)?;
-                    }
+                    self.count.idle += 1;
+                    self.on_idle(&self.count, self.procs[p].clock)?;
                 }
                 None => {
                     frame.stack.pop();
@@ -1190,7 +1212,7 @@ impl<'m> Engine<'m> {
         if matches!(self.plan.ops[op.index()].code, OpCode::Erased) {
             return Ok(Step::Continue);
         }
-        self.ops_interpreted += 1;
+        self.count.ops += 1;
         self.exec_op(p, frame, op)
     }
 
@@ -2051,7 +2073,7 @@ impl<'m> Engine<'m> {
         self.peak_live_tensor_bytes = self.peak_live_tensor_bytes.max(self.live_tensor_bytes);
         let lim = self.options.limits.max_live_tensor_bytes;
         if self.live_tensor_bytes > lim {
-            return Err(self.limit_err(LimitKind::LiveTensorBytes, lim, t));
+            return Err(self.limit_err(LimitKind::LiveTensorBytes, lim, &self.count, t));
         }
         Ok(())
     }

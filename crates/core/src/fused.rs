@@ -60,13 +60,12 @@
 //! one semantics function (`exec`).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use equeue_dialect::{buffer_origin, BufferOrigin};
 use equeue_ir::Module;
 
-use crate::engine::{Engine, Frame, Step, OP_EPOCH, WAKE_EPOCH};
-use crate::error::{LimitExceeded, LimitKind, Progress, SimError};
+use crate::engine::{Engine, Frame, RunCounters, Step, OP_EPOCH, WAKE_EPOCH};
+use crate::error::SimError;
 use crate::interp::{BinOp, CmpPred};
 use crate::library::SimLibrary;
 use crate::machine::{AccessKind, Machine};
@@ -835,13 +834,14 @@ impl Shape {
         // unbounded when an iteration uses none (no timed op).
         let fit = |room: u64, per: u64| room.checked_div(per).unwrap_or(u64::MAX);
         // The WAKE_EPOCH poll fires on `wakes % WAKE_EPOCH == 1`.
-        let to_poll = (WAKE_EPOCH - t.wakes % WAKE_EPOCH) % WAKE_EPOCH;
+        let c = &t.count;
+        let to_poll = (WAKE_EPOCH - c.wakes % WAKE_EPOCH) % WAKE_EPOCH;
         [
             u64::try_from(trips).unwrap_or(u64::MAX),
-            fit(until_multiple(t.ops, OP_EPOCH), self.ops),
-            until_multiple(t.idle, OP_EPOCH),
+            fit(until_multiple(c.ops, OP_EPOCH), self.ops),
+            until_multiple(c.idle, OP_EPOCH),
             fit(to_poll, self.wakes),
-            fit(max_events.saturating_sub(t.wakes), self.wakes),
+            fit(max_events.saturating_sub(c.wakes), self.wakes),
             fit(
                 barrier.saturating_sub(t.clock).saturating_sub(1),
                 self.cycles,
@@ -863,9 +863,7 @@ fn until_multiple(count: u64, epoch: u64) -> u64 {
 /// The engine counters as trace locals, synced back at trace exit.
 struct Tally {
     clock: u64,
-    wakes: u64,
-    ops: u64,
-    idle: u64,
+    count: RunCounters,
     last_wake: Option<u64>,
 }
 
@@ -874,9 +872,9 @@ impl Tally {
     /// the per-op loop and the iteration boundary would.
     fn whole(&mut self, shape: &Shape, n: u64) {
         self.clock += n * shape.cycles;
-        self.wakes += n * shape.wakes;
-        self.ops += n * shape.ops;
-        self.idle += n;
+        self.count.wakes += n * shape.wakes;
+        self.count.ops += n * shape.ops;
+        self.count.idle += n;
         if n > 0 && shape.wakes > 0 {
             self.last_wake = Some(self.clock);
         }
@@ -886,8 +884,8 @@ impl Tally {
     fn prefix(&mut self, insts: &[InstRt], pos: usize) {
         let done = &insts[..pos];
         let timed = done.iter().filter(|i| i.cost > 0).count() as u64;
-        self.ops += pos as u64;
-        self.wakes += timed;
+        self.count.ops += pos as u64;
+        self.count.wakes += timed;
         self.clock += done.iter().map(|i| i.cost).sum::<u64>();
         if timed > 0 {
             self.last_wake = Some(self.clock);
@@ -1200,9 +1198,7 @@ impl<'m> Engine<'m> {
         let entry_clock = self.procs[p].clock;
         let mut t = Tally {
             clock: entry_clock,
-            wakes: self.wakes,
-            ops: self.ops_interpreted,
-            idle: self.idle_steps,
+            count: self.count,
             last_wake: None,
         };
         let mut pos = f
@@ -1254,7 +1250,7 @@ impl<'m> Engine<'m> {
             while pos < f.insts.len() {
                 let inst = &f.insts[pos];
                 let rt = &s.insts[pos];
-                t.ops += 1;
+                t.count.ops += 1;
                 if let Err(e) = exec::<false>(inst, rt, &mut s.bank, &mut self.machine, t.clock, iv)
                 {
                     break 'run Exit::Fail(e);
@@ -1262,30 +1258,20 @@ impl<'m> Engine<'m> {
                 // Timing: mirrors `advance` + the inline-wake path of
                 // `step_frame`. A timed op whose finish time reaches the
                 // barrier yields (contended — no wake counted); otherwise
-                // the wake is taken inline with the interpreter's exact
-                // budget-check order.
-                if rt.cost > 0 {
+                // the wake is taken inline under the engine's wake rule.
+                let budget = if rt.cost > 0 {
                     t.clock += rt.cost;
                     if barrier <= t.clock {
                         break 'run Exit::Yield(inst.op_pos());
                     }
                     t.last_wake = Some(t.clock);
-                    t.wakes += 1;
-                    if t.wakes > max_events {
-                        break 'run Exit::Fail(self.fused_limit(LimitKind::Events, max_events, &t));
-                    }
-                    if t.clock > max_cycles {
-                        break 'run Exit::Fail(self.fused_limit(LimitKind::Cycles, max_cycles, &t));
-                    }
-                    if t.wakes & (WAKE_EPOCH - 1) == 1 {
-                        if let Err(e) = self.fused_poll(&t) {
-                            break 'run Exit::Fail(e);
-                        }
-                    }
-                } else if t.ops & (OP_EPOCH - 1) == 0 {
-                    if let Err(e) = self.fused_poll(&t) {
-                        break 'run Exit::Fail(e);
-                    }
+                    t.count.wakes += 1;
+                    self.on_wake(&t.count, t.clock)
+                } else {
+                    self.after_op(&t.count, t.clock)
+                };
+                if let Err(e) = budget {
+                    break 'run Exit::Fail(e);
                 }
                 pos += 1;
             }
@@ -1298,14 +1284,9 @@ impl<'m> Engine<'m> {
                 iv = next;
                 s.bank.regs[f.iv_reg as usize] = next;
             }
-            t.idle += 1;
-            if t.idle & (OP_EPOCH - 1) == 0 {
-                if t.idle > max_events {
-                    break Exit::Fail(self.fused_limit(LimitKind::Events, max_events, &t));
-                }
-                if let Err(e) = self.fused_poll(&t) {
-                    break Exit::Fail(e);
-                }
+            t.count.idle += 1;
+            if let Err(e) = self.on_idle(&t.count, t.clock) {
+                break Exit::Fail(e);
             }
             if !continuing {
                 break Exit::Done;
@@ -1316,9 +1297,7 @@ impl<'m> Engine<'m> {
 
         // ---- trace exit: sync counters, flush batched traffic, write
         // live register state back into the frame. ----
-        self.wakes = t.wakes;
-        self.ops_interpreted = t.ops;
-        self.idle_steps = t.idle;
+        self.count = t.count;
         self.procs[p].clock = t.clock;
         if t.clock > entry_clock {
             self.bump_horizon(t.clock);
@@ -1398,46 +1377,6 @@ impl<'m> Engine<'m> {
             }
         }
     }
-
-    /// `Progress` from trace-local counters (the engine's own counters are
-    /// synced only at trace exit).
-    fn fused_progress(&self, t: &Tally) -> Progress {
-        Progress {
-            cycles: self.horizon.max(t.clock),
-            events: t.wakes,
-            ops: t.ops,
-        }
-    }
-
-    fn fused_limit(&self, kind: LimitKind, limit: u64, t: &Tally) -> SimError {
-        SimError::Limit(LimitExceeded {
-            kind,
-            limit,
-            progress: self.fused_progress(t),
-        })
-    }
-
-    /// The epoch-cadence cancellation / wall-deadline poll, identical to
-    /// the interpreter's `check_epoch` but fed trace-local counters.
-    #[cold]
-    fn fused_poll(&self, t: &Tally) -> Result<(), SimError> {
-        if let Some(c) = &self.options.cancel {
-            if c.is_cancelled() {
-                return Err(SimError::Cancelled(self.fused_progress(t)));
-            }
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                let ms = self
-                    .options
-                    .limits
-                    .wall_deadline
-                    .map_or(0, |w| w.as_millis() as u64);
-                return Err(self.fused_limit(LimitKind::WallClock, ms, t));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1462,9 +1401,7 @@ mod tests {
     fn open_segment(shape: &Shape, wakes: u64, ops: u64, idle: u64) -> u64 {
         let t = Tally {
             clock: 0,
-            wakes,
-            ops,
-            idle,
+            count: RunCounters { wakes, ops, idle },
             last_wake: None,
         };
         shape.segment_len(0, &t, u64::MAX, u64::MAX, u64::MAX)

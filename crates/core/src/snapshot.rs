@@ -266,13 +266,13 @@ fn counters<'a>(e: &'a mut Engine<'_>) -> [&'a mut u64; 10] {
     [
         &mut e.now,
         &mut e.horizon,
-        &mut e.wakes,
-        &mut e.ops_interpreted,
+        &mut e.count.wakes,
+        &mut e.count.ops,
         &mut e.events_spawned,
         &mut e.live_tensor_bytes,
         &mut e.peak_live_tensor_bytes,
         &mut e.fused_trace_entries,
-        &mut e.idle_steps,
+        &mut e.count.idle,
         &mut e.seq,
     ]
 }
