@@ -134,9 +134,8 @@ pub use fused::FuseDecline;
 pub use interp::{apply_binary, apply_cmpi, conv2d_int, matmul_int};
 pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary};
 pub use machine::{
-    AccessKind, BehaviorSnapshot, Buffer, CacheBehavior, Component, ComponentKind, Connection,
-    DramBehavior, Machine, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor,
-    RegisterBehavior, SramBehavior,
+    AccessKind, Buffer, CacheBehavior, Component, ComponentKind, Connection, DramBehavior, Machine,
+    MemCounters, Memory, MemoryBehavior, ProcProfile, Processor, RegisterBehavior, SramBehavior,
 };
 pub use profile::{BandwidthStats, BufferDump, ConnReport, MemReport, SimReport};
 pub use signal::SignalTable;

@@ -12,6 +12,7 @@ use crate::profile::BandwidthStats;
 use crate::value::{BufId, CompId, ConnId, Tensor};
 use equeue_dialect::ConnKind;
 use equeue_ir::OpId;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,7 +29,15 @@ pub enum AccessKind {
 /// in cycles. Implementations may keep state (e.g. cache tags) — this is
 /// the extension point of §IV-D: a custom component overrides
 /// `access_cycles` exactly like the paper's `getReadOrWriteCycles`.
-pub trait MemoryBehavior: Send {
+///
+/// Simulation snapshots carry the complete state of the four stock models
+/// ([`SramBehavior`], [`RegisterBehavior`], [`DramBehavior`],
+/// [`CacheBehavior`]), found by downcasting. Any other model carries no
+/// state in the stream: on resume its library factory rebuilds it from the
+/// [`MemSpec`](crate::MemSpec) of the `equeue.create_mem` op that built it,
+/// which is exact for a stateless model; a stateful one restarts from its
+/// initial state.
+pub trait MemoryBehavior: Any + Send {
     /// Latency in cycles of accessing `elems` elements starting at flat
     /// element address `addr`, on a memory with `banks` banks.
     fn access_cycles(&mut self, kind: AccessKind, addr: usize, elems: usize, banks: u32) -> u64;
@@ -46,67 +55,6 @@ pub trait MemoryBehavior: Send {
     fn uniform_scalar_cycles(&self) -> Option<u64> {
         None
     }
-
-    /// The model's complete timing state, for simulation snapshots. The
-    /// stock behaviors return their matching [`BehaviorSnapshot`] variant so
-    /// a resumed run replays bit-identically; the default is
-    /// [`BehaviorSnapshot::Opaque`], which tells the snapshot writer it
-    /// cannot capture this model's state — on resume the memory is rebuilt
-    /// by its library factory from the [`MemSpec`](crate::MemSpec) of the
-    /// `equeue.create_mem` op that built it, which is exact for stateless
-    /// custom models; a stateful one restarts from its initial state.
-    fn snapshot_behavior(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::Opaque
-    }
-}
-
-/// Serialisable timing state of a [`MemoryBehavior`], captured into
-/// simulation snapshots and replayed on resume.
-///
-/// The stock models round-trip exactly (including [`CacheBehavior`]'s LRU
-/// tag stacks and hit/miss counters). Custom library models that do not
-/// override [`MemoryBehavior::snapshot_behavior`] serialise as
-/// [`Opaque`](BehaviorSnapshot::Opaque) and are re-created on resume by
-/// their factory, from their `equeue.create_mem` attributes — exact only if
-/// the model is stateless.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BehaviorSnapshot {
-    /// [`SramBehavior`] state.
-    Sram {
-        /// Cycles per banked access beat.
-        cycles_per_access: u64,
-    },
-    /// [`RegisterBehavior`] (stateless).
-    Register,
-    /// [`DramBehavior`] state.
-    Dram {
-        /// Activation latency.
-        latency: u64,
-        /// Cycles per banked beat.
-        cycles_per_access: u64,
-    },
-    /// [`CacheBehavior`] state, including the live LRU stacks.
-    Cache {
-        /// Number of sets.
-        sets: usize,
-        /// Associativity.
-        ways: usize,
-        /// Elements per line.
-        line_elems: usize,
-        /// Hit latency.
-        hit_cycles: u64,
-        /// Miss latency.
-        miss_cycles: u64,
-        /// Per-set LRU stacks of line tags (most recent last).
-        tags: Vec<Vec<usize>>,
-        /// Hit counter.
-        hits: u64,
-        /// Miss counter.
-        misses: u64,
-    },
-    /// A custom model whose state the codec cannot capture.
-    Opaque,
 }
 
 /// SRAM: one access per bank per `cycles_per_access`; a burst of `elems`
@@ -138,12 +86,6 @@ impl MemoryBehavior for SramBehavior {
         // One element always occupies a single beat: div_ceil(1, banks) == 1.
         Some(self.cycles_per_access)
     }
-
-    fn snapshot_behavior(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::Sram {
-            cycles_per_access: self.cycles_per_access,
-        }
-    }
 }
 
 /// Register file: zero-latency access (the fabric the paper's systolic PEs
@@ -168,10 +110,6 @@ impl MemoryBehavior for RegisterBehavior {
 
     fn uniform_scalar_cycles(&self) -> Option<u64> {
         Some(0)
-    }
-
-    fn snapshot_behavior(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::Register
     }
 }
 
@@ -204,13 +142,6 @@ impl MemoryBehavior for DramBehavior {
 
     fn uniform_scalar_cycles(&self) -> Option<u64> {
         Some(self.latency + self.cycles_per_access)
-    }
-
-    fn snapshot_behavior(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::Dram {
-            latency: self.latency,
-            cycles_per_access: self.cycles_per_access,
-        }
     }
 }
 
@@ -303,19 +234,6 @@ impl MemoryBehavior for CacheBehavior {
 
     fn model_name(&self) -> &str {
         "Cache"
-    }
-
-    fn snapshot_behavior(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::Cache {
-            sets: self.sets,
-            ways: self.ways,
-            line_elems: self.line_elems,
-            hit_cycles: self.hit_cycles,
-            miss_cycles: self.miss_cycles,
-            tags: self.tags.clone(),
-            hits: self.hits,
-            misses: self.misses,
-        }
     }
 }
 

@@ -40,6 +40,7 @@
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
 //! cycle/event budgets from the captured counters.
 
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,9 +53,9 @@ use crate::engine::{
 };
 use crate::library::SimLibrary;
 use crate::machine::{
-    BehaviorSnapshot, Buffer, CacheBehavior, ChannelStats, Component, ComponentKind, Composite,
-    Connection, DramBehavior, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor,
-    RegisterBehavior, SramBehavior,
+    Buffer, CacheBehavior, ChannelStats, Component, ComponentKind, Composite, Connection,
+    DramBehavior, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor, RegisterBehavior,
+    SramBehavior,
 };
 use crate::plan::{mem_spec, OpCode, Plan};
 use crate::profile::SimReport;
@@ -765,42 +766,33 @@ impl Writer {
         self.opt(p.frame.as_ref(), Writer::frame);
     }
 
-    fn behavior(&mut self, b: &BehaviorSnapshot) {
-        match b {
-            BehaviorSnapshot::Sram { cycles_per_access } => {
-                self.u8(0);
-                self.u64(*cycles_per_access);
-            }
-            BehaviorSnapshot::Register => self.u8(1),
-            BehaviorSnapshot::Dram {
-                latency,
-                cycles_per_access,
-            } => {
-                self.u8(2);
-                self.u64(*latency);
-                self.u64(*cycles_per_access);
-            }
-            BehaviorSnapshot::Cache {
-                sets,
-                ways,
-                line_elems,
-                hit_cycles,
-                miss_cycles,
-                tags,
-                hits,
-                misses,
-            } => {
-                self.u8(3);
-                self.usize(*sets);
-                self.usize(*ways);
-                self.usize(*line_elems);
-                self.u64(*hit_cycles);
-                self.u64(*miss_cycles);
-                self.seq(tags.iter(), |w, set| w.seq(set.iter(), |w, &t| w.usize(t)));
-                self.u64(*hits);
-                self.u64(*misses);
-            }
-            BehaviorSnapshot::Opaque => self.u8(4),
+    /// A memory's timing model: the four stock models' fields under tags
+    /// 0–3, any other model as tag 4 with no state.
+    fn behavior(&mut self, b: &dyn MemoryBehavior) {
+        let b: &dyn Any = b;
+        if let Some(m) = b.downcast_ref::<SramBehavior>() {
+            self.u8(0);
+            self.u64(m.cycles_per_access);
+        } else if b.is::<RegisterBehavior>() {
+            self.u8(1);
+        } else if let Some(m) = b.downcast_ref::<DramBehavior>() {
+            self.u8(2);
+            self.u64(m.latency);
+            self.u64(m.cycles_per_access);
+        } else if let Some(m) = b.downcast_ref::<CacheBehavior>() {
+            self.u8(3);
+            self.usize(m.sets);
+            self.usize(m.ways);
+            self.usize(m.line_elems);
+            self.u64(m.hit_cycles);
+            self.u64(m.miss_cycles);
+            self.seq(m.tags.iter(), |w, set| {
+                w.seq(set.iter(), |w, &t| w.usize(t))
+            });
+            self.u64(m.hits);
+            self.u64(m.misses);
+        } else {
+            self.u8(4);
         }
     }
 
@@ -834,7 +826,7 @@ impl Writer {
         self.u32(m.data_bits);
         self.u32(m.banks);
         self.usize(m.used_elems);
-        self.behavior(&m.behavior.snapshot_behavior());
+        self.behavior(&*m.behavior);
         self.seq(m.ports.iter(), |w, &p| w.u64(p));
         let c = m.counters;
         for v in [c.bytes_read, c.bytes_written, c.reads, c.writes] {
@@ -1242,7 +1234,7 @@ impl<'a> Reader<'a> {
     /// A memory. A custom timing model, whose state the stream does not
     /// carry, is rebuilt by `lib`'s factory from the `equeue.create_mem` op
     /// that built the memory (exact for stateless models: see
-    /// `MemoryBehavior::snapshot_behavior`).
+    /// `MemoryBehavior`).
     fn memory(
         &mut self,
         module: &Module,
