@@ -6,32 +6,14 @@ use equeue_ir::{DialectRegistry, OpTraits};
 const PURE: OpTraits = OpTraits {
     is_terminator: false,
     is_pure: true,
-    is_event: false,
-    is_structure: false,
 };
 const TERM: OpTraits = OpTraits {
     is_terminator: true,
     is_pure: false,
-    is_event: false,
-    is_structure: false,
-};
-const EVENT: OpTraits = OpTraits {
-    is_terminator: false,
-    is_pure: false,
-    is_event: true,
-    is_structure: false,
-};
-const STRUCT: OpTraits = OpTraits {
-    is_terminator: false,
-    is_pure: false,
-    is_event: false,
-    is_structure: true,
 };
 const PLAIN: OpTraits = OpTraits {
     is_terminator: false,
     is_pure: false,
-    is_event: false,
-    is_structure: false,
 };
 
 /// Registers the arith, affine, linalg, and equeue dialects into `reg`.
@@ -69,17 +51,17 @@ pub fn register_into(reg: &mut DialectRegistry) {
     // equeue structure --------------------------------------------------------
     reg.register_op(
         "equeue.create_proc",
-        STRUCT,
+        PLAIN,
         Some(equeue::verify_create_proc),
     );
-    reg.register_op("equeue.create_mem", STRUCT, Some(equeue::verify_create_mem));
-    reg.register_op("equeue.create_dma", STRUCT, None);
-    reg.register_op("equeue.create_comp", STRUCT, Some(equeue::verify_comp));
-    reg.register_op("equeue.add_comp", STRUCT, Some(equeue::verify_comp));
-    reg.register_op("equeue.get_comp", STRUCT, Some(equeue::verify_get_comp));
+    reg.register_op("equeue.create_mem", PLAIN, Some(equeue::verify_create_mem));
+    reg.register_op("equeue.create_dma", PLAIN, None);
+    reg.register_op("equeue.create_comp", PLAIN, Some(equeue::verify_comp));
+    reg.register_op("equeue.add_comp", PLAIN, Some(equeue::verify_comp));
+    reg.register_op("equeue.get_comp", PLAIN, Some(equeue::verify_get_comp));
     reg.register_op(
         "equeue.create_connection",
-        STRUCT,
+        PLAIN,
         Some(equeue::verify_create_connection),
     );
 
@@ -90,11 +72,11 @@ pub fn register_into(reg: &mut DialectRegistry) {
     reg.register_op("equeue.write", PLAIN, Some(equeue::verify_write));
 
     // equeue control -----------------------------------------------------------
-    reg.register_op("equeue.memcpy", EVENT, Some(equeue::verify_memcpy));
-    reg.register_op("equeue.launch", EVENT, Some(equeue::verify_launch));
-    reg.register_op("equeue.control_start", EVENT, Some(equeue::verify_control));
-    reg.register_op("equeue.control_and", EVENT, Some(equeue::verify_control));
-    reg.register_op("equeue.control_or", EVENT, Some(equeue::verify_control));
+    reg.register_op("equeue.memcpy", PLAIN, Some(equeue::verify_memcpy));
+    reg.register_op("equeue.launch", PLAIN, Some(equeue::verify_launch));
+    reg.register_op("equeue.control_start", PLAIN, Some(equeue::verify_control));
+    reg.register_op("equeue.control_and", PLAIN, Some(equeue::verify_control));
+    reg.register_op("equeue.control_or", PLAIN, Some(equeue::verify_control));
     reg.register_op("equeue.await", PLAIN, Some(equeue::verify_await));
     reg.register_op("equeue.return", TERM, None);
     reg.register_op("equeue.op", PLAIN, Some(equeue::verify_ext_op));
@@ -107,7 +89,6 @@ pub fn register_into(reg: &mut DialectRegistry) {
 /// ```
 /// let reg = equeue_dialect::standard_registry();
 /// assert!(reg.knows("equeue.launch"));
-/// assert!(reg.traits("equeue.launch").is_event);
 /// assert!(reg.traits("equeue.return").is_terminator);
 /// ```
 pub fn standard_registry() -> DialectRegistry {
@@ -143,9 +124,5 @@ mod tests {
         assert!(reg.traits("arith.addi").is_pure);
         assert!(reg.traits("equeue.return").is_terminator);
         assert!(reg.traits("affine.yield").is_terminator);
-        assert!(reg.traits("equeue.launch").is_event);
-        assert!(reg.traits("equeue.memcpy").is_event);
-        assert!(reg.traits("equeue.create_mem").is_structure);
-        assert!(!reg.traits("equeue.await").is_event);
     }
 }

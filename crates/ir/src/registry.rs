@@ -17,10 +17,6 @@ pub struct OpTraits {
     pub is_terminator: bool,
     /// Has no side effects; erasable when results are unused.
     pub is_pure: bool,
-    /// Is an EQueue *event* operation (asynchronous, yields a signal).
-    pub is_event: bool,
-    /// Declares hardware structure (evaluated at elaboration time).
-    pub is_structure: bool,
 }
 
 /// Registered metadata for one operation name.
