@@ -16,12 +16,13 @@
 //!   pending event, so the scheduler must interleave (mirrors the
 //!   interpreter's contended-yield path, which never counts a wake);
 //! * **completion** — the loop's trip count is exhausted;
-//! * **limits** — the event/cycle budgets and the epoch-cadence
-//!   cancellation/wall-clock polls, evaluated on exactly the same counter
-//!   values (and in the same order) as the interpreter's checks.
+//! * **limits** — the engine's run-budget rules (`Engine::on_wake`,
+//!   `Engine::after_op`, `Engine::on_idle`), called on the trace's local
+//!   copy of the run counters where the interpreter calls them on the
+//!   engine's own.
 //!
-//! Counter identity is the contract: `wakes`, `ops_interpreted`,
-//! `idle_steps`, per-processor clocks, the horizon, and every memory traffic
+//! Counter identity is the contract: wakes, interpreted ops, idle steps,
+//! per-processor clocks, the horizon, and every memory traffic
 //! counter advance bit-identically to the interpreter — enforced by the
 //! `fused_differential` test suite and the golden counter pins.
 //!
