@@ -391,8 +391,8 @@ const WIRE_PINS: &[(&str, Pin, Pin)] = &[
     ),
     (
         "matmul_linalg16",
-        (8461, 6710583606701673602),
-        (8461, 788702992248590862),
+        (8461, 4830325848475390361),
+        (8461, 14862471993863606897),
     ),
     (
         "matmul_affine16",

@@ -1919,19 +1919,11 @@ impl<'m> Engine<'m> {
         // `linalg_cycles_per_mac` per MAC, streaming operands once.
         let clock = self.procs[p].clock;
         let cycles = (macs as u64).saturating_mul(self.lib.linalg_cycles_per_mac);
-        for (buf, kind) in [
+        self.charge_operands([
             (ifmap, AccessKind::Read),
             (weights, AccessKind::Read),
             (ofmap, AccessKind::Write),
-        ] {
-            let (mem, bytes) = {
-                let b = self.machine.buffer(buf);
-                (b.mem, b.bytes() as u64)
-            };
-            if let Some(m) = self.machine.memory_mut(mem) {
-                m.count(kind, bytes);
-            }
-        }
+        ]);
         if self.trace.is_enabled() {
             self.trace_slot(
                 p,
@@ -2000,6 +1992,11 @@ impl<'m> Engine<'m> {
         set_int_data(&mut self.machine.buffer_mut(c).data, cv);
         let clock = self.procs[p].clock;
         let cycles = (mac_count as u64).saturating_mul(self.lib.linalg_cycles_per_mac);
+        self.charge_operands([
+            (a, AccessKind::Read),
+            (b, AccessKind::Read),
+            (c, AccessKind::Write),
+        ]);
         if self.trace.is_enabled() {
             self.trace_slot(
                 p,
@@ -2038,9 +2035,23 @@ impl<'m> Engine<'m> {
                 b.data.data = TensorData::from_floats(vec![x; floats.len()]);
             }
         }
+        self.charge_operands([(buf, AccessKind::Write)]);
         let clock = self.procs[p].clock;
         let cycles = elems as u64;
         self.advance(p, clock.saturating_add(cycles))
+    }
+
+    /// Charges each operand buffer's whole size once to its memory's
+    /// traffic counters: the analytic linalg kernels stream every operand
+    /// once.
+    fn charge_operands<const N: usize>(&mut self, operands: [(BufId, AccessKind); N]) {
+        for (buf, kind) in operands {
+            let b = self.machine.buffer(buf);
+            let (mem, bytes) = (b.mem, b.bytes() as u64);
+            if let Some(m) = self.machine.memory_mut(mem) {
+                m.count(kind, bytes);
+            }
+        }
     }
 
     /// Advances the processor's clock to `end`; yields when time passed.
@@ -2214,7 +2225,7 @@ fn write_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use equeue_dialect::{kinds, ArithBuilder, ConnKind, EqueueBuilder};
+    use equeue_dialect::{kinds, ArithBuilder, ConnKind, EqueueBuilder, LinalgBuilder};
     use equeue_ir::{OpBuilder, Type};
 
     /// Fig. 2a-style toy program: kernel launches work on two PEs after a
@@ -2594,5 +2605,66 @@ mod tests {
         let conn_report = &report.connections[0];
         assert_eq!(conn_report.read.bytes, 64);
         assert!((conn_report.read.max_bw - 4.0).abs() < 1e-9);
+    }
+
+    /// `linalg.matmul` reads `a` and `b` and writes `c` once, each in
+    /// whole, as `linalg.conv2d` charges its operands.
+    #[test]
+    fn linalg_matmul_charges_its_operands() {
+        let n = 16;
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::ARM_R5);
+        let mem = b.create_mem(kinds::SRAM, &[3 * n * n], 32, n as u32);
+        let bufs = [0; 3].map(|_| b.alloc(mem, &[n, n], Type::I32));
+        let start = b.control_start();
+        let l = b.launch(start, pe, &bufs, vec![]);
+        {
+            let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+            ib.linalg_matmul(l.body_args[0], l.body_args[1], l.body_args[2]);
+            ib.ret(vec![]);
+        }
+        let done = l.done;
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        b.await_all(vec![done]);
+        let report = simulate(&m).unwrap();
+        let sram = report
+            .memories
+            .iter()
+            .find(|r| r.kind == kinds::SRAM)
+            .unwrap();
+        assert_eq!((sram.reads, sram.bytes_read), (2, 2048));
+        assert_eq!((sram.writes, sram.bytes_written), (1, 1024));
+    }
+
+    /// `linalg.fill` writes its buffer once, in whole.
+    #[test]
+    fn linalg_fill_charges_its_buffer() {
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::ARM_R5);
+        let mem = b.create_mem(kinds::SRAM, &[64], 32, 4);
+        let buf = b.alloc(mem, &[8, 8], Type::I32);
+        let start = b.control_start();
+        let l = b.launch(start, pe, &[buf], vec![]);
+        {
+            let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+            let zero = ib.const_int(0, Type::I32);
+            ib.linalg_fill(zero, l.body_args[0]);
+            ib.ret(vec![]);
+        }
+        let done = l.done;
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        b.await_all(vec![done]);
+        let report = simulate(&m).unwrap();
+        let sram = report
+            .memories
+            .iter()
+            .find(|r| r.kind == kinds::SRAM)
+            .unwrap();
+        assert_eq!((sram.reads, sram.bytes_read), (0, 0));
+        assert_eq!((sram.writes, sram.bytes_written), (1, 256));
     }
 }
