@@ -448,7 +448,11 @@ pub fn fir_rows(jobs: usize) -> Vec<FirRow> {
     use equeue_gen::fir_reference as r;
     pool::run_batch(jobs, &FirCase::all(), |&case| {
         let prog = generate_fir(FirSpec::default(), case);
-        let report = match equeue_core::simulate(&prog.module) {
+        let traced = SimOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let report = match simulate_with(&prog.module, &SimLibrary::standard(), &traced) {
             Ok(r) => r,
             Err(e) => panic!("simulation failed: {e}"),
         };

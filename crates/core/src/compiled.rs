@@ -339,7 +339,12 @@ mod tests {
         // One compile, different options per run: tracing on/off must not
         // change timing, and a tiny wake budget must fail only that run.
         let compiled = CompiledModule::compile_standard(chain_module(10)).unwrap();
-        let loud = compiled.simulate(&SimOptions::default()).unwrap();
+        let loud = compiled
+            .simulate(&SimOptions {
+                trace: true,
+                ..Default::default()
+            })
+            .unwrap();
         let quiet = compiled
             .simulate(&SimOptions {
                 trace: false,

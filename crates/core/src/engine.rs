@@ -96,7 +96,8 @@ pub enum Backend {
     /// trace builder declines — runs on the interpreter. Counters
     /// (cycles/events/ops) are bit-identical to [`Backend::Interp`].
     /// Traces only engage when tracing is off; a trace-enabled run records
-    /// per-op events and therefore interprets op by op.
+    /// per-op events and therefore interprets op by op. Tracing is off
+    /// under the default [`SimOptions`].
     #[default]
     Fused,
     /// Pure op-by-op interpretation — the escape hatch (`--backend interp`
@@ -108,12 +109,14 @@ pub enum Backend {
 /// sequential scheduler loop; parallelism lives one level up, across
 /// independent runs (concurrent [`crate::CompiledModule::simulate`] calls,
 /// the bench harness's `--jobs` pool), where it is bit-identical by
-/// construction.
-#[derive(Debug, Clone)]
+/// construction. The default runs the fused backend with tracing off and
+/// the default [`RunLimits`].
+#[derive(Debug, Clone, Default)]
 pub struct SimOptions {
-    /// Record an operation-level Chrome trace (disable for large sweeps).
-    /// When off, the engine skips all trace bookkeeping — no event
-    /// allocation and no string formatting on the hot path.
+    /// Record an operation-level Chrome trace (off by default; a caller
+    /// that reads [`SimReport::trace`] turns it on). When off, the engine
+    /// skips all trace bookkeeping — no event allocation and no string
+    /// formatting on the hot path.
     pub trace: bool,
     /// Resource budgets for this run (cycles, events, live tensor bytes,
     /// wall clock). Violations surface as [`SimError::Limit`].
@@ -127,18 +130,8 @@ pub struct SimOptions {
     pub backend: Backend,
 }
 
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            trace: true,
-            limits: RunLimits::default(),
-            cancel: None,
-            backend: Backend::default(),
-        }
-    }
-}
-
-/// Simulates `module` with the standard library and default options.
+/// Simulates `module` with the standard library and default options
+/// (fused backend, no trace).
 ///
 /// # Errors
 ///
@@ -2228,6 +2221,15 @@ mod tests {
     use equeue_dialect::{kinds, ArithBuilder, ConnKind, EqueueBuilder, LinalgBuilder};
     use equeue_ir::{OpBuilder, Type};
 
+    /// Simulates `m` with the standard library and tracing on.
+    fn traced(m: &Module) -> SimReport {
+        let opts = SimOptions {
+            trace: true,
+            ..Default::default()
+        };
+        simulate_with(m, &SimLibrary::standard(), &opts).unwrap()
+    }
+
     /// Fig. 2a-style toy program: kernel launches work on two PEs after a
     /// DMA copy; both PEs start simultaneously.
     #[test]
@@ -2277,7 +2279,7 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut m, blk);
         b.await_all(vec![outer_done]);
 
-        let report = simulate(&m).expect("simulation");
+        let report = traced(&m);
         // memcpy of 4x4B from 4-bank SRAM: 1 cycle; then PE work: addi
         // (tensor add) 1 cycle on pe0, mac 1 cycle on pe1 in parallel.
         assert_eq!(report.cycles, 2);
@@ -2541,7 +2543,7 @@ mod tests {
         assert!(report.trace.is_empty());
         assert!(!report.trace.is_enabled());
         // Same program with tracing on records events — and the same cycles.
-        let loud = simulate(&m).unwrap();
+        let loud = traced(&m);
         assert!(!loud.trace.is_empty());
         assert_eq!(loud.cycles, report.cycles);
     }
@@ -2574,7 +2576,7 @@ mod tests {
         }
         let mut b = OpBuilder::at_end(&mut m, blk);
         b.await_all(vec![second.done]);
-        let report = simulate(&m).unwrap();
+        let report = traced(&m);
         let tids: Vec<&str> = report.trace.events().map(|e| e.tid()).collect();
         // Component 0 is the host processor.
         assert_eq!(tids, ["MAC#1", "PE"]);

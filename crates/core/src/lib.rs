@@ -8,7 +8,8 @@
 //! of its lowering pipeline (Fig. 1).
 //!
 //! * [`simulate`] / [`simulate_with`] — run a module, returning a
-//!   [`SimReport`] with cycles, bandwidth statistics, and a Chrome trace.
+//!   [`SimReport`] with cycles and bandwidth statistics, plus a Chrome
+//!   trace when [`SimOptions`] `trace` asks for one (it is off by default).
 //! * [`CompiledModule`] — compile once, simulate many: runs the layout
 //!   prepass a single time and hands back a `Send + Sync` handle whose
 //!   `simulate(&options)` can be called repeatedly — and concurrently —

@@ -90,7 +90,8 @@ pub struct SimReport {
     /// Final contents of every live buffer, in allocation order, for
     /// functional verification (the engine is an interpreter with a clock).
     pub buffers: Vec<BufferDump>,
-    /// The operation-level trace (enabled by default).
+    /// The operation-level trace: empty unless the run's [`crate::SimOptions`]
+    /// set `trace: true` (the default is off).
     pub trace: Trace,
 }
 

@@ -289,6 +289,15 @@ mod tests {
     use equeue_dialect::standard_registry;
     use equeue_ir::verify_module;
 
+    /// Simulates `m` with tracing on, for the tests that read the trace.
+    fn traced(m: &Module) -> equeue_core::SimReport {
+        let opts = SimOptions {
+            trace: true,
+            ..Default::default()
+        };
+        simulate_with(m, &SimLibrary::standard(), &opts).unwrap()
+    }
+
     #[test]
     fn case1_is_2048_cycles() {
         let prog = generate_fir(FirSpec::default(), FirCase::SingleCore);
@@ -308,7 +317,7 @@ mod tests {
     #[test]
     fn case3_is_588_cycles_with_79_warmup() {
         let prog = generate_fir(FirSpec::default(), FirCase::Bandwidth16);
-        let report = simulate(&prog.module).unwrap();
+        let report = traced(&prog.module);
         assert_eq!(report.cycles, reference::PAPER_CASE3);
         // Warm-up: the last stage's first mac4 fires at cycle 79 (§VII-E).
         let first_last_stage = report
@@ -326,7 +335,7 @@ mod tests {
         // §VII-E: each processor computes 1 cycle then idles 3 while the
         // 32-bit stream delivers the next group — 75% of compute wasted.
         let prog = generate_fir(FirSpec::default(), FirCase::Bandwidth16);
-        let report = simulate(&prog.module).unwrap();
+        let report = traced(&prog.module);
         let busy: u64 = report
             .trace
             .events()
@@ -340,7 +349,7 @@ mod tests {
     #[test]
     fn case4_is_near_538_cycles() {
         let prog = generate_fir(FirSpec::default(), FirCase::Balanced4);
-        let report = simulate(&prog.module).unwrap();
+        let report = traced(&prog.module);
         let err = (report.cycles as f64 - reference::PAPER_CASE4 as f64).abs()
             / reference::PAPER_CASE4 as f64;
         assert!(

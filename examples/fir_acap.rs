@@ -20,7 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for case in FirCase::all() {
         let prog = generate_fir(spec, case);
-        let report = simulate(&prog.module)?;
+        // Tracing is off by default; this walk-through reads the trace.
+        let traced = SimOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let report = simulate_with(&prog.module, &SimLibrary::standard(), &traced)?;
         println!("{}:", case.as_str());
         println!("  cycles        : {}", report.cycles);
         match case {

@@ -66,7 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     verify_module(&m, &standard_registry())?;
     println!("=== EQueue program ===\n{}", print_module(&m));
 
-    let report = simulate(&m)?;
+    // Tracing is off by default; this walk-through reads the trace.
+    let traced = SimOptions {
+        trace: true,
+        ..Default::default()
+    };
+    let report = simulate_with(&m, &SimLibrary::standard(), &traced)?;
     println!("=== profiling summary (§IV-B) ===\n{}", report.summary());
 
     let json = report.trace.to_chrome_json();

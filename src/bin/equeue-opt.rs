@@ -161,7 +161,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", print_module(&module));
     }
     if opts.simulate {
-        let report = simulate(&module)?;
+        // Trace only when the trace is written out.
+        let options = SimOptions {
+            trace: opts.trace.is_some(),
+            ..Default::default()
+        };
+        let report = simulate_with(&module, &SimLibrary::standard(), &options)?;
         eprintln!("simulated runtime: {} cycles", report.cycles);
         if opts.summary {
             eprint!("{}", report.summary());

@@ -127,7 +127,10 @@ fn fir_traced_compiled_equivalence() {
     // Same contract with tracing on: the trace machinery is per-run state
     // and must not perturb timing across compiled/concurrent runs.
     let prog = generate_fir(FirSpec::default(), FirCase::Pipelined16);
-    let opts = SimOptions::default();
+    let opts = SimOptions {
+        trace: true,
+        ..Default::default()
+    };
     let lib = SimLibrary::standard();
     let fresh = simulate_with(&prog.module, &lib, &opts).expect("fresh simulation");
     let compiled = CompiledModule::compile(prog.module, lib).expect("compile");

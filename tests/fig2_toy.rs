@@ -58,6 +58,15 @@ fn build() -> Module {
     m
 }
 
+/// Simulates `m` with tracing on, for the tests that read the trace.
+fn traced(m: &Module) -> SimReport {
+    let opts = SimOptions {
+        trace: true,
+        ..Default::default()
+    };
+    simulate_with(m, &SimLibrary::standard(), &opts).unwrap()
+}
+
 #[test]
 fn verifies_and_takes_two_cycles() {
     let m = build();
@@ -76,8 +85,8 @@ fn print_parse_simulate_is_equivalent() {
     let text = print_module(&m);
     let reparsed = parse_module(&text).unwrap();
     verify_module(&reparsed, &standard_registry()).unwrap();
-    let a = simulate(&m).unwrap();
-    let b = simulate(&reparsed).unwrap();
+    let a = traced(&m);
+    let b = traced(&reparsed);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.trace.len(), b.trace.len());
     // And the text itself is a fixed point.
@@ -87,7 +96,7 @@ fn print_parse_simulate_is_equivalent() {
 #[test]
 fn both_pes_run_in_parallel() {
     let m = build();
-    let report = simulate(&m).unwrap();
+    let report = traced(&m);
     let start_of = |tid: &str| {
         report
             .trace

@@ -1,7 +1,7 @@
 //! Pins the operation-level trace: the Chrome JSON bytes and the
 //! `(name, cat, ts, dur, pid, tid)` sequence of `Trace::events()`.
 //!
-//! Each input is simulated with tracing on (the default options) and gets
+//! Each input is simulated with tracing on and gets
 //! its own FNV-1a digest over both, so a change to what the engine records,
 //! in what order, or how it is rendered names the input it moved. The
 //! inputs are every golden scenario, the four FIR cases run from their
@@ -12,7 +12,7 @@ use equeue::gen::scenarios::golden_scenarios;
 use equeue::gen::{generate_fir, FirCase, FirSpec};
 use equeue::ir::{parse_module, print_module, Module, PassManager};
 use equeue::passes::{AllocateMemory, ConvertLinalgToAffineLoops, EqueueReadWrite, WrapInLaunch};
-use equeue::sim::{simulate, Trace};
+use equeue::sim::{simulate_with, SimLibrary, SimOptions, Trace};
 
 /// FNV-1a over one input's trace.
 struct Digest(u64);
@@ -91,7 +91,12 @@ fn lower(module: &mut Module) {
 fn pins() -> Vec<(String, usize, u64)> {
     let mut out = vec![];
     let mut run = |label: String, module: &Module| {
-        let report = simulate(module).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let traced = SimOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let report = simulate_with(module, &SimLibrary::standard(), &traced)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         let (n, digest) = pin(&report.trace);
         out.push((label, n, digest));
     };
