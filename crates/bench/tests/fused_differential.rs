@@ -20,13 +20,16 @@ use equeue_core::fault::{apply_faults, Fault};
 use equeue_core::{
     simulate_with, Backend, CompiledModule, RunLimits, SimError, SimLibrary, SimOptions, SimReport,
 };
+use equeue_dialect::standard_registry;
 use equeue_dialect::ConvDims;
 use equeue_gen::{
     build_stage_program, generate_fir, generate_systolic, generate_systolic_detailed, FirCase,
     FirSpec, Stage, SystolicSpec,
 };
-use equeue_ir::Module;
-use equeue_passes::Dataflow;
+use equeue_ir::{parse_module, Module, PassManager, ValueId};
+use equeue_passes::{
+    AllocateMemory, ConvertLinalgToAffineLoops, Dataflow, EqueueReadWrite, WrapInLaunch,
+};
 
 fn options(backend: Backend) -> SimOptions {
     SimOptions {
@@ -137,6 +140,159 @@ fn golden_scenarios_are_bit_identical_across_backends() {
     for (name, module) in golden_scenarios() {
         differential(name, &module);
     }
+}
+
+/// Every field of the two reports but `execution_time`, `trace` and
+/// `fused_trace_entries` (the one field the backends differ in by design).
+fn assert_full_reports_identical(name: &str, fused: &SimReport, interp: &SimReport) {
+    assert_reports_identical(name, fused, interp);
+    assert_eq!(
+        fused.events_spawned, interp.events_spawned,
+        "{name}: events spawned"
+    );
+    assert_eq!(
+        fused.peak_live_tensor_bytes, interp.peak_live_tensor_bytes,
+        "{name}: peak live tensor bytes"
+    );
+}
+
+/// Full reports on both backends, untraced and traced; the traced runs'
+/// Chrome JSON must match byte for byte. Returns the untraced fused run.
+fn differential_traced(name: &str, module: &Module) -> SimReport {
+    let lib = SimLibrary::standard();
+    let run = |backend, trace| {
+        let opts = SimOptions {
+            trace,
+            ..options(backend)
+        };
+        simulate_with(module, &lib, &opts)
+            .unwrap_or_else(|e| panic!("{name} ({backend:?}, trace={trace}): {e}"))
+    };
+    let fused = run(Backend::Fused, false);
+    assert_full_reports_identical(name, &fused, &run(Backend::Interp, false));
+    let traced = run(Backend::Fused, true);
+    let traced_interp = run(Backend::Interp, true);
+    assert_full_reports_identical(&format!("{name} traced"), &traced, &traced_interp);
+    assert_full_reports_identical(&format!("{name} traced vs untraced"), &traced, &fused);
+    assert!(!traced.trace.is_empty(), "{name}: empty trace");
+    assert!(
+        traced.trace.to_chrome_json() == traced_interp.trace.to_chrome_json(),
+        "{name}: Chrome JSON differs across backends"
+    );
+    fused
+}
+
+/// A `linalg.conv2d` text in the `equeue-opt` verify-recipe style (one
+/// SRAM, one processor, `memref.alloc` buffers), as `tests/trace_pin.rs`
+/// pins it.
+fn conv_text(hw: usize, f: usize, c: usize, n: usize) -> String {
+    let e = hw - f + 1;
+    let ifmap = format!("memref<{c}x{hw}x{hw}xi32>");
+    let weights = format!("memref<{n}x{c}x{f}x{f}xi32>");
+    let ofmap = format!("memref<{n}x{e}x{e}xi32>");
+    let capacity = c * hw * hw + n * c * f * f + n * e * e;
+    format!(
+        "%mem = \"equeue.create_mem\"() {{banks = 4, data_bits = 32, kind = \"SRAM\", shape = [{capacity}]}} : () -> !equeue.mem\n\
+         %proc = \"equeue.create_proc\"() {{kind = \"ARMr5\"}} : () -> !equeue.proc\n\
+         %i = \"memref.alloc\"() : () -> {ifmap}\n\
+         %w = \"memref.alloc\"() : () -> {weights}\n\
+         %o = \"memref.alloc\"() : () -> {ofmap}\n\
+         \"linalg.conv2d\"(%i, %w, %o) : ({ifmap}, {weights}, {ofmap}) -> ()\n"
+    )
+}
+
+/// Runs the lowering recipe: buffers on `mem`, affine loops, reads and
+/// writes, and a launch of the computation on `proc`.
+fn lower(module: &mut Module, mem: ValueId, proc: ValueId) {
+    let mut pm = PassManager::new(standard_registry());
+    pm.add(AllocateMemory::new(mem))
+        .add(ConvertLinalgToAffineLoops)
+        .add(EqueueReadWrite)
+        .add(WrapInLaunch::new(proc));
+    pm.run(module).expect("the recipe lowers a conv");
+}
+
+/// The three lowered conv texts `tests/trace_pin.rs` pins.
+fn lowered_convs() -> Vec<(String, Module)> {
+    [(4, 2, 1, 1), (6, 2, 2, 2), (8, 3, 2, 3)]
+        .into_iter()
+        .map(|(hw, f, c, n)| {
+            let mut module = parse_module(&conv_text(hw, f, c, n)).expect("conv text parses");
+            let first = |op: &str| {
+                let id = module.find_first(op).expect("conv text defines it");
+                module.result(id, 0)
+            };
+            let (mem, proc) = (first("equeue.create_mem"), first("equeue.create_proc"));
+            lower(&mut module, mem, proc);
+            (format!("conv hw{hw} f{f} c{c} n{n} lowered"), module)
+        })
+        .collect()
+}
+
+/// Two processors, each launching a lowered conv of `dims`, on one shared
+/// SRAM with one bank and one port: every read and write of one tenant
+/// contends with the other's, so the conv nests exit on contention
+/// mid-nest and resume.
+fn two_tenant_conv(dims: ConvDims) -> Module {
+    use equeue_dialect::{kinds, AffineBuilder, EqueueBuilder, LinalgBuilder};
+    use equeue_ir::{OpBuilder, Type};
+    let mut m = Module::new();
+    let top = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, top);
+    let elems = dims.ifmap_elems() + dims.weight_elems() + dims.ofmap_elems();
+    let mem = b
+        .op("equeue.create_mem")
+        .attr("kind", kinds::SRAM)
+        .attr("shape", vec![2 * elems as i64])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64)
+        .attr("ports", 1i64)
+        .result(Type::Mem)
+        .finish_value();
+    let procs = [b.create_proc(kinds::ARM_R5), b.create_proc(kinds::ARM_R5)];
+    let mut operands = vec![];
+    for _ in 0..2 {
+        operands.push([
+            b.memref_alloc(Type::memref(vec![dims.c, dims.h, dims.w], Type::I32)),
+            b.memref_alloc(Type::memref(
+                vec![dims.n, dims.c, dims.fh, dims.fw],
+                Type::I32,
+            )),
+            b.memref_alloc(Type::memref(vec![dims.n, dims.eh(), dims.ew()], Type::I32)),
+        ]);
+    }
+    let [i, w, o] = operands[0];
+    b.linalg_conv2d(i, w, o);
+    lower(&mut m, mem, procs[0]);
+    // The second tenant's conv goes before the first tenant's await, so
+    // both launches issue at cycle 0. Its buffers are the last three
+    // `equeue.alloc`s.
+    let allocs = m.find_all("equeue.alloc");
+    let [i, w, o] = [3, 4, 5].map(|k| m.result(allocs[k], 0));
+    let await0 = *m
+        .find_all("equeue.await")
+        .last()
+        .expect("the first launch's await");
+    OpBuilder::before(&mut m, await0).linalg_conv2d(i, w, o);
+    lower(&mut m, mem, procs[1]);
+    m
+}
+
+#[test]
+fn lowered_convs_are_bit_identical_traced_and_untraced() {
+    for (name, module) in lowered_convs() {
+        differential_traced(&name, &module);
+    }
+}
+
+#[test]
+fn two_tenant_lowered_convs_are_bit_identical_traced_and_untraced() {
+    let module = two_tenant_conv(ConvDims::square(6, 3, 2, 2));
+    assert_eq!(module.find_all("equeue.launch").len(), 2);
+    let report = differential_traced("two-tenant conv", &module);
+    // Both tenants' accesses go through the one port.
+    let sram = report.memories.iter().find(|m| m.kind == "SRAM");
+    assert!(sram.is_some_and(|m| m.reads > 0 && m.writes > 0));
 }
 
 /// One tensor `A` bound to two launch arguments `a1`, `a2`, plus `C`, on a

@@ -22,9 +22,11 @@ use equeue_core::{
     AccessKind, Backend, CompiledModule, MemSpec, MemoryBehavior, SimLibrary, SimOptions,
     SimReport, Snapshot,
 };
-use equeue_dialect::{kinds, ArithBuilder, EqueueBuilder};
+use equeue_dialect::{kinds, ArithBuilder, ConvDims, EqueueBuilder};
 use equeue_gen::scenarios::golden_scenarios;
+use equeue_gen::{build_stage_program, Stage};
 use equeue_ir::{Module, OpBuilder, Type};
+use equeue_passes::Dataflow;
 
 fn options(backend: Backend) -> SimOptions {
     SimOptions {
@@ -95,6 +97,44 @@ fn replay_is_bit_identical_across_cuts_and_backends() {
                         .resume(&decoded, &options(resume_backend))
                         .unwrap_or_else(|e| panic!("{tag}: resume decoded: {e}"));
                     assert_reports_identical(&format!("{tag} (decoded)"), &full, &replayed);
+                }
+            }
+        }
+    }
+}
+
+/// A lowered `linalg.conv2d` (the Fig. 11 Affine stage: a perfect
+/// six-deep nest of `equeue.read`/`equeue.write` on SRAM), cut at every
+/// cycle of its first 40 and at spread cycles further in: every
+/// capture/resume backend pair resumes to the uninterrupted run.
+#[test]
+fn lowered_conv_cut_inside_the_nest_replays_bit_identically() {
+    let module = build_stage_program(
+        Stage::Affine,
+        ConvDims::square(6, 3, 2, 2),
+        (4, 4),
+        Dataflow::Ws,
+    )
+    .module;
+    let compiled = CompiledModule::compile(module, SimLibrary::standard()).expect("compile");
+    let full = compiled
+        .simulate(&options(Backend::Fused))
+        .expect("full run");
+    let spread = (1..8).map(|k| full.cycles * k / 8);
+    for cut in (1..=40).chain(spread) {
+        for snap_backend in [Backend::Fused, Backend::Interp] {
+            let snap = compiled
+                .snapshot(cut, &options(snap_backend))
+                .unwrap_or_else(|e| panic!("snapshot at {cut}: {e}"));
+            assert!(!snap.completed(), "cut {cut} is inside the run");
+            let decoded = Snapshot::decode(&snap.encode()).expect("decode");
+            for resume_backend in [Backend::Fused, Backend::Interp] {
+                let tag = format!("lowered conv cut={cut} {snap_backend:?}->{resume_backend:?}");
+                for s in [&snap, &decoded] {
+                    let resumed = compiled
+                        .resume(s, &options(resume_backend))
+                        .unwrap_or_else(|e| panic!("{tag}: resume: {e}"));
+                    assert_reports_identical(&tag, &full, &resumed);
                 }
             }
         }

@@ -355,6 +355,78 @@ fn idle_step_guard_is_exact_on_both_backends() {
     assert_limit_errors_agree(&m, LimitKind::Events, limits.into_iter());
 }
 
+/// A `linalg.conv2d` (`2×8×8` ifmap, three `2×3×3` filters) as the
+/// `equeue-opt` recipe lowers it (`allocate-buffer`,
+/// `convert-linalg-to-affine-loops`, `equeue-read-write`, `launch`): a
+/// perfect six-deep nest whose innermost body reads three SRAM elements and
+/// writes one. 11,664 cycles; each innermost iteration takes 6 wakes and 6
+/// cycles, and each innermost loop 3 iterations.
+const LOWERED_CONV: &str = r#"%mem = "equeue.create_mem"() {banks = 4, data_bits = 32, kind = "SRAM", shape = [290]} : () -> !equeue.mem
+%proc = "equeue.create_proc"() {kind = "ARMr5"} : () -> !equeue.proc
+%0 = "equeue.alloc"(%mem) : (!equeue.mem) -> !equeue.buffer<2x8x8xi32>
+%1 = "equeue.alloc"(%mem) : (!equeue.mem) -> !equeue.buffer<3x2x3x3xi32>
+%2 = "equeue.alloc"(%mem) : (!equeue.mem) -> !equeue.buffer<3x6x6xi32>
+%3 = "equeue.control_start"() : () -> !equeue.signal
+%4 = "equeue.launch"(%3, %proc) ({
+  "affine.for"() ({
+  ^bb0(%5: index):
+    "affine.for"() ({
+    ^bb0(%6: index):
+      "affine.for"() ({
+      ^bb0(%7: index):
+        "affine.for"() ({
+        ^bb0(%8: index):
+          "affine.for"() ({
+          ^bb0(%9: index):
+            "affine.for"() ({
+            ^bb0(%10: index):
+              %11 = "arith.addi"(%6, %9) : (index, index) -> index
+              %12 = "arith.addi"(%7, %10) : (index, index) -> index
+              %13 = "equeue.read"(%0, %8, %11, %12) {segments = [1, 3, 0]} : (!equeue.buffer<2x8x8xi32>, index, index, index) -> i32
+              %14 = "equeue.read"(%1, %5, %8, %9, %10) {segments = [1, 4, 0]} : (!equeue.buffer<3x2x3x3xi32>, index, index, index, index) -> i32
+              %15 = "equeue.read"(%2, %5, %6, %7) {segments = [1, 3, 0]} : (!equeue.buffer<3x6x6xi32>, index, index, index) -> i32
+              %16 = "arith.muli"(%13, %14) : (i32, i32) -> i32
+              %17 = "arith.addi"(%15, %16) : (i32, i32) -> i32
+              "equeue.write"(%17, %2, %5, %6, %7) {segments = [1, 1, 3, 0]} : (i32, !equeue.buffer<3x6x6xi32>, index, index, index) -> ()
+              "affine.yield"() : () -> ()
+            }) {lower = 0, step = 1, upper = 3} : () -> ()
+            "affine.yield"() : () -> ()
+          }) {lower = 0, step = 1, upper = 3} : () -> ()
+          "affine.yield"() : () -> ()
+        }) {lower = 0, step = 1, upper = 2} : () -> ()
+        "affine.yield"() : () -> ()
+      }) {lower = 0, step = 1, upper = 6} : () -> ()
+      "affine.yield"() : () -> ()
+    }) {lower = 0, step = 1, upper = 6} : () -> ()
+    "affine.yield"() : () -> ()
+  }) {c = 2, conv_nest = unit, eh = 6, ew = 6, fh = 3, fw = 3, lower = 0, n = 3, step = 1, upper = 3} : () -> ()
+  "equeue.return"() : () -> ()
+}) : (!equeue.signal, !equeue.proc) -> !equeue.signal
+"equeue.await"(%4) : (!equeue.signal) -> ()
+"#;
+
+#[test]
+fn limits_inside_a_lowered_conv_nest_agree_across_backends() {
+    // Budgets that land inside the nest, at every offset of two innermost
+    // loops (so some land where one level hands over to the next), around
+    // the first two WAKE_EPOCH polls (wakes 1025 and 2049) and further in.
+    let m = equeue_ir::parse_module(LOWERED_CONV).unwrap();
+    let report = simulate(&m).unwrap();
+    assert_eq!(report.cycles, 11_664);
+    for start in [1010, 2040, 7000] {
+        let events = (start..start + 36).map(|max_events| RunLimits {
+            max_events,
+            ..RunLimits::default()
+        });
+        assert_limit_errors_agree(&m, LimitKind::Events, events);
+        let cycles = (start..start + 36).map(|max_cycles| RunLimits {
+            max_cycles,
+            ..RunLimits::default()
+        });
+        assert_limit_errors_agree(&m, LimitKind::Cycles, cycles);
+    }
+}
+
 #[test]
 fn snapshot_cut_is_exact_at_every_offset_of_three_iterations() {
     // A cut caps the bulk segment like contention does. Capture and resume

@@ -1,16 +1,19 @@
 //! Functional verification across the stack: a convolution lowered from
 //! Linalg through the reusable passes must compute the same numbers as
 //! the reference implementation — the simulator is an interpreter with a
-//! clock, not just a cost model.
+//! clock, not just a cost model. Every shape runs on both backends, with
+//! tracing off and on; each run's ofmap must equal [`conv2d_int`]'s, and
+//! the four runs must agree on cycles, wakes and ops.
 
 use equeue::prelude::*;
-use equeue::sim::{conv2d_int, TensorData};
+use equeue::sim::{conv2d_int, Backend, TensorData};
 use equeue_ir::ValueId;
 use equeue_passes::{AllocateMemory, ConvertLinalgToAffineLoops, EqueueReadWrite, WrapInLaunch};
 
 /// Builds a conv program with deterministic input data (ifmap[i] = i % 7,
-/// weights[i] = i % 5 + 1), lowered through the given extra passes.
-fn build_and_run(dims: ConvDims, flatten: Option<Dataflow>) -> (Vec<i64>, Vec<i64>) {
+/// weights[i] = i % 5 + 1), lowered through the given extra passes, and
+/// returns it with the reference ofmap.
+fn build(dims: ConvDims, flatten: Option<Dataflow>) -> (Module, Vec<i64>) {
     let mut m = Module::new();
     let blk = m.top_block();
     let mut b = OpBuilder::at_end(&mut m, blk);
@@ -65,13 +68,6 @@ fn build_and_run(dims: ConvDims, flatten: Option<Dataflow>) -> (Vec<i64>, Vec<i6
     pm.add(EqueueReadWrite).add(WrapInLaunch::new(kernel));
     pm.run(&mut m).expect("pipeline");
 
-    let report = simulate(&m).unwrap();
-    // Buffers in allocation order: ifmap, weights, ofmap.
-    let got = match &report.buffers[2].data.data {
-        TensorData::Int(v) => v.to_vec(),
-        other => panic!("expected int ofmap, got {other:?}"),
-    };
-
     let mut expect = vec![0i64; dims.ofmap_elems()];
     conv2d_int(
         &ifmap_data,
@@ -84,7 +80,42 @@ fn build_and_run(dims: ConvDims, flatten: Option<Dataflow>) -> (Vec<i64>, Vec<i6
         dims.fh,
         dims.fw,
     );
-    (got, expect)
+    (m, expect)
+}
+
+/// Runs the lowered conv on both backends, traced and untraced: each
+/// ofmap must equal the reference, and the runs must agree on cycles,
+/// wakes and ops.
+fn check(dims: ConvDims, flatten: Option<Dataflow>) {
+    let (m, expect) = build(dims, flatten);
+    let lib = SimLibrary::standard();
+    let mut counters = vec![];
+    for backend in [Backend::Fused, Backend::Interp] {
+        for trace in [false, true] {
+            let tag = format!("{dims:?} {flatten:?} {backend:?} trace={trace}");
+            let opts = SimOptions {
+                trace,
+                backend,
+                ..Default::default()
+            };
+            let report = simulate_with(&m, &lib, &opts).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            // Buffers in allocation order: ifmap, weights, ofmap.
+            let got = match &report.buffers[2].data.data {
+                TensorData::Int(v) => v.to_vec(),
+                other => panic!("{tag}: expected int ofmap, got {other:?}"),
+            };
+            assert_eq!(got, expect, "{tag}");
+            counters.push((
+                report.cycles,
+                report.events_processed,
+                report.ops_interpreted,
+            ));
+        }
+    }
+    assert!(
+        counters.windows(2).all(|w| w[0] == w[1]),
+        "{dims:?} {flatten:?}: counters differ across runs: {counters:?}"
+    );
 }
 
 fn iter3(a: usize, b: usize, c: usize) -> impl Iterator<Item = (usize, usize, usize)> {
@@ -97,8 +128,7 @@ fn iter2(a: usize, b: usize) -> impl Iterator<Item = (usize, usize)> {
 
 #[test]
 fn affine_level_computes_the_right_convolution() {
-    let (got, expect) = build_and_run(ConvDims::square(5, 2, 2, 2), None);
-    assert_eq!(got, expect);
+    check(ConvDims::square(5, 2, 2, 2), None);
 }
 
 #[test]
@@ -106,8 +136,7 @@ fn flattened_loops_compute_the_same_convolution() {
     // The dataflow-specific loop restructuring must not change the values,
     // only the order of accumulation.
     for df in [Dataflow::Ws, Dataflow::Is, Dataflow::Os] {
-        let (got, expect) = build_and_run(ConvDims::square(5, 2, 2, 2), Some(df));
-        assert_eq!(got, expect, "{df:?}");
+        check(ConvDims::square(5, 2, 2, 2), Some(df));
     }
 }
 
@@ -121,8 +150,41 @@ fn asymmetric_shapes_compute_correctly() {
         c: 2,
         n: 3,
     };
-    let (got, expect) = build_and_run(dims, None);
-    assert_eq!(got, expect);
+    check(dims, None);
+}
+
+/// xorshift64, seeded per test so the shapes are fixed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+#[test]
+fn seeded_shapes_compute_correctly() {
+    let mut rng = Rng(0x5eed_c0de_2022);
+    for _ in 0..20 {
+        let (fh, fw) = (rng.range(1, 3), rng.range(1, 3));
+        let dims = ConvDims {
+            h: fh + rng.range(0, 4),
+            w: fw + rng.range(0, 4),
+            fh,
+            fw,
+            c: rng.range(1, 3),
+            n: rng.range(1, 3),
+        };
+        check(dims, None);
+    }
 }
 
 #[test]
