@@ -2,7 +2,7 @@
 //! trace length, or a precise decline reason.
 //!
 //! The verdict is the engine's own: `Plan::build` decides fusion once,
-//! from the loop body's structure (multi-level nests, cross-iteration
+//! from the loop body's structure (imperfect nests, cross-iteration
 //! flow, unsupported ops) and from everything else known before the run
 //! (non-integer tensors, cache-backed memories, unresolvable buffers).
 //! This pass reads that [`FuseVerdict`] and reports it; it re-derives

@@ -12,9 +12,9 @@
 //!    return `SimError::Deadlock`); `false` means either a proven wait
 //!    cycle (Error) or an unprovable case (Warning).
 //! 2. **fusibility** — for every `affine.for`, either "fuses" (with trace
-//!    length) or the precise decline reason, exactly as the engine's plan
-//!    decided it (including non-integer tensors and cache-backed
-//!    memories).
+//!    length; each level of a fused perfect nest fuses) or the precise
+//!    decline reason, exactly as the engine's plan decided it (including
+//!    non-integer tensors and cache-backed memories).
 //! 3. **dead** — dead values and never-used hardware entities
 //!    (processors, memories, connections, DMA engines).
 //! 4. **resource** — static upper bounds on live tensor bytes and spawned
@@ -34,7 +34,7 @@
 //! let module = equeue_gen::scenarios::matmul_affine(4);
 //! let report = analyze_module(&module, &SimLibrary::standard(), &RunLimits::default());
 //! assert!(report.deadlock_free);
-//! assert_eq!(report.fusibility.fusible_count(), 1); // the innermost loop
+//! assert_eq!(report.fusibility.fusible_count(), 3); // one perfect nest, three levels
 //! println!("{}", report.to_text());
 //! ```
 

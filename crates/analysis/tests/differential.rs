@@ -9,14 +9,15 @@
 //!   dep graph the analysis pins as a hard `static-deadlock` error.
 //! * **Fusibility**: the per-loop fuse verdicts must agree with the fused
 //!   backend's `fused_trace_entries` counter — loops reported fusible
-//!   produce trace entries, scenarios with none (the fig12 convolutions)
-//!   produce exactly zero, and loops declined for a cache-backed or float
-//!   buffer run on the interpreter with counters equal to the `Interp`
-//!   backend's.
+//!   produce trace entries (for the affine matmul and a lowered conv, as
+//!   many as the verdicts and trip counts predict), scenarios with none
+//!   (the fig12 convolutions) produce exactly zero, and loops declined for
+//!   a cache-backed or float buffer run on the interpreter with counters
+//!   equal to the `Interp` backend's.
 //! * **Resources**: the static bounds are sound over-approximations of
 //!   the runtime `events_spawned` / `peak_live_tensor_bytes` counters.
 
-use equeue_analysis::analyze_module;
+use equeue_analysis::{analyze_module, FusibilityReport, LoopReport};
 use equeue_core::{
     Backend, CompiledModule, FuseDecline, FuseVerdict, RunLimits, SimError, SimLibrary, SimOptions,
 };
@@ -172,26 +173,31 @@ fn fusibility_report_matches_fused_backend() {
         ..Default::default()
     };
 
-    // matmul_affine(16): a 3-deep nest where only the innermost 1-D body
-    // fuses. The fused loop executes once per (i, j) iteration: 16 × 16
-    // trace entries.
-    let module = matmul_affine(16);
-    let report = analyze_module(&module, &library, &limits);
-    let fusible: Vec<_> = report
-        .fusibility
-        .loops
-        .iter()
-        .filter(|l| matches!(l.verdict, FuseVerdict::Fused { .. }))
-        .collect();
-    assert_eq!(fusible.len(), 1, "exactly the innermost loop fuses");
-    assert_eq!(fusible[0].trip_count, Some(16));
-    let compiled = CompiledModule::compile(module, SimLibrary::standard()).expect("compile");
-    let run = compiled.simulate(&fused).expect("simulate");
-    assert_eq!(
-        run.fused_trace_entries,
-        16 * 16,
-        "fused backend trace-entry count diverges from the static trip structure"
-    );
+    // A perfect nest fuses at every level, and a run counts one entry per
+    // start of its innermost loop: for matmul_affine(16), 16 × 16; for a
+    // lowered conv, one per iteration of the five loops around `fw`.
+    // `fig11_affine_ws_8` is the lowered conv (8×8 ifmap, 3×3 filters,
+    // c = 3, n = 4).
+    let conv = golden_scenarios()
+        .into_iter()
+        .find(|s| s.name == "fig11_affine_ws_8")
+        .expect("the Fig. 11 Affine stage is a golden scenario")
+        .module;
+    for (name, module, levels, entries) in [
+        ("matmul_affine16", matmul_affine(16), 3, 16 * 16),
+        ("fig11_affine_ws_8", conv, 6, 4 * 6 * 6 * 3 * 3),
+    ] {
+        let report = analyze_module(&module, &library, &limits);
+        assert_eq!(report.fusibility.loops.len(), levels, "{name}");
+        assert_eq!(report.fusibility.fusible_count(), levels, "{name}");
+        assert_eq!(static_entries(&report.fusibility), entries, "{name}");
+        let compiled = CompiledModule::compile(module, SimLibrary::standard()).expect("compile");
+        let run = compiled.simulate(&fused).expect("simulate");
+        assert_eq!(
+            run.fused_trace_entries, entries,
+            "{name}: fused backend trace-entry count diverges from the static trip structure"
+        );
+    }
 
     // Every golden scenario: entries appear iff something was fusible.
     for scenario in golden_scenarios() {
@@ -260,6 +266,28 @@ fn fusibility_report_matches_fused_backend() {
             "{reason}"
         );
     }
+}
+
+/// The innermost-loop starts a single uncontended run makes, from the
+/// static report alone: each fused loop with no loop inside it starts once
+/// per iteration of the loops around it.
+fn static_entries(report: &FusibilityReport) -> u64 {
+    let loops = &report.loops;
+    let inside = |inner: &LoopReport, outer: &LoopReport| {
+        inner.location.starts_with(&format!("{}/", outer.location))
+    };
+    loops
+        .iter()
+        .filter(|l| matches!(l.verdict, FuseVerdict::Fused { .. }))
+        .filter(|l| !loops.iter().any(|o| inside(o, l)))
+        .map(|l| {
+            loops
+                .iter()
+                .filter(|o| inside(l, o))
+                .map(|o| o.trip_count.unwrap_or(0))
+                .product::<u64>()
+        })
+        .sum()
 }
 
 /// `matmul_affine`'s 3-deep nest with its buffers in a `mem_kind` memory

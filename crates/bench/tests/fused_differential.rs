@@ -174,6 +174,10 @@ fn differential_traced(name: &str, module: &Module) -> SimReport {
     let traced_interp = run(Backend::Interp, true);
     assert_full_reports_identical(&format!("{name} traced"), &traced, &traced_interp);
     assert_full_reports_identical(&format!("{name} traced vs untraced"), &traced, &fused);
+    assert_eq!(
+        traced.fused_trace_entries, fused.fused_trace_entries,
+        "{name}: traced runs fuse as untraced ones do"
+    );
     assert!(!traced.trace.is_empty(), "{name}: empty trace");
     assert!(
         traced.trace.to_chrome_json() == traced_interp.trace.to_chrome_json(),
@@ -281,7 +285,8 @@ fn two_tenant_conv(dims: ConvDims) -> Module {
 #[test]
 fn lowered_convs_are_bit_identical_traced_and_untraced() {
     for (name, module) in lowered_convs() {
-        differential_traced(&name, &module);
+        let fused = differential_traced(&name, &module);
+        assert!(fused.fused_trace_entries > 0, "{name}: the nest fuses");
     }
 }
 
@@ -290,6 +295,10 @@ fn two_tenant_lowered_convs_are_bit_identical_traced_and_untraced() {
     let module = two_tenant_conv(ConvDims::square(6, 3, 2, 2));
     assert_eq!(module.find_all("equeue.launch").len(), 2);
     let report = differential_traced("two-tenant conv", &module);
+    assert!(
+        report.fused_trace_entries > 0,
+        "the nests fuse between exits"
+    );
     // Both tenants' accesses go through the one port.
     let sram = report.memories.iter().find(|m| m.kind == "SRAM");
     assert!(sram.is_some_and(|m| m.reads > 0 && m.writes > 0));
@@ -470,26 +479,23 @@ fn strided_segment_whose_last_iteration_is_out_of_range() {
 
 #[test]
 fn trace_enabled_runs_agree_with_fused_counters() {
-    // `trace: true` forces the interpreter (traces are emitted per op), but
-    // the simulated state must still match a quiet fused run exactly.
+    // A traced run keeps fusion on: it enters as many traces as a quiet
+    // fused run, its simulated state matches the quiet run exactly, and
+    // its trace matches the interpreter's byte for byte.
     let module = scenarios::matmul_affine(8);
     let lib = SimLibrary::standard();
-    let traced = simulate_with(
-        &module,
-        &lib,
-        &SimOptions {
-            trace: true,
-            backend: Backend::Fused,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(!traced.trace.is_empty(), "tracing must stay functional");
+    let traced = |backend| SimOptions {
+        trace: true,
+        ..options(backend)
+    };
+    let fused = simulate_with(&module, &lib, &traced(Backend::Fused)).unwrap();
+    let interp = simulate_with(&module, &lib, &traced(Backend::Interp)).unwrap();
     let quiet = simulate_with(&module, &lib, &options(Backend::Fused)).unwrap();
-    assert_eq!(traced.cycles, quiet.cycles);
-    assert_eq!(traced.events_processed, quiet.events_processed);
-    assert_eq!(traced.ops_interpreted, quiet.ops_interpreted);
-    assert_eq!(traced.buffers, quiet.buffers);
+    assert!(!fused.trace.is_empty(), "tracing must stay functional");
+    assert_eq!(fused.fused_trace_entries, 8 * 8, "traced runs fuse");
+    assert_eq!(fused.fused_trace_entries, quiet.fused_trace_entries);
+    assert_full_reports_identical("traced vs quiet", &fused, &quiet);
+    assert!(fused.trace.to_chrome_json() == interp.trace.to_chrome_json());
 }
 
 /// A program touching every surface the faults target (mirrors the core

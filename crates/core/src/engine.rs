@@ -94,10 +94,9 @@ pub enum Backend {
     /// bodies are pre-compiled at `Plan::build` time into dispatch-free
     /// traces (see the crate's `fused` module); everything else — and every loop the
     /// trace builder declines — runs on the interpreter. Counters
-    /// (cycles/events/ops) are bit-identical to [`Backend::Interp`].
-    /// Traces only engage when tracing is off; a trace-enabled run records
-    /// per-op events and therefore interprets op by op. Tracing is off
-    /// under the default [`SimOptions`].
+    /// (cycles/events/ops) are bit-identical to [`Backend::Interp`], and
+    /// so is the trace of a traced run: fused traces record the same
+    /// events.
     #[default]
     Fused,
     /// Pure op-by-op interpretation — the escape hatch (`--backend interp`
@@ -429,10 +428,10 @@ pub(crate) struct Engine<'m> {
     pub(crate) fused_trace_entries: u64,
     /// Absolute wall-clock deadline (run start + `wall_deadline`).
     pub(crate) deadline: Option<Instant>,
-    trace: Trace,
+    pub(crate) trace: Trace,
     pub(crate) host_mem: Option<CompId>,
-    /// Whether fused loop traces may run this run (backend is
-    /// [`Backend::Fused`] and tracing is off).
+    /// Whether fused loop traces may run this run (the backend is
+    /// [`Backend::Fused`]; traced runs fuse too).
     fused_on: bool,
     /// Per-run fused-trace scratch (registers, costs, skip set).
     pub(crate) fused: crate::fused::FusedScratch,
@@ -491,9 +490,7 @@ impl<'m> Engine<'m> {
                 Trace::disabled()
             },
             host_mem: None,
-            // A trace-enabled run records per-op events, so it interprets
-            // op by op; fused traces engage only with tracing off.
-            fused_on: options.backend == Backend::Fused && !options.trace,
+            fused_on: options.backend == Backend::Fused,
             fused: crate::fused::FusedScratch::new(plan.fusion.len()),
             snapshot_at: None,
             snapshot_due: false,
@@ -922,14 +919,8 @@ impl<'m> Engine<'m> {
         let data = self.machine.buffer(src).data.clone();
         self.machine.buffer_mut(dst).data = data;
         if self.trace.is_enabled() {
-            self.trace_slot(
-                p,
-                Pid::Dma,
-                trace::MEMCPY,
-                TraceCat::Operation,
-                start,
-                end - start,
-            );
+            let row = self.trace_row(p, Pid::Dma);
+            self.trace_slot(row, trace::MEMCPY, TraceCat::Operation, start, end - start);
         }
         self.bump_horizon(end);
         Ok(end)
@@ -1179,18 +1170,9 @@ impl<'m> Engine<'m> {
         // non-integer loop input): the run marks the block skipped and falls
         // through to the interpreter.
         if self.fused_on {
-            let plan: &'m Plan = self.plan;
-            if let Some(scope) = frame.stack.last() {
-                if scope.looping.is_some() {
-                    let bi = scope.block.index();
-                    if let Some(Some(Ok(f))) = plan.fusion.get(bi) {
-                        if !self.fused.skip[bi] {
-                            if let Some(step) = self.run_fused(p, frame, f, bi)? {
-                                self.fused_trace_entries += 1;
-                                return Ok(step);
-                            }
-                        }
-                    }
+            if let Some((base, f)) = self.fused_entry(frame) {
+                if let Some(step) = self.run_fused(p, frame, f, base)? {
+                    return Ok(step);
                 }
             }
         }
@@ -1605,7 +1587,8 @@ impl<'m> Engine<'m> {
                 let end = clock.saturating_add(cycles);
                 if self.trace.is_enabled() {
                     let name = self.trace.name_id(sig());
-                    self.trace_slot(p, Pid::Processor, name, TraceCat::Operation, clock, cycles);
+                    let row = self.trace_row(p, Pid::Processor);
+                    self.trace_slot(row, name, TraceCat::Operation, clock, cycles);
                 }
                 self.advance(p, end)
             }
@@ -1741,7 +1724,8 @@ impl<'m> Engine<'m> {
                 };
                 if cycles > 0 && self.trace.is_enabled() {
                     let name = self.trace.name_id(&data.name);
-                    self.trace_slot(p, Pid::Processor, name, TraceCat::Operation, clock, cycles);
+                    let row = self.trace_row(p, Pid::Processor);
+                    self.trace_slot(row, name, TraceCat::Operation, clock, cycles);
                 }
                 self.advance(p, clock + cycles)
             }
@@ -1828,33 +1812,37 @@ impl<'m> Engine<'m> {
 
         // Trace: stall slot (schedule-queue wait) then the operation slot.
         if end > start && self.trace.is_enabled() {
+            let row = self.trace_row(p, Pid::Processor);
             if astart > start {
                 let dur = astart - start;
-                self.trace_slot(p, Pid::Processor, trace::STALL, TraceCat::Stall, start, dur);
+                self.trace_slot(row, trace::STALL, TraceCat::Stall, start, dur);
             }
             let name = match kind {
                 AccessKind::Read => trace::READ,
                 AccessKind::Write => trace::WRITE,
             };
-            let dur = end - astart;
-            self.trace_slot(p, Pid::Processor, name, TraceCat::Operation, astart, dur);
+            self.trace_slot(row, name, TraceCat::Operation, astart, end - astart);
         }
         Ok((out, end))
     }
 
-    /// Records one trace slot on processor `p`'s row under `pid`.
-    fn trace_slot(
+    /// The trace row of processor `p`'s events under `pid`.
+    pub(crate) fn trace_row(&mut self, p: usize, pid: Pid) -> u32 {
+        let comp = self.procs[p].comp;
+        let machine = &self.machine;
+        self.trace.comp_row(comp, pid, || machine.name(comp))
+    }
+
+    /// Records one trace slot on `row` (from [`Engine::trace_row`]): the
+    /// one place the interpreter and fused traces record an event.
+    pub(crate) fn trace_slot(
         &mut self,
-        p: usize,
-        pid: Pid,
+        row: u32,
         name: trace::NameId,
         cat: TraceCat,
         ts: u64,
         dur: u64,
     ) {
-        let comp = self.procs[p].comp;
-        let machine = &self.machine;
-        let row = self.trace.comp_row(comp, pid, || machine.name(comp));
         self.trace.push(name, cat, ts, dur, row);
     }
 
@@ -1918,14 +1906,8 @@ impl<'m> Engine<'m> {
             (ofmap, AccessKind::Write),
         ]);
         if self.trace.is_enabled() {
-            self.trace_slot(
-                p,
-                Pid::Processor,
-                trace::CONV2D,
-                TraceCat::Operation,
-                clock,
-                cycles,
-            );
+            let row = self.trace_row(p, Pid::Processor);
+            self.trace_slot(row, trace::CONV2D, TraceCat::Operation, clock, cycles);
         }
         self.advance(p, clock.saturating_add(cycles))
     }
@@ -1991,14 +1973,8 @@ impl<'m> Engine<'m> {
             (c, AccessKind::Write),
         ]);
         if self.trace.is_enabled() {
-            self.trace_slot(
-                p,
-                Pid::Processor,
-                trace::MATMUL,
-                TraceCat::Operation,
-                clock,
-                cycles,
-            );
+            let row = self.trace_row(p, Pid::Processor);
+            self.trace_slot(row, trace::MATMUL, TraceCat::Operation, clock, cycles);
         }
         self.advance(p, clock.saturating_add(cycles))
     }

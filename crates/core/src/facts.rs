@@ -166,8 +166,9 @@ mod tests {
         assert_eq!(facts.loops[0].trip_count(), Some(0));
     }
 
-    #[test]
-    fn nested_loop_declines_with_multi_level_nest() {
+    /// A launch whose body is `for i { for j { v[i][j] = v[i][j] } }`, with
+    /// a constant before the inner loop when `imperfect`.
+    fn nest_module(imperfect: bool) -> Module {
         let mut m = Module::new();
         let blk = m.top_block();
         let mut b = OpBuilder::at_end(&mut m, blk);
@@ -180,6 +181,9 @@ mod tests {
             let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
             let (_, bi, i) = ib.affine_for(0, 8, 1);
             let mut ib2 = OpBuilder::at_end(ib.module_mut(), bi);
+            if imperfect {
+                ib2.const_int(1, Type::I32);
+            }
             let (_, bj, j) = ib2.affine_for(0, 8, 1);
             {
                 let mut kb = OpBuilder::at_end(ib2.module_mut(), bj);
@@ -195,20 +199,28 @@ mod tests {
         let done = l.done;
         let mut b = OpBuilder::at_end(&mut m, blk);
         b.await_all(vec![done]);
+        m
+    }
 
-        let facts = analyze_facts(&m, &SimLibrary::standard());
+    #[test]
+    fn perfect_nest_fuses_at_every_level() {
+        let facts = analyze_facts(&nest_module(false), &SimLibrary::standard());
         assert_eq!(facts.loops.len(), 2);
-        // Outer loop contains the inner affine.for: multi-level nest.
-        let outer = facts.loops.iter().find(|l| l.upper == 8).unwrap();
-        assert!(facts.loops.iter().any(|l| matches!(
-            l.verdict,
-            FuseVerdict::Declined(FuseDecline::MultiLevelNest)
-        )));
-        // The inner body itself fuses.
-        assert!(facts
-            .loops
-            .iter()
-            .any(|l| matches!(l.verdict, FuseVerdict::Fused { .. })));
-        let _ = outer;
+        // Both levels report the innermost body's trace.
+        for l in &facts.loops {
+            assert_eq!(l.verdict, FuseVerdict::Fused { insts: 3 }, "{l:?}");
+        }
+    }
+
+    #[test]
+    fn imperfect_nest_fuses_only_its_inner_loop() {
+        let facts = analyze_facts(&nest_module(true), &SimLibrary::standard());
+        assert_eq!(facts.loops.len(), 2);
+        // Loops are in op order: the outer one first.
+        assert_eq!(
+            facts.loops[0].verdict,
+            FuseVerdict::Declined(FuseDecline::ImperfectNest)
+        );
+        assert_eq!(facts.loops[1].verdict, FuseVerdict::Fused { insts: 3 });
     }
 }

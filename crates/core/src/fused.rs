@@ -15,62 +15,87 @@
 //! * **contention** — a timed instruction's finish time reaches another
 //!   pending event, so the scheduler must interleave (mirrors the
 //!   interpreter's contended-yield path, which never counts a wake);
-//! * **completion** — the loop's trip count is exhausted;
+//! * **completion** — the nest's outermost loop is exhausted;
 //! * **limits** — the engine's run-budget rules (`Engine::on_wake`,
 //!   `Engine::after_op`, `Engine::on_idle`), called on the trace's local
 //!   copy of the run counters where the interpreter calls them on the
 //!   engine's own.
 //!
 //! Counter identity is the contract: wakes, interpreted ops, idle steps,
-//! per-processor clocks, the horizon, and every memory traffic
-//! counter advance bit-identically to the interpreter — enforced by the
-//! `fused_differential` test suite and the golden counter pins.
+//! per-processor clocks, the horizon, every memory traffic counter and
+//! port reservation, and every Chrome-trace record advance bit-identically
+//! to the interpreter — enforced by the `fused_differential` test suite,
+//! the golden counter pins and the trace pin.
 //!
-//! **Trace formation** (`build_fused`) is conservative: a loop body fuses
-//! only if every op is scalar-integer straight-line work (`affine.load` /
-//! `affine.store` / pre-decoded binary arith / `arith.cmpi` / `arith.select`
-//! / integer `arith.constant` / `affine.yield`) with no cross-iteration
-//! value flow. Anything else — nested loops, launches, tensor ops, unknown
+//! **Trace formation** (`build_fused`) is conservative. An innermost loop
+//! body fuses only if every op is scalar-integer straight-line work
+//! (`affine.load` / `affine.store` / `equeue.read` / `equeue.write` on a
+//! buffer, with no connection operand / pre-decoded binary arith /
+//! `arith.cmpi` / `arith.select` / integer `arith.constant` /
+//! `affine.yield`) with no cross-iteration value flow. A loop whose body is
+//! exactly `[affine.for, affine.yield]` around a fused loop fuses as one
+//! more level of the same nest, so a *perfect nest* runs as one trace.
+//! Anything else — imperfect nests, launches, tensor ops, unknown
 //! predicates, use-before-def — leaves the body to the interpreter, which
 //! is always correct. Formation also marks each access whose subscripts
-//! are all the induction variable or loop-invariant inputs as *strided*:
-//! its flat address is `base + iv·stride`. A body that forms a trace is
-//! then checked against everything else known before the run: each
-//! accessed buffer must statically be an integer tensor, allocated in host
-//! memory or in a memory whose model has uniform stateless access latency
+//! are all the innermost induction variable or inputs the innermost body
+//! does not define as *strided*: its flat address is `base + iv·stride`,
+//! with `base` resolved each time the innermost loop starts. A nest that
+//! forms a trace is then checked against everything else known before the
+//! run: each accessed buffer must statically be an integer tensor,
+//! allocated in host memory or in a memory whose model has uniform
+//! stateless access latency
 //! ([`crate::MemoryBehavior::uniform_scalar_cycles`]). A cache-backed,
 //! float or unresolvable buffer declines the loop at plan time, with a
 //! [`FuseDecline`] reason that static analysis reads as is.
 //!
 //! **Runtime preflight** (`run_fused`) re-validates the live machine state
-//! as safety code: the buffers must be live integer tensors of the decoded
-//! rank in uniform-latency memories, and every loop-invariant input must
-//! currently hold a scalar integer. Any mismatch *declines* the trace — the
-//! block is marked skipped for the rest of the run and the interpreter
-//! takes over. Declining is never an error: it is the escape hatch that
-//! keeps malformed programs on the exact interpreter semantics.
+//! as safety code: the frame's loop scopes must match the nest's levels,
+//! the buffers must be live integer tensors of the decoded rank in
+//! uniform-latency memories, and every loop-invariant input must currently
+//! hold a scalar integer. Any mismatch *declines* the trace — the block is
+//! marked skipped for the rest of the run and the interpreter takes over.
+//! Declining is never an error: it is the escape hatch that keeps
+//! malformed programs on the exact interpreter semantics. The interpreter
+//! enters the runner at its innermost loop scope (or the loop it is about
+//! to start), and the runner takes over every enclosing scope on the frame
+//! stack that is a level of the same fused nest; a mid-nest exit rebuilds
+//! that stack exactly, one scope per active level.
+//!
+//! **Timing.** `affine.load`/`affine.store` cost the processor's cycles
+//! for the op, as in the interpreter; `equeue.read`/`equeue.write` wait for
+//! the memory: each access calls [`crate::Memory::access`], the port model
+//! the interpreter calls, and the processor's clock moves to its finish.
+//! With tracing on, each instruction records the interpreter's events
+//! (stall and operation slots) through `Engine::trace_slot`, with name and
+//! row ids resolved once at trace entry.
 //!
 //! **Bulk segments.** For the trace's duration each distinct buffer's
 //! elements are hoisted out of the machine into a plain `Vec<i64>`. At every
-//! iteration boundary the runner computes how many whole iterations fit
-//! before anything observable can happen — the contention barrier, a
-//! budget, the next epoch poll, the loop's end, or a strided access leaving
-//! its buffer — and runs them with no per-op timing, advancing the counters
-//! once per segment. The per-op loop stays the exact path for the
-//! iterations at those boundaries; both loops execute instructions through
-//! one semantics function (`exec`).
+//! innermost iteration boundary the runner computes how many whole
+//! iterations fit before anything observable can happen — the contention
+//! barrier, a budget, the next epoch poll, the innermost loop's end, or a
+//! strided access leaving its buffer — and runs them with no per-op
+//! timing, advancing the counters once per segment. The per-op loop stays
+//! the exact path for the iterations at those boundaries; both loops
+//! execute instructions through one semantics function (`exec`). Segments
+//! need a fixed cost per iteration and record nothing, so a traced run, or
+//! a body whose `equeue.read`/`equeue.write` wait on a timed memory (a
+//! port can stall them), takes the exact path throughout.
 
 use std::sync::Arc;
 
-use equeue_dialect::{buffer_origin, BufferOrigin};
-use equeue_ir::Module;
+use equeue_dialect::{buffer_origin, read_view, write_view, BufferOrigin};
+use equeue_ir::{BlockId, Module};
 
-use crate::engine::{Engine, Frame, RunCounters, Step, OP_EPOCH, WAKE_EPOCH};
+use crate::engine::{Engine, Frame, LoopDim, LoopState, RunCounters, Scope, Step};
+use crate::engine::{OP_EPOCH, WAKE_EPOCH};
 use crate::error::SimError;
 use crate::interp::{BinOp, CmpPred};
 use crate::library::SimLibrary;
 use crate::machine::{AccessKind, Machine};
 use crate::plan::{mem_spec, OpCode, Plan, Slot};
+use crate::trace::{self, NameId, Pid, TraceCat};
 use crate::value::{BufId, CompId, SimValue, TensorData};
 
 // ---------------------------------------------------------------------------
@@ -84,17 +109,21 @@ use crate::value::{BufId, CompId, SimValue, TensorData};
 /// analysis can see *why* a loop still pays interpreter dispatch. The
 /// runtime preflight in `run_fused` stays as safety code over live machine
 /// state; its declines (and contended entries) are not represented here.
+/// A loop around a perfectly nested loop that declines gets that loop's
+/// reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FuseDecline {
-    /// The body contains a nested `affine.for`/`affine.parallel`: only
-    /// innermost 1-D bodies fuse today (the phase-2 worklist).
-    MultiLevelNest,
+    /// The body contains an `affine.for`/`affine.parallel` but is not
+    /// exactly `[affine.for, affine.yield]` around a loop that runs: only
+    /// perfect nests fuse.
+    ImperfectNest,
     /// A value is used before its in-body definition — cross-iteration
     /// value flow the straight-line trace cannot model.
     CrossIterationFlow,
     /// The body contains an op the trace compiler does not model
-    /// (launches, tensor ops, float constants, unknown predicates, …).
+    /// (launches, tensor ops, float constants, unknown predicates,
+    /// accesses over a connection, …).
     UnsupportedOp(String),
     /// The body has no instructions; the interpreter's idle-step
     /// accounting is the reference semantics for degenerate loops.
@@ -116,8 +145,8 @@ pub enum FuseDecline {
 impl std::fmt::Display for FuseDecline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FuseDecline::MultiLevelNest => {
-                write!(f, "multi-level nest: only innermost 1-D bodies fuse")
+            FuseDecline::ImperfectNest => {
+                write!(f, "imperfect nest: only perfectly nested loops fuse")
             }
             FuseDecline::CrossIterationFlow => {
                 write!(f, "cross-iteration value flow (use before in-body def)")
@@ -141,23 +170,27 @@ impl std::fmt::Display for FuseDecline {
 /// instruction's op index within the source block, kept so a mid-trace
 /// yield can hand the scope back to the interpreter at the exact op
 /// boundary (`scope.idx = op_pos + 1`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum FusedInst {
-    /// `affine.load` from buffer table entry `buf` at `indices`.
-    /// `strided`: every subscript is the induction variable or a
-    /// loop-invariant input.
+    /// A read of buffer table entry `buf` at `indices`. `strided`: every
+    /// subscript is the induction variable or a loop-invariant input.
+    /// `waits`: an `equeue.read`, whose processor waits for the memory;
+    /// else an `affine.load`, which costs the processor's load cycles.
     Load {
         buf: u32,
         indices: Box<[u32]>,
         strided: bool,
+        waits: bool,
         dst: u32,
         op_pos: u32,
     },
-    /// `affine.store` of register `src` into buffer table entry `buf`.
+    /// A write of register `src` into buffer table entry `buf`
+    /// (`equeue.write` when `waits`, else `affine.store`).
     Store {
         buf: u32,
         indices: Box<[u32]>,
         strided: bool,
+        waits: bool,
         src: u32,
         op_pos: u32,
     },
@@ -210,27 +243,35 @@ impl FusedInst {
     }
 }
 
-/// A fused single-dimension `affine.for` body: the instruction table plus
-/// the register-bank layout needed to enter and exit the trace.
+/// One loop of a fused nest: its body block, induction variable and
+/// bounds.
+#[derive(Debug, Clone)]
+struct Level {
+    block: BlockId,
+    iv_slot: Slot,
+    /// The register holding the induction variable.
+    iv_reg: u32,
+    lower: i64,
+    /// Exclusive upper bound.
+    upper: i64,
+    step: i64,
+}
+
+/// A fused perfect loop nest: its levels, the innermost body's instruction
+/// table, and the register-bank layout needed to enter and exit the trace.
 ///
 /// Plain data (no interior mutability, no machine references), so the
 /// containing [`Plan`](crate::plan) stays `Send + Sync` and one compiled
 /// module can back concurrent simulations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FusedLoop {
-    /// Body instructions in program order (erased ops omitted).
+    /// The nest's loops, outermost first. Every level but the last has the
+    /// body `[affine.for, affine.yield]`; the last one's body is `insts`.
+    levels: Vec<Level>,
+    /// Innermost body instructions in program order (erased ops omitted).
     insts: Vec<FusedInst>,
-    /// Total virtual registers (inputs + defs + induction variable).
+    /// Total virtual registers (inputs + defs + induction variables).
     n_regs: u32,
-    /// Register holding the induction variable.
-    iv_reg: u32,
-    /// The induction variable's frame slot.
-    iv_slot: Slot,
-    /// Loop step (as decoded; the trace re-checks it against the live
-    /// [`LoopState`](crate::engine) at entry).
-    step: i64,
-    /// Loop upper bound (exclusive).
-    upper: i64,
     /// Loop-invariant scalar inputs: `(frame slot, register)`.
     inputs: Vec<(Slot, u32)>,
     /// Body-defined values written back at trace exits:
@@ -244,6 +285,27 @@ impl FusedLoop {
     /// Number of trace instructions (for [`crate::PrepassFacts`]).
     pub(crate) fn inst_count(&self) -> usize {
         self.insts.len()
+    }
+
+    /// The innermost level.
+    fn inner(&self) -> &Level {
+        &self.levels[self.levels.len() - 1]
+    }
+
+    /// This nest inside one more loop, `outer`: its induction variable
+    /// stops being a loop-invariant input and becomes a register the
+    /// runner sets.
+    fn enclosed_in(&self, mut outer: Level) -> FusedLoop {
+        let mut nest = self.clone();
+        outer.iv_reg = match nest.inputs.iter().position(|&(s, _)| s == outer.iv_slot) {
+            Some(i) => nest.inputs.remove(i).1,
+            None => {
+                nest.n_regs += 1;
+                nest.n_regs - 1
+            }
+        };
+        nest.levels.insert(0, outer);
+        nest
     }
 }
 
@@ -336,12 +398,12 @@ fn buffer_index(
 pub(crate) type LoopFusion = Result<Box<FusedLoop>, FuseDecline>;
 
 /// Walks every decoded op and decides fusion for each entered `affine.for`
-/// body: a [`FusedLoop`] trace, or the reason it stays on the interpreter.
-/// The table is indexed by the body block's
+/// body: a [`FusedLoop`] trace of the perfect nest it heads, or the reason
+/// it stays on the interpreter. The table is indexed by the body block's
 /// [`BlockId::index`](equeue_ir::BlockId::index). Pure and cheap (linear in
-/// the module); runs unconditionally in `Plan::build` so a single compiled
-/// module can serve both backends. Blocks that are not an `affine.for` body
-/// (or whose loop never enters) are `None`.
+/// the module times nest depth); runs unconditionally in `Plan::build` so a
+/// single compiled module can serve both backends. Blocks that are not an
+/// `affine.for` body (or whose loop never enters) are `None`.
 pub(crate) fn build_fused(
     module: &Module,
     lib: &SimLibrary,
@@ -350,19 +412,88 @@ pub(crate) fn build_fused(
     let mut table: Vec<Option<LoopFusion>> = (0..module.num_blocks()).map(|_| None).collect();
     for info in &plan.ops {
         if let OpCode::For { bounds, body, iv } = info.code {
-            let (lower, upper, step) = plan.for_bounds(bounds);
-            if lower < upper {
-                if let Some(entry @ None) = table.get_mut(body.index()) {
-                    *entry = Some(
-                        try_build(module, plan, body, iv, step, upper)
-                            .and_then(|f| check_buffers(module, lib, plan, body).map(|()| f))
-                            .map(Box::new),
-                    );
-                }
-            }
+            fuse_loop(module, lib, plan, &mut table, body, iv, bounds);
         }
     }
     table
+}
+
+/// Decides fusion for the `affine.for` with body `body` (memoised in
+/// `table`): an innermost body compiles to a trace; a perfect level fuses
+/// around its inner loop's nest, or takes that loop's decline reason.
+fn fuse_loop(
+    module: &Module,
+    lib: &SimLibrary,
+    plan: &Plan,
+    table: &mut [Option<LoopFusion>],
+    body: BlockId,
+    iv: Slot,
+    bounds: u32,
+) {
+    let (lower, upper, step) = plan.for_bounds(bounds);
+    if lower >= upper || !matches!(table.get(body.index()), Some(None)) {
+        return;
+    }
+    let level = Level {
+        block: body,
+        iv_slot: iv,
+        iv_reg: 0,
+        lower,
+        upper,
+        step,
+    };
+    let verdict = match inner_loop(module, plan, body) {
+        Inner::None => try_build(module, plan, level)
+            .and_then(|f| check_buffers(module, lib, plan, body).map(|()| f)),
+        Inner::Perfect { body, iv, bounds } => {
+            fuse_loop(module, lib, plan, table, body, iv, bounds);
+            match &table[body.index()] {
+                Some(Ok(inner)) => Ok(inner.enclosed_in(level)),
+                Some(Err(reason)) => Err(reason.clone()),
+                // The inner loop never enters.
+                None => Err(FuseDecline::ImperfectNest),
+            }
+        }
+        Inner::Imperfect => Err(FuseDecline::ImperfectNest),
+    };
+    table[body.index()] = Some(verdict.map(Box::new));
+}
+
+/// What a loop body holds besides straight-line ops.
+enum Inner {
+    /// No loop: the body is an innermost one.
+    None,
+    /// Exactly `[affine.for, affine.yield]`: a perfect level around the
+    /// inner `affine.for`'s body, induction slot and bounds.
+    Perfect {
+        body: BlockId,
+        iv: Slot,
+        bounds: u32,
+    },
+    /// A loop among other ops.
+    Imperfect,
+}
+
+fn inner_loop(module: &Module, plan: &Plan, body: BlockId) -> Inner {
+    let ops = &module.block(body).ops;
+    let code = |i: usize| ops.get(i).and_then(|op| plan.ops.get(op.index()));
+    let is_loop = |i: usize| {
+        code(i)
+            .is_some_and(|info| matches!(info.code, OpCode::For { .. } | OpCode::Parallel { .. }))
+    };
+    if !(0..ops.len()).any(is_loop) {
+        return Inner::None;
+    }
+    match (
+        ops.len(),
+        code(0).map(|i| &i.code),
+        code(1).map(|i| &i.code),
+    ) {
+        (2, Some(&OpCode::For { bounds, body, iv }), Some(OpCode::Yield)) => {
+            Inner::Perfect { body, iv, bounds }
+        }
+        _ => Inner::Imperfect,
+    }
 }
 
 /// The statically decidable half of the runtime preflight, run on bodies
@@ -375,17 +506,19 @@ fn check_buffers(
     module: &Module,
     lib: &SimLibrary,
     plan: &Plan,
-    body: equeue_ir::BlockId,
+    body: BlockId,
 ) -> Result<(), FuseDecline> {
     let ops = &plan.ops;
     for &op in &module.block(body).ops {
         let operands = &module.op(op).operands;
         let buf = match ops.get(op.index()).map(|info| &info.code) {
-            Some(OpCode::AffineLoad { .. }) => operands.first(),
-            Some(OpCode::AffineStore { .. }) => operands.get(1),
+            Some(OpCode::AffineLoad { .. }) => operands.first().copied(),
+            Some(OpCode::AffineStore { .. }) => operands.get(1).copied(),
+            Some(OpCode::Read { .. }) => read_view(module, op).ok().map(|v| v.buffer),
+            Some(OpCode::Write { .. }) => write_view(module, op).ok().map(|v| v.buffer),
             _ => None,
         };
-        let Some(&buf) = buf else { continue };
+        let Some(buf) = buf else { continue };
         if let Some(elem) = module.value_type(buf).elem() {
             if !elem.is_integer() {
                 return Err(FuseDecline::NonIntegerTensor(elem.to_string()));
@@ -412,17 +545,11 @@ fn check_buffers(
     Ok(())
 }
 
-/// Attempts to compile one loop body; `Err` carries the precise decline
-/// reason ("leave it to the interpreter, because …").
-fn try_build(
-    module: &Module,
-    plan: &Plan,
-    body: equeue_ir::BlockId,
-    iv: Slot,
-    step: i64,
-    upper: i64,
-) -> Result<FusedLoop, FuseDecline> {
-    let block = module.block(body);
+/// Attempts to compile one innermost loop body; `Err` carries the precise
+/// decline reason ("leave it to the interpreter, because …").
+fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, FuseDecline> {
+    let block = module.block(level.block);
+    let iv = level.iv_slot;
     // Shorthands: operand resolution failures are cross-iteration flow;
     // structural surprises (arity, missing op records) are malformed.
     let flow = || FuseDecline::CrossIterationFlow;
@@ -457,9 +584,35 @@ fn try_build(
         let info = plan.ops.get(op.index()).ok_or_else(bad)?;
         let results = plan.slots(info.results);
         let op_pos = pos as u32;
+        // `equeue.read`/`equeue.write` fuse on a buffer's elements, with
+        // no connection: the trace models the memory's port, not a link.
+        let element_access = |indices: crate::plan::Span, conn: crate::plan::OptSlot| {
+            let name = &module.op(op).name;
+            if conn.get().is_some() {
+                Err(FuseDecline::UnsupportedOp(format!(
+                    "{name} over a connection"
+                )))
+            } else if indices.len() == 0 {
+                Err(FuseDecline::UnsupportedOp(format!(
+                    "{name} of a whole buffer"
+                )))
+            } else {
+                Ok(())
+            }
+        };
         match info.code {
             OpCode::Erased => continue,
-            OpCode::AffineLoad { buffer, indices } => {
+            OpCode::AffineLoad { buffer, indices }
+            | OpCode::Read {
+                buffer, indices, ..
+            } => {
+                let waits = match info.code {
+                    OpCode::Read { conn, .. } => {
+                        element_access(indices, conn)?;
+                        true
+                    }
+                    _ => false,
+                };
                 if results.len() != 1 {
                     return Err(bad());
                 }
@@ -470,6 +623,7 @@ fn try_build(
                     buf,
                     indices,
                     strided,
+                    waits,
                     dst,
                     op_pos,
                 });
@@ -478,7 +632,20 @@ fn try_build(
                 value,
                 buffer,
                 indices,
+            }
+            | OpCode::Write {
+                value,
+                buffer,
+                indices,
+                ..
             } => {
+                let waits = match info.code {
+                    OpCode::Write { conn, .. } => {
+                        element_access(indices, conn)?;
+                        true
+                    }
+                    _ => false,
+                };
                 if !results.is_empty() {
                     return Err(bad());
                 }
@@ -489,6 +656,7 @@ fn try_build(
                     buf,
                     indices,
                     strided,
+                    waits,
                     src,
                     op_pos,
                 });
@@ -567,9 +735,6 @@ fn try_build(
                 }
                 insts.push(FusedInst::Nop { op_pos });
             }
-            OpCode::For { .. } | OpCode::Parallel { .. } => {
-                return Err(FuseDecline::MultiLevelNest)
-            }
             _ => return Err(FuseDecline::UnsupportedOp(module.op(op).name.to_string())),
         }
     }
@@ -577,12 +742,9 @@ fn try_build(
         return Err(FuseDecline::EmptyBody);
     }
     Ok(FusedLoop {
+        levels: vec![level],
         insts,
         n_regs: regs.n,
-        iv_reg: 0,
-        iv_slot: iv,
-        step,
-        upper,
         inputs: regs.inputs,
         defs: regs.defs.iter().map(|&(s, r)| (r, s)).collect(),
         buffers,
@@ -618,16 +780,21 @@ struct BufRt {
 #[derive(Debug, Clone, Copy, Default)]
 struct InstRt {
     /// Cycle cost, resolved from the entering processor's
-    /// [`HotCycles`](crate::engine).
+    /// [`HotCycles`](crate::engine); for an access that waits on its
+    /// memory, the memory's uncontended latency.
     cost: u64,
+    /// The op ends when its memory access does (`equeue.read`/`write`).
+    waits: bool,
     /// Cycles from the start of an iteration to the start of this op.
     start: u64,
-    /// A strided access whose loop-invariant subscripts are in range this
-    /// entry: its flat index is `base + iv·stride` for every iv in the
-    /// trace's strided range (`Shape::iv_lo..Shape::iv_hi`).
+    /// A strided access whose loop-invariant subscripts are in range for
+    /// the current innermost loop: its flat index is `base + iv·stride` for
+    /// every iv in the trace's strided range (`Shape::iv_lo..Shape::iv_hi`).
     strided: bool,
     base: usize,
     stride: usize,
+    /// A timed binary op's trace name (resolved at entry when tracing).
+    name: NameId,
 }
 
 /// The state instructions read and write.
@@ -646,6 +813,12 @@ struct Bank {
 }
 
 impl Bank {
+    /// The shape of buffer table entry `buf`.
+    fn dims(&self, buf: u32) -> &[usize] {
+        let b = &self.bufs[buf as usize];
+        &self.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize]
+    }
+
     /// The flat element index of an access. Bulk segments use the strided
     /// form (the segment keeps `iv` in range); everything else replicates
     /// the interpreter's checks via [`flatten`].
@@ -661,13 +834,13 @@ impl Bank {
             // `iv` is non-negative whenever `stride > 0` (`Shape::iv_lo`).
             return Ok(rt.base + iv as usize * rt.stride);
         }
-        let b = &self.bufs[buf as usize];
-        let dims = &self.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
-        flatten(&self.regs, dims, indices).map_err(SimError::Runtime)
+        flatten(&self.regs, self.dims(buf), indices).map_err(SimError::Runtime)
     }
 
-    /// Accounts one element access: a timed memory reserves its port at
-    /// `clock`; a zero-latency memory batches its traffic counters.
+    /// Accounts one element access at `clock` and returns its `(start,
+    /// finish)`: a timed memory reserves a port through `Memory::access`
+    /// (the finish includes any port stall); a zero-latency memory batches
+    /// its traffic counters and takes no time.
     #[inline(always)]
     fn touch(
         &mut self,
@@ -676,27 +849,28 @@ impl Bank {
         flat: usize,
         machine: &mut Machine,
         clock: u64,
-    ) -> Result<(), SimError> {
+    ) -> Result<(u64, u64), SimError> {
         let b = &mut self.bufs[buf as usize];
         if b.cost > 0 {
             let m = machine.memory_mut(b.mem).ok_or_else(|| {
                 SimError::Runtime("internal: buffer not backed by a memory".into())
             })?;
-            let _ = m.access(kind, b.base_addr + flat, 1, b.elem_bytes, clock);
-        } else {
-            match kind {
-                AccessKind::Read => b.reads += 1,
-                AccessKind::Write => b.writes += 1,
-            }
+            let (start, end, _) = m.access(kind, b.base_addr + flat, 1, b.elem_bytes, clock);
+            return Ok((start, end));
         }
-        Ok(())
+        match kind {
+            AccessKind::Read => b.reads += 1,
+            AccessKind::Write => b.writes += 1,
+        }
+        Ok((clock, clock))
     }
 }
 
 /// One instruction's semantics — registers, buffer elements, memory
 /// traffic — shared by the per-op loop and bulk segments. `clock` is the
-/// op's start time. Every failure precedes the op's side effects, so a
-/// failing op can be re-executed.
+/// op's start time; the result is its memory access's `(start, finish)`
+/// (`(clock, clock)` for an op that touches no timed memory). Every failure
+/// precedes the op's side effects, so a failing op can be re-executed.
 #[inline(always)]
 fn exec<const BULK: bool>(
     inst: &FusedInst,
@@ -705,7 +879,7 @@ fn exec<const BULK: bool>(
     machine: &mut Machine,
     clock: u64,
     iv: i64,
-) -> Result<(), SimError> {
+) -> Result<(u64, u64), SimError> {
     match inst {
         FusedInst::Load {
             buf, indices, dst, ..
@@ -715,8 +889,9 @@ fn exec<const BULK: bool>(
             let v = bank.data[data].get(flat).copied().ok_or_else(|| {
                 SimError::Runtime("internal: fused load outside buffer storage".into())
             })?;
-            bank.touch(*buf, AccessKind::Read, flat, machine, clock)?;
+            let access = bank.touch(*buf, AccessKind::Read, flat, machine, clock)?;
             bank.regs[*dst as usize] = v;
+            return Ok(access);
         }
         FusedInst::Store {
             buf, indices, src, ..
@@ -728,8 +903,9 @@ fn exec<const BULK: bool>(
                     "write index {flat} out of range"
                 )));
             }
-            bank.touch(*buf, AccessKind::Write, flat, machine, clock)?;
+            let access = bank.touch(*buf, AccessKind::Write, flat, machine, clock)?;
             bank.data[data][flat] = bank.regs[*src as usize];
+            return Ok(access);
         }
         FusedInst::Bin {
             op, lhs, rhs, dst, ..
@@ -766,12 +942,12 @@ fn exec<const BULK: bool>(
         FusedInst::Const { value, dst, .. } => bank.regs[*dst as usize] = *value,
         FusedInst::Nop { .. } => {}
     }
-    Ok(())
+    Ok((clock, clock))
 }
 
 /// Reusable trace-runner scratch, owned by the engine so repeated trace
-/// entries (e.g. an inner loop re-entered by every outer iteration)
-/// allocate nothing.
+/// entries (e.g. a nest re-entered after each contended yield) allocate
+/// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct FusedScratch {
     /// Blocks whose trace this run has declined (runtime preflight
@@ -780,6 +956,8 @@ pub(crate) struct FusedScratch {
     pub(crate) skip: Vec<bool>,
     /// Per-instruction runtime views, parallel to `FusedLoop::insts`.
     insts: Vec<InstRt>,
+    /// Each level's current induction variable, outermost first.
+    ivs: Vec<i64>,
     bank: Bank,
 }
 
@@ -792,9 +970,9 @@ impl FusedScratch {
     }
 }
 
-/// Per-entry constants of a trace run: the loop bounds, one whole
+/// Per-entry constants of the innermost loop: its bounds, one whole
 /// iteration's totals, and the iv range over which every strided access
-/// stays in bounds.
+/// stays in bounds (re-resolved each time the loop starts).
 struct Shape {
     step: i64,
     upper: i64,
@@ -805,6 +983,10 @@ struct Shape {
     /// Strided accesses are in range for `iv_lo <= iv < iv_hi`.
     iv_lo: i64,
     iv_hi: i64,
+    /// Whether bulk segments may run: off while tracing (segments record
+    /// nothing) and when an access waits on a timed memory (its port may
+    /// stall it, so an iteration has no fixed cost).
+    bulk: bool,
 }
 
 impl Shape {
@@ -823,7 +1005,7 @@ impl Shape {
         max_events: u64,
         max_cycles: u64,
     ) -> u64 {
-        if self.step <= 0 || iv < self.iv_lo {
+        if !self.bulk || self.step <= 0 || iv < self.iv_lo {
             return 0;
         }
         let end = self.upper.min(self.iv_hi);
@@ -929,6 +1111,43 @@ fn resolve_stride(
     Some((base, stride))
 }
 
+/// Resolves every strided access of the innermost body for the current
+/// outer induction variables, and the iv range over which they all stay in
+/// bounds. Runs each time the innermost loop starts.
+fn restride(f: &FusedLoop, bank: &Bank, insts: &mut [InstRt], shape: &mut Shape) {
+    shape.iv_lo = i64::MIN;
+    shape.iv_hi = i64::MAX;
+    for (inst, rt) in f.insts.iter().zip(insts) {
+        rt.strided = false;
+        if let FusedInst::Load {
+            buf,
+            indices,
+            strided: true,
+            ..
+        }
+        | FusedInst::Store {
+            buf,
+            indices,
+            strided: true,
+            ..
+        } = inst
+        {
+            if let Some((base, stride)) = resolve_stride(
+                &bank.regs,
+                bank.dims(*buf),
+                indices,
+                f.inner().iv_reg,
+                &mut shape.iv_lo,
+                &mut shape.iv_hi,
+            ) {
+                rt.strided = true;
+                rt.base = base;
+                rt.stride = stride;
+            }
+        }
+    }
+}
+
 /// Runs `k` whole iterations from `iv` with no per-op timing: timed
 /// memories still see each access at its op's exact start time. On a
 /// failing instruction, returns `(iteration, position)`; every earlier
@@ -945,9 +1164,10 @@ fn bulk(
     k: u64,
     clock: u64,
 ) -> Result<(), (u64, usize)> {
+    let iv_reg = f.inner().iv_reg as usize;
     for it in 0..k {
         let cur = iv.wrapping_add((it as i64).wrapping_mul(shape.step));
-        bank.regs[f.iv_reg as usize] = cur;
+        bank.regs[iv_reg] = cur;
         let t0 = clock + it * shape.cycles;
         for (pos, (inst, rt)) in f.insts.iter().zip(insts).enumerate() {
             if exec::<true>(inst, rt, bank, machine, t0 + rt.start, cur).is_err() {
@@ -960,10 +1180,10 @@ fn bulk(
 
 /// How a trace run ended.
 enum Exit {
-    /// Trip count exhausted: pop the loop scope.
+    /// The outermost level is exhausted: pop the nest's scopes.
     Done,
-    /// A timed instruction (at this `op_pos`) reached another pending
-    /// event: yield to the scheduler mid-iteration.
+    /// A timed instruction (at this `op_pos` of the innermost body)
+    /// reached another pending event: yield to the scheduler mid-iteration.
     Yield(u32),
     /// A limit/cancellation/runtime error, bit-identical to what the
     /// interpreter would raise at the same point.
@@ -987,16 +1207,45 @@ fn flatten(regs: &[i64], dims: &[usize], indices: &[u32]) -> Result<usize, Strin
 }
 
 impl<'m> Engine<'m> {
-    /// Runs the fused trace for the loop scope currently on top of
-    /// `frame`'s stack. `Ok(None)` means the runtime preflight declined:
-    /// the block is marked skipped for the rest of the run and the caller
-    /// falls through to the interpreter.
+    /// The fused nest to run for `frame`'s top scope, if any: the top loop
+    /// scope's trace, extended over every scope below it that is the next
+    /// level out of the same nest. Returns the stack index of the nest's
+    /// outermost scope with the nest.
+    pub(crate) fn fused_entry(&self, frame: &Frame) -> Option<(usize, &'m FusedLoop)> {
+        let plan: &'m Plan = self.plan;
+        let fused = |scope: &Scope| match plan.fusion.get(scope.block.index()) {
+            Some(Some(Ok(f)))
+                if scope.looping.is_some() && !self.fused.skip[scope.block.index()] =>
+            {
+                Some(&**f)
+            }
+            _ => None,
+        };
+        let mut base = frame.stack.len().checked_sub(1)?;
+        let mut nest = fused(&frame.stack[base])?;
+        while let Some(outer) = base.checked_sub(1).and_then(|b| fused(&frame.stack[b])) {
+            if outer.levels.len() != nest.levels.len() + 1
+                || outer.levels[1].block != frame.stack[base].block
+            {
+                break;
+            }
+            nest = outer;
+            base -= 1;
+        }
+        Some((base, nest))
+    }
+
+    /// Runs the fused nest `f` over the loop scopes `frame.stack[base..]`
+    /// (its outermost levels, down to the one the interpreter is in).
+    /// `Ok(None)` means the runtime preflight declined: the outermost
+    /// scope's block is marked skipped for the rest of the run and the
+    /// caller falls through to the interpreter.
     pub(crate) fn run_fused(
         &mut self,
         p: usize,
         frame: &mut Frame,
         f: &FusedLoop,
-        block_idx: usize,
+        base: usize,
     ) -> Result<Option<Step>, SimError> {
         // Contended entry: another event is already due at or before this
         // processor's clock, so the very first timed instruction would
@@ -1015,10 +1264,10 @@ impl<'m> Engine<'m> {
         // borrow checker sees `self` (machine, wake queue, counters) and the
         // scratch as disjoint. It is restored on every path.
         let mut s = std::mem::take(&mut self.fused);
-        let out = self.fused_exec(p, frame, f, &mut s);
+        let out = self.fused_exec(p, frame, f, base, &mut s);
         self.fused = s;
         if matches!(out, Ok(None)) {
-            if let Some(skip) = self.fused.skip.get_mut(block_idx) {
+            if let Some(skip) = self.fused.skip.get_mut(f.levels[0].block.index()) {
                 *skip = true;
             }
         }
@@ -1031,28 +1280,52 @@ impl<'m> Engine<'m> {
         p: usize,
         frame: &mut Frame,
         f: &FusedLoop,
+        base: usize,
         s: &mut FusedScratch,
     ) -> Result<Option<Step>, SimError> {
         // ---- preflight: validate the live machine state against the
-        // trace's compile-time assumptions; any mismatch declines. ----
-        let entry_idx;
-        let mut iv;
-        {
-            let Some(scope) = frame.stack.last() else {
-                return Ok(None);
-            };
+        // trace's compile-time assumptions; any mismatch declines. The
+        // scopes from `base` up are the nest's levels from the outermost,
+        // each below the top one inside its inner loop. ----
+        let n = f.levels.len();
+        let Some(mut depth) = frame.stack.len().checked_sub(base + 1) else {
+            return Ok(None);
+        };
+        if depth >= n {
+            return Ok(None);
+        }
+        s.ivs.clear();
+        for (level, scope) in f.levels.iter().zip(&frame.stack[base..]) {
             let Some(state) = &scope.looping else {
                 return Ok(None);
             };
             let [dim] = state.dims.as_slice() else {
                 return Ok(None);
             };
-            if dim.iv != f.iv_slot || dim.step != f.step || dim.upper != f.upper {
+            if scope.block != level.block
+                || dim.iv != level.iv_slot
+                || dim.lower != level.lower
+                || dim.step != level.step
+                || dim.upper != level.upper
+                || (s.ivs.len() < depth && scope.idx != 1)
+            {
                 return Ok(None);
             }
-            entry_idx = scope.idx;
-            iv = dim.current;
+            s.ivs.push(dim.current);
         }
+        s.ivs.resize(n, 0);
+        let entry_idx = frame.stack[base + depth].idx;
+        let mut pos = if depth + 1 < n {
+            // A perfect level: `affine.for` at 0, `affine.yield` at 1.
+            if entry_idx > 1 {
+                return Ok(None);
+            }
+            entry_idx
+        } else {
+            f.insts
+                .partition_point(|i| (i.op_pos() as usize) < entry_idx)
+        };
+        let mut iv = s.ivs[n - 1];
 
         let bank = &mut s.bank;
         bank.bufs.clear();
@@ -1112,76 +1385,76 @@ impl<'m> Engine<'m> {
                 bank.regs[r as usize] = *v;
             }
         }
-        bank.regs[f.iv_reg as usize] = iv;
+        for (level, &v) in f.levels.iter().zip(&s.ivs).take(depth + 1) {
+            bank.regs[level.iv_reg as usize] = v;
+        }
 
-        // Per-instruction costs, start offsets and strided addresses.
+        // Per-instruction costs and start offsets; trace names and the
+        // processor's trace row when tracing.
+        let tracing = self.trace.is_enabled();
+        let row = if tracing {
+            self.trace_row(p, Pid::Processor)
+        } else {
+            0
+        };
+        let module: &'m Module = self.module;
+        let body_ops = &module.block(f.inner().block).ops;
         let mut shape = Shape {
-            step: f.step,
-            upper: f.upper,
+            step: f.inner().step,
+            upper: f.inner().upper,
             cycles: 0,
             wakes: 0,
             ops: f.insts.len() as u64,
             iv_lo: i64::MIN,
             iv_hi: i64::MAX,
+            bulk: !tracing,
         };
         s.insts.clear();
         {
             let hot = &self.procs[p].hot;
             for inst in &f.insts {
-                let cost = match inst {
-                    FusedInst::Load { .. } => hot.load,
-                    FusedInst::Store { .. } => hot.store,
+                let (cost, waits) = match inst {
+                    FusedInst::Load {
+                        waits: true, buf, ..
+                    }
+                    | FusedInst::Store {
+                        waits: true, buf, ..
+                    } => (bank.bufs[*buf as usize].cost, true),
+                    FusedInst::Load { .. } => (hot.load, false),
+                    FusedInst::Store { .. } => (hot.store, false),
                     FusedInst::Bin {
                         op, index_typed, ..
-                    } => {
+                    } => (
                         if *index_typed {
                             0
                         } else {
                             hot.arith[*op as usize]
-                        }
-                    }
-                    FusedInst::Cmp { .. } => hot.cmpi,
-                    FusedInst::Sel { .. } => hot.select,
-                    FusedInst::Const { .. } | FusedInst::Nop { .. } => 0,
+                        },
+                        false,
+                    ),
+                    FusedInst::Cmp { .. } => (hot.cmpi, false),
+                    FusedInst::Sel { .. } => (hot.select, false),
+                    FusedInst::Const { .. } | FusedInst::Nop { .. } => (0, false),
                 };
                 let mut rt = InstRt {
                     cost,
+                    waits,
                     start: shape.cycles,
                     ..InstRt::default()
                 };
-                if let FusedInst::Load {
-                    buf,
-                    indices,
-                    strided: true,
-                    ..
-                }
-                | FusedInst::Store {
-                    buf,
-                    indices,
-                    strided: true,
-                    ..
-                } = inst
-                {
-                    let b = &bank.bufs[*buf as usize];
-                    let dims =
-                        &bank.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
-                    if let Some((base, stride)) = resolve_stride(
-                        &bank.regs,
-                        dims,
-                        indices,
-                        f.iv_reg,
-                        &mut shape.iv_lo,
-                        &mut shape.iv_hi,
-                    ) {
-                        rt.strided = true;
-                        rt.base = base;
-                        rt.stride = stride;
+                if tracing && cost > 0 && matches!(inst, FusedInst::Bin { .. }) {
+                    if let Some(&op) = body_ops.get(inst.op_pos() as usize) {
+                        rt.name = self.trace.name_id(&module.op(op).name);
                     }
                 }
+                shape.bulk &= !(waits && cost > 0);
                 shape.cycles = shape.cycles.saturating_add(cost);
                 shape.wakes += u64::from(cost > 0);
                 s.insts.push(rt);
             }
+        }
+        if depth + 1 == n {
+            restride(f, &s.bank, &mut s.insts, &mut shape);
         }
 
         // ---- trace state: engine counters as locals. The wake queue is
@@ -1202,103 +1475,172 @@ impl<'m> Engine<'m> {
             count: self.count,
             last_wake: None,
         };
-        let mut pos = f
-            .insts
-            .partition_point(|i| (i.op_pos() as usize) < entry_idx);
+        // Innermost loop starts in this run: the interpreter's entry into a
+        // running innermost loop counts, as does each loop a fused level
+        // starts.
+        let mut entries = u64::from(depth + 1 == n);
+        // The deepest level this run has been in.
+        let mut reached = depth;
+        let iv_reg = f.inner().iv_reg as usize;
 
         self.hoist(&mut s.bank);
         let exit = 'run: loop {
-            // ---- bulk segment: whole iterations with no per-op timing,
-            // then one counter step. The exact path below takes the
-            // iteration that holds the boundary. ----
-            if pos == 0 {
-                let k = shape.segment_len(iv, &t, barrier, max_events, max_cycles);
-                if k > 0 {
-                    let ran = bulk(
-                        f,
-                        &s.insts,
-                        &mut s.bank,
-                        &mut self.machine,
-                        &shape,
-                        iv,
-                        k,
-                        t.clock,
-                    );
-                    match ran {
-                        Ok(()) => {
-                            t.whole(&shape, k);
-                            let last = iv.wrapping_add(((k - 1) as i64).wrapping_mul(shape.step));
-                            let next = last.saturating_add(shape.step);
-                            if next >= shape.upper {
-                                iv = last;
-                                break Exit::Done;
-                            }
-                            iv = next;
-                            s.bank.regs[f.iv_reg as usize] = next;
-                        }
-                        Err((it, at)) => {
-                            // Re-run the failing op on the exact path.
-                            t.whole(&shape, it);
-                            iv = iv.wrapping_add((it as i64).wrapping_mul(shape.step));
-                            t.prefix(&s.insts, at);
-                            pos = at;
-                        }
-                    }
-                }
-            }
-
-            // ---- exact path: one op at a time. ----
-            while pos < f.insts.len() {
-                let inst = &f.insts[pos];
-                let rt = &s.insts[pos];
+            if depth + 1 < n {
+                // ---- a perfect level: `[affine.for, affine.yield]`, each
+                // an interpreted op. ----
                 t.count.ops += 1;
-                if let Err(e) = exec::<false>(inst, rt, &mut s.bank, &mut self.machine, t.clock, iv)
-                {
-                    break 'run Exit::Fail(e);
+                if let Err(e) = self.after_op(&t.count, t.clock) {
+                    break Exit::Fail(e);
                 }
-                // Timing: mirrors `advance` + the inline-wake path of
-                // `step_frame`. A timed op whose finish time reaches the
-                // barrier yields (contended — no wake counted); otherwise
-                // the wake is taken inline under the engine's wake rule.
-                let budget = if rt.cost > 0 {
-                    t.clock += rt.cost;
-                    if barrier <= t.clock {
-                        break 'run Exit::Yield(inst.op_pos());
+                if pos == 0 {
+                    // `affine.for`: start the next level.
+                    depth += 1;
+                    reached = reached.max(depth);
+                    let level = &f.levels[depth];
+                    s.ivs[depth] = level.lower;
+                    s.bank.regs[level.iv_reg as usize] = level.lower;
+                    if depth + 1 == n {
+                        iv = level.lower;
+                        entries += 1;
+                        restride(f, &s.bank, &mut s.insts, &mut shape);
                     }
-                    t.last_wake = Some(t.clock);
-                    t.count.wakes += 1;
-                    self.on_wake(&t.count, t.clock)
-                } else {
-                    self.after_op(&t.count, t.clock)
-                };
-                if let Err(e) = budget {
-                    break 'run Exit::Fail(e);
+                    continue;
                 }
-                pos += 1;
+                // `affine.yield`, then the iteration boundary.
+                let level = &f.levels[depth];
+                let next = s.ivs[depth].saturating_add(level.step);
+                let continuing = next < level.upper;
+                if continuing {
+                    s.ivs[depth] = next;
+                    s.bank.regs[level.iv_reg as usize] = next;
+                    pos = 0;
+                }
+                t.count.idle += 1;
+                if let Err(e) = self.on_idle(&t.count, t.clock) {
+                    break Exit::Fail(e);
+                }
+                if !continuing {
+                    if depth == 0 {
+                        break Exit::Done;
+                    }
+                    // The enclosing level's `affine.yield` is next.
+                    depth -= 1;
+                }
+                continue;
             }
 
-            // ---- iteration boundary: the interpreter's end-of-block
-            // bookkeeping (loop advance + bounded idle-step spin). ----
-            let next = iv.saturating_add(f.step);
-            let continuing = next < f.upper;
-            if continuing {
-                iv = next;
-                s.bank.regs[f.iv_reg as usize] = next;
+            // ---- the innermost level. `exhausted` says whether this
+            // pass ended its loop. ----
+            let exhausted = 'inner: {
+                // Bulk segment: whole iterations with no per-op timing,
+                // then one counter step. The exact path below takes the
+                // iteration that holds the boundary.
+                if pos == 0 {
+                    let k = shape.segment_len(iv, &t, barrier, max_events, max_cycles);
+                    if k > 0 {
+                        let ran = bulk(
+                            f,
+                            &s.insts,
+                            &mut s.bank,
+                            &mut self.machine,
+                            &shape,
+                            iv,
+                            k,
+                            t.clock,
+                        );
+                        match ran {
+                            Ok(()) => {
+                                t.whole(&shape, k);
+                                let last =
+                                    iv.wrapping_add(((k - 1) as i64).wrapping_mul(shape.step));
+                                let next = last.saturating_add(shape.step);
+                                if next >= shape.upper {
+                                    iv = last;
+                                    break 'inner true;
+                                }
+                                iv = next;
+                                s.bank.regs[iv_reg] = next;
+                            }
+                            Err((it, at)) => {
+                                // Re-run the failing op on the exact path.
+                                t.whole(&shape, it);
+                                iv = iv.wrapping_add((it as i64).wrapping_mul(shape.step));
+                                t.prefix(&s.insts, at);
+                                pos = at;
+                            }
+                        }
+                    }
+                }
+
+                // Exact path: one op at a time.
+                while pos < f.insts.len() {
+                    let inst = &f.insts[pos];
+                    let rt = &s.insts[pos];
+                    t.count.ops += 1;
+                    let start = t.clock;
+                    let access =
+                        match exec::<false>(inst, rt, &mut s.bank, &mut self.machine, start, iv) {
+                            Ok(access) => access,
+                            Err(e) => break 'run Exit::Fail(e),
+                        };
+                    if tracing {
+                        self.trace_inst(row, inst, rt, start, access);
+                    }
+                    // Timing: mirrors `advance` + the inline-wake path of
+                    // `step_frame`. A timed op whose finish time reaches
+                    // the barrier yields (contended — no wake counted);
+                    // otherwise the wake is taken inline under the engine's
+                    // wake rule.
+                    let end = if rt.waits { access.1 } else { start + rt.cost };
+                    let budget = if end > start {
+                        t.clock = end;
+                        if barrier <= t.clock {
+                            break 'run Exit::Yield(inst.op_pos());
+                        }
+                        t.last_wake = Some(t.clock);
+                        t.count.wakes += 1;
+                        self.on_wake(&t.count, t.clock)
+                    } else {
+                        self.after_op(&t.count, t.clock)
+                    };
+                    if let Err(e) = budget {
+                        break 'run Exit::Fail(e);
+                    }
+                    pos += 1;
+                }
+
+                // Iteration boundary: the interpreter's end-of-block
+                // bookkeeping (loop advance + bounded idle-step spin).
+                let next = iv.saturating_add(shape.step);
+                let continuing = next < shape.upper;
+                if continuing {
+                    iv = next;
+                    s.bank.regs[iv_reg] = next;
+                }
+                t.count.idle += 1;
+                if let Err(e) = self.on_idle(&t.count, t.clock) {
+                    break 'run Exit::Fail(e);
+                }
+                !continuing
+            };
+            if !exhausted {
+                pos = 0;
+                continue;
             }
-            t.count.idle += 1;
-            if let Err(e) = self.on_idle(&t.count, t.clock) {
-                break Exit::Fail(e);
-            }
-            if !continuing {
+            s.ivs[depth] = iv;
+            if depth == 0 {
                 break Exit::Done;
             }
-            pos = 0;
+            // The enclosing level's `affine.yield` is next.
+            depth -= 1;
+            pos = 1;
         };
         self.unhoist(&mut s.bank);
 
         // ---- trace exit: sync counters, flush batched traffic, write
         // live register state back into the frame. ----
         self.count = t.count;
+        self.fused_trace_entries += entries;
         self.procs[p].clock = t.clock;
         if t.clock > entry_clock {
             self.bump_horizon(t.clock);
@@ -1317,30 +1659,89 @@ impl<'m> Engine<'m> {
                 m.counters.bytes_written += b.writes * b.elem_bytes;
             }
         }
+        if reached + 1 == n {
+            s.ivs[n - 1] = iv;
+        }
+        let write_back = |frame: &mut Frame, s: &FusedScratch| {
+            // The innermost body's defs, if it ran in this trace.
+            if reached + 1 == n {
+                for &(r, slot) in &f.defs {
+                    frame.env[slot as usize] = Some(SimValue::Int(s.bank.regs[r as usize]));
+                }
+            }
+            for (level, &v) in f.levels.iter().zip(&s.ivs).take(reached + 1) {
+                frame.env[level.iv_slot as usize] = Some(SimValue::Int(v));
+            }
+        };
 
         match exit {
             Exit::Fail(e) => Err(e),
             Exit::Done => {
-                for &(r, slot) in &f.defs {
-                    frame.env[slot as usize] = Some(SimValue::Int(s.bank.regs[r as usize]));
-                }
-                frame.env[f.iv_slot as usize] = Some(SimValue::Int(iv));
-                frame.stack.pop();
+                write_back(frame, s);
+                frame.stack.truncate(base);
                 Ok(Some(Step::Continue))
             }
             Exit::Yield(op_pos) => {
-                for &(r, slot) in &f.defs {
-                    frame.env[slot as usize] = Some(SimValue::Int(s.bank.regs[r as usize]));
-                }
-                frame.env[f.iv_slot as usize] = Some(SimValue::Int(iv));
-                if let Some(scope) = frame.stack.last_mut() {
-                    scope.idx = op_pos as usize + 1;
-                    if let Some(dim) = scope.looping.as_mut().and_then(|l| l.dims.first_mut()) {
-                        dim.current = iv;
+                write_back(frame, s);
+                // One scope per level, each below the innermost inside its
+                // inner loop: update the scopes the run entered with, push
+                // the levels it started.
+                for (d, (level, &current)) in f.levels.iter().zip(&s.ivs).enumerate() {
+                    let idx = if d + 1 < n { 1 } else { op_pos as usize + 1 };
+                    match frame.stack.get_mut(base + d) {
+                        Some(scope) => {
+                            scope.idx = idx;
+                            if let Some(dim) =
+                                scope.looping.as_mut().and_then(|l| l.dims.first_mut())
+                            {
+                                dim.current = current;
+                            }
+                        }
+                        None => frame.stack.push(Scope {
+                            block: level.block,
+                            idx,
+                            looping: Some(LoopState {
+                                dims: vec![LoopDim {
+                                    iv: level.iv_slot,
+                                    lower: level.lower,
+                                    upper: level.upper,
+                                    step: level.step,
+                                    current,
+                                }],
+                            }),
+                        }),
                     }
                 }
                 Ok(Some(Step::Yield))
             }
+        }
+    }
+
+    /// Records an instruction's trace events as the interpreter does: an
+    /// access that took time records its port stall, if any, and its
+    /// operation slot; a timed binary op records its own slot.
+    fn trace_inst(
+        &mut self,
+        row: u32,
+        inst: &FusedInst,
+        rt: &InstRt,
+        start: u64,
+        (astart, end): (u64, u64),
+    ) {
+        let name = match inst {
+            FusedInst::Load { .. } => trace::READ,
+            FusedInst::Store { .. } => trace::WRITE,
+            FusedInst::Bin { .. } if rt.cost > 0 => {
+                self.trace_slot(row, rt.name, TraceCat::Operation, start, rt.cost);
+                return;
+            }
+            _ => return,
+        };
+        if end > start {
+            if astart > start {
+                self.trace_slot(row, trace::STALL, TraceCat::Stall, start, astart - start);
+            }
+            self.trace_slot(row, name, TraceCat::Operation, astart, end - astart);
         }
     }
 
@@ -1395,6 +1796,7 @@ mod tests {
             ops,
             iv_lo: 0,
             iv_hi: i64::MAX,
+            bulk: true,
         }
     }
 

@@ -69,7 +69,7 @@ impl TraceCat {
 }
 
 /// A name's index in a trace's name table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct NameId(u32);
 
 /// The names every enabled trace starts with, at ids `0..FIXED.len()`.

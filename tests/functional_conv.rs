@@ -2,8 +2,9 @@
 //! Linalg through the reusable passes must compute the same numbers as
 //! the reference implementation — the simulator is an interpreter with a
 //! clock, not just a cost model. Every shape runs on both backends, with
-//! tracing off and on; each run's ofmap must equal [`conv2d_int`]'s, and
-//! the four runs must agree on cycles, wakes and ops.
+//! tracing off and on; each run's ofmap must equal [`conv2d_int`]'s, the
+//! four runs must agree on cycles, wakes and ops, and the fused runs must
+//! run the conv nest as fused traces.
 
 use equeue::prelude::*;
 use equeue::sim::{conv2d_int, Backend, TensorData};
@@ -105,6 +106,9 @@ fn check(dims: ConvDims, flatten: Option<Dataflow>) {
                 other => panic!("{tag}: expected int ofmap, got {other:?}"),
             };
             assert_eq!(got, expect, "{tag}");
+            if backend == Backend::Fused {
+                assert!(report.fused_trace_entries > 0, "{tag}: the conv nest fuses");
+            }
             counters.push((
                 report.cycles,
                 report.events_processed,

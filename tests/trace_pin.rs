@@ -97,6 +97,10 @@ fn pins() -> Vec<(String, usize, u64)> {
         };
         let report = simulate_with(module, &SimLibrary::standard(), &traced)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
+        // The lowered convs' traces come from fused runs.
+        if label.starts_with("conv ") {
+            assert!(report.fused_trace_entries > 0, "{label}: the nest fuses");
+        }
         let (n, digest) = pin(&report.trace);
         out.push((label, n, digest));
     };
