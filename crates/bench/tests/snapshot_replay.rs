@@ -381,12 +381,12 @@ const WIRE_PINS: &[(&str, Pin, Pin)] = &[
     ),
     (
         "fig11_affine_ws_8",
-        (7436, 12003585691440223334),
+        (7436, 7875027156583612895),
         (7436, 18188586685873840204),
     ),
     (
         "fig11_reassign_ws_8",
-        (10041, 1859001155988271838),
+        (10041, 6571178196576972361),
         (10041, 3481312156735166701),
     ),
     (
