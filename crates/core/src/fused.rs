@@ -1211,15 +1211,18 @@ impl<'m> Engine<'m> {
     /// scope's trace, extended over every scope below it that is the next
     /// level out of the same nest. Returns the stack index of the nest's
     /// outermost scope with the nest.
+    #[inline]
     pub(crate) fn fused_entry(&self, frame: &Frame) -> Option<(usize, &'m FusedLoop)> {
         let plan: &'m Plan = self.plan;
-        let fused = |scope: &Scope| match plan.fusion.get(scope.block.index()) {
-            Some(Some(Ok(f)))
-                if scope.looping.is_some() && !self.fused.skip[scope.block.index()] =>
-            {
-                Some(&**f)
+        // The interpreter asks before every op: a scope that is not a loop
+        // answers without a table lookup.
+        let fused = |scope: &Scope| {
+            scope.looping.as_ref()?;
+            let bi = scope.block.index();
+            match plan.fusion.get(bi) {
+                Some(Some(Ok(f))) if !self.fused.skip[bi] => Some(&**f),
+                _ => None,
             }
-            _ => None,
         };
         let mut base = frame.stack.len().checked_sub(1)?;
         let mut nest = fused(&frame.stack[base])?;
