@@ -275,8 +275,8 @@ pub(crate) struct FusedLoop {
     /// Loop-invariant scalar inputs: `(frame slot, register)`.
     inputs: Vec<(Slot, u32)>,
     /// Body-defined values written back at trace exits:
-    /// `(register, frame slot)`.
-    defs: Vec<(u32, Slot)>,
+    /// `(register, frame slot, op_pos)`.
+    defs: Vec<(u32, Slot, u32)>,
     /// Buffers the body accesses: `(frame slot, subscript rank)`.
     buffers: Vec<(Slot, u32)>,
 }
@@ -323,6 +323,8 @@ struct RegAlloc<'a> {
     inputs: Vec<(Slot, u32)>,
     /// Slots defined so far, with their registers.
     defs: Vec<(Slot, u32)>,
+    /// The `op_pos` of each entry of `defs`.
+    def_pos: Vec<u32>,
 }
 
 impl RegAlloc<'_> {
@@ -348,10 +350,11 @@ impl RegAlloc<'_> {
         Some(r)
     }
 
-    fn define(&mut self, slot: Slot) -> u32 {
+    fn define(&mut self, slot: Slot, op_pos: u32) -> u32 {
         let r = self.n;
         self.n += 1;
         self.defs.push((slot, r));
+        self.def_pos.push(op_pos);
         r
     }
 
@@ -442,16 +445,19 @@ fn fuse_loop(
         upper,
         step,
     };
+    // A provisional verdict (the index was just checked), so a malformed
+    // nest that reaches this body again ends the recursion.
+    table[body.index()] = Some(Err(FuseDecline::Malformed));
     let verdict = match inner_loop(module, plan, body) {
         Inner::None => try_build(module, plan, level)
             .and_then(|f| check_buffers(module, lib, plan, body).map(|()| f)),
         Inner::Perfect { body, iv, bounds } => {
             fuse_loop(module, lib, plan, table, body, iv, bounds);
-            match &table[body.index()] {
-                Some(Ok(inner)) => Ok(inner.enclosed_in(level)),
-                Some(Err(reason)) => Err(reason.clone()),
+            match table.get(body.index()) {
+                Some(Some(Ok(inner))) => Ok(inner.enclosed_in(level)),
+                Some(Some(Err(reason))) => Err(reason.clone()),
                 // The inner loop never enters.
-                None => Err(FuseDecline::ImperfectNest),
+                _ => Err(FuseDecline::ImperfectNest),
             }
         }
         Inner::Imperfect => Err(FuseDecline::ImperfectNest),
@@ -577,6 +583,7 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
         def_slots: &def_slots,
         inputs: Vec::new(),
         defs: Vec::new(),
+        def_pos: Vec::new(),
     };
     let mut buffers: Vec<(Slot, u32)> = Vec::new();
     let mut insts: Vec<FusedInst> = Vec::new();
@@ -618,7 +625,7 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
                 }
                 let buf = buffer_index(&mut buffers, &def_slots, buffer, indices.len() as u32)?;
                 let (indices, strided) = regs.subscripts(plan.slots(indices)).ok_or_else(flow)?;
-                let dst = regs.define(results[0]);
+                let dst = regs.define(results[0], op_pos);
                 insts.push(FusedInst::Load {
                     buf,
                     indices,
@@ -673,7 +680,7 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
                 }
                 let lhs = regs.operand(lhs).ok_or_else(flow)?;
                 let rhs = regs.operand(rhs).ok_or_else(flow)?;
-                let dst = regs.define(results[0]);
+                let dst = regs.define(results[0], op_pos);
                 insts.push(FusedInst::Bin {
                     op,
                     lhs,
@@ -693,7 +700,7 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
                 })?;
                 let lhs = regs.operand(lhs).ok_or_else(flow)?;
                 let rhs = regs.operand(rhs).ok_or_else(flow)?;
-                let dst = regs.define(results[0]);
+                let dst = regs.define(results[0], op_pos);
                 insts.push(FusedInst::Cmp {
                     pred,
                     lhs,
@@ -713,7 +720,7 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
                 let cond = regs.operand(cond).ok_or_else(flow)?;
                 let on_true = regs.operand(on_true).ok_or_else(flow)?;
                 let on_false = regs.operand(on_false).ok_or_else(flow)?;
-                let dst = regs.define(results[0]);
+                let dst = regs.define(results[0], op_pos);
                 insts.push(FusedInst::Sel {
                     cond,
                     on_true,
@@ -726,7 +733,7 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
                 if results.len() != 1 {
                     return Err(bad());
                 }
-                let dst = regs.define(results[0]);
+                let dst = regs.define(results[0], op_pos);
                 insts.push(FusedInst::Const { value, dst, op_pos });
             }
             OpCode::Yield => {
@@ -746,7 +753,9 @@ fn try_build(module: &Module, plan: &Plan, level: Level) -> Result<FusedLoop, Fu
         insts,
         n_regs: regs.n,
         inputs: regs.inputs,
-        defs: regs.defs.iter().map(|&(s, r)| (r, s)).collect(),
+        defs: (regs.defs.iter().zip(&regs.def_pos))
+            .map(|(&(s, r), &pos)| (r, s, pos))
+            .collect(),
         buffers,
     })
 }
@@ -1383,7 +1392,7 @@ impl<'m> Engine<'m> {
         // after a contended yield) are re-loaded from the environment; the
         // zero default is never read before being overwritten, because
         // trace formation rejects use-before-def.
-        for &(r, slot) in &f.defs {
+        for &(r, slot, _) in &f.defs {
             if let Some(Some(SimValue::Int(v))) = frame.env.get(slot as usize) {
                 bank.regs[r as usize] = *v;
             }
@@ -1482,8 +1491,10 @@ impl<'m> Engine<'m> {
         // running innermost loop counts, as does each loop a fused level
         // starts.
         let mut entries = u64::from(depth + 1 == n);
-        // The deepest level this run has been in.
+        // The deepest level this run has been in, and whether an innermost
+        // iteration finished in it (so every body def was computed).
         let mut reached = depth;
+        let mut full = false;
         let iv_reg = f.inner().iv_reg as usize;
 
         self.hoist(&mut s.bank);
@@ -1554,6 +1565,7 @@ impl<'m> Engine<'m> {
                         match ran {
                             Ok(()) => {
                                 t.whole(&shape, k);
+                                full = true;
                                 let last =
                                     iv.wrapping_add(((k - 1) as i64).wrapping_mul(shape.step));
                                 let next = last.saturating_add(shape.step);
@@ -1626,6 +1638,7 @@ impl<'m> Engine<'m> {
                 }
                 !continuing
             };
+            full = true;
             if !exhausted {
                 pos = 0;
                 continue;
@@ -1665,10 +1678,12 @@ impl<'m> Engine<'m> {
         if reached + 1 == n {
             s.ivs[n - 1] = iv;
         }
-        let write_back = |frame: &mut Frame, s: &FusedScratch| {
-            // The innermost body's defs, if it ran in this trace.
-            if reached + 1 == n {
-                for &(r, slot) in &f.defs {
+        // The innermost body's defs this run computed: all of them once an
+        // iteration finished, else those up to a yield (a def the
+        // interpreter never reached stays unset).
+        let write_back = |frame: &mut Frame, s: &FusedScratch, yield_pos: Option<u32>| {
+            for &(r, slot, pos) in &f.defs {
+                if full || yield_pos.is_some_and(|y| pos <= y) {
                     frame.env[slot as usize] = Some(SimValue::Int(s.bank.regs[r as usize]));
                 }
             }
@@ -1680,12 +1695,12 @@ impl<'m> Engine<'m> {
         match exit {
             Exit::Fail(e) => Err(e),
             Exit::Done => {
-                write_back(frame, s);
+                write_back(frame, s, None);
                 frame.stack.truncate(base);
                 Ok(Some(Step::Continue))
             }
             Exit::Yield(op_pos) => {
-                write_back(frame, s);
+                write_back(frame, s, Some(op_pos));
                 // One scope per level, each below the innermost inside its
                 // inner loop: update the scopes the run entered with, push
                 // the levels it started.
