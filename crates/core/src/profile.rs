@@ -79,9 +79,13 @@ pub struct SimReport {
     /// Backend-independent; the static resource-estimation pass
     /// upper-bounds it.
     pub peak_live_tensor_bytes: u64,
-    /// Successful fused-trace entries. `0` under [`crate::Backend::Interp`]
-    /// (and whenever every loop declines); the runtime ground truth for the
-    /// analyzer's fusibility report.
+    /// Starts of an innermost fused loop: one each time the interpreter
+    /// enters a running innermost loop's trace (at its start, or resuming
+    /// it after a contended yield), and one for each innermost loop a fused
+    /// outer level of a perfect nest starts. An uncontended run of a fused
+    /// nest counts the product of the enclosing loops' trip counts. `0`
+    /// under [`crate::Backend::Interp`] (and whenever every loop declines);
+    /// the runtime ground truth for the analyzer's fusibility report.
     pub fused_trace_entries: u64,
     /// Per-connection bandwidth summaries.
     pub connections: Vec<ConnReport>,
