@@ -430,9 +430,6 @@ pub(crate) struct Engine<'m> {
     pub(crate) deadline: Option<Instant>,
     pub(crate) trace: Trace,
     pub(crate) host_mem: Option<CompId>,
-    /// Whether fused loop traces may run this run (the backend is
-    /// [`Backend::Fused`]; traced runs fuse too).
-    fused_on: bool,
     /// Per-run fused-trace scratch (registers, costs, skip set).
     pub(crate) fused: crate::fused::FusedScratch,
     /// When armed (`Some(cut)`), the scheduler pauses before processing the
@@ -490,7 +487,6 @@ impl<'m> Engine<'m> {
                 Trace::disabled()
             },
             host_mem: None,
-            fused_on: options.backend == Backend::Fused,
             fused: crate::fused::FusedScratch::new(plan.fusion.len()),
             snapshot_at: None,
             snapshot_due: false,
@@ -1163,13 +1159,14 @@ impl<'m> Engine<'m> {
 
         // Fused-backend entry: when the current scope is a loop whose body
         // has a pre-compiled trace (and the run hasn't declined it), hand
-        // the whole loop to the trace runner. It executes straight-line
-        // instructions — bit-identical counters — and returns to the
+        // the loop, and every enclosing scope of the same perfect nest, to
+        // the trace runner. It executes straight-line instructions —
+        // bit-identical counters and trace records — and returns to the
         // event engine only at trace exits (contention, completion, limit
         // epochs). `Ok(None)` means the runtime preflight declined (e.g. a
         // non-integer loop input): the run marks the block skipped and falls
         // through to the interpreter.
-        if self.fused_on {
+        if self.options.backend == Backend::Fused {
             if let Some((base, f)) = self.fused_entry(frame) {
                 if let Some(step) = self.run_fused(p, frame, f, base)? {
                     return Ok(step);
