@@ -57,10 +57,10 @@
 //! marked skipped for the rest of the run and the interpreter takes over.
 //! Declining is never an error: it is the escape hatch that keeps
 //! malformed programs on the exact interpreter semantics. The interpreter
-//! enters the runner at its innermost loop scope (or the loop it is about
-//! to start), and the runner takes over every enclosing scope on the frame
-//! stack that is a level of the same fused nest; a mid-nest exit rebuilds
-//! that stack exactly, one scope per active level.
+//! offers the runner its top scope when that scope is a loop with a trace,
+//! and the runner takes over every enclosing scope on the frame stack that
+//! is a level of the same fused nest; a mid-nest exit rebuilds that stack
+//! exactly, one scope per active level.
 //!
 //! **Timing.** `affine.load`/`affine.store` cost the processor's cycles
 //! for the op, as in the interpreter; `equeue.read`/`equeue.write` wait for
