@@ -78,14 +78,6 @@ impl TensorData {
         }
     }
 
-    /// The float elements, if this is a [`TensorData::Float`].
-    pub fn as_floats(&self) -> Option<&[f64]> {
-        match self {
-            TensorData::Float(v) => Some(v),
-            TensorData::Int(_) => None,
-        }
-    }
-
     /// Mutable integer elements (copy-on-write: clones the backing vector
     /// only when shared), if this is an [`TensorData::Int`].
     pub fn make_ints_mut(&mut self) -> Option<&mut Vec<i64>> {
@@ -275,14 +267,6 @@ impl SimValue {
     pub fn as_signal(&self) -> Option<SignalId> {
         match self {
             SimValue::Signal(s) => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// The connection id, if this is a [`SimValue::Connection`].
-    pub fn as_connection(&self) -> Option<ConnId> {
-        match self {
-            SimValue::Connection(c) => Some(*c),
             _ => None,
         }
     }

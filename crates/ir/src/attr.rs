@@ -90,14 +90,6 @@ impl Attr {
         }
     }
 
-    /// The type payload, if this is an [`Attr::Ty`].
-    pub fn as_type(&self) -> Option<&Type> {
-        match self {
-            Attr::Ty(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// An integer array viewed as `usize` dims; `None` if any entry is
     /// negative or this is not an integer array.
     pub fn as_shape(&self) -> Option<Vec<usize>> {

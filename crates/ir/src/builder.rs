@@ -107,17 +107,6 @@ impl<'m> OpBuilder<'m> {
         self.block
     }
 
-    /// The next insertion index.
-    pub fn insertion_index(&self) -> usize {
-        self.index
-    }
-
-    /// Moves the insertion point to the end of `block`.
-    pub fn set_insertion_point_to_end(&mut self, block: BlockId) {
-        self.index = self.module.block(block).ops.len();
-        self.block = block;
-    }
-
     /// Borrows the underlying module.
     pub fn module(&self) -> &Module {
         self.module
