@@ -1,7 +1,9 @@
 //! Scenario tests for the simulation engine: each exercises one modelled
 //! hardware behaviour end to end through a small EQueue program.
 
-use equeue_core::{simulate, simulate_with, RunLimits, SimError, SimLibrary, SimOptions};
+use equeue_core::{
+    simulate, simulate_with, ProcProfile, RunLimits, SimError, SimLibrary, SimOptions,
+};
 use equeue_dialect::{kinds, ArithBuilder, ConnKind, EqueueBuilder};
 use equeue_ir::{Module, OpBuilder, Type, ValueId};
 
@@ -329,4 +331,62 @@ fn dealloc_releases_capacity_mid_program() {
     b.dealloc(first);
     b.alloc(mem, &[3], Type::I32); // fits after dealloc
     assert!(simulate(&m).is_ok());
+}
+
+/// A `proc_kind` processor reads a one-element buffer in a `ScratchPad`
+/// memory, then adds two constants.
+fn read_then_add(proc_kind: &str, mem_attrs: &[(&str, i64)]) -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(proc_kind);
+    let mut spec = b
+        .op("equeue.create_mem")
+        .attr("kind", "ScratchPad")
+        .attr("shape", vec![8i64])
+        .attr("data_bits", 32i64)
+        .attr("banks", 1i64);
+    for (k, v) in mem_attrs {
+        spec = spec.attr(k, *v);
+    }
+    let mem = spec.result(Type::Mem).finish_value();
+    let buf = b.alloc(mem, &[1], Type::I32);
+    let start = b.control_start();
+    let l = b.launch(start, pe, &[buf], vec![]);
+    {
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        ib.read(l.body_args[0], None);
+        let c = ib.const_int(3, Type::I32);
+        ib.addi(c, c);
+        ib.ret(vec![]);
+    }
+    let done = l.done;
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    b.await_all(vec![done]);
+    m
+}
+
+#[test]
+fn registered_proc_profile_and_energy_reach_the_report() {
+    let mut lib = SimLibrary::standard();
+    let mut profile = ProcProfile::uniform(0);
+    profile.per_op.insert("arith.addi".into(), 7);
+    lib.register_proc_profile("Accel", profile);
+    lib.register_energy("ScratchPad", 3.5);
+    let run = |m: &Module| simulate_with(m, &lib, &SimOptions::default()).unwrap();
+    let energy = |r: &equeue_core::SimReport| {
+        let mem = r.memories.iter().find(|m| m.kind == "ScratchPad");
+        mem.expect("the ScratchPad memory is reported").energy_pj
+    };
+
+    // One SRAM-timed read (an unknown memory kind times as SRAM: one
+    // cycle), then the registered kind's 7-cycle add; constants are free.
+    let report = run(&read_then_add("Accel", &[]));
+    assert_eq!(report.cycles, 1 + 7);
+    assert!((energy(&report) - 3.5).abs() < 1e-9); // one access × 3.5 pJ
+                                                   // An unregistered kind gets the default profile: a 1-cycle add.
+    assert_eq!(run(&read_then_add("Other", &[])).cycles, 1 + 1);
+    // The `create_mem` attribute still overrides the registered energy.
+    let custom = run(&read_then_add("Accel", &[("energy_pj", 9)]));
+    assert!((energy(&custom) - 9.0).abs() < 1e-9);
 }
