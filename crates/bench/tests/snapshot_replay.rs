@@ -103,12 +103,12 @@ fn replay_is_bit_identical_across_cuts_and_backends() {
     }
 }
 
-/// The bytes of a v3 stream that may differ between a Fused and an Interp
-/// capture of the same state: the header's backend byte, the
-/// `fused_trace_entries` counter (the eighth counter after the header and
-/// the module fingerprint) and the trailing checksum.
+/// The bytes of a v4 stream that may differ between a Fused and an Interp
+/// capture of the same state: the `fused_trace_entries` counter (the
+/// eighth counter after the header and the module fingerprint) and the
+/// trailing checksum.
 fn backend_specific(i: usize, len: usize) -> bool {
-    i == 25 || (106..114).contains(&i) || i >= len - 8
+    (105..113).contains(&i) || i >= len - 8
 }
 
 /// A lowered `linalg.conv2d` (the Fig. 11 Affine stage: a perfect

@@ -50,7 +50,7 @@ use crate::error::{LimitExceeded, LimitKind, Progress};
 use crate::interp::{apply_binary, conv2d_int, eval_cmpi, matmul_int, BinOp};
 use crate::library::SimLibrary;
 use crate::machine::{AccessKind, Machine, ProcProfile, RegisterBehavior};
-use crate::plan::{mem_spec, OpCode, OpInfo, Plan, Slot};
+use crate::plan::{mem_spec, LoopDims, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::queue::EventQueue;
 use crate::signal::SignalTable;
@@ -248,55 +248,13 @@ pub(crate) struct PendingEvent {
     pub(crate) done: SignalId,
 }
 
-/// One dimension of a loop scope: its induction slot, bounds, step and
-/// current value.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LoopDim {
-    pub(crate) iv: Slot,
-    pub(crate) lower: i64,
-    pub(crate) upper: i64,
-    pub(crate) step: i64,
-    pub(crate) current: i64,
-}
-
-/// Loop bookkeeping for `affine.for` / `affine.parallel` scopes, outermost
-/// dimension first.
-#[derive(Debug)]
-pub(crate) struct LoopState {
-    pub(crate) dims: Vec<LoopDim>,
-}
-
-impl LoopState {
-    /// Advances the innermost dimension; returns `false` when exhausted.
-    /// Saturating: bounds near `i64::MAX` terminate instead of overflowing.
-    fn advance(&mut self) -> bool {
-        let mut d = self.dims.len();
-        loop {
-            if d == 0 {
-                return false;
-            }
-            d -= 1;
-            let dim = &mut self.dims[d];
-            dim.current = dim.current.saturating_add(dim.step);
-            if dim.current < dim.upper {
-                for later in &mut self.dims[d + 1..] {
-                    later.current = later.lower;
-                }
-                return true;
-            }
-        }
-    }
-
-    fn live(&self) -> bool {
-        self.dims.iter().all(|d| d.current < d.upper)
-    }
-}
-
+/// One block on a frame's stack and the index of its next op. A loop
+/// body's bounds live in the plan and its current iteration in the frame's
+/// induction slots.
 #[derive(Debug)]
 pub(crate) struct Scope {
     pub(crate) block: BlockId,
     pub(crate) idx: usize,
-    pub(crate) looping: Option<LoopState>,
 }
 
 /// An executing launch body: a dense slot-indexed environment plus a block
@@ -487,7 +445,7 @@ impl<'m> Engine<'m> {
                 Trace::disabled()
             },
             host_mem: None,
-            fused: crate::fused::FusedScratch::new(plan.fusion.len()),
+            fused: crate::fused::FusedScratch::new(plan),
             snapshot_at: None,
             snapshot_due: false,
             waiter_pool: vec![],
@@ -520,7 +478,6 @@ impl<'m> Engine<'m> {
             stack: vec![Scope {
                 block: module.top_block(),
                 idx: 0,
-                looping: None,
             }],
             done,
             scope: 0,
@@ -839,7 +796,6 @@ impl<'m> Engine<'m> {
                 stack.push(Scope {
                     block: info.body,
                     idx: 0,
-                    looping: None,
                 });
                 self.procs[p].frame = Some(Frame {
                     env,
@@ -1135,13 +1091,10 @@ impl<'m> Engine<'m> {
             if scope.idx < block_len {
                 break;
             }
-            match &mut scope.looping {
-                Some(state) => {
-                    if state.advance() && state.live() {
+            match self.plan.body_loop(scope.block) {
+                Some(dims) => {
+                    if next_iteration(dims, &mut frame.env)? {
                         scope.idx = 0;
-                        for d in &state.dims {
-                            frame.env[d.iv as usize] = Some(SimValue::Int(d.current));
-                        }
                     } else {
                         frame.stack.pop();
                     }
@@ -1591,54 +1544,20 @@ impl<'m> Engine<'m> {
             }
 
             // ---- loops ----
-            OpCode::For { bounds, body, iv } => {
-                let (lower, upper, step) = plan.for_bounds(bounds);
-                if lower < upper {
-                    frame.env[iv as usize] = Some(SimValue::Int(lower));
-                    frame.stack.push(Scope {
-                        block: body,
-                        idx: 0,
-                        looping: Some(LoopState {
-                            dims: vec![LoopDim {
-                                iv,
-                                lower,
-                                upper,
-                                step,
-                                current: lower,
-                            }],
-                        }),
-                    });
-                }
-                Ok(Step::Continue)
-            }
-            OpCode::Parallel { bounds, body, ivs } => {
-                let ivs = plan.slots(ivs);
-                let (lowers, uppers, steps) = plan.parallel_bounds(bounds, ivs.len());
-                // Interpreted sequentially at the Affine level; the
-                // --parallel-to-equeue pass lowers it to true concurrency.
-                let live = lowers.iter().zip(uppers).all(|(l, u)| l < u);
-                if live {
-                    for (&iv, &v) in ivs.iter().zip(lowers.iter()) {
-                        frame.env[iv as usize] = Some(SimValue::Int(v));
+            // `affine.parallel` is interpreted sequentially at the Affine
+            // level; the --parallel-to-equeue pass lowers it to true
+            // concurrency.
+            OpCode::For { body, .. } | OpCode::Parallel { body, .. } => {
+                let Some(dims) = plan.loop_dims(&info.code) else {
+                    return Ok(Step::Continue); // unreachable: a loop op has dims
+                };
+                if dims.lowers.iter().zip(dims.uppers).all(|(l, u)| l < u) {
+                    for (&iv, &lower) in dims.ivs.iter().zip(dims.lowers) {
+                        frame.env[iv as usize] = Some(SimValue::Int(lower));
                     }
                     frame.stack.push(Scope {
                         block: body,
                         idx: 0,
-                        looping: Some(LoopState {
-                            dims: ivs
-                                .iter()
-                                .zip(lowers)
-                                .zip(uppers)
-                                .zip(steps)
-                                .map(|(((&iv, &lower), &upper), &step)| LoopDim {
-                                    iv,
-                                    lower,
-                                    upper,
-                                    step,
-                                    current: lower,
-                                })
-                                .collect(),
-                        }),
                     });
                 }
                 Ok(Step::Continue)
@@ -2073,6 +1992,30 @@ impl<'m> Engine<'m> {
         self.host_mem = Some(m);
         m
     }
+}
+
+/// Steps a loop's induction slots to its next iteration, innermost
+/// dimension fastest, and resets the dimensions inside the one that moved
+/// to their lower bounds. `false`, with no slot written, when the loop is
+/// exhausted. Saturating: bounds near `i64::MAX` terminate instead of
+/// overflowing.
+fn next_iteration(dims: LoopDims, env: &mut [Option<SimValue>]) -> Result<bool, SimError> {
+    for d in (0..dims.ivs.len()).rev() {
+        let Some(Some(SimValue::Int(current))) = env.get(dims.ivs[d] as usize) else {
+            return Err(SimError::Runtime(
+                "loop induction variable is not an integer".into(),
+            ));
+        };
+        let next = current.saturating_add(dims.steps[d]);
+        if next < dims.uppers[d] {
+            env[dims.ivs[d] as usize] = Some(SimValue::Int(next));
+            for (&iv, &lower) in dims.ivs[d + 1..].iter().zip(&dims.lowers[d + 1..]) {
+                env[iv as usize] = Some(SimValue::Int(lower));
+            }
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// The `names` attribute of a `create_comp`/`add_comp` (checked at decode).

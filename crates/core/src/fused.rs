@@ -50,10 +50,11 @@
 //! [`FuseDecline`] reason that static analysis reads as is.
 //!
 //! **Runtime preflight** (`run_fused`) re-validates the live machine state
-//! as safety code: the frame's loop scopes must match the nest's levels,
-//! the buffers must be live integer tensors of the decoded rank in
-//! uniform-latency memories, and every loop-invariant input must currently
-//! hold a scalar integer. Any mismatch *declines* the trace — the block is
+//! as safety code: the frame's scopes must sit on the nest's level blocks
+//! (a level's bounds are the plan's, so the block is the whole check),
+//! each level's induction slot must hold an integer, the buffers must be
+//! live integer tensors of the decoded rank in uniform-latency memories,
+//! and every loop-invariant input must currently hold a scalar integer. Any mismatch *declines* the trace — the block is
 //! marked skipped for the rest of the run and the interpreter takes over.
 //! Declining is never an error: it is the escape hatch that keeps
 //! malformed programs on the exact interpreter semantics. The interpreter
@@ -88,7 +89,7 @@ use std::sync::Arc;
 use equeue_dialect::{buffer_origin, read_view, write_view, BufferOrigin};
 use equeue_ir::{BlockId, Module};
 
-use crate::engine::{Engine, Frame, LoopDim, LoopState, RunCounters, Scope, Step};
+use crate::engine::{Engine, Frame, RunCounters, Scope, Step};
 use crate::engine::{OP_EPOCH, WAKE_EPOCH};
 use crate::error::SimError;
 use crate::interp::{BinOp, CmpPred};
@@ -959,9 +960,10 @@ fn exec<const BULK: bool>(
 /// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct FusedScratch {
-    /// Blocks whose trace this run has declined (runtime preflight
-    /// mismatch); permanent for the run, so a declined loop pays the
-    /// preflight once, not per entry.
+    /// Blocks this run does not fuse, indexed by `BlockId::index()`: those
+    /// without a trace, and those whose trace the runtime preflight
+    /// declined. A decline is permanent for the run, so a declined loop
+    /// pays the preflight once, not per entry.
     pub(crate) skip: Vec<bool>,
     /// Per-instruction runtime views, parallel to `FusedLoop::insts`.
     insts: Vec<InstRt>,
@@ -971,9 +973,13 @@ pub(crate) struct FusedScratch {
 }
 
 impl FusedScratch {
-    pub(crate) fn new(n_blocks: usize) -> FusedScratch {
+    pub(crate) fn new(plan: &Plan) -> FusedScratch {
         FusedScratch {
-            skip: vec![false; n_blocks],
+            skip: plan
+                .fusion
+                .iter()
+                .map(|f| !matches!(f, Some(Ok(_))))
+                .collect(),
             ..FusedScratch::default()
         }
     }
@@ -1223,13 +1229,15 @@ impl<'m> Engine<'m> {
     #[inline]
     pub(crate) fn fused_entry(&self, frame: &Frame) -> Option<(usize, &'m FusedLoop)> {
         let plan: &'m Plan = self.plan;
-        // The interpreter asks before every op: a scope that is not a loop
-        // answers without a table lookup.
+        // The interpreter asks before every op: a block without a trace
+        // answers from the skip set alone.
         let fused = |scope: &Scope| {
-            scope.looping.as_ref()?;
             let bi = scope.block.index();
+            if self.fused.skip[bi] {
+                return None;
+            }
             match plan.fusion.get(bi) {
-                Some(Some(Ok(f))) if !self.fused.skip[bi] => Some(&**f),
+                Some(Some(Ok(f))) => Some(&**f),
                 _ => None,
             }
         };
@@ -1308,22 +1316,13 @@ impl<'m> Engine<'m> {
         }
         s.ivs.clear();
         for (level, scope) in f.levels.iter().zip(&frame.stack[base..]) {
-            let Some(state) = &scope.looping else {
-                return Ok(None);
-            };
-            let [dim] = state.dims.as_slice() else {
-                return Ok(None);
-            };
-            if scope.block != level.block
-                || dim.iv != level.iv_slot
-                || dim.lower != level.lower
-                || dim.step != level.step
-                || dim.upper != level.upper
-                || (s.ivs.len() < depth && scope.idx != 1)
-            {
+            if scope.block != level.block || (s.ivs.len() < depth && scope.idx != 1) {
                 return Ok(None);
             }
-            s.ivs.push(dim.current);
+            let Some(Some(SimValue::Int(iv))) = frame.env.get(level.iv_slot as usize) else {
+                return Ok(None);
+            };
+            s.ivs.push(*iv);
         }
         s.ivs.resize(n, 0);
         let entry_idx = frame.stack[base + depth].idx;
@@ -1703,30 +1702,14 @@ impl<'m> Engine<'m> {
                 write_back(frame, s, Some(op_pos));
                 // One scope per level, each below the innermost inside its
                 // inner loop: update the scopes the run entered with, push
-                // the levels it started.
-                for (d, (level, &current)) in f.levels.iter().zip(&s.ivs).enumerate() {
+                // the levels it started. `write_back` set every level's iv.
+                for (d, level) in f.levels.iter().enumerate() {
                     let idx = if d + 1 < n { 1 } else { op_pos as usize + 1 };
                     match frame.stack.get_mut(base + d) {
-                        Some(scope) => {
-                            scope.idx = idx;
-                            if let Some(dim) =
-                                scope.looping.as_mut().and_then(|l| l.dims.first_mut())
-                            {
-                                dim.current = current;
-                            }
-                        }
+                        Some(scope) => scope.idx = idx,
                         None => frame.stack.push(Scope {
                             block: level.block,
                             idx,
-                            looping: Some(LoopState {
-                                dims: vec![LoopDim {
-                                    iv: level.iv_slot,
-                                    lower: level.lower,
-                                    upper: level.upper,
-                                    step: level.step,
-                                    current,
-                                }],
-                            }),
                         }),
                     }
                 }

@@ -258,6 +258,16 @@ pub(crate) fn mem_spec(module: &Module, op: OpId) -> Option<MemSpec> {
     })
 }
 
+/// A loop's induction slots and bounds, outermost dimension first (one
+/// dimension for `affine.for`). Upper bounds are exclusive.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoopDims<'a> {
+    pub(crate) ivs: &'a [Slot],
+    pub(crate) lowers: &'a [i64],
+    pub(crate) uppers: &'a [i64],
+    pub(crate) steps: &'a [i64],
+}
+
 /// The prepass output: flat tables for scope layouts, decoded ops and their
 /// pools, plus the fused loop traces. Immutable once built — a plan can
 /// back any number of simulations, sequentially or from several threads at
@@ -276,6 +286,9 @@ pub(crate) struct Plan {
     launches: Vec<LaunchInfo>,
     /// Loop bounds, indexed by [`OpCode::For`] and [`OpCode::Parallel`].
     ints: Vec<i64>,
+    /// The `affine.for`/`affine.parallel` op whose body each block is,
+    /// indexed by `BlockId::index()`; `None` for any other block.
+    loop_of: Vec<Option<OpId>>,
     /// Convolution shapes, indexed by [`OpCode::Conv2d`].
     convs: Vec<ConvDims>,
     /// The fusion verdict of every entered `affine.for` body, indexed by
@@ -313,11 +326,29 @@ impl Plan {
         (b[0], b[1], b[2])
     }
 
-    /// `(lowers, uppers, steps)` of an [`OpCode::Parallel`] with `dims`
-    /// induction variables.
-    pub(crate) fn parallel_bounds(&self, bounds: u32, dims: usize) -> (&[i64], &[i64], &[i64]) {
-        let b = &self.ints[bounds as usize..][..3 * dims];
-        (&b[..dims], &b[dims..2 * dims], &b[2 * dims..])
+    /// The induction slots and bounds of an [`OpCode::For`] or
+    /// [`OpCode::Parallel`]; `None` for any other op.
+    pub(crate) fn loop_dims<'a>(&'a self, code: &'a OpCode) -> Option<LoopDims<'a>> {
+        let (bounds, ivs) = match code {
+            OpCode::For { bounds, iv, .. } => (*bounds, std::slice::from_ref(iv)),
+            OpCode::Parallel { bounds, ivs, .. } => (*bounds, self.slots(*ivs)),
+            _ => return None,
+        };
+        let n = ivs.len();
+        let b = &self.ints[bounds as usize..][..3 * n];
+        Some(LoopDims {
+            ivs,
+            lowers: &b[..n],
+            uppers: &b[n..2 * n],
+            steps: &b[2 * n..],
+        })
+    }
+
+    /// The induction slots and bounds of the loop whose body is `block`;
+    /// `None` when `block` is not a loop body.
+    pub(crate) fn body_loop(&self, block: BlockId) -> Option<LoopDims<'_>> {
+        let op = self.loop_of.get(block.index()).copied().flatten()?;
+        self.loop_dims(&self.ops[op.index()].code)
     }
 
     /// The shape of [`OpCode::Conv2d`].
@@ -456,6 +487,7 @@ impl Plan {
                 slots: Vec::with_capacity(scope_ops.len() * 2),
                 launches: vec![],
                 ints: vec![],
+                loop_of: vec![None; module.num_blocks()],
                 convs: vec![],
                 fusion: vec![],
             },
@@ -469,6 +501,9 @@ impl Plan {
             dec.enter(s as u32);
             for &op in &scope_ops[op_off[s]..op_off[s + 1]] {
                 let info = dec.op(op);
+                if let OpCode::For { body, .. } | OpCode::Parallel { body, .. } = info.code {
+                    dec.plan.loop_of[body.index()] = Some(op);
+                }
                 dec.plan.ops[op.index()] = info;
             }
         }

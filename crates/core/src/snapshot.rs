@@ -16,13 +16,13 @@
 //! signal table and wake queue) straight into a dependency-free, versioned,
 //! little-endian binary stream, and resume reads the stream straight back
 //! into those types. The stream is the magic `EQSS`, a `u32` format
-//! version, the header (requested and actual cut, completion flag, capture
-//! backend), the state sections, and a trailing FNV-1a 64-bit checksum over
+//! version, the header (requested and actual cut, completion flag), the
+//! state sections, and a trailing FNV-1a 64-bit checksum over
 //! everything before it. Encoding is canonical (deterministic field order,
 //! profile maps sorted by key, wake queue sorted by `(time, seq)`).
 //!
 //! [`Snapshot::decode`] checks the envelope: length, checksum, magic,
-//! version and header tags, so any truncation or byte mutation is rejected
+//! version and completion flag, so any truncation or byte mutation is rejected
 //! with a typed [`SimError::Snapshot`] — never a panic. Resume checks the
 //! rest, once: every tag, length and shape in the state sections, the
 //! module fingerprint, every id the state cross-references, and the
@@ -36,6 +36,11 @@
 //! is exact for stateless models, while a stateful one restarts from the
 //! factory's initial state.
 //!
+//! Since version 4 a frame's stack scope is only its block and op index:
+//! a loop body's bounds come from the resuming plan and its current
+//! iteration from the frame's induction slots, which resume checks hold
+//! integers. The header no longer names the capture backend.
+//!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
 //! cycle/event budgets from the captured counters.
@@ -48,8 +53,8 @@ use equeue_dialect::ConnKind;
 use equeue_ir::{BlockId, IdVec, Module, OpId};
 
 use crate::engine::{
-    build_report, set_proc_of_comp, Backend, Engine, EventKind, Frame, HotCycles, LoopDim,
-    LoopState, PendingEvent, ProcRuntime, Scope, SimOptions,
+    build_report, set_proc_of_comp, Engine, EventKind, Frame, HotCycles, PendingEvent, ProcRuntime,
+    Scope, SimOptions,
 };
 use crate::library::SimLibrary;
 use crate::machine::{
@@ -68,14 +73,11 @@ const MAGIC: [u8; 4] = *b"EQSS";
 
 /// Current snapshot format version. Bumped on any wire-format change;
 /// decoding rejects unknown versions.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Bytes before the state sections: magic, version, both cuts, the
-/// completion flag and the backend tag.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 1 + 1;
-
-/// Wire tags of the capture backends.
-const BACKENDS: [Backend; 2] = [Backend::Interp, Backend::Fused];
+/// Bytes before the state sections: magic, version, both cuts and the
+/// completion flag.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 1;
 
 /// Complete engine state at a cycle boundary, resumable via
 /// [`crate::CompiledModule::resume`].
@@ -122,7 +124,6 @@ pub struct Snapshot {
     requested_cut: u64,
     actual_cut: u64,
     completed: bool,
-    capture_backend: Backend,
 }
 
 impl Snapshot {
@@ -148,25 +149,20 @@ impl Snapshot {
         self.completed
     }
 
-    /// The backend that executed the run up to the capture point.
-    pub fn capture_backend(&self) -> Backend {
-        self.capture_backend
-    }
-
     /// Serialises to the versioned binary wire format (see module docs).
     pub fn encode(&self) -> Vec<u8> {
         self.bytes.clone()
     }
 
     /// Deserialises a snapshot from `bytes`, checking its envelope: length,
-    /// checksum, magic, version and header tags. The state sections are
+    /// checksum, magic, version and completion flag. The state sections are
     /// checked when the snapshot is resumed.
     ///
     /// # Errors
     ///
     /// [`SimError::Snapshot`] on a short stream, checksum mismatch (any
-    /// truncation or mutation), bad magic, unknown version or bad header
-    /// tag. Never panics.
+    /// truncation or mutation), bad magic, unknown version or bad
+    /// completion flag. Never panics.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SimError> {
         if bytes.len() < MAGIC.len() + 4 + 8 {
             return Err(err("stream shorter than the fixed header"));
@@ -188,16 +184,11 @@ impl Snapshot {
         let requested_cut = r.u64()?;
         let actual_cut = r.u64()?;
         let completed = r.boolean()?;
-        let tag = r.u8()?;
-        let Some(&capture_backend) = BACKENDS.get(usize::from(tag)) else {
-            return Err(err(&format!("unknown backend tag {tag}")));
-        };
         Ok(Snapshot {
             bytes: bytes.to_vec(),
             requested_cut,
             actual_cut,
             completed,
-            capture_backend,
         })
     }
 }
@@ -287,14 +278,12 @@ fn capture(e: &mut Engine, requested: u64) -> Snapshot {
     wakes.sort_unstable();
     let actual_cut = wakes.first().map_or(e.horizon, |w| w.0);
     let completed = !e.snapshot_due;
-    let backend = e.options.backend;
     let mut w = Writer::default();
     w.buf.extend_from_slice(&MAGIC);
     w.u32(FORMAT_VERSION);
     w.u64(requested);
     w.u64(actual_cut);
     w.boolean(completed);
-    w.u8(BACKENDS.iter().position(|&b| b == backend).unwrap_or(0) as u8);
     for c in fingerprint(e.module) {
         w.u64(c);
     }
@@ -319,7 +308,6 @@ fn capture(e: &mut Engine, requested: u64) -> Snapshot {
         requested_cut: requested,
         actual_cut,
         completed,
-        capture_backend: backend,
     }
 }
 
@@ -487,8 +475,8 @@ fn check_event(ev: &PendingEvent, plan: &Plan, b: &Bounds) -> Result<(), SimErro
     Ok(())
 }
 
-/// Validates a restored frame: scope layout, block stack, loop state, and
-/// every captured value.
+/// Validates a restored frame: scope layout, block stack, loop induction
+/// slots, and every captured value.
 fn check_frame(frame: &Frame, module: &Module, plan: &Plan, b: &Bounds) -> Result<(), SimError> {
     if frame.scope as usize >= plan.num_scopes() {
         return Err(err("frame references an unknown scope"));
@@ -509,13 +497,12 @@ fn check_frame(frame: &Frame, module: &Module, plan: &Plan, b: &Bounds) -> Resul
         if scope_of_block(module, plan, scope.block) != Some(frame.scope) {
             return Err(err("frame block lies outside the frame's scope"));
         }
-        if let Some(state) = &scope.looping {
-            if state
-                .dims
-                .iter()
-                .any(|d| (d.iv as usize) >= frame.env.len())
-            {
-                return Err(err("loop induction slot out of range"));
+        // The interpreter steps a loop body's scope from its induction
+        // slots.
+        let ivs = plan.body_loop(scope.block).map_or(&[][..], |dims| dims.ivs);
+        for &iv in ivs {
+            if !matches!(frame.env.get(iv as usize), Some(Some(SimValue::Int(_)))) {
+                return Err(err("loop induction slot does not hold an integer"));
             }
         }
     }
@@ -724,24 +711,11 @@ impl Writer {
         self.u32(e.done.0);
     }
 
-    /// Loop state is columnar: the iv slots, then one sequence per field in
-    /// [`LOOP_FIELDS`] order.
-    fn loop_state(&mut self, s: &LoopState) {
-        self.seq(s.dims.iter(), |w, d| w.u32(d.iv));
-        for field in LOOP_FIELDS {
-            self.seq(s.dims.iter(), |w, d| {
-                let mut d = *d;
-                w.i64(*field(&mut d));
-            });
-        }
-    }
-
     fn frame(&mut self, f: &Frame) {
         self.env(&f.env);
         self.seq(f.stack.iter(), |w, s| {
             w.usize(s.block.index());
             w.usize(s.idx);
-            w.opt(s.looping.as_ref(), Writer::loop_state);
         });
         self.u32(f.done.0);
         self.u32(f.scope);
@@ -862,14 +836,6 @@ impl Writer {
         }
     }
 }
-
-/// The loop-state fields in wire order (after the iv slots).
-const LOOP_FIELDS: [fn(&mut LoopDim) -> &mut i64; 4] = [
-    |d| &mut d.lower,
-    |d| &mut d.upper,
-    |d| &mut d.step,
-    |d| &mut d.current,
-];
 
 // ---------------------------------------------------------------------------
 // Reader
@@ -1097,35 +1063,13 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn loop_state(&mut self) -> Result<LoopState, SimError> {
-        let mut dims = self.seq(4, |r| {
-            Ok(LoopDim {
-                iv: r.u32()?,
-                lower: 0,
-                upper: 0,
-                step: 0,
-                current: 0,
-            })
-        })?;
-        for field in LOOP_FIELDS {
-            if self.seq_len(8)? != dims.len() {
-                return Err(err("loop-state dimension mismatch"));
-            }
-            for d in &mut dims {
-                *field(d) = self.i64()?;
-            }
-        }
-        Ok(LoopState { dims })
-    }
-
     fn frame(&mut self) -> Result<Frame, SimError> {
         Ok(Frame {
             env: self.env()?,
-            stack: self.seq(1, |r| {
+            stack: self.seq(16, |r| {
                 Ok(Scope {
                     block: BlockId::from_index(r.usize()?),
                     idx: r.usize()?,
-                    looping: r.opt(Reader::loop_state)?,
                 })
             })?,
             done: SignalId(self.u32()?),
@@ -1386,7 +1330,7 @@ mod tests {
         m
     }
 
-    /// A real capture, mid-loop, so frames, loop state, a memory and a
+    /// A real capture, mid-loop, so frames, a loop scope, a memory and a
     /// buffer are all in it.
     fn tiny() -> (CompiledModule, Snapshot) {
         let compiled = CompiledModule::compile_standard(program(kinds::SRAM)).expect("compiles");
@@ -1420,7 +1364,6 @@ mod tests {
         assert_eq!(decoded.requested_cut(), 3);
         assert_eq!(decoded.actual_cut(), snap.actual_cut());
         assert!(!decoded.completed());
-        assert_eq!(decoded.capture_backend(), Backend::Fused);
     }
 
     #[test]

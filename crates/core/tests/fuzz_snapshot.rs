@@ -88,6 +88,34 @@ fn affine_double(n: usize) -> Module {
     m
 }
 
+/// A MAC unit stepping through an `affine.for` of `mac` ext-ops, which
+/// the fused backend declines, so a snapshot holds the loop's scope.
+/// The loop counts from `lower`, so its induction value is easy to find
+/// in the stream.
+fn mac_loop(lower: i64, n: i64) -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let pe = b.create_proc(kinds::MAC);
+    let start = b.control_start();
+    let l = b.launch(start, pe, &[], vec![]);
+    {
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let (_, bi, _) = ib.affine_for(lower, lower + n, 1);
+        {
+            let mut lb = OpBuilder::at_end(ib.module_mut(), bi);
+            lb.ext_op("mac", vec![], vec![]);
+            lb.affine_yield();
+        }
+        let mut ib = OpBuilder::at_end(&mut m, l.body);
+        ib.ret(vec![]);
+    }
+    let done = l.done;
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    b.await_all(vec![done]);
+    m
+}
+
 /// Two MAC units joined by both signal combinators: a `control_and` and a
 /// `control_or` over their launches' done signals, which a mid-run
 /// snapshot captures while both are still pending.
@@ -292,10 +320,10 @@ fn resume_against_wrong_module_is_typed() {
 }
 
 /// Byte offset of the captured `now` in an encoded snapshot: magic and
-/// version (8 bytes), the two cuts (16), the completion flag and backend
-/// (2) and the module fingerprint (24). Nine more `u64` counters follow it,
-/// the last of which is the scheduler's `seq`.
-const NOW_AT: usize = 50;
+/// version (8 bytes), the two cuts (16), the completion flag (1) and the
+/// module fingerprint (24). Nine more `u64` counters follow it, the last
+/// of which is the scheduler's `seq`.
+const NOW_AT: usize = 49;
 const SEQ_AT: usize = NOW_AT + 9 * 8;
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
@@ -394,6 +422,44 @@ fn invalid_wake_queue_entries_are_rejected() {
             Ok(_) => panic!("{name}: resumed"),
         }
     }
+}
+
+/// The interpreter steps a loop body's scope from the frame's induction
+/// slot, so resume rejects a frame whose loop scope's slot holds no
+/// integer.
+#[test]
+fn non_integer_induction_slot_is_rejected() {
+    const LOWER: i64 = 0x5EED_0000;
+    let (compiled, bytes) = seed(mac_loop(LOWER, 16), 5);
+    let resume = |bytes: &[u8]| {
+        let snap = Snapshot::decode(bytes).expect("re-sealed stream decodes");
+        compiled.resume(&snap, &SimOptions::default())
+    };
+    // The environment entry of the induction variable: a presence tag,
+    // the `Int` tag and the value.
+    let hits: Vec<usize> = (0..bytes.len() - 10)
+        .filter(|&i| {
+            let v = i64::from_le_bytes(bytes[i + 2..i + 10].try_into().expect("8 bytes"));
+            bytes[i..i + 2] == [1, 1] && (LOWER..LOWER + 16).contains(&v)
+        })
+        .collect();
+    let [at] = hits[..] else {
+        panic!("expected one induction value in the stream, found {hits:?}")
+    };
+    // Rebind the slot to `Unit`: its tag 0 and no payload.
+    let mut edited = bytes[..at + 1].to_vec();
+    edited.push(0);
+    edited.extend_from_slice(&bytes[at + 10..]);
+    reseal(&mut edited);
+    match resume(&edited) {
+        Err(SimError::Snapshot(msg)) => {
+            assert!(msg.contains("induction"), "unexpected message {msg:?}");
+        }
+        Err(e) => panic!("non-Snapshot error {e}"),
+        Ok(_) => panic!("resumed"),
+    }
+    // Unedited, the stream resumes.
+    assert!(resume(&bytes).is_ok());
 }
 
 /// Re-stamps the trailing checksum over a (mutated) stream.
