@@ -389,102 +389,102 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 type Pin = (usize, u64);
 
 /// `(name, pin under Fused, pin under Interp)` of every golden scenario's
-/// snapshot at its mid cut, recorded at snapshot format version 3.
+/// snapshot at its mid cut, recorded at snapshot format version 4.
 const WIRE_PINS: &[(&str, Pin, Pin)] = &[
     (
         "fig09_4x4_ws_8x8",
-        (15722, 5346188757928143059),
-        (15722, 17241391650335983198),
+        (15715, 11253683408537714090),
+        (15715, 11253683408537714090),
     ),
     (
         "fig11_linalg_ws_8",
-        (6748, 11420471001740467011),
-        (6748, 12102504865277337812),
+        (6745, 10644234275627316801),
+        (6745, 10644234275627316801),
     ),
     (
         "fig11_affine_ws_8",
-        (7436, 7875027156583612895),
-        (7436, 18188586685873840204),
+        (6971, 14290157272558761727),
+        (6971, 15712212504469930547),
     ),
     (
         "fig11_reassign_ws_8",
-        (10041, 6571178196576972361),
-        (10041, 3481312156735166701),
+        (9807, 8368804781726945290),
+        (9807, 10346242937310164433),
     ),
     (
         "fig11_systolic_ws_8",
-        (50365, 4262417462626458536),
-        (50365, 7696944081453142156),
+        (50343, 5573902332587071379),
+        (50343, 5573902332587071379),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_ws",
-        (191528, 16557175545121071984),
-        (191528, 11270675910983135410),
+        (191524, 5594147301182916430),
+        (191524, 5594147301182916430),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_is",
-        (1364851, 763603142412454155),
-        (1364851, 1963073133654519464),
+        (1364847, 3512561917088044145),
+        (1364847, 3512561917088044145),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_os",
-        (181490, 6687024256968297783),
-        (181490, 9641459226942369699),
+        (181487, 13939500133654335365),
+        (181487, 13939500133654335365),
     ),
     (
         "fir_single_core",
-        (2757, 13348887157553238626),
-        (2757, 1140328352361518251),
+        (2677, 2332520686116852447),
+        (2677, 2332520686116852447),
     ),
     (
         "fir_pipelined16",
-        (200453, 7436794503034790128),
-        (200453, 8206867183419975629),
+        (200435, 3810433189704205747),
+        (200435, 3810433189704205747),
     ),
     (
         "fir_bandwidth16",
-        (199642, 3938691369744519695),
-        (199642, 136827897497938328),
+        (199624, 6997365242129907644),
+        (199624, 6997365242129907644),
     ),
     (
         "fir_balanced4",
-        (48918, 7088297765446974865),
-        (48918, 26968562357851287),
+        (48912, 1422485119799026398),
+        (48912, 1422485119799026398),
     ),
     (
         "matmul_linalg16",
-        (8461, 4830325848475390361),
-        (8461, 14862471993863606897),
+        (8458, 11244177216696193118),
+        (8458, 11244177216696193118),
     ),
     (
         "matmul_affine16",
-        (8820, 10268451290551947463),
-        (8820, 16443978003230772815),
+        (8586, 767702089914753861),
+        (8586, 14818551616605972912),
     ),
     (
         "tensor_stream_64x8",
-        (68029, 8900763672854502727),
-        (68029, 114182351287417379),
+        (68026, 9419094870643941797),
+        (68026, 9419094870643941797),
     ),
     (
         "conv2d_systolic_8x3",
-        (14159, 2282069398409615489),
-        (14159, 9271580430719363845),
+        (14153, 12125879499439135580),
+        (14153, 12125879499439135580),
     ),
     (
         "multi_tenant_4x16x6",
-        (28837, 12578830653139846147),
-        (28837, 6040775558096500188),
+        (28834, 10789440099247335680),
+        (28834, 10789440099247335680),
     ),
     (
         "mega_grid_8x8",
-        (114216, 9502170864749398476),
-        (114216, 9073069573186693861),
+        (109222, 9273432753884612664),
+        (109222, 600245605746023062),
     ),
     (
         "shard_grid_4x4",
-        (31020, 4699856857211464763),
-        (31020, 4051154839521128775),
+        (29770, 17087408492231499301),
+        (29770, 10929484256606349507),
     ),
 ];
 
