@@ -19,10 +19,10 @@
 use std::collections::BTreeMap;
 
 use equeue_core::{
-    AccessKind, Backend, CompiledModule, MemSpec, MemoryBehavior, SimLibrary, SimOptions,
-    SimReport, Snapshot,
+    AccessKind, Backend, CompiledModule, MemSpec, MemoryBehavior, ProcProfile, SimLibrary,
+    SimOptions, SimReport, Snapshot,
 };
-use equeue_dialect::{kinds, ArithBuilder, ConvDims, EqueueBuilder};
+use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, ConvDims, EqueueBuilder};
 use equeue_gen::scenarios::golden_scenarios;
 use equeue_gen::{build_stage_program, Stage};
 use equeue_ir::{Module, OpBuilder, Type};
@@ -329,6 +329,64 @@ fn custom_memory_model_resumes_with_its_attributes() {
                     .resume(&snap, &options(resume_backend))
                     .unwrap_or_else(|e| panic!("{tag}: resume: {e}"));
                 assert_reports_identical(&tag, &full, &resumed);
+            }
+        }
+    }
+}
+
+/// Two processors of kind `kind`, each adding in an `affine.for` of four
+/// iterations and once more after it.
+fn add_loop_program(kind: &str) -> Module {
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let start = b.control_start();
+    let mut dones = vec![];
+    for _ in 0..2 {
+        let pe = b.create_proc(kind);
+        let l = b.launch(start, pe, &[], vec![]);
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let c = ib.const_int(3, Type::I32);
+        let (_, body, _) = ib.affine_for(0, 4, 1);
+        let mut lb = OpBuilder::at_end(ib.module_mut(), body);
+        lb.addi(c, c);
+        lb.affine_yield();
+        ib.addi(c, c);
+        ib.ret(vec![]);
+        dones.push(l.done);
+    }
+    b.await_all(dones);
+    m
+}
+
+/// A registered processor kind keeps its op costs across a resume: with
+/// `arith.addi` at 7 cycles, every cut and capture×resume backend pair
+/// resumes to the straight run.
+#[test]
+fn registered_processor_costs_survive_resume() {
+    let mut lib = SimLibrary::standard();
+    let mut profile = ProcProfile::uniform(1);
+    profile.per_op.insert("arith.addi".into(), 7);
+    lib.register_proc_profile("Slow", profile);
+    let compiled = CompiledModule::compile(add_loop_program("Slow"), lib).expect("compiles");
+    let full = compiled
+        .simulate(&options(Backend::Fused))
+        .expect("full run");
+    assert_eq!(full.cycles, 5 * 7);
+    for cut in 0..=full.cycles {
+        for snap_backend in [Backend::Fused, Backend::Interp] {
+            let snap = compiled
+                .snapshot(cut, &options(snap_backend))
+                .unwrap_or_else(|e| panic!("snapshot at {cut}: {e}"));
+            let decoded = Snapshot::decode(&snap.encode()).expect("decode");
+            for resume_backend in [Backend::Fused, Backend::Interp] {
+                let tag = format!("slow adds cut={cut} {snap_backend:?}->{resume_backend:?}");
+                for s in [&snap, &decoded] {
+                    let resumed = compiled
+                        .resume(s, &options(resume_backend))
+                        .unwrap_or_else(|e| panic!("{tag}: resume: {e}"));
+                    assert_reports_identical(&tag, &full, &resumed);
+                }
             }
         }
     }

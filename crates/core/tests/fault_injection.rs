@@ -426,6 +426,13 @@ fn execution_failures() -> Vec<(&'static str, &'static str, SimError)> {
             SimError::Runtime("unknown binary op 'arith.frobi'".into()),
         ),
         (
+            "binary op of unknown name on empty tensors",
+            r#"%e = "equeue.alloc"(%m) : (!equeue.mem) -> !equeue.buffer<0xi32>
+%t = "equeue.read"(%e) {segments = [1, 0, 0]} : (!equeue.buffer<0xi32>) -> tensor<0xi32>
+%x = "arith.frobi"(%t, %t) : (tensor<0xi32>, tensor<0xi32>) -> tensor<0xi32>"#,
+            SimError::Runtime("unknown binary op 'arith.frobi'".into()),
+        ),
+        (
             "create_comp with more names than children",
             r#"%x = "equeue.create_comp"(%p) {names = ["a", "b"]} : (!equeue.proc) -> !equeue.comp"#,
             SimError::Port("create_comp has 2 names for 1 children".into()),
