@@ -103,7 +103,7 @@ fn replay_is_bit_identical_across_cuts_and_backends() {
     }
 }
 
-/// The bytes of a v4 stream that may differ between a Fused and an Interp
+/// The bytes of a v5 stream that may differ between a Fused and an Interp
 /// capture of the same state: the `fused_trace_entries` counter (the
 /// eighth counter after the header and the module fingerprint) and the
 /// trailing checksum.

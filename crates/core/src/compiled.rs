@@ -230,12 +230,6 @@ impl CompiledModule {
     pub fn library(&self) -> &SimLibrary {
         &self.library
     }
-
-    /// Releases the handle, returning the module (e.g. to mutate and
-    /// recompile).
-    pub fn into_module(self) -> Module {
-        self.module
-    }
 }
 
 // Concurrency audit, enforced at compile time: the shared, read-only side of
@@ -330,8 +324,6 @@ mod tests {
         let compiled = CompiledModule::compile_standard(m).unwrap();
         assert_eq!(compiled.module().num_ops(), n_ops);
         assert_eq!(compiled.library().ext_op("mac").unwrap().cycles, 1);
-        let back = compiled.into_module();
-        assert_eq!(back.num_ops(), n_ops);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! 2. **Check event queue** — when a processor is woken, the head of its
 //!    queue is issued if (and only if) its dependency signal has resolved.
 //! 3. **Schedule operation** — interpreting an op inside a frame queries
-//!    the component models (processor profiles, memory behaviours,
+//!    the component models (processor op costs, memory behaviours,
 //!    connection bandwidth) and *reserves* time on each device's schedule
 //!    queue; contention shows up as stalls.
 //! 4. **Finish operation** — completion times resolve dependency signals,
@@ -47,9 +47,9 @@
 //!   tensors ([`crate::TensorData`]), each copy is a pointer bump.
 
 use crate::error::{LimitExceeded, LimitKind, Progress};
-use crate::interp::{apply_binary, conv2d_int, eval_cmpi, matmul_int, BinOp};
+use crate::interp::{apply_binary, conv2d_int, eval_cmpi, matmul_int};
 use crate::library::SimLibrary;
-use crate::machine::{AccessKind, Machine, ProcProfile, RegisterBehavior};
+use crate::machine::{AccessKind, HotCycles, Machine, RegisterBehavior};
 use crate::plan::{mem_spec, LoopDims, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::queue::EventQueue;
@@ -60,7 +60,6 @@ pub use crate::{CancelToken, RunLimits, SimError};
 use equeue_dialect::{create_mem_view, ConvDims};
 use equeue_ir::{BlockId, Module, OpId, Operation};
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Scheduler wakes per epoch: the cadence at which the engine polls the
@@ -70,6 +69,18 @@ pub(crate) const WAKE_EPOCH: u64 = 1024;
 /// Interpreted-op cadence for the same polls, bounding zero-time op bursts
 /// (tight loops that never touch the wake queue).
 pub(crate) const OP_EPOCH: u64 = 4096;
+
+/// Cycles per multiply-accumulate when executing `linalg.conv2d` /
+/// `linalg.matmul` analytically. The Linalg level is the most abstract
+/// (and most pessimistic) estimate in the Fig. 1 hierarchy: a naive
+/// scalar schedule with three operand fetches, a multiply, an add, a
+/// writeback, and fetch/decode overhead — 8 cycles per MAC. Explicit
+/// Affine-level simulation comes in below this, matching the paper's
+/// Fig. 11b trend of runtime falling as lowering proceeds.
+const LINALG_CYCLES_PER_MAC: u64 = 8;
+
+/// Concurrent access ports of a memory whose `create_mem` sets none.
+const DEFAULT_MEM_PORTS: usize = 2;
 
 /// The counters the run budget reads. The engine owns one set; a fused
 /// trace runs on a copy and writes it back at trace exit. Both backends
@@ -267,41 +278,12 @@ pub(crate) struct Frame {
     pub(crate) scope: u32,
 }
 
-/// Cycle counts for the hottest op classes, resolved from a
-/// [`ProcProfile`] once at processor creation so the inner loop never
-/// hashes op-name strings.
-#[derive(Debug, Clone)]
-pub(crate) struct HotCycles {
-    pub(crate) load: u64,
-    pub(crate) store: u64,
-    pub(crate) cmpi: u64,
-    pub(crate) select: u64,
-    pub(crate) arith: [u64; BinOp::COUNT],
-}
-
-impl HotCycles {
-    pub(crate) fn from_profile(p: &ProcProfile) -> Self {
-        let mut arith = [0u64; BinOp::COUNT];
-        for (i, op) in BinOp::ALL.into_iter().enumerate() {
-            arith[i] = p.cycles(op.name());
-        }
-        HotCycles {
-            load: p.cycles("affine.load"),
-            store: p.cycles("affine.store"),
-            cmpi: p.cycles("arith.cmpi"),
-            select: p.cycles("arith.select"),
-            arith,
-        }
-    }
-}
-
 #[derive(Debug)]
 pub(crate) struct ProcRuntime {
     pub(crate) comp: CompId,
     pub(crate) queue: VecDeque<PendingEvent>,
     pub(crate) frame: Option<Frame>,
     pub(crate) clock: u64,
-    pub(crate) profile: Arc<ProcProfile>,
     pub(crate) hot: HotCycles,
 }
 
@@ -467,11 +449,8 @@ impl<'m> Engine<'m> {
         let mut engine = Self::new(module, plan, lib, options, start);
         // The implicit host processor interprets the top block at time 0;
         // all its ops are free (orchestration, not datapath).
-        let host_profile = Arc::new(ProcProfile::uniform(0));
-        let host = engine
-            .machine
-            .add_processor("Host", Arc::clone(&host_profile));
-        let host_idx = engine.add_proc_runtime(host, host_profile);
+        let host = engine.machine.add_processor("Host");
+        let host_idx = engine.add_proc_runtime(host, HotCycles::uniform(0));
         let done = engine.signals.fresh();
         engine.procs[host_idx].frame = Some(Frame {
             env: vec![None; plan.scope_values(0).len()],
@@ -486,15 +465,14 @@ impl<'m> Engine<'m> {
         engine
     }
 
-    fn add_proc_runtime(&mut self, comp: CompId, profile: Arc<ProcProfile>) -> usize {
+    fn add_proc_runtime(&mut self, comp: CompId, hot: HotCycles) -> usize {
         let idx = self.procs.len();
         self.procs.push(ProcRuntime {
             comp,
             queue: VecDeque::new(),
             frame: None,
             clock: 0,
-            hot: HotCycles::from_profile(&profile),
-            profile,
+            hot,
         });
         set_proc_of_comp(&mut self.proc_of_comp, comp, idx);
         idx
@@ -1179,9 +1157,8 @@ impl<'m> Engine<'m> {
             // ---- structure specification (elaboration, free) ----
             OpCode::CreateProc => {
                 let kind = attr_str("kind");
-                let profile = self.lib.proc_profile(kind);
-                let comp = self.machine.add_processor(kind, Arc::clone(&profile));
-                self.add_proc_runtime(comp, profile);
+                let comp = self.machine.add_processor(kind);
+                self.add_proc_runtime(comp, self.lib.proc_costs(kind));
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -1201,7 +1178,7 @@ impl<'m> Engine<'m> {
                     spec.capacity_elems,
                     spec.data_bits,
                     spec.banks,
-                    ports.unwrap_or(self.lib.default_mem_ports),
+                    ports.unwrap_or(DEFAULT_MEM_PORTS),
                     behavior,
                     energy,
                 );
@@ -1213,7 +1190,7 @@ impl<'m> Engine<'m> {
             }
             OpCode::CreateDma => {
                 let comp = self.machine.add_dma();
-                self.add_proc_runtime(comp, self.lib.default_proc_profile());
+                self.add_proc_runtime(comp, HotCycles::uniform(1));
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -1615,28 +1592,17 @@ impl<'m> Engine<'m> {
             } => {
                 let a = self.lookup(frame, lhs)?;
                 let b = self.lookup(frame, rhs)?;
-                // Scalar fast path on the pre-decoded operator; tensors,
-                // promotions, and unknown names take the generic route
-                // (the only paths that read the op name from the module).
-                let v = match (kind, &a, &b) {
-                    (Some(op), SimValue::Int(x), SimValue::Int(y)) => {
-                        SimValue::Int(op.int(*x, *y).map_err(SimError::Runtime)?)
-                    }
-                    (Some(op), SimValue::Float(x), SimValue::Float(y)) => {
-                        SimValue::Float(op.float(*x, *y))
-                    }
-                    _ => apply_binary(&data.name, &a, &b).map_err(SimError::Runtime)?,
-                };
+                let op = kind.ok_or_else(|| {
+                    SimError::Runtime(format!("unknown binary op '{}'", data.name))
+                })?;
+                let v = apply_binary(op, &a, &b).map_err(SimError::Runtime)?;
                 self.bind(frame, info, 0, v);
                 // Index-typed arithmetic is address generation, which the
                 // memory pipeline absorbs; it costs no datapath cycles.
                 let cycles = if index_typed {
                     0
                 } else {
-                    match kind {
-                        Some(op) => self.procs[p].hot.arith[op as usize],
-                        None => self.procs[p].profile.cycles(&data.name),
-                    }
+                    self.procs[p].hot.arith[op as usize]
                 };
                 if cycles > 0 && self.trace.is_enabled() {
                     let name = self.trace.name_id(&data.name);
@@ -1813,9 +1779,9 @@ impl<'m> Engine<'m> {
         );
         set_int_data(&mut self.machine.buffer_mut(ofmap).data, ov);
         // Analytic timing: a naive scalar schedule costs
-        // `linalg_cycles_per_mac` per MAC, streaming operands once.
+        // `LINALG_CYCLES_PER_MAC` per MAC, streaming operands once.
         let clock = self.procs[p].clock;
-        let cycles = (macs as u64).saturating_mul(self.lib.linalg_cycles_per_mac);
+        let cycles = (macs as u64).saturating_mul(LINALG_CYCLES_PER_MAC);
         self.charge_operands([
             (ifmap, AccessKind::Read),
             (weights, AccessKind::Read),
@@ -1882,7 +1848,7 @@ impl<'m> Engine<'m> {
         matmul_int(&av, &bv, &mut cv, m, k, n);
         set_int_data(&mut self.machine.buffer_mut(c).data, cv);
         let clock = self.procs[p].clock;
-        let cycles = (mac_count as u64).saturating_mul(self.lib.linalg_cycles_per_mac);
+        let cycles = (mac_count as u64).saturating_mul(LINALG_CYCLES_PER_MAC);
         self.charge_operands([
             (a, AccessKind::Read),
             (b, AccessKind::Read),

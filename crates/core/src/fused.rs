@@ -790,7 +790,7 @@ struct BufRt {
 #[derive(Debug, Clone, Copy, Default)]
 struct InstRt {
     /// Cycle cost, resolved from the entering processor's
-    /// [`HotCycles`](crate::engine); for an access that waits on its
+    /// `HotCycles` (`crate::machine`); for an access that waits on its
     /// memory, the memory's uncontended latency.
     cost: u64,
     /// The op ends when its memory access does (`equeue.read`/`write`).

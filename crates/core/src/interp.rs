@@ -17,10 +17,13 @@ use crate::value::{SimValue, Tensor, TensorData};
 ///
 /// # Errors
 ///
-/// Returns a message for unsupported op names, operand kinds, mismatched
-/// tensor lengths, or division by zero.
-pub fn apply_binary(name: &str, lhs: &SimValue, rhs: &SimValue) -> Result<SimValue, String> {
+/// Returns a message for unsupported operand kinds, mismatched tensor
+/// lengths, or division by zero.
+pub(crate) fn apply_binary(op: BinOp, lhs: &SimValue, rhs: &SimValue) -> Result<SimValue, String> {
+    let name = op.name();
     match (lhs, rhs) {
+        (SimValue::Int(a), SimValue::Int(b)) => Ok(SimValue::Int(op.int(*a, *b)?)),
+        (SimValue::Float(a), SimValue::Float(b)) => Ok(SimValue::Float(op.float(*a, *b))),
         (SimValue::Tensor(a), SimValue::Tensor(b)) => {
             if a.len() != b.len() {
                 return Err(format!(
@@ -29,14 +32,12 @@ pub fn apply_binary(name: &str, lhs: &SimValue, rhs: &SimValue) -> Result<SimVal
                     b.len()
                 ));
             }
-            zip_tensors(name, a, b)
+            zip_tensors(op, a, b)
         }
-        (SimValue::Tensor(a), s) if scalar(s) => map_tensor(name, a, s, false),
-        (s, SimValue::Tensor(b)) if scalar(s) => map_tensor(name, b, s, true),
-        (SimValue::Int(a), SimValue::Int(b)) => int_op(name, *a, *b),
-        (SimValue::Float(a), SimValue::Float(b)) => float_op(name, *a, *b),
-        (SimValue::Int(a), SimValue::Float(b)) => float_op(name, *a as f64, *b),
-        (SimValue::Float(a), SimValue::Int(b)) => float_op(name, *a, *b as f64),
+        (SimValue::Tensor(a), s) if scalar(s) => map_tensor(op, a, s, false),
+        (s, SimValue::Tensor(b)) if scalar(s) => map_tensor(op, b, s, true),
+        (SimValue::Int(a), SimValue::Float(b)) => Ok(SimValue::Float(op.float(*a as f64, *b))),
+        (SimValue::Float(a), SimValue::Int(b)) => Ok(SimValue::Float(op.float(*a, *b as f64))),
         _ => Err(format!("'{name}' cannot combine {lhs} and {rhs}")),
     }
 }
@@ -45,10 +46,10 @@ fn scalar(v: &SimValue) -> bool {
     matches!(v, SimValue::Int(_) | SimValue::Float(_))
 }
 
-/// A binary `arith` operator. The single source of truth for scalar
-/// semantics: both [`apply_binary`] (via `int_op`/`float_op`) and the
-/// engine's pre-decoded fast path dispatch through it, so the two can
-/// never drift. Int/float behaviours mirror each other, including the
+/// A binary `arith` operator, decoded once when the plan is built. The
+/// single source of truth for scalar semantics: [`apply_binary`], the
+/// engine's scalar fast path and fused traces all dispatch through it, so
+/// they can never drift. Int/float behaviours mirror each other, including the
 /// historical `addi`-accepted-on-floats promotions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BinOp {
@@ -86,7 +87,7 @@ impl BinOp {
         })
     }
 
-    /// The op name, e.g. for per-processor profile lookups.
+    /// The op name, for resolving a processor profile and for messages.
     pub(crate) fn name(self) -> &'static str {
         match self {
             BinOp::Addi => "arith.addi",
@@ -130,41 +131,23 @@ impl BinOp {
     }
 }
 
-fn bin_op(name: &str) -> Result<BinOp, String> {
-    BinOp::from_name(name).ok_or_else(|| format!("unknown binary op '{name}'"))
-}
-
-fn int_op(name: &str, a: i64, b: i64) -> Result<SimValue, String> {
-    Ok(SimValue::Int(bin_op(name)?.int(a, b)?))
-}
-
-fn float_op(name: &str, a: f64, b: f64) -> Result<SimValue, String> {
-    Ok(SimValue::Float(bin_op(name)?.float(a, b)))
-}
-
-fn zip_tensors(name: &str, a: &Tensor, b: &Tensor) -> Result<SimValue, String> {
+fn zip_tensors(op: BinOp, a: &Tensor, b: &Tensor) -> Result<SimValue, String> {
     let data = match (&a.data, &b.data) {
         (TensorData::Int(x), TensorData::Int(y)) => {
             let mut out = Vec::with_capacity(x.len());
             for (xa, yb) in x.iter().zip(y.iter()) {
-                match int_op(name, *xa, *yb)? {
-                    SimValue::Int(v) => out.push(v),
-                    _ => unreachable!(),
-                }
+                out.push(op.int(*xa, *yb)?);
             }
             TensorData::from_ints(out)
         }
         (TensorData::Float(x), TensorData::Float(y)) => {
             let mut out = Vec::with_capacity(x.len());
             for (xa, yb) in x.iter().zip(y.iter()) {
-                match float_op(name, *xa, *yb)? {
-                    SimValue::Float(v) => out.push(v),
-                    _ => unreachable!(),
-                }
+                out.push(op.float(*xa, *yb));
             }
             TensorData::from_floats(out)
         }
-        _ => return Err(format!("'{name}' mixes int and float tensors")),
+        _ => return Err(format!("'{}' mixes int and float tensors", op.name())),
     };
     Ok(SimValue::Tensor(Tensor {
         shape: a.shape.clone(),
@@ -172,12 +155,8 @@ fn zip_tensors(name: &str, a: &Tensor, b: &Tensor) -> Result<SimValue, String> {
     }))
 }
 
-fn map_tensor(
-    name: &str,
-    t: &Tensor,
-    s: &SimValue,
-    scalar_first: bool,
-) -> Result<SimValue, String> {
+fn map_tensor(op: BinOp, t: &Tensor, s: &SimValue, scalar_first: bool) -> Result<SimValue, String> {
+    let name = op.name();
     let data = match &t.data {
         TensorData::Int(x) => {
             let sv = s
@@ -186,10 +165,7 @@ fn map_tensor(
             let mut out = Vec::with_capacity(x.len());
             for &xa in x.iter() {
                 let (a, b) = if scalar_first { (sv, xa) } else { (xa, sv) };
-                match int_op(name, a, b)? {
-                    SimValue::Int(v) => out.push(v),
-                    _ => unreachable!(),
-                }
+                out.push(op.int(a, b)?);
             }
             TensorData::from_ints(out)
         }
@@ -198,10 +174,7 @@ fn map_tensor(
             let mut out = Vec::with_capacity(x.len());
             for &xa in x.iter() {
                 let (a, b) = if scalar_first { (sv, xa) } else { (xa, sv) };
-                match float_op(name, a, b)? {
-                    SimValue::Float(v) => out.push(v),
-                    _ => unreachable!(),
-                }
+                out.push(op.float(a, b));
             }
             TensorData::from_floats(out)
         }
@@ -213,7 +186,7 @@ fn map_tensor(
 }
 
 /// A pre-decoded `arith.cmpi` predicate. Single source of truth for the
-/// comparison semantics: [`apply_cmpi`] and the engine's fused loop traces
+/// comparison semantics: [`eval_cmpi`] and the engine's fused loop traces
 /// both dispatch through [`CmpPred::eval`], so the two can never drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CmpPred {
@@ -250,17 +223,8 @@ impl CmpPred {
     }
 }
 
-/// Applies `arith.cmpi` with the given predicate string.
-///
-/// # Errors
-///
-/// Returns a message for unknown predicates or non-integer operands.
-pub fn apply_cmpi(pred: &str, lhs: &SimValue, rhs: &SimValue) -> Result<SimValue, String> {
-    eval_cmpi(CmpPred::from_name(pred).ok_or(pred), lhs, rhs)
-}
-
-/// [`apply_cmpi`] on a decoded predicate; `Err` carries the name of an
-/// unknown one. Operands are checked first, whatever the predicate.
+/// Applies `arith.cmpi` with a decoded predicate; `Err` carries the name
+/// of an unknown one. Operands are checked first, whatever the predicate.
 pub(crate) fn eval_cmpi(
     pred: Result<CmpPred, &str>,
     lhs: &SimValue,
@@ -335,37 +299,37 @@ mod tests {
     #[test]
     fn int_scalar_ops() {
         assert_eq!(
-            apply_binary("arith.addi", &SimValue::Int(2), &SimValue::Int(3)).unwrap(),
+            apply_binary(BinOp::Addi, &SimValue::Int(2), &SimValue::Int(3)).unwrap(),
             SimValue::Int(5)
         );
         assert_eq!(
-            apply_binary("arith.subi", &SimValue::Int(2), &SimValue::Int(3)).unwrap(),
+            apply_binary(BinOp::Subi, &SimValue::Int(2), &SimValue::Int(3)).unwrap(),
             SimValue::Int(-1)
         );
         assert_eq!(
-            apply_binary("arith.muli", &SimValue::Int(4), &SimValue::Int(3)).unwrap(),
+            apply_binary(BinOp::Muli, &SimValue::Int(4), &SimValue::Int(3)).unwrap(),
             SimValue::Int(12)
         );
         assert_eq!(
-            apply_binary("arith.divi", &SimValue::Int(7), &SimValue::Int(2)).unwrap(),
+            apply_binary(BinOp::Divi, &SimValue::Int(7), &SimValue::Int(2)).unwrap(),
             SimValue::Int(3)
         );
         assert_eq!(
-            apply_binary("arith.remi", &SimValue::Int(7), &SimValue::Int(2)).unwrap(),
+            apply_binary(BinOp::Remi, &SimValue::Int(7), &SimValue::Int(2)).unwrap(),
             SimValue::Int(1)
         );
-        assert!(apply_binary("arith.divi", &SimValue::Int(1), &SimValue::Int(0)).is_err());
-        assert!(apply_binary("arith.bogus", &SimValue::Int(1), &SimValue::Int(1)).is_err());
+        assert!(apply_binary(BinOp::Divi, &SimValue::Int(1), &SimValue::Int(0)).is_err());
+        assert_eq!(BinOp::from_name("arith.bogus"), None);
     }
 
     #[test]
     fn float_and_mixed() {
         assert_eq!(
-            apply_binary("arith.addf", &SimValue::Float(1.5), &SimValue::Float(2.0)).unwrap(),
+            apply_binary(BinOp::Addf, &SimValue::Float(1.5), &SimValue::Float(2.0)).unwrap(),
             SimValue::Float(3.5)
         );
         assert_eq!(
-            apply_binary("arith.mulf", &SimValue::Int(2), &SimValue::Float(2.5)).unwrap(),
+            apply_binary(BinOp::Mulf, &SimValue::Int(2), &SimValue::Float(2.5)).unwrap(),
             SimValue::Float(5.0)
         );
     }
@@ -374,21 +338,21 @@ mod tests {
     fn tensor_tensor() {
         let a = SimValue::Tensor(Tensor::from_int(vec![3], vec![1, 2, 3]));
         let b = SimValue::Tensor(Tensor::from_int(vec![3], vec![10, 20, 30]));
-        let r = apply_binary("arith.addi", &a, &b).unwrap();
+        let r = apply_binary(BinOp::Addi, &a, &b).unwrap();
         assert_eq!(
             r,
             SimValue::Tensor(Tensor::from_int(vec![3], vec![11, 22, 33]))
         );
         let short = SimValue::Tensor(Tensor::from_int(vec![2], vec![0, 0]));
-        assert!(apply_binary("arith.addi", &a, &short).is_err());
+        assert!(apply_binary(BinOp::Addi, &a, &short).is_err());
     }
 
     #[test]
     fn tensor_scalar_broadcast_order_matters() {
         let t = SimValue::Tensor(Tensor::from_int(vec![2], vec![10, 20]));
-        let r = apply_binary("arith.subi", &t, &SimValue::Int(1)).unwrap();
+        let r = apply_binary(BinOp::Subi, &t, &SimValue::Int(1)).unwrap();
         assert_eq!(r, SimValue::Tensor(Tensor::from_int(vec![2], vec![9, 19])));
-        let r = apply_binary("arith.subi", &SimValue::Int(1), &t).unwrap();
+        let r = apply_binary(BinOp::Subi, &SimValue::Int(1), &t).unwrap();
         assert_eq!(
             r,
             SimValue::Tensor(Tensor::from_int(vec![2], vec![-9, -19]))
@@ -399,11 +363,12 @@ mod tests {
     fn cmpi_predicates() {
         let two = SimValue::Int(2);
         let three = SimValue::Int(3);
-        assert_eq!(apply_cmpi("lt", &two, &three).unwrap(), SimValue::Int(1));
-        assert_eq!(apply_cmpi("ge", &two, &three).unwrap(), SimValue::Int(0));
-        assert_eq!(apply_cmpi("eq", &two, &two).unwrap(), SimValue::Int(1));
-        assert!(apply_cmpi("wat", &two, &two).is_err());
-        assert!(apply_cmpi("eq", &SimValue::Unit, &two).is_err());
+        let cmpi = |pred, a, b| eval_cmpi(CmpPred::from_name(pred).ok_or(pred), a, b);
+        assert_eq!(cmpi("lt", &two, &three).unwrap(), SimValue::Int(1));
+        assert_eq!(cmpi("ge", &two, &three).unwrap(), SimValue::Int(0));
+        assert_eq!(cmpi("eq", &two, &two).unwrap(), SimValue::Int(1));
+        assert!(cmpi("wat", &two, &two).is_err());
+        assert!(cmpi("eq", &SimValue::Unit, &two).is_err());
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub use engine::{simulate, simulate_with, Backend, SimOptions};
 pub use error::{CancelToken, LimitExceeded, LimitKind, Progress, RunLimits, SimError};
 pub use facts::{analyze_facts, FuseVerdict, LoopFact, PrepassFacts};
 pub use fused::FuseDecline;
-pub use interp::{apply_binary, apply_cmpi, conv2d_int, matmul_int};
+pub use interp::{conv2d_int, matmul_int};
 pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary};
 pub use machine::{
     AccessKind, Buffer, CacheBehavior, Component, ComponentKind, Connection, DramBehavior, Machine,

@@ -6,18 +6,18 @@
 //! * **external op implementations** — cycle counts for `equeue.op`
 //!   signatures like `"mac4"` (§III-E);
 //! * **processor profiles** — per-kind op timing (`ARMr5`, `MAC`,
-//!   `AIEngine`, …);
+//!   `AIEngine`, …), resolved into op costs when registered;
 //! * **memory factories** — mapping `create_mem` kind strings to
 //!   [`MemoryBehavior`](crate::machine::MemoryBehavior) instances, so users
 //!   can introduce custom components (e.g. a cache) without touching the
 //!   engine.
 
 use crate::machine::{
-    CacheBehavior, DramBehavior, MemoryBehavior, ProcProfile, RegisterBehavior, SramBehavior,
+    CacheBehavior, DramBehavior, HotCycles, MemoryBehavior, ProcProfile, RegisterBehavior,
+    SramBehavior,
 };
 use equeue_ir::AttrMap;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Description of a `create_mem` op handed to a memory factory.
 #[derive(Debug, Clone)]
@@ -59,21 +59,9 @@ pub struct ExtOp {
 /// ```
 pub struct SimLibrary {
     ext_ops: HashMap<String, ExtOp>,
-    /// Shared by every processor of a kind, so creating one copies no map.
-    proc_profiles: HashMap<String, Arc<ProcProfile>>,
-    /// [`SimLibrary::default_profile`], for DMA engines and unknown kinds.
-    fallback_profile: Arc<ProcProfile>,
+    /// The op costs of each registered processor kind.
+    proc_costs: HashMap<String, HotCycles>,
     mem_factories: HashMap<String, MemFactory>,
-    /// Cycles per multiply-accumulate when executing `linalg.conv2d` /
-    /// `linalg.matmul` analytically. The Linalg level is the most abstract
-    /// (and most pessimistic) estimate in the Fig. 1 hierarchy: a naive
-    /// scalar schedule with three operand fetches, a multiply, an add, a
-    /// writeback, and fetch/decode overhead — 8 cycles per MAC. Explicit
-    /// Affine-level simulation comes in below this, matching the paper's
-    /// Fig. 11b trend of runtime falling as lowering proceeds.
-    pub linalg_cycles_per_mac: u64,
-    /// Default concurrent access ports per memory.
-    pub default_mem_ports: usize,
     energy_pj: HashMap<String, f64>,
 }
 
@@ -81,10 +69,7 @@ impl std::fmt::Debug for SimLibrary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimLibrary")
             .field("ext_ops", &self.ext_ops.len())
-            .field(
-                "proc_profiles",
-                &self.proc_profiles.keys().collect::<Vec<_>>(),
-            )
+            .field("proc_costs", &self.proc_costs.keys().collect::<Vec<_>>())
             .field(
                 "mem_factories",
                 &self.mem_factories.keys().collect::<Vec<_>>(),
@@ -123,17 +108,15 @@ fn cache_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
 }
 
 impl SimLibrary {
-    /// The standard library: SRAM/Register/DRAM/Cache memories, the
-    /// processor kinds of [`equeue_dialect::kinds`], and the AI Engine
-    /// intrinsics `mul4`/`mac4` plus a scalar `mac`.
+    /// The standard library: SRAM/Register/DRAM/Cache memories, the AI
+    /// Engine intrinsics `mul4`/`mac4` plus a scalar `mac`, and one op per
+    /// cycle on every processor kind (those of [`equeue_dialect::kinds`]
+    /// included) until a profile is registered for it.
     pub fn standard() -> Self {
         let mut lib = SimLibrary {
             ext_ops: HashMap::new(),
-            proc_profiles: HashMap::new(),
-            fallback_profile: Arc::new(Self::default_profile()),
+            proc_costs: HashMap::new(),
             mem_factories: HashMap::new(),
-            linalg_cycles_per_mac: 8,
-            default_mem_ports: 2,
             energy_pj: HashMap::new(),
         };
         // First-order per-access energy (picojoules), ordered as the paper
@@ -154,53 +137,12 @@ impl SimLibrary {
         lib.register_ext_op("mul4", 1);
         lib.register_ext_op("mac4", 1);
 
-        // Processor profiles: every modelled processor issues one operation
-        // per cycle; event issue and control bookkeeping are free (they are
-        // queue pushes, not datapath work).
-        for kind in ["ARMr5", "ARMr6", "MAC", "AIEngine", "Generic"] {
-            lib.proc_profiles
-                .insert(kind.to_string(), Arc::clone(&lib.fallback_profile));
-        }
-
         lib.mem_factories.insert("SRAM".into(), sram_factory);
         lib.mem_factories
             .insert("Register".into(), register_factory);
         lib.mem_factories.insert("DRAM".into(), dram_factory);
         lib.mem_factories.insert("Cache".into(), cache_factory);
         lib
-    }
-
-    /// The profile shared by the standard processors: one cycle per compute
-    /// op; structure declaration, event spawning, and control ops are free.
-    pub fn default_profile() -> ProcProfile {
-        let mut p = ProcProfile::uniform(1);
-        for free in [
-            "equeue.launch",
-            "equeue.memcpy",
-            "equeue.control_start",
-            "equeue.control_and",
-            "equeue.control_or",
-            "equeue.await",
-            "equeue.return",
-            "equeue.alloc",
-            "equeue.dealloc",
-            "equeue.create_proc",
-            "equeue.create_mem",
-            "equeue.create_dma",
-            "equeue.create_comp",
-            "equeue.add_comp",
-            "equeue.get_comp",
-            "equeue.create_connection",
-            "arith.constant",
-            "memref.alloc",
-            "memref.dealloc",
-            "affine.yield",
-            "affine.for",
-            "affine.parallel",
-        ] {
-            p.per_op.insert(free.into(), 0);
-        }
-        p
     }
 
     /// Registers (or overrides) an external op implementation.
@@ -213,25 +155,21 @@ impl SimLibrary {
         self.ext_ops.get(signature).copied()
     }
 
-    /// Registers (or overrides) a processor profile for `kind`.
+    /// Registers (or overrides) the timing of processor kind `kind`. Its
+    /// op costs are read from `profile` now; see [`ProcProfile::per_op`]
+    /// for the names that count.
     pub fn register_proc_profile(&mut self, kind: &str, profile: ProcProfile) {
-        self.proc_profiles
-            .insert(kind.to_string(), Arc::new(profile));
+        self.proc_costs
+            .insert(kind.to_string(), HotCycles::from_profile(&profile));
     }
 
-    /// The profile for processor `kind` (default profile when unknown),
-    /// shared with every other processor of that kind.
-    pub fn proc_profile(&self, kind: &str) -> Arc<ProcProfile> {
-        Arc::clone(
-            self.proc_profiles
-                .get(kind)
-                .unwrap_or(&self.fallback_profile),
-        )
-    }
-
-    /// The shared [`SimLibrary::default_profile`] (DMA engines use it).
-    pub(crate) fn default_proc_profile(&self) -> Arc<ProcProfile> {
-        Arc::clone(&self.fallback_profile)
+    /// The op costs of processor kind `kind`. A kind nobody registered,
+    /// the standard ones included, issues one op per cycle.
+    pub(crate) fn proc_costs(&self, kind: &str) -> HotCycles {
+        self.proc_costs
+            .get(kind)
+            .copied()
+            .unwrap_or(HotCycles::uniform(1))
     }
 
     /// Registers (or overrides) a memory factory for `kind` — the §IV-D
@@ -271,6 +209,7 @@ impl Default for SimLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::BinOp;
     use crate::machine::AccessKind;
 
     fn spec(kind: &str) -> MemSpec {
@@ -293,16 +232,19 @@ mod tests {
     }
 
     #[test]
-    fn profiles_make_events_free() {
-        let lib = SimLibrary::standard();
-        let p = lib.proc_profile("ARMr5");
-        assert_eq!(p.cycles("equeue.launch"), 0);
-        assert_eq!(p.cycles("equeue.memcpy"), 0);
-        assert_eq!(p.cycles("arith.addi"), 1);
-        assert_eq!(p.cycles("equeue.op"), 1);
-        // Unknown kinds get the default profile.
-        let q = lib.proc_profile("Weird");
-        assert_eq!(q.cycles("arith.addi"), 1);
+    fn registered_profiles_resolve_to_op_costs() {
+        let mut lib = SimLibrary::standard();
+        // Standard and unknown kinds issue one op per cycle.
+        assert_eq!(lib.proc_costs("ARMr5"), HotCycles::uniform(1));
+        assert_eq!(lib.proc_costs("Weird"), HotCycles::uniform(1));
+        let mut p = ProcProfile::uniform(2);
+        p.per_op.insert("arith.muli".into(), 5);
+        p.per_op.insert("affine.store".into(), 0);
+        lib.register_proc_profile("MAC", p);
+        let mut want = HotCycles::uniform(2);
+        want.arith[BinOp::Muli as usize] = 5;
+        want.store = 0;
+        assert_eq!(lib.proc_costs("MAC"), want);
     }
 
     #[test]

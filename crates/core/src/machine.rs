@@ -4,17 +4,17 @@
 //! A [`Machine`] is built incrementally while the engine interprets the
 //! structure-specification ops of an EQueue program (`create_proc`,
 //! `create_mem`, …). Timing behaviour lives in small model objects:
-//! processors map op names to cycle counts, memories implement
+//! processors charge the op costs of their kind, memories implement
 //! [`MemoryBehavior`] (the paper's `getReadOrWriteCycles` extension point),
 //! and connections ration bytes per cycle.
 
+use crate::interp::BinOp;
 use crate::profile::BandwidthStats;
 use crate::value::{BufId, CompId, ConnId, Tensor};
 use equeue_dialect::ConnKind;
 use equeue_ir::OpId;
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Read or write, for memory/connection accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -353,12 +353,21 @@ impl Memory {
     }
 }
 
-/// A processor timing profile: cycles per op name, with a default.
+/// A processor timing profile: cycles per op name, with a default. The
+/// library resolves it into a kind's op costs once, when it is registered
+/// with [`SimLibrary::register_proc_profile`](crate::SimLibrary::register_proc_profile).
 #[derive(Debug, Clone)]
 pub struct ProcProfile {
     /// Cycles for ops not listed in `per_op`.
     pub default_cycles: u64,
-    /// Per-op overrides, keyed by op name or `equeue.op` signature.
+    /// Per-op overrides, keyed by op name. The engine reads eleven names:
+    /// `affine.load`, `affine.store`, `arith.cmpi`, `arith.select`,
+    /// `arith.addi`, `arith.addf`, `arith.subi`, `arith.muli`,
+    /// `arith.mulf`, `arith.divi` and `arith.remi`; every other op a
+    /// processor runs is free or timed by its memory or connection. An
+    /// `equeue.op` takes its cycles from
+    /// [`SimLibrary::register_ext_op`](crate::SimLibrary::register_ext_op)
+    /// or its own `cycles` attribute, never from a profile.
     pub per_op: HashMap<String, u64>,
 }
 
@@ -389,13 +398,45 @@ impl ProcProfile {
     }
 }
 
-/// A processor component instance.
+/// A processor kind's op costs: the entries of its [`ProcProfile`] the
+/// engine charges, resolved once so running an op never looks up a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HotCycles {
+    pub(crate) load: u64,
+    pub(crate) store: u64,
+    pub(crate) cmpi: u64,
+    pub(crate) select: u64,
+    pub(crate) arith: [u64; BinOp::COUNT],
+}
+
+impl HotCycles {
+    /// Every op costs `cycles`.
+    pub(crate) const fn uniform(cycles: u64) -> Self {
+        HotCycles {
+            load: cycles,
+            store: cycles,
+            cmpi: cycles,
+            select: cycles,
+            arith: [cycles; BinOp::COUNT],
+        }
+    }
+
+    pub(crate) fn from_profile(p: &ProcProfile) -> Self {
+        HotCycles {
+            load: p.cycles("affine.load"),
+            store: p.cycles("affine.store"),
+            cmpi: p.cycles("arith.cmpi"),
+            select: p.cycles("arith.select"),
+            arith: BinOp::ALL.map(|op| p.cycles(op.name())),
+        }
+    }
+}
+
+/// A processor component instance; its timing lives with its runtime.
 #[derive(Debug, Clone)]
 pub struct Processor {
     /// Kind string (`"ARMr5"`, `"MAC"`, `"AIEngine"`, …).
     pub kind: String,
-    /// Timing profile, shared by the processors of one kind.
-    pub profile: Arc<ProcProfile>,
 }
 
 /// A composite component grouping named children.
@@ -643,13 +684,12 @@ impl Machine {
     }
 
     /// Adds a processor; returns its id.
-    pub fn add_processor(&mut self, kind: &str, profile: Arc<ProcProfile>) -> CompId {
+    pub fn add_processor(&mut self, kind: &str) -> CompId {
         let id = CompId(self.components.len() as u32);
         self.components.push(Component {
             name: format!("{kind}#{}", id.0),
             kind: ComponentKind::Processor(Processor {
                 kind: kind.to_string(),
-                profile,
             }),
         });
         id
@@ -802,14 +842,6 @@ impl Machine {
             ComponentKind::Processor(p) => Some(p),
             _ => None,
         }
-    }
-
-    /// Whether `comp` can execute launch blocks (processor or DMA).
-    pub fn is_executor(&self, comp: CompId) -> bool {
-        matches!(
-            self.components[comp.0 as usize].kind,
-            ComponentKind::Processor(_) | ComponentKind::Dma
-        )
     }
 
     /// Allocates a buffer of `shape`×`elem_bytes` inside memory `mem`.
@@ -996,7 +1028,7 @@ mod tests {
     #[test]
     fn composite_lookup() {
         let mut m = Machine::new();
-        let p = m.add_processor("MAC", Arc::new(ProcProfile::default()));
+        let p = m.add_processor("MAC");
         let mem = m.add_memory("SRAM", 64, 32, 1, 1, Box::new(SramBehavior::default()));
         let c = m.add_composite(&["PE".into(), "Mem".into()], &[p, mem]);
         assert_eq!(m.child(c, "PE"), Some(p));
@@ -1006,9 +1038,6 @@ mod tests {
         let d = m.add_dma();
         m.extend_composite(c, &["DMA".into()], &[d]).unwrap();
         assert_eq!(m.child(c, "DMA"), Some(d));
-        assert!(m.is_executor(p));
-        assert!(m.is_executor(d));
-        assert!(!m.is_executor(mem));
     }
 
     #[test]

@@ -215,10 +215,9 @@ pub(crate) enum OpCode {
         on_true: Slot,
         on_false: Slot,
     },
-    /// A binary `arith` op. `kind` is the pre-decoded operator for the
-    /// scalar fast path; `None` means an op name `apply_binary` will
-    /// reject (kept so the error fires at execution, like everything
-    /// else).
+    /// A binary `arith` op. `kind` is the pre-decoded operator; `None`
+    /// means a name the engine does not know, rejected when executed
+    /// (after its operands are looked up), like everything else.
     Binary {
         kind: Option<BinOp>,
         lhs: Slot,

@@ -19,7 +19,7 @@
 //! version, the header (requested and actual cut, completion flag), the
 //! state sections, and a trailing FNV-1a 64-bit checksum over
 //! everything before it. Encoding is canonical (deterministic field order,
-//! profile maps sorted by key, wake queue sorted by `(time, seq)`).
+//! wake queue sorted by `(time, seq)`).
 //!
 //! [`Snapshot::decode`] checks the envelope: length, checksum, magic,
 //! version and completion flag, so any truncation or byte mutation is rejected
@@ -41,25 +41,29 @@
 //! iteration from the frame's induction slots, which resume checks hold
 //! integers. The header no longer names the capture backend.
 //!
+//! Since version 5 a processor's runtime record carries its eleven op
+//! costs (the resolved form of its kind's `ProcProfile`) once, and a
+//! processor component only its kind.
+//!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
 //! cycle/event budgets from the captured counters.
 
 use std::any::Any;
-use std::sync::Arc;
 use std::time::Instant;
 
 use equeue_dialect::ConnKind;
 use equeue_ir::{BlockId, IdVec, Module, OpId};
 
 use crate::engine::{
-    build_report, set_proc_of_comp, Engine, EventKind, Frame, HotCycles, PendingEvent, ProcRuntime,
-    Scope, SimOptions,
+    build_report, set_proc_of_comp, Engine, EventKind, Frame, PendingEvent, ProcRuntime, Scope,
+    SimOptions,
 };
+use crate::interp::BinOp;
 use crate::library::SimLibrary;
 use crate::machine::{
     Buffer, CacheBehavior, ChannelStats, Component, ComponentKind, Composite, Connection,
-    DramBehavior, MemCounters, Memory, MemoryBehavior, ProcProfile, Processor, RegisterBehavior,
+    DramBehavior, HotCycles, MemCounters, Memory, MemoryBehavior, Processor, RegisterBehavior,
     SramBehavior,
 };
 use crate::plan::{mem_spec, OpCode, Plan};
@@ -73,7 +77,7 @@ const MAGIC: [u8; 4] = *b"EQSS";
 
 /// Current snapshot format version. Bumped on any wire-format change;
 /// decoding rejects unknown versions.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Bytes before the state sections: magic, version, both cuts and the
 /// completion flag.
@@ -721,21 +725,17 @@ impl Writer {
         self.u32(f.scope);
     }
 
-    /// A timing profile, its per-op map sorted by name.
-    fn profile(&mut self, p: &ProcProfile) {
-        self.u64(p.default_cycles);
-        let mut per_op: Vec<_> = p.per_op.iter().collect();
-        per_op.sort();
-        self.seq(per_op.into_iter(), |w, (name, cycles)| {
-            w.string(name);
-            w.u64(*cycles);
-        });
+    /// A processor's op costs, in `HotCycles` field order.
+    fn costs(&mut self, c: &HotCycles) {
+        for v in [c.load, c.store, c.cmpi, c.select].iter().chain(&c.arith) {
+            self.u64(*v);
+        }
     }
 
     fn proc(&mut self, p: &ProcRuntime) {
         self.u32(p.comp.0);
         self.u64(p.clock);
-        self.profile(&p.profile);
+        self.costs(&p.hot);
         self.seq(p.queue.iter(), Writer::event);
         self.opt(p.frame.as_ref(), Writer::frame);
     }
@@ -776,7 +776,6 @@ impl Writer {
             ComponentKind::Processor(p) => {
                 self.u8(0);
                 self.string(&p.kind);
-                self.profile(&p.profile);
             }
             ComponentKind::Memory(m) => {
                 self.u8(1);
@@ -1077,27 +1076,27 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn profile(&mut self) -> Result<ProcProfile, SimError> {
-        Ok(ProcProfile {
-            default_cycles: self.cost()?,
-            per_op: self
-                .seq(1, |r| Ok((r.string()?, r.cost()?)))?
-                .into_iter()
-                .collect(),
-        })
+    fn costs(&mut self) -> Result<HotCycles, SimError> {
+        let mut c = HotCycles {
+            load: self.cost()?,
+            store: self.cost()?,
+            cmpi: self.cost()?,
+            select: self.cost()?,
+            arith: [0; BinOp::COUNT],
+        };
+        for v in &mut c.arith {
+            *v = self.cost()?;
+        }
+        Ok(c)
     }
 
     fn proc(&mut self) -> Result<ProcRuntime, SimError> {
-        let comp = CompId(self.u32()?);
-        let clock = self.time()?;
-        let profile = Arc::new(self.profile()?);
         Ok(ProcRuntime {
-            comp,
+            comp: CompId(self.u32()?),
+            clock: self.time()?,
+            hot: self.costs()?,
             queue: self.seq(1, Reader::event)?.into(),
             frame: self.opt(Reader::frame)?,
-            clock,
-            hot: HotCycles::from_profile(&profile),
-            profile,
         })
     }
 
@@ -1159,7 +1158,6 @@ impl<'a> Reader<'a> {
         let kind = match self.u8()? {
             0 => ComponentKind::Processor(Processor {
                 kind: self.string()?,
-                profile: Arc::new(self.profile()?),
             }),
             1 => ComponentKind::Memory(self.memory(module, plan, lib)?),
             2 => ComponentKind::Dma,

@@ -10,9 +10,8 @@
 //! a reference-count bump, not a data copy. The engine clones values on
 //! every read and every launch-env capture, which made deep tensor copies
 //! the dominant cost of tensor-heavy simulations. Writers call
-//! [`TensorData::make_ints_mut`] / [`TensorData::make_floats_mut`] (thin
-//! wrappers over [`Arc::make_mut`]), which copy only when the payload is
-//! actually shared.
+//! [`Arc::make_mut`] on the payload, which copies only when it is actually
+//! shared.
 
 use std::fmt;
 use std::sync::Arc;
@@ -35,9 +34,8 @@ pub struct SignalId(pub u32);
 
 /// Tensor payload: a shaped block of integers or floats, copy-on-write.
 ///
-/// Cloning is an `Arc` bump; mutation goes through
-/// [`TensorData::make_ints_mut`] / [`TensorData::make_floats_mut`], which
-/// deep-copy only when the payload is shared.
+/// Cloning is an `Arc` bump; mutation goes through [`Arc::make_mut`], which
+/// deep-copies only when the payload is shared.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TensorData {
     /// Integer elements.
@@ -75,24 +73,6 @@ impl TensorData {
         match self {
             TensorData::Int(v) => Some(v),
             TensorData::Float(_) => None,
-        }
-    }
-
-    /// Mutable integer elements (copy-on-write: clones the backing vector
-    /// only when shared), if this is an [`TensorData::Int`].
-    pub fn make_ints_mut(&mut self) -> Option<&mut Vec<i64>> {
-        match self {
-            TensorData::Int(v) => Some(Arc::make_mut(v)),
-            TensorData::Float(_) => None,
-        }
-    }
-
-    /// Mutable float elements (copy-on-write), if this is a
-    /// [`TensorData::Float`].
-    pub fn make_floats_mut(&mut self) -> Option<&mut Vec<f64>> {
-        match self {
-            TensorData::Float(v) => Some(Arc::make_mut(v)),
-            TensorData::Int(_) => None,
         }
     }
 }
@@ -164,23 +144,9 @@ impl Tensor {
         self.data.is_empty()
     }
 
-    /// Row-major flat index for `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subscript rank does not match the tensor's rank or an
-    /// index is out of range.
-    pub fn flatten_index(&self, indices: &[usize]) -> usize {
-        match self.try_flatten_index(indices) {
-            Ok(flat) => flat,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Row-major flat index for `indices`, or a diagnostic when the
     /// subscript rank does not match the tensor's rank or an index is out
-    /// of range. The fallible twin of [`Tensor::flatten_index`], used on
-    /// paths fed by untrusted IR.
+    /// of range.
     pub fn try_flatten_index(&self, indices: &[usize]) -> Result<usize, String> {
         if indices.len() != self.shape.len() {
             return Err(format!(
@@ -246,40 +212,6 @@ impl SimValue {
             _ => None,
         }
     }
-
-    /// The buffer id, if this is a [`SimValue::Buffer`].
-    pub fn as_buffer(&self) -> Option<BufId> {
-        match self {
-            SimValue::Buffer(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The component id, if this is a [`SimValue::Component`].
-    pub fn as_component(&self) -> Option<CompId> {
-        match self {
-            SimValue::Component(c) => Some(*c),
-            _ => None,
-        }
-    }
-
-    /// The signal id, if this is a [`SimValue::Signal`].
-    pub fn as_signal(&self) -> Option<SignalId> {
-        match self {
-            SimValue::Signal(s) => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// Size in bytes this value occupies when transferred, assuming
-    /// `elem_bytes` per scalar element.
-    pub fn transfer_bytes(&self, elem_bytes: usize) -> usize {
-        match self {
-            SimValue::Tensor(t) => t.len() * elem_bytes,
-            SimValue::Int(_) | SimValue::Float(_) => elem_bytes,
-            _ => 0,
-        }
-    }
 }
 
 impl fmt::Display for SimValue {
@@ -324,8 +256,11 @@ mod tests {
         let t = Tensor::zeros_float(vec![4]);
         assert_eq!(t.len(), 4);
         let t = Tensor::from_int(vec![2, 2], vec![1, 2, 3, 4]);
-        assert_eq!(t.flatten_index(&[1, 0]), 2);
-        assert_eq!(t.flatten_index(&[0, 1]), 1);
+        assert_eq!(t.try_flatten_index(&[1, 0]), Ok(2));
+        assert_eq!(t.try_flatten_index(&[0, 1]), Ok(1));
+        let err = |ix: &[usize]| t.try_flatten_index(ix).unwrap_err();
+        assert!(err(&[2, 0]).contains("out of range"));
+        assert!(err(&[0]).contains("rank mismatch"));
     }
 
     #[test]
@@ -337,7 +272,9 @@ mod tests {
             (TensorData::Int(x), TensorData::Int(y)) => assert!(Arc::ptr_eq(x, y)),
             _ => unreachable!(),
         }
-        b.data.make_ints_mut().unwrap()[0] = 99;
+        if let TensorData::Int(v) = &mut b.data {
+            Arc::make_mut(v)[0] = 99;
+        }
         assert_eq!(a.data.as_ints().unwrap(), &[1, 2, 3, 4]);
         assert_eq!(b.data.as_ints().unwrap(), &[99, 2, 3, 4]);
     }
@@ -349,32 +286,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn tensor_index_out_of_range_panics() {
-        let t = Tensor::zeros_int(vec![2, 2]);
-        t.flatten_index(&[2, 0]);
-    }
-
-    #[test]
     fn value_accessors() {
         assert_eq!(SimValue::Int(3).as_int(), Some(3));
         assert_eq!(SimValue::Int(3).as_float(), Some(3.0));
         assert_eq!(SimValue::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(SimValue::Buffer(BufId(1)).as_buffer(), Some(BufId(1)));
-        assert_eq!(SimValue::Signal(SignalId(2)).as_signal(), Some(SignalId(2)));
-        assert_eq!(
-            SimValue::Component(CompId(4)).as_component(),
-            Some(CompId(4))
-        );
-        assert_eq!(SimValue::Int(3).as_buffer(), None);
-    }
-
-    #[test]
-    fn transfer_bytes() {
-        assert_eq!(SimValue::Int(1).transfer_bytes(4), 4);
-        let t = SimValue::Tensor(Tensor::zeros_int(vec![8]));
-        assert_eq!(t.transfer_bytes(4), 32);
-        assert_eq!(SimValue::Unit.transfer_bytes(4), 0);
+        assert_eq!(SimValue::Buffer(BufId(1)).as_int(), None);
     }
 
     #[test]

@@ -554,6 +554,50 @@ fn oversized_counters_are_rejected() {
     assert!(report.events_processed >= 1 << 62);
 }
 
+/// A restored processor op cost at 2^32 or above is a typed rejection at
+/// resume; just below it, the run resumes and charges it.
+#[test]
+fn oversized_processor_costs_are_rejected() {
+    let (compiled, bytes) = seed(affine_double(8), 7);
+    let opts = SimOptions {
+        trace: false,
+        ..Default::default()
+    };
+    // The ARMr5 processor's eleven one-cycle costs, `affine.load` first.
+    let costs = 1u64.to_le_bytes().repeat(11);
+    let hits: Vec<usize> = (0..bytes.len() - costs.len())
+        .filter(|&i| bytes[i..i + costs.len()] == costs[..])
+        .collect();
+    let [at] = hits[..] else {
+        panic!("expected one run of processor costs in the stream, found {hits:?}")
+    };
+    let with = |field: usize, v: u64| {
+        let mut b = bytes.clone();
+        let off = at + 8 * field;
+        b[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        reseal(&mut b);
+        let snap = Snapshot::decode(&b).expect("re-sealed stream decodes");
+        compiled.resume(&snap, &opts)
+    };
+    for field in 0..11 {
+        match with(field, 1 << 32) {
+            Err(SimError::Snapshot(msg)) => {
+                assert!(
+                    msg.contains("cycle cost too large"),
+                    "cost {field}: unexpected message {msg:?}"
+                );
+            }
+            Err(e) => panic!("cost {field}: non-Snapshot error {e}"),
+            Ok(_) => panic!("cost {field}: resumed"),
+        }
+    }
+    let report = with(0, (1 << 32) - 1).expect("a cost below the bound resumes");
+    assert!(
+        report.cycles >= (1 << 32) - 1,
+        "the restored load cost is charged"
+    );
+}
+
 /// A pending `and` combinator resolves at the latest time its
 /// dependencies resolved so far, so a restored one is bounded like any
 /// other time. A pending `or` keeps `u64::MAX` there and never reads it:

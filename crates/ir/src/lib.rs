@@ -17,8 +17,7 @@
 //!   per-op metadata;
 //! * a **pass framework** ([`Pass`], [`PassManager`]) hosting the reusable
 //!   lowering passes of §V;
-//! * **rewrite utilities** ([`dce`], [`inline_region`], [`split_block`])
-//!   shared by those passes.
+//! * a **rewrite utility** ([`dce`]) shared by those passes.
 //!
 //! Dialect definitions (arith, affine, linalg, and the EQueue dialect
 //! itself) live in the `equeue-dialect` crate; the discrete-event simulation
@@ -73,9 +72,9 @@ pub use module::{
 };
 pub use parser::{parse_module, parse_type};
 pub use pass::{Pass, PassManager};
-pub use printer::{print_module, print_op};
+pub use printer::print_module;
 pub use registry::{DialectRegistry, OpInfo, OpTraits, VerifyFn};
-pub use rewrite::{dce, inline_region, move_after, move_before, split_block};
+pub use rewrite::dce;
 pub use types::Type;
 pub use verify::verify_module;
 

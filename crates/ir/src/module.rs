@@ -154,14 +154,6 @@ impl Operation {
     pub fn dialect(&self) -> &str {
         self.name.split('.').next().unwrap_or("")
     }
-
-    /// The mnemonic of [`Operation::name`] (after the first `.`).
-    pub fn mnemonic(&self) -> &str {
-        match self.name.split_once('.') {
-            Some((_, m)) => m,
-            None => &self.name,
-        }
-    }
 }
 
 /// Arena record for a basic block.
@@ -574,17 +566,6 @@ impl Module {
         uses
     }
 
-    /// Whether `value` has at least one use in a live op.
-    pub fn has_uses(&self, value: ValueId) -> bool {
-        let mut used = false;
-        self.walk(|op| {
-            if !used && self.op(op).operands.contains(&value) {
-                used = true;
-            }
-        });
-        used
-    }
-
     /// Replaces every use of `old` with `new` throughout the module.
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) {
         self.touch();
@@ -741,7 +722,6 @@ mod tests {
         assert_eq!(m.block(m.top_block()).ops, ops);
         assert_eq!(m.op(ops[0]).name, "test.v");
         assert_eq!(m.op(ops[0]).dialect(), "test");
-        assert_eq!(m.op(ops[0]).mnemonic(), "v");
         assert_eq!(*m.value_type(m.result(ops[0], 0)), Type::I32);
     }
 
@@ -767,12 +747,11 @@ mod tests {
         let vc = m.result(c, 0);
         let user = m.create_op("test.use", vec![va, va], vec![], AttrMap::new(), vec![]);
         m.append_op(b, user);
-        assert!(m.has_uses(va));
-        assert!(!m.has_uses(vc));
         let uses = m.collect_uses();
         assert_eq!(uses[&va].len(), 2);
+        assert!(!uses.contains_key(&vc));
         m.replace_all_uses(va, vc);
-        assert!(!m.has_uses(va));
+        assert!(!m.collect_uses().contains_key(&va));
         assert_eq!(m.op(user).operands, vec![vc, vc]);
     }
 

@@ -37,19 +37,6 @@ pub fn print_module(module: &Module) -> String {
     Printer::new(module).print()
 }
 
-/// Prints a single operation (with its regions) at indent 0.
-pub fn print_op(module: &Module, op: OpId) -> String {
-    let mut p = Printer::new(module);
-    // Name every value reachable from the op's operands first so uses of
-    // outer values print stably.
-    for &v in &module.op(op).operands {
-        p.name_of(v);
-    }
-    let mut out = String::new();
-    p.write_op(&mut out, op, 0);
-    out
-}
-
 /// A value's printed name, without its `%`.
 enum ValueName {
     Number(usize),
@@ -391,15 +378,6 @@ mod tests {
         assert!(text.contains("^bb0(%1: !equeue.signal):"), "{text}");
         assert!(text.contains("  \"equeue.return\"() : () -> ()"));
         assert!(text.ends_with("}) : () -> !equeue.signal\n"));
-    }
-
-    #[test]
-    fn print_single_op() {
-        let mut m = Module::new();
-        let blk = m.top_block();
-        let mut b = OpBuilder::at_end(&mut m, blk);
-        let op = b.op("test.only").finish();
-        assert_eq!(print_op(&m, op), "\"test.only\"() : () -> ()\n");
     }
 
     #[test]
