@@ -232,14 +232,18 @@ mod tests {
     }
 
     #[test]
-    fn registered_profiles_resolve_to_op_costs() {
+    fn profiles_make_events_free() {
         let mut lib = SimLibrary::standard();
         // Standard and unknown kinds issue one op per cycle.
         assert_eq!(lib.proc_costs("ARMr5"), HotCycles::uniform(1));
         assert_eq!(lib.proc_costs("Weird"), HotCycles::uniform(1));
+        // A profile resolves to the eleven op costs the engine charges;
+        // an entry for an event op, which no processor is charged for,
+        // leaves no trace.
         let mut p = ProcProfile::uniform(2);
         p.per_op.insert("arith.muli".into(), 5);
         p.per_op.insert("affine.store".into(), 0);
+        p.per_op.insert("equeue.launch".into(), 50);
         lib.register_proc_profile("MAC", p);
         let mut want = HotCycles::uniform(2);
         want.arith[BinOp::Muli as usize] = 5;
