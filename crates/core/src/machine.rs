@@ -363,8 +363,9 @@ pub struct ProcProfile {
     /// Per-op overrides, keyed by op name. The engine reads eleven names:
     /// `affine.load`, `affine.store`, `arith.cmpi`, `arith.select`,
     /// `arith.addi`, `arith.addf`, `arith.subi`, `arith.muli`,
-    /// `arith.mulf`, `arith.divi` and `arith.remi`; every other op a
-    /// processor runs is free or timed by its memory or connection. An
+    /// `arith.mulf`, `arith.divi` and `arith.remi`. Every other op a
+    /// processor runs is free, timed by a memory or connection, or (the
+    /// `linalg` ops) timed analytically. An
     /// `equeue.op` takes its cycles from
     /// [`SimLibrary::register_ext_op`](crate::SimLibrary::register_ext_op)
     /// or its own `cycles` attribute, never from a profile.
