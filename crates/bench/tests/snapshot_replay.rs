@@ -447,102 +447,102 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 type Pin = (usize, u64);
 
 /// `(name, pin under Fused, pin under Interp)` of every golden scenario's
-/// snapshot at its mid cut, recorded at snapshot format version 4.
+/// snapshot at its mid cut, recorded at snapshot format version 5.
 const WIRE_PINS: &[(&str, Pin, Pin)] = &[
     (
         "fig09_4x4_ws_8x8",
-        (15715, 11253683408537714090),
-        (15715, 11253683408537714090),
+        (7887, 3575583097906371150),
+        (7887, 3575583097906371150),
     ),
     (
         "fig11_linalg_ws_8",
-        (6745, 10644234275627316801),
-        (6745, 10644234275627316801),
+        (4874, 2035953862470826946),
+        (4874, 2035953862470826946),
     ),
     (
         "fig11_affine_ws_8",
-        (6971, 14290157272558761727),
-        (6971, 15712212504469930547),
+        (5100, 2018039177249645164),
+        (5100, 1900708947210172210),
     ),
     (
         "fig11_reassign_ws_8",
-        (9807, 8368804781726945290),
-        (9807, 10346242937310164433),
+        (7936, 7082799860047872589),
+        (7936, 17145947523750384839),
     ),
     (
         "fig11_systolic_ws_8",
-        (50343, 5573902332587071379),
-        (50343, 5573902332587071379),
+        (22805, 13049945757626123205),
+        (22805, 13049945757626123205),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_ws",
-        (191524, 5594147301182916430),
-        (191524, 5594147301182916430),
+        (95658, 16588704081410707985),
+        (95658, 16588704081410707985),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_is",
-        (1364847, 3512561917088044145),
-        (1364847, 3512561917088044145),
+        (1268981, 7533641603985243868),
+        (1268981, 7533641603985243868),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_os",
-        (181487, 13939500133654335365),
-        (181487, 13939500133654335365),
+        (85621, 3275850003416171424),
+        (85621, 3275850003416171424),
     ),
     (
         "fir_single_core",
-        (2677, 2332520686116852447),
-        (2677, 2332520686116852447),
+        (1419, 3481844015591045215),
+        (1419, 3481844015591045215),
     ),
     (
         "fir_pipelined16",
-        (200435, 3810433189704205747),
-        (200435, 3810433189704205747),
+        (169659, 12915638847602831682),
+        (169659, 12915638847602831682),
     ),
     (
         "fir_bandwidth16",
-        (199624, 6997365242129907644),
-        (199624, 6997365242129907644),
+        (168848, 14699485932496603402),
+        (168848, 14699485932496603402),
     ),
     (
         "fir_balanced4",
-        (48912, 1422485119799026398),
-        (48912, 1422485119799026398),
+        (41260, 78184857636222989),
+        (41260, 78184857636222989),
     ),
     (
         "matmul_linalg16",
-        (8458, 11244177216696193118),
-        (8458, 11244177216696193118),
+        (7200, 12767248773880846271),
+        (7200, 12767248773880846271),
     ),
     (
         "matmul_affine16",
-        (8586, 767702089914753861),
-        (8586, 14818551616605972912),
+        (7328, 14878539608917767161),
+        (7328, 15611812997845500543),
     ),
     (
         "tensor_stream_64x8",
-        (68026, 9419094870643941797),
-        (68026, 9419094870643941797),
+        (66768, 2297520814168811924),
+        (66768, 2297520814168811924),
     ),
     (
         "conv2d_systolic_8x3",
-        (14153, 12125879499439135580),
-        (14153, 12125879499439135580),
+        (8340, 11800408455992875080),
+        (8340, 11800408455992875080),
     ),
     (
         "multi_tenant_4x16x6",
-        (28834, 10789440099247335680),
-        (28834, 10789440099247335680),
+        (23021, 11030337015210142053),
+        (23021, 11030337015210142053),
     ),
     (
         "mega_grid_8x8",
-        (109222, 9273432753884612664),
-        (109222, 600245605746023062),
+        (25182, 1021955636123073692),
+        (25182, 13233976019462182314),
     ),
     (
         "shard_grid_4x4",
-        (29770, 17087408492231499301),
-        (29770, 10929484256606349507),
+        (8802, 12825253683517807438),
+        (8802, 15266857412902143273),
     ),
 ];
 
