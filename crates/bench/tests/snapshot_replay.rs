@@ -103,7 +103,7 @@ fn replay_is_bit_identical_across_cuts_and_backends() {
     }
 }
 
-/// The bytes of a v5 stream that may differ between a Fused and an Interp
+/// The bytes of a stream that may differ between a Fused and an Interp
 /// capture of the same state: the `fused_trace_entries` counter (the
 /// eighth counter after the header and the module fingerprint) and the
 /// trailing checksum.
@@ -270,10 +270,17 @@ impl MemoryBehavior for ParityCache {
 }
 
 /// Builds a [`ParityCache`] from its `create_mem` attributes.
-fn parity_cache_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-    let hit = spec.attrs.int("hit_cycles").unwrap_or(1).max(0) as u64;
-    let miss = spec.attrs.int("miss_cycles").unwrap_or(20).max(0) as u64;
-    Box::new(ParityCache { hit, miss })
+fn parity_cache_factory(spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+    let cycles = |name: &str, default: i64| {
+        let v = spec.attrs.int(name).unwrap_or(default);
+        u32::try_from(v)
+            .map(u64::from)
+            .map_err(|_| format!("ParityCache {name} must be in 0..=4294967295, got {v}"))
+    };
+    Ok(Box::new(ParityCache {
+        hit: cycles("hit_cycles", 1)?,
+        miss: cycles("miss_cycles", 20)?,
+    }))
 }
 
 /// Eight single-element reads from a `ParityCache` memory whose
@@ -367,7 +374,8 @@ fn registered_processor_costs_survive_resume() {
     let mut lib = SimLibrary::standard();
     let mut profile = ProcProfile::uniform(1);
     profile.per_op.insert("arith.addi".into(), 7);
-    lib.register_proc_profile("Slow", profile);
+    lib.register_proc_profile("Slow", profile)
+        .expect("costs fit");
     let compiled = CompiledModule::compile(add_loop_program("Slow"), lib).expect("compiles");
     let full = compiled
         .simulate(&options(Backend::Fused))
@@ -388,6 +396,41 @@ fn registered_processor_costs_survive_resume() {
                     assert_reports_identical(&tag, &full, &resumed);
                 }
             }
+        }
+    }
+}
+
+/// A resumed run takes its timing from the library of the handle that
+/// resumes it, not from the capture: cut where `Slow` adds take 7 cycles
+/// and resumed where they take 3, every add after the cut is charged 3.
+#[test]
+fn resume_takes_processor_costs_from_the_resuming_library() {
+    let handle = |add_cycles| {
+        let mut lib = SimLibrary::standard();
+        let mut profile = ProcProfile::uniform(1);
+        profile.per_op.insert("arith.addi".into(), add_cycles);
+        lib.register_proc_profile("Slow", profile)
+            .expect("costs fit");
+        CompiledModule::compile(add_loop_program("Slow"), lib).expect("compiles")
+    };
+    let (captured, resuming) = (handle(7), handle(3));
+    let full = resuming
+        .simulate(&options(Backend::Interp))
+        .expect("full run");
+    assert_eq!(full.cycles, 5 * 3);
+    // Each processor runs five adds; at cut `7 * k` it has run `k`.
+    for k in 1..5 {
+        let snap = captured
+            .snapshot(7 * k, &options(Backend::Interp))
+            .expect("snapshot");
+        assert_eq!(snap.actual_cut(), 7 * k);
+        let decoded = Snapshot::decode(&snap.encode()).expect("decode");
+        for backend in [Backend::Fused, Backend::Interp] {
+            let resumed = resuming
+                .resume(&decoded, &options(backend))
+                .unwrap_or_else(|e| panic!("cut {}: resume: {e}", 7 * k));
+            assert_eq!(resumed.cycles, 7 * k + 3 * (5 - k), "cut {}", 7 * k);
+            assert_eq!(resumed.ops_interpreted, full.ops_interpreted);
         }
     }
 }

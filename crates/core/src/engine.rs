@@ -49,7 +49,9 @@
 use crate::error::{LimitExceeded, LimitKind, Progress};
 use crate::interp::{apply_binary, conv2d_int, eval_cmpi, matmul_int};
 use crate::library::SimLibrary;
-use crate::machine::{AccessKind, HotCycles, Machine, RegisterBehavior};
+use crate::machine::{
+    AccessKind, Component, ComponentKind, HotCycles, Machine, Memory, Processor, RegisterBehavior,
+};
 use crate::plan::{mem_spec, LoopDims, OpCode, OpInfo, Plan, Slot};
 use crate::profile::SimReport;
 use crate::queue::EventQueue;
@@ -447,12 +449,10 @@ impl<'m> Engine<'m> {
         start: Instant,
     ) -> Self {
         let mut engine = Self::new(module, plan, lib, options, start);
-        // The implicit host processor interprets the top block at time 0;
-        // all its ops are free (orchestration, not datapath).
-        let host = engine.machine.add_processor("Host");
-        let host_idx = engine.add_proc_runtime(host, HotCycles::uniform(0));
+        // The implicit host processor interprets the top block at time 0.
+        engine.add_executor(processor(module, None), None);
         let done = engine.signals.fresh();
-        engine.procs[host_idx].frame = Some(Frame {
+        engine.procs[0].frame = Some(Frame {
             env: vec![None; plan.scope_values(0).len()],
             stack: vec![Scope {
                 block: module.top_block(),
@@ -461,21 +461,25 @@ impl<'m> Engine<'m> {
             done,
             scope: 0,
         });
-        engine.schedule(0, host_idx);
+        engine.schedule(0, 0);
         engine
     }
 
-    fn add_proc_runtime(&mut self, comp: CompId, hot: HotCycles) -> usize {
-        let idx = self.procs.len();
-        self.procs.push(ProcRuntime {
-            comp,
-            queue: VecDeque::new(),
-            frame: None,
-            clock: 0,
-            hot,
-        });
-        set_proc_of_comp(&mut self.proc_of_comp, comp, idx);
-        idx
+    /// Adds a component that `origin` created and, since it executes, its
+    /// processor runtime.
+    fn add_executor(&mut self, kind: ComponentKind, origin: Option<OpId>) -> CompId {
+        let comp = self.machine.add_component(kind, origin);
+        if let Some(hot) = runtime_costs(self.lib, &self.machine.components[comp.0 as usize]) {
+            set_proc_of_comp(&mut self.proc_of_comp, comp, self.procs.len());
+            self.procs.push(ProcRuntime {
+                comp,
+                queue: VecDeque::new(),
+                frame: None,
+                clock: 0,
+                hot,
+            });
+        }
+        comp
     }
 
     /// The processor index of executor component `comp`.
@@ -1156,41 +1160,18 @@ impl<'m> Engine<'m> {
 
             // ---- structure specification (elaboration, free) ----
             OpCode::CreateProc => {
-                let kind = attr_str("kind");
-                let comp = self.machine.add_processor(kind);
-                self.add_proc_runtime(comp, self.lib.proc_costs(kind));
+                let comp = self.add_executor(processor(module, Some(op)), Some(op));
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
             OpCode::CreateMem => {
-                let spec = mem_spec(module, op).ok_or_else(|| {
-                    let shape = data.attrs.shape("shape").unwrap_or_default();
-                    SimError::Port(format!("memory shape {shape:?} capacity overflows"))
-                })?;
-                let behavior = self.lib.make_memory(&spec);
-                let energy = spec
-                    .attrs
-                    .float("energy_pj")
-                    .unwrap_or_else(|| self.lib.energy_per_access(&spec.kind));
-                let ports = create_mem_view(module, op).ok().and_then(|v| v.ports);
-                let comp = self.machine.add_memory_with_energy(
-                    &spec.kind,
-                    spec.capacity_elems,
-                    spec.data_bits,
-                    spec.banks,
-                    ports.unwrap_or(DEFAULT_MEM_PORTS),
-                    behavior,
-                    energy,
-                );
-                if let Some(m) = self.machine.memory_mut(comp) {
-                    m.origin = Some(op);
-                }
+                let memory = ComponentKind::Memory(build_memory(module, self.lib, op)?);
+                let comp = self.machine.add_component(memory, Some(op));
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
             OpCode::CreateDma => {
-                let comp = self.machine.add_dma();
-                self.add_proc_runtime(comp, HotCycles::uniform(1));
+                let comp = self.add_executor(ComponentKind::Dma, Some(op));
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
             }
@@ -1209,6 +1190,7 @@ impl<'m> Engine<'m> {
                     .map(|&s| self.lookup_comp(frame, s))
                     .collect::<Result<_, _>>()?;
                 let comp = self.machine.add_composite(names, &kids);
+                self.machine.components[comp.0 as usize].origin = Some(op);
                 self.trace.renamed(&kids);
                 self.bind(frame, info, 0, SimValue::Component(comp));
                 Ok(Step::Continue)
@@ -1248,6 +1230,7 @@ impl<'m> Engine<'m> {
             }
             OpCode::CreateConnection { kind, bandwidth } => {
                 let conn = self.machine.add_connection(kind, bandwidth);
+                self.machine.connection_mut(conn).origin = Some(op);
                 self.bind(frame, info, 0, SimValue::Connection(conn));
                 Ok(Step::Continue)
             }
@@ -1940,23 +1923,78 @@ impl<'m> Engine<'m> {
         Ok(())
     }
 
-    /// The implicit host memory backing `memref.alloc` (unbounded,
-    /// register-speed).
+    /// The host scratch memory, added on first use.
     fn host_memory(&mut self) -> CompId {
         if let Some(m) = self.host_mem {
             return m;
         }
-        let m = self.machine.add_memory_with_energy(
-            "HostMem",
-            usize::MAX / 2,
-            32,
-            1,
-            1,
-            Box::new(RegisterBehavior),
-            0.0,
-        );
+        let m = ComponentKind::Memory(host_scratch());
+        let m = self.machine.add_component(m, None);
         self.host_mem = Some(m);
         m
+    }
+}
+
+/// The implicit host memory backing `memref.alloc` (unbounded,
+/// register-speed).
+pub(crate) fn host_scratch() -> Memory {
+    let model = Box::new(RegisterBehavior);
+    Memory::new("HostMem".into(), usize::MAX / 2, 32, 1, 1, model, 0.0)
+}
+
+/// The processor an `equeue.create_proc` op creates, or for `None` the
+/// implicit host processor, component 0, which interprets the top block.
+pub(crate) fn processor(module: &Module, op: Option<OpId>) -> ComponentKind {
+    let kind = op.map_or("Host", |op| {
+        module.op(op).attrs.str("kind").unwrap_or_default()
+    });
+    ComponentKind::Processor(Processor {
+        kind: kind.to_string(),
+    })
+}
+
+/// The memory an `equeue.create_mem` op creates: its library timing
+/// model, capacity, banks, ports and energy per access.
+///
+/// # Errors
+///
+/// [`SimError::Port`] when the capacity overflows, and
+/// [`SimError::Layout`] when the library's factory rejects the op's
+/// attributes.
+pub(crate) fn build_memory(
+    module: &Module,
+    lib: &SimLibrary,
+    op: OpId,
+) -> Result<Memory, SimError> {
+    let spec = mem_spec(module, op).ok_or_else(|| {
+        let shape = module.op(op).attrs.shape("shape").unwrap_or_default();
+        SimError::Port(format!("memory shape {shape:?} capacity overflows"))
+    })?;
+    let model = lib.make_memory(&spec).map_err(|msg| SimError::Layout {
+        op: module.op(op).name.to_string(),
+        msg,
+    })?;
+    let energy = spec
+        .attrs
+        .float("energy_pj")
+        .unwrap_or_else(|| lib.energy_per_access(&spec.kind));
+    let ports = create_mem_view(module, op).ok().and_then(|v| v.ports);
+    let ports = ports.unwrap_or(DEFAULT_MEM_PORTS);
+    let (capacity, bits, banks) = (spec.capacity_elems, spec.data_bits, spec.banks);
+    Ok(Memory::new(
+        spec.kind, capacity, bits, banks, ports, model, energy,
+    ))
+}
+
+/// The op costs of a processor runtime on `c`: free on the host, one cycle
+/// per op on a DMA engine, and its kind's costs in `lib` on any other
+/// processor. `None` when `c` does not execute.
+pub(crate) fn runtime_costs(lib: &SimLibrary, c: &Component) -> Option<HotCycles> {
+    match (&c.kind, c.origin) {
+        (ComponentKind::Processor(_), None) => Some(HotCycles::uniform(0)),
+        (ComponentKind::Processor(p), Some(_)) => Some(lib.proc_costs(&p.kind)),
+        (ComponentKind::Dma, _) => Some(HotCycles::uniform(1)),
+        _ => None,
     }
 }
 

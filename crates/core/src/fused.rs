@@ -531,18 +531,18 @@ fn check_buffers(
                 return Err(FuseDecline::NonIntegerTensor(elem.to_string()));
             }
         }
-        let spec = match buffer_origin(module, buf) {
+        let behavior = match buffer_origin(module, buf) {
             BufferOrigin::Host(_) => continue,
             BufferOrigin::Mem(mem) => ops
                 .get(mem.index())
                 .filter(|info| matches!(info.code, OpCode::CreateMem))
-                .and_then(|_| mem_spec(module, mem)),
+                .and_then(|_| mem_spec(module, mem))
+                .and_then(|spec| lib.make_memory(&spec).ok()),
             BufferOrigin::Unknown => None,
         };
-        let Some(spec) = spec else {
+        let Some(behavior) = behavior else {
             return Err(FuseDecline::UnresolvedBuffer);
         };
-        let behavior = lib.make_memory(&spec);
         if behavior.uniform_scalar_cycles().is_none() {
             return Err(FuseDecline::StatefulMemory(
                 behavior.model_name().to_string(),

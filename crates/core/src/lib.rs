@@ -133,7 +133,7 @@ pub use error::{CancelToken, LimitExceeded, LimitKind, Progress, RunLimits, SimE
 pub use facts::{analyze_facts, FuseVerdict, LoopFact, PrepassFacts};
 pub use fused::FuseDecline;
 pub use interp::{conv2d_int, matmul_int};
-pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary};
+pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary, MAX_CACHE_GEOMETRY, MAX_CYCLE_COST};
 pub use machine::{
     AccessKind, Buffer, CacheBehavior, Component, ComponentKind, Connection, DramBehavior, Machine,
     MemCounters, Memory, MemoryBehavior, ProcProfile, Processor, RegisterBehavior, SramBehavior,

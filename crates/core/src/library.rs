@@ -16,8 +16,18 @@ use crate::machine::{
     CacheBehavior, DramBehavior, HotCycles, MemoryBehavior, ProcProfile, RegisterBehavior,
     SramBehavior,
 };
+use crate::SimError;
 use equeue_ir::AttrMap;
 use std::collections::HashMap;
+
+/// The largest cycle cost the library accepts: a stock memory model's
+/// timing attribute, or an op cost of a registered processor profile.
+/// Larger costs could overflow the clock.
+pub const MAX_CYCLE_COST: u64 = u32::MAX as u64;
+
+/// The largest `sets`, `ways` or `line_elems` of the stock cache model,
+/// which allocates a tag stack per set.
+pub const MAX_CACHE_GEOMETRY: usize = 1 << 16;
 
 /// Description of a `create_mem` op handed to a memory factory.
 #[derive(Debug, Clone)]
@@ -34,8 +44,11 @@ pub struct MemSpec {
     pub attrs: AttrMap,
 }
 
-/// Factory for memory timing models.
-pub type MemFactory = fn(&MemSpec) -> Box<dyn MemoryBehavior>;
+/// Factory for memory timing models. An attribute it cannot model is an
+/// error message: compiling runs every `equeue.create_mem` through its
+/// factory, so the op becomes a [`SimError::Layout`]. Execution and
+/// snapshot resume build the memory with the same factory.
+pub type MemFactory = fn(&MemSpec) -> Result<Box<dyn MemoryBehavior>, String>;
 
 /// An external operation implementation (for `equeue.op`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,33 +91,43 @@ impl std::fmt::Debug for SimLibrary {
     }
 }
 
-fn sram_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-    let cpa = spec.attrs.int("cycles_per_access").unwrap_or(1).max(0) as u64;
-    Box::new(SramBehavior {
-        cycles_per_access: cpa,
-    })
+/// Integer attribute `name` of `spec` (`default` when absent) in
+/// `lo..=hi`.
+fn mem_attr(spec: &MemSpec, name: &str, default: i64, (lo, hi): (u64, u64)) -> Result<u64, String> {
+    let v = spec.attrs.int(name).unwrap_or(default);
+    let ok = u64::try_from(v).ok().filter(|u| (lo..=hi).contains(u));
+    ok.ok_or_else(|| format!("create_mem {name} must be in {lo}..={hi}, got {v}"))
 }
 
-fn register_factory(_spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-    Box::new(RegisterBehavior)
+const CYCLES: (u64, u64) = (0, MAX_CYCLE_COST);
+const GEOMETRY: (u64, u64) = (1, MAX_CACHE_GEOMETRY as u64);
+
+fn sram_factory(spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+    let cycles_per_access = mem_attr(spec, "cycles_per_access", 1, CYCLES)?;
+    Ok(Box::new(SramBehavior { cycles_per_access }))
 }
 
-fn dram_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-    let latency = spec.attrs.int("latency").unwrap_or(10).max(0) as u64;
-    let cpa = spec.attrs.int("cycles_per_access").unwrap_or(2).max(0) as u64;
-    Box::new(DramBehavior {
-        latency,
-        cycles_per_access: cpa,
-    })
+fn register_factory(_spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+    Ok(Box::new(RegisterBehavior))
 }
 
-fn cache_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-    let sets = spec.attrs.int("sets").unwrap_or(16).max(1) as usize;
-    let ways = spec.attrs.int("ways").unwrap_or(4).max(1) as usize;
-    let line = spec.attrs.int("line_elems").unwrap_or(8).max(1) as usize;
-    let hit = spec.attrs.int("hit_cycles").unwrap_or(1).max(0) as u64;
-    let miss = spec.attrs.int("miss_cycles").unwrap_or(10).max(0) as u64;
-    Box::new(CacheBehavior::new(sets, ways, line, hit, miss))
+fn dram_factory(spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+    Ok(Box::new(DramBehavior {
+        latency: mem_attr(spec, "latency", 10, CYCLES)?,
+        cycles_per_access: mem_attr(spec, "cycles_per_access", 2, CYCLES)?,
+    }))
+}
+
+fn cache_factory(spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+    let geometry =
+        |name, default| Ok::<_, String>(mem_attr(spec, name, default, GEOMETRY)? as usize);
+    Ok(Box::new(CacheBehavior::new(
+        geometry("sets", 16)?,
+        geometry("ways", 4)?,
+        geometry("line_elems", 8)?,
+        mem_attr(spec, "hit_cycles", 1, CYCLES)?,
+        mem_attr(spec, "miss_cycles", 10, CYCLES)?,
+    )))
 }
 
 impl SimLibrary {
@@ -158,9 +181,19 @@ impl SimLibrary {
     /// Registers (or overrides) the timing of processor kind `kind`. Its
     /// op costs are read from `profile` now; see [`ProcProfile::per_op`]
     /// for the names that count.
-    pub fn register_proc_profile(&mut self, kind: &str, profile: ProcProfile) {
-        self.proc_costs
-            .insert(kind.to_string(), HotCycles::from_profile(&profile));
+    /// Fails, registering nothing, when one exceeds [`MAX_CYCLE_COST`].
+    pub fn register_proc_profile(
+        &mut self,
+        kind: &str,
+        profile: ProcProfile,
+    ) -> Result<(), SimError> {
+        let costs = HotCycles::from_profile(&profile);
+        if let Some(c) = costs.iter().find(|&c| c > MAX_CYCLE_COST) {
+            let msg = format!("processor kind '{kind}' costs {c} > {MAX_CYCLE_COST} cycles");
+            return Err(SimError::Unsupported(msg));
+        }
+        self.proc_costs.insert(kind.to_string(), costs);
+        Ok(())
     }
 
     /// The op costs of processor kind `kind`. A kind nobody registered,
@@ -179,12 +212,10 @@ impl SimLibrary {
     }
 
     /// Builds the timing model for a memory spec; unknown kinds fall back
-    /// to SRAM behaviour.
-    pub fn make_memory(&self, spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-        match self.mem_factories.get(&spec.kind) {
-            Some(f) => f(spec),
-            None => sram_factory(spec),
-        }
+    /// to SRAM behaviour. Fails with the factory's message.
+    pub fn make_memory(&self, spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+        let factory = self.mem_factories.get(&spec.kind).copied();
+        factory.unwrap_or(sram_factory)(spec)
     }
 
     /// Per-access energy for a memory kind in picojoules (an `energy_pj`
@@ -244,7 +275,7 @@ mod tests {
         p.per_op.insert("arith.muli".into(), 5);
         p.per_op.insert("affine.store".into(), 0);
         p.per_op.insert("equeue.launch".into(), 50);
-        lib.register_proc_profile("MAC", p);
+        lib.register_proc_profile("MAC", p).unwrap();
         let mut want = HotCycles::uniform(2);
         want.arith[BinOp::Muli as usize] = 5;
         want.store = 0;
@@ -254,34 +285,67 @@ mod tests {
     #[test]
     fn factories_dispatch_by_kind() {
         let lib = SimLibrary::standard();
-        let mut sram = lib.make_memory(&spec("SRAM"));
+        let mut sram = lib.make_memory(&spec("SRAM")).unwrap();
         assert_eq!(sram.model_name(), "SRAM");
         assert_eq!(sram.access_cycles(AccessKind::Read, 0, 4, 4), 1);
-        let mut reg = lib.make_memory(&spec("Register"));
+        let mut reg = lib.make_memory(&spec("Register")).unwrap();
         assert_eq!(reg.access_cycles(AccessKind::Read, 0, 4, 4), 0);
-        let dram = lib.make_memory(&spec("DRAM"));
+        let dram = lib.make_memory(&spec("DRAM")).unwrap();
         assert_eq!(dram.model_name(), "DRAM");
-        let cache = lib.make_memory(&spec("Cache"));
+        let cache = lib.make_memory(&spec("Cache")).unwrap();
         assert_eq!(cache.model_name(), "Cache");
         // Unknown kind falls back to SRAM behaviour.
-        let fallback = lib.make_memory(&spec("Scratchpad"));
+        let fallback = lib.make_memory(&spec("Scratchpad")).unwrap();
         assert_eq!(fallback.model_name(), "SRAM");
     }
 
     #[test]
     fn custom_factory_and_ext_op() {
-        fn slow(_: &MemSpec) -> Box<dyn MemoryBehavior> {
-            Box::new(DramBehavior {
+        fn slow(_: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+            Ok(Box::new(DramBehavior {
                 latency: 99,
                 cycles_per_access: 1,
-            })
+            }))
         }
         let mut lib = SimLibrary::standard();
         lib.register_mem_factory("Slow", slow);
-        let mut m = lib.make_memory(&spec("Slow"));
+        let mut m = lib.make_memory(&spec("Slow")).unwrap();
         assert_eq!(m.access_cycles(AccessKind::Read, 0, 1, 1), 100);
         lib.register_ext_op("fir32", 16);
         assert_eq!(lib.ext_op("fir32").unwrap().cycles, 16);
+    }
+
+    #[test]
+    fn stock_factories_bound_their_attributes() {
+        let lib = SimLibrary::standard();
+        let make = |kind: &str, attr: &str, v: i64| {
+            let mut s = spec(kind);
+            s.attrs.set(attr, v);
+            lib.make_memory(&s).map(|m| m.model_name().to_string())
+        };
+        let max_cost = MAX_CYCLE_COST as i64;
+        for (kind, attr) in [
+            ("SRAM", "cycles_per_access"),
+            ("DRAM", "latency"),
+            ("DRAM", "cycles_per_access"),
+            ("Cache", "hit_cycles"),
+            ("Cache", "miss_cycles"),
+        ] {
+            assert_eq!(make(kind, attr, 0).unwrap(), kind);
+            assert_eq!(make(kind, attr, max_cost).unwrap(), kind);
+            for bad in [-1, max_cost + 1] {
+                let msg = make(kind, attr, bad).unwrap_err();
+                assert!(msg.contains(&format!("{attr} must be in 0..=")), "{msg}");
+            }
+        }
+        let max_geometry = MAX_CACHE_GEOMETRY as i64;
+        for attr in ["sets", "ways", "line_elems"] {
+            assert_eq!(make("Cache", attr, max_geometry).unwrap(), "Cache");
+            for bad in [0, max_geometry + 1] {
+                let msg = make("Cache", attr, bad).unwrap_err();
+                assert!(msg.contains(&format!("{attr} must be in 1..=")), "{msg}");
+            }
+        }
     }
 
     #[test]
@@ -290,7 +354,7 @@ mod tests {
         let mut s = spec("Cache");
         s.attrs.set("miss_cycles", 50i64);
         s.attrs.set("sets", 2i64);
-        let mut c = lib.make_memory(&s);
+        let mut c = lib.make_memory(&s).unwrap();
         // First access must miss with the configured penalty.
         assert_eq!(c.access_cycles(AccessKind::Read, 0, 1, 1), 50);
     }

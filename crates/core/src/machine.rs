@@ -30,13 +30,12 @@ pub enum AccessKind {
 /// the extension point of §IV-D: a custom component overrides
 /// `access_cycles` exactly like the paper's `getReadOrWriteCycles`.
 ///
-/// Simulation snapshots carry the complete state of the four stock models
-/// ([`SramBehavior`], [`RegisterBehavior`], [`DramBehavior`],
-/// [`CacheBehavior`]), found by downcasting. Any other model carries no
-/// state in the stream: on resume its library factory rebuilds it from the
-/// [`MemSpec`](crate::MemSpec) of the `equeue.create_mem` op that built it,
-/// which is exact for a stateless model; a stateful one restarts from its
-/// initial state.
+/// Simulation snapshots carry no model configuration: on resume every
+/// model is rebuilt by its library factory from the
+/// [`MemSpec`](crate::MemSpec) of the `equeue.create_mem` op that created
+/// its memory. The only model state a snapshot carries is a
+/// [`CacheBehavior`]'s tags and hit and miss counts, found by
+/// downcasting; any other stateful model restarts from its initial state.
 pub trait MemoryBehavior: Any + Send {
     /// Latency in cycles of accessing `elems` elements starting at flat
     /// element address `addr`, on a memory with `banks` banks.
@@ -271,11 +270,6 @@ pub struct Memory {
     /// Energy per access in picojoules (the paper's Fig. 2 discussion:
     /// SRAM costs more energy per access than a register file).
     pub energy_per_access_pj: f64,
-    /// The `equeue.create_mem` op that built this memory: `None` for
-    /// memories built through the [`Machine`] API and for the host scratch
-    /// memory. Resuming a snapshot rebuilds a custom timing model from
-    /// this op's attributes.
-    pub origin: Option<OpId>,
 }
 
 impl std::fmt::Debug for Memory {
@@ -291,6 +285,29 @@ impl std::fmt::Debug for Memory {
 }
 
 impl Memory {
+    /// A memory with nothing allocated and every port free.
+    pub(crate) fn new(
+        kind: String,
+        capacity_elems: usize,
+        data_bits: u32,
+        banks: u32,
+        ports: usize,
+        behavior: Box<dyn MemoryBehavior>,
+        energy_per_access_pj: f64,
+    ) -> Self {
+        Memory {
+            kind,
+            capacity_elems,
+            data_bits,
+            banks,
+            used_elems: 0,
+            behavior,
+            ports: vec![0; ports.max(1)],
+            counters: MemCounters::default(),
+            energy_per_access_pj,
+        }
+    }
+
     /// Element size in bytes (bits rounded up).
     pub fn elem_bytes(&self) -> usize {
         (self.data_bits as usize).div_ceil(8)
@@ -422,6 +439,13 @@ impl HotCycles {
         }
     }
 
+    /// Every cost, in field order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> {
+        [self.load, self.store, self.cmpi, self.select]
+            .into_iter()
+            .chain(self.arith)
+    }
+
     pub(crate) fn from_profile(p: &ProcProfile) -> Self {
         HotCycles {
             load: p.cycles("affine.load"),
@@ -470,13 +494,34 @@ impl std::fmt::Debug for ComponentKind {
     }
 }
 
+impl ComponentKind {
+    /// The prefix of a new component's default name.
+    fn label(&self) -> &str {
+        match self {
+            ComponentKind::Processor(p) => &p.kind,
+            ComponentKind::Memory(m) => &m.kind,
+            ComponentKind::Dma => "DMA",
+            ComponentKind::Composite(_) => "Comp",
+        }
+    }
+}
+
 /// One component instance.
+///
+/// Its configuration comes from the op that created it, so a simulation
+/// snapshot stores only `origin` and the run state; resume rebuilds the
+/// rest from that op.
 #[derive(Debug)]
 pub struct Component {
     /// Display name (assigned by `create_comp`; defaults to `kind#id`).
     pub name: String,
     /// The component body.
     pub kind: ComponentKind,
+    /// The `equeue.create_proc`, `create_mem`, `create_dma` or
+    /// `create_comp` op that created this component: `None` for the
+    /// engine's host processor and host scratch memory, and for
+    /// components built through the [`Machine`] API.
+    pub origin: Option<OpId>,
 }
 
 /// A buffer allocated inside a memory.
@@ -566,6 +611,9 @@ pub struct Connection {
     pub(crate) read_stats: ChannelStats,
     /// Write-direction bandwidth statistics.
     pub(crate) write_stats: ChannelStats,
+    /// The `equeue.create_connection` op that created this connection:
+    /// `None` for connections built through the [`Machine`] API.
+    pub origin: Option<OpId>,
 }
 
 impl Connection {
@@ -575,6 +623,7 @@ impl Connection {
             name,
             kind,
             bytes_per_cycle,
+            origin: None,
             read_free: 0,
             write_free: 0,
             read_stats: ChannelStats::default(),
@@ -684,19 +733,19 @@ impl Machine {
         Self::default()
     }
 
-    /// Adds a processor; returns its id.
-    pub fn add_processor(&mut self, kind: &str) -> CompId {
+    /// Adds a component created by `origin`, named `kind#id`; returns its
+    /// id.
+    pub fn add_component(&mut self, kind: ComponentKind, origin: Option<OpId>) -> CompId {
         let id = CompId(self.components.len() as u32);
         self.components.push(Component {
-            name: format!("{kind}#{}", id.0),
-            kind: ComponentKind::Processor(Processor {
-                kind: kind.to_string(),
-            }),
+            name: format!("{}#{}", kind.label(), id.0),
+            kind,
+            origin,
         });
         id
     }
 
-    /// Adds a memory; returns its id.
+    /// Adds a memory that costs no energy per access; returns its id.
     pub fn add_memory(
         &mut self,
         kind: &str,
@@ -706,69 +755,30 @@ impl Machine {
         ports: usize,
         behavior: Box<dyn MemoryBehavior>,
     ) -> CompId {
-        self.add_memory_with_energy(kind, capacity_elems, data_bits, banks, ports, behavior, 0.0)
-    }
-
-    /// Adds a memory with an explicit per-access energy cost.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_memory_with_energy(
-        &mut self,
-        kind: &str,
-        capacity_elems: usize,
-        data_bits: u32,
-        banks: u32,
-        ports: usize,
-        behavior: Box<dyn MemoryBehavior>,
-        energy_per_access_pj: f64,
-    ) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Component {
-            name: format!("{kind}#{}", id.0),
-            kind: ComponentKind::Memory(Memory {
-                kind: kind.to_string(),
-                capacity_elems,
-                data_bits,
-                banks,
-                used_elems: 0,
-                behavior,
-                ports: vec![0; ports.max(1)],
-                counters: MemCounters::default(),
-                energy_per_access_pj,
-                origin: None,
-            }),
-        });
-        id
-    }
-
-    /// Adds a DMA engine; returns its id.
-    pub fn add_dma(&mut self) -> CompId {
-        let id = CompId(self.components.len() as u32);
-        self.components.push(Component {
-            name: format!("DMA#{}", id.0),
-            kind: ComponentKind::Dma,
-        });
-        id
+        let m = Memory::new(
+            kind.to_string(),
+            capacity_elems,
+            data_bits,
+            banks,
+            ports,
+            behavior,
+            0.0,
+        );
+        self.add_component(ComponentKind::Memory(m), None)
     }
 
     /// Adds a composite with named children (children are renamed to their
     /// given names); returns its id. Extra names or children beyond the
     /// shorter of the two lists are ignored.
     pub fn add_composite(&mut self, names: &[String], children: &[CompId]) -> CompId {
-        let id = CompId(self.components.len() as u32);
         for (n, &c) in names.iter().zip(children) {
             self.components[c.0 as usize].name = n.clone();
         }
-        self.components.push(Component {
-            name: format!("Comp#{}", id.0),
-            kind: ComponentKind::Composite(Composite {
-                children: names
-                    .iter()
-                    .cloned()
-                    .zip(children.iter().copied())
-                    .collect(),
-            }),
+        let children = names.iter().cloned().zip(children.iter().copied());
+        let kind = ComponentKind::Composite(Composite {
+            children: children.collect(),
         });
-        id
+        self.add_component(kind, None)
     }
 
     /// Adds named children to an existing composite.
@@ -1029,14 +1039,16 @@ mod tests {
     #[test]
     fn composite_lookup() {
         let mut m = Machine::new();
-        let p = m.add_processor("MAC");
+        let mac = ComponentKind::Processor(Processor { kind: "MAC".into() });
+        let p = m.add_component(mac, None);
         let mem = m.add_memory("SRAM", 64, 32, 1, 1, Box::new(SramBehavior::default()));
         let c = m.add_composite(&["PE".into(), "Mem".into()], &[p, mem]);
         assert_eq!(m.child(c, "PE"), Some(p));
         assert_eq!(m.child(c, "Mem"), Some(mem));
         assert_eq!(m.child(c, "Nope"), None);
         assert_eq!(m.name(p), "PE");
-        let d = m.add_dma();
+        let d = m.add_component(ComponentKind::Dma, None);
+        assert_eq!(m.name(d), "DMA#3");
         m.extend_composite(c, &["DMA".into()], &[d]).unwrap();
         assert_eq!(m.child(c, "DMA"), Some(d));
     }

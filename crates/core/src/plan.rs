@@ -677,7 +677,12 @@ impl Decoder<'_> {
                 OpCode::CreateProc
             }
             "equeue.create_mem" => {
+                // The factory checks the model's attributes here, once; a
+                // capacity that overflows fails only when the op runs.
                 create_mem_view(module, op)?;
+                if let Some(spec) = mem_spec(module, op) {
+                    self.lib.make_memory(&spec)?;
+                }
                 OpCode::CreateMem
             }
             "equeue.create_dma" => OpCode::CreateDma,

@@ -21,29 +21,34 @@
 //! everything before it. Encoding is canonical (deterministic field order,
 //! wake queue sorted by `(time, seq)`).
 //!
+//! The stream holds run state, not hardware configuration. Each component
+//! and connection records the op that created it (its `origin`), and resume
+//! builds it again from that op with the functions execution uses
+//! (`build_memory`, `runtime_costs` in the engine, and the resuming
+//! library's factories and processor costs), then reads back only its
+//! state: a memory's allocation, port free times and traffic counters
+//! (plus a stock cache's tags and hit and miss counts), a composite's
+//! children, a connection's free times and statistics. So a resumed run
+//! takes all of its timing from the library of the handle that resumes it.
+//!
 //! [`Snapshot::decode`] checks the envelope: length, checksum, magic,
 //! version and completion flag, so any truncation or byte mutation is rejected
 //! with a typed [`SimError::Snapshot`] — never a panic. Resume checks the
 //! rest, once: every tag, length and shape in the state sections, the
-//! module fingerprint, every id the state cross-references, and the
-//! size of every number the resumed run adds to: times and counters must
-//! stay below 2^62 and cycle costs below 2^32, so a stream edited and
-//! re-sealed with a fresh checksum cannot make the run overflow them.
-//!
-//! Since version 3 each memory records the `equeue.create_mem` op that
-//! built it. A custom timing model carries no state in the stream; resume
-//! rebuilds it with its library factory from that op's attributes, which
-//! is exact for stateless models, while a stateful one restarts from the
-//! factory's initial state.
+//! module fingerprint, every origin against the op kinds that create
+//! components and connections, every id the state cross-references, and
+//! the size of every number the resumed run adds to: times and counters
+//! must stay below 2^62, so a stream edited and re-sealed with a fresh
+//! checksum cannot make the run overflow them.
 //!
 //! Since version 4 a frame's stack scope is only its block and op index:
 //! a loop body's bounds come from the resuming plan and its current
 //! iteration from the frame's induction slots, which resume checks hold
 //! integers. The header no longer names the capture backend.
 //!
-//! Since version 5 a processor's runtime record carries its eleven op
-//! costs (the resolved form of its kind's `ProcProfile`) once, and a
-//! processor component only its kind.
+//! Since version 6 the stream carries no configuration: no processor
+//! costs, no memory kind, capacity, bits, banks, energy or model
+//! parameters, and no connection name, kind or bandwidth.
 //!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
@@ -52,21 +57,18 @@
 use std::any::Any;
 use std::time::Instant;
 
-use equeue_dialect::ConnKind;
 use equeue_ir::{BlockId, IdVec, Module, OpId};
 
 use crate::engine::{
-    build_report, set_proc_of_comp, Engine, EventKind, Frame, PendingEvent, ProcRuntime, Scope,
-    SimOptions,
+    build_memory, build_report, host_scratch, processor, runtime_costs, set_proc_of_comp, Engine,
+    EventKind, Frame, PendingEvent, ProcRuntime, Scope, SimOptions,
 };
-use crate::interp::BinOp;
 use crate::library::SimLibrary;
 use crate::machine::{
     Buffer, CacheBehavior, ChannelStats, Component, ComponentKind, Composite, Connection,
-    DramBehavior, HotCycles, MemCounters, Memory, MemoryBehavior, Processor, RegisterBehavior,
-    SramBehavior,
+    HotCycles, Machine, MemCounters, Memory,
 };
-use crate::plan::{mem_spec, OpCode, Plan};
+use crate::plan::{OpCode, Plan};
 use crate::profile::SimReport;
 use crate::signal::{SignalState, SignalTable};
 use crate::value::{BufId, CompId, ConnId, SignalId, SimValue, Tensor, TensorData};
@@ -77,7 +79,7 @@ const MAGIC: [u8; 4] = *b"EQSS";
 
 /// Current snapshot format version. Bumped on any wire-format change;
 /// decoding rejects unknown versions.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Bytes before the state sections: magic, version, both cuts and the
 /// completion flag.
@@ -300,8 +302,8 @@ fn capture(e: &mut Engine, requested: u64) -> Snapshot {
         w.u64(s);
         w.u32(p as u32);
     });
-    w.seq(e.signals.signals.iter(), Writer::signal_state);
     w.seq(e.procs.iter(), Writer::proc);
+    w.seq(e.signals.signals.iter(), Writer::signal_state);
     w.seq(e.machine.components.iter(), Writer::component);
     w.seq(e.machine.buffers.iter(), Writer::buffer);
     w.seq(e.machine.connections.iter(), Writer::connection);
@@ -331,22 +333,27 @@ fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
     }
     e.host_mem = r.opt(Reader::u32)?.map(CompId);
     let mut wakes = r.seq(8 + 8 + 4, |r| Ok((r.time()?, r.u64()?, r.u32()?)))?;
-    e.signals = SignalTable::from_states(r.seq(1, Reader::signal_state)?);
     e.procs = r.seq(1, Reader::proc)?;
+    e.signals = SignalTable::from_states(r.seq(1, Reader::signal_state)?);
     let (module, plan, lib) = (e.module, e.plan, e.lib);
     let ncomp = r.seq_len(1)?;
-    for _ in 0..ncomp {
-        let c = r.component(ncomp, module, plan, lib)?;
+    for index in 0..ncomp {
+        let c = r.component(index, ncomp, e.host_mem, module, plan, lib)?;
         e.machine.components.push(c);
     }
     let comps = &e.machine.components;
     e.machine.buffers = r.seq(1, |r| r.buffer(comps))?;
-    e.machine.connections = r.seq(1, Reader::connection)?;
+    for _ in 0..r.seq_len(1)? {
+        r.connection(&mut e.machine, plan)?;
+    }
     if !r.at_end() {
         return Err(err("trailing bytes after the machine section"));
     }
     check_state(e, &wakes)?;
-    for (i, p) in e.procs.iter().enumerate() {
+    for (i, p) in e.procs.iter_mut().enumerate() {
+        let comp = &e.machine.components[p.comp.0 as usize];
+        p.hot = runtime_costs(lib, comp)
+            .ok_or_else(|| err("processor runtime on a component that does not execute"))?;
         set_proc_of_comp(&mut e.proc_of_comp, p.comp, i);
     }
     wakes.sort_unstable();
@@ -364,9 +371,6 @@ fn restore(e: &mut Engine, bytes: &[u8]) -> Result<(), SimError> {
 
 /// Restored times and counters stay below this (see [`Reader::time`]).
 const MAX_TIME: u64 = 1 << 62;
-
-/// Restored cycle costs stay below this (see [`Reader::cost`]).
-const MAX_COST: u64 = 1 << 32;
 
 /// Arena sizes a restored id must stay below.
 struct Bounds {
@@ -725,65 +729,22 @@ impl Writer {
         self.u32(f.scope);
     }
 
-    /// A processor's op costs, in `HotCycles` field order.
-    fn costs(&mut self, c: &HotCycles) {
-        for v in [c.load, c.store, c.cmpi, c.select].iter().chain(&c.arith) {
-            self.u64(*v);
-        }
-    }
-
     fn proc(&mut self, p: &ProcRuntime) {
         self.u32(p.comp.0);
         self.u64(p.clock);
-        self.costs(&p.hot);
         self.seq(p.queue.iter(), Writer::event);
         self.opt(p.frame.as_ref(), Writer::frame);
     }
 
-    /// A memory's timing model: the four stock models' fields under tags
-    /// 0–3, any other model as tag 4 with no state.
-    fn behavior(&mut self, b: &dyn MemoryBehavior) {
-        let b: &dyn Any = b;
-        if let Some(m) = b.downcast_ref::<SramBehavior>() {
-            self.u8(0);
-            self.u64(m.cycles_per_access);
-        } else if b.is::<RegisterBehavior>() {
-            self.u8(1);
-        } else if let Some(m) = b.downcast_ref::<DramBehavior>() {
-            self.u8(2);
-            self.u64(m.latency);
-            self.u64(m.cycles_per_access);
-        } else if let Some(m) = b.downcast_ref::<CacheBehavior>() {
-            self.u8(3);
-            self.usize(m.sets);
-            self.usize(m.ways);
-            self.usize(m.line_elems);
-            self.u64(m.hit_cycles);
-            self.u64(m.miss_cycles);
-            self.seq(m.tags.iter(), |w, set| {
-                w.seq(set.iter(), |w, &t| w.usize(t))
-            });
-            self.u64(m.hits);
-            self.u64(m.misses);
-        } else {
-            self.u8(4);
-        }
-    }
-
+    /// A component: its name (`create_comp` and `add_comp` rename
+    /// components) and origin, then the run state of what it is.
     fn component(&mut self, c: &Component) {
         self.string(&c.name);
+        self.opt(c.origin.map(|op| op.index()), Writer::usize);
         match &c.kind {
-            ComponentKind::Processor(p) => {
-                self.u8(0);
-                self.string(&p.kind);
-            }
-            ComponentKind::Memory(m) => {
-                self.u8(1);
-                self.memory(m);
-            }
-            ComponentKind::Dma => self.u8(2),
+            ComponentKind::Processor(_) | ComponentKind::Dma => {}
+            ComponentKind::Memory(m) => self.memory(m),
             ComponentKind::Composite(comp) => {
-                self.u8(3);
                 self.seq(comp.children.iter(), |w, (name, id)| {
                     w.string(name);
                     w.u32(id.0);
@@ -792,40 +753,36 @@ impl Writer {
         }
     }
 
+    /// A memory's run state: allocation, port free times, traffic
+    /// counters and, for a stock cache, its tags and hit and miss counts.
     fn memory(&mut self, m: &Memory) {
-        self.string(&m.kind);
-        self.opt(m.origin.map(|op| op.index()), Writer::usize);
-        self.usize(m.capacity_elems);
-        self.u32(m.data_bits);
-        self.u32(m.banks);
         self.usize(m.used_elems);
-        self.behavior(&*m.behavior);
         self.seq(m.ports.iter(), |w, &p| w.u64(p));
         let c = m.counters;
         for v in [c.bytes_read, c.bytes_written, c.reads, c.writes] {
             self.u64(v);
         }
-        self.f64(m.energy_per_access_pj);
+        let model: &dyn Any = &*m.behavior;
+        if let Some(cache) = model.downcast_ref::<CacheBehavior>() {
+            self.seq(cache.tags.iter(), |w, set| {
+                w.seq(set.iter(), |w, &t| w.usize(t))
+            });
+            self.u64(cache.hits);
+            self.u64(cache.misses);
+        }
     }
 
-    /// A buffer. Its shape slot repeats `data.shape`; resume rejects a
-    /// stream whose two shapes disagree.
     fn buffer(&mut self, b: &Buffer) {
         self.u32(b.mem.0);
-        self.seq(b.data.shape.iter(), |w, &d| w.usize(d));
         self.usize(b.elem_bytes);
         self.usize(b.base_addr);
         self.boolean(b.live);
         self.tensor(&b.data);
     }
 
+    /// A connection: its origin, then its free times and statistics.
     fn connection(&mut self, c: &Connection) {
-        self.string(&c.name);
-        self.u8(match c.kind {
-            ConnKind::Streaming => 0,
-            ConnKind::Window => 1,
-        });
-        self.u64(c.bytes_per_cycle);
+        self.opt(c.origin.map(|op| op.index()), Writer::usize);
         self.u64(c.read_free);
         self.u64(c.write_free);
         for s in [&c.read_stats, &c.write_stats] {
@@ -899,16 +856,6 @@ impl<'a> Reader<'a> {
         let v = self.u64()?;
         if v >= MAX_TIME {
             return Err(err("time or counter too large to resume"));
-        }
-        Ok(v)
-    }
-
-    /// A per-op or per-access cycle cost, which the run adds and
-    /// multiplies by access sizes.
-    fn cost(&mut self) -> Result<u64, SimError> {
-        let v = self.u64()?;
-        if v >= MAX_COST {
-            return Err(err("cycle cost too large to resume"));
         }
         Ok(v)
     }
@@ -1076,155 +1023,88 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn costs(&mut self) -> Result<HotCycles, SimError> {
-        let mut c = HotCycles {
-            load: self.cost()?,
-            store: self.cost()?,
-            cmpi: self.cost()?,
-            select: self.cost()?,
-            arith: [0; BinOp::COUNT],
-        };
-        for v in &mut c.arith {
-            *v = self.cost()?;
-        }
-        Ok(c)
-    }
-
     fn proc(&mut self) -> Result<ProcRuntime, SimError> {
         Ok(ProcRuntime {
             comp: CompId(self.u32()?),
             clock: self.time()?,
-            hot: self.costs()?,
+            // Set by `restore` from the runtime's component.
+            hot: HotCycles::uniform(0),
             queue: self.seq(1, Reader::event)?.into(),
             frame: self.opt(Reader::frame)?,
         })
     }
 
-    /// A memory timing model. A custom model whose state the stream does
-    /// not carry is rebuilt by `opaque`.
-    fn behavior(
-        &mut self,
-        opaque: impl FnOnce() -> Result<Box<dyn MemoryBehavior>, SimError>,
-    ) -> Result<Box<dyn MemoryBehavior>, SimError> {
-        Ok(match self.u8()? {
-            0 => Box::new(SramBehavior {
-                cycles_per_access: self.cost()?,
-            }),
-            1 => Box::new(RegisterBehavior),
-            2 => Box::new(DramBehavior {
-                latency: self.cost()?,
-                cycles_per_access: self.cost()?,
-            }),
-            3 => {
-                let (sets, ways, line_elems) = (self.usize()?, self.usize()?, self.usize()?);
-                let (hit_cycles, miss_cycles) = (self.cost()?, self.cost()?);
-                let tags = self.seq(8, |r| r.seq(8, Reader::usize))?;
-                let (hits, misses) = (self.time()?, self.time()?);
-                if sets == 0 || ways == 0 || line_elems == 0 {
-                    return Err(err("cache with zero sets, ways or line size"));
-                }
-                if tags.len() != sets {
-                    return Err(err("cache tag table does not hold one stack per set"));
-                }
-                if tags.iter().any(|set| set.len() > ways) {
-                    return Err(err("cache set holds more tags than it has ways"));
-                }
-                Box::new(CacheBehavior {
-                    sets,
-                    ways,
-                    line_elems,
-                    hit_cycles,
-                    miss_cycles,
-                    tags,
-                    hits,
-                    misses,
-                })
-            }
-            4 => opaque()?,
-            t => return Err(err(&format!("unknown behavior tag {t}"))),
-        })
-    }
-
-    /// A component of a machine with `ncomp` of them, resumed against
-    /// `module`, its `plan` and `lib`.
+    /// Component `index` of `ncomp`, rebuilt from the op that created it.
+    /// A component without one is the host processor (component 0) or the
+    /// host scratch memory (`host_mem`).
     fn component(
         &mut self,
+        index: usize,
         ncomp: usize,
+        host_mem: Option<CompId>,
         module: &Module,
         plan: &Plan,
         lib: &SimLibrary,
     ) -> Result<Component, SimError> {
         let name = self.string()?;
-        let kind = match self.u8()? {
-            0 => ComponentKind::Processor(Processor {
-                kind: self.string()?,
-            }),
-            1 => ComponentKind::Memory(self.memory(module, plan, lib)?),
-            2 => ComponentKind::Dma,
-            3 => {
-                let children = self.seq(1, |r| Ok((r.string()?, CompId(r.u32()?))))?;
-                if children.iter().any(|(_, id)| (id.0 as usize) >= ncomp) {
-                    return Err(err("composite child out of range"));
-                }
-                ComponentKind::Composite(Composite { children })
+        let origin = self.opt(|r| r.usize().map(OpId::from_index))?;
+        let kind = match origin {
+            None if index == 0 => processor(module, None),
+            None if host_mem.is_some_and(|m| m.0 as usize == index) => {
+                ComponentKind::Memory(self.memory(host_scratch())?)
             }
-            t => return Err(err(&format!("unknown component tag {t}"))),
+            None => return Err(err("component without the op that created it")),
+            Some(op) => match plan.ops.get(op.index()).map(|o| &o.code) {
+                Some(OpCode::CreateProc) => processor(module, origin),
+                Some(OpCode::CreateMem) => {
+                    let m = build_memory(module, lib, op)
+                        .map_err(|e| err(&format!("memory origin does not build: {e}")))?;
+                    ComponentKind::Memory(self.memory(m)?)
+                }
+                Some(OpCode::CreateDma) => ComponentKind::Dma,
+                Some(OpCode::CreateComp { .. }) => {
+                    let children = self.seq(1, |r| Ok((r.string()?, CompId(r.u32()?))))?;
+                    if children.iter().any(|(_, id)| (id.0 as usize) >= ncomp) {
+                        return Err(err("composite child out of range"));
+                    }
+                    ComponentKind::Composite(Composite { children })
+                }
+                _ => return Err(err("component origin is not an op that creates one")),
+            },
         };
-        Ok(Component { name, kind })
+        Ok(Component { name, kind, origin })
     }
 
-    /// A memory. A custom timing model, whose state the stream does not
-    /// carry, is rebuilt by `lib`'s factory from the `equeue.create_mem` op
-    /// that built the memory (exact for stateless models: see
-    /// `MemoryBehavior`).
-    fn memory(
-        &mut self,
-        module: &Module,
-        plan: &Plan,
-        lib: &SimLibrary,
-    ) -> Result<Memory, SimError> {
-        let kind = self.string()?;
-        let origin = self.opt(|r| r.usize().map(OpId::from_index))?;
-        let capacity_elems = self.usize()?;
-        let data_bits = self.u32()?;
-        let banks = self.u32()?;
-        let used_elems = self.usize()?;
-        let behavior = self.behavior(|| {
-            origin
-                .filter(|op| {
-                    matches!(
-                        plan.ops.get(op.index()).map(|o| &o.code),
-                        Some(OpCode::CreateMem)
-                    )
-                })
-                .and_then(|op| mem_spec(module, op))
-                .filter(|spec| spec.kind == kind)
-                .map(|spec| lib.make_memory(&spec))
-                .ok_or_else(|| err("custom memory model without the create_mem op that built it"))
-        })?;
+    /// The run state of `m`, a memory just built from its op.
+    fn memory(&mut self, mut m: Memory) -> Result<Memory, SimError> {
+        m.used_elems = self.usize()?;
         let ports = self.seq(8, Reader::time)?;
-        if ports.is_empty() {
-            return Err(err("memory with no access ports"));
+        if ports.len() != m.ports.len() {
+            return Err(err("memory port count differs from its op's"));
         }
+        m.ports = ports;
         let [bytes_read, bytes_written, reads, writes] =
             [self.time()?, self.time()?, self.time()?, self.time()?];
-        Ok(Memory {
-            kind,
-            capacity_elems,
-            data_bits,
-            banks,
-            used_elems,
-            behavior,
-            ports,
-            counters: MemCounters {
-                bytes_read,
-                bytes_written,
-                reads,
-                writes,
-            },
-            energy_per_access_pj: self.f64()?,
-            origin,
-        })
+        m.counters = MemCounters {
+            bytes_read,
+            bytes_written,
+            reads,
+            writes,
+        };
+        let model: &mut dyn Any = &mut *m.behavior;
+        if let Some(cache) = model.downcast_mut::<CacheBehavior>() {
+            let tags = self.seq(8, |r| r.seq(8, Reader::usize))?;
+            if tags.len() != cache.sets {
+                return Err(err("cache tag table does not hold one stack per set"));
+            }
+            if tags.iter().any(|set| set.len() > cache.ways) {
+                return Err(err("cache set holds more tags than it has ways"));
+            }
+            cache.tags = tags;
+            cache.hits = self.time()?;
+            cache.misses = self.time()?;
+        }
+        Ok(m)
     }
 
     /// A buffer, which must lie inside one of the memories in `components`.
@@ -1233,12 +1113,8 @@ impl<'a> Reader<'a> {
         let Some(ComponentKind::Memory(m)) = components.get(mem.0 as usize).map(|c| &c.kind) else {
             return Err(err("buffer owned by a non-memory component"));
         };
-        let shape = self.seq(8, Reader::usize)?;
         let (elem_bytes, base_addr, live) = (self.usize()?, self.usize()?, self.boolean()?);
         let data = self.tensor()?;
-        if data.shape != shape {
-            return Err(err("buffer shape does not match its contents"));
-        }
         let b = Buffer {
             mem,
             elem_bytes,
@@ -1273,19 +1149,23 @@ impl<'a> Reader<'a> {
         Ok(stats)
     }
 
-    fn connection(&mut self) -> Result<Connection, SimError> {
-        let name = self.string()?;
-        let kind = match self.u8()? {
-            0 => ConnKind::Streaming,
-            1 => ConnKind::Window,
-            t => return Err(err(&format!("unknown connection tag {t}"))),
+    /// A connection, rebuilt in `machine` from the op that created it.
+    fn connection(&mut self, machine: &mut Machine, plan: &Plan) -> Result<(), SimError> {
+        let origin = self.opt(|r| r.usize().map(OpId::from_index))?;
+        let code = origin
+            .and_then(|op| plan.ops.get(op.index()))
+            .map(|o| &o.code);
+        let Some(&OpCode::CreateConnection { kind, bandwidth }) = code else {
+            return Err(err("connection origin is not a create_connection op"));
         };
-        let mut c = Connection::new(name, kind, self.u64()?);
+        let id = machine.add_connection(kind, bandwidth);
+        let c = machine.connection_mut(id);
+        c.origin = origin;
         c.read_free = self.time()?;
         c.write_free = self.time()?;
         c.read_stats = self.channel_stats()?;
         c.write_stats = self.channel_stats()?;
-        Ok(c)
+        Ok(())
     }
 }
 
@@ -1414,31 +1294,6 @@ mod tests {
         }
     }
 
-    /// The stream stores a buffer's shape twice: in its own slot and in its
-    /// contents. Resume rejects a stream where they disagree.
-    #[test]
-    fn buffer_shape_must_match_its_contents() {
-        let (compiled, snap) = tiny();
-        let mut bytes = snap.encode();
-        // The one buffer's record: shape slot [4], 4-byte elements at
-        // address 0, live, then its contents' shape [4].
-        let mut w = Writer::default();
-        w.seq([4usize].iter(), |w, &d| w.usize(d));
-        w.usize(4);
-        w.usize(0);
-        w.boolean(true);
-        w.seq([4usize].iter(), |w, &d| w.usize(d));
-        let at: Vec<usize> = (0..bytes.len())
-            .filter(|&i| bytes[i..].starts_with(&w.buf))
-            .collect();
-        assert_eq!(at.len(), 1, "the buffer record is found once");
-        bytes[at[0] + 8] = 2;
-        reseal(&mut bytes);
-        let snap = Snapshot::decode(&bytes).expect("the stream decodes");
-        let msg = rejected(compiled.resume(&snap, &options()));
-        assert!(msg.contains("buffer shape"), "{msg}");
-    }
-
     /// Runs `program(mem_kind)` to cycle 3, lets `edit` change the paused
     /// engine, captures it and resumes the capture.
     fn resume_edited(
@@ -1460,8 +1315,6 @@ mod tests {
     /// Resumes the cache program after `edit` changed its cache's state.
     fn resume_with_cache(edit: fn(&mut CacheBehavior)) -> Result<SimReport, SimError> {
         resume_edited(kinds::CACHE, |e| {
-            let mut cache = CacheBehavior::new(2, 2, 1, 1, 10);
-            edit(&mut cache);
             let mem = e
                 .machine
                 .components
@@ -1470,28 +1323,14 @@ mod tests {
                     ComponentKind::Memory(m) => Some(m),
                     _ => None,
                 });
-            mem.expect("the program has a memory").behavior = Box::new(cache);
+            let model: &mut dyn Any = &mut *mem.expect("the program has a memory").behavior;
+            edit(model.downcast_mut().expect("the memory is a stock cache"));
         })
     }
 
     #[test]
     fn sound_cache_state_resumes() {
         assert!(resume_with_cache(|_| {}).is_ok());
-    }
-
-    #[test]
-    fn cache_with_zero_sets_is_rejected() {
-        assert!(rejected(resume_with_cache(|c| c.sets = 0)).contains("zero sets"));
-    }
-
-    #[test]
-    fn cache_with_zero_ways_is_rejected() {
-        assert!(rejected(resume_with_cache(|c| c.ways = 0)).contains("zero sets, ways"));
-    }
-
-    #[test]
-    fn cache_with_zero_line_size_is_rejected() {
-        assert!(rejected(resume_with_cache(|c| c.line_elems = 0)).contains("line size"));
     }
 
     #[test]
@@ -1504,8 +1343,22 @@ mod tests {
 
     #[test]
     fn cache_set_cannot_exceed_its_ways() {
-        let msg = rejected(resume_with_cache(|c| c.tags[0] = vec![0, 2, 4]));
+        let msg = rejected(resume_with_cache(|c| c.tags[0] = vec![0; c.ways + 1]));
         assert!(msg.contains("more tags than it has ways"), "{msg}");
+    }
+
+    /// A component is rebuilt from the op its origin names, which must be
+    /// an op that creates one.
+    #[test]
+    fn component_origin_must_create_a_component() {
+        let msg = rejected(resume_edited(kinds::SRAM, |e| {
+            let alloc = (0..e.module.num_ops())
+                .map(OpId::from_index)
+                .find(|op| matches!(e.plan.ops[op.index()].code, OpCode::Alloc { .. }));
+            // Component 2 is the memory; 0 and 1 are the host and the PE.
+            e.machine.components[2].origin = Some(alloc.expect("the program allocates"));
+        }));
+        assert!(msg.contains("not an op that creates one"), "{msg}");
     }
 
     /// The engine's stuck-work check reads the host processor, so a

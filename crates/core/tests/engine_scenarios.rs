@@ -3,6 +3,7 @@
 
 use equeue_core::{
     simulate, simulate_with, ProcProfile, RunLimits, SimError, SimLibrary, SimOptions,
+    MAX_CYCLE_COST,
 };
 use equeue_dialect::{kinds, ArithBuilder, ConnKind, EqueueBuilder};
 use equeue_ir::{Module, OpBuilder, Type, ValueId};
@@ -371,7 +372,7 @@ fn registered_proc_profile_and_energy_reach_the_report() {
     let mut lib = SimLibrary::standard();
     let mut profile = ProcProfile::uniform(0);
     profile.per_op.insert("arith.addi".into(), 7);
-    lib.register_proc_profile("Accel", profile);
+    lib.register_proc_profile("Accel", profile).unwrap();
     lib.register_energy("ScratchPad", 3.5);
     let run = |m: &Module| simulate_with(m, &lib, &SimOptions::default()).unwrap();
     let energy = |r: &equeue_core::SimReport| {
@@ -389,4 +390,33 @@ fn registered_proc_profile_and_energy_reach_the_report() {
     // The `create_mem` attribute still overrides the registered energy.
     let custom = run(&read_then_add("Accel", &[("energy_pj", 9)]));
     assert!((energy(&custom) - 9.0).abs() < 1e-9);
+}
+
+/// A processor profile whose op costs would overflow the clock is
+/// rejected when registered, and registers nothing; a cost at the bound
+/// is charged in full.
+#[test]
+fn registered_proc_costs_are_bounded() {
+    let mut lib = SimLibrary::standard();
+    let err = lib
+        .register_proc_profile("Accel", ProcProfile::uniform(u64::MAX))
+        .unwrap_err();
+    assert!(
+        matches!(&err, SimError::Unsupported(msg) if msg.contains("'Accel'")),
+        "{err}"
+    );
+    let mut profile = ProcProfile::uniform(1);
+    profile
+        .per_op
+        .insert("arith.addi".into(), MAX_CYCLE_COST + 1);
+    assert!(lib.register_proc_profile("Accel", profile).is_err());
+    let cycles = |lib: &SimLibrary| {
+        let report = simulate_with(&read_then_add("Accel", &[]), lib, &SimOptions::default());
+        report.unwrap().cycles
+    };
+    // Still unregistered: a one-cycle read and a one-cycle add.
+    assert_eq!(cycles(&lib), 1 + 1);
+    lib.register_proc_profile("Accel", ProcProfile::uniform(MAX_CYCLE_COST))
+        .unwrap();
+    assert_eq!(cycles(&lib), 1 + MAX_CYCLE_COST);
 }

@@ -9,6 +9,7 @@ use std::time::Duration;
 use equeue_core::fault::{apply_faults, Fault};
 use equeue_core::{
     simulate_with, CompiledModule, RunLimits, SimError, SimLibrary, SimOptions, SimReport,
+    MAX_CACHE_GEOMETRY, MAX_CYCLE_COST,
 };
 use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder, MAX_MEM_PORTS};
 use equeue_ir::{Module, OpBuilder, Type};
@@ -263,6 +264,28 @@ fn decode_failures() -> Vec<(&'static str, &'static str, SimError)> {
             layout(
                 "equeue.create_mem",
                 "create_mem data_bits must be in 1..=4294967295, got 4294967304",
+            ),
+        ),
+        (
+            // Times the number of elements read, it overflowed the clock.
+            "SRAM whose cycles per access exceed the bound",
+            r#"%x = "equeue.create_mem"() {cycles_per_access = 9223372036854775807, kind = "SRAM", shape = [8]} : () -> !equeue.mem"#,
+            layout(
+                "equeue.create_mem",
+                &format!(
+                    "create_mem cycles_per_access must be in 0..={MAX_CYCLE_COST}, got 9223372036854775807"
+                ),
+            ),
+        ),
+        (
+            // 2^62 sets: allocating a tag stack per set fails outright.
+            "cache with more sets than the cap",
+            r#"%x = "equeue.create_mem"() {kind = "Cache", sets = 4611686018427387904, shape = [8]} : () -> !equeue.mem"#,
+            layout(
+                "equeue.create_mem",
+                &format!(
+                    "create_mem sets must be in 1..={MAX_CACHE_GEOMETRY}, got 4611686018427387904"
+                ),
             ),
         ),
         (

@@ -554,48 +554,82 @@ fn oversized_counters_are_rejected() {
     assert!(report.events_processed >= 1 << 62);
 }
 
-/// A restored processor op cost at 2^32 or above is a typed rejection at
-/// resume; just below it, the run resumes and charges it.
-#[test]
-fn oversized_processor_costs_are_rejected() {
-    let (compiled, bytes) = seed(affine_double(8), 7);
+/// Resumes `bytes` re-sealed against `compiled`, returning the message of
+/// its snapshot rejection.
+fn rejection(compiled: &CompiledModule, mut bytes: Vec<u8>) -> String {
+    reseal(&mut bytes);
+    let snap = Snapshot::decode(&bytes).expect("re-sealed stream decodes");
     let opts = SimOptions {
         trace: false,
         ..Default::default()
     };
-    // The ARMr5 processor's eleven one-cycle costs, `affine.load` first.
-    let costs = 1u64.to_le_bytes().repeat(11);
-    let hits: Vec<usize> = (0..bytes.len() - costs.len())
-        .filter(|&i| bytes[i..i + costs.len()] == costs[..])
+    match compiled.resume(&snap, &opts) {
+        Err(SimError::Snapshot(msg)) => msg,
+        Err(e) => panic!("non-Snapshot error {e}"),
+        Ok(_) => panic!("resumed"),
+    }
+}
+
+/// Offset just past the record of the component named `name`: its length
+/// prefix and bytes. Its origin follows: a presence tag and an op index.
+fn after_name(bytes: &[u8], name: &str) -> usize {
+    let record = [&(name.len() as u64).to_le_bytes()[..], name.as_bytes()].concat();
+    let hits: Vec<usize> = (0..bytes.len() - record.len())
+        .filter(|&i| bytes[i..].starts_with(&record))
         .collect();
     let [at] = hits[..] else {
-        panic!("expected one run of processor costs in the stream, found {hits:?}")
+        panic!("expected one component named {name}, found {hits:?}")
     };
-    let with = |field: usize, v: u64| {
-        let mut b = bytes.clone();
-        let off = at + 8 * field;
-        b[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        reseal(&mut b);
-        let snap = Snapshot::decode(&b).expect("re-sealed stream decodes");
-        compiled.resume(&snap, &opts)
-    };
-    for field in 0..11 {
-        match with(field, 1 << 32) {
-            Err(SimError::Snapshot(msg)) => {
-                assert!(
-                    msg.contains("cycle cost too large"),
-                    "cost {field}: unexpected message {msg:?}"
-                );
-            }
-            Err(e) => panic!("cost {field}: non-Snapshot error {e}"),
-            Ok(_) => panic!("cost {field}: resumed"),
-        }
-    }
-    let report = with(0, (1 << 32) - 1).expect("a cost below the bound resumes");
-    assert!(
-        report.cycles >= (1 << 32) - 1,
-        "the restored load cost is charged"
-    );
+    at + record.len()
+}
+
+/// A component is rebuilt from the op its origin names, and that op
+/// decides what the record holds. A memory re-pointed at the
+/// `create_proc` op becomes a processor, whose record ends at its origin,
+/// so the memory's state is read as whatever follows and the stream is
+/// rejected.
+#[test]
+fn memory_with_a_create_proc_origin_is_rejected() {
+    let (compiled, bytes) = seed(affine_double(8), 7);
+    let proc_origin = after_name(&bytes, "ARMr5#1");
+    let mem_origin = after_name(&bytes, "SRAM#2");
+    assert_eq!(bytes[mem_origin], 1, "the memory records its origin");
+    let mut edited = bytes.clone();
+    edited.copy_within(proc_origin..proc_origin + 9, mem_origin);
+    assert_ne!(edited, bytes, "the two origins differ");
+    rejection(&compiled, edited);
+}
+
+/// A processor runtime is charged the op costs of its component, so its
+/// component must execute: the host's runtime moved onto the memory is a
+/// typed rejection.
+#[test]
+fn runtime_on_a_memory_is_rejected() {
+    let (compiled, bytes) = seed(affine_double(8), 7);
+    // The processor runtimes follow the wake queue; the first is the
+    // host's, opening with its component id 0.
+    let len_at = SEQ_AT + 8 + if bytes[SEQ_AT + 8] == 0 { 1 } else { 5 };
+    let host = len_at + 8 + u64_at(&bytes, len_at) as usize * 20 + 8;
+    assert_eq!(bytes[host..host + 4], 0u32.to_le_bytes());
+    let mut edited = bytes.clone();
+    edited[host..host + 4].copy_from_slice(&2u32.to_le_bytes());
+    let msg = rejection(&compiled, edited);
+    assert!(msg.contains("does not execute"), "{msg}");
+}
+
+/// A memory's port free times must be as many as its `create_mem` op
+/// gives it ports (two by default).
+#[test]
+fn memory_port_count_must_match_its_op() {
+    let (compiled, bytes) = seed(affine_double(8), 7);
+    // The origin (9 bytes) and `used_elems` (8) precede the port count.
+    let ports = after_name(&bytes, "SRAM#2") + 9 + 8;
+    assert_eq!(u64_at(&bytes, ports), 2);
+    let mut edited = bytes[..ports].to_vec();
+    edited.extend_from_slice(&1u64.to_le_bytes());
+    edited.extend_from_slice(&bytes[ports + 16..]);
+    let msg = rejection(&compiled, edited);
+    assert!(msg.contains("port count"), "{msg}");
 }
 
 /// A pending `and` combinator resolves at the latest time its

@@ -39,10 +39,17 @@ impl MemoryBehavior for ParityCache {
     }
 }
 
-fn parity_cache_factory(spec: &MemSpec) -> Box<dyn MemoryBehavior> {
-    let hit = spec.attrs.int("hit_cycles").unwrap_or(1).max(0) as u64;
-    let miss = spec.attrs.int("miss_cycles").unwrap_or(20).max(0) as u64;
-    Box::new(ParityCache { hit, miss })
+fn parity_cache_factory(spec: &MemSpec) -> Result<Box<dyn MemoryBehavior>, String> {
+    let cycles = |name: &str, default: i64| {
+        let v = spec.attrs.int(name).unwrap_or(default);
+        u32::try_from(v)
+            .map(u64::from)
+            .map_err(|_| format!("ParityCache {name} must be in 0..=4294967295, got {v}"))
+    };
+    Ok(Box::new(ParityCache {
+        hit: cycles("hit_cycles", 1)?,
+        miss: cycles("miss_cycles", 20)?,
+    }))
 }
 
 fn program(mem_kind: &str) -> Module {
