@@ -490,102 +490,102 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 type Pin = (usize, u64);
 
 /// `(name, pin under Fused, pin under Interp)` of every golden scenario's
-/// snapshot at its mid cut, recorded at snapshot format version 5.
+/// snapshot at its mid cut, recorded at snapshot format version 6.
 const WIRE_PINS: &[(&str, Pin, Pin)] = &[
     (
         "fig09_4x4_ws_8x8",
-        (7887, 3575583097906371150),
-        (7887, 3575583097906371150),
+        (6981, 15351309054420611759),
+        (6981, 15351309054420611759),
     ),
     (
         "fig11_linalg_ws_8",
-        (4874, 2035953862470826946),
-        (4874, 2035953862470826946),
+        (4459, 12912893200464968659),
+        (4459, 12912893200464968659),
     ),
     (
         "fig11_affine_ws_8",
-        (5100, 2018039177249645164),
-        (5100, 1900708947210172210),
+        (4685, 2716741470586040258),
+        (4685, 8527805315209401337),
     ),
     (
         "fig11_reassign_ws_8",
-        (7936, 7082799860047872589),
-        (7936, 17145947523750384839),
+        (7407, 17665752700782167666),
+        (7407, 1718974893227629429),
     ),
     (
         "fig11_systolic_ws_8",
-        (22805, 13049945757626123205),
-        (22805, 13049945757626123205),
+        (20458, 11363376404801357491),
+        (20458, 11363376404801357491),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_ws",
-        (95658, 16588704081410707985),
-        (95658, 16588704081410707985),
+        (88451, 1230557805690341201),
+        (88451, 1230557805690341201),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_is",
-        (1268981, 7533641603985243868),
-        (1268981, 7533641603985243868),
+        (1261758, 15522863090026730036),
+        (1261758, 15522863090026730036),
     ),
     (
         "fig12_ah8_hw16_f4_c4_n8_os",
-        (85621, 3275850003416171424),
-        (85621, 3275850003416171424),
+        (78414, 5648697243352167909),
+        (78414, 5648697243352167909),
     ),
     (
         "fir_single_core",
-        (1419, 3481844015591045215),
-        (1419, 3481844015591045215),
+        (1125, 10172340196499967744),
+        (1125, 10172340196499967744),
     ),
     (
         "fir_pipelined16",
-        (169659, 12915638847602831682),
-        (169659, 12915638847602831682),
+        (166207, 4761161310129975628),
+        (166207, 4761161310129975628),
     ),
     (
         "fir_bandwidth16",
-        (168848, 14699485932496603402),
-        (168848, 14699485932496603402),
+        (165396, 1805009330818018978),
+        (165396, 1805009330818018978),
     ),
     (
         "fir_balanced4",
-        (41260, 78184857636222989),
-        (41260, 78184857636222989),
+        (40286, 16717492726713771188),
+        (40286, 16717492726713771188),
     ),
     (
         "matmul_linalg16",
-        (7200, 12767248773880846271),
-        (7200, 12767248773880846271),
+        (6889, 5120595497982497329),
+        (6889, 5120595497982497329),
     ),
     (
         "matmul_affine16",
-        (7328, 14878539608917767161),
-        (7328, 15611812997845500543),
+        (7021, 4323305768404167134),
+        (7021, 12086890012701237003),
     ),
     (
         "tensor_stream_64x8",
-        (66768, 2297520814168811924),
-        (66768, 2297520814168811924),
+        (66507, 17415112173564248478),
+        (66507, 17415112173564248478),
     ),
     (
         "conv2d_systolic_8x3",
-        (8340, 11800408455992875080),
-        (8340, 11800408455992875080),
+        (7137, 3823115719196375707),
+        (7137, 3823115719196375707),
     ),
     (
         "multi_tenant_4x16x6",
-        (23021, 11030337015210142053),
-        (23021, 11030337015210142053),
+        (22079, 13209973021654203304),
+        (22079, 13209973021654203304),
     ),
     (
         "mega_grid_8x8",
-        (25182, 1021955636123073692),
-        (25182, 13233976019462182314),
+        (18192, 15724766968560534395),
+        (18192, 6997617878359100393),
     ),
     (
         "shard_grid_4x4",
-        (8802, 12825253683517807438),
-        (8802, 15266857412902143273),
+        (6318, 9208075020518353515),
+        (6318, 9731222614228874716),
     ),
 ];
 
